@@ -1,0 +1,7 @@
+"""``python -m benchmarks.ledger``."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())
