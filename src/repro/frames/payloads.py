@@ -105,11 +105,9 @@ def frame_ids_in(payload: Any) -> list[int]:
 
     Frame identity travels as a ``"frame_id"`` key in payload dicts — at
     the top level for simple module messages, nested for batched or
-    enveloped payloads (``{"batch": [{"frame_id": ...}, ...]}``). Drop
-    paths (mailbox drains, dead letters, migration salvage) must account
-    *every* frame a payload carried, so this walks containers the same way
-    :func:`release_refs` walks for refs rather than peeking only at the
-    top-level dict.
+    enveloped payloads (``{"batch": [{"frame_id": ...}, ...]}``).
+    Settlement must account *every* frame a payload carried, so this walks
+    containers the way :func:`release_refs` walks for refs.
     """
     ids: list[int] = []
     seen: set[int] = set()

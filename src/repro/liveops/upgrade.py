@@ -40,6 +40,7 @@ from ..net.address import Address
 from ..runtime.events import DATA, ModuleEvent
 from ..runtime.module import Module
 from ..runtime.registry import create_module
+from ..runtime.settlement import SHADOW_RETIRE, unsettled_frames
 from ..runtime.wiring import PipelineWiring
 from ..slo.spec import quantile
 from .lineage import LineageRecorder
@@ -69,17 +70,12 @@ class CanarySinkModule(Module):
     #: The sink is bookkeeping, not simulated work.
     event_overhead_s = 0.0
 
-    def __init__(self) -> None:
-        self._completed: set[int] = set()
-
     def event_received(self, ctx, event: ModuleEvent) -> Any:
         payload = event.payload
         release_refs(payload, ctx._runtime.device.frame_store)
-        for frame_id in frame_ids_in(payload):
-            # a fan-out DAG reaches the sink once per edge; complete once
-            if frame_id not in self._completed:
-                self._completed.add(frame_id)
-                ctx.frame_completed(frame_id)
+        # a fan-out DAG reaches the sink once per edge; complete once
+        for frame_id in unsettled_frames(payload, ctx.metrics):
+            ctx.frame_completed(frame_id)
 
 
 class MirrorTap:
@@ -95,6 +91,10 @@ class MirrorTap:
     def __init__(self, upgrade: "ModuleUpgrade") -> None:
         self.upgrade = upgrade
         self._acc = 0.0
+        #: Frames already admitted on the shadow collector: a fan-in
+        #: incumbent receives one event per upstream producer for the same
+        #: frame, and later copies must only carry their own refs.
+        self._admitted: set[int] = set()
 
     def __call__(self, event: ModuleEvent) -> None:
         upgrade = self.upgrade
@@ -104,16 +104,16 @@ class MirrorTap:
         if self._acc < 1.0 - 1e-12:
             return
         self._acc -= 1.0
-        primary = upgrade.primary_deployed
-        runtime = primary.runtime
+        runtime = upgrade.primary_deployed.runtime
         payload = event.payload
-        frame_ids = frame_ids_in(payload)
         add_refs(payload, runtime.device.frame_store)
         now = runtime.kernel.now
-        for frame_id in frame_ids:
-            upgrade.shadow_metrics.frame_entered(frame_id, now)
+        for frame_id in frame_ids_in(payload):
+            if frame_id not in self._admitted:
+                self._admitted.add(frame_id)
+                upgrade.shadow_metrics.frame_entered(frame_id, now)
+                upgrade.mirrored_frames += 1
         upgrade.mirrored_events += 1
-        upgrade.mirrored_frames += len(frame_ids)
         # the tap alias (never deployed) is the shadow wiring's name for
         # the incumbent's address; a mirror copy that dies in flight dead-
         # letters onto the *shadow* collector, not the live pipeline's
@@ -423,28 +423,17 @@ class LiveOpsManager:
         if upgrade.state != MIRRORING:
             raise ConfigError(f"upgrade is {upgrade.state}, not mirroring")
         self._retire_shadow(upgrade)
-        shutdown = getattr(upgrade.new_instance, "shutdown", None)
-        if callable(shutdown):
-            shutdown(upgrade.shadow_deployed.ctx)
+        upgrade.new_instance.shutdown(upgrade.shadow_deployed.ctx)
         self._finish(upgrade, ROLLED_BACK, reason)
         upgrade.pipeline.metrics.increment("upgrades_rolled_back")
 
     def _retire_shadow(self, upgrade: ModuleUpgrade) -> None:
         """Detach the tap and tear the shadow deployment down, settling
-        every mirrored frame still queued there (mirror copies conserved:
-        entered == completed + dropped on the shadow collector)."""
+        every mirrored frame still queued there on the shadow collector."""
         upgrade.primary_deployed.mirror = None
         for dep in (upgrade.shadow_deployed, upgrade.sink_deployed):
             dep.runtime.undeploy(dep.name)
-            seen: set[int] = set()
-            for event in dep.mailbox.drain():
-                release_refs(
-                    event.payload, dep.runtime.device.frame_store
-                )
-                for frame_id in frame_ids_in(event.payload):
-                    if frame_id not in seen:
-                        seen.add(frame_id)
-                        dep.ctx.frame_dropped(frame_id)
+            dep.settle_queued(SHADOW_RETIRE)
 
     def _finish(
         self, upgrade: ModuleUpgrade, state: str, reason: str

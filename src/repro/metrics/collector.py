@@ -88,12 +88,10 @@ class MetricsCollector:
             self.auditor.on_frame_completed(self, frame_id)
 
     def frame_dropped(self, frame_id: int, now: float) -> None:
-        """A frame left the pipeline without completing (dropped at the
-        source, lost with a crashed device's mailbox, discarded during a
-        migration). Prunes the start entry — without this, every such frame
-        leaks a ``_frame_started`` slot for the rest of the run — and
-        counts it under ``frames_dropped``. Safe for frames that were never
-        admitted (the source's pre-admission drops)."""
+        """A frame left the pipeline without completing (a source-side drop,
+        or a settlement — :mod:`repro.runtime.settlement`). Prunes the start
+        entry and counts it under ``frames_dropped``. Safe for frames that
+        were never admitted (the source's pre-admission drops)."""
         self._frame_started.pop(frame_id, None)
         self._counters["frames_dropped"] += 1
         if self.auditor is not None:
@@ -105,13 +103,8 @@ class MetricsCollector:
         return len(self._frame_started)
 
     def frame_in_flight(self, frame_id: int) -> bool:
-        """Whether *frame_id* is admitted and not yet completed or dropped.
-
-        Drain paths (migration, crash, rollback, dead letters) guard their
-        drop accounting on this: in a fan-out/fan-in DAG the same admitted
-        frame can sit in several mailboxes at once, and only its *first*
-        settlement may count — every event copy still releases its own
-        frame references, but the frame leaves the pipeline exactly once."""
+        """Whether *frame_id* is admitted and not yet completed or dropped
+        — the guard :mod:`repro.runtime.settlement` settles frames under."""
         return frame_id in self._frame_started
 
     def throughput_fps(self, end_time: float, warmup_s: float = 0.0) -> float:

@@ -9,17 +9,14 @@ the per-device runtimes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ..devices.device import Device
 from ..errors import DeploymentError
-from ..frames.arena import MIGRATED
-from ..frames.payloads import frame_ids_in, release_refs
 from ..metrics.collector import MetricsCollector
 from ..net.address import Address, parse_endpoint
 from ..net.transport import Transport
 from ..runtime.module import Module
 from ..runtime.registry import create_module
+from ..runtime.settlement import MIGRATE, ROLLBACK
 from ..runtime.wiring import PipelineWiring
 from ..services.registry import ServiceRegistry
 from ..services.stubs import make_stub
@@ -28,9 +25,6 @@ from .config import PipelineConfig
 from .dag import validate
 from .pipeline import Pipeline
 from .placement import PlacementPlan
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class Deployer:
@@ -78,25 +72,16 @@ class Deployer:
             )
 
         deployed = {}
+        pipeline = Pipeline(
+            config, placement, wiring, deployed,
+            prefer_local_services=prefer_local_services,
+        )
         try:
             for module_cfg in config.modules:
                 device = self._device_of(placement.device_of(module_cfg.name))
                 instance = module_instances.get(module_cfg.name)
                 if instance is None:
                     instance = create_module(module_cfg.include, **module_cfg.params)
-                stubs = {
-                    service: make_stub(
-                        self.kernel,
-                        self.transport,
-                        self.registry,
-                        device,
-                        service,
-                        prefer_local=prefer_local_services,
-                        balancing=config.balancing or "fastest",
-                        timeout_s=config.service_timeout_s,
-                    )
-                    for service in module_cfg.services
-                }
                 runtime = device.runtime
                 if runtime is None:
                     raise DeploymentError(
@@ -107,40 +92,18 @@ class Deployer:
                     instance,
                     wiring.addresses[module_cfg.name],
                     wiring,
-                    stubs,
+                    self._build_stubs(pipeline, module_cfg, device),
                 )
         except Exception:
-            # roll back partial deployments so a failed deploy leaves the
-            # home clean: stop what init may have started (a source module
-            # keeps capturing otherwise), unbind, and drain any mailbox
-            # content with crash semantics (drop_queued_events) — refs
-            # released, carried frames accounted as dropped
-            for name in reversed(list(deployed)):
-                dep = deployed[name]
-                shutdown = getattr(dep.module, "shutdown", None)
-                if callable(shutdown):
-                    shutdown(dep.ctx)
-                dep.runtime.undeploy(name)
-                for event in dep.mailbox.drain():
-                    release_refs(
-                        event.payload, dep.runtime.device.frame_store
-                    )
-                    # each event copy owns its refs, but a frame fanned out
-                    # to several mailboxes may only be *dropped* once — the
-                    # in-flight guard makes drop accounting idempotent
-                    # across modules and drain sites
-                    for frame_id in frame_ids_in(event.payload):
-                        if dep.ctx.metrics.frame_in_flight(frame_id):
-                            dep.ctx.frame_dropped(frame_id)
+            # a failed deploy leaves the home clean: what init started is
+            # stopped (a source module keeps capturing otherwise)
+            pipeline._teardown(ROLLBACK)
             raise
         for module_cfg in config.modules:
             wiring.metrics.increment(
                 f"module_version.{module_cfg.name}.{module_cfg.version}"
             )
-        return Pipeline(
-            config, placement, wiring, deployed,
-            prefer_local_services=prefer_local_services,
-        )
+        return pipeline
 
     # -- migration -----------------------------------------------------------------
     def migrate(self, pipeline: Pipeline, module_name: str,
@@ -152,9 +115,8 @@ class Deployer:
         The module instance is undeployed, its service stubs are rebuilt
         for the new device (local vs remote may flip), the shared wiring is
         updated so peers route to the new address, and the instance is
-        redeployed. Events still queued in the old mailbox are dropped
-        (their frame references are released), mirroring a real
-        stop-the-module-and-move: senders simply see the brief gap.
+        redeployed. Events still queued in the old mailbox are settled as
+        dropped, like a real stop-and-move: senders see the brief gap.
 
         Caveat: a message in flight to the old address during the move is
         lost. If the migrated module sits on the §2.3 credit path, a lost
@@ -171,33 +133,11 @@ class Deployer:
         if target.runtime is None:
             raise DeploymentError(f"device {target_device!r} has no runtime")
 
-        # stop the old instance and salvage queued events; frames those
-        # events carried leave the pipeline here, so they are accounted as
-        # dropped (same bookkeeping as a device crash draining mailboxes) —
-        # otherwise each one leaks a frames_in_flight slot forever
-        old_runtime = old_deployed.runtime
-        old_runtime.undeploy(module_name)
-        dropped = old_deployed.mailbox.drain()
-        for event in dropped:
-            # the frames are leaving this device: retire their arena slots
-            # as MIGRATED so a stale handle reports use-after-migrate
-            release_refs(
-                event.payload, old_runtime.device.frame_store,
-                reason=MIGRATED,
-            )
-            # frame ids may be nested (batched/enveloped payloads) — walk
-            # the payload like release_refs does, or each missed frame
-            # leaks a frames_in_flight slot forever. A fan-in module's
-            # mailbox can hold several events for the *same* frame (one
-            # per upstream producer), and the frame may also still reach
-            # the sink through a surviving sibling branch — so each event
-            # releases its own refs, but the drop is only recorded while
-            # the frame is still in flight (first settlement wins)
-            for frame_id in frame_ids_in(event.payload):
-                if old_deployed.ctx.metrics.frame_in_flight(frame_id):
-                    old_deployed.ctx.frame_dropped(frame_id)
+        # stop the old instance; what it still had queued leaves with it
+        old_deployed.runtime.undeploy(module_name)
+        dropped = old_deployed.settle_queued(MIGRATE)
         if dropped:
-            pipeline.metrics.increment("migration_dropped_events", len(dropped))
+            pipeline.metrics.increment("migration_dropped_events", dropped)
 
         # rewire and redeploy the same instance on the target
         new_address = Address(
@@ -242,20 +182,13 @@ class Deployer:
         runtime = old_deployed.runtime
         address = old_deployed.address
         runtime.undeploy(module_name)
-        salvaged = old_deployed.mailbox.drain()
-        shutdown = getattr(old_deployed.module, "shutdown", None)
-        if callable(shutdown):
-            shutdown(old_deployed.ctx)
+        old_deployed.module.shutdown(old_deployed.ctx)
         stubs = self._build_stubs(pipeline, module_cfg, runtime.device)
         new_deployed = runtime.deploy(
             module_name, new_instance, address, pipeline.wiring, stubs,
             run_init=run_init,
         )
-        for event in salvaged:
-            new_deployed.mailbox.put(event)
-        new_deployed.max_mailbox_depth = max(
-            new_deployed.max_mailbox_depth, new_deployed.mailbox_depth
-        )
+        salvaged = old_deployed.hand_over_queued(new_deployed)
         pipeline._deployed[module_name] = new_deployed
         pipeline.wiring.versions[module_name] = version
         module_cfg.version = version
@@ -263,7 +196,7 @@ class Deployer:
             f"module_version.{module_name}.{version}"
         )
         if salvaged:
-            pipeline.metrics.increment("swap_salvaged_events", len(salvaged))
+            pipeline.metrics.increment("swap_salvaged_events", salvaged)
 
     # -- helpers -----------------------------------------------------------------
     def _build_stubs(
@@ -282,6 +215,7 @@ class Deployer:
             )
             for service in module_cfg.services
         }
+
     def _device_of(self, name: str) -> Device:
         try:
             return self.devices[name]

@@ -6,6 +6,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import DeploymentError
 from ..metrics.collector import MetricsCollector
+from ..runtime.settlement import STOP
 from ..runtime.wiring import PipelineWiring
 from .config import PipelineConfig
 from .placement import PlacementPlan
@@ -61,16 +62,17 @@ class Pipeline:
         return self.placement.device_of(module_name)
 
     def stop(self) -> None:
-        """Undeploy every module (idempotent). Modules with a ``shutdown``
-        method get it called first (e.g. to stop video sources)."""
-        if self.stopped:
-            return
+        """Shut down and undeploy every module, settling whatever is still
+        queued in their mailboxes (idempotent)."""
+        if not self.stopped:
+            self._teardown(STOP)
+
+    def _teardown(self, reason: str) -> None:
         self.stopped = True
         for name, deployed in self._deployed.items():
-            shutdown = getattr(deployed.module, "shutdown", None)
-            if callable(shutdown):
-                shutdown(deployed.ctx)
+            deployed.module.shutdown(deployed.ctx)
             deployed.runtime.undeploy(name)
+            deployed.settle_queued(reason)
 
     def describe(self) -> dict:
         """A structured summary (modules, devices, edges, counters)."""

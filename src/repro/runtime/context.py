@@ -270,9 +270,8 @@ class ModuleContext:
             tracer.frame_finished(trace_id)
 
     def frame_dropped(self, frame_id: int) -> None:
-        """*frame_id* left the pipeline without completing (source drop,
-        crashed device, migration): prune its metrics entry and close its
-        trace — if it ever had one — as dropped."""
+        """This module dropped *frame_id* (a source-side drop): prune its
+        metrics entry and close its trace — if it ever had one."""
         self.metrics.frame_dropped(frame_id, self.now)
         tracer = self.tracer
         if tracer is not None:

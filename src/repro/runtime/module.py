@@ -54,6 +54,10 @@ class Module:
         Only meaningful on the source module; default ignores it.
         """
 
+    def shutdown(self, ctx: "ModuleContext") -> None:
+        """Called once when the module is torn down (pipeline stop, deploy
+        rollback, replacement by an upgrade); sources stop capturing here."""
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__}>"
 

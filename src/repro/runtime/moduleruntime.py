@@ -17,12 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..devices.device import Device
 from ..errors import DeploymentError
-from ..frames.payloads import (
-    decode_frames_from_wire,
-    encode_refs_for_wire,
-    frame_ids_in,
-    release_refs,
-)
+from ..frames.payloads import decode_frames_from_wire, encode_refs_for_wire
 from ..net.address import Address
 from ..net.message import H_TRACE, KIND_SIGNAL, Message
 from ..net.wire import ENVELOPE_OVERHEAD
@@ -34,6 +29,7 @@ from ..trace.span import CAT_COMPUTE, CAT_QUEUE, CAT_WIRE, SpanContext
 from .context import ModuleContext
 from .events import DATA, READY_SIGNAL, ModuleEvent
 from .module import Module
+from .settlement import CRASH, DEAD_LETTER, settle_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
@@ -74,6 +70,29 @@ class DeployedModule:
     @property
     def mailbox_depth(self) -> int:
         return len(self.mailbox)
+
+    def settle_queued(self, reason: str) -> int:
+        """:func:`~repro.runtime.settlement.settle_payload` every event
+        still queued in the mailbox; returns how many there were."""
+        runtime = self.runtime
+        events = self.mailbox.drain()
+        for event in events:
+            settle_payload(
+                event.payload, runtime.device.frame_store, self.ctx.wiring,
+                runtime.kernel.now, reason, self.name,
+            )
+        return len(events)
+
+    def hand_over_queued(self, successor: "DeployedModule") -> int:
+        """Move every queued event, in order, into *successor*'s mailbox
+        (same device, so their refs stay valid); returns how many."""
+        events = self.mailbox.drain()
+        for event in events:
+            successor.mailbox.put(event)
+        successor.max_mailbox_depth = max(
+            successor.max_mailbox_depth, successor.mailbox_depth
+        )
+        return len(events)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<DeployedModule {self.name}@{self.address}>"
@@ -132,27 +151,11 @@ class ModuleRuntime:
 
     def drop_queued_events(self) -> int:
         """Device-crash semantics: events still queued in mailboxes are lost
-        with RAM; their frame references are released so the store doesn't
-        leak, and the frames they carried are accounted as dropped (pruning
-        their in-flight metrics entries and closing their traces). Returns
-        the number of events dropped."""
-        from ..frames.payloads import release_refs
-
-        dropped = 0
-        for deployed in self._deployed.values():
-            for event in deployed.mailbox.drain():
-                release_refs(event.payload, self.device.frame_store)
-                # frame ids may sit below the top level (batched/enveloped
-                # payloads) — walk like release_refs walks, or the metrics
-                # in-flight table leaks one slot per nested frame. A frame
-                # fanned out to several of this device's modules appears in
-                # several mailboxes; the in-flight guard keeps its drop
-                # accounting idempotent across them (first drain wins)
-                for frame_id in frame_ids_in(event.payload):
-                    if deployed.ctx.metrics.frame_in_flight(frame_id):
-                        deployed.ctx.frame_dropped(frame_id)
-                dropped += 1
-        return dropped
+        with RAM. Returns the number of events dropped."""
+        return sum(
+            deployed.settle_queued(CRASH)
+            for deployed in self._deployed.values()
+        )
 
     def deployed(self, name: str) -> DeployedModule:
         try:
@@ -200,7 +203,7 @@ class ModuleRuntime:
             # accounted as dropped, like a drained mailbox
             done.wait(
                 lambda _v, exc: self._dead_letter(
-                    source_module, wiring, payload, release_local_refs=local
+                    source_module, wiring, payload, owns_refs=local
                 ) if exc is not None else None
             )
         if local:
@@ -247,23 +250,13 @@ class ModuleRuntime:
         source_module: str,
         wiring: "PipelineWiring",
         payload: Any,
-        release_local_refs: bool,
+        owns_refs: bool,
     ) -> None:
-        if release_local_refs:
-            release_refs(payload, self.device.frame_store)
         wiring.metrics.increment("dead_letters")
-        for frame_id in frame_ids_in(payload):
-            # a sibling fan-out copy (or an earlier drain) may already have
-            # settled this frame — only the first settlement counts
-            if not wiring.metrics.frame_in_flight(frame_id):
-                continue
-            source = self._deployed.get(source_module)
-            if source is not None:
-                source.ctx.frame_dropped(frame_id)
-            else:
-                # the sender itself was undeployed meanwhile (its handler
-                # outlived the migration); account on the shared collector
-                wiring.metrics.frame_dropped(frame_id, self.kernel.now)
+        settle_payload(
+            payload, self.device.frame_store, wiring, self.kernel.now,
+            DEAD_LETTER, source_module, owns_refs=owns_refs,
+        )
 
     #: Charged bytes for one intra-device hop through the arena frame
     #: plane: the envelope plus one ``(arena_id, offset, generation)``
@@ -352,18 +345,12 @@ class ModuleRuntime:
             event = yield deployed.mailbox.get()
             if not deployed.active:
                 # undeployed while this get was in flight: the event already
-                # left the mailbox (the migration drain missed it), so its
-                # frame leaves the pipeline here
-                payload = event.payload
-                release_refs(payload, self.device.frame_store)
-                dead_ids = frame_ids_in(payload)
-                if dead_ids:
-                    deployed.ctx.metrics.increment("dead_letters")
-                    for frame_id in dead_ids:
-                        # the migration drain (or a fan-out sibling) may
-                        # have settled this frame already
-                        if deployed.ctx.metrics.frame_in_flight(frame_id):
-                            deployed.ctx.frame_dropped(frame_id)
+                # left the mailbox, so no drain saw it
+                if event.kind == DATA:
+                    self._dead_letter(
+                        deployed.name, deployed.ctx.wiring, event.payload,
+                        owns_refs=True,
+                    )
                 break
             # land any encoded frames into the local store (decode cost)
             payload, decode_cost, _ = decode_frames_from_wire(

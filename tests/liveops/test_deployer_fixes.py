@@ -22,6 +22,8 @@ from repro.runtime import Module, register_module
 from repro.runtime.events import DATA, ModuleEvent
 from repro.services import FunctionService
 
+from ..settlement_sites import SITES
+
 
 @register_module("./FixProducer.js")
 class Producer(Module):
@@ -85,10 +87,9 @@ class TestPreferLocalSurvivesMigration:
         assert pipeline.module("consumer").ctx.service_is_local("echo")
 
 
-def _queue_nested_event(pipeline, module_name, frame_ids):
+def _queue_nested_event(deployed, frame_ids):
     """Plant a DATA event whose frame ids sit below the top level, the
     batched/enveloped payload shape the old flat drain missed."""
-    deployed = pipeline.module(module_name)
     ctx = deployed.ctx
     payload = {"batch": [
         {"frame_id": fid, "ref": ctx.store_frame(b"pixels")}
@@ -105,7 +106,7 @@ class TestMigrateDrainWalksNestedPayloads:
         home.enable_audit()
         pipeline = home.deploy_pipeline(two_stage_config(),
                                         default_device="phone")
-        _queue_nested_event(pipeline, "consumer", [501, 502, 503])
+        _queue_nested_event(pipeline.module("consumer"), [501, 502, 503])
         assert pipeline.metrics.frames_in_flight == 3
 
         home.migrate_module(pipeline, "consumer", "desktop")
@@ -118,8 +119,9 @@ class TestMigrateDrainWalksNestedPayloads:
 
     def test_flat_drain_mutation_trips_auditor(self, monkeypatch):
         """Re-introduce the bug: drain only top-level ``frame_id`` keys.
-        The metrics-conservation law flags the leak immediately."""
-        import repro.pipeline.deployer as deployer_mod
+        The metrics-conservation law flags the leak immediately — at every
+        settlement site, because they all share the one primitive."""
+        import repro.runtime.settlement as settlement_mod
 
         # this test *plants* a violation; keep the auditor explicit so the
         # REPRO_AUDIT sweep doesn't fail for finding exactly that
@@ -132,22 +134,21 @@ class TestMigrateDrainWalksNestedPayloads:
                 return [payload["frame_id"]]
             return []
 
-        monkeypatch.setattr(deployer_mod, "frame_ids_in", flat_only)
-        home = VideoPipe.paper_testbed(seed=0)
-        home.deploy_service(FunctionService("echo", lambda p, c: p,
-                                            default_port=7300), "desktop")
-        auditor = InvariantAuditor(home.kernel)
-        pipeline = home.deploy_pipeline(two_stage_config(),
-                                        default_device="phone")
-        auditor.watch_metrics(pipeline.metrics)
-        _queue_nested_event(pipeline, "consumer", [601, 602])
+        monkeypatch.setattr(settlement_mod, "frame_ids_in", flat_only)
+        for site, settle_via in SITES.items():
+            home = VideoPipe.paper_testbed(seed=0)
+            auditor = InvariantAuditor(home.kernel)
 
-        home.migrate_module(pipeline, "consumer", "desktop")
+            def plant(deployed):
+                auditor.watch_metrics(deployed.ctx.metrics)
+                _queue_nested_event(deployed, [601, 602])
 
-        assert pipeline.metrics.frames_in_flight == 2  # the leak
-        violations = auditor.check_quiesce()
-        assert any(v.invariant == "metrics-conservation" for v in violations), \
-            auditor.report()
+            settled = settle_via(home, plant)
+
+            assert settled.ctx.metrics.frames_in_flight == 2, site  # the leak
+            violations = auditor.check_quiesce()
+            assert any(v.invariant == "metrics-conservation"
+                       for v in violations), (site, auditor.report())
 
 
 @register_module("./FixEagerSource.js")

@@ -13,6 +13,8 @@ from repro.errors import ConfigError
 from repro.liveops import MIRRORING, PROMOTED, ROLLED_BACK, CanaryPolicy
 from repro.liveops.upgrade import _bump_version
 
+from ..settlement_sites import diamond_config, inject_frame
+
 MODULE = "pose_detector_module"
 
 
@@ -179,6 +181,37 @@ class TestMirroring:
         home_b.run(until=25.0)
         assert pipeline_b.metrics.counter("frames_completed") == completed_plain
         assert pipeline_b.metrics.counter("frames_dropped") == 0
+
+
+    @pytest.mark.parametrize("verdict_after_s", [0.0, 1.0])
+    def test_fanin_incumbent_admits_mirrored_frame_once(self, verdict_after_s):
+        """The regression: a fan-in incumbent receives one event per
+        upstream producer for the same frame, the tap admitted the frame
+        on the shadow collector once per *event*, and the shadow settled
+        it once — admitted (2) != completed + dropped (1). The verdict
+        lands either with both copies still on their way to the candidate
+        (teardown settles them) or after the candidate handled both."""
+        home = VideoPipe.paper_testbed(seed=0)
+        home.enable_audit()
+        pipeline = home.deploy_pipeline(diamond_config(),
+                                        default_device="phone")
+        up = home.upgrade_module(pipeline, "sink",
+                                 policy=CanaryPolicy(auto=False))
+        inject_frame(pipeline, 900)
+        while up.mirrored_events < 2:
+            home.kernel.step()
+        home.run_for(verdict_after_s)
+
+        home.liveops.rollback(up, reason="test done")
+        home.run_for(1.0)
+
+        shadow = up.shadow_metrics
+        assert up.mirrored_frames == shadow.counter("frames_entered") == 1
+        assert shadow.counter("frames_completed") + \
+            shadow.counter("frames_dropped") == 1
+        assert pipeline.metrics.counter("frames_completed") == 1
+        assert home.device("phone").frame_store.live_count == 0
+        assert home.check_invariants() == [], home.auditor.report()
 
 
 class TestManualControl:

@@ -20,6 +20,8 @@ from repro.pipeline import ModuleConfig, PipelineConfig
 from repro.runtime import Module, register_module
 from repro.runtime.events import DATA, ModuleEvent
 
+from ..settlement_sites import SITES, plant_events
+
 
 @register_module("./FanProducer.js")
 class FanProducer(Module):
@@ -71,26 +73,6 @@ def fanout_config():
     )
 
 
-def _plant_fanin_events(pipeline, module_name, frame_id, copies):
-    """Queue *copies* events for one admitted frame into *module_name*'s
-    mailbox — one per upstream producer, each owning its own hold on the
-    same stored frame (exactly what the source's fan-out hands a fan-in
-    consumer)."""
-    deployed = pipeline.module(module_name)
-    ctx = deployed.ctx
-    ref = ctx.store_frame(b"pixels")
-    for _ in range(copies - 1):
-        ctx.add_ref(ref)
-    ctx.frame_entered(frame_id)
-    for producer in range(copies):
-        deployed.mailbox.put(ModuleEvent(
-            kind=DATA,
-            payload={"frame_id": frame_id, "ref": ref,
-                     "producer": producer},
-        ))
-    return ref
-
-
 @pytest.fixture
 def home():
     return VideoPipe.paper_testbed(seed=0)
@@ -106,7 +88,7 @@ class TestFanInMigrateDrain:
         home.enable_audit()
         pipeline = home.deploy_pipeline(fanin_config(),
                                         default_device="phone")
-        _plant_fanin_events(pipeline, "sink", 801, copies=2)
+        plant_events(pipeline.module("sink"), 801, copies=2)
         assert pipeline.metrics.frames_in_flight == 1
         # one stored object held twice — only BOTH events' releases free it
         assert home.device("phone").frame_store.live_count == 1
@@ -170,26 +152,71 @@ class TestFanInMigrateDrain:
         assert home.check_invariants() == [], home.auditor.report()
 
 
+class TestEverySiteSettlesOnce:
+    @pytest.mark.parametrize("site", SITES)
+    def test_two_copies_drop_once_under_the_sites_reason(self, home, site):
+        """The fan-in drain law holds wherever the mailbox is settled, and
+        the drop is counted under the reason that site passes."""
+        home.enable_audit()
+        settled = SITES[site](
+            home, lambda deployed: plant_events(deployed, 806, copies=2)
+        )
+        metrics = settled.ctx.metrics
+        assert metrics.counter("frames_dropped") == 1
+        assert metrics.counter(f"frames_dropped.{site}") == 1
+        assert metrics.frames_in_flight == 0
+        assert settled.runtime.device.frame_store.live_count == 0
+        assert home.check_invariants() == [], home.auditor.report()
+
+
+class TestPipelineStopSettles:
+    @pytest.mark.parametrize("warmup_s", [0.0, 0.5])
+    def test_stop_settles_queued_fanin_events(self, home, warmup_s):
+        """The regression: ``Pipeline.stop`` undeployed every module but
+        left their mailboxes full. With the workers parked on ``get``
+        (0.5 s) one of the two fan-in events was settled by the inactive
+        worker and the other hold leaked; stopped before the workers'
+        first resume (0 s) nothing was released and the frame stayed in
+        flight forever."""
+        home.enable_audit()
+        pipeline = home.deploy_pipeline(fanin_config(),
+                                        default_device="phone")
+        if warmup_s:
+            home.run(until=warmup_s)
+        plant_events(pipeline.module("sink"), 805, copies=2)
+
+        pipeline.stop()
+        home.run(until=warmup_s + 1.0)
+
+        metrics = pipeline.metrics
+        assert metrics.counter("frames_dropped") == 1
+        assert metrics.frames_in_flight == 0
+        assert home.device("phone").frame_store.live_count == 0
+        assert home.check_invariants() == [], home.auditor.report()
+        assert (metrics.counter("frames_dropped.stop")
+                + metrics.counter("frames_dropped.dead_letter")) == 1
+
+
 class TestFanInDrainMutation:
     def test_release_once_per_frame_leaks_refs(self, monkeypatch):
         """Re-introduce the bug the other way round: treat the drain as
         per-*frame* instead of per-*event*, releasing refs only for the
         first event that mentions a frame. The second fan-in event's hold
-        leaks, and frame-ref conservation flags it at quiesce."""
-        import repro.pipeline.deployer as deployer_mod
+        leaks, and frame-ref conservation flags it at quiesce — at every
+        settlement site, because they all share the one primitive."""
+        import repro.runtime.settlement as settlement_mod
 
         # this test *plants* a violation; drop REPRO_AUDIT *before*
         # building the home (the env auditor attaches at construction) and
         # keep the auditor explicit so the sweep doesn't fail for finding
         # exactly that
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        home = VideoPipe.paper_testbed(seed=0)
 
-        real_release_refs = deployer_mod.release_refs
+        real_release_refs = settlement_mod.release_refs
         seen_frames: set[int] = set()
 
         def release_once_per_frame(payload, store, reason=None):
-            frame_ids = deployer_mod.frame_ids_in(payload)
+            frame_ids = settlement_mod.frame_ids_in(payload)
             if frame_ids and all(fid in seen_frames for fid in frame_ids):
                 return 0  # the buggy dedup: this event's holds never drop
             seen_frames.update(frame_ids)
@@ -197,19 +224,22 @@ class TestFanInDrainMutation:
                 return real_release_refs(payload, store)
             return real_release_refs(payload, store, reason=reason)
 
-        monkeypatch.setattr(deployer_mod, "release_refs",
+        monkeypatch.setattr(settlement_mod, "release_refs",
                             release_once_per_frame)
-        auditor = InvariantAuditor(home.kernel)
-        pipeline = home.deploy_pipeline(fanin_config(),
-                                        default_device="phone")
-        store = home.device("phone").frame_store
-        auditor.watch_store(store)
-        auditor.watch_metrics(pipeline.metrics)
-        _plant_fanin_events(pipeline, "sink", 804, copies=2)
+        for site, settle_via in SITES.items():
+            seen_frames.clear()
+            home = VideoPipe.paper_testbed(seed=0)
+            auditor = InvariantAuditor(home.kernel)
 
-        home.migrate_module(pipeline, "sink", "desktop")
+            def plant(deployed):
+                auditor.watch_store(deployed.runtime.device.frame_store)
+                auditor.watch_metrics(deployed.ctx.metrics)
+                plant_events(deployed, 804, copies=2)
 
-        assert store.live_count == 1  # the leaked hold
-        violations = auditor.check_quiesce()
-        assert any(v.invariant == "frame-ref-conservation"
-                   for v in violations), auditor.report()
+            settled = settle_via(home, plant)
+
+            store = settled.runtime.device.frame_store
+            assert store.live_count == 1, site  # the leaked hold
+            violations = auditor.check_quiesce()
+            assert any(v.invariant == "frame-ref-conservation"
+                       for v in violations), (site, auditor.report())
