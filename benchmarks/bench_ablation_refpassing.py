@@ -24,7 +24,7 @@ from repro import Module, VideoPipe, register_module
 from repro.frames import SyntheticCamera, encode_frame
 from repro.metrics import format_table
 from repro.motion import Squat
-from repro.pipeline import ModuleConfig, PipelineConfig
+from repro.pipeline import DataPlaneConfig, ModuleConfig, PipelineConfig
 
 from .conftest import FAST
 
@@ -127,7 +127,7 @@ def run_chain(mode: str):
     home = VideoPipe(seed=23)
     home.add_device("desktop")
     if mode == "arena":
-        home.enable_arena()
+        home.enable_data_plane(DataPlaneConfig(replica_pool=False))
     pipeline = home.deploy_pipeline(chain_config(mode),
                                     default_device="desktop")
     home.run(until=FRAMES * 0.05 + 2.0)

@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..frames.arena import ArenaHandle, FrameArena
     from ..frames.framestore import FrameStore
     from ..metrics.collector import MetricsCollector
-    from ..net.rpc import RpcClient
     from ..net.transport import Transport
     from ..services.scaling import AutoScaler, ScalingEvent
     from ..sim.events import Event
@@ -218,7 +217,6 @@ class InvariantAuditor:
         self._scalers: dict[int, tuple["AutoScaler", dict]] = {}
         self._slo: dict[int, tuple["SLOController", "_SloState"]] = {}
         self._liveops: dict[int, tuple[Any, _LiveOpsState]] = {}
-        self._rpc_clients: list["RpcClient"] = []
         self._last_exec_time: float | None = None
         self._kernel_attached = False
         _LIVE_AUDITORS.add(self)
@@ -757,12 +755,6 @@ class InvariantAuditor:
                 " an upgrade vanished without a verdict",
             )
 
-    # -- rpc quiesce -----------------------------------------------------------------
-    def watch_rpc(self, client: "RpcClient") -> None:
-        """At quiesce, *client* must have no orphaned pending requests."""
-        if client not in self._rpc_clients:
-            self._rpc_clients.append(client)
-
     # -- checks -------------------------------------------------------------------------
     def check_now(self) -> list[Violation]:
         """Run every invariant that must hold at *any* instant.
@@ -804,6 +796,15 @@ class InvariantAuditor:
                     f"{transport.in_flight} message(s) still in flight at"
                     " quiesce: a send's arrival signal never resolved",
                 )
+            for client in transport.rpc_clients:
+                pending = client.pending_count
+                if pending:
+                    self.record(
+                        "rpc-quiesce",
+                        f"rpc/{client.reply_address}",
+                        f"{pending} RPC request(s) still pending at quiesce:"
+                        " a reply or timeout was lost",
+                    )
         for collector, state in self._metrics.values():
             if state.clean_at_watch and collector.frames_in_flight:
                 self.record(
@@ -813,15 +814,6 @@ class InvariantAuditor:
                     " in-flight at quiesce: frames_entered was never matched"
                     " by frame_completed/frame_dropped — a drop path is not"
                     " reporting to the collector",
-                )
-        for client in self._rpc_clients:
-            pending = client.pending_count
-            if pending:
-                self.record(
-                    "rpc-quiesce",
-                    f"rpc/{client.reply_address}",
-                    f"{pending} RPC request(s) still pending at quiesce:"
-                    " a reply or timeout was lost",
                 )
         return self.violations[start:]
 

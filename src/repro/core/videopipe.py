@@ -18,6 +18,7 @@ Typical use::
 from __future__ import annotations
 
 import os
+from typing import Any, Callable
 
 from ..audit.auditor import InvariantAuditor, Violation
 from ..devices.catalog import make_spec
@@ -28,6 +29,7 @@ from ..faults.injector import ChaosInjector
 from ..faults.plan import FaultPlan
 from ..liveops.policy import CanaryPolicy
 from ..liveops.upgrade import LiveOpsManager, ModuleUpgrade
+from ..metrics.collector import MetricsCollector
 from ..monitor.failure_detector import (
     FailureDetector,
     HeartbeatResponder,
@@ -39,6 +41,7 @@ from ..monitor.orchestrator import (
     evacuate_dead_device_remedy,
 )
 from ..monitor.probes import (
+    ProbeFn,
     audit_probe,
     device_probe,
     pipeline_probe,
@@ -87,7 +90,12 @@ from ..trace.recorder import TraceRecorder
 
 
 class VideoPipe:
-    """A home full of devices, ready to run video pipelines."""
+    """A home full of devices, ready to run video pipelines.
+
+    Every ``enable_*`` switch reaches the devices, service hosts and
+    pipelines the home already holds and the ones it gains later, whatever
+    order the calls come in — ``DESIGN.md`` §5 (Wiring).
+    """
 
     def __init__(
         self,
@@ -191,24 +199,10 @@ class VideoPipe:
         return self._register_device(device)
 
     def _register_device(self, device: Device) -> Device:
-        """Shared tail of device admission: runtime, probes, watchers."""
-        spec = device.spec
-        self.devices[spec.name] = device
-        if self._perf is not None:
-            self._apply_perf_to_device(device)
-        if self._data_plane is not None:
-            self._apply_data_plane_to_device(device)
-        if self.auditor is not None:
-            self.auditor.watch_store(device.frame_store)
-            if device.arena is not None:
-                self.auditor.watch_arena(device.arena)
+        """Shared tail of device admission: module runtime, then wiring."""
+        self.devices[device.spec.name] = device
         ModuleRuntime(self.kernel, device, self._get_transport())
-        if self.monitor is not None:
-            self.monitor.add_probe(f"device/{spec.name}", device_probe(device))
-        if self.detector is not None:
-            self._install_heartbeat(device)
-            if spec.name != self.detector.home_device:
-                self.detector.watch(spec.name)
+        self._wire_device(device)
         return device
 
     def cloud_stats(self) -> dict:
@@ -253,9 +247,113 @@ class VideoPipe:
                 )
             else:
                 raise ConfigError(f"unknown transport {self._transport_kind!r}")
-            if self.auditor is not None:
-                self.auditor.watch_transport(self.transport)
         return self.transport
+
+    # -- wiring ------------------------------------------------------------------
+    # The one place features attach to resources (DESIGN.md §5). Each
+    # function is idempotent; admitting a resource wires that resource, and
+    # enabling a feature replays all of them, so no order of calls matters.
+    def _wire(self) -> None:
+        """Replay the wiring over everything the home holds."""
+        for device in self.devices.values():
+            self._wire_device(device)
+        for service_name in self.registry.service_names():
+            for host in self.registry.hosts_of(service_name):
+                self._wire_host(host)
+        for pipeline in self.pipelines:
+            self._wire_pipeline(pipeline)
+        if self.liveops is not None:
+            for upgrade in self.liveops.active_upgrades():
+                self._wire_metrics(upgrade.shadow_metrics)
+        if self.auditor is not None:
+            if self.autoscaler is not None:
+                self.auditor.watch_autoscaler(self.autoscaler)
+            if self.slo is not None:
+                self.auditor.watch_slo(self.slo)
+            if self.liveops is not None:
+                self.auditor.watch_liveops(self.liveops)
+        self._wire_probe("failures", failure_probe, self.detector)
+        self._wire_probe("tracing", tracing_probe, self.tracer)
+        self._wire_probe("audit", audit_probe, self.auditor)
+        self._wire_probe("slo", slo_probe, self.slo)
+
+    def _wire_device(self, device: Device) -> None:
+        name = device.spec.name
+        perf, plane = self._perf, self._data_plane
+        if perf is not None and perf.frame_dedup:
+            device.frame_store.dedup = True
+            device.frame_store.retain_limit = perf.dedup_retain_limit
+        if plane is not None:
+            if plane.arena:
+                device.enable_arena(capacity_bytes=plane.arena_capacity_bytes)
+            if plane.replica_pool:
+                device.enable_replica_pool(slots=plane.pool_slots)
+        if self.auditor is not None:
+            self.auditor.watch_transport(device.runtime.transport)
+            self.auditor.watch_store(device.frame_store)
+            if device.arena is not None:
+                self.auditor.watch_arena(device.arena)
+        if self.detector is not None:
+            if name not in self._responders:
+                self._responders[name] = HeartbeatResponder(
+                    self.kernel, device.runtime.transport, name
+                )
+            self.detector.watch(name)
+        self._wire_probe(f"device/{name}", device_probe, device)
+
+    def _wire_host(self, host: ServiceHost) -> None:
+        perf, plane = self._perf, self._data_plane
+        if perf is not None:
+            if (perf.result_cache and host.service.cacheable
+                    and host.result_cache is None):
+                host.enable_result_cache(
+                    max_entries=perf.cache_max_entries, ttl_s=perf.cache_ttl_s
+                )
+            if perf.batching and host.service.max_batch > 1:
+                host.enable_batching(
+                    max_batch=perf.max_batch, max_wait_s=perf.max_wait_s
+                )
+        if plane is not None and plane.replica_pool:
+            host.attach_pool(host.device.replica_pool)
+        if self.autoscaler is not None:
+            self.autoscaler.watch(host)
+        if self.tracer is not None:
+            host.tracer = self.tracer
+        self._wire_probe(
+            f"service/{host.service_name}@{host.device.name}",
+            service_probe, host,
+        )
+
+    def _wire_pipeline(self, pipeline: Pipeline) -> None:
+        if self.optimizer is not None:
+            self.optimizer.watch(pipeline)
+        if self.tracer is not None:
+            pipeline.wiring.tracer = self.tracer
+        if self.liveops is not None:
+            pipeline.wiring.lineage = self.liveops.lineage
+        self._wire_metrics(pipeline.metrics)
+        self._wire_probe(
+            f"pipeline/{pipeline.name}", pipeline_probe, pipeline
+        )
+        if self.slo is not None:
+            self.slo.watch(
+                pipeline, self._pending_slos.pop(pipeline.config.name, None)
+            )
+
+    def _wire_metrics(self, collector: MetricsCollector) -> None:
+        """Audit one collector: a pipeline's, or a canary's shadow (whose
+        metrics-conservation law *is* the mirror-conservation law)."""
+        if self.auditor is not None:
+            self.auditor.watch_metrics(collector)
+
+    def _wire_probe(
+        self, name: str, make_probe: Callable[[Any], ProbeFn], subject: Any
+    ) -> None:
+        """Probe *subject* under *name* once the monitor and it exist."""
+        monitor = self.monitor
+        if (monitor is not None and subject is not None
+                and name not in monitor.probe_names()):
+            monitor.add_probe(name, make_probe(subject))
 
     # -- services ----------------------------------------------------------------
     def deploy_service(
@@ -286,19 +384,7 @@ class VideoPipe:
         else:
             device.register_service_host(host)
         self.registry.register(host)
-        if self._perf is not None:
-            self._apply_perf_to_host(host)
-        if (self._data_plane is not None and self._data_plane.replica_pool
-                and device.replica_pool is not None):
-            host.attach_pool(device.replica_pool)
-        if self.autoscaler is not None:
-            self.autoscaler.watch(host)
-        if self.tracer is not None:
-            host.tracer = self.tracer
-        if self.monitor is not None:
-            self.monitor.add_probe(
-                f"service/{service.name}@{device_name}", service_probe(host)
-            )
+        self._wire_host(host)
         return host
 
     # -- fast path -----------------------------------------------------------------
@@ -306,37 +392,12 @@ class VideoPipe:
         """Turn on the service-layer fast path: frame dedup, result caching
         and micro-batching, per *perf* (defaults to :class:`PerfConfig`).
 
-        Applies to every current and future device and service host. With a
-        config whose features are all off, this is a no-op and the home
-        behaves bit-for-bit like one that never called it.
+        With a config whose features are all off, this is a no-op and the
+        home behaves bit-for-bit like one that never called it.
         """
         self._perf = perf or PerfConfig()
-        for device in self.devices.values():
-            self._apply_perf_to_device(device)
-        for service_name in self.registry.service_names():
-            for host in self.registry.hosts_of(service_name):
-                self._apply_perf_to_host(host)
+        self._wire()
         return self._perf
-
-    def _apply_perf_to_device(self, device: Device) -> None:
-        assert self._perf is not None
-        if self._perf.frame_dedup:
-            store = device.frame_store
-            store.dedup = True
-            store.retain_limit = self._perf.dedup_retain_limit
-
-    def _apply_perf_to_host(self, host: ServiceHost) -> None:
-        assert self._perf is not None
-        if self._perf.result_cache and host.service.cacheable:
-            host.enable_result_cache(
-                max_entries=self._perf.cache_max_entries,
-                ttl_s=self._perf.cache_ttl_s,
-            )
-        if self._perf.batching and host.service.max_batch > 1:
-            host.enable_batching(
-                max_batch=self._perf.max_batch,
-                max_wait_s=self._perf.max_wait_s,
-            )
 
     def perf_stats(self) -> dict:
         """Aggregate fast-path statistics across the home: dedup counters
@@ -386,57 +447,19 @@ class VideoPipe:
     ) -> DataPlaneConfig:
         """Turn on the zero-copy data plane: per-device shared-memory frame
         arenas and pooled service replicas, per *config* (defaults to
-        :class:`DataPlaneConfig` — both on).
+        :class:`DataPlaneConfig` — both on; pass one with a half off for
+        arenas or pools alone).
 
-        Applies to every current and future device and service host, like
-        :meth:`enable_fast_path`. Arena-backed stores hand out generation-
-        counted handles so intra-device hops ship a fixed-size handle tuple
-        instead of walking and pricing the payload tree; pooled hosts share
-        the device's worker slots instead of statically partitioning them
+        Arena-backed stores hand out generation-counted handles so
+        intra-device hops ship a fixed-size handle tuple instead of walking
+        and pricing the payload tree; pooled hosts share the device's
+        worker slots instead of statically partitioning them
         (``docs/PERF.md``). With a config whose features are all off this is
         a no-op.
         """
         self._data_plane = config or DataPlaneConfig()
-        for device in self.devices.values():
-            self._apply_data_plane_to_device(device)
+        self._wire()
         return self._data_plane
-
-    def enable_arena(
-        self, capacity_bytes: int | None = None
-    ) -> DataPlaneConfig:
-        """Arena half of :meth:`enable_data_plane` only (no replica pools).
-        Keeps an already-enabled pool config intact."""
-        prior = self._data_plane
-        return self.enable_data_plane(DataPlaneConfig(
-            arena=True,
-            arena_capacity_bytes=capacity_bytes,
-            replica_pool=prior.replica_pool if prior else False,
-            pool_slots=prior.pool_slots if prior else None,
-        ))
-
-    def enable_replica_pool(
-        self, slots: int | None = None
-    ) -> DataPlaneConfig:
-        """Pool half of :meth:`enable_data_plane` only (no arenas). Keeps
-        an already-enabled arena config intact."""
-        prior = self._data_plane
-        return self.enable_data_plane(DataPlaneConfig(
-            arena=prior.arena if prior else False,
-            arena_capacity_bytes=prior.arena_capacity_bytes if prior else None,
-            replica_pool=True,
-            pool_slots=slots,
-        ))
-
-    def _apply_data_plane_to_device(self, device: Device) -> None:
-        assert self._data_plane is not None
-        if self._data_plane.arena:
-            arena = device.enable_arena(
-                capacity_bytes=self._data_plane.arena_capacity_bytes
-            )
-            if self.auditor is not None and arena.auditor is None:
-                self.auditor.watch_arena(arena)
-        if self._data_plane.replica_pool:
-            device.enable_replica_pool(slots=self._data_plane.pool_slots)
 
     def data_plane_stats(self) -> dict:
         """Aggregate data-plane statistics across the home: arena
@@ -479,8 +502,8 @@ class VideoPipe:
     def enable_tracing(self, trace: TraceConfig | None = None) -> TraceRecorder:
         """Turn on per-frame distributed tracing home-wide.
 
-        Every current and future pipeline and service host reports spans to
-        one :class:`~repro.trace.recorder.TraceRecorder`. Tracing is passive
+        Pipelines and service hosts report spans to one
+        :class:`~repro.trace.recorder.TraceRecorder`. Tracing is passive
         — the recorder never schedules kernel events and trace headers ride
         outside the charged message envelope — so a traced run is
         bit-for-bit identical to an untraced one. Idempotent: a second call
@@ -489,23 +512,17 @@ class VideoPipe:
         if self.tracer is None:
             config = trace or TraceConfig()
             self.tracer = TraceRecorder(self.kernel, max_spans=config.max_spans)
-            for pipeline in self.pipelines:
-                pipeline.wiring.tracer = self.tracer
-            for service_name in self.registry.service_names():
-                for host in self.registry.hosts_of(service_name):
-                    host.tracer = self.tracer
-            if self.monitor is not None:
-                self.monitor.add_probe("tracing", tracing_probe(self.tracer))
+            self._wire()
         return self.tracer
 
     # -- auditing ------------------------------------------------------------------
     def enable_audit(self, audit: AuditConfig | None = None) -> InvariantAuditor:
         """Turn on the runtime invariant auditor home-wide.
 
-        One :class:`~repro.audit.auditor.InvariantAuditor` watches every
-        current and future device frame store, the transport, every
-        pipeline's metrics collector, and the autoscaler, and observes the
-        kernel for clock hygiene. Auditing is passive — the auditor never
+        One :class:`~repro.audit.auditor.InvariantAuditor` watches the
+        device frame stores and arenas, the transport, the pipelines'
+        metrics collectors and the controllers, and observes the kernel
+        for clock hygiene. Auditing is passive — the auditor never
         schedules events, consumes randomness or touches message sizes —
         so an audited run is bit-for-bit identical to an unaudited one
         (``docs/AUDIT.md``). Idempotent: a second call returns the
@@ -515,22 +532,7 @@ class VideoPipe:
         if self.auditor is None:
             self.auditor = InvariantAuditor(self.kernel, audit or AuditConfig())
             self.auditor.attach_kernel(self.kernel)
-            if self.transport is not None:
-                self.auditor.watch_transport(self.transport)
-            for device in self.devices.values():
-                self.auditor.watch_store(device.frame_store)
-                if device.arena is not None:
-                    self.auditor.watch_arena(device.arena)
-            for pipeline in self.pipelines:
-                self.auditor.watch_metrics(pipeline.metrics)
-            if self.autoscaler is not None:
-                self.auditor.watch_autoscaler(self.autoscaler)
-            if self.slo is not None:
-                self.auditor.watch_slo(self.slo)
-            if self.liveops is not None:
-                self.auditor.watch_liveops(self.liveops)
-            if self.monitor is not None:
-                self.monitor.add_probe("audit", audit_probe(self.auditor))
+            self._wire()
         return self.auditor
 
     def check_invariants(self, quiesce: bool | None = None) -> list[Violation]:
@@ -553,32 +555,16 @@ class VideoPipe:
         return self.auditor.check_now()
 
     def enable_monitoring(self, period_s: float = 0.5) -> Monitor:
-        """Turn on the §7 future-work monitor: every current and future
-        device, service host and pipeline gets a probe."""
+        """Turn on the §7 future-work monitor: one probe per device,
+        service host, pipeline and enabled feature."""
         if self.monitor is None:
             self.monitor = Monitor(self.kernel, period_s=period_s)
-            for name, device in self.devices.items():
-                self.monitor.add_probe(f"device/{name}", device_probe(device))
-            for service_name in self.registry.service_names():
-                for host in self.registry.hosts_of(service_name):
-                    self.monitor.add_probe(
-                        f"service/{service_name}@{host.device.name}",
-                        service_probe(host),
-                    )
-            if self.detector is not None:
-                self.monitor.add_probe("failures", failure_probe(self.detector))
-            if self.tracer is not None:
-                self.monitor.add_probe("tracing", tracing_probe(self.tracer))
-            if self.auditor is not None:
-                self.monitor.add_probe("audit", audit_probe(self.auditor))
-            if self.slo is not None:
-                self.monitor.add_probe("slo", slo_probe(self.slo))
+            self._wire()
             self.monitor.start()
         return self.monitor
 
     def enable_optimizer(self, config: OptimizerConfig | None = None) -> OnlineOptimizer:
-        """Turn on online placement re-optimization for all current and
-        future pipelines.
+        """Turn on online placement re-optimization of the home's pipelines.
 
         The optimizer periodically re-scores each watched pipeline's
         placement against the capacity-aware cost model — calibrated with
@@ -591,21 +577,15 @@ class VideoPipe:
         """
         if self.optimizer is None:
             self.optimizer = OnlineOptimizer(self, config)
-            for pipeline in self.pipelines:
-                self.optimizer.watch(pipeline)
+            self._wire()
             self.optimizer.start()
         return self.optimizer
 
     def enable_autoscaling(self, policy: ScalingPolicy | None = None) -> AutoScaler:
-        """Turn on the §7 future-work autoscaler for all current and future
-        service hosts."""
+        """Turn on the §7 future-work autoscaler over the service hosts."""
         if self.autoscaler is None:
             self.autoscaler = AutoScaler(self.kernel, policy)
-            for name in self.registry.service_names():
-                for host in self.registry.hosts_of(name):
-                    self.autoscaler.watch(host)
-            if self.auditor is not None:
-                self.auditor.watch_autoscaler(self.autoscaler)
+            self._wire()
             self.autoscaler.start()
         return self.autoscaler
 
@@ -628,14 +608,7 @@ class VideoPipe:
         """
         if self.slo is None:
             self.slo = SLOController(self, config, default_slo)
-            for pipeline in self.pipelines:
-                self.slo.watch(
-                    pipeline, self._pending_slos.pop(pipeline.config.name, None)
-                )
-            if self.auditor is not None:
-                self.auditor.watch_slo(self.slo)
-            if self.monitor is not None:
-                self.monitor.add_probe("slo", slo_probe(self.slo))
+            self._wire()
             self.slo.start()
         return self.slo
 
@@ -645,22 +618,19 @@ class VideoPipe:
         mirroring, and per-frame version lineage (``docs/LIVEOPS.md``).
 
         One :class:`~repro.liveops.upgrade.LiveOpsManager` serves the home;
-        every current and future pipeline's wiring gets the lineage
-        recorder, so each frame's path records which module and service
-        versions touched it. Live-ops observation is passive (lineage
-        never schedules events, consumes randomness or touches message
-        sizes), so a home with live-ops enabled but no upgrade in flight
-        runs bit-for-bit identically to one without it. Idempotent: a
-        second call returns the existing manager; *policy* sets the default
+        each pipeline's wiring gets the lineage recorder, so each frame's
+        path records which module and service versions touched it.
+        Live-ops observation is passive (lineage never schedules events,
+        consumes randomness or touches message sizes), so a home with
+        live-ops enabled but no upgrade in flight runs bit-for-bit
+        identically to one without it. Idempotent: a second call returns
+        the existing manager; *policy* sets the default
         :class:`~repro.liveops.policy.CanaryPolicy` for upgrades that don't
         pass their own.
         """
         if self.liveops is None:
             self.liveops = LiveOpsManager(self, policy)
-            for pipeline in self.pipelines:
-                pipeline.wiring.lineage = self.liveops.lineage
-            if self.auditor is not None:
-                self.auditor.watch_liveops(self.liveops)
+            self._wire()
         return self.liveops
 
     def upgrade_module(
@@ -718,12 +688,6 @@ class VideoPipe:
         self.topology.set_device_up(name, True)
         device.restart()
 
-    def _install_heartbeat(self, device: Device) -> None:
-        if device.spec.name not in self._responders:
-            self._responders[device.spec.name] = HeartbeatResponder(
-                self.kernel, self._get_transport(), device.spec.name
-            )
-
     def enable_failure_detection(
         self,
         home_device: str | None = None,
@@ -732,8 +696,8 @@ class VideoPipe:
         miss_threshold: int = 3,
     ) -> FailureDetector:
         """Turn on heartbeat-based failure detection from *home_device*
-        (default: the first device). Every current and future device gets a
-        heartbeat responder and is watched."""
+        (default: the first device): every other device answers heartbeats
+        and is watched."""
         if self.detector is None:
             if not self.devices:
                 raise ConfigError("add devices before enabling detection")
@@ -748,13 +712,8 @@ class VideoPipe:
                 timeout_s=timeout_s,
                 miss_threshold=miss_threshold,
             )
-            for device in self.devices.values():
-                self._install_heartbeat(device)
-                if device.spec.name != home:
-                    self.detector.watch(device.spec.name)
+            self._wire()
             self.detector.start()
-            if self.monitor is not None:
-                self.monitor.add_probe("failures", failure_probe(self.detector))
         return self.detector
 
     def enable_fault_injection(self, plan: FaultPlan) -> ChaosInjector:
@@ -765,29 +724,24 @@ class VideoPipe:
         self.injector.arm()
         return self.injector
 
-    def enable_orchestration(self, period_s: float = 1.0) -> Orchestrator:
-        """Turn on the remediation loop (creates the monitor if needed)."""
-        if self.orchestrator is None:
-            monitor = self.enable_monitoring()
-            self.orchestrator = Orchestrator(
-                self.kernel, monitor, period_s=period_s
-            )
-            self.orchestrator.start()
-        return self.orchestrator
-
     def enable_self_healing(
         self, pipeline: Pipeline, cooldown_s: float = 1.0
     ) -> Orchestrator:
-        """Close the §7 loop for *pipeline*: failure detection + a remedy
+        """Close the §7 loop for *pipeline*: failure detection, plus the
+        remediation loop (over the monitor, created if needed) with a remedy
         that evacuates its modules off any device declared dead."""
         detector = self.enable_failure_detection()
-        orchestrator = self.enable_orchestration()
-        orchestrator.add_remedy(
+        if self.orchestrator is None:
+            self.orchestrator = Orchestrator(
+                self.kernel, self.enable_monitoring()
+            )
+            self.orchestrator.start()
+        self.orchestrator.add_remedy(
             evacuate_dead_device_remedy(
                 self, pipeline, detector, cooldown_s=cooldown_s
             )
         )
-        return orchestrator
+        return self.orchestrator
 
     # -- pipelines ------------------------------------------------------------------
     def plan(
@@ -881,22 +835,9 @@ class VideoPipe:
         if gated:
             self.slo.on_deployed()
         self.pipelines.append(pipeline)
-        if self.optimizer is not None:
-            self.optimizer.watch(pipeline)
-        if self.tracer is not None:
-            pipeline.wiring.tracer = self.tracer
-        if self.liveops is not None:
-            pipeline.wiring.lineage = self.liveops.lineage
-        if self.auditor is not None:
-            self.auditor.watch_metrics(pipeline.metrics)
-        if self.monitor is not None:
-            self.monitor.add_probe(
-                f"pipeline/{pipeline.name}", pipeline_probe(pipeline)
-            )
-        if self.slo is not None:
-            self.slo.watch(pipeline, slo)
-        elif slo is not None:
+        if slo is not None:
             self._pending_slos[config.name] = slo
+        self._wire_pipeline(pipeline)
         return pipeline
 
     def migrate_module(self, pipeline: Pipeline, module_name: str,

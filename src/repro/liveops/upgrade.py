@@ -334,10 +334,7 @@ class LiveOpsManager:
         upgrade.sink_deployed = runtime.deploy(
             upgrade.sink_name, CanarySinkModule(), sink_address, wiring, {},
         )
-        if self.home.auditor is not None:
-            # the standard metrics-conservation law on the shadow
-            # collector *is* the mirror-conservation law
-            self.home.auditor.watch_metrics(metrics)
+        self.home._wire_metrics(metrics)
         primary.mirror = MirrorTap(upgrade)
 
     # -- decision loop -------------------------------------------------------

@@ -87,6 +87,7 @@ class RpcClient:
         self._breakers: dict[Address, CircuitBreaker] = {}
         self._closed = False
         transport.bind(self.reply_address, self._on_reply)
+        transport.rpc_clients.append(self)
         # statistics
         self.calls_sent = 0
         self.calls_failed = 0
@@ -99,7 +100,7 @@ class RpcClient:
     def pending_count(self) -> int:
         """Requests awaiting a reply or timeout. Every request arms a
         timeout timer (when the client has one), so at quiesce this must be
-        zero — the invariant auditor's ``watch_rpc`` checks it."""
+        zero — the invariant auditor's ``rpc-quiesce`` law checks it."""
         return len(self._pending)
 
     # -- public API -----------------------------------------------------------
@@ -163,6 +164,7 @@ class RpcClient:
             return
         self._closed = True
         self.transport.unbind(self.reply_address)
+        self.transport.rpc_clients.remove(self)
         for request_id in list(self._pending):
             result = self._settle(request_id)
             if result is not None and result.pending:

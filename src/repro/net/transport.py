@@ -34,6 +34,10 @@ class Transport:
         self._ephemeral: dict[str, itertools.count] = {}
         # insertion-ordered so close() fails pending sends deterministically
         self._pending_sends: dict[Signal, Message] = {}
+        #: Every open :class:`~repro.net.rpc.RpcClient` replying through
+        #: this transport (each adds itself, and leaves on ``close()``);
+        #: the auditor's ``rpc-quiesce`` law walks it.
+        self.rpc_clients: list[Any] = []
         self._closed = False
         self.sent_count = 0
         self.delivered_count = 0

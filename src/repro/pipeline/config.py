@@ -106,8 +106,7 @@ class DataPlaneConfig:
     """Knobs for the zero-copy frame plane and pooled service parallelism.
 
     Applied home-wide via
-    :meth:`repro.core.videopipe.VideoPipe.enable_data_plane` (or its
-    focused cousins ``enable_arena`` / ``enable_replica_pool``). Both
+    :meth:`repro.core.videopipe.VideoPipe.enable_data_plane`. Both
     default on: the arena makes intra-device hops cost a handle tuple, the
     pool lets services on one device share worker slots instead of
     statically partitioning them.

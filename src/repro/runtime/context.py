@@ -32,6 +32,7 @@ from ..trace.span import (
     trace_id_for,
 )
 from .events import DATA, READY_SIGNAL
+from .settlement import SOURCE_BUSY
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
@@ -273,6 +274,7 @@ class ModuleContext:
         """This module dropped *frame_id* (a source-side drop): prune its
         metrics entry and close its trace — if it ever had one."""
         self.metrics.frame_dropped(frame_id, self.now)
+        self.metrics.increment(f"frames_dropped.{SOURCE_BUSY}")
         tracer = self.tracer
         if tracer is not None:
             tracer.frame_dropped(

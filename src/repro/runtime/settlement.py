@@ -30,6 +30,11 @@ STOP = "stop"
 
 REASONS = (CRASH, MIGRATE, DEAD_LETTER, ROLLBACK, SHADOW_RETIRE, STOP)
 
+#: Not a settlement: the source's own §2.3 drop, counted under the same
+#: ``frames_dropped.<reason>`` scheme by ``ModuleContext.frame_dropped`` so
+#: the per-reason counters sum to ``frames_dropped`` on every collector.
+SOURCE_BUSY = "source_busy"
+
 
 def unsettled_frames(
     payload: Any, metrics: "MetricsCollector"

@@ -17,6 +17,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.net.address import Address
 from repro.net.message import Message
+from repro.net.rpc import RpcClient, RpcServer
 from repro.services import FunctionService, ServiceHost
 from repro.services.scaling import AutoScaler, ScalingPolicy
 from repro.sim import Kernel, RngStreams
@@ -226,3 +227,55 @@ class TestCollectorLeak:
         violations = auditor.check_now()
         assert violations, "the in-flight leak went unnoticed"
         assert "not pruning" in violations[0].detail
+
+
+class TestLostRpcReply:
+    """``rpc-quiesce`` covers every client on a watched transport — nobody
+    registers clients with the auditor."""
+
+    def _calls(self, home, count=3):
+        RpcServer(home.kernel, home.transport, Address("desktop", 7100),
+                  lambda payload, _msg: payload)
+        client = RpcClient(home.kernel, home.transport, "phone")
+        results = [
+            client.call(Address("desktop", 7100), n, timeout=1.0)
+            for n in range(count)
+        ]
+        return client, results
+
+    def test_swallowed_reply_and_timeout_names_the_client(self, monkeypatch):
+        home = MiniHome()
+        auditor = InvariantAuditor(home.kernel)
+        auditor.watch_transport(home.transport)
+        original = RpcClient._on_reply
+
+        def lossy(self, message):
+            if message.payload == 1:
+                # the mutation: the reply is discarded and its timeout
+                # timer dropped with it — the request can never settle
+                self.kernel.cancel(self._timers.pop(message.headers["rpc_id"]))
+                return
+            original(self, message)
+
+        monkeypatch.setattr(RpcClient, "_on_reply", lossy)
+        client, results = self._calls(home)
+        home.kernel.run()
+
+        assert [r.pending for r in results] == [False, True, False]
+        orphans = [v for v in auditor.check_quiesce()
+                   if v.invariant == "rpc-quiesce"]
+        assert len(orphans) == 1, auditor.report()
+        assert orphans[0].subject == f"rpc/{client.reply_address}"
+        assert "1 RPC request(s) still pending" in orphans[0].detail
+
+    def test_unswallowed_run_is_clean_and_close_unlists_the_client(self):
+        home = MiniHome()
+        auditor = InvariantAuditor(home.kernel)
+        auditor.watch_transport(home.transport)
+        client, results = self._calls(home)
+        home.kernel.run()
+        assert [r.value for r in results] == [0, 1, 2]
+        assert auditor.check_quiesce() == []
+        assert home.transport.rpc_clients == [client]
+        client.close()
+        assert home.transport.rpc_clients == []

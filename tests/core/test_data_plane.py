@@ -55,11 +55,12 @@ class TestFacade:
 
     def test_halves_compose(self):
         home = VideoPipe.paper_testbed(seed=1)
-        home.enable_arena()
-        assert home.device("desktop").arena is not None
+        home.enable_data_plane(DataPlaneConfig(arena=True, replica_pool=False))
+        arena = home.device("desktop").arena
+        assert arena is not None
         assert home.device("desktop").replica_pool is None
-        home.enable_replica_pool()
-        assert home.device("desktop").arena is not None  # arena kept
+        home.enable_data_plane(DataPlaneConfig(arena=True, replica_pool=True))
+        assert home.device("desktop").arena is arena  # arena kept
         assert home.device("desktop").replica_pool is not None
 
     def test_all_off_config_is_a_noop(self):

@@ -293,6 +293,29 @@ class TestStatusAndAuditing:
         with pytest.raises(ConfigError):
             home.liveops_status()
 
+    def test_canary_started_before_audit_is_audited(self, monkeypatch):
+        """The regression: the shadow collector was handed to the auditor
+        only inside ``_deploy_shadow``, so ``enable_audit()`` after an
+        upgrade had started watched the live collector but never the
+        shadow — mirror conservation went unchecked for that upgrade."""
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        home = VideoPipe.paper_testbed(seed=0)
+        pipeline = home.deploy_pipeline(diamond_config(),
+                                        default_device="phone")
+        up = home.upgrade_module(pipeline, "sink",
+                                 policy=CanaryPolicy(auto=False))
+        auditor = home.enable_audit()
+        assert pipeline.metrics.auditor is auditor
+        assert up.shadow_metrics.auditor is auditor
+
+        inject_frame(pipeline, 900)
+        while up.mirrored_events < 2:
+            home.kernel.step()
+        home.liveops.rollback(up, reason="test done")
+        home.run_for(1.0)
+        assert up.shadow_metrics.counter("frames_entered") == 1
+        assert home.check_invariants() == [], auditor.report()
+
     def test_unretired_shadow_trips_version_swap_law(self, monkeypatch):
         """Mutation: promotion that forgets to retire the canary. The
         auditor's version-swap law names the ghost deployment."""

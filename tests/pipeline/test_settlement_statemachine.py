@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.core import VideoPipe
+from repro.fleet.workload import home_pipeline_config, install_home_services
 from repro.liveops import CanaryPolicy
-from repro.runtime.settlement import REASONS
+from repro.runtime.settlement import REASONS, SOURCE_BUSY
 
 from ..settlement_sites import (
     SITES,
@@ -151,7 +152,8 @@ class SettlementMachine(RuleBasedStateMachine):
                 count("frames_completed") + count("frames_dropped")
             ), metrics.counters()
             assert count("frames_dropped") == sum(
-                count(f"frames_dropped.{reason}") for reason in REASONS
+                count(f"frames_dropped.{reason}")
+                for reason in (SOURCE_BUSY, *REASONS)
             ), metrics.counters()
 
 
@@ -162,3 +164,18 @@ TestSettlement.settings = settings(
     derandomize=True,
     deadline=None,
 )
+
+
+def test_source_busy_drops_are_counted_by_reason():
+    """A real source outrunning its pipeline (§2.3): the drops it takes
+    itself are the one reason no settlement accounts for, so the per-reason
+    counters sum to ``frames_dropped`` on unsettled collectors too."""
+    home = VideoPipe.paper_testbed(seed=0)
+    home.enable_audit()
+    install_home_services(home, "desktop", "phone")
+    pipeline = home.deploy_pipeline(
+        home_pipeline_config("busy", "phone", fps=60.0, duration_s=1.0))
+    home.run()
+    count = pipeline.metrics.counter
+    assert count("frames_dropped") == count(f"frames_dropped.{SOURCE_BUSY}") > 0
+    assert home.check_invariants() == [], home.auditor.report()
