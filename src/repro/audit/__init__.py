@@ -29,6 +29,7 @@ from .determinism import (
     check_determinism,
     first_divergence,
     record_scenario,
+    stream_digest,
 )
 
 __all__ = [
@@ -42,4 +43,5 @@ __all__ = [
     "first_divergence",
     "live_auditors",
     "record_scenario",
+    "stream_digest",
 ]

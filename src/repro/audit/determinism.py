@@ -18,6 +18,8 @@ every ``examples/`` script as one.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -109,6 +111,8 @@ class DeterminismReport:
     seed: int
     ok: bool
     event_count: int
+    #: :func:`stream_digest` of the first run's event stream
+    stream_digest: str = ""
     divergence: Divergence | None = None
     fingerprints_match: bool = True
     fingerprints: tuple = field(default_factory=tuple)
@@ -137,6 +141,7 @@ class DeterminismReport:
             "seed": self.seed,
             "ok": self.ok,
             "event_count": self.event_count,
+            "stream_digest": self.stream_digest,
             "fingerprints_match": self.fingerprints_match,
             "divergence": (
                 None if self.divergence is None else self.divergence.describe()
@@ -174,6 +179,23 @@ def first_divergence(
     return None
 
 
+_DIGEST_RECORD = struct.Struct("<dqq")
+
+
+def stream_digest(records: list[TapRecord]) -> str:
+    """SHA-256 of an event stream, comparable across commits.
+
+    Hashes each record's phase byte followed by ``(time, priority, seq)``
+    packed little-endian. Labels are left out: they name callbacks, and a
+    refactor may rename a callback without moving a single event.
+    """
+    sha = hashlib.sha256()
+    pack = _DIGEST_RECORD.pack
+    for phase, time, priority, seq, _label in records:
+        sha.update(phase.encode("ascii") + pack(time, priority, seq))
+    return sha.hexdigest()
+
+
 def check_determinism(
     scenario: Scenario, seed: int = 7, name: str | None = None
 ) -> DeterminismReport:
@@ -190,6 +212,7 @@ def check_determinism(
         seed=seed,
         ok=ok,
         event_count=len(run1.events),
+        stream_digest=stream_digest(run1.events),
         divergence=divergence,
         fingerprints_match=fingerprints_match,
         fingerprints=(run1.fingerprint, run2.fingerprint),

@@ -6,7 +6,7 @@ shared :class:`Kernel`. Swapping in :class:`RealtimeKernel` runs the same
 system paced against the wall clock.
 """
 
-from .events import LOW, NORMAL, URGENT, Event, EventQueue
+from .events import LOW, NORMAL, URGENT, Event
 from .kernel import Kernel, RealtimeKernel
 from .process import Process
 from .resources import Grant, Resource, Store
@@ -15,7 +15,6 @@ from .signals import Signal, all_of, any_of
 
 __all__ = [
     "Event",
-    "EventQueue",
     "Grant",
     "Kernel",
     "LOW",

@@ -1,13 +1,13 @@
-"""Event queue primitives for the discrete-event kernel.
+"""Event primitives for the discrete-event kernel.
 
 An :class:`Event` is a callback scheduled at an absolute simulated time.
 Events at the same time are ordered by ``priority`` (lower runs first) and
-then by insertion sequence, which makes execution fully deterministic.
+then by insertion sequence, which makes execution fully deterministic. The
+ordering itself lives with the heap, in :class:`repro.sim.kernel.Kernel`.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable
 
 #: Priority for urgent events (e.g. interrupts) that must run before normal
@@ -25,10 +25,12 @@ class Event:
 
     Instances are created by :meth:`repro.sim.kernel.Kernel.schedule`; user
     code only ever holds them to :meth:`cancel <repro.sim.kernel.Kernel.cancel>`
-    them.
+    them. ``popped`` is set once the kernel has taken the event off its heap
+    to run it, which is what makes cancelling a past event a no-op.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
+                 "popped")
 
     def __init__(
         self,
@@ -44,62 +46,9 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def _key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
+        self.popped = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         return f"<Event t={self.time:.6f} p={self.priority} {name}{state}>"
-
-
-class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects.
-
-    Cancellation is lazy: cancelled events stay in the heap and are skipped
-    when popped, which keeps :meth:`cancel` O(1).
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-        self._live += 1
-
-    def cancel(self, event: Event) -> None:
-        """Mark *event* so it will be skipped when it reaches the front."""
-        if not event.cancelled:
-            event.cancelled = True
-            self._live -= 1
-
-    def pop(self) -> Event:
-        """Remove and return the earliest live event.
-
-        Raises :class:`IndexError` when the queue holds no live events.
-        """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                return event
-        raise IndexError("pop from empty event queue")
-
-    def peek_time(self) -> float | None:
-        """Return the time of the earliest live event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time

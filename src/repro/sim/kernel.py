@@ -9,10 +9,11 @@ deterministic benchmarks or live demonstrations.
 from __future__ import annotations
 
 import time as _time
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..errors import SimulationError
-from .events import NORMAL, Event, EventQueue
+from .events import NORMAL, Event
 from .process import Process, ProcessGenerator
 from .signals import Signal
 
@@ -31,7 +32,12 @@ class Kernel:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue = EventQueue()
+        # (time, priority, seq, event) entries, so heapq orders them in C:
+        # seq is unique, so a comparison is settled before it reaches the
+        # Event. Cancellation is lazy — a cancelled entry stays until it
+        # surfaces — and _live counts the entries that are not cancelled.
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._live = 0
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -47,8 +53,8 @@ class Kernel:
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (cancelled ones may be counted until popped)."""
-        return len(self._queue)
+        """Events still queued to run (cancelled ones are not counted)."""
+        return self._live
 
     # -- observation ------------------------------------------------------------
     def add_observer(self, observer: Any) -> None:
@@ -73,19 +79,24 @@ class Kernel:
         priority: int = NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which no ordering survives
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        self._seq += 1
-        event = Event(self._now + delay, priority, self._seq, callback, args)
-        self._queue.push(event)
+        self._seq = seq = self._seq + 1
+        time = self._now + delay
+        event = Event(time, priority, seq, callback, args)
+        heappush(self._heap, (time, priority, seq, event))
+        self._live += 1
         if self._observers:
             for observer in self._observers:
                 observer.on_schedule(self._now, event)
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (no-op if it already ran)."""
-        self._queue.cancel(event)
+        """Cancel a scheduled event (no-op if it already ran or was already
+        cancelled)."""
+        if not (event.cancelled or event.popped):
+            event.cancelled = True
+            self._live -= 1
 
     # -- factories ---------------------------------------------------------------
     def signal(self, name: str | None = None) -> Signal:
@@ -94,7 +105,7 @@ class Kernel:
 
     def timeout(self, delay: float, value: Any = None) -> Signal:
         """Return a signal that succeeds with *value* after *delay* seconds."""
-        sig = self.signal(name=f"timeout({delay:.6f})")
+        sig = Signal(self, "timeout")
         sig._timer_event = self.schedule(delay, self._fire_timeout, sig, value)
         return sig
 
@@ -110,10 +121,15 @@ class Kernel:
     # -- execution -----------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single earliest event. Returns False if none remain."""
-        try:
-            event = self._queue.pop()
-        except IndexError:
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
+            if not event.cancelled:
+                break
+        else:
             return False
+        event.popped = True
+        self._live -= 1
         if self._observers:
             # notified before the monotonicity check so an auditor records
             # the violation even when the kernel aborts the run
@@ -125,58 +141,66 @@ class Kernel:
         event.callback(*event.args)
         return True
 
-    def run(self, until: float | None = None) -> float:
-        """Run events until the queue drains or simulated time reaches *until*.
-
-        Returns the simulated time at which execution stopped. When *until*
-        is given and events remain beyond it, the clock is advanced exactly
-        to *until*.
-        """
+    def _run_events(self, horizon: float | None, signal: Signal | None = None) -> None:
+        """The one next-event loop, behind :meth:`run` and
+        :meth:`run_until_resolved`: step until :meth:`stop`, until *signal*
+        (when given) resolves, until the heap drains, or until the next
+        event lies beyond *horizon*. The caller tells these apart from
+        ``_stopped``, the signal and ``_live``."""
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        realtime = self.realtime
         try:
-            while not self._stopped:
-                next_time = self._queue.peek_time()
-                if next_time is None:
+            while not self._stopped and (signal is None or signal.pending):
+                while heap and heap[0][3].cancelled:
+                    heappop(heap)
+                if not heap or (horizon is not None and heap[0][0] > horizon):
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                self._wait_until(next_time)
+                if realtime:
+                    self._wait_until(heap[0][0])
                 self.step()
-            else:
-                return self._now
-            if until is not None and self._now < until and not self._queue:
-                self._now = until
-            return self._now
         finally:
             self._running = False
+
+    def run(self, until: float | None = None) -> float:
+        """Run events until the queue drains or simulated time reaches *until*.
+
+        Returns the simulated time at which execution stopped. When *until*
+        is given and the run was not cut short by :meth:`stop`, the clock is
+        advanced exactly to *until* (never moved back).
+        """
+        self._run_events(until)
+        if until is not None and self._now < until and not self._stopped:
+            self._now = until
+        return self._now
 
     def run_until_resolved(self, signal: Signal, limit: float | None = None) -> Any:
         """Run until *signal* resolves; return its value (or raise its error).
 
         ``limit`` bounds simulated time; exceeding it raises
-        :class:`SimulationError`.
+        :class:`SimulationError`, as does a drained queue or a :meth:`stop`
+        that leaves the signal pending.
         """
-        while signal.pending:
-            next_time = self._queue.peek_time()
-            if next_time is None:
+        self._run_events(limit, signal)
+        if signal.pending:
+            if self._stopped:
+                raise SimulationError("kernel stopped before signal resolved")
+            if not self._live:
                 raise SimulationError("event queue drained before signal resolved")
-            if limit is not None and next_time > limit:
-                raise SimulationError(f"signal unresolved at time limit {limit}")
-            self._wait_until(next_time)
-            self.step()
+            raise SimulationError(f"signal unresolved at time limit {limit}")
         return signal.value
 
     def stop(self) -> None:
-        """Request that a running :meth:`run` loop return after the current
-        event."""
+        """Request that the running :meth:`run` or :meth:`run_until_resolved`
+        loop return after the current event."""
         self._stopped = True
 
     def _wait_until(self, sim_time: float) -> None:
-        """Hook for realtime pacing; the pure simulator advances instantly."""
+        """Hook for realtime pacing, called before each event when
+        ``realtime`` is set; the pure simulator advances instantly."""
 
 
 class RealtimeKernel(Kernel):

@@ -55,7 +55,7 @@ class Process:
         self.kernel = kernel
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
-        self.done: Signal = kernel.signal(name=f"{self.name}.done")
+        self.done = Signal(kernel, "process.done")
         #: Incremented on every resume; stale wakeups from abandoned waits
         #: (e.g. after an interrupt) carry an older epoch and are dropped.
         self._epoch = 0
@@ -119,15 +119,12 @@ class Process:
             )
 
     def _wait_on(self, target: Any) -> None:
-        signal = self._as_signal(target)
-        self._epoch += 1
-        epoch = self._epoch
+        signal = target if type(target) is Signal else self._as_signal(target)
+        self._epoch = epoch = self._epoch + 1
         self._waiting_on = signal
-
-        def waiter(value: Any, exc: BaseException | None) -> None:
-            self._resume(epoch, value, exc)
-
-        signal.wait(waiter)
+        # the epoch rides along as an event argument: the wakeup event calls
+        # _resume directly, with no per-wait closure in between
+        signal.wait(self._resume, epoch)
 
     def _as_signal(self, target: Any) -> Signal:
         if isinstance(target, Signal):

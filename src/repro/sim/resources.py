@@ -61,6 +61,7 @@ class Resource:
         self.kernel = kernel
         self.capacity = capacity
         self.name = name or "resource"
+        self._request_name = f"{self.name}.request"
         self._ids = itertools.count(1)
         self._in_use = 0
         self._waiting: list[tuple[int, int, Signal, Grant]] = []
@@ -98,7 +99,7 @@ class Resource:
     # -- protocol -------------------------------------------------------------
     def request(self, priority: int = 0) -> Signal:
         """Request one slot; the returned signal succeeds with a :class:`Grant`."""
-        sig = self.kernel.signal(name=f"{self.name}.request")
+        sig = Signal(self.kernel, self._request_name)
         grant = Grant(self, next(self._ids), priority, self.kernel.now)
         if self._in_use < self.capacity and not self._waiting:
             self._issue(sig, grant)
@@ -177,6 +178,7 @@ class Store:
     def __init__(self, kernel: Kernel, name: str | None = None) -> None:
         self.kernel = kernel
         self.name = name or "store"
+        self._get_name = f"{self.name}.get"
         self._items: deque[Any] = deque()
         self._getters: deque[Signal] = deque()
 
@@ -194,7 +196,7 @@ class Store:
 
     def get(self) -> Signal:
         """Return a signal that succeeds with the next item (FIFO)."""
-        sig = self.kernel.signal(name=f"{self.name}.get")
+        sig = Signal(self.kernel, self._get_name)
         if self._items:
             sig.succeed(self._items.popleft())
         else:

@@ -20,16 +20,15 @@ PENDING = "pending"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
 
-Waiter = Callable[[Any, "BaseException | None"], None]
-
 
 class Signal:
     """A one-shot resolvable event.
 
-    Waiter callbacks receive ``(value, exc)``: exactly one of them is
-    meaningful depending on whether the signal succeeded or failed. Callbacks
-    attached after resolution fire on the next kernel step at the current
-    simulated time (never synchronously), so ordering stays deterministic.
+    Waiter callbacks receive ``(value, exc)`` — after any arguments bound
+    at :meth:`wait` — and exactly one of the two is meaningful depending on
+    whether the signal succeeded or failed. Callbacks attached after
+    resolution fire on the next kernel step at the current simulated time
+    (never synchronously), so ordering stays deterministic.
     """
 
     __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_timer_event")
@@ -40,7 +39,8 @@ class Signal:
         self._state = PENDING
         self._value: Any = None
         self._exc: BaseException | None = None
-        self._waiters: list[Waiter] = []
+        #: ``(callback, *bound_args)`` per waiter, ready to be scheduled
+        self._waiters: list[tuple] = []
         #: Set by Kernel.timeout(): the scheduled event that will fire this
         #: signal, so abandoned timeouts can be cancelled (see cancel_timer).
         self._timer_event = None
@@ -99,20 +99,23 @@ class Signal:
 
     def _dispatch(self) -> None:
         waiters, self._waiters = self._waiters, []
+        schedule = self.kernel.schedule
         for waiter in waiters:
-            self.kernel.schedule(0.0, waiter, self._value, self._exc)
+            schedule(0.0, *waiter, self._value, self._exc)
 
     # -- waiting ------------------------------------------------------------
-    def wait(self, callback: Waiter) -> None:
-        """Invoke ``callback(value, exc)`` once the signal resolves.
+    def wait(self, callback: Callable[..., None], *args: Any) -> None:
+        """Invoke ``callback(*args, value, exc)`` once the signal resolves.
 
         If already resolved, the callback is scheduled immediately (at the
-        current simulated time) rather than called synchronously.
+        current simulated time) rather than called synchronously. Binding
+        *args* here spares the waiter a closure, and the event that wakes
+        it a Python frame.
         """
         if self._state == PENDING:
-            self._waiters.append(callback)
+            self._waiters.append((callback, *args))
         else:
-            self.kernel.schedule(0.0, callback, self._value, self._exc)
+            self.kernel.schedule(0.0, callback, *args, self._value, self._exc)
 
     def cancel_timer(self) -> None:
         """If this signal is a pending timeout, cancel its underlying event.
@@ -125,15 +128,17 @@ class Signal:
             self.kernel.cancel(self._timer_event)
             self._timer_event = None
 
-    def discard(self, callback: Waiter) -> None:
+    def discard(self, callback: Callable[..., None]) -> None:
         """Remove a previously attached waiter, if still registered."""
-        try:
-            self._waiters.remove(callback)
-        except ValueError:
-            pass
+        for index, waiter in enumerate(self._waiters):
+            if waiter[0] == callback:
+                del self._waiters[index]
+                return
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Signal {self.name or id(self):} {self._state}>"
+        timer = self._timer_event
+        due = "" if timer is None else f" due t={timer.time:.6f}"
+        return f"<Signal {self.name or id(self):}{due} {self._state}>"
 
 
 def all_of(kernel: "Kernel", signals: Sequence[Signal]) -> Signal:
@@ -145,23 +150,20 @@ def all_of(kernel: "Kernel", signals: Sequence[Signal]) -> Signal:
     if remaining == 0:
         return result.succeed([])
 
-    def make_waiter(index: int) -> Waiter:
-        def waiter(value: Any, exc: BaseException | None) -> None:
-            nonlocal remaining
-            if not result.pending:
-                return
-            if exc is not None:
-                result.fail(exc)
-                return
-            values[index] = value
-            remaining -= 1
-            if remaining == 0:
-                result.succeed(list(values))
-
-        return waiter
+    def waiter(index: int, value: Any, exc: BaseException | None) -> None:
+        nonlocal remaining
+        if not result.pending:
+            return
+        if exc is not None:
+            result.fail(exc)
+            return
+        values[index] = value
+        remaining -= 1
+        if remaining == 0:
+            result.succeed(list(values))
 
     for i, sig in enumerate(signals):
-        sig.wait(make_waiter(i))
+        sig.wait(waiter, i)
     return result
 
 
@@ -174,17 +176,14 @@ def any_of(kernel: "Kernel", signals: Sequence[Signal]) -> Signal:
     if not signals:
         raise SimulationError("any_of() requires at least one signal")
 
-    def make_waiter(index: int) -> Waiter:
-        def waiter(value: Any, exc: BaseException | None) -> None:
-            if not result.pending:
-                return
-            if exc is not None:
-                result.fail(exc)
-            else:
-                result.succeed((index, value))
-
-        return waiter
+    def waiter(index: int, value: Any, exc: BaseException | None) -> None:
+        if not result.pending:
+            return
+        if exc is not None:
+            result.fail(exc)
+        else:
+            result.succeed((index, value))
 
     for i, sig in enumerate(signals):
-        sig.wait(make_waiter(i))
+        sig.wait(waiter, i)
     return result

@@ -1,12 +1,24 @@
 """Unit tests for the determinism harness: taps, diffing, reporting."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 from repro.audit import (
     EventTap,
     check_determinism,
     first_divergence,
     record_scenario,
+    stream_digest,
 )
 from repro.sim import Kernel
+
+_SPEC = importlib.util.spec_from_file_location(
+    "check_determinism_cli",
+    Path(__file__).parent.parent.parent / "tools" / "check_determinism.py",
+)
+cli = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli)
 
 
 def toy_scenario(seed):
@@ -104,6 +116,63 @@ class TestDiff:
         assert d.index == 1
         assert d.first is None
         assert "<stream ended>" in d.describe()
+
+
+class TestStreamDigest:
+    STREAM = [("S", 0.1, 1, 1, "f"), ("X", 0.1, 1, 1, "f"), ("S", 0.2, 0, 2, "g")]
+
+    def test_labels_are_left_out(self):
+        renamed = [(*record[:4], "renamed") for record in self.STREAM]
+        assert stream_digest(renamed) == stream_digest(self.STREAM)
+
+    def test_every_other_field_and_the_order_count(self):
+        base = stream_digest(self.STREAM)
+        for index, value in ((0, "X"), (1, 0.25), (2, 2), (3, 9)):
+            moved = list(self.STREAM)
+            moved[2] = (*moved[2][:index], value, *moved[2][index + 1:])
+            assert stream_digest(moved) != base
+        assert stream_digest(self.STREAM[::-1]) != base
+        assert stream_digest(self.STREAM[:-1]) != base
+
+    def test_report_carries_the_digest_of_the_recorded_stream(self):
+        report = check_determinism(toy_scenario, seed=7)
+        assert report.stream_digest == stream_digest(
+            record_scenario(toy_scenario, 7).events)
+        assert report.as_dict()["stream_digest"] == report.stream_digest
+
+
+class TestDigestFile:
+    """``--digests`` / ``--check-digests``: the cross-commit referee."""
+
+    def run_cli(self, monkeypatch, *argv):
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        monkeypatch.setattr(cli, "EXAMPLE_SCENARIOS", {"toy.py": toy_scenario})
+        return cli.main(list(argv))
+
+    def test_written_digests_check_clean(self, tmp_path, monkeypatch):
+        path = tmp_path / "digests.json"
+        assert self.run_cli(monkeypatch, "--digests", str(path)) == 0
+        written = json.loads(path.read_text())
+        report = check_determinism(toy_scenario, seed=7)
+        assert written["seed"] == 7
+        assert written["scenarios"] == {"toy.py": {
+            "events": report.event_count, "sha256": report.stream_digest}}
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 0
+
+    def test_a_moved_stream_fails_the_check(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "digests.json"
+        self.run_cli(monkeypatch, "--digests", str(path))
+        committed = json.loads(path.read_text())
+        committed["scenarios"]["toy.py"]["events"] += 1
+        path.write_text(json.dumps(committed))
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
+        assert "differs from the committed digest" in capsys.readouterr().out
+
+    def test_a_scenario_without_a_digest_fails_the_check(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "digests.json"
+        path.write_text(json.dumps({"seed": 7, "scenarios": {}}))
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
 
 
 class TestCheckDeterminism:

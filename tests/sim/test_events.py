@@ -1,72 +1,106 @@
-"""Unit tests for the event queue primitives."""
+"""Unit tests for event ordering and the kernel's event heap.
+
+The heap and its live count belong to :class:`Kernel` (there is no separate
+queue object), so the queue's behaviours are checked through the kernel's
+own surface: ``schedule``, ``cancel``, ``step``, ``run`` and
+``pending_events``.
+"""
 
 import pytest
 
-from repro.sim.events import LOW, NORMAL, URGENT, Event, EventQueue
-
-
-def make_event(time, priority=NORMAL, seq=0):
-    return Event(time, priority, seq, lambda: None, ())
+from repro.errors import SimulationError
+from repro.sim import Kernel
+from repro.sim.events import LOW, NORMAL, URGENT
 
 
 class TestEventOrdering:
     def test_earlier_time_first(self):
-        assert make_event(1.0) < make_event(2.0)
+        k, seen = Kernel(), []
+        k.schedule(2.0, seen.append, "late")
+        k.schedule(1.0, seen.append, "early")
+        k.run()
+        assert seen == ["early", "late"]
 
     def test_priority_breaks_time_ties(self):
-        assert make_event(1.0, URGENT, 5) < make_event(1.0, NORMAL, 1)
-        assert make_event(1.0, NORMAL, 5) < make_event(1.0, LOW, 1)
+        k, seen = Kernel(), []
+        k.schedule(1.0, seen.append, "low", priority=LOW)
+        k.schedule(1.0, seen.append, "normal", priority=NORMAL)
+        k.schedule(1.0, seen.append, "urgent", priority=URGENT)
+        k.run()
+        assert seen == ["urgent", "normal", "low"]
 
     def test_sequence_breaks_full_ties(self):
-        assert make_event(1.0, NORMAL, 1) < make_event(1.0, NORMAL, 2)
+        k, seen = Kernel(), []
+        first = k.schedule(1.0, seen.append, "first")
+        second = k.schedule(1.0, seen.append, "second")
+        assert first.seq < second.seq
+        k.run()
+        assert seen == ["first", "second"]
+
+    def test_callbacks_are_never_compared(self):
+        """The entry's unique ``seq`` settles every comparison before it
+        could reach the Event, which defines no ordering at all."""
+        k = Kernel()
+        event = k.schedule(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            event < k.schedule(1.0, lambda: None)
+        k.run()  # and the heap never needed one
+        assert k.now == 1.0
 
 
 class TestEventQueue:
     def test_starts_empty(self):
-        q = EventQueue()
-        assert len(q) == 0
-        assert not q
-        assert q.peek_time() is None
+        k = Kernel()
+        assert k.pending_events == 0
+        assert k.step() is False
+        assert k.now == 0.0
 
     def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+        k = Kernel()
+        assert k.step() is False  # stepping an empty heap is not an error...
+        with pytest.raises(SimulationError, match="drained"):
+            k.run_until_resolved(k.signal())  # ...waiting on one is
 
     def test_pop_returns_in_order(self):
-        q = EventQueue()
-        events = [make_event(t, seq=i) for i, t in enumerate([3.0, 1.0, 2.0])]
-        for e in events:
-            q.push(e)
-        assert [q.pop().time for _ in range(3)] == [1.0, 2.0, 3.0]
+        k, times = Kernel(), []
+        for delay in (3.0, 1.0, 2.0):
+            k.schedule(delay, lambda: times.append(k.now))
+        while k.step():
+            pass
+        assert times == [1.0, 2.0, 3.0]
 
     def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        first = make_event(1.0, seq=1)
-        second = make_event(2.0, seq=2)
-        q.push(first)
-        q.push(second)
-        q.cancel(first)
-        assert len(q) == 1
-        assert q.pop() is second
+        k, seen = Kernel(), []
+        first = k.schedule(1.0, seen.append, "first")
+        k.schedule(2.0, seen.append, "second")
+        k.cancel(first)
+        assert k.pending_events == 1
+        assert k.step() is True
+        assert seen == ["second"]
+        assert k.pending_events == 0
 
     def test_cancel_twice_counts_once(self):
-        q = EventQueue()
-        e = make_event(1.0)
-        q.push(e)
-        q.cancel(e)
-        q.cancel(e)
-        assert len(q) == 0
+        k = Kernel()
+        event = k.schedule(1.0, lambda: None)
+        k.cancel(event)
+        k.cancel(event)
+        assert k.pending_events == 0
 
     def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        first = make_event(1.0, seq=1)
-        q.push(first)
-        q.push(make_event(5.0, seq=2))
-        q.cancel(first)
-        assert q.peek_time() == 5.0
+        """The horizon is tested on the earliest *live* event."""
+        k, seen = Kernel(), []
+        first = k.schedule(1.0, seen.append, "first")
+        k.schedule(5.0, seen.append, "second")
+        k.cancel(first)
+        assert k.run(until=3.0) == 3.0
+        assert seen == []
+        assert k.pending_events == 1
 
     def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(make_event(1.0))
-        assert q.peek_time() == 1.0
-        assert len(q) == 1
+        k, seen = Kernel(), []
+        k.schedule(1.0, seen.append, "x")
+        k.run(until=0.5)
+        assert seen == []
+        assert k.pending_events == 1
+        k.run()
+        assert seen == ["x"]

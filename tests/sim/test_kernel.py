@@ -16,6 +16,14 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Kernel().schedule(-0.1, lambda: None)
 
+    def test_schedule_nan_delay_rejected(self):
+        """``nan < 0`` is false: NaN used to enter the heap, break its
+        ordering and become ``Kernel.now`` while its callback ran."""
+        k = Kernel()
+        with pytest.raises(SimulationError):
+            k.schedule(float("nan"), lambda: None)
+        assert k.pending_events == 0
+
     def test_events_run_in_time_order(self):
         k = Kernel()
         seen = []
@@ -41,6 +49,30 @@ class TestScheduling:
         k.cancel(event)
         k.run()
         assert seen == []
+
+    def test_cancel_after_run_is_a_noop(self):
+        """Cancelling an event that already ran used to decrement the live
+        count a second time: ``pending_events`` went negative, or
+        under-counted the events still queued."""
+        k = Kernel()
+        ran = k.schedule(1.0, lambda: None)
+        k.run()
+        k.cancel(ran)
+        assert k.pending_events == 0
+        assert not ran.cancelled
+        later = k.schedule(1.0, lambda: None)
+        k.cancel(ran)
+        assert k.pending_events == 1
+        k.cancel(later)
+        assert k.pending_events == 0
+
+    def test_run_until_in_the_past_does_not_rewind_the_clock(self):
+        k = Kernel()
+        k.schedule(5.0, lambda: None)
+        k.schedule(9.0, lambda: None)
+        assert k.run(until=6.0) == 6.0
+        assert k.run(until=3.0) == 6.0
+        assert k.now == 6.0
 
     def test_run_until_stops_clock_at_limit(self):
         k = Kernel()
@@ -189,6 +221,64 @@ class TestRunUntilResolved:
         sig = k.timeout(10.0)
         with pytest.raises(SimulationError, match="time limit"):
             k.run_until_resolved(sig, limit=1.0)
+
+
+    def test_stop_leaving_the_signal_pending_raises(self):
+        k = Kernel()
+        sig = k.timeout(10.0)
+        k.schedule(1.0, k.stop)
+        with pytest.raises(SimulationError, match="stopped"):
+            k.run_until_resolved(sig)
+        assert k.now == 1.0
+        assert k.run_until_resolved(sig) is None  # and the wait can resume
+        assert k.now == 10.0
+
+
+class TestReentrancy:
+    """One loop, one guard: neither entry point may be nested in the other
+    (or itself) from inside a callback."""
+
+    @staticmethod
+    def nested(k, enter):
+        errors = []
+
+        def callback():
+            try:
+                enter()
+            except SimulationError as error:
+                errors.append(error)
+
+        k.schedule(1.0, callback)
+        k.schedule(2.0, lambda: None)
+        return errors
+
+    def test_run_inside_run_until_resolved_is_rejected(self):
+        k = Kernel()
+        errors = self.nested(k, k.run)
+        k.run_until_resolved(k.timeout(3.0))
+        assert len(errors) == 1 and "already running" in str(errors[0])
+        assert k.now == 3.0
+
+    def test_run_until_resolved_inside_run_is_rejected(self):
+        k = Kernel()
+        sig = k.timeout(3.0)
+        errors = self.nested(k, lambda: k.run_until_resolved(sig))
+        k.run()
+        assert len(errors) == 1 and "already running" in str(errors[0])
+        assert k.now == 3.0
+
+    def test_run_inside_run_is_rejected(self):
+        k = Kernel()
+        errors = self.nested(k, k.run)
+        k.run()
+        assert len(errors) == 1
+
+    def test_kernel_runs_again_after_a_rejected_nesting(self):
+        k = Kernel()
+        self.nested(k, k.run)
+        k.run()
+        k.schedule(1.0, lambda: None)
+        assert k.run() == 3.0
 
 
 class TestRealtimeKernel:

@@ -116,6 +116,34 @@ class TestBasicExecution:
         assert order == [("start", 5.0)]
 
 
+    def test_wakeups_are_events_of_the_process_itself(self, kernel):
+        """A wait costs no closure: the event that wakes a process calls
+        ``Process._resume`` with the epoch as an argument, so observers that
+        sort events by ``callback.__module__`` (the ledger's per-layer event
+        count) and by owner name (EventTap labels) still see the process."""
+        executed = []
+
+        class Tap:
+            def on_schedule(self, now, event):
+                pass
+
+            def on_execute(self, now, event):
+                executed.append(event.callback)
+
+        def worker():
+            yield 0.1
+            yield kernel.signal().succeed("x")
+
+        kernel.add_observer(Tap())
+        proc = kernel.process(worker(), name="worker-7")
+        kernel.run()
+        wakeups = [cb for cb in executed if getattr(cb, "__self__", None) is proc]
+        assert len(wakeups) == 3  # start, after the timeout, after the signal
+        assert {cb.__module__ for cb in executed} == {
+            "repro.sim.process", "repro.sim.kernel"}
+        assert proc.done.name == "process.done" and "worker-7" in repr(proc)
+
+
 class TestInterrupt:
     def test_interrupt_raises_in_process(self, kernel):
         causes = []

@@ -29,6 +29,11 @@ class TestResource:
         with pytest.raises(SimulationError):
             Resource(kernel, capacity=0)
 
+    def test_signals_carry_names_built_once_from_the_owner(self, kernel):
+        assert Resource(kernel, name="cpu").request().name == "cpu.request"
+        assert Resource(kernel).request().name == "resource.request"
+        assert Store(kernel, name="inbox").get().name == "inbox.get"
+
     def test_immediate_grant_when_free(self, kernel):
         res = Resource(kernel, capacity=1)
         sig = res.request()

@@ -84,6 +84,30 @@ class TestWaiters:
         kernel.run()
         assert seen == []
 
+    def test_wait_binds_leading_arguments(self, kernel):
+        pending, resolved = kernel.signal(), kernel.signal().succeed("r")
+        seen = []
+        pending.wait(lambda *got: seen.append(got), "a", 1)
+        resolved.wait(lambda *got: seen.append(got), "b")
+        pending.fail(error := ValueError("boom"))
+        kernel.run()
+        assert seen == [("b", "r", None), ("a", 1, None, error)]
+
+    def test_discard_removes_a_waiter_with_bound_arguments(self, kernel):
+        sig = kernel.signal()
+        seen = []
+        sig.wait(seen.append, "bound")
+        sig.discard(seen.append)
+        sig.succeed(1)
+        kernel.run()
+        assert seen == []
+
+    def test_repr_names_a_timeout_and_when_it_is_due(self, kernel):
+        kernel.schedule(1.0, lambda: None)
+        kernel.run()
+        assert repr(kernel.timeout(0.5)) == "<Signal timeout due t=1.500000 pending>"
+        assert repr(kernel.signal("plain")) == "<Signal plain pending>"
+
     def test_multiple_waiters_all_fire_in_order(self, kernel):
         sig = kernel.signal()
         seen = []

@@ -11,10 +11,18 @@ the invariant auditor, so CI gets conservation-law checking and the
 bit-for-bit audited-vs-unaudited comparison for free: the audited event
 stream must equal the unaudited one.
 
+``--digests FILE`` writes, and ``--check-digests FILE`` compares, each
+scenario's event count and label-free stream digest
+(:func:`repro.audit.determinism.stream_digest`). The committed
+``tools/determinism_digests.json`` makes "bit-identical event stream"
+checkable across commits: a change that moves, adds or removes one kernel
+event fails the check and has to regenerate the file knowingly.
+
 Usage:
     python tools/check_determinism.py                       # all scenarios
     python tools/check_determinism.py quickstart fitness_app
     python tools/check_determinism.py --seed 13 --json out.json
+    python tools/check_determinism.py --check-digests tools/determinism_digests.json
 """
 
 from __future__ import annotations
@@ -22,7 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+
+import numpy
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -95,6 +106,24 @@ def run_one(name: str, seed: int, audit: bool) -> dict:
     return result
 
 
+def digest_entry(result: dict) -> dict:
+    """What the digest file keeps of one scenario's result."""
+    return {"events": result["event_count"], "sha256": result["stream_digest"]}
+
+
+def digest_mismatch(result: dict, expected: dict | None) -> str | None:
+    """Why *result* disagrees with its committed digest entry, if it does."""
+    if expected is None:
+        return "no committed digest for this scenario"
+    got = digest_entry(result)
+    if got != expected:
+        return (f"event stream differs from the committed digest:"
+                f" expected {expected['events']} events"
+                f" {expected['sha256'][:16]}, got {got['events']} events"
+                f" {got['sha256'][:16]}")
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenarios", nargs="*",
@@ -102,6 +131,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", metavar="PATH",
                         help="write a JSON report for CI artifacts")
+    parser.add_argument("--digests", metavar="PATH",
+                        help="write each scenario's event count and"
+                             " label-free stream digest")
+    parser.add_argument("--check-digests", metavar="PATH",
+                        help="fail when a scenario's event count or stream"
+                             " digest differs from this file")
     parser.add_argument("--list", action="store_true",
                         help="list available scenarios and exit")
     args = parser.parse_args(argv)
@@ -119,12 +154,26 @@ def main(argv: list[str] | None = None) -> int:
             f" {sorted(EXAMPLE_SCENARIOS)}"
         )
 
+    committed = None
+    if args.check_digests:
+        with open(args.check_digests, encoding="utf-8") as fh:
+            committed = json.load(fh)
+        if committed["seed"] != args.seed:
+            parser.error(f"{args.check_digests} was generated with --seed"
+                         f" {committed['seed']}, not {args.seed}")
+
     audit = bool(os.environ.get("REPRO_AUDIT"))
     results = []
     failed = 0
     for name in names:
         result = run_one(name, args.seed, audit)
         results.append(result)
+        if committed is not None:
+            mismatch = digest_mismatch(result, committed["scenarios"].get(name))
+            if mismatch:
+                result["ok"] = False
+                result["divergence"] = "\n".join(
+                    filter(None, [result["divergence"], mismatch]))
         status = "PASS" if result["ok"] else "FAIL"
         extra = ""
         if audit and "audited_stream_identical" in result:
@@ -151,9 +200,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"report written to {args.json}")
 
     if failed:
-        print(f"\n{failed}/{len(names)} scenario(s) nondeterministic")
+        print(f"\n{failed}/{len(names)} scenario(s) nondeterministic"
+              + (" or off the committed digests" if committed else ""))
         return 1
-    print(f"\nall {len(names)} scenario(s) deterministic")
+    if args.digests:
+        with open(args.digests, "w", encoding="utf-8") as fh:
+            json.dump({
+                "seed": args.seed,
+                "python": platform.python_version(),
+                "numpy": numpy.__version__,
+                "scenarios": {r["scenario"]: digest_entry(r) for r in results},
+            }, fh, indent=2)
+            fh.write("\n")
+        print(f"digests written to {args.digests}")
+    print(f"\nall {len(names)} scenario(s) deterministic"
+          + (" and on the committed digests" if committed else ""))
     return 0
 
 
