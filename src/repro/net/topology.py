@@ -9,7 +9,9 @@ forth) loses to co-located modules.
 
 Message delivery walks the shortest path hop by hop, so a two-hop
 phone→AP→desktop transfer pays airtime twice on the shared medium, as a real
-Wi-Fi frame relay does.
+Wi-Fi frame relay does. Resolved routes are kept in a table that every
+method able to change the graph or the partition set empties; delays are
+never kept, so a link's current state is priced on every query.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ class Topology:
         self._shared_media: dict[str, Resource] = {}
         self._down: set[str] = set()
         self._partitioned: set[str] = set()
+        #: (src, dst) -> links of the resolved route; emptied by every edit.
+        self._routes: dict[tuple[str, str], tuple[Link, ...]] = {}
         #: Metered WAN uplinks, keyed by the cloud device behind each.
         self._wan_links: dict[str, Link] = {}
 
@@ -42,6 +46,7 @@ class Topology:
     def add_device(self, name: str) -> None:
         """Register a device node (idempotent)."""
         self.graph.add_node(name, kind="device")
+        self._routes.clear()
 
     def add_wifi(self, name: str = "wifi", spec: LinkSpec | None = None) -> None:
         """Create a Wi-Fi access point with a single shared airtime medium."""
@@ -49,6 +54,7 @@ class Topology:
             raise NetworkError(f"wifi network {name!r} already exists")
         self.graph.add_node(name, kind="ap", spec=spec or LinkSpec())
         self._shared_media[name] = Resource(self.kernel, 1, f"{name}.medium")
+        self._routes.clear()
 
     def attach(self, device: str, ap: str, spec: LinkSpec | None = None) -> None:
         """Attach *device* to access point *ap*, sharing the AP's medium."""
@@ -65,6 +71,7 @@ class Topology:
             medium=medium,
         )
         self.graph.add_edge(device, ap, link=link)
+        self._routes.clear()
 
     def add_cloud(
         self,
@@ -99,6 +106,7 @@ class Topology:
             name=f"{ap}<->{name}",
         )
         self.graph.add_edge(ap, name, link=link)
+        self._routes.clear()
         self._wan_links[name] = link
         return link
 
@@ -126,6 +134,7 @@ class Topology:
             name=f"{a}<->{b}",
         )
         self.graph.add_edge(a, b, link=link)
+        self._routes.clear()
 
     # -- failure surface --------------------------------------------------------
     def set_device_up(self, name: str, up: bool = True) -> None:
@@ -148,10 +157,12 @@ class Topology:
         if name not in self.graph:
             raise NetworkError(f"unknown node {name!r}")
         self._partitioned.add(name)
+        self._routes.clear()
 
     def heal(self, name: str) -> None:
         """Undo :meth:`partition` (idempotent)."""
         self._partitioned.discard(name)
+        self._routes.clear()
 
     def is_partitioned(self, name: str) -> bool:
         return name in self._partitioned
@@ -189,10 +200,18 @@ class Topology:
         """Links along the shortest path from *src* to *dst*.
 
         Same-device traffic returns the loopback link. Raises
-        :class:`~repro.errors.LinkDown` when no path exists.
+        :class:`~repro.errors.LinkDown` when no path exists. The shortest
+        path is searched once per pair and kept until the next edit; the
+        caller gets its own list.
         """
         if src == dst:
             return [self.loopback(src)]
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[src, dst] = self._resolve(src, dst)
+        return list(route)
+
+    def _resolve(self, src: str, dst: str) -> tuple[Link, ...]:
         if src not in self.graph or dst not in self.graph:
             raise LinkDown(f"unknown device in route {src!r} -> {dst!r}")
         for endpoint in (src, dst):
@@ -207,9 +226,9 @@ class Topology:
             path = nx.shortest_path(graph, src, dst)
         except nx.NetworkXNoPath as exc:
             raise LinkDown(f"no route from {src!r} to {dst!r}") from exc
-        return [
+        return tuple(
             self.graph.edges[a, b]["link"] for a, b in zip(path[:-1], path[1:])
-        ]
+        )
 
     def expected_delay(self, src: str, dst: str, nbytes: int) -> float:
         """Uncontended expected transfer time along the route (planning)."""

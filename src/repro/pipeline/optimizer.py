@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..devices.device import Device
-from ..errors import ConfigError, Interrupt, PlacementError
+from ..errors import ConfigError, Interrupt, NetworkError, PlacementError
 from ..net.topology import Topology
 from ..runtime.module import Module
 from ..services.registry import ServiceRegistry
@@ -203,6 +203,11 @@ class CostModel(PlacementModel):
     observed/modeled ratio on the measured device (clamped to 4x either
     way), so a module that runs hotter than its spec suggests is charged
     accordingly on *every* candidate device.
+
+    Like its base, a model is a snapshot of one planning call: what placing
+    a module on a device costs and bills is worked out on first use and
+    looked up for every later candidate. Only ``pool.contention()`` is read
+    live at score time.
     """
 
     def __init__(
@@ -223,6 +228,7 @@ class CostModel(PlacementModel):
         self._calibration: dict[str, float] = {}
         self._module_cost_cache: dict[tuple[str, str], float] = {}
         self._transfer_cache: dict[tuple[str, str], float] = {}
+        self._billing_cache: dict[tuple[str, str], tuple] = {}
 
     # -- calibrated node/edge costs ------------------------------------------
     def module_cost(self, module, device_name: str) -> float:
@@ -255,7 +261,7 @@ class CostModel(PlacementModel):
             observed_s, measured_device = entry
             if measured_device in self.devices:
                 modeled = PlacementModel.module_cost(
-                    self, self.config.module(module_name), measured_device
+                    self, self._modules[module_name], measured_device
                 )
                 if modeled > 0 and observed_s > 0:
                     factor = min(
@@ -266,6 +272,40 @@ class CostModel(PlacementModel):
         return factor
 
     # -- capacity and memory --------------------------------------------------
+    def _billing(self, module_name: str, device_name: str) -> tuple:
+        """What placing *module_name* on *device_name* bills, as ``(charges,
+        pooled, cloud_calls)``: the ``(charged_device, busy_seconds_per_s)``
+        utilization charges in the order they are added, a ``(pool,
+        service_seconds)`` pair per call served by a pooled host, and the
+        number of calls served from a cloud-tier device."""
+        key = (module_name, device_name)
+        billing = self._billing_cache.get(key)
+        if billing is None:
+            fps = self.optimizer.fps
+            spec = self.devices[device_name].spec
+            charges = [
+                (device_name, fps * spec.compute_time(Module.event_overhead_s))
+            ]
+            pooled = []
+            cloud_calls = 0
+            for service_name in self._modules[module_name].services:
+                host, _ = self._serving_host(service_name, device_name)
+                exec_device = host.device
+                if exec_device.name != device_name:
+                    # request + reply marshaling burns the caller's CPU
+                    charges.append(
+                        (device_name, fps * spec.compute_time(2 * API_MARSHAL_S))
+                    )
+                service_s = exec_device.spec.compute_time(
+                    host.service.reference_cost_s
+                )
+                charges.append((exec_device.name, fps * service_s))
+                if host.pool is not None:
+                    pooled.append((host.pool, service_s))
+                cloud_calls += self.topology.is_cloud(exec_device.name)
+            billing = self._billing_cache[key] = (charges, pooled, cloud_calls)
+        return billing
+
     def utilization(self, assignments: dict[str, str]) -> dict[str, float]:
         """Offered busy-seconds per second per device, normalized by cores.
 
@@ -275,27 +315,10 @@ class CostModel(PlacementModel):
         the device that actually executes it.
         """
         load: dict[str, float] = {name: 0.0 for name in self.devices}
-        fps = self.optimizer.fps
-        for module_name, device_name in assignments.items():
-            module = self.config.module(module_name)
-            device = self.devices[device_name]
-            load[device_name] += fps * device.spec.compute_time(
-                Module.event_overhead_s
-            )
-            for service_name in module.services:
-                host = self.registry.host_on(service_name, device_name)
-                if host is None:
-                    host = self._best_remote_host(service_name, device_name)
-                    # request + reply marshaling burns the caller's CPU
-                    load[device_name] += fps * device.spec.compute_time(
-                        2 * API_MARSHAL_S
-                    )
-                exec_device = host.device
-                load[exec_device.name] = load.get(exec_device.name, 0.0) + (
-                    fps * exec_device.spec.compute_time(
-                        host.service.reference_cost_s
-                    )
-                )
+        for placed in assignments.items():
+            charges, _, _ = self._billing(*placed)
+            for device_name, busy in charges:
+                load[device_name] = load.get(device_name, 0.0) + busy
         cores = {
             name: self.devices[name].spec.cores if name in self.devices else 1
             for name in load
@@ -305,25 +328,6 @@ class CostModel(PlacementModel):
             for name, seconds in load.items()
         }
 
-    def _best_remote_host(self, service_name: str, caller_device: str):
-        """The remote host :meth:`_service_cost` would pick (cheapest by
-        service time + round trip)."""
-        best = None
-        for host in self.registry.hosts_of(service_name):
-            penalty = self.topology.expected_delay(
-                caller_device, host.device.name,
-                self.edge_bytes(caller_device, host.device.name),
-            )
-            service_time = host.device.spec.compute_time(
-                host.service.reference_cost_s
-            )
-            total = penalty + service_time
-            if best is None or total < best[0]:
-                best = (total, host)
-        if best is None:
-            raise PlacementError(f"service {service_name!r} is hosted nowhere")
-        return best[1]
-
     def pool_contention_s(self, assignments: dict[str, str]) -> float:
         """Live latency-equivalent seconds of shared-pool queueing this
         candidate would feel: for every service call that lands on a pooled
@@ -332,18 +336,10 @@ class CostModel(PlacementModel):
         are already modeled by the capacity term; a pooled device's real
         wait is set by *everyone* queued on its shared slots."""
         total = 0.0
-        for module_name, device_name in assignments.items():
-            module = self.config.module(module_name)
-            for service_name in module.services:
-                host = self.registry.host_on(service_name, device_name)
-                if host is None:
-                    host = self._best_remote_host(service_name, device_name)
-                pool = host.pool
-                if pool is None:
-                    continue
-                total += pool.contention() * host.device.spec.compute_time(
-                    host.service.reference_cost_s
-                )
+        for placed in assignments.items():
+            _, pooled, _ = self._billing(*placed)
+            for pool, service_s in pooled:
+                total += pool.contention() * service_s
         return total
 
     def capacity_penalty(self, assignments: dict[str, str]) -> float:
@@ -381,14 +377,10 @@ class CostModel(PlacementModel):
         if bias == 0.0:
             return 0.0
         total = 0.0
-        for module_name, device_name in assignments.items():
-            module = self.config.module(module_name)
-            for service_name in module.services:
-                host = self.registry.host_on(service_name, device_name)
-                if host is None:
-                    host = self._best_remote_host(service_name, device_name)
-                if self.topology.is_cloud(host.device.name):
-                    total += bias
+        for placed in assignments.items():
+            _, _, cloud_calls = self._billing(*placed)
+            for _ in range(cloud_calls):
+                total += bias
         return total
 
     def score(self, assignments: dict[str, str]) -> OptimizedCost:
@@ -639,8 +631,10 @@ class OnlineOptimizer:
                 pipeline.config, live, home.registry, home.topology, default,
                 optimizer=self.config, observed_module_s=observed or None,
             )
-        except PlacementError:
-            return  # e.g. a pin or every host of a service is down right now
+        except (PlacementError, NetworkError):
+            # a pin or every host of a service is down, or a live device is
+            # partitioned and its routes cannot be priced: skip this tick
+            return
         moves = {
             name: (current[name], device)
             for name, device in target.assignments.items()

@@ -21,6 +21,8 @@ from ..devices.device import Device
 from ..errors import PlacementError
 from ..net.topology import Topology
 from ..runtime.module import Module
+from ..services.balancer import host_is_live
+from ..services.host import ServiceHost
 from ..services.registry import ServiceRegistry
 from .config import ModuleConfig, PipelineConfig
 from .dag import build_graph
@@ -52,7 +54,13 @@ class PlacementCost:
 
 
 class PlacementModel:
-    """Estimates per-frame latency of a placement (no simulation)."""
+    """Estimates per-frame latency of a placement (no simulation).
+
+    A model is a snapshot of one planning call. The DAG's walk order and
+    the host serving each (service, caller device) pair are worked out once
+    and read by every candidate's evaluation, so a change of devices, hosts
+    or routes needs a new model, not another call on this one.
+    """
 
     def __init__(
         self,
@@ -68,6 +76,13 @@ class PlacementModel:
         self.topology = topology
         self.edge_bytes = edge_bytes or (lambda a, b: DEFAULT_EDGE_BYTES)
         self.graph = build_graph(config)
+        self._modules = {module.name: module for module in config.modules}
+        self._walk = [
+            (name, tuple(self.graph.predecessors(name)))
+            for name in nx.topological_sort(self.graph)
+        ]
+        self._edges = tuple(self.graph.edges)
+        self._serving: dict[tuple[str, str], tuple[ServiceHost, float]] = {}
 
     # -- node/edge costs ----------------------------------------------------
     def module_cost(self, module: ModuleConfig, device_name: str) -> float:
@@ -79,39 +94,57 @@ class PlacementModel:
         return cost
 
     def _service_cost(self, service_name: str, caller_device: str) -> float:
-        local = self.registry.host_on(service_name, caller_device)
-        if local is not None:
-            host = local
-            remote_penalty = 0.0
-        else:
-            # cheapest remote host by service time + round trip
-            best = None
-            for host_candidate in self.registry.hosts_of(service_name):
+        host, remote_penalty = self._serving_host(service_name, caller_device)
+        return (
+            host.device.spec.compute_time(host.service.reference_cost_s)
+            + remote_penalty
+        )
+
+    def _serving_host(
+        self, service_name: str, caller_device: str
+    ) -> tuple[ServiceHost, float]:
+        """The host that serves *caller_device*'s calls to *service_name*
+        and the remote-call seconds they pay on top of its service time.
+
+        Only live hosts count (the balancer dials no other). A co-located
+        one serves for free; otherwise the cheapest by call overhead +
+        request + 512-byte reply + service time, which is the rule the
+        ``cost_aware`` balancer dials by. Every term of a score that asks
+        where a call runs reads this one answer, resolved once per model.
+        """
+        key = (service_name, caller_device)
+        serving = self._serving.get(key)
+        if serving is not None:
+            return serving
+        hosts = [
+            host for host in self.registry.hosts_of(service_name)
+            if host_is_live(host)
+        ]
+        serving = next(
+            ((host, 0.0) for host in hosts if host.device.name == caller_device),
+            None,
+        )
+        if serving is None:
+            best_total = None
+            for host in hosts:
+                device = host.device.name
                 penalty = (
                     REMOTE_CALL_OVERHEAD_S
                     + self.topology.expected_delay(
-                        caller_device, host_candidate.device.name,
-                        self.edge_bytes(caller_device, host_candidate.device.name),
+                        caller_device, device,
+                        self.edge_bytes(caller_device, device),
                     )
-                    + self.topology.expected_delay(
-                        host_candidate.device.name, caller_device, 512
-                    )
+                    + self.topology.expected_delay(device, caller_device, 512)
                 )
-                service_time = host_candidate.device.spec.compute_time(
-                    host_candidate.service.reference_cost_s
+                total = penalty + host.device.spec.compute_time(
+                    host.service.reference_cost_s
                 )
-                total = penalty + service_time
-                if best is None or total < best[0]:
-                    best = (total, host_candidate, penalty)
-            if best is None:
-                raise PlacementError(
-                    f"service {service_name!r} is hosted nowhere"
-                )
-            return best[0]
-        service_time = host.device.spec.compute_time(
-            host.service.reference_cost_s
-        )
-        return service_time + remote_penalty
+                if best_total is None or total < best_total:
+                    best_total, serving = total, (host, penalty)
+        if serving is None:
+            raise PlacementError(f"service {service_name!r} has no live host")
+        self._serving[key] = serving
+        return serving
 
     def transfer_cost(self, src_device: str, dst_device: str) -> float:
         if src_device == dst_device:
@@ -124,19 +157,19 @@ class PlacementModel:
     def evaluate(self, assignments: dict[str, str]) -> PlacementCost:
         """Critical-path latency of the DAG under *assignments*."""
         node_cost = {
-            name: self.module_cost(self.config.module(name), assignments[name])
-            for name in self.graph.nodes
+            name: self.module_cost(module, assignments[name])
+            for name, module in self._modules.items()
         }
         # longest path over node+edge weights via DP in topological order
         best: dict[str, float] = {}
         transfer_total = 0.0
-        for name in nx.topological_sort(self.graph):
+        for name, predecessors in self._walk:
             incoming = [
                 best[p] + self.transfer_cost(assignments[p], assignments[name])
-                for p in self.graph.predecessors(name)
+                for p in predecessors
             ]
             best[name] = node_cost[name] + (max(incoming) if incoming else 0.0)
-        for a, b in self.graph.edges:
+        for a, b in self._edges:
             transfer_total += self.transfer_cost(assignments[a], assignments[b])
         return PlacementCost(
             critical_path_s=max(best.values()),

@@ -137,7 +137,7 @@ def test_cloud_bias_penalizes_cloud_routed_calls():
     routed_to_cloud = sum(
         1 for service in ("fleet_detector", "fleet_classifier")
         if home.topology.is_cloud(
-            biased._best_remote_host(service, "phone").device.name
+            biased._serving_host(service, "phone")[0].device.name
         )
     )
     assert biased.cloud_penalty(all_edge) == pytest.approx(

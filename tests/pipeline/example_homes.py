@@ -6,11 +6,20 @@ pipeline(s) — then recomputes the three placement plans (co-located,
 single-host, optimized) for every deployed pipeline's config. The golden
 test freezes the resulting assignments; a placement-affecting change must
 show up as a reviewed golden diff, never as silent drift.
+
+Also home to the two helpers the fleet-population golden and the
+reference-scorer test share: seeded fleet homes, and the candidates the
+exhaustive search visits.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 from repro.audit.scenarios import EXAMPLE_SCENARIOS
+from repro.fleet import Fleet, FleetConfig
+from repro.net.link import WAN_METRO
 from repro.pipeline import COLOCATED, OPTIMIZED, SINGLE_HOST
 
 #: Strategies frozen in the goldens. ``cost-optimized`` is excluded: its
@@ -46,3 +55,22 @@ def example_placements(example: str) -> dict:
             }
         placements[pipeline.name] = per_strategy
     return placements
+
+
+def fleet_homes(seed: int, homes: int, cloud: bool, strategy: str) -> list:
+    """``(index, home, pipeline)`` for every home of a seeded fleet, built
+    but not run; with *cloud*, behind the ledger's 2 % lossy metro WAN."""
+    fleet = Fleet(FleetConfig(
+        homes=homes, seed=seed, strategy=strategy, cloud=cloud,
+        wan=replace(WAN_METRO, loss_prob=0.02) if cloud else None,
+    ))
+    return list(zip(fleet.home_indices, fleet.homes, fleet.pipelines))
+
+
+def every_candidate(config, devices):
+    """Every assignment ``plan_optimized``'s exhaustive search scores, in
+    the order (and with the dict key order) it builds them."""
+    fixed = {m.name: m.device for m in config.modules if m.device is not None}
+    free = [m.name for m in config.modules if m.device is None]
+    for choice in itertools.product(sorted(devices), repeat=len(free)):
+        yield {**fixed, **dict(zip(free, choice))}

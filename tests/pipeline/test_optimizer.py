@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import VideoPipe
 from repro.devices.spec import DeviceSpec
+from repro.errors import PlacementError
 from repro.fleet.workload import FleetSinkModule, FleetStageModule  # noqa: F401  (registers modules)
 from repro.pipeline import (
     COLOCATED,
@@ -22,6 +23,7 @@ from repro.pipeline import (
     plan_optimized,
 )
 from repro.pipeline.config import ModuleConfig, PipelineConfig
+from repro.runtime.module import Module
 from repro.services.base import FunctionService
 
 HEAVY_COST_S = 0.05
@@ -262,3 +264,96 @@ def test_enable_optimizer_is_idempotent_and_watches_existing():
     assert first is second
     assert "trap" in first._pipelines
     assert first._pipelines["trap"] is pipeline
+
+
+def test_online_optimizer_survives_replanning_during_a_partition():
+    """A live but partitioned device cannot be priced (``LinkDown``); the
+    tick is skipped like an unplaceable one, and the loop is still there to
+    migrate once the network heals."""
+    home = _trap_home()
+    optimizer = home.enable_optimizer(OptimizerConfig(
+        fps=8.0, replan_interval_s=0.5, replan_threshold_frac=0.05,
+    ))
+    pipeline = home.deploy_pipeline(
+        _trap_config(fps=8.0, duration_s=4.0),
+        strategy=COLOCATED, default_device="phone",
+    )
+    home.topology.partition("zeta")
+    home.run(until=1.2)  # two ticks inside the partition
+    assert optimizer._proc.alive
+    assert optimizer.events == []
+    # the SLO controller's placement rung takes the same path
+    assert optimizer.replan_now(pipeline) is None
+    home.topology.heal("zeta")
+    home.run(until=5.5)
+    optimizer.stop()
+    home.run()
+    assert [e.moves.get("stage") for e in optimizer.events] == [("alpha", "zeta")]
+
+
+# -- which host serves a call ----------------------------------------------------
+
+def test_planner_does_not_price_a_host_on_a_crashed_device():
+    home = _trap_home()
+    config = _trap_config()
+    home.crash_device("zeta")
+    live = {name: dev for name, dev in home.devices.items() if dev.up}
+    assert sorted(live) == ["alpha", "phone"]
+    # nothing unregisters a dead host: the registry still lists zeta's
+    assert home.registry.devices_hosting("heavy") == ["alpha", "zeta"]
+    model = CostModel(config, live, home.registry, home.topology)
+    on_phone = {"camera": "phone", "stage": "phone", "sink": "phone"}
+    # the call can only be served by alpha, 6 x 0.05 s however it is routed
+    assert model.module_cost(config.module("stage"), "phone") > 6 * HEAVY_COST_S
+    load = model.utilization(on_phone)
+    assert set(load) == {"alpha", "phone"}
+    assert load["alpha"] > 0.0
+    plan = plan_optimized(config, live, home.registry, home.topology, "phone")
+    assert set(plan.assignments.values()) <= set(live)
+
+
+def test_planner_skips_a_crashed_host_on_an_up_device():
+    home = _trap_home()
+    config = _trap_config()
+    home.registry.host_on("heavy", "zeta").crash()
+    assert home.device("zeta").up
+    model = CostModel(config, home.devices, home.registry, home.topology)
+    # not even a module sitting on zeta is served by zeta's dead host
+    on_zeta = {"camera": "phone", "stage": "zeta", "sink": "zeta"}
+    assert model.module_cost(config.module("stage"), "zeta") > 6 * HEAVY_COST_S
+    assert model.utilization(on_zeta)["alpha"] > 0.0
+    home.registry.host_on("heavy", "alpha").crash()
+    with pytest.raises(PlacementError, match="no live host"):
+        plan_optimized(config, home.devices, home.registry, home.topology,
+                       "phone")
+
+
+def test_every_term_routes_a_call_to_the_same_host():
+    """The latency term ranks remote hosts by overhead + request + reply +
+    service time and so routes the phone's calls to the laptop; billing
+    used to rank by request + service time only and charged the cloud."""
+    home = VideoPipe(seed=5)
+    home.add_device("phone")
+    home.add_device(DeviceSpec(name="near", kind="laptop", cpu_factor=1.0,
+                               cores=4, supports_containers=True))
+    home.add_cloud_device()
+    for device, port in (("near", 7920), ("cloud", 7921)):
+        home.deploy_service(
+            FunctionService("heavy", lambda p, c: {"done": True},
+                            reference_cost_s=0.004),
+            device, port=port,
+        )
+    config = _trap_config()
+    model = CostModel(config, home.devices, home.registry, home.topology,
+                      optimizer=OptimizerConfig(cloud_bias_s=0.004))
+    on_phone = {"camera": "phone", "stage": "phone", "sink": "phone"}
+    load = model.utilization(on_phone)
+    assert load["near"] > 0.0
+    assert load["cloud"] == 0.0
+    assert model.cloud_penalty(on_phone) == 0.0
+    host, remote_penalty_s = model._serving_host("heavy", "phone")
+    assert host.device.name == "near"
+    assert model.module_cost(config.module("stage"), "phone") == pytest.approx(
+        home.device("phone").spec.compute_time(Module.event_overhead_s)
+        + host.device.spec.compute_time(0.004) + remote_penalty_s
+    )
