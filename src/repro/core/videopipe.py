@@ -75,7 +75,6 @@ from ..pipeline.placement import (
     plan_colocated,
     plan_single_host,
 )
-from ..pipeline.scheduler import COST_OPTIMIZED, plan_cost_optimized
 from ..runtime.module import Module
 from ..runtime.moduleruntime import ModuleRuntime
 from ..services.base import Service
@@ -752,19 +751,15 @@ class VideoPipe:
         host_device: str | None = None,
     ) -> PlacementPlan:
         """Compute a placement without deploying (inspection/testing)."""
+        if not self.devices:
+            raise ConfigError("add a device before planning")
+        first = next(iter(self.devices))
+        default = default_device or first
         if strategy == COLOCATED:
-            default = default_device or next(iter(self.devices))
             return plan_colocated(config, self.devices, self.registry, default)
         if strategy == SINGLE_HOST:
-            host = host_device or next(iter(self.devices))
-            return plan_single_host(config, self.devices, host)
-        if strategy == COST_OPTIMIZED:
-            default = default_device or next(iter(self.devices))
-            return plan_cost_optimized(
-                config, self.devices, self.registry, self.topology, default
-            )
+            return plan_single_host(config, self.devices, host_device or first)
         if strategy == OPTIMIZED:
-            default = default_device or next(iter(self.devices))
             return plan_optimized(
                 config, self.devices, self.registry, self.topology, default,
                 optimizer=self.optimizer.config if self.optimizer else None,

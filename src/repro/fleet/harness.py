@@ -39,7 +39,6 @@ from ..pipeline.optimizer import (
 )
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.placement import COLOCATED, SINGLE_HOST
-from ..pipeline.scheduler import COST_OPTIMIZED
 from ..services.balancer import COST_AWARE
 from ..sim.kernel import Kernel
 from ..slo.spec import SLO, SLOConfig, attainment as slo_attainment_score
@@ -52,7 +51,7 @@ from .workload import (
     scene_home_pipeline_config,
 )
 
-STRATEGIES = (COLOCATED, SINGLE_HOST, COST_OPTIMIZED, OPTIMIZED)
+STRATEGIES = (COLOCATED, SINGLE_HOST, OPTIMIZED)
 
 #: Per-home application shapes the harness can run: the linear ``stage``
 #: DAG (camera → detect → classify → alert → sink) or the fan-in ``scene``

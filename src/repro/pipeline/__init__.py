@@ -24,6 +24,7 @@ from .optimizer import (
     OnlineOptimizer,
     OptimizedCost,
     OptimizerConfig,
+    PlacementCost,
     ReplanEvent,
     observed_module_seconds,
     plan_optimized,
@@ -37,17 +38,10 @@ from .placement import (
     plan_colocated,
     plan_single_host,
 )
-from .scheduler import (
-    COST_OPTIMIZED,
-    PlacementCost,
-    PlacementModel,
-    plan_cost_optimized,
-)
 
 __all__ = [
     "AuditConfig",
     "COLOCATED",
-    "COST_OPTIMIZED",
     "CloudPricing",
     "CostModel",
     "Deployer",
@@ -56,10 +50,8 @@ __all__ = [
     "OptimizedCost",
     "OptimizerConfig",
     "PlacementCost",
-    "PlacementModel",
     "ReplanEvent",
     "observed_module_seconds",
-    "plan_cost_optimized",
     "plan_optimized",
     "ModuleConfig",
     "Pipeline",

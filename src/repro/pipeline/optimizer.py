@@ -1,19 +1,21 @@
-"""Capacity-aware placement optimization and online re-placement.
+"""Cost-model placement search — the §7 "scheduling" future work — and
+online re-placement.
 
-:mod:`repro.pipeline.scheduler` searches placements against a pure latency
-model. That is the right objective for one pipeline in an idle home, but it
-is blind to two things that dominate at fleet scale: device *capacity*
-(piling every module of a 30 fps pipeline onto the one fast desktop melts
-it) and *drift* (the placement that was optimal at deploy time stops being
-optimal when a device slows down, crashes, or picks up a second pipeline).
+:func:`plan_colocated <repro.pipeline.placement.plan_colocated>` is a
+heuristic: follow the services. On the paper's testbed nothing beats it;
+when services are replicated on devices of different speeds, when heavy
+modules would pile onto one device (piling every module of a 30 fps
+pipeline onto the one fast desktop melts it), or when the placement that
+was optimal at deploy time *drifts* (a device slows down, crashes, or picks
+up a second pipeline), a search against an explicit cost model wins:
 
-This module adds both:
-
-* :class:`CostModel` extends the scheduler's latency model with a
-  utilization term (offered load per device, normalized by cores) and a
-  memory-footprint term, and can be *calibrated* with observed per-module
-  latencies so the model tracks the running system rather than its specs.
-* :func:`plan_optimized` searches assignments against that richer score —
+* :class:`CostModel` estimates one placement's per-frame critical-path
+  latency (module dispatch overheads, service times local or remote,
+  inter-device transfers from the topology), adds a utilization term
+  (offered load per device, normalized by cores) and a memory-footprint
+  term, and can be *calibrated* with observed per-module latencies so the
+  model tracks the running system rather than its specs.
+* :func:`plan_optimized` searches assignments against that score —
   exhaustively when the space is small, with seeded random-restart local
   search otherwise — and degrades gracefully to the co-located heuristic:
   when the search finds nothing strictly better, the
@@ -29,28 +31,35 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
+
+import networkx as nx
 
 from ..devices.device import Device
 from ..errors import ConfigError, Interrupt, NetworkError, PlacementError
 from ..net.topology import Topology
 from ..runtime.module import Module
+from ..services.balancer import host_is_live
+from ..services.host import ServiceHost
 from ..services.registry import ServiceRegistry
 from ..services.stubs import API_MARSHAL_S
-from .config import PipelineConfig
+from .config import ModuleConfig, PipelineConfig
+from .dag import build_graph
 from .placement import (
     PlacementPlan,
     _check_device,
     plan_colocated,
     plan_single_host,
 )
-from .scheduler import PlacementCost, PlacementModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.videopipe import VideoPipe
     from .pipeline import Pipeline
 
 OPTIMIZED = "optimized"
+
+#: Fixed remote-call overhead (marshal both sides + reply) beyond transfer.
+REMOTE_CALL_OVERHEAD_S = 0.004
 
 #: Clamp on the observed/modeled calibration ratio: a wildly off sample
 #: (e.g. one frame measured during a network blip) must not swing the
@@ -63,8 +72,10 @@ class OptimizerConfig:
     """Knobs for the cost model, the search, and online re-placement.
 
     Attributes:
-        edge_bytes: assumed payload size on pipeline edges (a quality-80
-            VGA JPEG by default, matching the scheduler's estimate).
+        edge_bytes: assumed payload size on pipeline edges and remote
+            service requests — one int for every edge (a quality-80 VGA
+            JPEG by default), or a ``(src_device, dst_device) -> int``
+            function when some edges are known to carry less.
         fps: offered load per pipeline, used to convert per-event compute
             seconds into device utilization.
         capacity_weight_s: latency-equivalent penalty (seconds) per unit of
@@ -93,7 +104,7 @@ class OptimizerConfig:
             prices cloud purely on latency.
     """
 
-    edge_bytes: int = 42_000
+    edge_bytes: int | Callable[[str, str], int] = 42_000
     fps: float = 10.0
     capacity_weight_s: float = 1.0
     memory_weight_s: float = 0.5
@@ -106,7 +117,7 @@ class OptimizerConfig:
     cloud_bias_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.edge_bytes < 0:
+        if not callable(self.edge_bytes) and self.edge_bytes < 0:
             raise ConfigError("edge_bytes must be >= 0")
         if self.cloud_bias_s < 0:
             raise ConfigError("cloud_bias_s must be >= 0")
@@ -124,6 +135,19 @@ class OptimizerConfig:
             raise ConfigError("replan_interval_s must be positive")
         if not 0 <= self.replan_threshold_frac < 1:
             raise ConfigError("replan_threshold_frac must be in [0, 1)")
+
+
+@dataclass(frozen=True, slots=True)
+class PlacementCost:
+    """The latency verdict on one candidate placement."""
+
+    critical_path_s: float
+    transfer_s: float
+    compute_s: float
+
+    @property
+    def total(self) -> float:
+        return self.critical_path_s
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,8 +219,11 @@ class CloudPricing:
         )
 
 
-class CostModel(PlacementModel):
-    """The scheduler's latency model plus capacity, memory and calibration.
+class CostModel:
+    """Estimates what a placement costs per frame, without simulating it.
+
+    The score is modeled critical-path latency plus capacity, memory and
+    billing penalties.
 
     ``observed_module_s`` maps a module name to ``(observed_seconds,
     device_measured_on)``; the model scales its per-module prediction by the
@@ -204,10 +231,12 @@ class CostModel(PlacementModel):
     way), so a module that runs hotter than its spec suggests is charged
     accordingly on *every* candidate device.
 
-    Like its base, a model is a snapshot of one planning call: what placing
-    a module on a device costs and bills is worked out on first use and
-    looked up for every later candidate. Only ``pool.contention()`` is read
-    live at score time.
+    A model is a snapshot of one planning call. The DAG's walk order, the
+    host serving each (service, caller device) pair, and what placing a
+    module on a device costs and bills are worked out once — when the model
+    is built or on first use — and looked up for every later candidate, so
+    a change of devices, hosts or routes needs a new model, not another
+    call on this one. Only ``pool.contention()`` is read live at score time.
     """
 
     def __init__(
@@ -219,36 +248,54 @@ class CostModel(PlacementModel):
         optimizer: OptimizerConfig | None = None,
         observed_module_s: dict[str, tuple[float, str]] | None = None,
     ) -> None:
+        self.config = config
+        self.devices = devices
+        self.registry = registry
+        self.topology = topology
         self.optimizer = optimizer or OptimizerConfig()
-        super().__init__(
-            config, devices, registry, topology,
-            edge_bytes=lambda a, b: self.optimizer.edge_bytes,
+        edge_bytes = self.optimizer.edge_bytes
+        self.edge_bytes = (
+            edge_bytes if callable(edge_bytes) else lambda src, dst: edge_bytes
         )
         self.observed_module_s = dict(observed_module_s or {})
+        graph = build_graph(config)
+        self._modules = {module.name: module for module in config.modules}
+        self._walk = [
+            (name, tuple(graph.predecessors(name)))
+            for name in nx.topological_sort(graph)
+        ]
+        self._edges = tuple(graph.edges)
+        self._serving: dict[tuple[str, str], tuple[ServiceHost, float]] = {}
         self._calibration: dict[str, float] = {}
         self._module_cost_cache: dict[tuple[str, str], float] = {}
         self._transfer_cache: dict[tuple[str, str], float] = {}
         self._billing_cache: dict[tuple[str, str], tuple] = {}
 
     # -- calibrated node/edge costs ------------------------------------------
-    def module_cost(self, module, device_name: str) -> float:
+    def module_cost(self, module: ModuleConfig, device_name: str) -> float:
+        """Calibrated dispatch overhead + service time for one event on
+        *device_name*."""
         key = (module.name, device_name)
         cached = self._module_cost_cache.get(key)
         if cached is None:
-            cached = (
-                PlacementModel.module_cost(self, module, device_name)
+            cached = self._module_cost_cache[key] = (
+                self._modeled_cost(module, device_name)
                 * self.calibration(module.name)
             )
-            self._module_cost_cache[key] = cached
         return cached
 
-    def transfer_cost(self, src_device: str, dst_device: str) -> float:
-        key = (src_device, dst_device)
-        cached = self._transfer_cache.get(key)
-        if cached is None:
-            cached = PlacementModel.transfer_cost(self, src_device, dst_device)
-            self._transfer_cache[key] = cached
-        return cached
+    def _modeled_cost(self, module: ModuleConfig, device_name: str) -> float:
+        """What the specs alone predict, before calibration."""
+        cost = self.devices[device_name].spec.compute_time(
+            Module.event_overhead_s
+        )
+        for service_name in module.services:
+            host, remote_penalty = self._serving_host(service_name, device_name)
+            cost += (
+                host.device.spec.compute_time(host.service.reference_cost_s)
+                + remote_penalty
+            )
+        return cost
 
     def calibration(self, module_name: str) -> float:
         """Observed/modeled cost ratio for one module (1.0 when unobserved)."""
@@ -260,8 +307,8 @@ class CostModel(PlacementModel):
         if entry is not None:
             observed_s, measured_device = entry
             if measured_device in self.devices:
-                modeled = PlacementModel.module_cost(
-                    self, self._modules[module_name], measured_device
+                modeled = self._modeled_cost(
+                    self._modules[module_name], measured_device
                 )
                 if modeled > 0 and observed_s > 0:
                     factor = min(
@@ -270,6 +317,87 @@ class CostModel(PlacementModel):
                     )
         self._calibration[module_name] = factor
         return factor
+
+    def _serving_host(
+        self, service_name: str, caller_device: str
+    ) -> tuple[ServiceHost, float]:
+        """The host that serves *caller_device*'s calls to *service_name*
+        and the remote-call seconds they pay on top of its service time.
+
+        Only live hosts count (the balancer dials no other). A co-located
+        one serves for free; otherwise the cheapest by call overhead +
+        request + 512-byte reply + service time, which is the rule the
+        ``cost_aware`` balancer dials by. Every term of a score that asks
+        where a call runs reads this one answer, resolved once per model.
+        """
+        key = (service_name, caller_device)
+        serving = self._serving.get(key)
+        if serving is not None:
+            return serving
+        hosts = [
+            host for host in self.registry.hosts_of(service_name)
+            if host_is_live(host)
+        ]
+        serving = next(
+            ((host, 0.0) for host in hosts if host.device.name == caller_device),
+            None,
+        )
+        if serving is None:
+            best_total = None
+            for host in hosts:
+                device = host.device.name
+                penalty = (
+                    REMOTE_CALL_OVERHEAD_S
+                    + self.topology.expected_delay(
+                        caller_device, device,
+                        self.edge_bytes(caller_device, device),
+                    )
+                    + self.topology.expected_delay(device, caller_device, 512)
+                )
+                total = penalty + host.device.spec.compute_time(
+                    host.service.reference_cost_s
+                )
+                if best_total is None or total < best_total:
+                    best_total, serving = total, (host, penalty)
+        if serving is None:
+            raise PlacementError(f"service {service_name!r} has no live host")
+        self._serving[key] = serving
+        return serving
+
+    def transfer_cost(self, src_device: str, dst_device: str) -> float:
+        if src_device == dst_device:
+            return 0.0001  # loopback hand-off
+        key = (src_device, dst_device)
+        cached = self._transfer_cache.get(key)
+        if cached is None:
+            cached = self._transfer_cache[key] = self.topology.expected_delay(
+                src_device, dst_device, self.edge_bytes(src_device, dst_device)
+            )
+        return cached
+
+    # -- whole-placement latency ----------------------------------------------
+    def evaluate(self, assignments: dict[str, str]) -> PlacementCost:
+        """Critical-path latency of the DAG under *assignments*."""
+        node_cost = {
+            name: self.module_cost(module, assignments[name])
+            for name, module in self._modules.items()
+        }
+        # longest path over node+edge weights via DP in topological order
+        best: dict[str, float] = {}
+        transfer_total = 0.0
+        for name, predecessors in self._walk:
+            incoming = [
+                best[p] + self.transfer_cost(assignments[p], assignments[name])
+                for p in predecessors
+            ]
+            best[name] = node_cost[name] + (max(incoming) if incoming else 0.0)
+        for a, b in self._edges:
+            transfer_total += self.transfer_cost(assignments[a], assignments[b])
+        return PlacementCost(
+            critical_path_s=max(best.values()),
+            transfer_s=transfer_total,
+            compute_s=sum(node_cost.values()),
+        )
 
     # -- capacity and memory --------------------------------------------------
     def _billing(self, module_name: str, device_name: str) -> tuple:
@@ -416,7 +544,6 @@ def plan_optimized(
     device, a module pinned to an unknown device, or a declared service
     hosted nowhere in the home.
     """
-    opt = optimizer or OptimizerConfig()
     _check_device(default_device, devices, "default device")
     for module in config.modules:
         if module.device is not None:
@@ -429,40 +556,48 @@ def plan_optimized(
                 )
     model = CostModel(
         config, devices, registry, topology,
-        optimizer=opt, observed_module_s=observed_module_s,
+        optimizer=optimizer, observed_module_s=observed_module_s,
     )
+    return _search(model, default_device)
+
+
+def _search(model: CostModel, default_device: str) -> PlacementPlan:
+    """The one search: score the co-located plan, then every candidate (or,
+    past ``max_candidates``, greedy walks from a few starts), and keep the
+    co-located plan unless something beats it by more than 1e-9."""
+    config, devices, opt = model.config, model.devices, model.optimizer
     fixed = {m.name: m.device for m in config.modules if m.device is not None}
     free = [m.name for m in config.modules if m.device is None]
     device_names = sorted(devices)
 
-    fallback = plan_colocated(config, devices, registry, default_device)
-    fallback_total = model.score(fallback.assignments).total
-    best_assignment = dict(fallback.assignments)
-    best_total = fallback_total
+    fallback = plan_colocated(config, devices, model.registry, default_device)
+    best_assignment = fallback.assignments
+    best_total = fallback_total = model.score(best_assignment).total
 
+    scored = ()  # (assignments, total) pairs; empty when every module is pinned
     if free and len(device_names) ** len(free) <= opt.max_candidates:
-        for choice in itertools.product(device_names, repeat=len(free)):
-            assignments = dict(fixed)
-            assignments.update(zip(free, choice))
-            total = model.score(assignments).total
-            if total < best_total - 1e-9:
-                best_total = total
-                best_assignment = assignments
+        candidates = (
+            {**fixed, **dict(zip(free, choice))}
+            for choice in itertools.product(device_names, repeat=len(free))
+        )
+        scored = ((a, model.score(a).total) for a in candidates)
     elif free:
         rng = random.Random(opt.seed)
         starts = [
-            dict(fallback.assignments),
-            dict(plan_single_host(config, devices, default_device).assignments),
+            fallback.assignments,
+            plan_single_host(config, devices, default_device).assignments,
         ]
         for _ in range(opt.restarts):
             start = dict(fixed)
             start.update({name: rng.choice(device_names) for name in free})
             starts.append(start)
-        for start in starts:
-            assignments, total = _local_search(model, start, free, device_names)
-            if total < best_total - 1e-9:
-                best_total = total
-                best_assignment = assignments
+        scored = (
+            _local_search(model, start, free, device_names) for start in starts
+        )
+    for assignments, total in scored:
+        if total < best_total - 1e-9:
+            best_total = total
+            best_assignment = assignments
 
     if best_total < fallback_total - 1e-9:
         return PlacementPlan(
@@ -554,10 +689,10 @@ class ReplanEvent:
 class OnlineOptimizer:
     """Periodically re-places watched pipelines from live measurements.
 
-    Every ``replan_interval_s`` it rebuilds a :class:`CostModel` restricted
+    Every ``replan_interval_s`` it builds one :class:`CostModel` restricted
     to *up* devices, calibrated with observed per-module latencies (trace
-    spans when tracing is on, metrics stages otherwise), asks
-    :func:`plan_optimized` for a target placement, and — when the predicted
+    spans when tracing is on, metrics stages otherwise), searches it for a
+    target placement as :func:`plan_optimized` does, and — when the predicted
     improvement clears ``replan_threshold_frac``, or the current placement
     is stranded on a down device — applies the difference through
     :meth:`Deployer.migrate <repro.pipeline.deployer.Deployer.migrate>`.
@@ -626,11 +761,12 @@ class OnlineOptimizer:
                 observed[name] = (seconds, device)
         source_device = current.get(pipeline.config.source_module)
         default = source_device if source_device in live else sorted(live)[0]
+        model = CostModel(
+            pipeline.config, live, home.registry, home.topology,
+            optimizer=self.config, observed_module_s=observed or None,
+        )
         try:
-            target = plan_optimized(
-                pipeline.config, live, home.registry, home.topology, default,
-                optimizer=self.config, observed_module_s=observed or None,
-            )
+            target = _search(model, default)
         except (PlacementError, NetworkError):
             # a pin or every host of a service is down, or a live device is
             # partitioned and its routes cannot be priced: skip this tick
@@ -643,10 +779,6 @@ class OnlineOptimizer:
         }
         if not moves:
             return
-        model = CostModel(
-            pipeline.config, live, home.registry, home.topology,
-            optimizer=self.config, observed_module_s=observed or None,
-        )
         stranded = any(device not in live for device in current.values())
         before = float("inf") if stranded else model.score(current).total
         after = model.score(target.assignments).total

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..devices.device import Device
 from ..errors import PlacementError
+from ..services.balancer import host_is_live
 from ..services.registry import ServiceRegistry
 from .config import PipelineConfig
 from .dag import build_graph, topological_order
@@ -71,7 +72,9 @@ def plan_colocated(
     2. a module that declares services goes to a device hosting **all** of
        them — preferring its predecessor's device — or, failing that, to the
        device hosting its *first-listed* service (the heavy one by
-       convention);
+       convention). Only a live host on one of *devices* counts, the rule
+       the cost model resolves calls by: the registry keeps listing a
+       crashed host, but a module must not follow it there;
     3. a service-free module inherits its first predecessor's device;
     4. the source (no predecessor) defaults to *default_device*.
     """
@@ -91,7 +94,7 @@ def plan_colocated(
             continue
         if module.services:
             plan.assignments[name] = _place_by_services(
-                name, module.services, registry, predecessors
+                name, module.services, devices, registry, predecessors
             )
             continue
         plan.assignments[name] = predecessors[0] if predecessors else default_device
@@ -101,6 +104,7 @@ def plan_colocated(
 def _place_by_services(
     module_name: str,
     services: list[str],
+    devices: dict[str, Device],
     registry: ServiceRegistry,
     predecessors: list[str],
 ) -> str:
@@ -110,10 +114,20 @@ def _place_by_services(
                 f"module {module_name!r} needs service {service!r}, which is"
                 " hosted nowhere in the home"
             )
+    hosting = [
+        {
+            host.device.name for host in registry.hosts_of(service)
+            if host_is_live(host) and host.device.name in devices
+        }
+        for service in services
+    ]
+    if not hosting[0]:
+        raise PlacementError(
+            f"module {module_name!r}: service {services[0]!r} has no live host"
+            f" on any of {sorted(devices)}"
+        )
     # devices hosting every declared service
-    candidates = set(registry.devices_hosting(services[0]))
-    for service in services[1:]:
-        candidates &= set(registry.devices_hosting(service))
+    candidates = set.intersection(*hosting)
     if candidates:
         for pred_device in predecessors:
             if pred_device in candidates:
@@ -121,7 +135,7 @@ def _place_by_services(
         return sorted(candidates)[0]
     # no single device hosts them all: sit with the first-listed (primary)
     # service; the rest are called remotely
-    return sorted(registry.devices_hosting(services[0]))[0]
+    return sorted(hosting[0])[0]
 
 
 def plan_single_host(

@@ -22,8 +22,7 @@ from repro.fleet import Fleet, FleetConfig
 from repro.net.link import WAN_METRO
 from repro.pipeline import COLOCATED, OPTIMIZED, SINGLE_HOST
 
-#: Strategies frozen in the goldens. ``cost-optimized`` is excluded: its
-#: latency model depends on live calibration inputs by design.
+#: Strategies frozen in the goldens: all of them.
 GOLDEN_STRATEGIES = (COLOCATED, SINGLE_HOST, OPTIMIZED)
 
 #: The scenario seed. Matches the scenarios' cached model trainers so the

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.pipeline import COLOCATED, CostModel, OptimizerConfig
-from repro.pipeline.scheduler import REMOTE_CALL_OVERHEAD_S
+from repro.pipeline.optimizer import REMOTE_CALL_OVERHEAD_S
 from repro.runtime.module import Module
 from repro.services.stubs import API_MARSHAL_S
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import VideoPipe
 from repro.devices.spec import DeviceSpec
-from repro.errors import PlacementError
+from repro.errors import ConfigError, PlacementError
 from repro.fleet.workload import FleetSinkModule, FleetStageModule  # noqa: F401  (registers modules)
 from repro.pipeline import (
     COLOCATED,
@@ -20,10 +20,12 @@ from repro.pipeline import (
     CostModel,
     OptimizerConfig,
     observed_module_seconds,
+    plan_colocated,
     plan_optimized,
 )
 from repro.pipeline.config import ModuleConfig, PipelineConfig
 from repro.runtime.module import Module
+from repro.services import PoseDetectorService
 from repro.services.base import FunctionService
 
 HEAVY_COST_S = 0.05
@@ -60,7 +62,87 @@ def _trap_config(fps: float = 8.0, duration_s: float = 3.0) -> PipelineConfig:
     ])
 
 
-# -- CostModel ------------------------------------------------------------------
+# -- the latency terms, on the paper's testbed ----------------------------------
+
+def _testbed_config(work_service=None, src_pin=None) -> PipelineConfig:
+    return PipelineConfig(name="sched", modules=[
+        ModuleConfig(name="src", include="./src.js", next_modules=["work"],
+                     device=src_pin, endpoint="bind#tcp://*:6300"),
+        ModuleConfig(name="work", include="./work.js", next_modules=["out"],
+                     services=[work_service] if work_service else [],
+                     endpoint="bind#tcp://*:6301"),
+        ModuleConfig(name="out", include="./out.js",
+                     endpoint="bind#tcp://*:6302"),
+    ])
+
+
+@pytest.fixture
+def testbed():
+    """The paper's phone/desktop/tv home with a 50 ms service on the
+    desktop."""
+    home = VideoPipe.paper_testbed(seed=0)
+    home.deploy_service(
+        FunctionService("heavy", lambda p, c: p, reference_cost_s=0.050,
+                        default_port=7600),
+        "desktop", native=True,
+    )
+    return home
+
+
+def _model(home, config) -> CostModel:
+    return CostModel(config, home.devices, home.registry, home.topology)
+
+
+def test_module_cost_scales_with_device_speed(testbed):
+    config = _testbed_config("heavy")
+    model = _model(testbed, config)
+    fast = model.module_cost(config.module("work"), "desktop")
+    slow_caller = model.module_cost(config.module("work"), "phone")
+    # on the desktop the call is local; from the phone it pays the trip
+    assert fast < slow_caller
+
+
+def test_transfer_cost_zero_on_device(testbed):
+    model = _model(testbed, _testbed_config())
+    assert model.transfer_cost("phone", "phone") < 0.001
+    assert model.transfer_cost("phone", "desktop") > 0.005
+
+
+def test_evaluate_prefers_colocation(testbed):
+    config = _testbed_config("heavy", src_pin="phone")
+    model = _model(testbed, config)
+    colocated = model.evaluate(
+        {"src": "phone", "work": "desktop", "out": "desktop"}
+    )
+    remote = model.evaluate({"src": "phone", "work": "phone", "out": "phone"})
+    assert colocated.total < remote.total
+
+
+def test_unhosted_service_raises(testbed):
+    model = _model(testbed, _testbed_config("ghost"))
+    with pytest.raises(PlacementError):
+        model.evaluate({"src": "phone", "work": "phone", "out": "phone"})
+
+
+def test_matches_colocation_on_the_paper_testbed(testbed):
+    config = _testbed_config("heavy", src_pin="phone")
+    plan = plan_optimized(config, testbed.devices, testbed.registry,
+                          testbed.topology, default_device="phone")
+    assert plan.device_of("work") == "desktop"
+
+
+def test_never_worse_than_heuristic(testbed):
+    config = _testbed_config("heavy", src_pin="phone")
+    model = _model(testbed, config)
+    heuristic = plan_colocated(config, testbed.devices, testbed.registry,
+                               "phone")
+    optimized = plan_optimized(config, testbed.devices, testbed.registry,
+                               testbed.topology, default_device="phone")
+    assert (model.score(optimized.assignments).total
+            <= model.score(heuristic.assignments).total + 1e-9)
+
+
+# -- the search -----------------------------------------------------------------
 
 def test_search_beats_heuristic_on_replica_speed():
     home = _trap_home()
@@ -170,6 +252,81 @@ def test_graceful_fallback_keeps_colocated_plan():
                           home.topology, "phone")
     assert plan.strategy == COLOCATED
     assert plan.assignments["stage"] == "desktop"
+
+
+def test_an_exact_tie_keeps_the_colocated_plan():
+    """The one tie-break rule: the co-located plan stands unless something
+    beats it by more than 1e-9. Two identical replicas make the trap home's
+    ``alpha``/``zeta`` choice an exact tie (the difference is 0.0, not
+    small); the search must return the heuristic's own plan, tagged as
+    such, not an equally good one tagged ``optimized``."""
+    home = VideoPipe(seed=5)
+    home.add_device("phone")
+    for name, port in (("alpha", 7920), ("zeta", 7921)):
+        home.add_device(DeviceSpec(name=name, kind="desktop", cpu_factor=0.8,
+                                   cores=8, memory_mb=16384,
+                                   supports_containers=True))
+        home.deploy_service(
+            FunctionService("heavy", lambda p, c: {"done": True},
+                            reference_cost_s=HEAVY_COST_S),
+            name, port=port,
+        )
+    config = _trap_config()
+    heuristic = plan_colocated(config, home.devices, home.registry, "phone")
+    assert heuristic.assignments == {
+        "camera": "phone", "stage": "alpha", "sink": "alpha"}
+    model = _model(home, config)
+    mirror = {"camera": "phone", "stage": "zeta", "sink": "zeta"}
+    assert (model.score(mirror).total
+            == model.score(heuristic.assignments).total)
+    for budget in (OptimizerConfig(), OptimizerConfig(max_candidates=1)):
+        plan = plan_optimized(config, home.devices, home.registry,
+                              home.topology, "phone", optimizer=budget)
+        assert plan.strategy == COLOCATED
+        assert plan.assignments == heuristic.assignments
+
+
+def test_per_edge_byte_hint_moves_the_pose_module():
+    """A5's home (``benchmarks/bench_ablation_scheduler.py``): the pose
+    service on slow ``athena`` and fast ``zeus``, camera and sink pinned to
+    ``cam``. Pricing a 42 kB frame on *every* edge, a remote pose call beats
+    shipping the result edge back, so the search keeps the pose module on
+    the camera; told that only the camera's out-edge carries frames, it
+    moves the module next to the fast replica."""
+    home = VideoPipe(seed=29)
+    home.add_device(DeviceSpec(name="athena", kind="laptop", cpu_factor=4.0,
+                               cores=4, supports_containers=True))
+    home.add_device(DeviceSpec(name="zeus", kind="desktop", cpu_factor=1.0,
+                               cores=8, supports_containers=True))
+    home.add_device(DeviceSpec(name="cam", kind="phone", cpu_factor=2.5,
+                               cores=8))
+    for device in ("athena", "zeus"):
+        home.deploy_service(PoseDetectorService(), device)
+    config = PipelineConfig(name="a5", source="cam_module", modules=[
+        ModuleConfig(name="cam_module", include="./VideoStreamingModule.js",
+                     device="cam", next_modules=["pose_module"]),
+        ModuleConfig(name="pose_module", include="./PoseDetectorModule.js",
+                     services=["pose_detector"], next_modules=["sink_module"]),
+        ModuleConfig(name="sink_module", include="./FleetSinkModule.js",
+                     device="cam"),
+    ])
+
+    def pose_device(optimizer=None) -> str:
+        return plan_optimized(
+            config, home.devices, home.registry, home.topology, "cam",
+            optimizer=optimizer,
+        ).device_of("pose_module")
+
+    assert plan_colocated(config, home.devices, home.registry,
+                          "cam").device_of("pose_module") == "athena"
+    assert pose_device() == "cam"
+    hint = OptimizerConfig(
+        edge_bytes=lambda src, dst: 42_000 if src == "cam" else 600)
+    assert pose_device(hint) == "zeus"
+    # an int hint prices every edge alike, as the default does
+    assert pose_device(OptimizerConfig(edge_bytes=42_000)) == "cam"
+    with pytest.raises(ConfigError, match="edge_bytes"):
+        OptimizerConfig(edge_bytes=-1)
 
 
 # -- observed_module_seconds ----------------------------------------------------
@@ -326,6 +483,66 @@ def test_planner_skips_a_crashed_host_on_an_up_device():
     with pytest.raises(PlacementError, match="no live host"):
         plan_optimized(config, home.devices, home.registry, home.topology,
                        "phone")
+
+
+def test_fallback_does_not_follow_a_service_to_a_crashed_device():
+    """The registry keeps listing ``alpha``'s host after the crash; the
+    heuristic used to sit ``stage`` beside it, and scoring that fallback
+    over the live devices raised a bare ``KeyError: 'alpha'``."""
+    home = _trap_home()
+    config = _trap_config()
+    home.crash_device("alpha")
+    live = {name: dev for name, dev in home.devices.items() if dev.up}
+    plan = plan_optimized(config, live, home.registry, home.topology, "phone")
+    assert plan.assignments == {
+        "camera": "phone", "stage": "zeta", "sink": "zeta"}
+    # zeta is all the heuristic has left, so the search only confirms it
+    assert plan.strategy == COLOCATED
+    # the facade plans over every device of the home, up or not
+    assert home.plan(config, COLOCATED).assignments == plan.assignments
+
+
+def test_fallback_skips_a_crashed_host_on_an_up_device():
+    home = _trap_home()
+    config = _trap_config()
+    home.registry.host_on("heavy", "alpha").crash()
+    assert home.device("alpha").up
+    assert home.plan(config, COLOCATED).assignments["stage"] == "zeta"
+    home.registry.host_on("heavy", "zeta").crash()
+    with pytest.raises(PlacementError, match="no live host"):
+        home.plan(config, COLOCATED)
+
+
+def test_online_optimizer_evacuates_a_crashed_device():
+    """The ``stranded`` branch end to end: ``stage`` and ``sink`` sit on
+    ``alpha`` when it crashes. The next tick must move them to ``zeta``
+    whatever the hysteresis says; the loop used to die on that tick."""
+    home = _trap_home()
+    home.enable_audit()
+    optimizer = home.enable_optimizer(OptimizerConfig(
+        fps=8.0, replan_interval_s=0.5, replan_threshold_frac=0.99,
+    ))
+    pipeline = home.deploy_pipeline(
+        _trap_config(fps=8.0, duration_s=3.0),
+        strategy=COLOCATED, default_device="phone",
+    )
+    assert pipeline.placement.assignments["stage"] == "alpha"
+    home.kernel.schedule(0.3, lambda: home.crash_device("alpha"))
+    home.run(until=3.0)
+    assert optimizer._proc.alive
+    optimizer.stop()
+    home.run()
+
+    [event] = optimizer.events
+    assert event.at == 0.5
+    assert event.moves == {"stage": ("alpha", "zeta"),
+                           "sink": ("alpha", "zeta")}
+    assert event.predicted_before_s == float("inf")
+    assert pipeline.placement.assignments == {
+        "camera": "phone", "stage": "zeta", "sink": "zeta"}
+    # frames complete on zeta after the move
+    assert pipeline.metrics.counter("frames_completed") > 5
+    assert home.check_invariants() == []
 
 
 def test_every_term_routes_a_call_to_the_same_host():

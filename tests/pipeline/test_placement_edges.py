@@ -7,6 +7,7 @@ import pytest
 from repro.core import VideoPipe
 from repro.devices.catalog import make_spec
 from repro.errors import ConfigError, PlacementError
+from repro.fleet import STRATEGIES
 from repro.pipeline import OPTIMIZED, OptimizerConfig, plan_optimized
 from repro.pipeline.config import ModuleConfig, PipelineConfig
 from repro.pipeline.placement import PlacementPlan, plan_colocated
@@ -146,6 +147,17 @@ def test_optimizer_config_defaults_are_valid():
 def test_videopipe_plan_unknown_strategy(home):
     with pytest.raises(ConfigError):
         home.plan(_config(), strategy="psychic")
+
+
+def test_planning_a_home_with_no_devices_is_a_config_error():
+    """It used to be a bare ``StopIteration`` from picking the default
+    device, for every strategy."""
+    home = VideoPipe(seed=3)
+    for strategy in STRATEGIES:
+        with pytest.raises(ConfigError, match="add a device before planning"):
+            home.plan(_config(), strategy=strategy)
+        with pytest.raises(ConfigError, match="add a device before planning"):
+            home.deploy_pipeline(_config(), strategy=strategy)
 
 
 def test_videopipe_plan_optimized_facade(home):

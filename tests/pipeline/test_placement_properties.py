@@ -6,8 +6,9 @@ Three properties, checked over hundreds of generated configurations
 * **round-trip** — ``as_dict`` → JSON → ``parse_pipeline_json`` /
   ``config_from_dict`` reproduces the configuration exactly;
 * **totality** — every placement strategy either assigns *every* module to
-  a device that exists in the home, or raises a typed
-  :class:`~repro.errors.PlacementError` (never a bare ``KeyError``);
+  a live device of the home, or raises a typed
+  :class:`~repro.errors.PlacementError` (never a bare ``KeyError``) — with
+  every device up, one crashed, or one service host crashed;
 * **invariants** — deployed fuzz pipelines run to quiesce with zero
   auditor violations (frame-ref conservation, credit accounting, metrics
   cross-checks), under ``REPRO_AUDIT=1`` in the CI audit job and under an
@@ -28,11 +29,13 @@ import pytest
 from repro.errors import PlacementError
 from repro.pipeline import (
     COLOCATED,
-    COST_OPTIMIZED,
     OPTIMIZED,
     SINGLE_HOST,
     config_from_dict,
     parse_pipeline_json,
+    plan_colocated,
+    plan_optimized,
+    plan_single_host,
 )
 
 from .strategies import (
@@ -42,7 +45,32 @@ from .strategies import (
 )
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "200"))
-ALL_STRATEGIES = (COLOCATED, SINGLE_HOST, COST_OPTIMIZED, OPTIMIZED)
+ALL_STRATEGIES = (COLOCATED, SINGLE_HOST, OPTIMIZED)
+
+#: Each strategy planning over a *subset* of a home's devices, the way the
+#: online optimizer calls it (``home.plan`` always hands over every device).
+PLANNERS = {
+    COLOCATED: lambda home, config, live, camera: plan_colocated(
+        config, live, home.registry, camera),
+    SINGLE_HOST: lambda home, config, live, camera: plan_single_host(
+        config, live, camera),
+    OPTIMIZED: lambda home, config, live, camera: plan_optimized(
+        config, live, home.registry, home.topology, camera),
+}
+OUTAGES = ("none", "device", "host")
+
+
+def inject_outage(rng: random.Random, home, camera: str) -> str:
+    """Crash one device (not the camera: without the default device every
+    plan is rejected out of hand), or one service host on a device that
+    stays up, or nothing; returns which."""
+    kind = rng.choice(OUTAGES)
+    if kind == "device":
+        home.crash_device(rng.choice(sorted(set(home.devices) - {camera})))
+    elif kind == "host":
+        service = rng.choice(home.registry.service_names())
+        rng.choice(home.registry.hosts_of(service)).crash()
+    return kind
 
 
 def test_parser_round_trip_fuzz():
@@ -57,27 +85,33 @@ def test_parser_round_trip_fuzz():
 
 
 def test_placement_totality_fuzz():
-    """Each strategy yields a total, in-home assignment or a PlacementError."""
+    """Each strategy, planning over the devices still up after a seeded
+    outage, yields a total assignment onto them or a PlacementError."""
     rng = random.Random(0xF003)
     home_rng = random.Random(0xF004)
+    outage_rng = random.Random(0xF00E)
     outcomes = {strategy: {"planned": 0, "rejected": 0}
                 for strategy in ALL_STRATEGIES}
+    outages = set()
     for index in range(FUZZ_N):
         config = random_pipeline_config(rng, index)
         home, camera = random_home(home_rng, seed=index)
+        outages.add(inject_outage(outage_rng, home, camera))
+        live = {name: dev for name, dev in home.devices.items() if dev.up}
         module_names = {m.name for m in config.modules}
         for strategy in ALL_STRATEGIES:
             try:
-                plan = home.plan(config, strategy=strategy,
-                                 default_device=camera, host_device=camera)
+                plan = PLANNERS[strategy](home, config, live, camera)
             except PlacementError:
                 outcomes[strategy]["rejected"] += 1
                 continue
             outcomes[strategy]["planned"] += 1
             assert set(plan.assignments) == module_names, (strategy, index)
             for module, device in plan.assignments.items():
-                assert device in home.devices, (strategy, index, module)
-    # the generator must actually exercise both branches for every strategy
+                assert device in live, (strategy, index, module)
+    # the generator must actually exercise every outage kind, and both
+    # branches for every strategy
+    assert outages == set(OUTAGES)
     for strategy, counts in outcomes.items():
         assert counts["planned"] > 0, (strategy, counts)
         assert counts["rejected"] > 0, (strategy, counts)
