@@ -102,8 +102,10 @@ def quickstart(seed: int):
 
 def fitness_app(seed: int):
     """examples/fitness_app.py: VideoPipe vs the Fig. 5 baseline. Both
-    architectures run in one scenario so the diff covers the remote-service
-    RPC path too."""
+    architectures run, but only the VideoPipe home's kernel is tapped: the
+    baseline home (the remote-service RPC path) is held by the run
+    fingerprint alone, so this scenario's event stream — and its committed
+    digest — equal ``quickstart``'s."""
     home_vp = VideoPipe.paper_testbed(seed=seed)
     _, pipe_vp = _deploy_fitness(home_vp, architecture="videopipe")
     home_base = VideoPipe.paper_testbed(seed=seed)
@@ -116,7 +118,7 @@ def fitness_app(seed: int):
         return {"videopipe": run_vp(), "baseline": run_base()}
 
     # the tap observes home_vp's kernel; home_base rides along inside the
-    # fingerprint (its determinism is covered by the fingerprint equality)
+    # fingerprint (tests/services/test_host_streams.py taps the remote path)
     return home_vp, run_fn
 
 

@@ -1,7 +1,8 @@
 """Service hosting: replicas, queueing, and the local vs remote call paths.
 
 A :class:`ServiceHost` is the container (or native process) running one
-service on one device. It exposes two entry points:
+service on one device. Its two entry points share one admission function
+and one execution generator, in which a solo call is a batch of one:
 
 * :meth:`call_local` — for co-located modules. Payload frame refs are
   resolved against the device's frame store at execution time: **zero
@@ -23,10 +24,10 @@ with a fresh pool. :meth:`close` is the orderly, idempotent teardown.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..devices.device import Device
-from ..errors import Interrupt, ServiceError
+from ..errors import FrameStoreError, Interrupt, ServiceError
 from ..frames.payloads import decode_frames_inline, resolve_refs
 from ..net.address import Address
 from ..net.message import H_TRACE, Message
@@ -39,6 +40,7 @@ from ..sim.resources import Resource
 from ..sim.signals import Signal
 from ..trace.span import (
     CAT_COMPUTE,
+    CAT_MARK,
     CAT_QUEUE,
     CAT_SERIALIZE,
     CAT_WIRE,
@@ -48,13 +50,19 @@ from .base import Service, ServiceCallContext
 from .cache import MISS, ResultCache, payload_cache_key
 
 
-class _BatchItemError:
-    """Marks one poisoned item inside an otherwise-successful batch."""
+class _Call(NamedTuple):
+    """One admitted request on its way to a worker."""
 
-    __slots__ = ("exc",)
+    payload: Any  #: refs unresolved, frames that came off the wire decoded
+    decode_cost: float  #: CPU seconds owed for that decode (0 for local)
+    done: Signal
+    key: str | None  #: result-cache key, None when uncacheable
+    admitted_at: float
+    trace: SpanContext | None
 
-    def __init__(self, exc: Exception) -> None:
-        self.exc = exc
+    def fail(self, why: str) -> None:
+        if self.done.pending:
+            self.done.fail(ServiceError(why))
 
 
 #: After this many consecutive company-timer probes that dispatched solo,
@@ -110,15 +118,11 @@ class ServiceHost:
         self._cache: ResultCache | None = None
         self._batch_max = 1
         self._batch_wait_s = 0.0
-        #: queued-but-not-dispatched requests awaiting batch formation:
-        #: (payload, decode_cost, done, cache_key, enqueued_at, trace).
-        self._batch_pending: list[
-            tuple[Any, float, Signal, str | None, float, SpanContext | None]
-        ] = []
+        #: admitted but not yet dispatched: requests awaiting batch formation.
+        self._batch_pending: list[_Call] = []
+        #: the armed flush: a zero-delay coalescing flush, or (positive
+        #: wait) a company *probe*.
         self._batch_timer: Event | None = None
-        #: True while the armed timer is a company *probe* (positive wait),
-        #: as opposed to a zero-delay coalescing flush.
-        self._batch_probe = False
         self._solo_streak = 0
         self._solo_immediate = 0
         # statistics
@@ -237,36 +241,27 @@ class ServiceHost:
     def _effective_max_batch(self) -> int:
         return min(self._batch_max, self.service.max_batch)
 
-    def _cache_key(self, payload: Any, use_store: bool) -> str | None:
+    def _cache_lookup(self, payload: Any) -> tuple[str | None, Any]:
+        """The request's cache key and what the cache holds under it:
+        ``(None, MISS)`` when the service or the payload is uncacheable.
+        Only keyed requests count toward the hit/miss stats."""
         if self._cache is None or not self.service.cacheable:
-            return None
-        return payload_cache_key(
-            self.service_name, payload,
-            store=self.device.frame_store if use_store else None,
+            return None, MISS
+        key = payload_cache_key(
+            self.service_name, payload, store=self.device.frame_store
         )
-
-    def _cache_lookup(self, key: str | None) -> Any:
-        """Look up *key*; returns MISS when absent/uncacheable. Counts only
-        keyed requests toward the hit/miss stats."""
-        if key is None or self._cache is None:
-            return MISS
+        if key is None:
+            return None, MISS
         value = self._cache.lookup(key, self.kernel.now)
         if value is MISS:
             self.cache_misses += 1
         else:
             self.cache_hits += 1
-        return value
+        return key, value
 
     # -- tracing -------------------------------------------------------------
-    def _trace_span(
-        self,
-        trace: SpanContext | None,
-        name: str,
-        category: str,
-        start: float,
-        end: float,
-        **attrs: Any,
-    ) -> None:
+    def _trace_span(self, trace: SpanContext | None, name: str, category: str,
+                    start: float, end: float, **attrs: Any) -> None:
         """Record a server-side span under the caller's call context; a
         no-op whenever tracing is off or the call carried no context."""
         if self.tracer is None or trace is None:
@@ -277,14 +272,6 @@ class ServiceHost:
             **attrs,
         )
 
-    def _trace_cache_hit(self, trace: SpanContext | None) -> None:
-        if self.tracer is None or trace is None:
-            return
-        self.tracer.annotate(
-            "cache.hit", parent=trace,
-            device=self.device.name, actor=f"service:{self.service_name}",
-        )
-
     # -- call paths -----------------------------------------------------------
     def call_local(self, payload: Any, trace: SpanContext | None = None) -> Signal:
         """Co-located call: refs resolve in-place, nothing is serialized.
@@ -292,127 +279,174 @@ class ServiceHost:
         With a result cache attached, a repeated payload returns an
         already-succeeded signal: no worker, no queueing, no simulated CPU.
         """
-        self.local_calls += 1
-        if not self.up:
-            self.errors += 1
-            return self.kernel.signal(name=f"{self.service_name}.call").fail(
-                ServiceError(f"{self.service_name}@{self.device.name} is down")
-            )
-        key = self._cache_key(payload, use_store=True)
-        cached = self._cache_lookup(key)
-        if cached is not MISS:
-            self._trace_cache_hit(trace)
-            return self.kernel.signal(
-                name=f"{self.service_name}.call"
-            ).succeed(cached)
-        return self._submit(payload, decode_cost=0.0, key=key, trace=trace)
+        return self._admit(payload, trace, off_wire=False)
 
     def _handle_remote(self, payload: Any, message: Message) -> Signal:
-        """Remote call: pay frame decode before the service sees the data.
-
-        The cache key is computed over the *wire* payload, so a repeated
-        request skips the decode as well as the service execution.
-        """
-        self.remote_calls += 1
+        """Remote call: a local call plus the frame decode, paid before the
+        service sees the data."""
         trace = None
         if self.tracer is not None:
             trace = SpanContext.from_header(message.headers.get(H_TRACE))
-            if (trace is not None and message.sent_at is not None
-                    and message.delivered_at is not None):
+            if message.sent_at is not None and message.delivered_at is not None:
                 self._trace_span(
                     trace, "rpc.transfer", CAT_WIRE,
                     start=message.sent_at, end=message.delivered_at,
                     bytes=message.size_bytes,
                     src=message.src.device if message.src else "?",
                 )
-        if not self.up:  # crash raced an in-flight request
+        return self._admit(payload, trace, off_wire=True)
+
+    def _admit(self, payload: Any, trace: SpanContext | None,
+               off_wire: bool) -> Signal:
+        """The one way in, for both entry points: count the call, refuse it
+        while down, answer it from the result cache, decode what came off
+        the wire, then queue it for batch formation — or, on a host that
+        does not batch, dispatch it at once as a batch of one."""
+        if off_wire:
+            self.remote_calls += 1
+        else:
+            self.local_calls += 1
+        done = self.kernel.signal(name=f"{self.service_name}.call")
+        if not self.up:  # remote: the crash raced a request already in flight
             self.errors += 1
-            return self.kernel.signal(name=f"{self.service_name}.call").fail(
+            return done.fail(
                 ServiceError(f"{self.service_name}@{self.device.name} is down")
             )
-        key = self._cache_key(payload, use_store=True)
-        cached = self._cache_lookup(key)
+        # keyed over the payload as it arrived, so a repeated wire request
+        # skips the decode as well as the service execution
+        key, cached = self._cache_lookup(payload)
         if cached is not MISS:
-            self._trace_cache_hit(trace)
-            return self.kernel.signal(
-                name=f"{self.service_name}.call"
-            ).succeed(cached)
-        localized, decode_cost = decode_frames_inline(payload)
-        return self._submit(localized, decode_cost=decode_cost, key=key,
-                            trace=trace)
-
-    # -- execution ---------------------------------------------------------------
-    def _submit(self, payload: Any, decode_cost: float, key: str | None,
-                trace: SpanContext | None = None) -> Signal:
+            now = self.kernel.now
+            self._trace_span(trace, "cache.hit", CAT_MARK, start=now, end=now)
+            return done.succeed(cached)
+        decode_cost = 0.0
+        if off_wire:
+            payload, decode_cost = decode_frames_inline(payload)
+        call = _Call(payload, decode_cost, done, key, self.kernel.now, trace)
         if self._effective_max_batch() > 1:
-            return self._enqueue_batch(payload, decode_cost, key, trace)
-        return self._execute(payload, decode_cost, key, trace)
-
-    def _execute(self, payload: Any, decode_cost: float, key: str | None,
-                 trace: SpanContext | None = None) -> Signal:
-        done = self.kernel.signal(name=f"{self.service_name}.call")
-        proc = self.kernel.process(
-            self._run(payload, decode_cost, done, key, trace),
-            name=f"{self.service_name}.exec",
-        )
-        self._inflight[done] = proc
+            self._enqueue_batch(call)
+        else:
+            self._dispatch([call], formed=False)
         return done
 
-    def _run(self, payload: Any, decode_cost: float, done: Signal,
-             key: str | None, trace: SpanContext | None = None):
+    # -- execution ---------------------------------------------------------------
+    def _dispatch(self, items: list[_Call], formed: bool) -> None:
+        proc = self.kernel.process(
+            self._run(items, formed), name=f"{self.service_name}.exec"
+        )
+        for call in items:
+            self._inflight[call.done] = proc
+
+    def _run(self, items: list[_Call], formed: bool):
+        """Execute one dispatch on one worker; a solo call is a batch of
+        one. *formed* (the batcher built this dispatch) picks the queue
+        span's name and whether the dispatch-size statistics count it —
+        nothing else differs by origin."""
         grant = None
-        result = None
+        # failing alone needs company: a batch of one fails whole, on the
+        # arms below, with its handler run exactly once
+        isolate = len(items) > 1
+        # by position in *items*: what each served item returned, and why
+        # each item that failed alone did
+        results: dict[int, Any] = {}
+        failed: dict[int, Exception] = {}
         try:
             grant = yield self.workers.request()
-            self.total_wait_s += grant.wait_time
+            # availability is accurate again: further pending work may have
+            # room on the remaining replicas
+            self._pump_batches()
             started = self.kernel.now
-            if grant.wait_time > 0:
-                self._trace_span(
-                    trace, "service.queue", CAT_QUEUE,
-                    start=started - grant.wait_time, end=started,
-                )
+            queue_span = "service.batch_wait" if formed else "service.queue"
+            for call in items:
+                self.total_wait_s += started - call.admitted_at
+                if started > call.admitted_at:
+                    self._trace_span(
+                        call.trace, queue_span, CAT_QUEUE,
+                        start=call.admitted_at, end=started,
+                    )
+            decode_cost = sum(call.decode_cost for call in items)
             if decode_cost > 0:
                 yield self.device.cpu.execute_fixed(decode_cost)
-                self._trace_span(
-                    trace, "rpc.deserialize", CAT_SERIALIZE,
-                    start=started, end=self.kernel.now,
-                )
+                for call in items:
+                    if call.decode_cost > 0:
+                        self._trace_span(
+                            call.trace, "rpc.deserialize", CAT_SERIALIZE,
+                            start=started, end=self.kernel.now,
+                        )
+            resolved: dict[int, Any] = {}  # the payloads that run
+            for index, call in enumerate(items):
+                try:
+                    resolved[index] = resolve_refs(
+                        call.payload, self.device.frame_store
+                    )
+                except FrameStoreError as exc:  # a stale or foreign ref
+                    if not isolate:
+                        raise
+                    failed[index] = exc
+            payloads = list(resolved.values())
             compute_started = self.kernel.now
-            resolved = resolve_refs(payload, self.device.frame_store)
-            cost = self.service.compute_cost(resolved)
+            cost = self.service.batch_compute_cost(payloads)
             if cost > 0:
                 yield self.device.cpu.execute(cost)
-            result = self.service.handle(resolved, self._ctx)
-            self._trace_span(
-                trace, f"service.compute:{self.service_name}", CAT_COMPUTE,
-                start=compute_started, end=self.kernel.now,
-            )
+            try:
+                handled = self.service.handle_batch(payloads, self._ctx)
+                if len(handled) != len(payloads):
+                    raise ServiceError(
+                        f"{self.service_name}.handle_batch returned"
+                        f" {len(handled)} results for {len(payloads)} payloads"
+                    )
+                results.update(zip(resolved, handled))
+            except Interrupt:
+                raise
+            except Exception:
+                if not isolate:
+                    raise
+                # per-item fallback: rerun individually so one poisoned
+                # payload fails alone instead of taking the batch down
+                for index, payload in resolved.items():
+                    try:
+                        results[index] = self.service.handle(payload, self._ctx)
+                    except Exception as exc:
+                        failed[index] = exc
+            batch_size = {"batch_size": len(items)} if formed else {}
+            for index in resolved:
+                self._trace_span(
+                    items[index].trace, f"service.compute:{self.service_name}",
+                    CAT_COMPUTE, start=compute_started, end=self.kernel.now,
+                    **batch_size,
+                )
             self.total_busy_s += self.kernel.now - started
+            if formed:
+                self.batched_calls += 1
+                self.batch_size_counts[len(items)] += 1
         except Interrupt as stop:
-            if done.pending:
-                done.fail(ServiceError(
-                    f"{self.service_name}@{self.device.name} dropped call:"
-                    f" {stop.cause}"
-                ))
+            for call in items:
+                call.fail(f"{self.service_name}@{self.device.name}"
+                          f" dropped call: {stop.cause}")
             return
         except Exception as exc:
-            self.errors += 1
-            if done.pending:
-                done.fail(ServiceError(f"{self.service_name} failed: {exc}"))
+            self.errors += len(items)
+            for call in items:
+                call.fail(f"{self.service_name} failed: {exc}")
             return
         finally:
-            self._inflight.pop(done, None)
+            for call in items:
+                self._inflight.pop(call.done, None)
             # a grant from a discarded pre-crash worker pool dies with that
             # pool; a pooled lease keeps owning pre-crash grants so the
             # shared slot always comes back
             if grant is not None and self.workers.owns(grant):
                 self.workers.release(grant)
-            if self._batch_pending:  # batching was enabled mid-flight
-                self._pump_batches()
-        if key is not None and self._cache is not None:
-            self._cache.store(key, result, self.kernel.now)
-        if done.pending:
-            done.succeed(result)
+            self._pump_batches()
+        for index, call in enumerate(items):
+            if index in failed:
+                self.errors += 1
+                call.fail(f"{self.service_name} failed: {failed[index]}")
+                continue
+            if call.key is not None and self._cache is not None:
+                self._cache.store(call.key, results[index], self.kernel.now)
+            if call.done.pending:
+                call.done.succeed(results[index])
 
     # -- batch formation ----------------------------------------------------------
     # Requests never sit in the worker resource queue on the batch path:
@@ -432,28 +466,21 @@ class ServiceHost:
     def _worker_free(self) -> bool:
         return self.workers.available > 0 and self.workers.queue_length == 0
 
-    def _enqueue_batch(self, payload: Any, decode_cost: float,
-                       key: str | None,
-                       trace: SpanContext | None = None) -> Signal:
-        done = self.kernel.signal(name=f"{self.service_name}.call")
-        self._batch_pending.append(
-            (payload, decode_cost, done, key, self.kernel.now, trace)
-        )
+    def _enqueue_batch(self, call: _Call) -> None:
+        self._batch_pending.append(call)
         if self._worker_free():
             if len(self._batch_pending) >= self._effective_max_batch():
                 self._dispatch_pending()
             elif self._batch_timer is None:
                 self._schedule_flush(0.0)  # coalesce same-instant arrivals
-        return done
 
     def _schedule_flush(self, delay: float) -> None:
-        self._batch_probe = delay > 0
-        self._batch_timer = self.kernel.schedule(delay, self._flush_timer)
+        self._batch_timer = self.kernel.schedule(
+            delay, self._flush_timer, delay > 0
+        )
 
-    def _flush_timer(self) -> None:
-        probed = self._batch_probe
+    def _flush_timer(self, probed: bool) -> None:
         self._batch_timer = None
-        self._batch_probe = False
         if self._batch_pending and self._worker_free():
             self._dispatch_pending(probed=probed)
         # all workers busy: keep accumulating; the next release pumps
@@ -462,7 +489,6 @@ class ServiceHost:
         if self._batch_timer is not None:
             self.kernel.cancel(self._batch_timer)
             self._batch_timer = None
-            self._batch_probe = False
         limit = self._effective_max_batch()
         items = self._batch_pending[:limit]
         del self._batch_pending[:limit]
@@ -472,7 +498,7 @@ class ServiceHost:
             self._solo_immediate = 0
         elif probed:
             self._solo_streak += 1
-        self._dispatch_batch(items)
+        self._dispatch(items, formed=True)
 
     def _pump_batches(self) -> None:
         """On a worker state change: dispatch pending work or arm the
@@ -495,138 +521,56 @@ class ServiceHost:
             # going out solo
             self._schedule_flush(self._batch_wait_s)
 
-    def _dispatch_batch(
-        self,
-        items: list[tuple[Any, float, Signal, str | None, float,
-                          SpanContext | None]],
-    ) -> None:
-        proc = self.kernel.process(
-            self._run_batch(items), name=f"{self.service_name}.exec"
-        )
-        for _, _, done, _, _, _ in items:
-            self._inflight[done] = proc
-
-    def _run_batch(
-        self,
-        items: list[tuple[Any, float, Signal, str | None, float,
-                          SpanContext | None]],
-    ):
-        grant = None
-        results: list[Any] | None = None
-        dones = [done for _, _, done, _, _, _ in items]
-        try:
-            grant = yield self.workers.request()
-            # availability is accurate again: further pending work may have
-            # room on the remaining replicas
-            self._pump_batches()
-            started = self.kernel.now
-            for _, _, _, _, enqueued_at, trace in items:
-                self.total_wait_s += started - enqueued_at
-                if started > enqueued_at:
-                    self._trace_span(
-                        trace, "service.batch_wait", CAT_QUEUE,
-                        start=enqueued_at, end=started,
-                    )
-            total_decode = sum(dc for _, dc, _, _, _, _ in items)
-            if total_decode > 0:
-                yield self.device.cpu.execute_fixed(total_decode)
-            decode_done = self.kernel.now
-            for _, dc, _, _, _, trace in items:
-                if dc > 0:
-                    self._trace_span(
-                        trace, "rpc.deserialize", CAT_SERIALIZE,
-                        start=started, end=decode_done,
-                    )
-            resolved = [
-                resolve_refs(p, self.device.frame_store)
-                for p, _, _, _, _, _ in items
-            ]
-            compute_started = self.kernel.now
-            cost = self.service.batch_compute_cost(resolved)
-            if cost > 0:
-                yield self.device.cpu.execute(cost)
-            try:
-                results = self.service.handle_batch(resolved, self._ctx)
-                if len(results) != len(items):
-                    raise ServiceError(
-                        f"{self.service_name}.handle_batch returned"
-                        f" {len(results)} results for {len(items)} payloads"
-                    )
-            except Interrupt:
-                raise
-            except Exception:
-                # per-item fallback: rerun individually so one poisoned
-                # payload fails alone instead of taking the batch down
-                results = []
-                for payload in resolved:
-                    try:
-                        results.append(self.service.handle(payload, self._ctx))
-                    except Exception as exc:
-                        results.append(_BatchItemError(exc))
-            compute_done = self.kernel.now
-            for _, _, _, _, _, trace in items:
-                self._trace_span(
-                    trace, f"service.compute:{self.service_name}",
-                    CAT_COMPUTE, start=compute_started, end=compute_done,
-                    batch_size=len(items),
-                )
-            self.total_busy_s += self.kernel.now - started
-            self.batched_calls += 1
-            self.batch_size_counts[len(items)] += 1
-        except Interrupt as stop:
-            for done in dones:
-                if done.pending:
-                    done.fail(ServiceError(
-                        f"{self.service_name}@{self.device.name} dropped call:"
-                        f" {stop.cause}"
-                    ))
-            return
-        except Exception as exc:
-            self.errors += 1
-            for done in dones:
-                if done.pending:
-                    done.fail(ServiceError(f"{self.service_name} failed: {exc}"))
-            return
-        finally:
-            for done in dones:
-                self._inflight.pop(done, None)
-            # a grant from a discarded pre-crash worker pool dies with that
-            # pool; a pooled lease keeps owning pre-crash grants so the
-            # shared slot always comes back
-            if grant is not None and self.workers.owns(grant):
-                self.workers.release(grant)
-            self._pump_batches()
-        now = self.kernel.now
-        assert results is not None
-        for (_, _, done, key, _, _), result in zip(items, results):
-            if isinstance(result, _BatchItemError):
-                self.errors += 1
-                if done.pending:
-                    done.fail(ServiceError(
-                        f"{self.service_name} failed: {result.exc}"
-                    ))
-                continue
-            if key is not None and self._cache is not None:
-                self._cache.store(key, result, now)
-            if done.pending:
-                done.succeed(result)
-
     # -- failure lifecycle -------------------------------------------------------
     def crash(self) -> None:
         """The service process dies: endpoint unbound, in-flight calls
         dropped, worker pool discarded. Idempotent."""
         if not self.up:
             return
-        self.up = False
         self.crashes += 1
-        self._rpc.close()
-        self._drop_inflight(f"{self.service_name}@{self.device.name} crashed")
-        self._drop_batch_pending(
-            f"{self.service_name}@{self.device.name} crashed"
-        )
+        self._go_down("crashed")
         # conservative: a restarted process may come back with a different
         # model revision, so cached results do not survive the crash
         self.invalidate_cache()
+
+    def restart(self) -> None:
+        """Bring a crashed host back: rebind the RPC endpoint. Idempotent;
+        a closed host stays closed."""
+        if self.up or self._closed:
+            return
+        self.up = True
+        self._rpc.open()
+
+    def close(self) -> None:
+        """Orderly, idempotent teardown: unbind and fail anything pending."""
+        if self._closed:
+            return
+        self._closed = True
+        self._go_down("closed")
+        if self.pool is not None:
+            self.pool.detach(self.service_name)
+
+    def _go_down(self, how: str) -> None:
+        """Unbind the endpoint, fail every admitted call not yet resolved —
+        the dispatched ones (their process is interrupted), then the ones
+        still waiting for batch formation (no process to interrupt) — and
+        let go of the workers."""
+        self.up = False
+        self._rpc.close()
+        reason = f"{self.service_name}@{self.device.name} {how}"
+        inflight = list(self._inflight.items())
+        self._inflight.clear()
+        self.dropped_in_flight += len(inflight) + len(self._batch_pending)
+        for done, proc in inflight:
+            proc.interrupt(reason)
+            if done.pending:
+                done.fail(ServiceError(f"call dropped: {reason}"))
+        if self._batch_timer is not None:
+            self.kernel.cancel(self._batch_timer)
+            self._batch_timer = None
+        pending, self._batch_pending = self._batch_pending, []
+        for call in pending:
+            call.fail(f"call dropped: {reason}")
         if self.pool is not None:
             # the pool is shared — never discarded. Not-yet-granted requests
             # are revoked (their slots bounce back on grant); grants already
@@ -637,50 +581,6 @@ class ServiceHost:
                 self.kernel, self._replica_target,
                 name=f"{self.device.name}.{self.service_name}.workers",
             )
-
-    def restart(self) -> None:
-        """Bring a crashed host back: rebind the RPC endpoint. Idempotent;
-        a closed host stays closed."""
-        if self.up or self._closed:
-            return
-        self.up = True
-        self._rpc.open()
-
-    def _drop_inflight(self, reason: str) -> None:
-        inflight = list(self._inflight.items())
-        self._inflight.clear()
-        self.dropped_in_flight += len(inflight)
-        for done, proc in inflight:
-            proc.interrupt(reason)
-            if done.pending:
-                done.fail(ServiceError(f"call dropped: {reason}"))
-
-    def _drop_batch_pending(self, reason: str) -> None:
-        """Fail requests still waiting for batch formation (never
-        dispatched, so there is no process to interrupt)."""
-        if self._batch_timer is not None:
-            self.kernel.cancel(self._batch_timer)
-            self._batch_timer = None
-        pending, self._batch_pending = self._batch_pending, []
-        self.dropped_in_flight += len(pending)
-        for _, _, done, _, _, _ in pending:
-            if done.pending:
-                done.fail(ServiceError(f"call dropped: {reason}"))
-
-    def close(self) -> None:
-        """Orderly, idempotent teardown: unbind and fail anything pending."""
-        if self._closed:
-            return
-        self._closed = True
-        self.up = False
-        self._rpc.close()
-        self._drop_inflight(f"{self.service_name}@{self.device.name} closed")
-        self._drop_batch_pending(
-            f"{self.service_name}@{self.device.name} closed"
-        )
-        if self.pool is not None:
-            self.workers.revoke_pending()
-            self.pool.detach(self.service_name)
 
     # -- introspection ---------------------------------------------------------
     @property

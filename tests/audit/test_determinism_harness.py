@@ -168,6 +168,27 @@ class TestDigestFile:
         assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
         assert "differs from the committed digest" in capsys.readouterr().out
 
+    def test_the_check_says_what_it_ran_on(self, tmp_path, monkeypatch, capsys):
+        """Versions up front; a mismatch under another interpreter reads
+        "regenerate on <this one>", under the same one it does not."""
+        path = tmp_path / "digests.json"
+        self.run_cli(monkeypatch, "--digests", str(path))
+        committed = json.loads(path.read_text())
+        here = cli.describe_environment(cli.environment())
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 0
+        assert f"generated on {here}; running on {here}" in (
+            capsys.readouterr().out)
+        committed["scenarios"]["toy.py"]["sha256"] = "0" * 64
+        path.write_text(json.dumps(committed))
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
+        assert "regenerate on" not in capsys.readouterr().out
+        committed["python"] = "3.99.0"
+        path.write_text(json.dumps(committed))
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
+        out = capsys.readouterr().out
+        assert "generated on python 3.99.0" in out
+        assert f"regenerate on {here}" in out
+
     def test_a_scenario_without_a_digest_fails_the_check(
             self, tmp_path, monkeypatch):
         path = tmp_path / "digests.json"

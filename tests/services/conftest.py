@@ -1,10 +1,18 @@
 """Shared fixtures: a small home with a phone and a desktop."""
 
+import numpy as np
 import pytest
 
 from repro.devices import Device, desktop, flagship_phone_2018
+from repro.frames import VideoFrame
 from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.sim import Kernel, RngStreams
+
+
+def make_frame(frame_id=1, t=0.0, fill=7):
+    pixels = np.full((24, 32, 3), fill, dtype=np.uint8)
+    return VideoFrame(frame_id=frame_id, source="cam", capture_time=t,
+                      width=32, height=24, pixels=pixels)
 
 
 class MiniHome:

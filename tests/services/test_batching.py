@@ -126,6 +126,67 @@ class TestBatchExecution:
         assert host.errors == 1
         assert host.busy_workers == 0  # worker not leaked by the fallback
 
+    @pytest.mark.parametrize("foreign", [False, True])
+    def test_stale_ref_fails_alone(self, home, foreign):
+        """A released (or another device's) FrameRef fails only its own
+        call, exactly as the same two calls do unbatched; the rest of the
+        batch still executes and is charged only for the items that run."""
+        host, service = batching_host(home)
+        store = (home.phone if foreign else home.desktop).frame_store
+        ref = store.put(object())
+        if not foreign:
+            store.release(ref)
+        good = host.call_local({"i": 1})
+        bad = host.call_local({"frame": ref})
+        home.kernel.run()
+        assert good.succeeded and good.value == {"i": 1}
+        assert bad.failed and isinstance(bad.exception, ServiceError)
+        assert host.errors == 1
+        assert host.batch_size_counts == {2: 1}  # one dispatch of two...
+        assert service.batch_sizes == [1]        # ...of which one ran
+        assert home.kernel.now < 1.2 * 0.050     # and one was paid for
+        assert host.busy_workers == 0
+
+    def test_batch_of_stale_refs_runs_nothing(self, home):
+        host, service = batching_host(home)
+        store = home.desktop.frame_store
+        refs = [store.put(object()) for _ in range(2)]
+        for ref in refs:
+            store.release(ref)
+        dones = [host.call_local({"frame": ref}) for ref in refs]
+        home.kernel.run()
+        assert all(d.failed for d in dones)
+        assert host.errors == 2
+        assert service.solo_calls == 0
+        assert home.kernel.now == 0.0  # nothing ran, nothing was charged
+
+    def test_whole_batch_failure_counts_every_failed_call(self, home):
+        """A failure outside the per-item rule (here: the cost model
+        raises) fails the whole dispatch; ``errors`` counts calls."""
+        class Unpriceable(BatchEchoService):
+            def compute_cost(self, payload):
+                raise RuntimeError("no cost model")
+
+        host, _ = batching_host(home, service=Unpriceable())
+        dones = [host.call_local({"i": i}) for i in range(3)]
+        home.kernel.run()
+        assert all(d.failed for d in dones)
+        assert host.errors == 3
+        assert host.busy_workers == 0
+
+    def test_failing_handler_in_a_batch_of_one_runs_once(self, home):
+        """No per-item rerun without company: a lone poisoned request in a
+        formed batch fails on its first and only execution."""
+        class LoopingEcho(BatchEchoService):
+            handle_batch = Service.handle_batch  # the default: loop handle
+
+        host, service = batching_host(home, service=LoopingEcho())
+        bad = host.call_local({"poison": True})
+        home.kernel.run()
+        assert bad.failed and "poisoned payload" in str(bad.exception)
+        assert service.solo_calls == 1
+        assert host.errors == 1 and host.busy_workers == 0
+
     def test_service_without_batch_support_never_batches(self, home):
         service = FunctionService("plain", lambda p, c: p,
                                   reference_cost_s=0.050)

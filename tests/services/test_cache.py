@@ -1,10 +1,9 @@
 """The host result cache: key derivation, LRU/TTL mechanics, call paths."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ServiceError
-from repro.frames import FrameStore, VideoFrame
+from repro.frames import FrameStore
 from repro.services import (
     MISS,
     FunctionService,
@@ -15,11 +14,7 @@ from repro.services import (
 )
 from repro.services.builtin.pose import PoseDetectorService
 
-
-def make_frame(frame_id=1, t=0.0, fill=7):
-    pixels = np.full((24, 32, 3), fill, dtype=np.uint8)
-    return VideoFrame(frame_id=frame_id, source="cam", capture_time=t,
-                      width=32, height=24, pixels=pixels)
+from .conftest import make_frame
 
 
 class TestResultCache:

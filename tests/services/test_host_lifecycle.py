@@ -127,6 +127,17 @@ class TestClose:
         assert result.failed
         assert "closed" in str(result.exception)
 
+    def test_close_leaves_no_worker_busy(self, home):
+        """The worker freed by the interrupted call must not be handed to a
+        call that was dropped while queued behind it."""
+        host = ServiceHost(home.kernel, home.desktop, echo_service(0.100),
+                           home.transport)
+        dones = [host.call_local({}) for _ in range(3)]
+        home.kernel.schedule(0.020, host.close)
+        home.kernel.run()
+        assert all(done.failed for done in dones)
+        assert host.busy_workers == 0 and host.queue_length == 0
+
     def test_closed_host_cannot_restart(self, home):
         host = ServiceHost(home.kernel, home.desktop, echo_service(),
                            home.transport)

@@ -30,25 +30,17 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.audit.determinism import EventTap, stream_digest
-from repro.frames import VideoFrame
 from repro.services import RemoteServiceStub, Service, ServiceHost
 from repro.trace.recorder import TraceRecorder
 from repro.trace.span import SpanContext
 
-from .conftest import MiniHome
+from .conftest import MiniHome, make_frame
 
 GOLDEN = Path(__file__).parent / "goldens" / "host_streams.json"
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
-
-
-def make_frame(frame_id=1, fill=7):
-    pixels = np.full((24, 32, 3), fill, dtype=np.uint8)
-    return VideoFrame(frame_id=frame_id, source="cam", capture_time=0.0,
-                      width=32, height=24, pixels=pixels)
 
 
 class ProbeService(Service):

@@ -16,7 +16,9 @@ scenario's event count and label-free stream digest
 (:func:`repro.audit.determinism.stream_digest`). The committed
 ``tools/determinism_digests.json`` makes "bit-identical event stream"
 checkable across commits: a change that moves, adds or removes one kernel
-event fails the check and has to regenerate the file knowingly.
+event fails the check and has to regenerate the file knowingly. The check
+prints the interpreter and numpy the file was generated on beside the
+running ones, and a mismatch under a different pair says so.
 
 Usage:
     python tools/check_determinism.py                       # all scenarios
@@ -106,6 +108,16 @@ def run_one(name: str, seed: int, audit: bool) -> dict:
     return result
 
 
+def environment() -> dict:
+    """What a digest may depend on besides the source: float formatting
+    and hashing are the interpreter's, the RNG streams are numpy's."""
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def describe_environment(env: dict) -> str:
+    return f"python {env['python']} / numpy {env['numpy']}"
+
+
 def digest_entry(result: dict) -> dict:
     """What the digest file keeps of one scenario's result."""
     return {"events": result["event_count"], "sha256": result["stream_digest"]}
@@ -155,12 +167,24 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     committed = None
+    regenerate_hint = None
     if args.check_digests:
         with open(args.check_digests, encoding="utf-8") as fh:
             committed = json.load(fh)
         if committed["seed"] != args.seed:
             parser.error(f"{args.check_digests} was generated with --seed"
                          f" {committed['seed']}, not {args.seed}")
+        running = environment()
+        recorded = {key: committed.get(key, "unknown") for key in running}
+        print(f"{args.check_digests}: generated on"
+              f" {describe_environment(recorded)}; running on"
+              f" {describe_environment(running)}")
+        if recorded != running:
+            regenerate_hint = (
+                f"the digests were generated on"
+                f" {describe_environment(recorded)}: regenerate on"
+                f" {describe_environment(running)} (--digests) and compare"
+                " the files before reading this as a moved event stream")
 
     audit = bool(os.environ.get("REPRO_AUDIT"))
     results = []
@@ -172,8 +196,8 @@ def main(argv: list[str] | None = None) -> int:
             mismatch = digest_mismatch(result, committed["scenarios"].get(name))
             if mismatch:
                 result["ok"] = False
-                result["divergence"] = "\n".join(
-                    filter(None, [result["divergence"], mismatch]))
+                result["divergence"] = "\n".join(filter(
+                    None, [result["divergence"], mismatch, regenerate_hint]))
         status = "PASS" if result["ok"] else "FAIL"
         extra = ""
         if audit and "audited_stream_identical" in result:
@@ -207,8 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.digests, "w", encoding="utf-8") as fh:
             json.dump({
                 "seed": args.seed,
-                "python": platform.python_version(),
-                "numpy": numpy.__version__,
+                **environment(),
                 "scenarios": {r["scenario"]: digest_entry(r) for r in results},
             }, fh, indent=2)
             fh.write("\n")
