@@ -3,33 +3,20 @@
 from . import modules  # noqa: F401 - registers the module includes
 from .falldetect import fall_pipeline_config
 from .fitness import (
-    FITNESS_ACTIVITIES,
     FITNESS_LISTING,
     FitnessApp,
-    FitnessServices,
     fitness_pipeline_config,
-    fitness_pipeline_from_listing,
     install_fitness_services,
     train_activity_recognizer,
 )
 from .gesture import (
-    DEFAULT_BINDINGS,
-    GESTURE_ACTIVITIES,
-    GestureClassifierService,
-    GestureServices,
     gesture_pipeline_config,
     install_gesture_services,
     train_gesture_recognizer,
 )
-from .scene import (
-    MovingObject,
-    SceneCamera,
-    default_scene,
-    scene_pipeline_config,
-)
+from .scene import scene_pipeline_config
 from .scenefusion import (
     SceneFusionModule,
-    ScenePoseEstimatorService,
     SceneRigModule,
     SceneTrackModule,
     install_scene_services,
@@ -37,22 +24,11 @@ from .scenefusion import (
 )
 
 __all__ = [
-    "DEFAULT_BINDINGS",
-    "FITNESS_ACTIVITIES",
     "FITNESS_LISTING",
     "FitnessApp",
-    "fitness_pipeline_from_listing",
-    "FitnessServices",
-    "GESTURE_ACTIVITIES",
-    "GestureClassifierService",
-    "GestureServices",
-    "MovingObject",
-    "SceneCamera",
     "SceneFusionModule",
-    "ScenePoseEstimatorService",
     "SceneRigModule",
     "SceneTrackModule",
-    "default_scene",
     "fall_pipeline_config",
     "scene_pipeline_config",
     "fitness_pipeline_config",

@@ -193,27 +193,6 @@ modules : [
 """
 
 
-def fitness_pipeline_from_listing(
-    fps: float = 10.0,
-    duration_s: float | None = None,
-    motion: str = "squat",
-    source_device: str = "phone",
-) -> PipelineConfig:
-    """Build the fitness pipeline by parsing the paper's Listing-1 text.
-
-    Functionally identical to :func:`fitness_pipeline_config`; exists to
-    prove the text configuration path drives the real application.
-    """
-    from ..pipeline.parser import parse_pipeline_text
-
-    config = parse_pipeline_text(FITNESS_LISTING, name="fitness")
-    source = config.module("video_streaming_module")
-    source.device = source_device
-    source.params = {"fps": fps, "motion": motion, "duration_s": duration_s}
-    config.source = "video_streaming_module"
-    return config
-
-
 class FitnessApp:
     """Deploy-and-measure wrapper around the fitness pipeline."""
 

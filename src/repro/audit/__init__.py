@@ -20,12 +20,9 @@ is deliberately *not* imported here — it imports :mod:`repro.apps`, which
 would make ``repro`` import itself. Import it explicitly where needed.
 """
 
-from .auditor import InvariantAuditor, Violation, live_auditors
+from .auditor import InvariantAuditor, Violation
 from .determinism import (
-    DeterminismReport,
-    Divergence,
     EventTap,
-    RunRecord,
     check_determinism,
     first_divergence,
     record_scenario,
@@ -33,15 +30,11 @@ from .determinism import (
 )
 
 __all__ = [
-    "DeterminismReport",
-    "Divergence",
     "EventTap",
     "InvariantAuditor",
-    "RunRecord",
     "Violation",
     "check_determinism",
     "first_divergence",
-    "live_auditors",
     "record_scenario",
     "stream_digest",
 ]

@@ -320,10 +320,7 @@ def object_tracking(seed: int):
     """examples/object_tracking.py: rendered-pixel detection + stateless
     tracking association."""
     from ..apps import scene_pipeline_config
-    from ..services.builtin import (
-        ObjectDetectionService,
-        ObjectTrackingService,
-    )
+    from ..services import ObjectDetectionService, ObjectTrackingService
 
     home = VideoPipe.paper_testbed(seed=seed)
     home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
@@ -381,10 +378,7 @@ def chaos_fitness(seed: int):
         fitness_pipeline_config,
         install_fitness_services,
     )
-    from ..services.builtin import (
-        ActivityClassifierService,
-        PoseDetectorService,
-    )
+    from ..services import ActivityClassifierService, PoseDetectorService
 
     crash_at, down_for, duration = 2.0, 2.0, 7.0
     home = VideoPipe.paper_testbed(seed=seed)

@@ -1,31 +1,12 @@
 """Heterogeneous edge devices: specs, presets, CPU model."""
 
-from .catalog import (
-    CATALOG,
-    cloud_server,
-    desktop,
-    flagship_phone_2018,
-    laptop,
-    make_spec,
-    smart_fridge,
-    smart_tv_4k,
-    smartwatch,
-)
-from .cpu import Cpu
+from .catalog import CATALOG, make_spec
 from .device import Device
 from .spec import DeviceSpec
 
 __all__ = [
     "CATALOG",
-    "Cpu",
     "Device",
     "DeviceSpec",
-    "cloud_server",
-    "desktop",
-    "flagship_phone_2018",
-    "laptop",
     "make_spec",
-    "smart_fridge",
-    "smart_tv_4k",
-    "smartwatch",
 ]

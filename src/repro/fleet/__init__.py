@@ -10,36 +10,19 @@ from .harness import (
     home_seed,
     run_fleet,
 )
-from .shard import (
-    FleetShardRunner,
-    ShardResult,
-    shard_assignment,
-)
-from .workload import (
-    FleetSinkModule,
-    FleetStageModule,
-    home_device_kinds,
-    home_pipeline_config,
-    install_cloud_services,
-    install_home_services,
-)
+from .shard import FleetShardRunner, shard_assignment
+from .workload import install_cloud_services
 
 __all__ = [
     "Fleet",
     "FleetConfig",
     "FleetReport",
     "FleetShardRunner",
-    "FleetSinkModule",
-    "FleetStageModule",
     "HomeResult",
     "STRATEGIES",
-    "ShardResult",
     "aggregate_report",
-    "home_device_kinds",
-    "home_pipeline_config",
     "home_seed",
     "install_cloud_services",
-    "install_home_services",
     "run_fleet",
     "shard_assignment",
 ]

@@ -41,7 +41,7 @@ from ..pipeline.pipeline import Pipeline
 from ..pipeline.placement import COLOCATED, SINGLE_HOST
 from ..services.balancer import COST_AWARE
 from ..sim.kernel import Kernel
-from ..slo.spec import SLO, SLOConfig, attainment as slo_attainment_score
+from ..slo.spec import SLO, attainment as slo_attainment_score
 from .workload import (
     home_device_kinds,
     home_pipeline_config,
@@ -114,8 +114,6 @@ class FleetConfig:
             (:meth:`~repro.core.videopipe.VideoPipe.enable_slo`) with this
             as its pipeline's objective, and the report carries per-home
             SLO attainment.
-        slo_config: controller knobs for the guardian (``None`` keeps
-            :class:`~repro.slo.spec.SLOConfig` defaults).
         workload: per-home application shape — ``"stage"`` (default, the
             linear camera → detect → classify → alert → sink DAG) or
             ``"scene"`` (the multi-camera fan-in scene-fusion DAG; the
@@ -138,7 +136,6 @@ class FleetConfig:
     balancing: str | None = None
     optimizer: OptimizerConfig | None = None
     slo: SLO | None = None
-    slo_config: SLOConfig | None = None
     workload: str = "stage"
 
     def __post_init__(self) -> None:
@@ -405,7 +402,7 @@ class Fleet:
             if cfg.online:
                 home.enable_optimizer(cfg.optimizer)
             if cfg.slo is not None:
-                home.enable_slo(config=cfg.slo_config, default_slo=cfg.slo)
+                home.enable_slo(default_slo=cfg.slo)
             fps = cfg.fps_choices[mix_rng.randrange(len(cfg.fps_choices))]
             if cfg.workload == "scene":
                 pipeline_config = scene_home_pipeline_config(

@@ -1,37 +1,15 @@
 """Frames: capture, compression, storage-by-reference, and pacing."""
 
-from .arena import (
-    EVICTED,
-    MIGRATED,
-    RELEASED,
-    ArenaHandle,
-    FrameArena,
-)
-from .codec import (
-    DECODE_NS_PER_PIXEL,
-    ENCODE_NS_PER_PIXEL,
-    EncodedFrame,
-    decode_frame,
-    encode_frame,
-    jpeg_bits_per_pixel,
-    jpeg_size_model,
-    psnr,
-)
+from .arena import EVICTED, MIGRATED, RELEASED, ArenaHandle, FrameArena
+from .codec import EncodedFrame, decode_frame, encode_frame
 from .digest import content_digest
 from .frame import FrameRef, VideoFrame
 from .framestore import FrameStore
-from .synthetic import (
-    detect_foreground_bbox,
-    foreground_fraction,
-    render_pose,
-    scale_pose,
-)
+from .synthetic import detect_foreground_bbox
 from .video_source import SyntheticCamera, VideoSource
 
 __all__ = [
     "ArenaHandle",
-    "DECODE_NS_PER_PIXEL",
-    "ENCODE_NS_PER_PIXEL",
     "EVICTED",
     "EncodedFrame",
     "FrameArena",
@@ -46,10 +24,4 @@ __all__ = [
     "decode_frame",
     "detect_foreground_bbox",
     "encode_frame",
-    "foreground_fraction",
-    "jpeg_bits_per_pixel",
-    "jpeg_size_model",
-    "psnr",
-    "render_pose",
-    "scale_pose",
 ]

@@ -4,10 +4,8 @@ and per-frame version lineage (``docs/LIVEOPS.md``)."""
 from .lineage import LineageRecorder
 from .policy import CanaryPolicy
 from .upgrade import (
-    MIRRORING,
     PROMOTED,
     ROLLED_BACK,
-    CanarySinkModule,
     LiveOpsManager,
     MirrorTap,
     ModuleUpgrade,
@@ -15,10 +13,8 @@ from .upgrade import (
 
 __all__ = [
     "CanaryPolicy",
-    "CanarySinkModule",
     "LineageRecorder",
     "LiveOpsManager",
-    "MIRRORING",
     "MirrorTap",
     "ModuleUpgrade",
     "PROMOTED",

@@ -3,8 +3,9 @@
 Llama-style reconfiguration judgement (PAPERS.md): a version swap is not
 applied blind — the candidate runs beside the incumbent on live mirrored
 traffic and is scored against the latency/error/backlog signals the
-runtime already collects. The policy holds the thresholds; the decision
-loop lives in :class:`~repro.liveops.upgrade.LiveOpsManager`.
+runtime already collects. The policy holds the evidence floor and the
+deadline; the health thresholds and the decision loop live in
+:class:`~repro.liveops.upgrade.LiveOpsManager`.
 """
 
 from __future__ import annotations
@@ -28,15 +29,6 @@ class CanaryPolicy:
             promote decision was reached by then the upgrade rolls back
             (insufficient or unhealthy evidence both fail safe).
         check_interval_s: how often the decision loop re-evaluates.
-        p99_ratio_limit: candidate p99 sojourn may be at most this multiple
-            of the incumbent's.
-        p99_slack_s: absolute slack added to the p99 bound, so a near-zero
-            incumbent p99 does not make the ratio test impossible to pass.
-        max_error_rate: candidate handler errors / events above this roll
-            back immediately.
-        max_backlog: candidate mailbox depth above this rolls back
-            immediately (the candidate cannot keep up with even a fraction
-            of live traffic).
         auto: drive the decision loop from the kernel. ``False`` leaves
             the upgrade mirroring until :meth:`~repro.liveops.upgrade
             .LiveOpsManager.promote` / ``rollback`` is called explicitly.
@@ -46,10 +38,6 @@ class CanaryPolicy:
     min_mirrored: int = 8
     decision_timeout_s: float = 10.0
     check_interval_s: float = 0.5
-    p99_ratio_limit: float = 3.0
-    p99_slack_s: float = 0.010
-    max_error_rate: float = 0.02
-    max_backlog: int = 8
     auto: bool = True
 
     def __post_init__(self) -> None:
@@ -61,11 +49,3 @@ class CanaryPolicy:
             raise ConfigError("decision_timeout_s must be positive")
         if self.check_interval_s <= 0:
             raise ConfigError("check_interval_s must be positive")
-        if self.p99_ratio_limit < 1.0:
-            raise ConfigError("p99_ratio_limit must be >= 1")
-        if self.p99_slack_s < 0:
-            raise ConfigError("p99_slack_s must be >= 0")
-        if not 0.0 <= self.max_error_rate <= 1.0:
-            raise ConfigError("max_error_rate must be in [0, 1]")
-        if self.max_backlog < 1:
-            raise ConfigError("max_backlog must be >= 1")

@@ -17,8 +17,8 @@ fleets do:
    (extra frame-store holds, no extra credits).
 3. **Judge** — a kernel-paced decision loop compares the candidate's
    health against the incumbent using the runtime's existing signals:
-   p99 event sojourn, handler error rate, mailbox backlog
-   (:class:`~repro.liveops.policy.CanaryPolicy` holds the thresholds).
+   p99 event sojourn, handler error rate, mailbox backlog (the thresholds
+   are the constants below).
 4. **Promote or roll back** — promotion atomically swaps the warm
    candidate into the incumbent's address via
    :meth:`~repro.pipeline.deployer.Deployer.swap_module` (queued events
@@ -54,6 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover
 MIRRORING = "mirroring"
 PROMOTED = "promoted"
 ROLLED_BACK = "rolled_back"
+
+#: The judge's health thresholds. Candidate handler errors / events above
+#: this roll back immediately.
+MAX_ERROR_RATE = 0.02
+#: Candidate mailbox depth above this rolls back immediately (it cannot
+#: keep up with even a fraction of live traffic).
+MAX_BACKLOG = 8
+#: Candidate p99 sojourn may be at most this multiple of the incumbent's,
+#: plus an absolute slack so a near-zero incumbent p99 stays passable.
+P99_RATIO_LIMIT = 3.0
+P99_SLACK_S = 0.010
 
 
 class CanarySinkModule(Module):
@@ -358,20 +369,20 @@ class LiveOpsManager:
         shadow = upgrade.shadow_deployed
         errors = len(shadow.errors)
         events = shadow.events_processed
-        if events and errors / events > policy.max_error_rate:
+        if events and errors / events > MAX_ERROR_RATE:
             return "rollback", (
                 f"candidate error rate {errors}/{events} exceeds"
-                f" {policy.max_error_rate:.0%}"
+                f" {MAX_ERROR_RATE:.0%}"
             )
         backlog = shadow.mailbox_depth
-        if backlog > policy.max_backlog:
+        if backlog > MAX_BACKLOG:
             return "rollback", (
-                f"candidate backlog {backlog} exceeds {policy.max_backlog}:"
+                f"candidate backlog {backlog} exceeds {MAX_BACKLOG}:"
                 " v2 cannot keep up with mirrored traffic"
             )
         v1_p99 = quantile(list(upgrade.primary_deployed.handler_samples), 0.99)
         v2_p99 = quantile(list(shadow.handler_samples), 0.99)
-        bound = v1_p99 * policy.p99_ratio_limit + policy.p99_slack_s
+        bound = v1_p99 * P99_RATIO_LIMIT + P99_SLACK_S
         completed = upgrade.shadow_metrics.counter("frames_completed")
         if completed >= policy.min_mirrored:
             if v2_p99 > bound:

@@ -2,16 +2,14 @@
 
 from .collector import MetricsCollector
 from .recovery import RecoveryTracker
-from .report import format_comparison, format_table
-from .stats import RateMeter, Summary, format_histogram, summarize, weighted_mean
+from .report import format_table
+from .stats import Summary, format_histogram, summarize, weighted_mean
 
 __all__ = [
     "MetricsCollector",
-    "RateMeter",
     "RecoveryTracker",
     "Summary",
     "format_histogram",
-    "format_comparison",
     "format_table",
     "summarize",
     "weighted_mean",

@@ -38,13 +38,3 @@ def format_table(
     parts.extend(line(row) for row in text_rows)
     return "\n".join(parts)
 
-
-def format_comparison(
-    label: str,
-    paper_value: Any,
-    measured_value: Any,
-    note: str = "",
-) -> str:
-    """One 'paper vs measured' line for EXPERIMENTS.md-style output."""
-    suffix = f"  ({note})" if note else ""
-    return f"{label}: paper={paper_value} measured={measured_value}{suffix}"

@@ -1,23 +1,9 @@
 """Monitoring (§7 future work): probes, time series, alarms."""
 
-from .failure_detector import (
-    HEARTBEAT_PORT,
-    DetectionEvent,
-    FailureDetector,
-    HeartbeatResponder,
-    failure_probe,
-)
-from .monitor import Alarm, AlarmRule, Monitor
-from .orchestrator import (
-    Action,
-    Orchestrator,
-    Remedy,
-    evacuate_dead_device_remedy,
-    migrate_module_remedy,
-    scale_service_remedy,
-)
+from .failure_detector import FailureDetector, HeartbeatResponder, failure_probe
+from .monitor import AlarmRule, Monitor
+from .orchestrator import Orchestrator, evacuate_dead_device_remedy
 from .probes import (
-    Sample,
     device_probe,
     pipeline_probe,
     service_probe,
@@ -26,23 +12,15 @@ from .probes import (
 )
 
 __all__ = [
-    "Action",
-    "Alarm",
     "AlarmRule",
-    "DetectionEvent",
     "FailureDetector",
-    "HEARTBEAT_PORT",
     "HeartbeatResponder",
     "Monitor",
     "Orchestrator",
-    "Remedy",
-    "Sample",
     "device_probe",
     "evacuate_dead_device_remedy",
     "failure_probe",
-    "migrate_module_remedy",
     "pipeline_probe",
-    "scale_service_remedy",
     "service_probe",
     "slo_probe",
     "tracing_probe",

@@ -1,10 +1,10 @@
-"""The self-management loop: alarms drive scaling and migration.
+"""The self-management loop: the monitor's state drives remediation.
 
 §7 names three future components — automatic deployment, scheduling, and
 monitoring. The :class:`Orchestrator` closes the loop between them: it
-periodically evaluates *remedies* against the monitor's fresh state, so a
-saturated service grows a replica and an overloaded device sheds a module,
-without an operator in the loop.
+periodically evaluates *remedies* against the monitor's fresh state, so
+modules stranded on a dead device are re-deployed without an operator in
+the loop.
 """
 
 from __future__ import annotations
@@ -110,63 +110,7 @@ class Orchestrator:
         return fired
 
 
-# -- ready-made remedies --------------------------------------------------------
-
-def scale_service_remedy(
-    host,
-    monitor_probe: str,
-    utilization_threshold: float = 0.85,
-    max_replicas: int = 4,
-    cooldown_s: float = 3.0,
-) -> Remedy:
-    """Grow *host* when the monitor shows it saturated."""
-
-    def condition(monitor: Monitor) -> str | None:
-        utilization = monitor.latest(monitor_probe, "utilization")
-        if utilization is None or host.replicas >= max_replicas:
-            return None
-        if utilization > utilization_threshold:
-            return (f"{host.service_name}@{host.device.name} at"
-                    f" {utilization:.0%} utilization")
-        return None
-
-    return Remedy(
-        name=f"scale:{host.service_name}",
-        condition=condition,
-        action=lambda: host.add_replica(1),
-        cooldown_s=cooldown_s,
-    )
-
-
-def migrate_module_remedy(
-    home,
-    pipeline: "Pipeline",
-    module_name: str,
-    target_device: str,
-    device_probe_name: str,
-    cpu_threshold: float = 0.9,
-    cooldown_s: float = 5.0,
-) -> Remedy:
-    """Move *module_name* to *target_device* when its current device's CPU
-    stays saturated (fires at most once)."""
-
-    def condition(monitor: Monitor) -> str | None:
-        if pipeline.device_of(module_name) == target_device:
-            return None
-        utilization = monitor.latest(device_probe_name, "cpu_utilization")
-        if utilization is not None and utilization > cpu_threshold:
-            return (f"{module_name} leaving a {utilization:.0%}-busy device"
-                    f" for {target_device}")
-        return None
-
-    return Remedy(
-        name=f"migrate:{module_name}",
-        condition=condition,
-        action=lambda: home.migrate_module(pipeline, module_name, target_device),
-        cooldown_s=cooldown_s,
-        max_firings=1,
-    )
-
+# -- the ready-made remedy -----------------------------------------------------
 
 def evacuate_dead_device_remedy(
     home,

@@ -5,25 +5,9 @@ deterministic, seedable motion models that drive the synthetic video source
 and the recognizer training sets.
 """
 
-from .exercises import (
-    EXERCISES,
-    GESTURES,
-    MODEL_BY_NAME,
-    Clap,
-    Fall,
-    JumpingJack,
-    LateralRaise,
-    Lunge,
-    MotionModel,
-    Squat,
-    Stand,
-    Wave,
-    base_pose,
-    make_model,
-)
+from .exercises import MotionModel, Squat, make_model
 from .multiview import (
     BODY_HEIGHT_M,
-    ActorObservation,
     BodyShape,
     CameraView,
     MultiViewScene,
@@ -32,19 +16,10 @@ from .multiview import (
     camera_to_dict,
     crossing_scene,
     random_scene,
-    shape_pose,
 )
-from .skeleton import (
-    KEYPOINT_INDEX,
-    KEYPOINT_NAMES,
-    NUM_KEYPOINTS,
-    SKELETON_EDGES,
-    Pose,
-    pose_sequence_array,
-)
+from .skeleton import KEYPOINT_INDEX, NUM_KEYPOINTS, SKELETON_EDGES, Pose
 from .trajectory import (
     SubjectParams,
-    add_keypoint_jitter,
     place_in_image,
     random_subject,
     sample_subject_sequence,
@@ -52,41 +27,25 @@ from .trajectory import (
 )
 
 __all__ = [
-    "ActorObservation",
     "BODY_HEIGHT_M",
     "BodyShape",
     "CameraView",
-    "Clap",
-    "EXERCISES",
-    "Fall",
-    "GESTURES",
-    "JumpingJack",
     "KEYPOINT_INDEX",
-    "KEYPOINT_NAMES",
-    "LateralRaise",
-    "Lunge",
-    "MODEL_BY_NAME",
     "MotionModel",
     "MultiViewScene",
     "NUM_KEYPOINTS",
     "Pose",
     "SKELETON_EDGES",
     "Squat",
-    "Stand",
     "SubjectParams",
-    "Wave",
     "WorldActor",
-    "add_keypoint_jitter",
-    "base_pose",
     "camera_from_dict",
     "camera_to_dict",
     "crossing_scene",
     "make_model",
     "place_in_image",
-    "pose_sequence_array",
     "random_scene",
     "random_subject",
     "sample_subject_sequence",
-    "shape_pose",
     "subject_pose",
 ]

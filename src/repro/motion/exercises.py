@@ -249,10 +249,6 @@ class Stand(MotionModel):
         return pose
 
 
-#: All exercise models (fitness app vocabulary).
-EXERCISES = (Squat, JumpingJack, Lunge, LateralRaise)
-#: All gesture models (IoT control vocabulary).
-GESTURES = (Wave, Clap)
 #: Every model, by label.
 MODEL_BY_NAME = {
     cls.name: cls

@@ -123,7 +123,3 @@ class Pose:
         visible = int(self.visibility.sum())
         return f"<Pose {visible}/{NUM_KEYPOINTS} visible>"
 
-
-def pose_sequence_array(poses: list[Pose]) -> np.ndarray:
-    """Stack a list of poses into a (T, 17, 2) array."""
-    return np.stack([p.keypoints for p in poses])

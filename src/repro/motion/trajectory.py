@@ -88,17 +88,6 @@ def subject_pose(model: MotionModel, subject: SubjectParams, t: float) -> Pose:
     return place_in_image(body, subject)
 
 
-def add_keypoint_jitter(
-    poses: list[Pose], sigma_px: float, rng: np.random.Generator
-) -> list[Pose]:
-    """Gaussian pixel noise on every keypoint — sensor/estimator jitter."""
-    noisy = []
-    for pose in poses:
-        keypoints = pose.keypoints + rng.normal(0.0, sigma_px, pose.keypoints.shape)
-        noisy.append(Pose(keypoints, pose.visibility.copy()))
-    return noisy
-
-
 def sample_subject_sequence(
     model: MotionModel,
     subject: SubjectParams,

@@ -5,24 +5,15 @@ phone, desktop and TV) and its ZeroMQ messaging layer, plus a broker-relayed
 transport used as the architectural counterexample.
 """
 
-from .address import Address, EndpointSpec, parse_address, parse_endpoint
+from .address import Address, parse_endpoint
 from .broker import BrokeredTransport
-from .link import (
-    ETHERNET_LAN,
-    LOOPBACK,
-    WAN_METRO,
-    WAN_REGIONAL,
-    WIFI_HOME,
-    Link,
-    LinkSpec,
-)
-from .message import KIND_DATA, KIND_REPLY, KIND_REQUEST, KIND_SIGNAL, Message
+from .link import WAN_METRO, WAN_REGIONAL, WIFI_HOME, Link, LinkSpec
+from .message import KIND_SIGNAL, Message
 from .resilience import CircuitBreaker, CircuitBreakerPolicy, RetryPolicy
-from .rpc import DEFAULT_TIMEOUT_S, RpcClient, RpcServer
-from .sockets import PubSocket, PullSocket, PushSocket, SubSocket
+from .rpc import RpcClient, RpcServer
 from .topology import Topology
 from .transport import BrokerlessTransport, Transport
-from .wire import WireFormatError, decode, encode, payload_size
+from .wire import payload_size
 
 __all__ = [
     "Address",
@@ -30,33 +21,18 @@ __all__ = [
     "BrokerlessTransport",
     "CircuitBreaker",
     "CircuitBreakerPolicy",
-    "DEFAULT_TIMEOUT_S",
-    "ETHERNET_LAN",
-    "EndpointSpec",
-    "KIND_DATA",
-    "KIND_REPLY",
-    "KIND_REQUEST",
     "KIND_SIGNAL",
-    "LOOPBACK",
     "Link",
     "LinkSpec",
     "Message",
-    "PubSocket",
-    "PullSocket",
-    "PushSocket",
     "RetryPolicy",
     "RpcClient",
     "RpcServer",
-    "SubSocket",
     "Topology",
     "Transport",
     "WAN_METRO",
     "WAN_REGIONAL",
     "WIFI_HOME",
-    "WireFormatError",
-    "decode",
-    "encode",
-    "parse_address",
     "parse_endpoint",
     "payload_size",
 ]

@@ -82,14 +82,3 @@ def parse_endpoint(text: str) -> EndpointSpec:
         raise AddressError(f"port {port} out of range in {text!r}")
     return EndpointSpec(match["mode"], match["proto"], match["host"], port)
 
-
-def parse_address(text: str) -> Address:
-    """Parse a plain ``device:port`` string into an :class:`Address`."""
-    device, sep, port_text = text.rpartition(":")
-    if not sep or not device:
-        raise AddressError(f"malformed address {text!r}; expected 'device:port'")
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise AddressError(f"malformed port in {text!r}") from exc
-    return Address(device, port)

@@ -56,7 +56,6 @@ class LinkSpec:
 #: Canonical home-network profiles, roughly matching the paper's testbed
 #: (2018-era flagship phone, desktop and TV on the same 802.11ac network).
 WIFI_HOME = LinkSpec(latency_s=0.0012, jitter_cv=0.25, bandwidth_bps=120e6, loss_prob=0.005)
-ETHERNET_LAN = LinkSpec(latency_s=0.0003, jitter_cv=0.05, bandwidth_bps=1e9)
 LOOPBACK = LinkSpec(latency_s=0.00005, jitter_cv=0.05, bandwidth_bps=20e9)
 
 #: The uplink from a home's access point to a metro-area edge cloud: a few

@@ -9,13 +9,7 @@ from .config import (
     TraceConfig,
     config_from_dict,
 )
-from .dag import (
-    build_graph,
-    longest_path,
-    sink_modules,
-    topological_order,
-    validate,
-)
+from .dag import validate
 from .deployer import Deployer
 from .optimizer import (
     OPTIMIZED,
@@ -24,8 +18,6 @@ from .optimizer import (
     OnlineOptimizer,
     OptimizedCost,
     OptimizerConfig,
-    PlacementCost,
-    ReplanEvent,
     observed_module_seconds,
     plan_optimized,
 )
@@ -49,8 +41,6 @@ __all__ = [
     "OnlineOptimizer",
     "OptimizedCost",
     "OptimizerConfig",
-    "PlacementCost",
-    "ReplanEvent",
     "observed_module_seconds",
     "plan_optimized",
     "ModuleConfig",
@@ -61,14 +51,10 @@ __all__ = [
     "PlacementPlan",
     "SINGLE_HOST",
     "TraceConfig",
-    "build_graph",
     "config_from_dict",
-    "longest_path",
     "parse_pipeline_json",
     "parse_pipeline_text",
     "plan_colocated",
     "plan_single_host",
-    "sink_modules",
-    "topological_order",
     "validate",
 ]

@@ -83,14 +83,3 @@ def topological_order(config: PipelineConfig) -> list[str]:
     """Module names in dependency order (source first)."""
     return list(nx.topological_sort(build_graph(config)))
 
-
-def sink_modules(config: PipelineConfig) -> list[str]:
-    """Modules with no outgoing edges — candidates for the §2.3 signaler."""
-    graph = build_graph(config)
-    return sorted(n for n in graph.nodes if graph.out_degree(n) == 0)
-
-
-def longest_path(config: PipelineConfig) -> list[str]:
-    """The longest module chain — the pipeline's structural critical path."""
-    graph = build_graph(config)
-    return nx.dag_longest_path(graph)

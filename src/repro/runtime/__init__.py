@@ -2,20 +2,14 @@
 
 from .context import ModuleContext
 from .events import DATA, READY_SIGNAL, ModuleEvent
-from .module import FunctionModule, Module
+from .module import Module
 from .moduleruntime import DeployedModule, ModuleRuntime
-from .registry import (
-    create_module,
-    is_registered,
-    register_module,
-    registered_modules,
-)
+from .registry import create_module, register_module, registered_modules
 from .wiring import PipelineWiring
 
 __all__ = [
     "DATA",
     "DeployedModule",
-    "FunctionModule",
     "Module",
     "ModuleContext",
     "ModuleEvent",
@@ -23,7 +17,6 @@ __all__ = [
     "PipelineWiring",
     "READY_SIGNAL",
     "create_module",
-    "is_registered",
     "register_module",
     "registered_modules",
 ]

@@ -52,6 +52,3 @@ def registered_modules() -> dict[str, Type[Module]]:
     """A copy of the registry (inspection/testing)."""
     return dict(_REGISTRY)
 
-
-def is_registered(include_name: str) -> bool:
-    return include_name in _REGISTRY

@@ -1,30 +1,23 @@
 """The stateless service framework: hosts, registry, stubs, autoscaling."""
 
 from .balancer import (
-    FASTEST,
-    FIRST,
     LEAST_LOADED,
     expected_service_time,
     host_is_live,
     select_host,
 )
 from .base import FunctionService, Service, ServiceCallContext
-from .cache import MISS, ResultCache, payload_cache_key
-from .builtin import (
-    ActivityClassifierService,
-    ActuationEvent,
-    DisplayService,
-    DisplaySink,
-    DisplayedFrame,
+from .builtin.activity import ActivityClassifierService
+from .builtin.display import DisplayService, DisplaySink
+from .builtin.iot import IoTActuatorService, IoTDeviceFleet
+from .builtin.objects import (
     FaceDetectionService,
-    IoTActuatorService,
-    IoTDeviceFleet,
     ImageClassificationService,
     ObjectDetectionService,
-    ObjectTrackingService,
-    PoseDetectorService,
-    RepCounterService,
 )
+from .builtin.pose import PoseDetectorService
+from .builtin.repcount import RepCounterService
+from .builtin.tracker import ObjectTrackingService
 from .host import ServiceHost
 from .pool import PoolLease, ReplicaPool
 from .registry import ServiceRegistry
@@ -40,14 +33,10 @@ from .stubs import (
 
 __all__ = [
     "ActivityClassifierService",
-    "ActuationEvent",
     "AutoScaler",
     "DEFAULT_SERVICE_RETRY",
     "DisplayService",
     "DisplaySink",
-    "DisplayedFrame",
-    "FASTEST",
-    "FIRST",
     "FaceDetectionService",
     "FunctionService",
     "IoTActuatorService",
@@ -55,7 +44,6 @@ __all__ = [
     "ImageClassificationService",
     "LEAST_LOADED",
     "LocalServiceStub",
-    "MISS",
     "ObjectDetectionService",
     "ObjectTrackingService",
     "PoolLease",
@@ -63,7 +51,6 @@ __all__ = [
     "RemoteServiceStub",
     "ReplicaPool",
     "RepCounterService",
-    "ResultCache",
     "ScalingEvent",
     "ScalingPolicy",
     "Service",
@@ -75,6 +62,5 @@ __all__ = [
     "expected_service_time",
     "host_is_live",
     "make_stub",
-    "payload_cache_key",
     "select_host",
 ]

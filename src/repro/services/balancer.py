@@ -4,7 +4,6 @@ When a service is hosted on several devices, which one should a remote
 caller dial? The paper's stateless-service design makes any replica valid;
 this module provides the selection policies:
 
-* ``first`` — registration order (the naive legacy behaviour);
 * ``fastest`` — minimum expected service time on the host's device;
 * ``least_loaded`` — fewest queued requests, ties broken by ``fastest``;
 * ``cost_aware`` — minimum expected service time *plus* the round-trip
@@ -19,12 +18,11 @@ from ..errors import NetworkError, ServiceError
 from .host import ServiceHost
 from .registry import ServiceRegistry
 
-FIRST = "first"
 FASTEST = "fastest"
 LEAST_LOADED = "least_loaded"
 COST_AWARE = "cost_aware"
 
-POLICIES = (FIRST, FASTEST, LEAST_LOADED, COST_AWARE)
+POLICIES = (FASTEST, LEAST_LOADED, COST_AWARE)
 
 #: Assumed request payload for the cost-aware policy's network estimate (a
 #: quality-80 VGA JPEG, matching the placement cost model's edge estimate).
@@ -138,8 +136,6 @@ def select_host(
             f"no live replica of {service_name!r}"
             f" ({len(registered)} registered, all down or excluded)"
         )
-    if policy == FIRST:
-        return hosts[0]
     if policy == FASTEST:
         return min(hosts, key=lambda h: (expected_service_time(h), h.device.name))
     if policy == LEAST_LOADED:

@@ -1,31 +1,2 @@
-"""Built-in stateless services: the paper's service catalog."""
-
-from .activity import ActivityClassifierService
-from .display import DisplayedFrame, DisplayService, DisplaySink
-from .iot import ActuationEvent, IoTActuatorService, IoTDeviceFleet
-from .objects import (
-    FaceDetectionService,
-    ImageClassificationService,
-    ObjectDetectionService,
-)
-from .pose import PoseDetectorService
-from .repcount import RepCounterService
-from .tracker import ObjectTrackingService, deserialize_track, serialize_track
-
-__all__ = [
-    "ObjectTrackingService",
-    "deserialize_track",
-    "serialize_track",
-    "ActivityClassifierService",
-    "ActuationEvent",
-    "DisplayService",
-    "DisplaySink",
-    "DisplayedFrame",
-    "FaceDetectionService",
-    "IoTActuatorService",
-    "IoTDeviceFleet",
-    "ImageClassificationService",
-    "ObjectDetectionService",
-    "PoseDetectorService",
-    "RepCounterService",
-]
+"""Built-in stateless services: the paper's service catalog, one module per
+service; :mod:`repro.services` exports them."""

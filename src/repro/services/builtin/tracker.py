@@ -19,7 +19,7 @@ from ...vision.tracking import IoUTracker, Track
 from ..base import Service, ServiceCallContext
 
 
-def serialize_track(track: Track) -> dict[str, Any]:
+def _serialize_track(track: Track) -> dict[str, Any]:
     return {
         "track_id": track.track_id,
         "label": track.label,
@@ -29,7 +29,7 @@ def serialize_track(track: Track) -> dict[str, Any]:
     }
 
 
-def deserialize_track(data: dict[str, Any]) -> Track:
+def _deserialize_track(data: dict[str, Any]) -> Track:
     return Track(
         track_id=int(data["track_id"]),
         label=str(data["label"]),
@@ -69,7 +69,7 @@ class ObjectTrackingService(Service):
             iou_threshold=float(payload.get("iou_threshold", 0.3)),
             max_misses=int(payload.get("max_misses", 5)),
         )
-        tracker.tracks = [deserialize_track(t) for t in payload.get("tracks", [])]
+        tracker.tracks = [_deserialize_track(t) for t in payload.get("tracks", [])]
         # resume id allocation where the caller's state left off
         next_id = int(payload.get("next_track_id", 1))
         import itertools
@@ -78,6 +78,6 @@ class ObjectTrackingService(Service):
         tracks = tracker.update(detections)
         highest = max([next_id - 1] + [t.track_id for t in tracks])
         return {
-            "tracks": [serialize_track(t) for t in tracks],
+            "tracks": [_serialize_track(t) for t in tracks],
             "next_track_id": highest + 1,
         }

@@ -11,7 +11,7 @@ from .kernel import Kernel, RealtimeKernel
 from .process import Process
 from .resources import Grant, Resource, Store
 from .rng import RngStreams, ScopedRng, lognormal_around
-from .signals import Signal, all_of, any_of
+from .signals import Signal
 
 __all__ = [
     "Event",
@@ -27,7 +27,5 @@ __all__ = [
     "Signal",
     "Store",
     "URGENT",
-    "all_of",
-    "any_of",
     "lognormal_around",
 ]

@@ -3,13 +3,11 @@
 A :class:`Signal` resolves exactly once, either with a value (:meth:`succeed`)
 or an exception (:meth:`fail`). Processes yield signals to suspend until
 resolution; plain callbacks can also be attached with :meth:`wait`.
-
-:func:`all_of` and :func:`any_of` build composite signals for fan-in waits.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import SimulationError
 
@@ -140,50 +138,3 @@ class Signal:
         due = "" if timer is None else f" due t={timer.time:.6f}"
         return f"<Signal {self.name or id(self):}{due} {self._state}>"
 
-
-def all_of(kernel: "Kernel", signals: Sequence[Signal]) -> Signal:
-    """Return a signal that succeeds with the list of all values once every
-    input succeeds, or fails with the first failure."""
-    result = kernel.signal(name="all_of")
-    remaining = len(signals)
-    values: list[Any] = [None] * remaining
-    if remaining == 0:
-        return result.succeed([])
-
-    def waiter(index: int, value: Any, exc: BaseException | None) -> None:
-        nonlocal remaining
-        if not result.pending:
-            return
-        if exc is not None:
-            result.fail(exc)
-            return
-        values[index] = value
-        remaining -= 1
-        if remaining == 0:
-            result.succeed(list(values))
-
-    for i, sig in enumerate(signals):
-        sig.wait(waiter, i)
-    return result
-
-
-def any_of(kernel: "Kernel", signals: Sequence[Signal]) -> Signal:
-    """Return a signal that resolves like the first input to resolve.
-
-    The success value is an ``(index, value)`` tuple identifying the winner.
-    """
-    result = kernel.signal(name="any_of")
-    if not signals:
-        raise SimulationError("any_of() requires at least one signal")
-
-    def waiter(index: int, value: Any, exc: BaseException | None) -> None:
-        if not result.pending:
-            return
-        if exc is not None:
-            result.fail(exc)
-        else:
-            result.succeed((index, value))
-
-    for i, sig in enumerate(signals):
-        sig.wait(waiter, i)
-    return result

@@ -7,10 +7,8 @@ deploy-time admission control and :mod:`repro.slo.controller` for the loop
 that ties them together. ``docs/SLO.md`` walks through the design.
 """
 
-from .admission import AdmissionController, pipeline_fps
-from .controller import Enrollment, QueuedDeploy, SLOController
-from .detector import DetectorReading, OverloadDetector, classify_signals
-from .ladder import LadderAction, LadderStep, build_ladder, find_source
+from .controller import SLOController
+from .ladder import LadderAction, find_source
 from .spec import (
     ADMITTED,
     HEALTHY,
@@ -27,26 +25,17 @@ from .spec import (
 
 __all__ = [
     "ADMITTED",
-    "AdmissionController",
     "AdmissionDecision",
-    "DetectorReading",
-    "Enrollment",
     "HEALTHY",
     "LadderAction",
-    "LadderStep",
     "OVERLOADED",
-    "OverloadDetector",
     "QUEUED",
-    "QueuedDeploy",
     "REJECTED",
     "SLO",
     "SLOConfig",
     "SLOController",
     "STRAINED",
     "attainment",
-    "build_ladder",
-    "classify_signals",
     "find_source",
-    "pipeline_fps",
     "quantile",
 ]

@@ -7,8 +7,8 @@ in :mod:`repro.trace.export`, and the Fig. 6 latency decomposition in
 :mod:`repro.trace.critical_path`.
 """
 
-from .critical_path import CriticalPathReport, FrameBreakdown, critical_path
-from .export import chrome_trace_events, to_chrome_trace, write_chrome_trace
+from .critical_path import critical_path
+from .export import to_chrome_trace, write_chrome_trace
 from .recorder import TraceRecorder
 from .span import (
     CAT_COMPUTE,
@@ -33,12 +33,9 @@ __all__ = [
     "CAT_SERVICE",
     "CAT_STAGE",
     "CAT_WIRE",
-    "CriticalPathReport",
-    "FrameBreakdown",
     "Span",
     "SpanContext",
     "TraceRecorder",
-    "chrome_trace_events",
     "critical_path",
     "to_chrome_trace",
     "trace_id_for",

@@ -1,23 +1,9 @@
 """Vision algorithms: pose estimation, recognition, detection, tracking."""
 
-from .activity import ActivityRecognizer, StreamingActivityDetector
+from .activity import ActivityRecognizer
 from .bbox import BBox
-from .datasets import (
-    ActivityDataset,
-    RepBout,
-    apply_estimator_noise,
-    generate_activity_dataset,
-    generate_rep_bouts,
-)
-from .features import (
-    WINDOW_FRAMES,
-    frame_feature,
-    frames_to_matrix,
-    normalize_framewise,
-    sliding_windows,
-    window_feature,
-    windows_to_matrix,
-)
+from .datasets import generate_activity_dataset, generate_rep_bouts
+from .features import WINDOW_FRAMES, window_feature
 from .kmeans import KMeans
 from .knn import KNNClassifier
 from .object_detector import (
@@ -27,65 +13,42 @@ from .object_detector import (
     ObjectDetector,
     SceneObject,
     detect_face_region,
-    hand_regions,
     render_scene,
 )
-from .pose_estimator import PoseEstimator, PoseNoiseModel, PoseResult
+from .pose_estimator import PoseEstimator, PoseNoiseModel
 from .reid import (
-    FusedTrack,
     SceneFusionCore,
     associate_tracklets,
-    embedding_distance,
     fusion_accuracy,
     pose_embedding,
 )
-from .repcounter import (
-    DEBOUNCE_FRAMES,
-    RepCounter,
-    StreamingRepCounter,
-    count_reps_in_labels,
-)
+from .repcounter import DEBOUNCE_FRAMES, RepCounter
 from .tracking import IoUTracker, Track
 
 __all__ = [
-    "ActivityDataset",
     "ActivityRecognizer",
     "BBox",
     "COLOR_CLASSES",
     "ColorHistogramClassifier",
     "DEBOUNCE_FRAMES",
     "Detection",
-    "FusedTrack",
     "IoUTracker",
     "KMeans",
     "KNNClassifier",
     "ObjectDetector",
     "PoseEstimator",
     "PoseNoiseModel",
-    "PoseResult",
-    "RepBout",
     "RepCounter",
     "SceneFusionCore",
     "SceneObject",
-    "StreamingActivityDetector",
-    "StreamingRepCounter",
     "Track",
     "WINDOW_FRAMES",
-    "apply_estimator_noise",
     "associate_tracklets",
-    "count_reps_in_labels",
     "detect_face_region",
-    "embedding_distance",
-    "frame_feature",
     "fusion_accuracy",
-    "frames_to_matrix",
     "generate_activity_dataset",
     "generate_rep_bouts",
-    "hand_regions",
-    "normalize_framewise",
     "pose_embedding",
     "render_scene",
-    "sliding_windows",
     "window_feature",
-    "windows_to_matrix",
 ]

@@ -63,42 +63,3 @@ class ActivityRecognizer:
         )
         return correct / len(windows)
 
-
-class StreamingActivityDetector:
-    """Maintains the rolling window for a live pose stream.
-
-    This is the *module-side* state (modules are stateful; services are
-    not): push estimated poses in, get an activity label out once enough
-    frames have accumulated.
-    """
-
-    def __init__(self, recognizer: ActivityRecognizer) -> None:
-        self.recognizer = recognizer
-        self._buffer: list[Pose] = []
-        self.last_label: str | None = None
-        self.last_confidence: float = 0.0
-
-    @property
-    def ready(self) -> bool:
-        return len(self._buffer) >= self.recognizer.window
-
-    def push(self, pose: Pose) -> str | None:
-        """Add one pose; returns the current label once the window fills."""
-        self._buffer.append(pose)
-        if len(self._buffer) > self.recognizer.window:
-            self._buffer.pop(0)
-        if not self.ready:
-            return None
-        label, confidence = self.recognizer.classify(list(self._buffer))
-        self.last_label = label
-        self.last_confidence = confidence
-        return label
-
-    def window_snapshot(self) -> list[Pose]:
-        """A copy of the current window (what a stateless service call ships)."""
-        return list(self._buffer)
-
-    def reset(self) -> None:
-        self._buffer.clear()
-        self.last_label = None
-        self.last_confidence = 0.0

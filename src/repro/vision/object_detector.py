@@ -1,10 +1,10 @@
 """Object, face and image-classification primitives.
 
 These back the paper's other stateless services (§2.2 names object
-detection, face detection, activity recognition and object tracking; §4.3
-sketches hand/face/pose applications). Scenes are synthetic — colored
-rectangles over a noisy background — but the detection path is real image
-analysis: channel thresholding, connected components, color classification.
+detection, face detection, activity recognition and object tracking).
+Scenes are synthetic — colored rectangles over a noisy background — but the
+detection path is real image analysis: channel thresholding, connected
+components, color classification.
 """
 
 from __future__ import annotations
@@ -126,28 +126,6 @@ def detect_face_region(
     if len(cols) == 0:
         return None
     return BBox(float(cols[0]), float(top), float(cols[-1]), float(top + head_rows - 1))
-
-
-def hand_regions(pose, size_frac: float = 0.10) -> list[BBox]:
-    """Boxes around the subject's hands (§4.3 "hand detection/tracking").
-
-    Hands sit at the wrists of a detected pose; the box side is
-    ``size_frac`` of the subject's pixel height. Invisible wrists yield no
-    box.
-    """
-    keypoints = pose.keypoints
-    height = float(keypoints[:, 1].max() - keypoints[:, 1].min())
-    half = max(2.0, height * size_frac / 2.0)
-    boxes = []
-    from ..motion.skeleton import KEYPOINT_INDEX
-
-    for side in ("left_wrist", "right_wrist"):
-        index = KEYPOINT_INDEX[side]
-        if not pose.visibility[index]:
-            continue
-        x, y = keypoints[index]
-        boxes.append(BBox(x - half, y - half, x + half, y + half))
-    return boxes
 
 
 class ColorHistogramClassifier:

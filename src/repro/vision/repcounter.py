@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..motion.skeleton import Pose
-from .features import frame_feature, frames_to_matrix
+from .features import frames_to_matrix
 from .kmeans import KMeans
 
 #: The paper's debounce length: a cluster flip only counts after this many
@@ -84,38 +84,3 @@ class RepCounter:
             return 0  # degenerate: no motion
         return count_reps_in_labels(labels, self.debounce)
 
-
-class StreamingRepCounter:
-    """Module-side incremental rep counting.
-
-    Keeps the per-frame feature history (module state) and recounts by
-    reclustering the accumulated bout — matching the paper's service, which
-    receives all needed data per call and keeps no state of its own.
-    """
-
-    def __init__(self, debounce: int = DEBOUNCE_FRAMES, seed: int = 0,
-                 min_frames: int = 20, max_frames: int = 2000) -> None:
-        self.counter = RepCounter(debounce=debounce, seed=seed)
-        self.min_frames = min_frames
-        self.max_frames = max_frames
-        self._features: list[np.ndarray] = []
-        self.reps = 0
-
-    def push(self, pose: Pose) -> int:
-        """Add one pose; returns the current rep count."""
-        self._features.append(frame_feature(pose))
-        if len(self._features) > self.max_frames:
-            self._features.pop(0)
-        if len(self._features) >= self.min_frames:
-            self.reps = self.counter.count_features(np.stack(self._features))
-        return self.reps
-
-    def feature_snapshot(self) -> np.ndarray:
-        """The accumulated bout features (what a stateless call ships)."""
-        if not self._features:
-            return np.zeros((0, 34))
-        return np.stack(self._features)
-
-    def reset(self) -> None:
-        self._features.clear()
-        self.reps = 0

@@ -14,7 +14,8 @@ from repro.apps.modules import (
     FallDetectionModule,
     GestureControlModule,
 )
-from repro.motion import Fall, Squat, Stand, SubjectParams, subject_pose
+from repro.motion import Squat, SubjectParams, subject_pose
+from repro.motion.exercises import Fall, Stand
 
 
 class FakeContext:

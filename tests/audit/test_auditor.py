@@ -3,7 +3,8 @@ invariant family against small hand-built components."""
 
 import pytest
 
-from repro.audit import InvariantAuditor, live_auditors
+from repro.audit import InvariantAuditor
+from repro.audit.auditor import live_auditors
 from repro.errors import AuditError, ConfigError
 from repro.frames.framestore import FrameStore
 from repro.metrics.collector import MetricsCollector

@@ -12,7 +12,8 @@ import pytest
 
 from repro.audit import InvariantAuditor
 from repro.core import VideoPipe
-from repro.devices import Device, desktop, flagship_phone_2018
+from repro.devices import Device
+from repro.devices.catalog import desktop, flagship_phone_2018
 from repro.metrics.collector import MetricsCollector
 from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.net.address import Address

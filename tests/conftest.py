@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.audit import live_auditors
+from repro.audit.auditor import live_auditors
 
 
 @pytest.fixture

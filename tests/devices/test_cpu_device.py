@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.devices import Cpu, Device, DeviceSpec, desktop, smart_tv_4k
+from repro.devices import Device, DeviceSpec
+from repro.devices.cpu import Cpu
+from repro.devices.catalog import desktop, smart_tv_4k
 from repro.errors import DeviceError
 from repro.sim import Kernel, RngStreams
 

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.devices import (
-    CATALOG,
-    DeviceSpec,
-    desktop,
-    flagship_phone_2018,
-    make_spec,
-    smart_tv_4k,
-)
+from repro.devices import CATALOG, DeviceSpec, make_spec
+from repro.devices.catalog import desktop, flagship_phone_2018, smart_tv_4k
 from repro.errors import DeviceError
 
 

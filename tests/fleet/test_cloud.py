@@ -7,7 +7,8 @@ import pytest
 
 from repro.core import VideoPipe
 from repro.errors import ConfigError, DeviceError, NetworkError
-from repro.fleet import Fleet, FleetConfig, home_pipeline_config, run_fleet
+from repro.fleet import Fleet, FleetConfig, run_fleet
+from repro.fleet.workload import home_pipeline_config
 from repro.net import WAN_METRO, WAN_REGIONAL
 from repro.pipeline import CloudPricing, CostModel, OptimizerConfig
 

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.frames import (
-    VideoFrame,
-    decode_frame,
-    encode_frame,
-    jpeg_bits_per_pixel,
-    jpeg_size_model,
-    psnr,
-)
+from repro.frames import VideoFrame, decode_frame, encode_frame
+from repro.frames.codec import jpeg_bits_per_pixel, jpeg_size_model, psnr
 
 
 def make_frame(pixels=None, width=640, height=480):

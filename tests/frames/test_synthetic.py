@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.frames import (
-    detect_foreground_bbox,
-    foreground_fraction,
-    render_pose,
-    scale_pose,
-)
+from repro.frames import detect_foreground_bbox
+from repro.frames.synthetic import foreground_fraction, render_pose, scale_pose
 from repro.motion import Squat, SubjectParams, place_in_image
 from repro.motion.skeleton import Pose
 from repro.motion.exercises import base_pose

@@ -28,7 +28,8 @@ class TestConstrainedDevices:
             "laptop",
         )
 
-        from repro.runtime import FunctionModule, Module
+        from repro.runtime import Module
+        from repro.runtime.module import FunctionModule
 
         results = []
 

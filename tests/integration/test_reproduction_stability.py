@@ -9,12 +9,13 @@ reproduction.
 import pytest
 
 from repro.apps import (
+    FITNESS_LISTING,
     FitnessApp,
     fitness_pipeline_config,
-    fitness_pipeline_from_listing,
     install_fitness_services,
 )
 from repro.core import VideoPipe
+from repro.pipeline import parse_pipeline_text
 
 
 def measure(recognizer, architecture, fps, seed, duration=12.0):
@@ -52,7 +53,11 @@ class TestListingDrivenPipeline:
         services = install_fitness_services(home,
                                             recognizer=fitness_recognizer)
         app = FitnessApp(home, services)
-        config = fitness_pipeline_from_listing(fps=10.0, duration_s=8.0)
+        config = parse_pipeline_text(FITNESS_LISTING, name="fitness")
+        source = config.module("video_streaming_module")
+        source.device = "phone"
+        source.params = {"fps": 10.0, "motion": "squat", "duration_s": 8.0}
+        config.source = "video_streaming_module"
         pipeline = app.deploy(config)
         assert pipeline.device_of("pose_detector_module") == "desktop"
         assert pipeline.device_of("display_module") == "tv"

@@ -10,8 +10,8 @@ from repro.apps import (
 from repro.apps.modules import PoseDetectionModule
 from repro.core import VideoPipe
 from repro.errors import ConfigError
-from repro.liveops import MIRRORING, PROMOTED, ROLLED_BACK, CanaryPolicy
-from repro.liveops.upgrade import _bump_version
+from repro.liveops import PROMOTED, ROLLED_BACK, CanaryPolicy
+from repro.liveops.upgrade import MIRRORING, _bump_version
 
 from ..settlement_sites import diamond_config, inject_frame
 

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.metrics import (
-    MetricsCollector,
-    RateMeter,
-    format_comparison,
-    format_table,
-    summarize,
-)
+from repro.metrics import MetricsCollector, format_table, summarize
+from repro.metrics.stats import RateMeter
 
 
 class TestSummarize:
@@ -167,9 +162,3 @@ class TestReport:
         # all data rows share the header's width
         widths = {len(line) for line in lines[1:]}
         assert len(widths) == 1
-
-    def test_format_comparison(self):
-        line = format_comparison("fps", 11.0, 10.2, note="saturation")
-        assert "paper=11.0" in line
-        assert "measured=10.2" in line
-        assert "saturation" in line

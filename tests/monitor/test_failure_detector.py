@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import VideoPipe
-from repro.monitor import HEARTBEAT_PORT, FailureDetector, failure_probe
+from repro.monitor import FailureDetector, failure_probe
 
 
 @pytest.fixture

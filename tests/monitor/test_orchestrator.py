@@ -1,14 +1,9 @@
-"""Unit and integration tests for the self-management orchestrator."""
+"""Unit tests for the self-management orchestrator."""
 
 import pytest
 
-from repro.monitor import (
-    Monitor,
-    Orchestrator,
-    Remedy,
-    migrate_module_remedy,
-    scale_service_remedy,
-)
+from repro.monitor import Monitor, Orchestrator
+from repro.monitor.orchestrator import Remedy
 from repro.sim import Kernel
 
 
@@ -85,78 +80,3 @@ class TestRemedyMechanics:
         kernel.run(until=10.0)
         assert len(fired) == 2
 
-
-class TestReadyMadeRemedies:
-    def test_scale_remedy_grows_saturated_service(self, fitness_recognizer):
-        from repro.apps import (FitnessApp, fitness_pipeline_config,
-                                gesture_pipeline_config,
-                                install_fitness_services,
-                                install_gesture_services,
-                                train_gesture_recognizer)
-        from repro.core import VideoPipe
-        from repro.devices import DeviceSpec
-
-        home = VideoPipe.paper_testbed(seed=15)
-        home.add_device(DeviceSpec(name="camera", kind="phone",
-                                   cpu_factor=2.5, cores=8))
-        fitness = install_fitness_services(home, recognizer=fitness_recognizer)
-        install_gesture_services(
-            home, recognizer=train_gesture_recognizer(seed=1, train_subjects=2)
-        )
-        monitor = home.enable_monitoring(period_s=0.5)
-        pose_host = home.registry.any_host("pose_detector")
-        orchestrator = Orchestrator(home.kernel, monitor, period_s=0.5)
-        orchestrator.add_remedy(scale_service_remedy(
-            pose_host, "service/pose_detector@desktop",
-            utilization_threshold=0.85, max_replicas=2,
-        ))
-        orchestrator.start()
-
-        app = FitnessApp(home, fitness)
-        app.deploy(fitness_pipeline_config(fps=30.0, duration_s=15.0))
-        home.deploy_pipeline(gesture_pipeline_config(fps=30.0, duration_s=15.0))
-        home.run(until=16.0)
-
-        assert pose_host.replicas == 2
-        assert orchestrator.actions
-        assert orchestrator.actions[0].remedy == "scale:pose_detector"
-
-    def test_migrate_remedy_moves_module_off_hot_device(self,
-                                                        fitness_recognizer):
-        from repro.apps import (FitnessApp, fitness_pipeline_config,
-                                install_fitness_services)
-        from repro.core import VideoPipe
-        from repro.services import FunctionService
-
-        home = VideoPipe.paper_testbed(seed=16)
-        fitness = install_fitness_services(home, recognizer=fitness_recognizer)
-        monitor = home.enable_monitoring(period_s=0.5)
-        app = FitnessApp(home, fitness)
-        pipeline = app.deploy(fitness_pipeline_config(fps=10.0, duration_s=15.0))
-
-        # burn the TV's CPU so its utilization stays high
-        burner = FunctionService("tv_burner", lambda p, c: p,
-                                 reference_cost_s=0.050, default_port=7900)
-        burner_host = home.deploy_service(burner, "tv", native=True,
-                                          replicas=8)
-
-        def burn():
-            while home.now < 15.0:
-                for _ in range(8):
-                    burner_host.call_local({})
-                yield 0.05
-
-        home.kernel.process(burn())
-
-        orchestrator = Orchestrator(home.kernel, monitor, period_s=0.5)
-        orchestrator.add_remedy(migrate_module_remedy(
-            home, pipeline, "rep_counter_module", "desktop",
-            "device/tv", cpu_threshold=0.7,
-        ))
-        orchestrator.start()
-        home.run(until=16.0)
-
-        assert pipeline.device_of("rep_counter_module") == "desktop"
-        assert len(orchestrator.actions) == 1  # max_firings=1
-        assert pipeline.metrics.counter("migrations") == 1
-        assert pipeline.module("rep_counter_module").errors == []

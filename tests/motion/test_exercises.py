@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.motion import (
-    EXERCISES,
-    GESTURES,
+from repro.motion import Squat, make_model
+from repro.motion.exercises import (
     MODEL_BY_NAME,
     Clap,
     Fall,
     JumpingJack,
-    Squat,
     Stand,
     Wave,
-    make_model,
 )
 from repro.motion.skeleton import KEYPOINT_INDEX as KP
 
@@ -48,10 +45,6 @@ class TestModelBasics:
 
     def test_sample_length(self):
         assert len(Squat().sample(fps=10, duration_s=3.0)) == 30
-
-    def test_vocabularies(self):
-        assert Squat in EXERCISES and JumpingJack in EXERCISES
-        assert Wave in GESTURES and Clap in GESTURES
 
 
 class TestMotionShapes:

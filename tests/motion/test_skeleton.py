@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.motion import (
-    KEYPOINT_INDEX,
-    KEYPOINT_NAMES,
-    NUM_KEYPOINTS,
-    SKELETON_EDGES,
-    Pose,
-    base_pose,
-    pose_sequence_array,
-)
+from repro.motion import KEYPOINT_INDEX, NUM_KEYPOINTS, SKELETON_EDGES, Pose
+from repro.motion.exercises import base_pose
+from repro.motion.skeleton import KEYPOINT_NAMES
 
 
 class TestConventions:
@@ -100,7 +94,3 @@ class TestPose:
         dup = pose.copy()
         dup.keypoints[0, 0] = 999.0
         assert pose.keypoints[0, 0] != 999.0
-
-    def test_sequence_array_shape(self):
-        poses = [Pose(base_pose()) for _ in range(4)]
-        assert pose_sequence_array(poses).shape == (4, 17, 2)

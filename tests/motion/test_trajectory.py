@@ -6,7 +6,6 @@ import pytest
 from repro.motion import (
     Squat,
     SubjectParams,
-    add_keypoint_jitter,
     place_in_image,
     random_subject,
     sample_subject_sequence,
@@ -86,18 +85,3 @@ class TestVariation:
         rng = np.random.default_rng(0)
         a, b = random_subject(rng), random_subject(rng)
         assert a != b
-
-    def test_jitter_perturbs_but_preserves_structure(self):
-        poses = [Pose(base_pose() * 100) for _ in range(3)]
-        rng = np.random.default_rng(1)
-        noisy = add_keypoint_jitter(poses, sigma_px=2.0, rng=rng)
-        assert len(noisy) == 3
-        for clean, dirty in zip(poses, noisy):
-            delta = np.abs(clean.keypoints - dirty.keypoints)
-            assert delta.max() > 0
-            assert delta.max() < 15.0  # ~6 sigma
-
-    def test_zero_jitter_changes_nothing(self):
-        poses = [Pose(base_pose())]
-        noisy = add_keypoint_jitter(poses, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(poses[0].keypoints, noisy[0].keypoints)

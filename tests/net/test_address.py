@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError
-from repro.net import Address, parse_address, parse_endpoint
+from repro.net import Address, parse_endpoint
 
 
 class TestParseEndpoint:
@@ -73,15 +73,6 @@ class TestResolve:
 class TestAddress:
     def test_str_form(self):
         assert str(Address("tv", 5863)) == "tv:5863"
-
-    def test_parse_address_roundtrip(self):
-        assert parse_address("tv:5863") == Address("tv", 5863)
-
-    def test_parse_address_rejects_garbage(self):
-        with pytest.raises(AddressError):
-            parse_address("no-port")
-        with pytest.raises(AddressError):
-            parse_address("tv:notaport")
 
     def test_empty_device_rejected(self):
         with pytest.raises(AddressError):

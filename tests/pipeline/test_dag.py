@@ -3,14 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.pipeline import (
-    ModuleConfig,
-    PipelineConfig,
-    longest_path,
-    sink_modules,
-    topological_order,
-    validate,
-)
+from repro.pipeline import ModuleConfig, PipelineConfig, validate
+from repro.pipeline.dag import topological_order
 
 
 def chain(*names, extra_edges=None, endpoints=None):
@@ -101,20 +95,3 @@ class TestGraphQueries:
     def test_topological_order(self):
         order = topological_order(chain("a", "b", "c"))
         assert order == ["a", "b", "c"]
-
-    def test_sink_modules(self):
-        config = PipelineConfig(
-            name="p",
-            modules=[
-                ModuleConfig(name="a", include="./a.js", next_modules=["b", "c"],
-                             endpoint="bind#tcp://*:6000"),
-                ModuleConfig(name="b", include="./b.js",
-                             endpoint="bind#tcp://*:6001"),
-                ModuleConfig(name="c", include="./c.js",
-                             endpoint="bind#tcp://*:6002"),
-            ],
-        )
-        assert sink_modules(config) == ["b", "c"]
-
-    def test_longest_path(self):
-        assert longest_path(chain("a", "b", "c")) == ["a", "b", "c"]

@@ -5,7 +5,8 @@ import pytest
 from repro.core import VideoPipe
 from repro.errors import ConfigError, DeploymentError
 from repro.pipeline import ModuleConfig, PipelineConfig
-from repro.runtime import FunctionModule, Module, register_module
+from repro.runtime import Module, register_module
+from repro.runtime.module import FunctionModule
 from repro.services import FunctionService
 
 

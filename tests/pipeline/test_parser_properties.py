@@ -69,7 +69,7 @@ def test_generated_dags_validate(data):
 @given(data=pipeline_dicts())
 @settings(max_examples=50)
 def test_topological_order_respects_edges(data):
-    from repro.pipeline import topological_order
+    from repro.pipeline.dag import topological_order
 
     config = config_from_dict(data)
     order = {name: i for i, name in enumerate(topological_order(config))}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.devices import Device, desktop, flagship_phone_2018
+from repro.devices import Device
+from repro.devices.catalog import desktop, flagship_phone_2018
 from repro.metrics import MetricsCollector
 from repro.net import Address, BrokerlessTransport, LinkSpec, Topology
 from repro.runtime import ModuleRuntime, PipelineWiring

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.frames import SyntheticCamera
 from repro.motion import Squat
-from repro.runtime import FunctionModule
+from repro.runtime.module import FunctionModule
 from repro.services import FunctionService, LocalServiceStub, ServiceHost
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import DeploymentError
 from repro.frames import SyntheticCamera
 from repro.motion import Squat
-from repro.runtime import DATA, READY_SIGNAL, FunctionModule, Module
+from repro.runtime import DATA, READY_SIGNAL, Module
+from repro.runtime.module import FunctionModule
 
 
 def frame():

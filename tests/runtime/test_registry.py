@@ -6,7 +6,6 @@ from repro.errors import ConfigError
 from repro.runtime import (
     Module,
     create_module,
-    is_registered,
     register_module,
     registered_modules,
 )
@@ -22,7 +21,7 @@ class TestRegisterModule:
             def event_received(self, ctx, event):
                 pass
 
-        assert is_registered("./TestOnlyModuleA.js")
+        assert "./TestOnlyModuleA.js" in registered_modules()
         instance = create_module("./TestOnlyModuleA.js", value=7)
         assert isinstance(instance, ModuleA)
         assert instance.value == 7
@@ -67,9 +66,9 @@ class TestRegisterModule:
             "./GestureControlModule.js",
             "./FallDetectorModule.js",
         ):
-            assert is_registered(include), include
+            assert include in registered_modules(), include
 
     def test_registry_copy_is_isolated(self):
         snapshot = registered_modules()
         snapshot["./Fake.js"] = Module
-        assert not is_registered("./Fake.js")
+        assert "./Fake.js" not in registered_modules()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.devices import Device, desktop, flagship_phone_2018
+from repro.devices import Device
+from repro.devices.catalog import desktop, flagship_phone_2018
 from repro.frames import VideoFrame
 from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.sim import Kernel, RngStreams

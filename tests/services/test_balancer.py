@@ -6,8 +6,6 @@ from repro.core import VideoPipe
 from repro.devices import DeviceSpec
 from repro.errors import ServiceError
 from repro.services import (
-    FASTEST,
-    FIRST,
     LEAST_LOADED,
     FunctionService,
     RemoteServiceStub,
@@ -16,6 +14,7 @@ from repro.services import (
     make_stub,
     select_host,
 )
+from repro.services.balancer import FASTEST
 
 
 @pytest.fixture
@@ -39,10 +38,6 @@ def multi_home():
 
 
 class TestSelectHost:
-    def test_first_follows_registration_order(self, multi_home):
-        host = select_host(multi_home.registry, "svc", policy=FIRST)
-        assert host.device.name == "athena"
-
     def test_fastest_picks_quick_device(self, multi_home):
         host = select_host(multi_home.registry, "svc", policy=FASTEST)
         assert host.device.name == "zeus"
@@ -162,9 +157,3 @@ class TestMakeStubBalancing:
         stub = make_stub(multi_home.kernel, multi_home._get_transport(),
                          multi_home.registry, caller, "svc")
         assert stub.is_local
-
-    def test_policy_first_available(self, multi_home):
-        caller = multi_home.device("caller")
-        stub = make_stub(multi_home.kernel, multi_home._get_transport(),
-                         multi_home.registry, caller, "svc", balancing=FIRST)
-        assert stub.target_address.device == "athena"

@@ -4,14 +4,8 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.frames import FrameStore
-from repro.services import (
-    MISS,
-    FunctionService,
-    RemoteServiceStub,
-    ResultCache,
-    ServiceHost,
-    payload_cache_key,
-)
+from repro.services import FunctionService, RemoteServiceStub, ServiceHost
+from repro.services.cache import MISS, ResultCache, payload_cache_key
 from repro.services.builtin.pose import PoseDetectorService
 
 from .conftest import make_frame

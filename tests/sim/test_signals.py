@@ -1,9 +1,9 @@
-"""Unit tests for one-shot signals and composite waits."""
+"""Unit tests for one-shot signals."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Kernel, all_of, any_of
+from repro.sim import Kernel
 
 
 @pytest.fixture
@@ -116,56 +116,6 @@ class TestWaiters:
         sig.succeed(None)
         kernel.run()
         assert seen == ["first", "second"]
-
-
-class TestAllOf:
-    def test_collects_all_values_in_order(self, kernel):
-        sigs = [kernel.signal() for _ in range(3)]
-        combined = all_of(kernel, sigs)
-        sigs[2].succeed("c")
-        sigs[0].succeed("a")
-        sigs[1].succeed("b")
-        kernel.run()
-        assert combined.value == ["a", "b", "c"]
-
-    def test_empty_input_succeeds_immediately(self, kernel):
-        assert all_of(kernel, []).value == []
-
-    def test_first_failure_propagates(self, kernel):
-        sigs = [kernel.signal() for _ in range(2)]
-        combined = all_of(kernel, sigs)
-        sigs[0].fail(RuntimeError("x"))
-        kernel.run()
-        assert combined.failed
-
-    def test_late_failure_after_resolution_is_ignored(self, kernel):
-        sigs = [kernel.signal() for _ in range(2)]
-        combined = all_of(kernel, sigs)
-        sigs[0].succeed(1)
-        sigs[1].fail(RuntimeError("x"))
-        kernel.run()
-        assert combined.failed  # failure won because both resolved pre-run
-
-
-class TestAnyOf:
-    def test_first_resolution_wins_with_index(self, kernel):
-        sigs = [kernel.signal() for _ in range(3)]
-        combined = any_of(kernel, sigs)
-        kernel.schedule(1.0, sigs[1].succeed, "winner")
-        kernel.schedule(2.0, sigs[0].succeed, "loser")
-        kernel.run()
-        assert combined.value == (1, "winner")
-
-    def test_empty_input_rejected(self, kernel):
-        with pytest.raises(SimulationError):
-            any_of(kernel, [])
-
-    def test_failure_propagates_if_first(self, kernel):
-        sigs = [kernel.signal() for _ in range(2)]
-        combined = any_of(kernel, sigs)
-        sigs[0].fail(RuntimeError("x"))
-        kernel.run()
-        assert combined.failed
 
 
 class TestCancelTimer:

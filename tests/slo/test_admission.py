@@ -12,7 +12,8 @@ from repro.apps.gesture import (
     install_gesture_services,
 )
 from repro.errors import AdmissionError
-from repro.slo import SLO, AdmissionController, SLOConfig, pipeline_fps
+from repro.slo import SLO, SLOConfig
+from repro.slo.admission import AdmissionController, pipeline_fps
 from repro.slo.spec import ADMITTED, QUEUED, REJECTED
 
 SLO_T = SLO(p99_latency_s=0.25, min_fps=4.0)

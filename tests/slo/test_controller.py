@@ -7,7 +7,8 @@ from repro.apps.fitness import (
     fitness_pipeline_config,
     install_fitness_services,
 )
-from repro.slo import SLO, DetectorReading, SLOConfig
+from repro.slo import SLO, SLOConfig
+from repro.slo.detector import DetectorReading
 from repro.slo.spec import HEALTHY, OVERLOADED, STRAINED
 
 SLO_T = SLO(p99_latency_s=0.25, min_fps=4.0, window_s=2.0)

@@ -7,8 +7,8 @@ from repro.apps.fitness import (
     fitness_pipeline_config,
     install_fitness_services,
 )
-from repro.slo import SLO, SLOConfig, classify_signals
-from repro.slo.detector import OverloadDetector
+from repro.slo import SLO, SLOConfig
+from repro.slo.detector import OverloadDetector, classify_signals
 from repro.slo.spec import HEALTHY, OVERLOADED, STRAINED
 
 SLO_T = SLO(p99_latency_s=0.2, min_fps=5.0, window_s=2.0)

@@ -7,13 +7,14 @@ from repro.apps.fitness import (
     fitness_pipeline_config,
     install_fitness_services,
 )
-from repro.slo import SLO, SLOConfig, build_ladder, find_source
+from repro.slo import SLO, SLOConfig, find_source
 from repro.slo.ladder import (
     FpsStep,
     PauseStep,
     ResolutionStep,
     ScaleUpStep,
     TierStep,
+    build_ladder,
 )
 
 

@@ -9,10 +9,10 @@ from repro.trace import (
     CAT_FRAME,
     CAT_MARK,
     Span,
-    chrome_trace_events,
     to_chrome_trace,
     write_chrome_trace,
 )
+from repro.trace.export import chrome_trace_events
 
 
 def make_spans():

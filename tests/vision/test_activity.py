@@ -3,11 +3,7 @@
 import pytest
 
 from repro.motion import Squat, SubjectParams, make_model, sample_subject_sequence
-from repro.vision import (
-    ActivityRecognizer,
-    StreamingActivityDetector,
-    generate_activity_dataset,
-)
+from repro.vision import ActivityRecognizer, generate_activity_dataset
 from repro.vision.pose_estimator import PoseNoiseModel
 
 
@@ -72,48 +68,6 @@ class TestActivityRecognizer:
         assert recognizer.classify(window) == recognizer.classify_feature(
             window_feature(window)
         )
-
-
-class TestStreamingDetector:
-    def test_not_ready_until_window_fills(self, trained):
-        recognizer, _ = trained
-        detector = StreamingActivityDetector(recognizer)
-        seq = sample_subject_sequence(Squat(), SubjectParams(), 15.0, 2.0)
-        outputs = [detector.push(p) for p in seq[:20]]
-        assert all(o is None for o in outputs[:14])
-        assert outputs[14] is not None
-        assert detector.ready
-
-    def test_rolling_window_tracks_activity_change(self, trained):
-        recognizer, _ = trained
-        detector = StreamingActivityDetector(recognizer)
-        squat_seq = sample_subject_sequence(Squat(), SubjectParams(), 15.0, 2.0)
-        jack_seq = sample_subject_sequence(
-            make_model("jumping_jack"), SubjectParams(), 15.0, 2.0
-        )
-        for pose in squat_seq:
-            detector.push(pose)
-        assert detector.last_label == "squat"
-        for pose in jack_seq:
-            label = detector.push(pose)
-        assert label == "jumping_jack"
-
-    def test_snapshot_has_window_length(self, trained):
-        recognizer, _ = trained
-        detector = StreamingActivityDetector(recognizer)
-        seq = sample_subject_sequence(Squat(), SubjectParams(), 15.0, 2.0)
-        for pose in seq:
-            detector.push(pose)
-        assert len(detector.window_snapshot()) == recognizer.window
-
-    def test_reset_clears_state(self, trained):
-        recognizer, _ = trained
-        detector = StreamingActivityDetector(recognizer)
-        for pose in sample_subject_sequence(Squat(), SubjectParams(), 15.0, 2.0):
-            detector.push(pose)
-        detector.reset()
-        assert not detector.ready
-        assert detector.last_label is None
 
 
 class TestDataset:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.frames import render_pose
+from repro.frames.synthetic import render_pose
 from repro.motion import Squat, SubjectParams, place_in_image
 from repro.vision import (
     BBox,
@@ -153,38 +153,3 @@ class TestIoUTracker:
         with pytest.raises(ValueError):
             IoUTracker(iou_threshold=0.0)
 
-
-class TestHandRegions:
-    def test_boxes_centered_on_wrists(self):
-        from repro.motion import Squat, SubjectParams, subject_pose
-        from repro.vision import hand_regions
-
-        pose = subject_pose(Squat(), SubjectParams(), 0.0)
-        boxes = hand_regions(pose)
-        assert len(boxes) == 2
-        for side, box in zip(("left_wrist", "right_wrist"), boxes):
-            x, y = pose[side]
-            assert box.contains_point(x, y)
-            cx, cy = box.center
-            assert abs(cx - x) < 1e-9 and abs(cy - y) < 1e-9
-
-    def test_invisible_wrist_skipped(self):
-        import numpy as np
-
-        from repro.motion import Squat, SubjectParams, subject_pose
-        from repro.motion.skeleton import KEYPOINT_INDEX, Pose
-        from repro.vision import hand_regions
-
-        pose = subject_pose(Squat(), SubjectParams(), 0.0)
-        visibility = pose.visibility.copy()
-        visibility[KEYPOINT_INDEX["left_wrist"]] = False
-        boxes = hand_regions(Pose(pose.keypoints, visibility))
-        assert len(boxes) == 1
-
-    def test_box_size_scales_with_subject(self):
-        from repro.motion import Squat, SubjectParams, subject_pose
-        from repro.vision import hand_regions
-
-        near = subject_pose(Squat(), SubjectParams(height_px=400), 0.0)
-        far = subject_pose(Squat(), SubjectParams(height_px=150), 0.0)
-        assert hand_regions(near)[0].width > hand_regions(far)[0].width

@@ -6,13 +6,12 @@ import pytest
 from repro.motion import Squat, SubjectParams, sample_subject_sequence
 from repro.motion.skeleton import Pose
 from repro.motion.exercises import base_pose
-from repro.vision import (
-    WINDOW_FRAMES,
+from repro.vision import WINDOW_FRAMES, window_feature
+from repro.vision.features import (
     frame_feature,
     frames_to_matrix,
     normalize_framewise,
     sliding_windows,
-    window_feature,
     windows_to_matrix,
 )
 

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.motion import Squat, SubjectParams, sample_subject_sequence
-from repro.vision import (
-    RepCounter,
-    StreamingRepCounter,
-    count_reps_in_labels,
-    generate_rep_bouts,
-)
+from repro.vision import RepCounter, generate_rep_bouts
+from repro.vision.repcounter import count_reps_in_labels
 
 
 class TestCountRepsInLabels:
@@ -58,7 +54,7 @@ class TestRepCounter:
         assert RepCounter().count(poses) == 0
 
     def test_static_subject_counts_zero(self):
-        from repro.motion import Stand
+        from repro.motion.exercises import Stand
 
         poses = sample_subject_sequence(Stand(), SubjectParams(), 15.0, 6.0)
         assert RepCounter().count(poses) <= 1  # no real reps in idle sway
@@ -77,31 +73,6 @@ class TestRepCounter:
         for bout in bouts:
             got = counter.count(bout.poses)
             assert abs(got - bout.true_reps) <= 2
-
-
-class TestStreamingRepCounter:
-    def test_counts_grow_with_reps(self):
-        model = Squat(period_s=2.0)
-        poses = sample_subject_sequence(model, SubjectParams(), 15.0, 8.3)
-        streaming = StreamingRepCounter()
-        counts = [streaming.push(p) for p in poses]
-        assert counts[-1] == 4
-        assert counts == sorted(counts)  # monotone on clean data
-
-    def test_history_capped(self):
-        streaming = StreamingRepCounter(max_frames=50)
-        poses = sample_subject_sequence(Squat(), SubjectParams(), 15.0, 10.0)
-        for pose in poses:
-            streaming.push(pose)
-        assert len(streaming.feature_snapshot()) == 50
-
-    def test_reset(self):
-        streaming = StreamingRepCounter()
-        for pose in sample_subject_sequence(Squat(), SubjectParams(), 15.0, 5.0):
-            streaming.push(pose)
-        streaming.reset()
-        assert streaming.reps == 0
-        assert streaming.feature_snapshot().shape == (0, 34)
 
 
 class TestRepBoutGenerator:
