@@ -156,7 +156,9 @@ class TestDigestFile:
         report = check_determinism(toy_scenario, seed=7)
         assert written["seed"] == 7
         assert written["scenarios"] == {"toy.py": {
-            "events": report.event_count, "sha256": report.stream_digest}}
+            "events": report.event_count, "sha256": report.stream_digest,
+            "fingerprint_sha256": cli.fingerprint_digest(
+                report.fingerprints[0])}}
         assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 0
 
     def test_a_moved_stream_fails_the_check(self, tmp_path, monkeypatch, capsys):
@@ -167,6 +169,28 @@ class TestDigestFile:
         path.write_text(json.dumps(committed))
         assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
         assert "differs from the committed digest" in capsys.readouterr().out
+
+    def test_a_moved_result_fails_the_check(self, tmp_path, monkeypatch, capsys):
+        """Same stream, other fingerprint — and a file from before the
+        fingerprints existed — both fail, naming the results."""
+        path = tmp_path / "digests.json"
+        self.run_cli(monkeypatch, "--digests", str(path))
+        committed = json.loads(path.read_text())
+        committed["scenarios"]["toy.py"]["fingerprint_sha256"] = "0" * 64
+        path.write_text(json.dumps(committed))
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
+        out = capsys.readouterr().out
+        assert "results differ from the committed fingerprint" in out
+        assert "event stream differs" not in out
+        del committed["scenarios"]["toy.py"]["fingerprint_sha256"]
+        path.write_text(json.dumps(committed))
+        assert self.run_cli(monkeypatch, "--check-digests", str(path)) == 1
+
+    def test_fingerprint_digest_reads_floats_by_repr(self):
+        assert cli.fingerprint_digest({"a": 0.1 + 0.2, "b": [1]}) == (
+            cli.fingerprint_digest({"b": [1], "a": 0.30000000000000004}))
+        assert cli.fingerprint_digest([0.3]) != cli.fingerprint_digest(
+            [0.30000000000000004])
 
     def test_the_check_says_what_it_ran_on(self, tmp_path, monkeypatch, capsys):
         """Versions up front; a mismatch under another interpreter reads

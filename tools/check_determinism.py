@@ -12,11 +12,14 @@ bit-for-bit audited-vs-unaudited comparison for free: the audited event
 stream must equal the unaudited one.
 
 ``--digests FILE`` writes, and ``--check-digests FILE`` compares, each
-scenario's event count and label-free stream digest
-(:func:`repro.audit.determinism.stream_digest`). The committed
+scenario's event count, label-free stream digest
+(:func:`repro.audit.determinism.stream_digest`) and the digest of the
+fingerprint ``run_fn()`` returned (:func:`fingerprint_digest`). The committed
 ``tools/determinism_digests.json`` makes "bit-identical event stream"
 checkable across commits: a change that moves, adds or removes one kernel
-event fails the check and has to regenerate the file knowingly. The check
+event fails the check and has to regenerate the file knowingly — and a
+regeneration that leaves every ``fingerprint_sha256`` where it was moved
+events, not results. The check
 prints the interpreter and numpy the file was generated on beside the
 running ones, and a mismatch under a different pair says so.
 
@@ -30,6 +33,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -57,6 +61,7 @@ def run_one(name: str, seed: int, audit: bool) -> dict:
     scenario = EXAMPLE_SCENARIOS[name]
     report = check_determinism(scenario, seed=seed, name=name)
     result = report.as_dict()
+    result["fingerprint_sha256"] = fingerprint_digest(report.fingerprints[0])
     if report.ok and audit:
         # third run under the auditor: stream must match the unaudited runs
         # bit for bit, and the run must end with zero violations.
@@ -118,9 +123,18 @@ def describe_environment(env: dict) -> str:
     return f"python {env['python']} / numpy {env['numpy']}"
 
 
+def fingerprint_digest(fingerprint) -> str:
+    """SHA-256 of a scenario's JSON-able fingerprint (keys sorted, floats
+    by ``repr``): what the run *computed* — counters, exact latency lists —
+    beside the event stream that computed it."""
+    text = json.dumps(fingerprint, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest_entry(result: dict) -> dict:
     """What the digest file keeps of one scenario's result."""
-    return {"events": result["event_count"], "sha256": result["stream_digest"]}
+    return {"events": result["event_count"], "sha256": result["stream_digest"],
+            "fingerprint_sha256": result["fingerprint_sha256"]}
 
 
 def digest_mismatch(result: dict, expected: dict | None) -> str | None:
@@ -128,12 +142,17 @@ def digest_mismatch(result: dict, expected: dict | None) -> str | None:
     if expected is None:
         return "no committed digest for this scenario"
     got = digest_entry(result)
-    if got != expected:
-        return (f"event stream differs from the committed digest:"
-                f" expected {expected['events']} events"
-                f" {expected['sha256'][:16]}, got {got['events']} events"
-                f" {got['sha256'][:16]}")
-    return None
+    reasons = []
+    if (got["events"], got["sha256"]) != (expected["events"], expected["sha256"]):
+        reasons.append(f"event stream differs from the committed digest:"
+                       f" expected {expected['events']} events"
+                       f" {expected['sha256'][:16]}, got {got['events']} events"
+                       f" {got['sha256'][:16]}")
+    if got["fingerprint_sha256"] != expected.get("fingerprint_sha256"):
+        reasons.append(f"results differ from the committed fingerprint:"
+                       f" expected {str(expected.get('fingerprint_sha256'))[:16]},"
+                       f" got {got['fingerprint_sha256'][:16]}")
+    return "\n".join(reasons) or None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,11 +163,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="write a JSON report for CI artifacts")
     parser.add_argument("--digests", metavar="PATH",
-                        help="write each scenario's event count and"
-                             " label-free stream digest")
+                        help="write each scenario's event count,"
+                             " label-free stream digest and fingerprint"
+                             " digest")
     parser.add_argument("--check-digests", metavar="PATH",
-                        help="fail when a scenario's event count or stream"
-                             " digest differs from this file")
+                        help="fail when a scenario's event count, stream"
+                             " digest or fingerprint digest differs from"
+                             " this file")
     parser.add_argument("--list", action="store_true",
                         help="list available scenarios and exit")
     args = parser.parse_args(argv)
