@@ -111,7 +111,6 @@ class Transport:
             done.fail(exc)
             return done
         self._pending_sends[done] = message
-        done.wait(lambda _v, _e: self._pending_sends.pop(done, None))
         arrival.wait(lambda _t, exc: self._deliver(message, done, exc))
         return done
 
@@ -130,6 +129,7 @@ class Transport:
     def _deliver(self, message: Message, done: Signal, exc: BaseException | None) -> None:
         if not done.pending:
             return  # already failed (e.g. the transport closed mid-flight)
+        del self._pending_sends[done]  # every branch below resolves it
         if exc is not None:
             self._count_failure(message)
             done.fail(exc)

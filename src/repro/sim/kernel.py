@@ -104,15 +104,11 @@ class Kernel:
         return Signal(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Signal:
-        """Return a signal that succeeds with *value* after *delay* seconds."""
+        """Return a signal that succeeds with *value* after *delay* seconds.
+        Its timer event is the wake-up: the waiters run inside it."""
         sig = Signal(self, "timeout")
-        sig._timer_event = self.schedule(delay, self._fire_timeout, sig, value)
+        sig._timer_event = self.schedule(delay, sig._fire, value)
         return sig
-
-    @staticmethod
-    def _fire_timeout(sig: Signal, value: Any) -> None:
-        if sig.pending:
-            sig.succeed(value)
 
     def process(self, gen: ProcessGenerator, name: str | None = None) -> Process:
         """Start a generator as a simulated :class:`Process`."""

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import Interrupt, SimulationError
 from .events import URGENT
-from .signals import Signal
+from .signals import PENDING, Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -83,7 +83,9 @@ class Process:
             return
         waiting = self._waiting_on
         if waiting is not None and waiting.pending:
-            waiting.cancel_timer()  # abandoned timeouts must not hold the clock
+            waiting.discard(self._resume)  # no dead waiter stays behind
+            if not waiting._waiters:
+                waiting.cancel_timer()  # abandoned timeouts must not hold the clock
         self._epoch += 1
         self._waiting_on = None
         self.kernel.schedule(
@@ -95,36 +97,33 @@ class Process:
         if epoch != self._epoch or not self.alive:
             return  # stale wakeup (process was interrupted or already ended)
         self._waiting_on = None
-        try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self.done.succeed(stop.value)
-            return
-        except Interrupt as unhandled:
-            self.done.fail(unhandled)
-            return
-        except Exception as error:
-            self.done.fail(error)
-            return
-        try:
-            self._wait_on(target)
-        except SimulationError as error:
-            # An invalid yield: deliver the error back at the offending
-            # yield so the process can handle (or die from) it.
-            self.kernel.schedule(
-                0.0, self._resume, self._epoch, None, error, priority=URGENT
-            )
-
-    def _wait_on(self, target: Any) -> None:
-        signal = target if type(target) is Signal else self._as_signal(target)
-        self._epoch = epoch = self._epoch + 1
-        self._waiting_on = signal
-        # the epoch rides along as an event argument: the wakeup event calls
-        # _resume directly, with no per-wait closure in between
-        signal.wait(self._resume, epoch)
+        gen = self._gen
+        while True:  # run until the generator has to wait
+            try:
+                target = gen.send(value) if exc is None else gen.throw(exc)
+            except StopIteration as stop:
+                self.done.succeed(stop.value)
+                return
+            except Exception as error:  # an unhandled Interrupt included
+                self.done.fail(error)
+                return
+            try:
+                signal = target if type(target) is Signal else self._as_signal(target)
+            except SimulationError as error:
+                # An invalid yield: deliver the error back at the offending
+                # yield so the process can handle (or die from) it.
+                value, exc = None, error
+                continue
+            if signal._state == PENDING:
+                # the epoch rides along as an event argument: the wakeup
+                # calls _resume directly, with no per-wait closure in between
+                self._epoch = epoch = self._epoch + 1
+                self._waiting_on = signal
+                signal._waiters.append((self._resume, epoch))
+                return
+            # already resolved: nobody to wait for, so no event — the
+            # outcome goes straight back in at the yield
+            value, exc = signal._value, signal._exc
 
     def _as_signal(self, target: Any) -> Signal:
         if isinstance(target, Signal):

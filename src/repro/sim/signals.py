@@ -101,6 +101,25 @@ class Signal:
         for waiter in waiters:
             schedule(0.0, *waiter, self._value, self._exc)
 
+    def _fire(self, value: Any) -> None:
+        """The timer event of :meth:`Kernel.timeout`: resolve, then run the
+        waiters here, in registration order — the kernel is the caller, so
+        nothing is re-entered and no second event is spent per waiter. If
+        one raises, the rest are scheduled before the error leaves."""
+        if self._state != PENDING:
+            return
+        self._state = SUCCEEDED
+        self._value = value
+        waiters = iter(self._waiters)
+        self._waiters = []
+        try:
+            for callback, *args in waiters:
+                callback(*args, value, None)
+        except BaseException:
+            for waiter in waiters:
+                self.kernel.schedule(0.0, *waiter, value, None)
+            raise
+
     # -- waiting ------------------------------------------------------------
     def wait(self, callback: Callable[..., None], *args: Any) -> None:
         """Invoke ``callback(*args, value, exc)`` once the signal resolves.

@@ -117,10 +117,12 @@ class TestBasicExecution:
 
 
     def test_wakeups_are_events_of_the_process_itself(self, kernel):
-        """A wait costs no closure: the event that wakes a process calls
-        ``Process._resume`` with the epoch as an argument, so observers that
-        sort events by ``callback.__module__`` (the ledger's per-layer event
-        count) and by owner name (EventTap labels) still see the process."""
+        """What an event is, per kind of wait. The start and every wake-up
+        from a *pending non-timer* signal are events whose callback is the
+        process's own ``Process._resume`` — observers that sort events by
+        ``callback.__module__`` (the ledger's per-layer event count) and by
+        owner name (EventTap labels) still see the process. A timeout
+        wake-up is the timer's event; a resolved yield is no event."""
         executed = []
 
         class Tap:
@@ -130,18 +132,161 @@ class TestBasicExecution:
             def on_execute(self, now, event):
                 executed.append(event.callback)
 
+        gate = kernel.signal("gate")
+        steps = []
+
         def worker():
+            steps.append("started")
             yield 0.1
+            steps.append("timer")
             yield kernel.signal().succeed("x")
+            steps.append("resolved")
+            yield gate
+            steps.append("gate")
 
         kernel.add_observer(Tap())
         proc = kernel.process(worker(), name="worker-7")
+        kernel.schedule(0.2, gate.succeed)
         kernel.run()
-        wakeups = [cb for cb in executed if getattr(cb, "__self__", None) is proc]
-        assert len(wakeups) == 3  # start, after the timeout, after the signal
+        assert steps == ["started", "timer", "resolved", "gate"]
+        own = [cb for cb in executed if getattr(cb, "__self__", None) is proc]
+        assert len(own) == 2  # the start, and the wake-up from the gate
+        assert {cb.__func__ for cb in own} == {type(proc)._resume}
+        # start, the 0.1 s timer (which woke the worker), gate.succeed, wake-up
+        assert len(executed) == 4
         assert {cb.__module__ for cb in executed} == {
-            "repro.sim.process", "repro.sim.kernel"}
+            "repro.sim.process", "repro.sim.signals"}
         assert proc.done.name == "process.done" and "worker-7" in repr(proc)
+
+
+class TestRunsUntilItHasToWait:
+    """A resolved awaitable costs no event: its outcome goes straight back
+    in at the yield, and the process parks only on something pending."""
+
+    def count_events(self, kernel):
+        count = 0
+        while kernel.step():
+            count += 1
+        return count
+
+    def test_resolved_signals_continue_in_the_same_event(self, kernel):
+        seen = []
+
+        def proc():
+            seen.append((yield kernel.signal().succeed("a")))
+            seen.append((yield kernel.signal().succeed("b")))
+            return "end"
+
+        p = kernel.process(proc())
+        assert self.count_events(kernel) == 1  # the start event did it all
+        assert seen == ["a", "b"] and p.done.value == "end"
+
+    def test_resolved_failed_signal_is_thrown_in_at_the_yield(self, kernel):
+        def proc():
+            try:
+                yield kernel.signal().fail(RuntimeError("boom"))
+            except RuntimeError as error:
+                return f"caught {error}"
+
+        p = kernel.process(proc())
+        assert self.count_events(kernel) == 1
+        assert p.done.value == "caught boom"
+
+    def test_yielding_a_finished_process_returns_its_value_at_once(self, kernel):
+        def child():
+            return "child-result"
+            yield
+
+        def parent(joined):
+            return (yield joined), kernel.pending_events
+
+        joined = kernel.process(child())
+        kernel.run()
+        p = kernel.process(parent(joined))
+        assert self.count_events(kernel) == 1
+        assert p.done.value == ("child-result", 0)
+
+    def test_yielding_a_failed_process_raises_its_error_at_once(self, kernel):
+        def child():
+            raise ValueError("oops")
+            yield
+
+        def parent(joined):
+            try:
+                yield joined
+            except ValueError as error:
+                return str(error)
+
+        joined = kernel.process(child())
+        kernel.run()
+        p = kernel.process(parent(joined))
+        assert self.count_events(kernel) == 1
+        assert p.done.value == "oops"
+
+    def test_invalid_yield_after_an_inline_continuation(self, kernel):
+        """Still delivered back as SimulationError at the offending yield."""
+        def proc():
+            yield kernel.signal().succeed()
+            try:
+                yield "not awaitable"
+            except SimulationError as error:
+                caught = str(error)
+            yield kernel.signal().succeed()
+            return caught
+
+        p = kernel.process(proc())
+        assert self.count_events(kernel) == 1
+        assert "not awaitable" in p.done.value
+
+    def test_negative_delay_is_an_invalid_yield(self, kernel):
+        def proc():
+            try:
+                yield -1.0
+            except SimulationError:
+                return "caught"
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.done.value == "caught"
+
+    def test_yield_zero_still_yields_the_floor(self, kernel):
+        """``yield 0.0`` makes a pending timeout, so it costs one event and
+        lets everything else due now run first: two processes alternate."""
+        order = []
+
+        def proc(tag):
+            for n in range(3):
+                order.append((tag, n))
+                yield 0.0
+
+        kernel.process(proc("a"))
+        kernel.process(proc("b"))
+        kernel.run()
+        assert order == [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)]
+        assert kernel.now == 0.0
+
+    def test_resolved_yields_do_not_return_to_the_kernel(self, kernel):
+        """stop() and run(until=) are checked between events: a process that
+        only ever yields resolved signals finishes inside its one event."""
+        ticks = []
+
+        def proc():
+            for n in range(5):
+                ticks.append(n)
+                if n == 1:
+                    kernel.stop()
+                yield kernel.signal().succeed()
+            yield 1.0
+            ticks.append("after the horizon")
+
+        kernel.process(proc())
+        kernel.run(until=0.5)
+        assert ticks == [0, 1, 2, 3, 4]  # stop() took effect after the event
+        assert kernel.now == 0.0
+        kernel.run(until=0.5)
+        assert ticks == [0, 1, 2, 3, 4] and kernel.now == 0.5
+        kernel.run()
+        assert ticks[-1] == "after the horizon"
 
 
 class TestInterrupt:
@@ -200,3 +345,98 @@ class TestInterrupt:
         kernel.run()
         assert resumed == []  # the abandoned wait never delivered
         assert p.done.value == "ok"
+
+
+    def test_interrupt_of_a_process_that_never_parks_on_resolved_signals(self, kernel):
+        """A live process is either running or parked on something pending.
+        While it runs (only its own code can reach interrupt() then) there is
+        no wait to abandon and the interrupt is dropped at its next wait, as
+        it always was; from outside it lands on the pending wait."""
+        log = []
+
+        def proc():
+            yield kernel.signal().succeed()
+            me.interrupt("self")
+            yield kernel.signal().succeed()  # no wait, so nothing to interrupt
+            log.append("still running")
+            try:
+                yield 5.0
+            except Interrupt as intr:
+                log.append(intr.cause)
+            return "ok"
+
+        me = kernel.process(proc())
+        kernel.schedule(1.0, lambda: me.interrupt("outside"))
+        kernel.run()
+        assert log == ["still running", "outside"]
+        assert me.done.value == "ok" and kernel.now == 1.0
+
+    def test_a_timer_waiter_interrupts_a_later_waiter_of_the_same_timer(self, kernel):
+        """Both are woken inside the one timer event; the stale-epoch check
+        drops the later wake-up and the interrupt is what it sees."""
+        shared = kernel.timeout(1.0, "rang")
+        log = []
+
+        def early():
+            log.append(("early", (yield shared)))
+            late_proc.interrupt("from early")
+
+        def late():
+            try:
+                log.append(("late", (yield shared)))
+            except Interrupt as intr:
+                log.append(("late interrupted", intr.cause))
+
+        kernel.process(early())
+        late_proc = kernel.process(late())
+        kernel.run()
+        assert log == [("early", "rang"), ("late interrupted", "from early")]
+
+    def test_interrupt_leaves_a_shared_timeout_to_its_other_waiters(self, kernel):
+        """interrupt() used to cancel the timer under everyone."""
+        shared = kernel.timeout(1.0, "rang")
+
+        def waiter():
+            try:
+                return (yield shared)
+            except Interrupt:
+                return "interrupted"
+
+        first, second = kernel.process(waiter()), kernel.process(waiter())
+        kernel.schedule(0.5, first.interrupt)
+        kernel.run()
+        assert first.done.value == "interrupted"
+        assert second.done.value == "rang" and kernel.now == 1.0
+
+    def test_last_waiter_to_leave_cancels_the_timeout(self, kernel):
+        shared = kernel.timeout(100.0)
+
+        def waiter():
+            try:
+                yield shared
+            except Interrupt:
+                pass
+
+        first, second = kernel.process(waiter()), kernel.process(waiter())
+        kernel.schedule(0.5, first.interrupt)
+        kernel.schedule(0.75, second.interrupt)
+        kernel.run()
+        assert kernel.now == 0.75 and shared.pending
+
+    def test_interrupted_process_leaves_no_waiter_behind(self, kernel):
+        """The abandoned wait used to stay on the signal for its lifetime and
+        cost one dropped wake-up event when it finally resolved."""
+        sig = kernel.signal()
+
+        def proc():
+            try:
+                yield sig
+            except Interrupt:
+                pass
+
+        p = kernel.process(proc())
+        kernel.schedule(1.0, p.interrupt)
+        kernel.run()
+        assert not p.alive and len(sig._waiters) == 0
+        sig.succeed("late")
+        assert kernel.pending_events == 0  # no event for the dead wait

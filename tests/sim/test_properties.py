@@ -1,8 +1,11 @@
 """Property-based tests for kernel invariants."""
 
+import functools
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import Interrupt, SimulationError
 from repro.sim import Kernel, Resource
 from repro.sim.events import LOW, NORMAL, URGENT
 
@@ -143,6 +146,230 @@ def test_kernel_matches_the_reference_executor(program):
     the shared run loop are invisible."""
     program = program + [("run", None)]
     assert play(Kernel(), program) == play(ReferenceKernel(), program)
+
+
+# -- processes on top of the event list ---------------------------------------
+class ReferenceSignal:
+    """What :class:`~repro.sim.Signal` must do. Resolved from ordinary code
+    it schedules one zero-delay event per waiter, in registration order;
+    resolved by its timer (``inline``) it calls the waiters, in that order,
+    inside the timer's own event."""
+
+    def __init__(self, executor):
+        self.executor, self.outcome, self.waiters, self.timer = executor, None, [], None
+
+    pending = property(lambda self: self.outcome is None)
+
+    def succeed(self, value=None):
+        return self.resolve((value, None))
+
+    def fail(self, exc):
+        return self.resolve((None, exc))
+
+    def resolve(self, outcome, inline=False):
+        assert self.pending
+        self.outcome = outcome
+        waiters, self.waiters = self.waiters, []
+        for waiter in waiters:
+            if inline:
+                waiter(*outcome)
+            else:
+                self.executor.schedule(0.0, functools.partial(waiter, *outcome))
+        return self
+
+
+class ReferenceProcess:
+    """What :class:`~repro.sim.Process` must do: start through one event,
+    then run until the generator yields something still *pending* — a
+    resolved signal, a finished process and an invalid yield are answered
+    on the spot, in the same event."""
+
+    def __init__(self, executor, gen):
+        self.executor, self.gen = executor, gen
+        self.done = ReferenceSignal(executor)
+        self.epoch, self.parked = 0, None
+        executor.schedule(0.0, functools.partial(self.resume, 0, None, None))
+
+    def resume(self, epoch, value, exc):
+        if epoch != self.epoch or not self.done.pending:
+            return  # a wake-up for a wait that was interrupted away
+        self.parked = None
+        while True:
+            try:
+                target = self.gen.send(value) if exc is None else self.gen.throw(exc)
+            except StopIteration as stop:
+                return self.done.succeed(stop.value)
+            except Exception as error:
+                return self.done.fail(error)
+            if isinstance(target, ReferenceProcess):
+                target = target.done
+            elif isinstance(target, float):
+                target = self.executor.timeout(target)
+            if not isinstance(target, ReferenceSignal):
+                value, exc = None, SimulationError(f"yielded {target!r}")
+            elif not target.pending:
+                value, exc = target.outcome
+            else:
+                self.epoch += 1
+                self.parked = target, functools.partial(self.resume, self.epoch)
+                target.waiters.append(self.parked[1])
+                return
+
+    def interrupt(self, cause=None):
+        if not self.done.pending:
+            return
+        if self.parked is not None and self.parked[0].pending:
+            signal, waiter = self.parked
+            signal.waiters.remove(waiter)
+            if signal.timer is not None and not signal.waiters:
+                self.executor.cancel(signal.timer)  # nobody is left to wake
+        self.epoch += 1
+        self.parked = None
+        self.executor.schedule(
+            0.0, functools.partial(self.resume, self.epoch, None, Interrupt(cause)),
+            priority=URGENT)
+
+
+class ReferenceProcesses(ReferenceKernel):
+    """:class:`ReferenceKernel` plus the three factories processes use."""
+
+    def signal(self):
+        return ReferenceSignal(self)
+
+    def timeout(self, delay, value=None):
+        sig = ReferenceSignal(self)
+        sig.timer = self.schedule(
+            delay, lambda: sig.resolve((value, None), inline=True))
+        return sig
+
+    def process(self, gen):
+        return ReferenceProcess(self, gen)
+
+
+class Boom(Exception):
+    pass
+
+
+MAX_PROCESSES = 8
+
+
+def play_processes(executor, timer_delays, scripts):
+    """Run *scripts* as processes on *executor*; return one
+    ``(time, actor, step, kind, outcome, pending_events)`` entry per finished
+    step, then the final clock, the events executed and who is still alive.
+
+    Three plain signals and the timeouts of *timer_delays* exist from time
+    zero and are shared by every process; every script is spawned once at
+    time zero, and ``spawn`` steps add instances up to ``MAX_PROCESSES``."""
+    log, procs = [], []
+    signals = [executor.signal() for _ in range(3)]
+    timers = [executor.timeout(delay) for delay in timer_delays]
+
+    def spawn(script):
+        if len(procs) < MAX_PROCESSES:
+            procs.append(executor.process(body(len(procs), scripts[script % len(scripts)])))
+
+    def act(actor, index, kind, arg):
+        tag = (actor, index)
+        if kind == "succeed" and signals[arg].pending:
+            signals[arg].succeed(tag)
+        elif kind == "fail" and signals[arg].pending:
+            signals[arg].fail(Boom())
+        elif kind == "interrupt":
+            procs[arg % len(procs)].interrupt(tag)
+        elif kind == "spawn":
+            spawn(arg)
+
+    def body(actor, script):
+        for index, (kind, arg) in enumerate(script):
+            try:
+                if kind == "delay":
+                    result = yield arg
+                elif kind == "signal":
+                    result = yield signals[arg]
+                elif kind == "timer":
+                    result = yield timers[arg]
+                elif kind == "resolved":
+                    result = yield executor.signal().succeed((actor, index))
+                elif kind == "failed":
+                    result = yield executor.signal().fail(Boom())
+                elif kind == "join":
+                    result = yield procs[arg % len(procs)]
+                elif kind == "bad":
+                    result = yield "not awaitable"
+                else:
+                    result = act(actor, index, kind, arg)
+                outcome = ("ok", result)
+            except Interrupt as interrupt:
+                outcome = ("interrupted", interrupt.cause)
+            except (Boom, SimulationError) as error:
+                outcome = (type(error).__name__,)
+            log.append((executor.now, actor, index, kind, outcome,
+                        executor.pending_events))
+        return actor
+
+    for script in range(len(scripts)):
+        spawn(script)
+    executed = 0
+    while executor.step():
+        executed += 1
+    log.append(("end", executor.now, executed, [p.done.pending for p in procs]))
+    return log
+
+
+def _steps(kind, values):
+    return st.tuples(st.just(kind), values)
+
+
+_SIGNALS, _TIMERS, _ANYONE = (
+    st.integers(0, 2), st.integers(0, 1), st.integers(0, MAX_PROCESSES - 1))
+SCRIPTS = st.lists(
+    st.lists(
+        st.one_of(
+            _steps("delay", GRID), _steps("delay", GRID),
+            _steps("signal", _SIGNALS), _steps("timer", _TIMERS),
+            _steps("resolved", st.none()), _steps("failed", st.none()),
+            _steps("join", _ANYONE), _steps("bad", st.none()),
+            _steps("succeed", _SIGNALS), _steps("fail", _SIGNALS),
+            _steps("interrupt", _ANYONE), _steps("spawn", _ANYONE),
+        ),
+        max_size=6,
+    ),
+    min_size=1, max_size=4,
+)
+_WAIT_0, _WAIT_1, _NAP = ("timer", 0), ("timer", 1), ("delay", 0.0)
+
+
+@given(timer_delays=st.tuples(GRID, GRID), scripts=SCRIPTS)
+# a timer wakes its waiters in its own event: registration order, ahead of
+# an event scheduled for that instant before the timer fired
+@example((1.0, 1.0), [[("delay", 1.0)], [_WAIT_0], [_WAIT_1], [_WAIT_0]])
+# resolved, failed and finished awaitables, and an invalid yield, answered
+# in the same event; `yield 0.0` still lets the other process go first
+@example((0.0, 0.0), [[("resolved", None), ("failed", None), ("join", 1),
+                       ("bad", None), _NAP, ("resolved", None)],
+                      [_NAP, ("resolved", None)]])
+# a waiter of a firing timer interrupts a later waiter of the same timer
+@example((1.0, 0.0), [[_WAIT_0, ("interrupt", 1)], [_WAIT_0, _NAP]])
+# an interrupted waiter leaves a shared timeout to the others; the last one
+# to leave cancels it
+@example((2.0, 0.0), [[_WAIT_0], [_WAIT_0], [("delay", 1.0), ("interrupt", 0)]])
+@example((2.0, 0.0), [[_WAIT_0], [("delay", 1.0), ("interrupt", 0), _WAIT_0]])
+# an interrupted waiter of a plain signal costs no event when it resolves
+@example((0.0, 0.0), [[("signal", 0)],
+                      [_NAP, ("interrupt", 0), ("succeed", 0), _NAP]])
+# interrupting a process that has not started, and one that never parks
+@example((0.0, 0.0), [[("interrupt", 1), ("join", 1)], [("delay", 1.0)]])
+@example((0.0, 0.0), [[("resolved", None), ("interrupt", 0), ("resolved", None),
+                       _NAP, _NAP]])
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_processes_match_the_reference_executor(timer_delays, scripts):
+    """Same steps finished at the same times in the same order, the same
+    number of events pending after each and executed in all: ``Signal``,
+    ``Process`` and ``Kernel.timeout`` spend an event only to move time or
+    to hand control to another party."""
+    assert (play_processes(Kernel(), timer_delays, scripts)
+            == play_processes(ReferenceProcesses(), timer_delays, scripts))
 
 
 @given(

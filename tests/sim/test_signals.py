@@ -63,6 +63,7 @@ class TestWaiters:
         assert seen == ["x"]
 
     def test_waiters_never_fire_synchronously(self, kernel):
+        """Never inside the caller of succeed / fail / wait."""
         sig = kernel.signal()
         seen = []
         sig.wait(lambda v, e: seen.append(v))
@@ -116,6 +117,75 @@ class TestWaiters:
         sig.succeed(None)
         kernel.run()
         assert seen == ["first", "second"]
+
+
+class TestTimerEvent:
+    """A timeout's timer event *is* the wake-up: it resolves the signal and
+    runs the waiters, in registration order, inside that one event."""
+
+    def test_waiters_run_inside_the_timer_event(self, kernel):
+        sig = kernel.timeout(1.0, "rang")
+        seen = []
+        sig.wait(lambda v, e: seen.append(("first", v, e, kernel.pending_events)))
+        sig.wait(lambda *got: seen.append(got), "second")
+        assert kernel.pending_events == 1
+        assert kernel.step() and not kernel.step()  # one event, all told
+        assert seen == [("first", "rang", None, 0), ("second", "rang", None)]
+        assert sig.succeeded and kernel.now == 1.0
+
+    def test_a_woken_waiter_runs_at_the_timers_place_in_the_instant(self, kernel):
+        """The tie-break: ahead of an event scheduled for the same instant
+        after the timer was made but before it fired (it used to run behind)."""
+        order = []
+        kernel.timeout(1.0).wait(lambda v, e: order.append("woken"))
+        kernel.schedule(1.0, order.append, "bystander")
+        kernel.run()
+        assert order == ["woken", "bystander"]
+
+    def test_a_raising_waiter_does_not_strand_the_rest(self, kernel):
+        """The remaining waiters are scheduled before the error leaves
+        ``Kernel.step``."""
+        sig = kernel.timeout(1.0, "rang")
+        seen = []
+
+        def broken(value, exc):
+            raise RuntimeError("waiter blew up")
+
+        sig.wait(lambda v, e: seen.append("first"))
+        sig.wait(broken)
+        sig.wait(lambda *got: seen.append(got), "third")
+        sig.wait(lambda *got: seen.append(got), "fourth")
+        with pytest.raises(RuntimeError, match="blew up"):
+            kernel.run()
+        assert seen == ["first"] and sig.succeeded
+        assert kernel.pending_events == 2
+        kernel.run()
+        assert seen == ["first", ("third", "rang", None), ("fourth", "rang", None)]
+
+    def test_a_waiter_attached_during_the_firing_is_scheduled(self, kernel):
+        """As for any resolved signal: its own event, not this one."""
+        sig = kernel.timeout(1.0, "rang")
+        seen = []
+
+        def first(value, exc):
+            sig.wait(lambda v, e: seen.append("latecomer"))
+            seen.append(("first", kernel.pending_events))
+
+        sig.wait(first)
+        sig.wait(lambda v, e: seen.append("second"))
+        kernel.step()
+        assert seen == [("first", 1), "second"]
+        kernel.run()
+        assert seen == [("first", 1), "second", "latecomer"]
+
+    def test_a_timeout_resolved_by_hand_wakes_by_events_and_fires_idle(self, kernel):
+        sig = kernel.timeout(1.0, "rang")
+        seen = []
+        sig.wait(lambda v, e: seen.append(v))
+        sig.succeed("by hand")
+        assert seen == []  # succeed() from ordinary code never runs a waiter
+        kernel.run()
+        assert seen == ["by hand"] and kernel.now == 1.0  # the timer found it resolved
 
 
 class TestCancelTimer:
