@@ -104,8 +104,8 @@ class Kernel:
         return Signal(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Signal:
-        """Return a signal that succeeds with *value* after *delay* seconds.
-        Its timer event is the wake-up: the waiters run inside it."""
+        """Return a signal that succeeds with *value* after *delay* seconds."""
+        # the timer event is the wake-up: the waiters run inside it
         sig = Signal(self, "timeout")
         sig._timer_event = self.schedule(delay, sig._fire, value)
         return sig

@@ -9,6 +9,11 @@ suspend itself:
 * another :class:`Process` — resume when that process terminates (join);
 * a number — shorthand for ``kernel.timeout(number)``.
 
+A process runs until it has to wait: an awaitable that is already resolved
+costs no event (its outcome goes straight back in at the ``yield``), only a
+pending one parks the process. ``yield 0.0`` makes a pending timeout, so it
+is the way to let everything else due now run first.
+
 Example::
 
     def worker(kernel, cpu):
@@ -89,8 +94,7 @@ class Process:
         self._epoch += 1
         self._waiting_on = None
         self.kernel.schedule(
-            0.0, self._resume, self._epoch, None, Interrupt(cause), priority=URGENT
-        )
+            0.0, self._resume, self._epoch, None, Interrupt(cause), priority=URGENT)
 
     # -- engine --------------------------------------------------------------
     def _resume(self, epoch: int, value: Any, exc: BaseException | None) -> None:
@@ -108,7 +112,7 @@ class Process:
                 self.done.fail(error)
                 return
             try:
-                signal = target if type(target) is Signal else self._as_signal(target)
+                signal = target if isinstance(target, Signal) else self._as_signal(target)
             except SimulationError as error:
                 # An invalid yield: deliver the error back at the offending
                 # yield so the process can handle (or die from) it.
@@ -126,8 +130,6 @@ class Process:
             value, exc = signal._value, signal._exc
 
     def _as_signal(self, target: Any) -> Signal:
-        if isinstance(target, Signal):
-            return target
         if isinstance(target, Process):
             return target.done
         if isinstance(target, (int, float)):

@@ -24,9 +24,10 @@ class Signal:
 
     Waiter callbacks receive ``(value, exc)`` — after any arguments bound
     at :meth:`wait` — and exactly one of the two is meaningful depending on
-    whether the signal succeeded or failed. Callbacks attached after
-    resolution fire on the next kernel step at the current simulated time
-    (never synchronously), so ordering stays deterministic.
+    whether the signal succeeded or failed. Waiters never run inside the
+    caller of ``succeed``/``fail``/``wait`` — each gets its own event at the
+    current simulated time, so ordering stays deterministic — except that a
+    timeout's waiters run in its timer event (see :meth:`_fire`).
     """
 
     __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_timer_event")
@@ -66,8 +67,7 @@ class Signal:
         if self._state == SUCCEEDED:
             return self._value
         if self._state == FAILED:
-            assert self._exc is not None
-            raise self._exc
+            raise self._exc  # set by fail()
         raise SimulationError(f"signal {self.name!r} is still pending")
 
     @property
@@ -79,8 +79,7 @@ class Signal:
         """Resolve successfully with *value* and wake all waiters."""
         if self._state != PENDING:
             raise SimulationError(f"signal {self.name!r} already {self._state}")
-        self._state = SUCCEEDED
-        self._value = value
+        self._state, self._value = SUCCEEDED, value
         self._dispatch()
         return self
 
@@ -90,8 +89,7 @@ class Signal:
             raise SimulationError(f"signal {self.name!r} already {self._state}")
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
-        self._state = FAILED
-        self._exc = exc
+        self._state, self._exc = FAILED, exc
         self._dispatch()
         return self
 
@@ -102,32 +100,29 @@ class Signal:
             schedule(0.0, *waiter, self._value, self._exc)
 
     def _fire(self, value: Any) -> None:
-        """The timer event of :meth:`Kernel.timeout`: resolve, then run the
-        waiters here, in registration order — the kernel is the caller, so
-        nothing is re-entered and no second event is spent per waiter. If
-        one raises, the rest are scheduled before the error leaves."""
-        if self._state != PENDING:
-            return
-        self._state = SUCCEEDED
-        self._value = value
-        waiters = iter(self._waiters)
-        self._waiters = []
-        try:
-            for callback, *args in waiters:
-                callback(*args, value, None)
-        except BaseException:
-            for waiter in waiters:
-                self.kernel.schedule(0.0, *waiter, value, None)
-            raise
+        """The timer event of :meth:`Kernel.timeout`, which is the wake-up."""
+        # Resolve, then run the waiters here, in registration order: the
+        # kernel is the caller, so nothing is re-entered and no second event
+        # is spent per waiter. A waiter attached meanwhile finds the signal
+        # resolved and is scheduled by wait().
+        if self._state == PENDING:
+            self._state, self._value = SUCCEEDED, value
+            waiters = iter(self._waiters)
+            self._waiters = []
+            try:
+                for callback, *args in waiters:
+                    callback(*args, value, None)
+            finally:  # some are left only if one raised: they still wake
+                for waiter in waiters:
+                    self.kernel.schedule(0.0, *waiter, value, None)
 
     # -- waiting ------------------------------------------------------------
     def wait(self, callback: Callable[..., None], *args: Any) -> None:
         """Invoke ``callback(*args, value, exc)`` once the signal resolves.
 
-        If already resolved, the callback is scheduled immediately (at the
-        current simulated time) rather than called synchronously. Binding
-        *args* here spares the waiter a closure, and the event that wakes
-        it a Python frame.
+        If it already has, the callback is scheduled (at the current
+        simulated time), never called inside this caller. Binding *args*
+        spares the waiter a closure, and its wake-up a Python frame.
         """
         if self._state == PENDING:
             self._waiters.append((callback, *args))
@@ -137,9 +132,8 @@ class Signal:
     def cancel_timer(self) -> None:
         """If this signal is a pending timeout, cancel its underlying event.
 
-        Used when the only waiter has abandoned the wait (e.g. it was
-        interrupted): without this, an abandoned long timeout would keep the
-        kernel's clock running toward it.
+        For when its last waiter has abandoned the wait (``interrupt()``):
+        an abandoned long timeout must not keep the clock running toward it.
         """
         if self._timer_event is not None and self._state == PENDING:
             self.kernel.cancel(self._timer_event)
@@ -147,10 +141,7 @@ class Signal:
 
     def discard(self, callback: Callable[..., None]) -> None:
         """Remove a previously attached waiter, if still registered."""
-        for index, waiter in enumerate(self._waiters):
-            if waiter[0] == callback:
-                del self._waiters[index]
-                return
+        self._waiters = [w for w in self._waiters if w[0] != callback]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         timer = self._timer_event

@@ -1,6 +1,11 @@
-"""Property-based tests for kernel invariants."""
+"""Property-based tests for kernel invariants.
+
+``REPRO_FUZZ_N`` scales the example budget of the two reference-executor
+tests like the other fuzz suites (default 300; CI's audit job runs 3000).
+"""
 
 import functools
+import os
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +13,9 @@ from hypothesis import strategies as st
 from repro.errors import Interrupt, SimulationError
 from repro.sim import Kernel, Resource
 from repro.sim.events import LOW, NORMAL, URGENT
+
+
+FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "300"))
 
 
 class ReferenceKernel:
@@ -139,7 +147,7 @@ def _event(delay, *body, priority=NORMAL):
 # equal times: priority, then insertion order, also for events made mid-run
 @example([_event(1.0, _event(0.0, priority=URGENT), _event(0.0)),
           _event(1.0, priority=LOW), _event(1.0, priority=URGENT)])
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
 def test_kernel_matches_the_reference_executor(program):
     """Same execution order, same ``now`` after every ``run``, same
     ``pending_events`` throughout — the heap layout, lazy cancellation and
@@ -362,7 +370,7 @@ _WAIT_0, _WAIT_1, _NAP = ("timer", 0), ("timer", 1), ("delay", 0.0)
 @example((0.0, 0.0), [[("interrupt", 1), ("join", 1)], [("delay", 1.0)]])
 @example((0.0, 0.0), [[("resolved", None), ("interrupt", 0), ("resolved", None),
                        _NAP, _NAP]])
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
 def test_processes_match_the_reference_executor(timer_delays, scripts):
     """Same steps finished at the same times in the same order, the same
     number of events pending after each and executed in all: ``Signal``,

@@ -33,3 +33,16 @@ def test_cli_prints_the_table_and_writes_json(tmp_path, capsys):
     assert len(lines) == 2 + 3 + 1 and lines[-1].endswith("more)")
     counts = list(written["by_callback"].values())
     assert counts == sorted(counts, reverse=True)
+
+
+def test_a_fleet_frame_costs_at_most_112_events():
+    """The exact-count regression of "a process runs until it has to wait"
+    (docs/PERF.md "What is an event"): the ledger's fleet-stage shape took
+    160.5 events per completed frame when a timeout cost two events and a
+    resolved wait one; it takes 106.5 now, and must not silently regrow."""
+    result = hist.histogram(*hist.fleet_stage(5, seed=1))
+    per_frame = result["events"] / result["frames_completed"]
+    assert per_frame <= 112, result["by_callback"]
+    # the two kinds of event the rule removed are gone, not merely fewer
+    assert "Kernel._fire_timeout" not in result["by_callback"]
+    assert "Process._resume wake Cpu._run" not in result["by_callback"]

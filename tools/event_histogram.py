@@ -88,18 +88,19 @@ def histogram(kernel, pipelines, run) -> dict:
 
 def render(result: dict, top: int | None) -> str:
     events, frames = result["events"], result["frames_completed"]
-    per_frame = events / frames if frames else float("nan")
+
+    def row(count: int, name: str) -> str:
+        per_frame = count / frames if frames else float("nan")
+        return f"{count:>8} {per_frame:>7.2f} {count / events:>6.1%}  {name}"
+
     lines = [f"{events} events / {frames} completed frames"
-             f" = {per_frame:.2f} per frame",
+             f" = {events / frames if frames else float('nan'):.2f} per frame",
              f"{'events':>8} {'/frame':>7} {'share':>6}  callback"]
     rows = list(result["by_callback"].items())
-    for name, count in rows[:top]:
-        lines.append(f"{count:>8} {count / frames if frames else 0:>7.2f}"
-                     f" {count / events:>6.1%}  {name}")
-    rest = sum(count for _, count in rows[top:]) if top else 0
-    if rest:
-        lines.append(f"{rest:>8} {rest / frames if frames else 0:>7.2f}"
-                     f" {rest / events:>6.1%}  ({len(rows) - top} more)")
+    lines += [row(count, name) for name, count in rows[:top]]
+    if top is not None and rows[top:]:
+        rest = sum(count for _, count in rows[top:])
+        lines.append(row(rest, f"({len(rows) - top} more)"))
     return "\n".join(lines)
 
 
