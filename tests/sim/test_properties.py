@@ -160,13 +160,22 @@ def test_kernel_matches_the_reference_executor(program):
 class ReferenceSignal:
     """What :class:`~repro.sim.Signal` must do. Resolved from ordinary code
     it schedules one zero-delay event per waiter, in registration order;
-    resolved by its timer (``inline``) it calls the waiters, in that order,
-    inside the timer's own event."""
+    resolved by the kernel itself (``inline``: its timer fired, or the
+    process it belongs to ended) its waiters are called, in that order,
+    inside that same event — through the executor's one ``waking`` queue,
+    so a process that ends *while* another signal's waiters are being
+    called queues its joiners behind the waiters still to come."""
 
     def __init__(self, executor):
         self.executor, self.outcome, self.waiters, self.timer = executor, None, [], None
 
     pending = property(lambda self: self.outcome is None)
+
+    def wait(self, callback):
+        if self.pending:
+            self.waiters.append(callback)
+        else:  # a late waiter is scheduled, whoever resolved the signal
+            self.executor.schedule(0.0, functools.partial(callback, *self.outcome))
 
     def succeed(self, value=None):
         return self.resolve((value, None))
@@ -177,12 +186,18 @@ class ReferenceSignal:
     def resolve(self, outcome, inline=False):
         assert self.pending
         self.outcome = outcome
-        waiters, self.waiters = self.waiters, []
-        for waiter in waiters:
-            if inline:
-                waiter(*outcome)
-            else:
-                self.executor.schedule(0.0, functools.partial(waiter, *outcome))
+        wakes = [functools.partial(waiter, *outcome) for waiter in self.waiters]
+        self.waiters = []
+        if not inline:
+            for wake in wakes:
+                self.executor.schedule(0.0, wake)
+        elif self.executor.waking is not None:
+            self.executor.waking.extend(wakes)  # behind the waiters still to come
+        else:
+            self.executor.waking = wakes
+            while wakes:
+                wakes.pop(0)()
+            self.executor.waking = None
         return self
 
 
@@ -190,7 +205,8 @@ class ReferenceProcess:
     """What :class:`~repro.sim.Process` must do: start through one event,
     then run until the generator yields something still *pending* — a
     resolved signal, a finished process and an invalid yield are answered
-    on the spot, in the same event."""
+    on the spot, in the same event. Its last event wakes whoever waits for
+    it: the end resolves ``done`` the way a timer resolves its timeout."""
 
     def __init__(self, executor, gen):
         self.executor, self.gen = executor, gen
@@ -206,9 +222,9 @@ class ReferenceProcess:
             try:
                 target = self.gen.send(value) if exc is None else self.gen.throw(exc)
             except StopIteration as stop:
-                return self.done.succeed(stop.value)
+                return self.done.resolve((stop.value, None), inline=True)
             except Exception as error:
-                return self.done.fail(error)
+                return self.done.resolve((None, error), inline=True)
             if isinstance(target, ReferenceProcess):
                 target = target.done
             elif isinstance(target, float):
@@ -240,6 +256,9 @@ class ReferenceProcess:
 
 class ReferenceProcesses(ReferenceKernel):
     """:class:`ReferenceKernel` plus the three factories processes use."""
+
+    #: the wake-ups still to be called inside the event now executing
+    waking = None
 
     def signal(self):
         return ReferenceSignal(self)
@@ -287,6 +306,10 @@ def play_processes(executor, timer_delays, scripts):
             procs[arg % len(procs)].interrupt(tag)
         elif kind == "spawn":
             spawn(arg)
+        elif kind == "watch":  # a plain callback among a process's joiners
+            procs[arg % len(procs)].done.wait(lambda value, exc: log.append(
+                (executor.now, actor, index, "woke", (value, type(exc).__name__),
+                 executor.pending_events)))
 
     def body(actor, script):
         for index, (kind, arg) in enumerate(script):
@@ -340,6 +363,7 @@ SCRIPTS = st.lists(
             _steps("join", _ANYONE), _steps("bad", st.none()),
             _steps("succeed", _SIGNALS), _steps("fail", _SIGNALS),
             _steps("interrupt", _ANYONE), _steps("spawn", _ANYONE),
+            _steps("watch", _ANYONE),
         ),
         max_size=6,
     ),
@@ -370,6 +394,24 @@ _WAIT_0, _WAIT_1, _NAP = ("timer", 0), ("timer", 1), ("delay", 0.0)
 @example((0.0, 0.0), [[("interrupt", 1), ("join", 1)], [("delay", 1.0)]])
 @example((0.0, 0.0), [[("resolved", None), ("interrupt", 0), ("resolved", None),
                        _NAP, _NAP]])
+# a process's last event wakes its joiners: a join chain ends in the one
+# timer event, ahead of an event already queued for that instant
+@example((0.0, 0.0), [[("join", 1)], [("join", 2)], [("join", 3)],
+                      [("delay", 1.0)], [("delay", 1.0)]])
+# two joiners and a plain callback on one process: registration order, and a
+# watcher attached after the end is scheduled like any late waiter
+@example((0.0, 0.0), [[("join", 3)], [("watch", 3), ("join", 3), ("watch", 3)],
+                      [("watch", 3), ("delay", 0.5)], [("delay", 0.5)]])
+# a process that dies wakes its joiners the same way, with its exception
+@example((0.0, 0.0), [[("join", 1)], [("failed", None), ("interrupt", 1), _NAP]])
+# a joiner interrupts the next joiner of the same process
+@example((0.0, 0.0), [[("join", 2), ("interrupt", 1)], [("join", 2), _NAP],
+                      [("delay", 1.0)]])
+# a joiner interrupted while parked on a process leaves no wake-up behind
+@example((0.0, 0.0), [[("join", 2)], [_NAP, ("interrupt", 0)], [("delay", 1.0)]])
+# a process ends inside a shared timer's firing: its joiner runs after the
+# timer's remaining waiters, not in front of them
+@example((1.0, 0.0), [[_WAIT_0], [("join", 0)], [_WAIT_0]])
 @settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
 def test_processes_match_the_reference_executor(timer_delays, scripts):
     """Same steps finished at the same times in the same order, the same
