@@ -35,12 +35,11 @@ class Cpu:
         """Run a job that takes *reference_seconds* on the reference machine.
 
         Returns a signal resolving (with the actual duration) when the job
-        finishes; the job queues if all cores are busy.
+        finishes; the job queues if all cores are busy. The signal *is* the
+        job's ``Process.done``: it fails if the job dies.
         """
-        done = self.kernel.signal(name=f"{self.spec.name}.cpu.job")
         duration = self.sample_duration(reference_seconds)
-        self.kernel.process(self._run(duration, priority, done), name="cpu.job")
-        return done
+        return self.kernel.process(self._run(duration, priority), name="cpu.job").done
 
     def execute_fixed(self, seconds: float, priority: int = 0) -> Signal:
         """Run a job whose duration does **not** scale with ``cpu_factor``
@@ -48,13 +47,11 @@ class Cpu:
         device in the paper's testbed offloads to a codec block. The job
         still occupies a core (drives contention) and keeps jitter.
         """
-        done = self.kernel.signal(name=f"{self.spec.name}.cpu.fixed")
         if seconds == 0.0:
             duration = 0.0
         else:
             duration = lognormal_around(self.rng, seconds, self.spec.compute_jitter_cv)
-        self.kernel.process(self._run(duration, priority, done), name="cpu.fixed")
-        return done
+        return self.kernel.process(self._run(duration, priority), name="cpu.fixed").done
 
     def sample_duration(self, reference_seconds: float) -> float:
         """Draw the actual duration for a reference-time job (no queueing)."""
@@ -63,13 +60,13 @@ class Cpu:
             return 0.0
         return lognormal_around(self.rng, scaled, self.spec.compute_jitter_cv)
 
-    def _run(self, duration: float, priority: int, done: Signal):
+    def _run(self, duration: float, priority: int):
         grant = yield self.cores.request(priority=priority)
         yield duration
         self.cores.release(grant)
         self.jobs_completed += 1
         self.busy_seconds += duration
-        done.succeed(duration)
+        return duration
 
     def utilization(self) -> float:
         """Average busy fraction across cores since creation."""

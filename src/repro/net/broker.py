@@ -46,11 +46,9 @@ class BrokeredTransport(Transport):
         self.relayed_count = 0
 
     def _route(self, message: Message) -> Signal:
-        done = self.kernel.signal(name=f"broker-route#{message.msg_id}")
-        self.kernel.process(self._relay(message, done), name="broker.relay")
-        return done
+        return self.kernel.process(self._relay(message), name="broker.relay").done
 
-    def _relay(self, message: Message, done: Signal):
+    def _relay(self, message: Message):
         assert message.src is not None
         # Leg 1: producer -> broker.
         yield self.topology.transfer(
@@ -65,4 +63,4 @@ class BrokeredTransport(Transport):
             self.broker_device, message.dst.device, message.size_bytes
         )
         self.relayed_count += 1
-        done.succeed(self.kernel.now)
+        return self.kernel.now

@@ -102,12 +102,12 @@ class Link:
         self.retransmits = 0
 
     def transfer(self, nbytes: int) -> Signal:
-        """Start transferring *nbytes*; returns the arrival signal."""
-        done = self.kernel.signal(name=f"{self.name}.transfer")
-        self.kernel.process(self._transfer(nbytes, done), name=f"{self.name}.tx")
-        return done
+        """Start transferring *nbytes*; returns the arrival signal — the
+        transfer's own ``Process.done``, which resolves with the arrival
+        time in the transfer's last event and fails if the transfer dies."""
+        return self.kernel.process(self._transfer(nbytes), name=f"{self.name}.tx").done
 
-    def _transfer(self, nbytes: int, done: Signal):
+    def _transfer(self, nbytes: int):
         grant = yield self.medium.request()
         tx_time = self.spec.transmission_time(nbytes)
         if self.spec.loss_prob > 0 and self.rng.random() < self.spec.loss_prob:
@@ -119,7 +119,7 @@ class Link:
         self.bytes_sent += nbytes
         latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
         yield latency + self.extra_latency_s
-        done.succeed(self.kernel.now)
+        return self.kernel.now
 
     def expected_delay(self, nbytes: int) -> float:
         """Uncontended expected transfer time (for planning/placement)."""

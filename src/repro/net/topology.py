@@ -238,15 +238,15 @@ class Topology:
     def transfer(self, src: str, dst: str, nbytes: int) -> Signal:
         """Move *nbytes* from *src* to *dst* hop by hop.
 
-        Returns a signal resolving with the arrival time. The route is
-        resolved eagerly so routing errors raise at call time.
+        Returns a signal resolving with the arrival time — the relay's own
+        ``Process.done``, resolved in the last hop's last event; it fails if
+        the relay dies. The route is resolved eagerly so routing errors
+        raise at call time.
         """
         links = self.path_links(src, dst)
-        done = self.kernel.signal(name=f"transfer:{src}->{dst}")
-        self.kernel.process(self._relay(links, nbytes, done), name="relay")
-        return done
+        return self.kernel.process(self._relay(links, nbytes), name="relay").done
 
-    def _relay(self, links: list[Link], nbytes: int, done: Signal):
+    def _relay(self, links: list[Link], nbytes: int):
         for link in links:
             yield link.transfer(nbytes)
-        done.succeed(self.kernel.now)
+        return self.kernel.now

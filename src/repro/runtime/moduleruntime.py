@@ -193,8 +193,19 @@ class ModuleRuntime:
             wiring = self._wiring_of(source_module)
         target_address = wiring.address_of(target_module)
         source_address = wiring.address_of(source_module)
-        done = self.kernel.signal(name=f"send:{source_module}->{target_module}")
         local = target_address.device == self.device.name
+        if local:
+            done = self.transport.send(self._build_message(
+                kind, payload, source_address, target_address, headers,
+                local=True,
+            ))
+        else:
+            done = self.kernel.process(
+                self._send_remote(
+                    kind, payload, source_address, target_address, headers
+                ),
+                name=f"ship:{source_module}->{target_module}",
+            ).done
         if kind == DATA:
             # a data message that dies in flight (listener unbound during a
             # migration, destination crashed) takes its frame with it: the
@@ -206,19 +217,6 @@ class ModuleRuntime:
                     source_module, wiring, payload, owns_refs=local
                 ) if exc is not None else None
             )
-        if local:
-            message = self._build_message(
-                kind, payload, source_address, target_address, headers,
-                local=True,
-            )
-            self._forward(message, done)
-        else:
-            self.kernel.process(
-                self._send_remote(
-                    kind, payload, source_address, target_address, headers, done
-                ),
-                name=f"ship:{source_module}->{target_module}",
-            )
         return done
 
     def _send_remote(
@@ -228,7 +226,6 @@ class ModuleRuntime:
         source_address: Address,
         target_address: Address,
         headers: dict[str, Any],
-        done: Signal,
     ):
         wire_payload, encode_cost, shipped = encode_refs_for_wire(
             payload, self.device.frame_store
@@ -238,12 +235,8 @@ class ModuleRuntime:
         message = self._build_message(
             kind, wire_payload, source_address, target_address, headers
         )
-        try:
-            yield self.transport.send(message)
-        except Exception as exc:
-            done.fail(exc)
-            return
-        done.succeed(self.kernel.now)
+        yield self.transport.send(message)
+        return self.kernel.now
 
     def _dead_letter(
         self,
@@ -297,12 +290,6 @@ class ModuleRuntime:
         if trace is not None:
             message.headers[H_TRACE] = trace
         return message
-
-    def _forward(self, message: Message, done: Signal) -> None:
-        sent = self.transport.send(message)
-        sent.wait(
-            lambda value, exc: done.fail(exc) if exc is not None else done.succeed(value)
-        )
 
     # -- receiving ---------------------------------------------------------------------
     def _on_message(self, deployed: DeployedModule, message: Message) -> None:

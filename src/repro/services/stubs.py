@@ -166,15 +166,12 @@ class RemoteServiceStub(ServiceStub):
             payload, self.caller_device.frame_store, release=False
         )
         self.frames_shipped += shipped
-        done = self.kernel.signal(name=f"remote:{self.service_name}")
-        self.kernel.process(
-            self._call(wire_payload, encode_cost, done, trace),
+        return self.kernel.process(
+            self._call(wire_payload, encode_cost, trace),
             name=f"remote-call.{self.service_name}",
-        )
-        return done
+        ).done
 
-    def _call(self, wire_payload: Any, encode_cost: float, done: Signal,
-              trace: Any = None):
+    def _call(self, wire_payload: Any, encode_cost: float, trace: Any = None):
         from ..net.message import H_TRACE
 
         headers = {H_TRACE: trace.header()} if trace is not None else None
@@ -209,20 +206,16 @@ class RemoteServiceStub(ServiceStub):
                             fallback, self.caller_device, self.transport
                         )
             yield self.caller_device.cpu.execute(API_MARSHAL_S)  # reply unmarshal
+        except ServiceError:
+            raise
         except Exception as exc:
-            if isinstance(exc, ServiceError):
-                wrapped = exc
-            else:
-                wrapped = ServiceError(
-                    f"{self.service_name} remote call failed: {exc}"
-                )
-                # keep the transport-level cause reachable: the module
-                # context distinguishes breaker rejections (CircuitOpenError)
-                # from other failures when counting service_rejections
-                wrapped.__cause__ = exc
-            done.fail(wrapped)
-            return
-        done.succeed(result)
+            # keep the transport-level cause reachable: the module context
+            # distinguishes breaker rejections (CircuitOpenError) from other
+            # failures when counting service_rejections
+            raise ServiceError(
+                f"{self.service_name} remote call failed: {exc}"
+            ) from exc
+        return result
 
     def _failover_target(self, tried: set[str]) -> ServiceHost | None:
         """A live replica on a device not yet tried, or None."""

@@ -41,6 +41,9 @@ class Kernel:
         self._seq = 0
         self._running = False
         self._stopped = False
+        # the wake-ups still to run inside the event now executing, while a
+        # timer or a process end drains its waiters (Signal._settle)
+        self._waking = None
         # passive observers notified on schedule/execute; a tuple so the hot
         # path pays one truthiness check when nobody is watching
         self._observers: tuple = ()

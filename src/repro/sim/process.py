@@ -12,7 +12,10 @@ suspend itself:
 A process runs until it has to wait: an awaitable that is already resolved
 costs no event (its outcome goes straight back in at the ``yield``), only a
 pending one parks the process. ``yield 0.0`` makes a pending timeout, so it
-is the way to let everything else due now run first.
+is the way to let everything else due now run first. When the generator
+returns or raises, that same event resolves :attr:`Process.done` and runs
+its waiters — the processes joined on it and plain ``wait()`` callbacks, in
+registration order: a process's last event is its joiners' wake-up.
 
 Example::
 
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import Interrupt, SimulationError
 from .events import URGENT
-from .signals import PENDING, Signal
+from .signals import FAILED, PENDING, SUCCEEDED, Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -98,7 +101,7 @@ class Process:
 
     # -- engine --------------------------------------------------------------
     def _resume(self, epoch: int, value: Any, exc: BaseException | None) -> None:
-        if epoch != self._epoch or not self.alive:
+        if epoch != self._epoch or self.done._state != PENDING:
             return  # stale wakeup (process was interrupted or already ended)
         self._waiting_on = None
         gen = self._gen
@@ -106,10 +109,11 @@ class Process:
             try:
                 target = gen.send(value) if exc is None else gen.throw(exc)
             except StopIteration as stop:
-                self.done.succeed(stop.value)
+                # this event is the process's last: it wakes the joiners
+                self.done._settle(SUCCEEDED, stop.value, None)
                 return
             except Exception as error:  # an unhandled Interrupt included
-                self.done.fail(error)
+                self.done._settle(FAILED, None, error)
                 return
             try:
                 signal = target if isinstance(target, Signal) else self._as_signal(target)

@@ -26,8 +26,11 @@ class Signal:
     at :meth:`wait` — and exactly one of the two is meaningful depending on
     whether the signal succeeded or failed. Waiters never run inside the
     caller of ``succeed``/``fail``/``wait`` — each gets its own event at the
-    current simulated time, so ordering stays deterministic — except that a
-    timeout's waiters run in its timer event (see :meth:`_fire`).
+    current simulated time, so ordering stays deterministic. The two
+    exceptions are the kernel's own resolutions, which have no caller to run
+    inside (see :meth:`_settle`): a timeout's waiters run in its timer
+    event, and the waiters of a process's ``done`` — its joiners — run in
+    that process's last event.
     """
 
     __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_timer_event")
@@ -101,20 +104,40 @@ class Signal:
 
     def _fire(self, value: Any) -> None:
         """The timer event of :meth:`Kernel.timeout`, which is the wake-up."""
-        # Resolve, then run the waiters here, in registration order: the
-        # kernel is the caller, so nothing is re-entered and no second event
-        # is spent per waiter. A waiter attached meanwhile finds the signal
-        # resolved and is scheduled by wait().
         if self._state == PENDING:
-            self._state, self._value = SUCCEEDED, value
-            waiters = iter(self._waiters)
-            self._waiters = []
-            try:
+            self._settle(SUCCEEDED, value, None)
+
+    def _settle(self, state: str, value: Any, exc: BaseException | None) -> None:
+        """Resolve from inside the kernel — a timer firing, a process ending
+        — and run the waiters inside the event now executing."""
+        # The kernel is the caller, so nothing is re-entered and no second
+        # event is spent per waiter. The waiters run in registration order
+        # off one queue per kernel: a process that ends *during* the drain
+        # appends its joiners to that queue (no recursion, so a join chain
+        # may be any length) and they run after the waiters already queued.
+        # A waiter attached meanwhile finds the signal resolved and is
+        # scheduled by wait().
+        self._state, self._value, self._exc = state, value, exc
+        if not self._waiters:
+            return
+        kernel = self.kernel
+        batch = (iter(self._waiters), value, exc)
+        self._waiters = []
+        if kernel._waking is not None:  # inside another signal's drain
+            kernel._waking.append(batch)
+            return
+        kernel._waking = queue = [batch]
+        batches = iter(queue)  # by index: batches appended meanwhile are seen
+        try:
+            for batch in batches:
+                waiters, value, exc = batch
                 for callback, *args in waiters:
-                    callback(*args, value, None)
-            finally:  # some are left only if one raised: they still wake
+                    callback(*args, value, exc)
+        finally:  # some are left only if one raised: they still wake
+            kernel._waking = None
+            for waiters, value, exc in (batch, *batches):
                 for waiter in waiters:
-                    self.kernel.schedule(0.0, *waiter, value, None)
+                    kernel.schedule(0.0, *waiter, value, exc)
 
     # -- waiting ------------------------------------------------------------
     def wait(self, callback: Callable[..., None], *args: Any) -> None:

@@ -86,3 +86,39 @@ class TestBrokeredTransport:
                                payload=b"x", src=Address("desktop", 2)))
         kernel.run()
         assert len(received) == 1
+
+
+class TestRouteIsTheRelaysDone:
+    """``_route`` returns the relay process's own ``done``: the send is
+    delivered in the relay's last event and fails if the relay dies."""
+
+    def test_send_is_delivered_in_the_relays_last_event(self):
+        kernel = Kernel()
+        transport = BrokeredTransport(kernel, build_topo(kernel), "desktop")
+        delivered_at = []
+        transport.bind(Address("tv", 1),
+                       lambda message: delivered_at.append(kernel.now))
+        done = transport.send(Message(kind="data", dst=Address("tv", 1),
+                                      payload=b"x" * 1000,
+                                      src=Address("phone", 1000)))
+        kernel.run()
+        assert done.value == delivered_at[0] == kernel.now
+        assert transport.relayed_count == transport.delivered_count == 1
+        assert transport.in_flight == 0
+
+    def test_a_relay_that_dies_on_its_second_leg_fails_the_send(self):
+        """The consumer drops off the network while the broker holds the
+        message: ``topology.transfer`` raises inside the relay, and the send
+        fails with that error instead of pending forever."""
+        kernel = Kernel()
+        topo = build_topo(kernel)
+        transport = BrokeredTransport(kernel, topo, "desktop", processing_s=0.5)
+        received = []
+        transport.bind(Address("tv", 1), received.append)
+        done = transport.send(Message(kind="data", dst=Address("tv", 1),
+                                      payload=b"x", src=Address("phone", 1000)))
+        kernel.schedule(0.25, topo.partition, "tv")
+        kernel.run()
+        assert done.failed and isinstance(done.exception, NetworkError)
+        assert received == [] and transport.relayed_count == 0
+        assert transport.failed_count == 1 and transport.in_flight == 0

@@ -199,3 +199,45 @@ class TestEventDelivery:
             ctx.call_module("b", {"n": i})
         home.kernel.run()
         assert b.max_mailbox_depth >= 3
+
+
+class TestRemoteSendThatDies:
+    """The remote arm's signal *is* the shipping process's ``done``: a send
+    whose process dies fails its signal instead of leaving it pending."""
+
+    def test_a_stale_ref_fails_the_send_and_dead_letters_the_frame_once(self, home):
+        """``encode_refs_for_wire`` raises on the released ref inside the
+        shipping process. The hand-made completion signal used to stay
+        pending forever (anything yielding the send hung) and the frame was
+        never accounted."""
+        from repro.errors import StaleHandleError
+
+        wiring = home.wiring({"a": ("phone", 5000), "b": ("desktop", 5001)},
+                             next_modules={"a": ["b"], "b": []})
+        got = []
+        home.runtimes["desktop"].deploy(
+            "b", FunctionModule(lambda ctx, e: got.append(e)),
+            wiring.address_of("b"), wiring)
+        store = home.devices["phone"].frame_store
+        ref = store.put(frame())
+        wiring.metrics.frame_entered(1, home.kernel.now)
+        store.release(ref)
+
+        sent = home.runtimes["phone"].send_to_module(
+            "a", "b", {"frame_id": 1, "ref": ref}, {}, wiring=wiring)
+        outcomes = []
+
+        def caller():
+            try:
+                yield sent
+            except StaleHandleError as error:
+                outcomes.append(error)
+
+        home.kernel.process(caller())
+        home.kernel.run(until=5.0)
+        assert sent.failed and isinstance(sent.exception, StaleHandleError)
+        assert outcomes == [sent.exception] and got == []
+        counters = wiring.metrics.counters()
+        assert counters["dead_letters"] == 1
+        assert counters["frames_dropped"] == counters["frames_dropped.dead_letter"] == 1
+        assert not wiring.metrics.frame_in_flight(1)

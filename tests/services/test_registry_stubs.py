@@ -107,3 +107,56 @@ class TestMakeStub:
         assert r1.value == {"v": 1}
         assert r2.value == {"v": 2}
         assert local.calls == 1 and remote.calls == 1
+
+
+class TestRemoteCallThatFails:
+    """``RemoteServiceStub.call`` returns the call process's own ``done``:
+    a failure escapes the generator as the wrapped ``ServiceError``."""
+
+    def remote_stub(self, home):
+        registry = ServiceRegistry()
+        registry.register(host_on(home, "desktop"))
+        return make_stub(home.kernel, home.transport, registry, home.phone, "svc")
+
+    def test_transport_failure_arrives_wrapped_with_its_cause(self, home):
+        from repro.errors import CircuitOpenError
+        from repro.metrics import MetricsCollector
+        from repro.runtime import ModuleRuntime, PipelineWiring
+        from repro.runtime.context import ModuleContext
+
+        stub = self.remote_stub(home)
+        stub.registry = None  # no replica to fail over to
+        breaker = stub._client.breaker_for(stub.target_address)
+        for _ in range(breaker.policy.failure_threshold):
+            breaker.record_failure(home.kernel.now)
+        wiring = PipelineWiring("t", metrics=MetricsCollector("t"))
+        runtime = ModuleRuntime(home.kernel, home.phone, home.transport)
+        ctx = ModuleContext(runtime, "m", wiring, {"svc": stub})
+
+        result = ctx.call_service("svc", {"v": 1})
+        caught = []
+
+        def caller():
+            try:
+                yield result
+            except ServiceError as error:
+                caught.append(error)
+
+        home.kernel.process(caller())
+        home.kernel.run()
+        assert result.failed and caught == [result.exception]
+        assert "svc remote call failed" in str(caught[0])
+        assert isinstance(caught[0].__cause__, CircuitOpenError)
+        assert wiring.metrics.counter("service_rejections") == 1
+
+    def test_a_service_error_is_not_wrapped_twice(self, home):
+        stub = self.remote_stub(home)
+
+        def refuses(*args, **kwargs):
+            raise ServiceError("refused as is")
+
+        stub._client.call = refuses
+        result = stub.call({"v": 1})
+        home.kernel.run()
+        assert result.failed and str(result.exception) == "refused as is"
+        assert result.exception.__cause__ is None

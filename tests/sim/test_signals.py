@@ -188,6 +188,71 @@ class TestTimerEvent:
         assert seen == ["by hand"] and kernel.now == 1.0  # the timer found it resolved
 
 
+class TestOneDrainPerEvent:
+    """A firing timer and an ending process wake their waiters off one queue
+    (``Signal._settle``); everything else still wakes by events."""
+
+    def test_succeed_from_a_waiter_inside_a_drain_is_still_never_inline(self, kernel):
+        """Only the kernel's own resolutions run waiters in place: a waiter
+        that resolves another signal is ordinary code, drain or no drain."""
+        other = kernel.signal()
+        seen = []
+        other.wait(lambda v, e: seen.append(("other's waiter", v)))
+
+        def first(value, exc):
+            other.succeed("by hand")
+            seen.append(("first", kernel.pending_events))
+
+        timer = kernel.timeout(1.0)
+        timer.wait(first)
+        timer.wait(lambda v, e: seen.append("second"))
+        kernel.step()
+        assert seen == [("first", 1), "second"]
+        kernel.run()
+        assert seen[-1] == ("other's waiter", "by hand")
+
+    def test_a_raising_waiter_also_wakes_what_an_ended_process_queued(self, kernel):
+        """The joiner of a process that ended earlier in the drain sits in
+        the same queue, so it too is scheduled before the error leaves."""
+        timer = kernel.timeout(1.0)
+        log = []
+
+        def broken(value, exc):
+            raise RuntimeError("waiter blew up")
+
+        def ends_on_timer():
+            yield timer
+            return "ended"
+
+        def joiner():
+            log.append((yield ending))
+
+        ending = kernel.process(ends_on_timer())
+        kernel.process(joiner())
+        kernel.run(until=0.5)
+        timer.wait(broken)
+        timer.wait(lambda v, e: log.append("behind the broken one"))
+        with pytest.raises(RuntimeError, match="blew up"):
+            kernel.run()
+        assert log == [] and ending.done.succeeded and kernel.pending_events == 2
+        kernel.run()
+        assert log == ["behind the broken one", "ended"]
+
+    def test_a_process_done_resolved_by_hand_wakes_by_events(self, kernel):
+        """``done`` is an ordinary signal to ordinary code."""
+        seen = []
+
+        def forever():
+            yield kernel.signal()
+
+        proc = kernel.process(forever())
+        proc.done.wait(lambda v, e: seen.append(v))
+        proc.done.succeed("by hand")
+        assert seen == [] and not proc.alive
+        kernel.run()
+        assert seen == ["by hand"]
+
+
 class TestCancelTimer:
     def test_abandoned_timeout_does_not_hold_the_clock(self, kernel):
         sig = kernel.timeout(100.0)

@@ -5,8 +5,10 @@ The profile a perf PR that moves the event count has to show: which
 callbacks the events of one frame belong to. A passive observer on the
 public ``Kernel.add_observer`` hook counts every executed event under its
 callback's qualified name; ``Process._resume`` — the callback of every
-process start and every wake-up from a pending non-timer signal — is split
-into ``start`` / ``wake`` and by the generator the process runs. Nothing is
+process start and of every wake-up from a pending signal that is neither a
+timer nor a process's end (those two wake their waiters inside their own
+event) — is split into ``start`` / ``wake`` and by the generator the
+process runs. Nothing is
 patched, so the counted run is the run (docs/PERF.md "What is an event"
 holds this tool's output for ``--fleet-stage 90``).
 
@@ -129,11 +131,15 @@ def main(argv: list[str] | None = None) -> int:
                          f" {sorted(EXAMPLE_SCENARIOS)}")
         world = scenario(name, args.seed)
     result = histogram(*world)
-    print(render(result, args.top))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2)
             fh.write("\n")
+    try:
+        print(render(result, args.top), flush=True)
+    except BrokenPipeError:  # `| head -1`: the reader has what it wanted
+        # point stdout at devnull so the interpreter's exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
