@@ -126,8 +126,8 @@ class Signal:
         if kernel._waking is not None:  # inside another signal's drain
             kernel._waking.append(batch)
             return
-        kernel._waking = queue = [batch]
-        batches = iter(queue)  # by index: batches appended meanwhile are seen
+        kernel._waking = [batch]
+        batches = iter(kernel._waking)  # by index: sees batches appended meanwhile
         try:
             for batch in batches:
                 waiters, value, exc = batch

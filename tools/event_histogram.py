@@ -8,9 +8,9 @@ callback's qualified name; ``Process._resume`` — the callback of every
 process start and of every wake-up from a pending signal that is neither a
 timer nor a process's end (those two wake their waiters inside their own
 event) — is split into ``start`` / ``wake`` and by the generator the
-process runs. Nothing is
-patched, so the counted run is the run (docs/PERF.md "What is an event"
-holds this tool's output for ``--fleet-stage 90``).
+process runs. Nothing is patched, so the counted run is the run
+(docs/PERF.md "What is an event" holds this tool's output for
+``--fleet-stage 90``).
 
 Usage:
     python tools/event_histogram.py quickstart            # a determinism scenario
