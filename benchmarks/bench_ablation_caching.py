@@ -25,7 +25,7 @@ LADDER = (
 )
 
 BATCHING_ONLY = PerfConfig(frame_dedup=False, result_cache=False,
-                           batching=True, max_batch=4, max_wait_s=0.008)
+                           batching=True, max_wait_s=0.008)
 
 ALL_OFF = PerfConfig(frame_dedup=False, result_cache=False, batching=False)
 

@@ -30,7 +30,7 @@ def test_scaling_restores_shared_throughput(benchmark, fitness_recognizer,
         f_fit, f_gest, home = run_shared(
             fitness_recognizer, gesture_recognizer, fps=30.0, pose_replicas=1,
             autoscale_policy=ScalingPolicy(
-                check_interval_s=0.25, queue_threshold=0.75, window=4,
+                check_interval_s=0.25, queue_threshold=0.75,
                 max_replicas=2,
             ),
         )

@@ -34,7 +34,7 @@ def main() -> None:
     install_gesture_services(home)
 
     # 1. monitoring: probe every device, service and pipeline twice a second
-    monitor = home.enable_monitoring(period_s=0.5)
+    monitor = home.enable_monitoring()
     monitor.add_rule(AlarmRule(
         name="pose-overload",
         probe="service/pose_detector@desktop",
@@ -45,7 +45,7 @@ def main() -> None:
 
     # 2. autoscaling: grow a service when requests keep queueing
     home.enable_autoscaling(ScalingPolicy(
-        check_interval_s=0.5, queue_threshold=0.75, window=4, max_replicas=2,
+        check_interval_s=0.5, queue_threshold=0.75, max_replicas=2,
     ))
 
     # 3. overload: both pipelines at a 30 FPS source share one pose worker

@@ -37,7 +37,6 @@ Quickstart::
 from .core import VideoPipe
 from .errors import (
     AdmissionError,
-    AuditError,
     ConfigError,
     DeploymentError,
     DeviceError,
@@ -53,13 +52,11 @@ from .errors import (
 from .faults import ChaosInjector, FaultEvent, FaultPlan
 from .liveops import CanaryPolicy, LineageRecorder, LiveOpsManager, ModuleUpgrade
 from .pipeline import (
-    AuditConfig,
     DataPlaneConfig,
     ModuleConfig,
     Pipeline,
     PerfConfig,
     PipelineConfig,
-    TraceConfig,
     parse_pipeline_json,
     parse_pipeline_text,
 )
@@ -71,8 +68,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdmissionError",
-    "AuditConfig",
-    "AuditError",
     "CanaryPolicy",
     "ChaosInjector",
     "ConfigError",
@@ -103,7 +98,6 @@ __all__ = [
     "ServiceError",
     "SimulationError",
     "StaleHandleError",
-    "TraceConfig",
     "VideoPipe",
     "__version__",
     "parse_pipeline_json",

@@ -26,8 +26,8 @@ Invariants covered (see ``docs/AUDIT.md`` for the full statement of each):
   .MetricsCollector` — frames admitted == completed + dropped + in-flight,
   and the collector's in-flight table agrees with the auditor's mirror;
 * **autoscaler pacing** — consecutive scaling decisions for one host are
-  separated by the policy cooldown and stay inside
-  ``[min_replicas, max_replicas]`` (the pre-fix overlapping-window bug
+  separated by the autoscaler's cooldown and stay inside
+  ``[1, max_replicas]`` (the pre-fix overlapping-window bug
   bursts replicas and trips this immediately);
 * **SLO ladder monotonicity** per :class:`~repro.slo.controller
   .SLOController` — every action moves the ladder depth by exactly one,
@@ -56,8 +56,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..errors import AuditError
-from ..pipeline.config import AuditConfig
+from ..services.scaling import COOLDOWN_S
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frames.arena import ArenaHandle, FrameArena
@@ -74,6 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Tolerance for float time comparisons (kernel times are exact sums of
 #: exact delays, but cooldown arithmetic subtracts them).
 _EPS = 1e-9
+
+#: Violations stored per auditor; past it they are only counted
+#: (``dropped_violations``), so a hot failing invariant cannot grow memory
+#: without bound.
+MAX_VIOLATIONS = 1000
 
 #: Every live auditor, so test harnesses (the ``REPRO_AUDIT`` pytest gate)
 #: can sweep for violations without threading references around.
@@ -192,7 +196,7 @@ class InvariantAuditor:
 
     Attributes:
         violations: recorded violations, oldest first (capped by
-            ``AuditConfig.max_violations``).
+            :data:`MAX_VIOLATIONS`).
         dropped_violations: violations past the cap (counted, not stored).
         source: ``"explicit"`` for auditors built through the API,
             ``"env"`` for those auto-enabled by ``REPRO_AUDIT=1``.
@@ -201,11 +205,9 @@ class InvariantAuditor:
     def __init__(
         self,
         kernel: "Kernel",
-        config: AuditConfig | None = None,
         source: str = "explicit",
     ) -> None:
         self.kernel = kernel
-        self.config = config or AuditConfig()
         self.source = source
         self.violations: list[Violation] = []
         self.dropped_violations = 0
@@ -228,14 +230,12 @@ class InvariantAuditor:
         return len(self.violations) + self.dropped_violations
 
     def record(self, invariant: str, subject: str, detail: str) -> None:
-        """Record one violation (or raise, in strict mode)."""
-        violation = Violation(
-            at=self.kernel.now, invariant=invariant, subject=subject, detail=detail
-        )
-        if self.config.strict:
-            raise AuditError(violation.describe())
-        if len(self.violations) < self.config.max_violations:
-            self.violations.append(violation)
+        """Record one violation."""
+        if len(self.violations) < MAX_VIOLATIONS:
+            self.violations.append(Violation(
+                at=self.kernel.now, invariant=invariant, subject=subject,
+                detail=detail,
+            ))
         else:
             self.dropped_violations += 1
 
@@ -496,16 +496,13 @@ class InvariantAuditor:
         policy = scaler.policy
         subject = f"autoscaler/{event.service}@{event.device}"
         previous = last_by_host.get(key)
-        if (
-            previous is not None
-            and event.at - previous < policy.cooldown_s - _EPS
-        ):
+        if previous is not None and event.at - previous < COOLDOWN_S - _EPS:
             self.record(
                 "autoscaler-pacing",
                 subject,
                 f"scaling events {previous:.3f}s and {event.at:.3f}s are"
                 f" {event.at - previous:.3f}s apart, inside the"
-                f" {policy.cooldown_s:.3f}s cooldown — the sampler is"
+                f" {COOLDOWN_S:.3f}s cooldown — the sampler is"
                 " re-evaluating overlapping windows (one decision should"
                 " consume its window)",
             )

@@ -292,9 +292,9 @@ def monitoring_autoscaling(seed: int):
                                cores=8, supports_containers=False))
     fitness = install_fitness_services(home, recognizer=_activity_recognizer())
     install_gesture_services(home, recognizer=_gesture_recognizer())
-    home.enable_monitoring(period_s=0.5)
+    home.enable_monitoring()
     home.enable_autoscaling(ScalingPolicy(
-        check_interval_s=0.5, queue_threshold=0.75, window=4, max_replicas=2,
+        check_interval_s=0.5, queue_threshold=0.75, max_replicas=2,
     ))
     app = FitnessApp(home, fitness)
     p_fit = app.deploy(

@@ -53,13 +53,7 @@ from ..net.broker import BrokeredTransport
 from ..net.link import WIFI_HOME, LinkSpec
 from ..net.topology import Topology
 from ..net.transport import BrokerlessTransport, Transport
-from ..pipeline.config import (
-    AuditConfig,
-    DataPlaneConfig,
-    PerfConfig,
-    PipelineConfig,
-    TraceConfig,
-)
+from ..pipeline.config import DataPlaneConfig, PerfConfig, PipelineConfig
 from ..pipeline.deployer import Deployer
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.optimizer import (
@@ -172,13 +166,9 @@ class VideoPipe:
         self.topology.attach(spec.name, "wifi")
         return self._register_device(device)
 
-    def add_cloud_device(
-        self,
-        spec: DeviceSpec | str = "cloud",
-        wan: LinkSpec | None = None,
-    ) -> Device:
-        """Join a cloud-tier device behind the home's access point over a
-        metered WAN uplink (default profile:
+    def add_cloud_device(self, wan: LinkSpec | None = None) -> Device:
+        """Join the ``cloud`` device (the catalog's 32-core server) behind
+        the home's access point over a metered WAN uplink (default profile:
         :data:`~repro.net.link.WAN_METRO`).
 
         The device behaves like any other — services deploy to it, modules
@@ -189,8 +179,7 @@ class VideoPipe:
         whether a home calls its hub or the cloud falls out of the same
         cost model as every other decision (``docs/FLEET.md``).
         """
-        if isinstance(spec, str):
-            spec = make_spec(spec)
+        spec = make_spec("cloud")
         if spec.name in self.devices:
             raise DeviceError(f"device {spec.name!r} already exists")
         device = Device(self.kernel, spec, self.rng)
@@ -281,12 +270,10 @@ class VideoPipe:
         perf, plane = self._perf, self._data_plane
         if perf is not None and perf.frame_dedup:
             device.frame_store.dedup = True
-            device.frame_store.retain_limit = perf.dedup_retain_limit
         if plane is not None:
-            if plane.arena:
-                device.enable_arena(capacity_bytes=plane.arena_capacity_bytes)
+            device.enable_arena()
             if plane.replica_pool:
-                device.enable_replica_pool(slots=plane.pool_slots)
+                device.enable_replica_pool()
         if self.auditor is not None:
             self.auditor.watch_transport(device.runtime.transport)
             self.auditor.watch_store(device.frame_store)
@@ -305,13 +292,9 @@ class VideoPipe:
         if perf is not None:
             if (perf.result_cache and host.service.cacheable
                     and host.result_cache is None):
-                host.enable_result_cache(
-                    max_entries=perf.cache_max_entries, ttl_s=perf.cache_ttl_s
-                )
+                host.enable_result_cache()
             if perf.batching and host.service.max_batch > 1:
-                host.enable_batching(
-                    max_batch=perf.max_batch, max_wait_s=perf.max_wait_s
-                )
+                host.enable_batching(max_wait_s=perf.max_wait_s)
         if plane is not None and plane.replica_pool:
             host.attach_pool(host.device.replica_pool)
         if self.autoscaler is not None:
@@ -446,15 +429,14 @@ class VideoPipe:
     ) -> DataPlaneConfig:
         """Turn on the zero-copy data plane: per-device shared-memory frame
         arenas and pooled service replicas, per *config* (defaults to
-        :class:`DataPlaneConfig` — both on; pass one with a half off for
-        arenas or pools alone).
+        :class:`DataPlaneConfig` — pools on; ``replica_pool=False`` for
+        arenas alone).
 
         Arena-backed stores hand out generation-counted handles so
         intra-device hops ship a fixed-size handle tuple instead of walking
         and pricing the payload tree; pooled hosts share the device's
         worker slots instead of statically partitioning them
-        (``docs/PERF.md``). With a config whose features are all off this is
-        a no-op.
+        (``docs/PERF.md``).
         """
         self._data_plane = config or DataPlaneConfig()
         self._wire()
@@ -498,7 +480,7 @@ class VideoPipe:
         return {"arena": arena, "pool": pool}
 
     # -- tracing -------------------------------------------------------------------
-    def enable_tracing(self, trace: TraceConfig | None = None) -> TraceRecorder:
+    def enable_tracing(self) -> TraceRecorder:
         """Turn on per-frame distributed tracing home-wide.
 
         Pipelines and service hosts report spans to one
@@ -509,13 +491,12 @@ class VideoPipe:
         returns the existing recorder.
         """
         if self.tracer is None:
-            config = trace or TraceConfig()
-            self.tracer = TraceRecorder(self.kernel, max_spans=config.max_spans)
+            self.tracer = TraceRecorder(self.kernel)
             self._wire()
         return self.tracer
 
     # -- auditing ------------------------------------------------------------------
-    def enable_audit(self, audit: AuditConfig | None = None) -> InvariantAuditor:
+    def enable_audit(self) -> InvariantAuditor:
         """Turn on the runtime invariant auditor home-wide.
 
         One :class:`~repro.audit.auditor.InvariantAuditor` watches the
@@ -529,35 +510,33 @@ class VideoPipe:
         environment, which audits every home without code changes.
         """
         if self.auditor is None:
-            self.auditor = InvariantAuditor(self.kernel, audit or AuditConfig())
+            self.auditor = InvariantAuditor(self.kernel)
             self.auditor.attach_kernel(self.kernel)
             self._wire()
         return self.auditor
 
-    def check_invariants(self, quiesce: bool | None = None) -> list[Violation]:
+    def check_invariants(self) -> list[Violation]:
         """Run the auditor's checks now and return any *new* violations.
 
-        With ``quiesce=True`` the end-of-run laws are included: every
-        frame reference released, no in-flight messages, no pending RPCs.
-        Those laws only hold once the kernel has drained, so the default
-        (``None``) picks automatically: quiesce checks when
-        ``kernel.pending_events == 0``, instantaneous conservation checks
-        otherwise — calling this mid-run never reports a still-working
-        frame as a leak. Requires :meth:`enable_audit` to have been called
-        (directly or via ``REPRO_AUDIT=1``)."""
+        Once the kernel has drained (``kernel.pending_events == 0``) the
+        end-of-run laws are included: every frame reference released, no
+        in-flight messages, no pending RPCs. Before that only the
+        instantaneous conservation checks run — calling this mid-run never
+        reports a still-working frame as a leak. Requires
+        :meth:`enable_audit` to have been called (directly or via
+        ``REPRO_AUDIT=1``)."""
         if self.auditor is None:
             raise ConfigError("call enable_audit() before check_invariants()")
-        if quiesce is None:
-            quiesce = self.kernel.pending_events == 0
-        if quiesce:
+        if self.kernel.pending_events == 0:
             return self.auditor.check_quiesce()
         return self.auditor.check_now()
 
-    def enable_monitoring(self, period_s: float = 0.5) -> Monitor:
+    def enable_monitoring(self) -> Monitor:
         """Turn on the §7 future-work monitor: one probe per device,
-        service host, pipeline and enabled feature."""
+        service host, pipeline and enabled feature, sampled every half
+        second."""
         if self.monitor is None:
-            self.monitor = Monitor(self.kernel, period_s=period_s)
+            self.monitor = Monitor(self.kernel)
             self._wire()
             self.monitor.start()
         return self.monitor
@@ -588,11 +567,7 @@ class VideoPipe:
             self.autoscaler.start()
         return self.autoscaler
 
-    def enable_slo(
-        self,
-        config: SLOConfig | None = None,
-        default_slo: SLO | None = None,
-    ) -> SLOController:
+    def enable_slo(self, config: SLOConfig | None = None) -> SLOController:
         """Turn on the closed-loop SLO guardian (``docs/SLO.md``).
 
         A :class:`~repro.slo.controller.SLOController` periodically
@@ -601,18 +576,17 @@ class VideoPipe:
         degradation ladder when it is overloaded; deploys through
         :meth:`deploy_pipeline` are priced by admission control first.
         Existing pipelines that declared an SLO at deploy time are
-        enrolled immediately; *default_slo*, when given, enrolls every
-        pipeline that declared none. Idempotent: a second call returns
-        the existing controller.
+        enrolled immediately; a pipeline that declared none is left alone.
+        Idempotent: a second call returns the existing controller.
         """
         if self.slo is None:
-            self.slo = SLOController(self, config, default_slo)
+            self.slo = SLOController(self, config)
             self._wire()
             self.slo.start()
         return self.slo
 
     # -- live operations -----------------------------------------------------------
-    def enable_liveops(self, policy: CanaryPolicy | None = None) -> LiveOpsManager:
+    def enable_liveops(self) -> LiveOpsManager:
         """Turn on live operations: hot module upgrades with canary
         mirroring, and per-frame version lineage (``docs/LIVEOPS.md``).
 
@@ -623,12 +597,10 @@ class VideoPipe:
         consumes randomness or touches message sizes), so a home with
         live-ops enabled but no upgrade in flight runs bit-for-bit
         identically to one without it. Idempotent: a second call returns
-        the existing manager; *policy* sets the default
-        :class:`~repro.liveops.policy.CanaryPolicy` for upgrades that don't
-        pass their own.
+        the existing manager.
         """
         if self.liveops is None:
-            self.liveops = LiveOpsManager(self, policy)
+            self.liveops = LiveOpsManager(self)
             self._wire()
         return self.liveops
 
@@ -636,9 +608,6 @@ class VideoPipe:
         self,
         pipeline: Pipeline,
         module_name: str,
-        new_include: str | None = None,
-        params: dict | None = None,
-        version: str | None = None,
         policy: CanaryPolicy | None = None,
         module_instance: Module | None = None,
     ) -> ModuleUpgrade:
@@ -655,7 +624,6 @@ class VideoPipe:
         manager = self.enable_liveops()
         return manager.start_upgrade(
             pipeline, module_name,
-            new_include=new_include, params=params, version=version,
             policy=policy, module_instance=module_instance,
         )
 
@@ -691,7 +659,6 @@ class VideoPipe:
         self,
         home_device: str | None = None,
         period_s: float = 0.5,
-        timeout_s: float | None = None,
         miss_threshold: int = 3,
     ) -> FailureDetector:
         """Turn on heartbeat-based failure detection from *home_device*
@@ -708,7 +675,6 @@ class VideoPipe:
                 self._get_transport(),
                 home,
                 period_s=period_s,
-                timeout_s=timeout_s,
                 miss_threshold=miss_threshold,
             )
             self._wire()

@@ -80,13 +80,13 @@ class Device:
             host.restart()
 
     # -- perf subsystems ------------------------------------------------------
-    def enable_arena(self, capacity_bytes: int | None = None):
+    def enable_arena(self):
         """Back this device's frame store with a generation-counted
         :class:`~repro.frames.arena.FrameArena` (idempotent; returns it)."""
         if self.arena is None:
             from ..frames.arena import FrameArena
 
-            self.arena = FrameArena(self.name, capacity_bytes=capacity_bytes)
+            self.arena = FrameArena(self.name)
             self.frame_store.attach_arena(self.arena)
         return self.arena
 

@@ -112,12 +112,6 @@ class StaleHandleError(FrameStoreError):
         self.reason = reason
 
 
-class AuditError(ReproError):
-    """Raised by the invariant auditor in strict mode when a conservation
-    law or ordering invariant is violated (the default is to record the
-    violation and keep running)."""
-
-
 class DeviceError(ReproError):
     """Raised for invalid device operations (deploying a container service
     onto a device without container support, unknown device)."""

@@ -31,17 +31,11 @@ from ..devices.catalog import make_spec
 from ..errors import ConfigError
 from ..metrics.stats import Summary, summarize
 from ..net.link import LinkSpec
-from ..pipeline.optimizer import (
-    OPTIMIZED,
-    CloudPricing,
-    OptimizerConfig,
-    plan_optimized,
-)
+from ..pipeline.optimizer import OPTIMIZED, CloudPricing, plan_optimized
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.placement import COLOCATED, SINGLE_HOST
 from ..services.balancer import COST_AWARE
 from ..sim.kernel import Kernel
-from ..slo.spec import SLO, attainment as slo_attainment_score
 from .workload import (
     home_device_kinds,
     home_pipeline_config,
@@ -93,27 +87,16 @@ class FleetConfig:
             bit-identical for every shard count.
         cloud: attach the shared cloud tier: every home gets a ``cloud``
             device behind a metered WAN uplink hosting replicas of the
-            heavy services, with ``cost_aware`` balancing (unless
-            *balancing* overrides it) so each home's calls pick
-            home-vs-cloud by modeled cost.
+            heavy services, with ``cost_aware`` balancing (``fastest``
+            without it) so each home's calls pick home-vs-cloud by modeled
+            cost.
         wan: WAN uplink profile for the cloud tier (``None`` keeps
             :data:`~repro.net.link.WAN_METRO`).
-        pricing: dollar rates for the per-home cost accounting (``None``
-            keeps :class:`~repro.pipeline.optimizer.CloudPricing`
-            defaults).
         online: enable each home's :class:`OnlineOptimizer
             <repro.pipeline.optimizer.OnlineOptimizer>` (live re-placement).
         audit: enable each home's invariant auditor.
         tracing: enable each home's trace recorder (feeds the online
             optimizer's calibration).
-        balancing: per-pipeline replica-selection policy (``None`` keeps
-            the ``fastest`` default, or ``cost_aware`` when *cloud* is on).
-        optimizer: cost-model/search knobs for ``optimized`` placement and
-            the online loop.
-        slo: when given, every home runs the SLO guardian
-            (:meth:`~repro.core.videopipe.VideoPipe.enable_slo`) with this
-            as its pipeline's objective, and the report carries per-home
-            SLO attainment.
         workload: per-home application shape — ``"stage"`` (default, the
             linear camera → detect → classify → alert → sink DAG) or
             ``"scene"`` (the multi-camera fan-in scene-fusion DAG; the
@@ -129,13 +112,9 @@ class FleetConfig:
     shards: int = 1
     cloud: bool = False
     wan: LinkSpec | None = None
-    pricing: CloudPricing | None = None
     online: bool = False
     audit: bool = False
     tracing: bool = False
-    balancing: str | None = None
-    optimizer: OptimizerConfig | None = None
-    slo: SLO | None = None
     workload: str = "stage"
 
     def __post_init__(self) -> None:
@@ -175,11 +154,6 @@ class HomeResult:
     replans: int
     latencies: list[float]
     sink_frame_ids: list[int]
-    #: fraction of capture-window buckets meeting the fleet SLO (``None``
-    #: when the fleet runs without one).
-    slo_attainment: float | None = None
-    #: ladder actions the home's SLO controller took.
-    slo_actions: int = 0
     #: circuit-breaker open rejections the pipeline's calls hit.
     service_rejections: int = 0
     #: calls this home sent to cloud-hosted service replicas.
@@ -188,7 +162,8 @@ class HomeResult:
     cloud_compute_s: float = 0.0
     #: bytes this home pushed across its metered WAN uplink.
     cloud_egress_bytes: int = 0
-    #: this home's $/hour at the fleet's pricing (edge + cloud + egress).
+    #: this home's $/hour at :class:`CloudPricing` rates (edge + cloud +
+    #: egress).
     cost_usd_per_hour: float = 0.0
     #: which shard's kernel ran the home (provenance only — results are
     #: shard-invariant).
@@ -216,14 +191,8 @@ class FleetReport:
     cloud_egress_bytes: int = 0
     #: total calls served by cloud-hosted replicas.
     cloud_calls: int = 0
-    #: mean per-home $/hour at the fleet's pricing.
+    #: mean per-home $/hour at :class:`CloudPricing` rates.
     cost_per_home: float = 0.0
-    #: mean per-home SLO attainment (``None`` without a fleet SLO).
-    slo_attainment_mean: float | None = None
-    #: homes whose attainment is at least 0.9.
-    slo_homes_meeting: int = 0
-    #: total ladder actions across all homes' SLO controllers.
-    slo_actions: int = 0
     #: total circuit-breaker open rejections across all pipelines.
     service_rejections: int = 0
     #: shard provenance: how many worker kernels ran the fleet, and how
@@ -251,9 +220,6 @@ class FleetReport:
             "cloud_egress_bytes": self.cloud_egress_bytes,
             "cloud_calls": self.cloud_calls,
             "cost_per_home": self.cost_per_home,
-            "slo_attainment_mean": self.slo_attainment_mean,
-            "slo_homes_meeting": self.slo_homes_meeting,
-            "slo_actions": self.slo_actions,
             "service_rejections": self.service_rejections,
             "shards": self.shards,
             "shard_homes": {str(k): v for k, v in self.shard_homes.items()},
@@ -279,12 +245,6 @@ class FleetReport:
                 f" {self.cloud_egress_bytes / 1e6:.1f} MB egress"
             )
         text += f", ${self.cost_per_home:.4f}/home-hour"
-        if self.slo_attainment_mean is not None:
-            text += (
-                f", SLO attainment mean {self.slo_attainment_mean:.1%}"
-                f" ({self.slo_homes_meeting}/{self.homes} homes >= 90%,"
-                f" {self.slo_actions} ladder actions)"
-            )
         if self.service_rejections:
             text += f", {self.service_rejections} service rejections"
         return text
@@ -308,9 +268,6 @@ def aggregate_report(
     latencies: list[float] = []
     for result in results:
         latencies.extend(result.latencies)
-    attainments = [
-        r.slo_attainment for r in results if r.slo_attainment is not None
-    ]
     costs = [r.cost_usd_per_hour for r in results]
     return FleetReport(
         homes=len(results),
@@ -329,11 +286,6 @@ def aggregate_report(
         cloud_egress_bytes=sum(r.cloud_egress_bytes for r in results),
         cloud_calls=sum(r.cloud_calls for r in results),
         cost_per_home=sum(costs) / len(costs) if costs else 0.0,
-        slo_attainment_mean=(
-            sum(attainments) / len(attainments) if attainments else None
-        ),
-        slo_homes_meeting=sum(1 for a in attainments if a >= 0.9),
-        slo_actions=sum(r.slo_actions for r in results),
         service_rejections=sum(r.service_rejections for r in results),
         shards=shards,
         shard_homes=dict(shard_homes or {}),
@@ -374,11 +326,9 @@ class Fleet:
     # -- construction --------------------------------------------------------
     def _build(self) -> None:
         cfg = self.config
-        balancing = cfg.balancing
-        if balancing is None and cfg.cloud:
-            # a home with a cloud replica in reach should price the WAN leg
-            # when dialing, not just pick the fastest device
-            balancing = COST_AWARE
+        # a home with a cloud replica in reach should price the WAN leg when
+        # dialing, not just pick the fastest device
+        balancing = COST_AWARE if cfg.cloud else None
         for index in self.home_indices:
             # a per-home stream for the mix/fps draws, decoupled from the
             # home's own RNG so adding knobs never shifts another home
@@ -400,9 +350,7 @@ class Fleet:
             if cfg.tracing:
                 home.enable_tracing()
             if cfg.online:
-                home.enable_optimizer(cfg.optimizer)
-            if cfg.slo is not None:
-                home.enable_slo(default_slo=cfg.slo)
+                home.enable_optimizer()
             fps = cfg.fps_choices[mix_rng.randrange(len(cfg.fps_choices))]
             if cfg.workload == "scene":
                 pipeline_config = scene_home_pipeline_config(
@@ -432,7 +380,7 @@ class Fleet:
             elif cfg.strategy == OPTIMIZED:
                 placement = plan_optimized(
                     pipeline_config, home.devices, home.registry,
-                    home.topology, camera, optimizer=cfg.optimizer,
+                    home.topology, camera,
                 )
                 pipeline = home.deploy_pipeline(
                     pipeline_config, placement=placement
@@ -458,14 +406,13 @@ class Fleet:
 
     # -- execution -----------------------------------------------------------
     def run(self, until: float | None = None) -> float:
-        """Run the shared kernel, then stop any online optimizers and SLO
-        controllers.
+        """Run the shared kernel, then stop any online optimizers.
 
         With ``until=None`` (the default) the kernel first runs to the
-        capture horizon (``duration_s + tail_s``) and then — controllers
+        capture horizon (``duration_s + tail_s``) and then — optimizers
         stopped — drains every remaining in-flight event so quiesce-time
         invariants hold. An explicit *until* is honored as a hard horizon:
-        the controllers' stop interrupts (scheduled at *until*) are still
+        the optimizers' stop interrupts (scheduled at *until*) are still
         delivered, but any work scheduled later stays unrun.
         """
         horizon = (
@@ -476,8 +423,6 @@ class Fleet:
         for home in self.homes:
             if home.optimizer is not None:
                 home.optimizer.stop()
-            if home.slo is not None:
-                home.slo.stop()
         return self.kernel.run(until=until)
 
     # -- reporting -----------------------------------------------------------
@@ -485,25 +430,13 @@ class Fleet:
         """Per-home outcomes (plain data — this is what shard workers
         return to the coordinator)."""
         cfg = self.config
-        pricing = cfg.pricing or CloudPricing()
+        pricing = CloudPricing()
         results: list[HomeResult] = []
         for index, home, pipeline in zip(
             self.home_indices, self.homes, self.pipelines
         ):
             metrics = pipeline.metrics
             sink = pipeline.module_instance("sink")
-            home_attainment = None
-            home_actions = 0
-            if cfg.slo is not None and home.slo is not None:
-                # score the capture window only; the drain tail has no
-                # frames by construction and would read as misses
-                home_attainment = slo_attainment_score(
-                    cfg.slo,
-                    metrics.latency_events(),
-                    start=0.0,
-                    end=cfg.duration_s,
-                )
-                home_actions = len(home.slo.actions)
             cloud = home.cloud_stats()
             edge_devices = len(home.devices) - len(cloud["devices"])
             results.append(HomeResult(
@@ -517,8 +450,6 @@ class Fleet:
                 replans=metrics.counter("replans"),
                 latencies=metrics.total_latencies,
                 sink_frame_ids=list(sink.frame_ids),
-                slo_attainment=home_attainment,
-                slo_actions=home_actions,
                 service_rejections=metrics.counter("service_rejections"),
                 cloud_calls=cloud["calls"],
                 cloud_compute_s=cloud["compute_s"],

@@ -20,16 +20,11 @@ matches a ``shards=1`` run bit for bit up to the shard provenance fields.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from ..errors import FleetShardError
 from .harness import Fleet, FleetConfig, FleetReport, HomeResult, aggregate_report
-
-#: Test hook: set to a shard index (as a string) to make that worker raise,
-#: exercising the coordinator's failure path without a real crash.
-FAIL_SHARD_ENV = "_REPRO_FLEET_FAIL_SHARD"
 
 
 def shard_assignment(homes: int, shards: int) -> dict[int, list[int]]:
@@ -60,8 +55,6 @@ def _run_shard_worker(
 ) -> ShardResult:
     """Worker entry point: build and run this shard's slice of the fleet
     on a private kernel. Module-level so it pickles under spawn too."""
-    if os.environ.get(FAIL_SHARD_ENV) == str(shard):
-        raise RuntimeError(f"injected fault in shard {shard}")
     fleet = Fleet(config, home_indices=home_indices)
     fleet.run()
     return ShardResult(

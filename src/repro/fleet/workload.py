@@ -124,7 +124,7 @@ def install_home_services(home, hub_device: str, camera_device: str) -> None:
     )
 
 
-def install_cloud_services(home, wan=None, cloud_device: str = "cloud") -> None:
+def install_cloud_services(home, wan=None) -> None:
     """Attach the cloud tier to one home: a ``cloud`` device behind a
     metered WAN uplink, hosting replicas of the heavy services.
 
@@ -134,15 +134,15 @@ def install_cloud_services(home, wan=None, cloud_device: str = "cloud") -> None:
     dollars through :class:`~repro.pipeline.optimizer.CloudPricing`
     (``docs/FLEET.md``). Only the detector and classifier get replicas:
     the alerter is too cheap for a WAN round trip to ever pay off."""
-    home.add_cloud_device(cloud_device, wan=wan)
+    cloud = home.add_cloud_device(wan=wan).name
     home.deploy_service(
         FunctionService("fleet_detector", _detect, reference_cost_s=0.016),
-        cloud_device,
+        cloud,
         port=7920,
     )
     home.deploy_service(
         FunctionService("fleet_classifier", _classify, reference_cost_s=0.006),
-        cloud_device,
+        cloud,
         port=7921,
     )
 

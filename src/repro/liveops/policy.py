@@ -28,7 +28,6 @@ class CanaryPolicy:
         decision_timeout_s: hard deadline on the canary phase; if no
             promote decision was reached by then the upgrade rolls back
             (insufficient or unhealthy evidence both fail safe).
-        check_interval_s: how often the decision loop re-evaluates.
         auto: drive the decision loop from the kernel. ``False`` leaves
             the upgrade mirroring until :meth:`~repro.liveops.upgrade
             .LiveOpsManager.promote` / ``rollback`` is called explicitly.
@@ -37,7 +36,6 @@ class CanaryPolicy:
     mirror_fraction: float = 1.0
     min_mirrored: int = 8
     decision_timeout_s: float = 10.0
-    check_interval_s: float = 0.5
     auto: bool = True
 
     def __post_init__(self) -> None:
@@ -47,5 +45,3 @@ class CanaryPolicy:
             raise ConfigError("min_mirrored must be >= 1")
         if self.decision_timeout_s <= 0:
             raise ConfigError("decision_timeout_s must be positive")
-        if self.check_interval_s <= 0:
-            raise ConfigError("check_interval_s must be positive")

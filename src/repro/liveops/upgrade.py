@@ -65,6 +65,8 @@ MAX_BACKLOG = 8
 #: plus an absolute slack so a near-zero incumbent p99 stays passable.
 P99_RATIO_LIMIT = 3.0
 P99_SLACK_S = 0.010
+#: How often an auto-policy upgrade's decision loop re-evaluates.
+CHECK_INTERVAL_S = 0.5
 
 
 class CanarySinkModule(Module):
@@ -220,10 +222,9 @@ class LiveOpsManager:
             ``watch_liveops``).
     """
 
-    def __init__(self, home, policy: CanaryPolicy | None = None) -> None:
+    def __init__(self, home) -> None:
         self.home = home
         self.kernel = home.kernel
-        self.default_policy = policy or CanaryPolicy()
         self.upgrades: list[ModuleUpgrade] = []
         self._active: dict[tuple[str, str], ModuleUpgrade] = {}
         self.lineage = LineageRecorder(home.kernel)
@@ -234,21 +235,17 @@ class LiveOpsManager:
         self,
         pipeline: "Pipeline",
         module_name: str,
-        new_include: str | None = None,
-        params: dict[str, Any] | None = None,
-        version: str | None = None,
         policy: CanaryPolicy | None = None,
         module_instance: Module | None = None,
     ) -> ModuleUpgrade:
         """Deploy a candidate version of *module_name* beside the incumbent
         and start mirroring live traffic to it.
 
-        The candidate is built from *new_include*/*params* (defaulting to
-        the module's current config) or taken verbatim from
-        *module_instance*. *version* labels the candidate (default: the
-        current version bumped, ``v1`` -> ``v2``). With ``policy.auto``
-        (the default) the canary decision loop promotes or rolls back on
-        its own; otherwise call :meth:`promote` / :meth:`rollback`.
+        The candidate is *module_instance*, or a fresh instance built from
+        the module's current config; it is labelled with the current
+        version bumped (``v1`` -> ``v2``). With ``policy.auto`` (the
+        default) the canary decision loop promotes or rolls back on its
+        own; otherwise call :meth:`promote` / :meth:`rollback`.
         """
         if pipeline.stopped:
             raise ConfigError(
@@ -269,20 +266,13 @@ class LiveOpsManager:
                 " already has an upgrade in flight"
             )
         from_version = pipeline.wiring.version_of(module_name)
-        to_version = version or _bump_version(from_version)
-        if to_version == from_version:
-            raise ConfigError(
-                f"module {module_name!r} is already at version"
-                f" {from_version!r}"
-            )
         if module_instance is None:
             module_instance = create_module(
-                new_include or module_cfg.include,
-                **(module_cfg.params if params is None else params),
+                module_cfg.include, **module_cfg.params
             )
         upgrade = ModuleUpgrade(
-            pipeline, module_name, from_version, to_version,
-            module_instance, policy or self.default_policy, self.kernel.now,
+            pipeline, module_name, from_version, _bump_version(from_version),
+            module_instance, policy or CanaryPolicy(), self.kernel.now,
         )
         self._deploy_shadow(upgrade, module_cfg)
         self.upgrades.append(upgrade)
@@ -291,9 +281,7 @@ class LiveOpsManager:
         if self.auditor is not None:
             self.auditor.on_upgrade_started(self, upgrade)
         if upgrade.policy.auto:
-            self.kernel.schedule(
-                upgrade.policy.check_interval_s, self._tick, upgrade
-            )
+            self.kernel.schedule(CHECK_INTERVAL_S, self._tick, upgrade)
         return upgrade
 
     def _deploy_shadow(self, upgrade: ModuleUpgrade, module_cfg) -> None:
@@ -358,9 +346,7 @@ class LiveOpsManager:
         elif verdict == "rollback":
             self.rollback(upgrade, reason=reason)
         else:
-            self.kernel.schedule(
-                upgrade.policy.check_interval_s, self._tick, upgrade
-            )
+            self.kernel.schedule(CHECK_INTERVAL_S, self._tick, upgrade)
 
     def _evaluate(self, upgrade: ModuleUpgrade) -> tuple[str | None, str]:
         """Score the candidate against the incumbent; returns

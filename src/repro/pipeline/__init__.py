@@ -1,12 +1,10 @@
 """Pipeline configuration, validation, placement and deployment."""
 
 from .config import (
-    AuditConfig,
     DataPlaneConfig,
     ModuleConfig,
     PerfConfig,
     PipelineConfig,
-    TraceConfig,
     config_from_dict,
 )
 from .dag import validate
@@ -32,7 +30,6 @@ from .placement import (
 )
 
 __all__ = [
-    "AuditConfig",
     "COLOCATED",
     "CloudPricing",
     "CostModel",
@@ -50,7 +47,6 @@ __all__ = [
     "PipelineConfig",
     "PlacementPlan",
     "SINGLE_HOST",
-    "TraceConfig",
     "config_from_dict",
     "parse_pipeline_json",
     "parse_pipeline_text",

@@ -62,43 +62,21 @@ class PerfConfig:
     Attributes:
         frame_dedup: content-address device frame stores, collapsing
             byte-identical frames into one stored object.
-        dedup_retain_limit: zero-refcount frames kept per store as dedup
-            targets (0 disables retention).
         result_cache: attach a result cache to hosts of ``cacheable``
             services; repeated requests skip execution entirely.
-        cache_max_entries: LRU capacity per host.
-        cache_ttl_s: result expiry in simulated seconds (``None`` = never).
         batching: let hosts coalesce queued requests into batches for
-            services with ``max_batch > 1``.
-        max_batch: host-side cap on the batch size.
+            services with ``max_batch > 1``, at most four requests each.
         max_wait_s: longest a request waits for batch companions.
     """
 
     frame_dedup: bool = True
-    dedup_retain_limit: int = 32
     result_cache: bool = True
-    cache_max_entries: int = 512
-    cache_ttl_s: float | None = None
     batching: bool = False
-    max_batch: int = 4
     max_wait_s: float = 0.004
 
     def __post_init__(self) -> None:
-        if self.dedup_retain_limit < 0:
-            raise ConfigError("dedup_retain_limit must be >= 0")
-        if self.cache_max_entries < 1:
-            raise ConfigError("cache_max_entries must be >= 1")
-        if self.cache_ttl_s is not None and self.cache_ttl_s <= 0:
-            raise ConfigError("cache_ttl_s must be positive")
-        if self.max_batch < 1:
-            raise ConfigError("max_batch must be >= 1")
         if self.max_wait_s < 0:
             raise ConfigError("max_wait_s must be >= 0")
-
-    @property
-    def any_enabled(self) -> bool:
-        """Whether this config turns on any fast-path feature at all."""
-        return self.frame_dedup or self.result_cache or self.batching
 
 
 @dataclass(slots=True)
@@ -106,88 +84,20 @@ class DataPlaneConfig:
     """Knobs for the zero-copy frame plane and pooled service parallelism.
 
     Applied home-wide via
-    :meth:`repro.core.videopipe.VideoPipe.enable_data_plane`. Both
-    default on: the arena makes intra-device hops cost a handle tuple, the
-    pool lets services on one device share worker slots instead of
-    statically partitioning them.
+    :meth:`repro.core.videopipe.VideoPipe.enable_data_plane`, which always
+    backs every device frame store with a generation-counted
+    :class:`~repro.frames.arena.FrameArena` (intra-device hops cost a
+    handle tuple; stale handle access raises
+    :class:`~repro.errors.StaleHandleError`).
 
     Attributes:
-        arena: back every device frame store with a generation-counted
-            :class:`~repro.frames.arena.FrameArena`; stale handle access
-            raises :class:`~repro.errors.StaleHandleError`.
-        arena_capacity_bytes: optional per-device arena byte budget
-            (``None`` = unbounded; the store's slot capacity still binds).
         replica_pool: replace fixed per-host replica counts with a shared
-            per-device :class:`~repro.services.pool.ReplicaPool`.
-        pool_slots: physical slots per device pool (``None`` = one per
-            CPU core).
+            per-device :class:`~repro.services.pool.ReplicaPool` (one slot
+            per CPU core), so services on one device share worker slots
+            instead of statically partitioning them.
     """
 
-    arena: bool = True
-    arena_capacity_bytes: int | None = None
     replica_pool: bool = True
-    pool_slots: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.arena_capacity_bytes is not None
-                and self.arena_capacity_bytes < 1):
-            raise ConfigError("arena_capacity_bytes must be >= 1")
-        if self.pool_slots is not None and self.pool_slots < 1:
-            raise ConfigError("pool_slots must be >= 1")
-
-    @property
-    def any_enabled(self) -> bool:
-        """Whether this config turns on any data-plane feature at all."""
-        return self.arena or self.replica_pool
-
-
-@dataclass(slots=True)
-class TraceConfig:
-    """Knobs for per-frame distributed tracing.
-
-    Applied home-wide via :meth:`repro.core.videopipe.VideoPipe.enable_tracing`.
-    Tracing is passive: the recorder never schedules kernel events and trace
-    headers travel outside the charged message envelope, so a traced run is
-    bit-for-bit identical to an untraced one (see ``docs/TRACING.md``).
-
-    Attributes:
-        max_spans: recorder capacity; spans past it are dropped (and
-            counted in ``TraceRecorder.dropped_spans``) rather than growing
-            memory without bound on long runs.
-    """
-
-    max_spans: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_spans < 1:
-            raise ConfigError("max_spans must be >= 1")
-
-
-@dataclass(slots=True)
-class AuditConfig:
-    """Knobs for the runtime invariant auditor.
-
-    Applied home-wide via :meth:`repro.core.videopipe.VideoPipe.enable_audit`.
-    Auditing is passive, like tracing: the auditor observes kernel events and
-    mirrors component bookkeeping but never schedules events, consumes
-    randomness or touches message sizes, so an audited run is bit-for-bit
-    identical to an unaudited one (see ``docs/AUDIT.md``).
-
-    Attributes:
-        max_violations: recorder capacity; violations past it are counted
-            (``InvariantAuditor.dropped_violations``) but not stored, so a
-            hot failing invariant cannot grow memory without bound.
-        strict: raise :class:`~repro.errors.AuditError` at the first
-            violation instead of recording it (useful in tests that want a
-            loud, immediate failure).
-    """
-
-    max_violations: int = 1000
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_violations < 1:
-            raise ConfigError("max_violations must be >= 1")
 
 
 @dataclass(slots=True)

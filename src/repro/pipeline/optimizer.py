@@ -66,6 +66,17 @@ REMOTE_CALL_OVERHEAD_S = 0.004
 #: model by more than this factor in either direction.
 _CALIBRATION_CLAMP = 4.0
 
+#: Latency-equivalent penalty (seconds) per unit of device
+#: over-utilization, and per unit of module-footprint overflow past half a
+#: device's RAM.
+CAPACITY_WEIGHT_S = 1.0
+MEMORY_WEIGHT_S = 0.5
+
+#: Seeded random starts of the local search past ``max_candidates``, and
+#: the seed of their RNG (the search is deterministic under it).
+RESTARTS = 3
+SEARCH_SEED = 0
+
 
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
@@ -78,16 +89,10 @@ class OptimizerConfig:
             function when some edges are known to carry less.
         fps: offered load per pipeline, used to convert per-event compute
             seconds into device utilization.
-        capacity_weight_s: latency-equivalent penalty (seconds) per unit of
-            device over-utilization; 0 disables the capacity term.
-        memory_weight_s: latency-equivalent penalty (seconds) per unit of
-            module-footprint overflow past half a device's RAM.
         module_footprint_mb: assumed resident footprint of one deployed
             module (runtime + model weights).
         max_candidates: exhaustive-search budget; larger spaces fall back
             to seeded random-restart local search.
-        restarts: random restarts for the local search.
-        seed: seed for the restart RNG (search is deterministic under it).
         replan_interval_s: how often the online optimizer reconsiders each
             watched pipeline.
         replan_threshold_frac: minimum predicted fractional latency
@@ -106,12 +111,8 @@ class OptimizerConfig:
 
     edge_bytes: int | Callable[[str, str], int] = 42_000
     fps: float = 10.0
-    capacity_weight_s: float = 1.0
-    memory_weight_s: float = 0.5
     module_footprint_mb: int = 64
     max_candidates: int = 20_000
-    restarts: int = 3
-    seed: int = 0
     replan_interval_s: float = 2.0
     replan_threshold_frac: float = 0.05
     cloud_bias_s: float = 0.0
@@ -123,14 +124,10 @@ class OptimizerConfig:
             raise ConfigError("cloud_bias_s must be >= 0")
         if self.fps <= 0:
             raise ConfigError("fps must be positive")
-        if self.capacity_weight_s < 0 or self.memory_weight_s < 0:
-            raise ConfigError("penalty weights must be >= 0")
         if self.module_footprint_mb < 0:
             raise ConfigError("module_footprint_mb must be >= 0")
         if self.max_candidates < 1:
             raise ConfigError("max_candidates must be >= 1")
-        if self.restarts < 0:
-            raise ConfigError("restarts must be >= 0")
         if self.replan_interval_s <= 0:
             raise ConfigError("replan_interval_s must be positive")
         if not 0 <= self.replan_threshold_frac < 1:
@@ -475,7 +472,7 @@ class CostModel:
             max(0.0, u - 1.0) for u in self.utilization(assignments).values()
         )
         return (
-            self.optimizer.capacity_weight_s * overload
+            CAPACITY_WEIGHT_S * overload
             + self.pool_contention_s(assignments)
         )
 
@@ -489,10 +486,7 @@ class CostModel:
             footprint = count * self.optimizer.module_footprint_mb
             budget = max(1.0, spec.memory_mb * 0.5)
             if footprint > budget:
-                penalty += (
-                    self.optimizer.memory_weight_s
-                    * (footprint - budget) / budget
-                )
+                penalty += MEMORY_WEIGHT_S * (footprint - budget) / budget
         return penalty
 
     def cloud_penalty(self, assignments: dict[str, str]) -> float:
@@ -535,7 +529,7 @@ def plan_optimized(
     Pinned modules stay pinned. Small spaces are searched exhaustively
     (``optimizer.max_candidates`` combinations); larger ones run greedy
     local search from the co-located plan, the single-host plan, and
-    ``optimizer.restarts`` seeded random starts. When nothing beats the
+    :data:`RESTARTS` seeded random starts. When nothing beats the
     co-located heuristic strictly, that plan is returned unchanged
     (``strategy == "colocated"``) — on the paper's testbed the two agree,
     and callers can treat the strategy tag as a provenance marker.
@@ -582,12 +576,12 @@ def _search(model: CostModel, default_device: str) -> PlacementPlan:
         )
         scored = ((a, model.score(a).total) for a in candidates)
     elif free:
-        rng = random.Random(opt.seed)
+        rng = random.Random(SEARCH_SEED)
         starts = [
             fallback.assignments,
             plan_single_host(config, devices, default_device).assignments,
         ]
-        for _ in range(opt.restarts):
+        for _ in range(RESTARTS):
             start = dict(fixed)
             start.update({name: rng.choice(device_names) for name in free})
             starts.append(start)

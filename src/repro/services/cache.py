@@ -55,25 +55,20 @@ def payload_cache_key(
 
 
 class ResultCache:
-    """A bounded LRU of service results with optional TTL.
+    """A bounded LRU of service results.
 
-    Entries expire ``ttl_s`` simulated seconds after insertion (``None`` =
-    never); :meth:`invalidate` supports explicit invalidation, e.g. after a
-    model update or a host restart.
+    Entries never expire on their own; :meth:`invalidate` supports explicit
+    invalidation, e.g. after a model update or a host restart.
     """
 
-    def __init__(self, max_entries: int = 512, ttl_s: float | None = None) -> None:
+    def __init__(self, max_entries: int = 512) -> None:
         if max_entries < 1:
             raise ServiceError("cache max_entries must be >= 1")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ServiceError("cache ttl_s must be positive")
         self.max_entries = max_entries
-        self.ttl_s = ttl_s
-        self._entries: OrderedDict[str, tuple[Any, float]] = OrderedDict()
+        self._entries: OrderedDict[str, Any] = OrderedDict()
         # statistics
         self.hits = 0
         self.misses = 0
-        self.expirations = 0
         self.evictions = 0
         self.invalidations = 0
 
@@ -84,25 +79,19 @@ class ResultCache:
         return key in self._entries
 
     # -- protocol --------------------------------------------------------------
-    def lookup(self, key: str, now: float) -> Any:
+    def lookup(self, key: str) -> Any:
         """The cached value for *key*, or the :data:`MISS` sentinel."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return MISS
-        value, stored_at = entry
-        if self.ttl_s is not None and now - stored_at > self.ttl_s:
-            del self._entries[key]
-            self.expirations += 1
+        value = self._entries.get(key, MISS)
+        if value is MISS:
             self.misses += 1
             return MISS
         self._entries.move_to_end(key)
         self.hits += 1
         return value
 
-    def store(self, key: str, value: Any, now: float) -> None:
+    def store(self, key: str, value: Any) -> None:
         """Insert (or refresh) *key*; evicts the LRU entry when over size."""
-        self._entries[key] = (value, now)
+        self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

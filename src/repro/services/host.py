@@ -200,13 +200,11 @@ class ServiceHost:
         self.workers.shrink(count)
 
     # -- fast path configuration -------------------------------------------------
-    def enable_result_cache(
-        self, max_entries: int = 512, ttl_s: float | None = None
-    ) -> None:
+    def enable_result_cache(self) -> None:
         """Attach a result cache. Effective only for services that declare
         ``cacheable = True``; on them, a byte-identical repeated request is
         answered instantly with zero simulated CPU."""
-        self._cache = ResultCache(max_entries=max_entries, ttl_s=ttl_s)
+        self._cache = ResultCache()
 
     def enable_batching(self, max_batch: int = 4, max_wait_s: float = 0.004) -> None:
         """Coalesce queued requests into batches of up to *max_batch*
@@ -252,7 +250,7 @@ class ServiceHost:
         )
         if key is None:
             return None, MISS
-        value = self._cache.lookup(key, self.kernel.now)
+        value = self._cache.lookup(key)
         if value is MISS:
             self.cache_misses += 1
         else:
@@ -444,7 +442,7 @@ class ServiceHost:
                 call.fail(f"{self.service_name} failed: {failed[index]}")
                 continue
             if call.key is not None and self._cache is not None:
-                self._cache.store(call.key, results[index], self.kernel.now)
+                self._cache.store(call.key, results[index])
             if call.done.pending:
                 call.done.succeed(results[index])
 

@@ -11,7 +11,7 @@ fills, it is consumed whole (evaluated then cleared). Re-evaluating a
 mostly-overlapping window every tick — the pre-fix behaviour — lets a
 single transient spike trigger a decision on several consecutive ticks and
 burst replicas straight to ``max_replicas``. A cooldown
-(``ScalingPolicy.cooldown_s``) additionally spaces decisions for one host,
+(:data:`COOLDOWN_S`) additionally spaces decisions for one host,
 so each sustained-load episode produces one scaling event per cooldown
 period; the invariant auditor flags any pair of events closer than that.
 """
@@ -26,6 +26,15 @@ from ..sim.kernel import Kernel
 from ..sim.process import Process
 from .host import ServiceHost
 
+#: Queue samples per decision. Windows never overlap (a decision consumes
+#: its window), so decisions for one host are at least ``WINDOW *
+#: check_interval_s`` apart.
+WINDOW = 4
+#: Minimum spacing between two scaling decisions for the same host, in
+#: either direction, so a long backlog cannot stack scale-ups before earlier
+#: replicas have had a chance to absorb load.
+COOLDOWN_S = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class ScalingPolicy:
@@ -33,38 +42,21 @@ class ScalingPolicy:
 
     Attributes:
         check_interval_s: seconds between queue samples.
-        queue_threshold: average queued requests (over a window) that
-            triggers a scale-up.
-        window: samples per decision; windows never overlap (a decision
-            consumes its window), so decisions for one host are at least
-            ``window * check_interval_s`` apart.
-        max_replicas: hard ceiling.
-        step: replicas added (or removed) per decision.
-        min_replicas: floor the scale-down path shrinks toward; never
-            below 1.
-        cooldown_s: minimum spacing between two scaling decisions for the
-            same host, in either direction. Prevents a long backlog from
-            stacking scale-ups before earlier replicas have had a chance
-            to absorb load.
+        queue_threshold: average queued requests (over a window of
+            :data:`WINDOW` samples) that triggers a scale-up.
+        max_replicas: hard ceiling. A decision adds or removes one replica,
+            and the scale-down path stops at one.
     """
 
     check_interval_s: float = 0.5
     queue_threshold: float = 0.5
-    window: int = 4
     max_replicas: int = 4
-    step: int = 1
-    min_replicas: int = 1
-    cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.check_interval_s <= 0 or self.window < 1:
-            raise ValueError("interval must be positive, window >= 1")
-        if self.max_replicas < 1 or self.step < 1:
-            raise ValueError("max_replicas and step must be >= 1")
-        if self.min_replicas < 1 or self.min_replicas > self.max_replicas:
-            raise ValueError("min_replicas must be in [1, max_replicas]")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
+        if self.check_interval_s <= 0:
+            raise ValueError("check_interval_s must be positive")
+        if self.max_replicas < 1:
+            raise ValueError("max_replicas must be >= 1")
 
 
 @dataclass(slots=True)
@@ -136,7 +128,7 @@ class AutoScaler:
     def _sample(self, host: ServiceHost) -> None:
         samples = self._samples[host]
         samples.append(host.queue_length)
-        if len(samples) < self.policy.window:
+        if len(samples) < WINDOW:
             return
         # non-overlapping windows: the decision consumes its samples, so a
         # transient spike is evaluated once, not on every subsequent tick
@@ -145,24 +137,18 @@ class AutoScaler:
         avg_queue = sum(window) / len(window)
         now = self.kernel.now
         last = self._last_event_at.get(host)
-        if last is not None and now - last < self.policy.cooldown_s:
+        if last is not None and now - last < COOLDOWN_S:
             return
         if (
             avg_queue >= self.policy.queue_threshold
             and host.replicas < self.policy.max_replicas
         ):
             before = host.replicas
-            step = min(self.policy.step, self.policy.max_replicas - before)
-            host.add_replica(step)
+            host.add_replica()
             self._record(host, before, avg_queue, "scale_up")
-        elif (
-            avg_queue == 0
-            and host.busy_workers == 0
-            and host.replicas > self.policy.min_replicas
-        ):
+        elif avg_queue == 0 and host.busy_workers == 0 and host.replicas > 1:
             before = host.replicas
-            step = min(self.policy.step, before - self.policy.min_replicas)
-            host.remove_replica(step)
+            host.remove_replica()
             self._record(host, before, avg_queue, "scale_down")
 
     def request_scale(
@@ -180,13 +166,10 @@ class AutoScaler:
             return False
         now = self.kernel.now
         last = self._last_event_at.get(host)
-        if last is not None and now - last < self.policy.cooldown_s:
+        if last is not None and now - last < COOLDOWN_S:
             return False
         before = host.replicas
-        target = max(
-            self.policy.min_replicas,
-            min(self.policy.max_replicas, before + step),
-        )
+        target = max(1, min(self.policy.max_replicas, before + step))
         if target == before:
             return False
         if target > before:

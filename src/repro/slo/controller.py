@@ -53,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EPS = 1e-9
 
+#: Detector readings retained per enrolled pipeline.
+HISTORY = 256
+
 
 @dataclass
 class Enrollment:
@@ -102,13 +105,11 @@ class SLOController:
         self,
         home: "VideoPipe",
         config: SLOConfig | None = None,
-        default_slo: SLO | None = None,
     ) -> None:
         self.home = home
         self.kernel = home.kernel
         self.config = config or SLOConfig()
-        self.default_slo = default_slo
-        self.detector = OverloadDetector(home, self.config)
+        self.detector = OverloadDetector(home)
         self.admission = AdmissionController(home, self.config)
         #: Home-level counters (``deploys_*``); per-pipeline counters such
         #: as ``service_rejections`` live on each pipeline's collector.
@@ -124,21 +125,20 @@ class SLOController:
 
     # -- enrollment ----------------------------------------------------------
     def watch(self, pipeline: "Pipeline", slo: SLO | None = None) -> Enrollment | None:
-        """Enroll *pipeline* under *slo* (or the controller default).
+        """Enroll *pipeline* under *slo*.
 
-        Returns the enrollment, or ``None`` when neither an explicit SLO
-        nor a default exists — a pipeline with no stated objective is left
-        alone. Idempotent by pipeline name."""
+        Returns the enrollment, or ``None`` without an SLO — a pipeline
+        with no stated objective is left alone. Idempotent by pipeline
+        name."""
         existing = self._enrolled.get(pipeline.config.name)
         if existing is not None:
             return existing
-        effective = slo or self.default_slo
-        if effective is None:
+        if slo is None:
             return None
         enrollment = Enrollment(
             pipeline=pipeline,
-            slo=effective,
-            ladder=build_ladder(self.home, pipeline, effective, self.config),
+            slo=slo,
+            ladder=build_ladder(self.home, pipeline, slo, self.config),
             enrolled_at=self.kernel.now,
         )
         self._enrolled[pipeline.config.name] = enrollment
@@ -187,8 +187,8 @@ class SLOController:
             )
             enrollment.state = reading.state
             enrollment.readings.append(reading)
-            if len(enrollment.readings) > self.config.history:
-                del enrollment.readings[: -self.config.history]
+            if len(enrollment.readings) > HISTORY:
+                del enrollment.readings[:-HISTORY]
             if reading.state == OVERLOADED:
                 enrollment.healthy_since = None
                 if self._can_act(enrollment, now):

@@ -29,11 +29,26 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..services.balancer import service_pressure
-from .spec import HEALTHY, OVERLOADED, STRAINED, SLO, SLOConfig, quantile
+from .spec import HEALTHY, OVERLOADED, STRAINED, SLO, quantile
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.videopipe import VideoPipe
     from ..pipeline.pipeline import Pipeline
+
+#: Observed-tail / target latency ratio at (or above) which a pipeline is
+#: ``overloaded``; ratios in ``(1, OVERLOAD_RATIO)`` are the ``strained``
+#: hold band.
+OVERLOAD_RATIO = 1.25
+#: Delivered / minimum fps ratio *below* which a pipeline is
+#: ``overloaded``; ``[FPS_OVERLOAD_FRAC, 1)`` is ``strained``.
+FPS_OVERLOAD_FRAC = 0.75
+#: Service-queue pressure (:func:`~repro.services.balancer.service_pressure`)
+#: at which a pipeline counts as strained, and as overloaded.
+QUEUE_STRAIN = 1.0
+QUEUE_OVERLOAD = 6.0
+#: Completions needed in the window before the latency/fps ratios are
+#: trusted (a cold start is not judged).
+MIN_SAMPLES = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +66,6 @@ class DetectorReading:
 
 def classify_signals(
     slo: SLO,
-    config: SLOConfig,
     *,
     at: float,
     latency_ratio: float,
@@ -69,9 +83,9 @@ def classify_signals(
     drain, the pipeline reads healthy and the controller resumes it.
     """
     if paused:
-        if queue_pressure >= config.queue_overload:
+        if queue_pressure >= QUEUE_OVERLOAD:
             state = OVERLOADED
-        elif queue_pressure >= config.queue_strain:
+        elif queue_pressure >= QUEUE_STRAIN:
             state = STRAINED
         else:
             state = HEALTHY
@@ -80,19 +94,19 @@ def classify_signals(
             fps_ratio=fps_ratio, queue_pressure=queue_pressure,
             samples=samples, paused=True,
         )
-    trusted = samples >= config.min_samples
+    trusted = samples >= MIN_SAMPLES
     # a pipeline that completed frames before but produced none in the
     # whole window has stalled: fps_ratio 0 is real, not a cold start
     stalled = ever_completed and samples == 0
     overloaded = (
-        (trusted and latency_ratio >= config.overload_ratio)
-        or ((trusted or stalled) and fps_ratio < config.fps_overload_frac)
-        or queue_pressure >= config.queue_overload
+        (trusted and latency_ratio >= OVERLOAD_RATIO)
+        or ((trusted or stalled) and fps_ratio < FPS_OVERLOAD_FRAC)
+        or queue_pressure >= QUEUE_OVERLOAD
     )
     strained = (
         (trusted and latency_ratio > 1.0)
         or ((trusted or stalled) and fps_ratio < 1.0)
-        or queue_pressure >= config.queue_strain
+        or queue_pressure >= QUEUE_STRAIN
     )
     state = OVERLOADED if overloaded else (STRAINED if strained else HEALTHY)
     return DetectorReading(
@@ -104,9 +118,8 @@ def classify_signals(
 class OverloadDetector:
     """Gathers live signals from a home and classifies each pipeline."""
 
-    def __init__(self, home: "VideoPipe", config: SLOConfig | None = None) -> None:
+    def __init__(self, home: "VideoPipe") -> None:
         self.home = home
-        self.config = config or SLOConfig()
 
     def reading(
         self,
@@ -134,7 +147,7 @@ class OverloadDetector:
             quantile(recent, 0.99) / slo.p99_latency_s if recent else 0.0
         )
         return classify_signals(
-            slo, self.config,
+            slo,
             at=now,
             latency_ratio=latency_ratio,
             fps_ratio=fps_ratio,

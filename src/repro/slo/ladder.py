@@ -36,6 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.videopipe import VideoPipe
     from ..pipeline.pipeline import Pipeline
 
+#: Per-rung capture resolution multiplier; the ladder has two such rungs.
+RESOLUTION_FACTOR = 0.7
+#: The services whose compute tier the ladder may degrade, and the cost
+#: multiplier of the cheaper tier.
+TIER_SERVICES = ("pose_detector",)
+TIER_FACTOR = 0.6
+#: Per-rung source fps multiplier; the ladder has two such rungs.
+FPS_FACTOR = 0.7
+
 
 @dataclass(frozen=True, slots=True)
 class LadderAction:
@@ -151,7 +160,7 @@ class ReplanStep(LadderStep):
 
 
 class ResolutionStep(LadderStep):
-    """Shrink the capture resolution by ``resolution_factor``."""
+    """Shrink the capture resolution by *factor*."""
 
     name = "resolution"
 
@@ -182,8 +191,8 @@ class ResolutionStep(LadderStep):
 
 
 class TierStep(LadderStep):
-    """Move the heavy services to a cheaper compute tier (``tier_factor``
-    on ``reference_cost_s``) — a stand-in for swapping in a smaller model,
+    """Move the heavy services to a cheaper compute tier (*factor* on
+    ``reference_cost_s``) — a stand-in for swapping in a smaller model,
     which also cheapens every *other* pipeline's calls to the service."""
 
     name = "service_tier"
@@ -224,7 +233,7 @@ class TierStep(LadderStep):
 
 
 class FpsStep(LadderStep):
-    """Lower the source rate by ``fps_factor``, floored at ``min_fps``."""
+    """Lower the source rate by *factor*, floored at ``min_fps``."""
 
     name = "fps"
 
@@ -295,24 +304,22 @@ def build_ladder(
     slo: SLO,
     config: SLOConfig,
 ) -> list[LadderStep]:
-    """Construct the rungs applicable to *pipeline*, in degradation order."""
+    """Construct the rungs applicable to *pipeline*, in degradation order:
+    one scale-up, the replan (when ``config.use_optimizer``), two
+    resolution rungs, the service tier (when the pipeline calls a
+    :data:`TIER_SERVICES` service), two fps rungs, pause."""
     source = find_source(pipeline)
     camera = getattr(source, "camera", None) if source is not None else None
     services: set[str] = set()
     for name in pipeline.config.module_names():
         services.update(pipeline.config.module(name).services)
-    steps: list[LadderStep] = []
-    for _ in range(config.max_extra_replicas):
-        steps.append(ScaleUpStep(home, sorted(services)))
+    steps: list[LadderStep] = [ScaleUpStep(home, sorted(services))]
     if config.use_optimizer:
         steps.append(ReplanStep(home, pipeline))
-    for _ in range(config.resolution_steps):
-        steps.append(ResolutionStep(camera, config.resolution_factor))
-    tiered = tuple(s for s in config.tier_services if s in services)
-    if tiered and config.tier_factor < 1.0:
-        steps.append(TierStep(home, tiered, config.tier_factor))
-    for _ in range(config.fps_steps):
-        steps.append(FpsStep(source, config.fps_factor, slo.min_fps))
-    if config.allow_pause:
-        steps.append(PauseStep(source))
+    steps += [ResolutionStep(camera, RESOLUTION_FACTOR) for _ in range(2)]
+    tiered = tuple(s for s in TIER_SERVICES if s in services)
+    if tiered:
+        steps.append(TierStep(home, tiered, TIER_FACTOR))
+    steps += [FpsStep(source, FPS_FACTOR, slo.min_fps) for _ in range(2)]
+    steps.append(PauseStep(source))
     return steps

@@ -60,7 +60,7 @@ class SLO:
 
 @dataclass(frozen=True, slots=True)
 class SLOConfig:
-    """Knobs for the SLO controller, detector and admission check.
+    """Knobs for the SLO controller and the admission check.
 
     Attributes:
         check_interval_s: controller loop period.
@@ -69,86 +69,26 @@ class SLOConfig:
             auditor enforces on every recorded action.
         recovery_hold_s: how long a pipeline must hold ``healthy`` before
             one ladder step is restored.
-        overload_ratio: observed-tail / target latency ratio at (or above)
-            which the detector reports ``overloaded``; ratios in
-            ``[1, overload_ratio)`` report ``strained`` (the hold band).
-        fps_overload_frac: delivered/min-fps ratio *below* which the
-            detector reports ``overloaded``; ``[fps_overload_frac, 1)``
-            reports ``strained``.
-        queue_strain: service-queue pressure (see
-            :func:`~repro.services.balancer.service_pressure`) at which a
-            pipeline counts as strained.
-        queue_overload: pressure at which it counts as overloaded.
-        min_samples: completions required in the window before the
-            latency/fps ratios are trusted (avoids judging a cold start).
-        max_extra_replicas: scale-up rungs at the top of the ladder.
         use_optimizer: include a placement-replan rung (needs
             ``enable_optimizer``).
-        resolution_steps: resolution rungs; each multiplies capture
-            width/height by ``resolution_factor``.
-        resolution_factor: per-rung resolution multiplier.
-        tier_factor: cost multiplier for the service-tier rung (a cheaper,
-            lower-fidelity model variant of each service in
-            ``tier_services``).
-        tier_services: services whose compute tier the ladder may degrade.
-        fps_steps: fps rungs; each multiplies source fps by ``fps_factor``
-            (floored at the pipeline's ``SLO.min_fps``).
-        fps_factor: per-rung fps multiplier.
-        allow_pause: include the last-resort pause rung (frames stop
-            entering the pipeline until recovery resumes them).
         admission_threshold: maximum predicted per-device utilization
             (busy-seconds per second per core) a deploy may push the home
             to before admission control rejects or queues it.
-        history: detector readings retained per pipeline.
     """
 
     check_interval_s: float = 0.5
     hysteresis_s: float = 1.5
     recovery_hold_s: float = 3.0
-    overload_ratio: float = 1.25
-    fps_overload_frac: float = 0.75
-    queue_strain: float = 1.0
-    queue_overload: float = 6.0
-    min_samples: int = 3
-    max_extra_replicas: int = 1
     use_optimizer: bool = True
-    resolution_steps: int = 2
-    resolution_factor: float = 0.7
-    tier_factor: float = 0.6
-    tier_services: tuple[str, ...] = ("pose_detector",)
-    fps_steps: int = 2
-    fps_factor: float = 0.7
-    allow_pause: bool = True
     admission_threshold: float = 1.0
-    history: int = 256
 
     def __post_init__(self) -> None:
         if self.check_interval_s <= 0:
             raise ConfigError("check_interval_s must be positive")
         if self.hysteresis_s < 0 or self.recovery_hold_s < 0:
             raise ConfigError("hysteresis and recovery hold must be >= 0")
-        if self.overload_ratio < 1.0:
-            raise ConfigError("overload_ratio must be >= 1")
-        if not 0 < self.fps_overload_frac <= 1.0:
-            raise ConfigError("fps_overload_frac must be in (0, 1]")
-        if self.queue_strain < 0 or self.queue_overload < self.queue_strain:
-            raise ConfigError("need 0 <= queue_strain <= queue_overload")
-        if self.min_samples < 1:
-            raise ConfigError("min_samples must be >= 1")
-        if self.max_extra_replicas < 0:
-            raise ConfigError("max_extra_replicas must be >= 0")
-        if self.resolution_steps < 0 or self.fps_steps < 0:
-            raise ConfigError("ladder step counts must be >= 0")
-        if not 0 < self.resolution_factor < 1.0:
-            raise ConfigError("resolution_factor must be in (0, 1)")
-        if not 0 < self.fps_factor < 1.0:
-            raise ConfigError("fps_factor must be in (0, 1)")
-        if not 0 < self.tier_factor <= 1.0:
-            raise ConfigError("tier_factor must be in (0, 1]")
         if self.admission_threshold <= 0:
             raise ConfigError("admission_threshold must be positive")
-        if self.history < 1:
-            raise ConfigError("history must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,12 @@
-"""Unit tests for the invariant auditor: config, recording, and each
+"""Unit tests for the invariant auditor: registry, recording, and each
 invariant family against small hand-built components."""
 
 import pytest
 
 from repro.audit import InvariantAuditor
-from repro.audit.auditor import live_auditors
-from repro.errors import AuditError, ConfigError
+from repro.audit.auditor import MAX_VIOLATIONS, live_auditors
 from repro.frames.framestore import FrameStore
 from repro.metrics.collector import MetricsCollector
-from repro.pipeline.config import AuditConfig
 from repro.sim.kernel import Kernel
 
 
@@ -23,14 +21,10 @@ def auditor(kernel):
 
 
 class TestConfig:
-    def test_defaults(self):
-        config = AuditConfig()
-        assert config.max_violations == 1000
-        assert config.strict is False
-
-    def test_max_violations_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            AuditConfig(max_violations=0)
+    def test_defaults(self, auditor):
+        assert MAX_VIOLATIONS == 1000
+        assert auditor.source == "explicit"
+        assert auditor.violations == [] and auditor.dropped_violations == 0
 
     def test_registry_tracks_live_auditors(self, kernel):
         auditor = InvariantAuditor(kernel)
@@ -47,19 +41,13 @@ class TestRecording:
         assert "kernel-hygiene" in violation.describe()
         assert "something broke" in violation.describe()
 
-    def test_cap_counts_dropped_violations(self, kernel):
-        auditor = InvariantAuditor(kernel, AuditConfig(max_violations=2))
-        for n in range(5):
+    def test_cap_counts_dropped_violations(self, auditor):
+        for n in range(MAX_VIOLATIONS + 3):
             auditor.record("kernel-hygiene", "kernel", f"v{n}")
-        assert len(auditor.violations) == 2
+        assert len(auditor.violations) == MAX_VIOLATIONS
         assert auditor.dropped_violations == 3
-        assert auditor.violation_count == 5
+        assert auditor.violation_count == MAX_VIOLATIONS + 3
         assert "past the cap" in auditor.report()
-
-    def test_strict_mode_raises(self, kernel):
-        auditor = InvariantAuditor(kernel, AuditConfig(strict=True))
-        with pytest.raises(AuditError, match="kernel-hygiene"):
-            auditor.record("kernel-hygiene", "kernel", "boom")
 
     def test_clean_report(self, auditor):
         assert "clean" in auditor.report()

@@ -20,7 +20,7 @@ from repro.net.address import Address
 from repro.net.message import Message
 from repro.net.rpc import RpcClient, RpcServer
 from repro.services import FunctionService, ServiceHost
-from repro.services.scaling import AutoScaler, ScalingPolicy
+from repro.services.scaling import WINDOW, AutoScaler, ScalingPolicy
 from repro.sim import Kernel, RngStreams
 
 
@@ -146,9 +146,9 @@ class BuggyAutoScaler(AutoScaler):
     def _sample(self, host):
         samples = self._samples[host]
         samples.append(host.queue_length)
-        if len(samples) < self.policy.window:
+        if len(samples) < WINDOW:
             return
-        del samples[:-self.policy.window]
+        del samples[:-WINDOW]
         avg_queue = sum(samples) / len(samples)
         if (avg_queue >= self.policy.queue_threshold
                 and host.replicas < self.policy.max_replicas):
@@ -173,7 +173,7 @@ class TestAutoscalerBurst:
                                   reference_cost_s=0.100)
         host = ServiceHost(home.kernel, home.desktop, service, home.transport)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
-                               window=3, max_replicas=6, cooldown_s=1.0)
+                               max_replicas=6)
         scaler = BuggyAutoScaler(home.kernel, policy)
         auditor.watch_autoscaler(scaler)
         scaler.watch(host)
@@ -195,7 +195,7 @@ class TestAutoscalerBurst:
                                   reference_cost_s=0.100)
         host = ServiceHost(home.kernel, home.desktop, service, home.transport)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
-                               window=3, max_replicas=6, cooldown_s=1.0)
+                               max_replicas=6)
         scaler = AutoScaler(home.kernel, policy)
         auditor.watch_autoscaler(scaler)
         scaler.watch(host)

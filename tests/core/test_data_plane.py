@@ -1,9 +1,6 @@
 """The enable_data_plane facade: arenas and pools, current and future."""
 
-import pytest
-
 from repro import DataPlaneConfig, VideoPipe
-from repro.errors import ConfigError
 from repro.services import FunctionService
 
 
@@ -14,15 +11,10 @@ def echo(name="echo"):
 
 class TestConfig:
     def test_defaults_turn_both_features_on(self):
-        config = DataPlaneConfig()
-        assert config.arena and config.replica_pool
-        assert config.any_enabled
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            DataPlaneConfig(arena_capacity_bytes=0)
-        with pytest.raises(ConfigError):
-            DataPlaneConfig(pool_slots=0)
+        home = VideoPipe.paper_testbed(seed=1)
+        assert home.enable_data_plane().replica_pool
+        assert home.device("desktop").arena is not None
+        assert home.device("desktop").replica_pool is not None
 
 
 class TestFacade:
@@ -48,26 +40,15 @@ class TestFacade:
         home.enable_data_plane()
         assert host.pool is home.device("desktop").replica_pool
 
-    def test_pool_sized_by_config(self):
-        home = VideoPipe.paper_testbed(seed=1)
-        home.enable_data_plane(DataPlaneConfig(pool_slots=3))
-        assert home.device("desktop").replica_pool.base_slots == 3
-
     def test_halves_compose(self):
         home = VideoPipe.paper_testbed(seed=1)
-        home.enable_data_plane(DataPlaneConfig(arena=True, replica_pool=False))
+        home.enable_data_plane(DataPlaneConfig(replica_pool=False))
         arena = home.device("desktop").arena
         assert arena is not None
         assert home.device("desktop").replica_pool is None
-        home.enable_data_plane(DataPlaneConfig(arena=True, replica_pool=True))
+        home.enable_data_plane(DataPlaneConfig(replica_pool=True))
         assert home.device("desktop").arena is arena  # arena kept
         assert home.device("desktop").replica_pool is not None
-
-    def test_all_off_config_is_a_noop(self):
-        home = VideoPipe.paper_testbed(seed=1)
-        home.enable_data_plane(DataPlaneConfig(arena=False, replica_pool=False))
-        assert home.device("desktop").arena is None
-        assert home.device("desktop").replica_pool is None
 
     def test_audit_watches_arenas_both_orders(self):
         first = VideoPipe.paper_testbed(seed=1)

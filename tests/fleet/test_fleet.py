@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fleet import Fleet, FleetConfig, home_seed, run_fleet
-from repro.pipeline import COLOCATED, OPTIMIZED, SINGLE_HOST
+from repro.pipeline import COLOCATED, OPTIMIZED, SINGLE_HOST, OptimizerConfig
 
 
 def _small(strategy=COLOCATED, **overrides) -> FleetConfig:
@@ -100,6 +100,40 @@ def test_run_honors_explicit_horizon():
     assert 0 < partial.completed < full.completed
     # the default run still drains past the capture horizon
     assert full.completed == sum(len(r.sink_frame_ids) for r in full.results)
+
+
+class _Executed:
+    """Passive kernel observer: the time of every executed event."""
+
+    def __init__(self):
+        self.times = []
+
+    def on_schedule(self, now, event):
+        pass
+
+    def on_execute(self, now, event):
+        self.times.append(now)
+
+
+def test_horizon_on_a_replan_tick_is_exact():
+    # until= lands exactly on the online optimizers' first replan tick: the
+    # tick runs, the stop interrupts run at the horizon, nothing after it
+    tick = OptimizerConfig().replan_interval_s
+    cfg = _small(strategy=OPTIMIZED, online=True, duration_s=2 * tick)
+    reports = []
+    for _ in range(2):
+        fleet = Fleet(cfg)
+        optimizers = [home.optimizer._proc for home in fleet.homes]
+        executed = _Executed()
+        fleet.kernel.add_observer(executed)
+        assert fleet.run(until=tick) == tick
+        assert fleet.kernel.now == tick
+        assert tick in executed.times
+        assert max(executed.times) == tick
+        assert fleet.kernel.pending_events > 0  # later work stays unrun
+        assert optimizers and not any(proc.alive for proc in optimizers)
+        reports.append(fleet.report().as_dict())
+    assert reports[0] == reports[1]
 
 
 def test_report_surfaces_plan_fallbacks():

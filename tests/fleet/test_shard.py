@@ -3,6 +3,8 @@ worker-failure reporting."""
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.errors import FleetShardError
@@ -14,7 +16,6 @@ from repro.fleet import (
     run_fleet,
     shard_assignment,
 )
-from repro.fleet.shard import FAIL_SHARD_ENV
 
 #: Provenance fields the merge is allowed to differ on.
 PROVENANCE = ("shards", "shard_homes")
@@ -83,8 +84,18 @@ def test_subset_build_reproduces_full_fleet_home():
     assert subset.pipelines[0].name == "home3"
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the fault reaches the workers by fork")
 def test_crashed_shard_names_the_shard(monkeypatch):
-    monkeypatch.setenv(FAIL_SHARD_ENV, "1")
+    # forked workers inherit the patched class: shard 1 runs homes 1, 3, 5, 7
+    real_run = Fleet.run
+
+    def run(self, until=None):
+        if 1 in self.home_indices:
+            raise RuntimeError("injected fault")
+        return real_run(self, until)
+
+    monkeypatch.setattr(Fleet, "run", run)
     with pytest.raises(FleetShardError, match="shard 1") as excinfo:
         run_fleet(_cfg(homes=8, shards=2, duration_s=0.5))
     assert excinfo.value.shard == 1

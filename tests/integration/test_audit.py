@@ -21,7 +21,6 @@ from repro.apps import (
 )
 from repro.core import VideoPipe
 from repro.errors import ConfigError
-from repro.pipeline.config import AuditConfig
 
 DURATION = 8.0
 RUN_UNTIL = 9.0
@@ -33,7 +32,7 @@ def run(recognizer, audit=False, architecture="videopipe", seed=11,
     auditor = home.enable_audit() if audit else None
     tracer = home.enable_tracing() if trace else None
     if monitor:
-        home.enable_monitoring(period_s=0.5)
+        home.enable_monitoring()
     baseline = architecture == "baseline"
     services = install_fitness_services(home, recognizer=recognizer,
                                         baseline_layout=baseline)
@@ -100,9 +99,8 @@ class TestFacadeWiring:
     def test_enable_audit_is_idempotent(self):
         home = VideoPipe.paper_testbed(seed=11)
         first = home.enable_audit()
-        second = home.enable_audit(AuditConfig(max_violations=5))
-        assert second is first
-        assert first.config.max_violations != 5  # second call is a no-op
+        assert home.enable_audit() is first
+        assert home.auditor is first
 
     def test_check_invariants_requires_an_auditor(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)

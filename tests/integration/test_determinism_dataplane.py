@@ -3,19 +3,15 @@
 The arena and the replica pool sit on the hottest paths in the home
 (every intra-device hop, every service dispatch), so they get the same
 treatment as the fast path: run twice under the event tap and require
-bit-for-bit identical streams, and prove the all-off config is a strict
-no-op against a home that never enabled it.
+bit-for-bit identical streams, and run them under the auditor.
 """
 
-from repro.audit import InvariantAuditor
-from repro.audit.determinism import record_scenario
 from repro.audit.scenarios import DURATION_S, _activity_recognizer, _run
 from repro.core import VideoPipe
-from repro.pipeline import DataPlaneConfig
 
 
-def _fitness_scenario(data_plane=None):
-    """quickstart's shape with an optional data-plane config applied."""
+def _fitness_scenario():
+    """quickstart's shape with the data plane on."""
 
     def scenario(seed):
         from repro.apps import (
@@ -25,8 +21,7 @@ def _fitness_scenario(data_plane=None):
         )
 
         home = VideoPipe.paper_testbed(seed=seed)
-        if data_plane is not None:
-            home.enable_data_plane(data_plane)
+        home.enable_data_plane()
         services = install_fitness_services(
             home, recognizer=_activity_recognizer())
         app = FitnessApp(home, services)
@@ -46,17 +41,8 @@ def _fitness_scenario(data_plane=None):
 
 def test_data_plane_scenario_is_deterministic(assert_deterministic):
     report = assert_deterministic(
-        _fitness_scenario(DataPlaneConfig()), seed=7, name="data_plane")
+        _fitness_scenario(), seed=7, name="data_plane")
     assert report.event_count > 500  # the scenario actually exercised the home
-
-
-def test_all_off_config_replays_bitforbit(assert_deterministic):
-    """enable_data_plane with everything off must leave no trace: the
-    fingerprint matches a home that never called it."""
-    plain = record_scenario(_fitness_scenario(), 7)
-    noop = record_scenario(
-        _fitness_scenario(DataPlaneConfig(arena=False, replica_pool=False)), 7)
-    assert plain.fingerprint == noop.fingerprint
 
 
 def test_audited_data_plane_run_is_clean():
@@ -69,8 +55,7 @@ def test_audited_data_plane_run_is_clean():
     )
 
     home = VideoPipe.paper_testbed(seed=7)
-    auditor = InvariantAuditor(home.kernel)
-    home.enable_audit(auditor)
+    auditor = home.enable_audit()
     home.enable_data_plane()
     services = install_fitness_services(home, recognizer=_activity_recognizer())
     app = FitnessApp(home, services)

@@ -32,7 +32,7 @@ def big_home(fitness_recognizer):
     install_fitness_services(home, recognizer=fitness_recognizer)
     install_gesture_services(home, recognizer=gesture_recognizer)
     home.enable_autoscaling(ScalingPolicy(
-        check_interval_s=0.25, queue_threshold=0.75, window=4, max_replicas=6,
+        check_interval_s=0.25, queue_threshold=0.75, max_replicas=6,
     ))
     pipelines = []
     for i in range(N_PIPELINES):

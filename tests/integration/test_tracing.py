@@ -23,7 +23,6 @@ from repro.apps import (
     install_fitness_services,
 )
 from repro.core import VideoPipe
-from repro.pipeline.config import TraceConfig
 from repro.trace import (
     CAT_COMPUTE,
     CAT_QUEUE,
@@ -42,7 +41,7 @@ def run(recognizer, trace=False, architecture="videopipe", seed=11,
     home = VideoPipe.paper_testbed(seed=seed)
     tracer = home.enable_tracing() if trace else None
     if monitor:
-        home.enable_monitoring(period_s=0.5)
+        home.enable_monitoring()
     baseline = architecture == "baseline"
     services = install_fitness_services(home, recognizer=recognizer,
                                         baseline_layout=baseline)
@@ -159,17 +158,5 @@ class TestWiring:
     def test_enable_tracing_is_idempotent(self, fitness_recognizer):
         home = VideoPipe.paper_testbed(seed=11)
         first = home.enable_tracing()
-        second = home.enable_tracing(TraceConfig(max_spans=5))
-        assert second is first
-        assert first.max_spans != 5  # the second call is a no-op
-
-    def test_max_spans_caps_the_recorder(self, fitness_recognizer):
-        home = VideoPipe.paper_testbed(seed=11)
-        tracer = home.enable_tracing(TraceConfig(max_spans=50))
-        services = install_fitness_services(home,
-                                            recognizer=fitness_recognizer)
-        app = FitnessApp(home, services)
-        app.deploy(fitness_pipeline_config(fps=10.0, duration_s=DURATION))
-        home.run(until=RUN_UNTIL)
-        assert tracer.span_count == 50
-        assert tracer.dropped_spans > 0
+        assert home.enable_tracing() is first
+        assert home.tracer is first

@@ -255,12 +255,6 @@ class TestRefusals:
         with pytest.raises(ConfigError, match="in flight"):
             home.upgrade_module(pipeline, MODULE)
 
-    def test_same_version_refused(self):
-        home, pipeline = fitness_home()
-        home.run_for(1.0)
-        with pytest.raises(ConfigError, match="already at version"):
-            home.upgrade_module(pipeline, MODULE, version="v1")
-
     def test_stopped_pipeline_refused(self):
         home, pipeline = fitness_home()
         home.run_for(1.0)

@@ -93,7 +93,7 @@ class TestRecovery:
 
 class TestMonitorIntegration:
     def test_failure_probe_lands_in_monitor_series(self, home):
-        home.enable_monitoring(period_s=0.5)
+        home.enable_monitoring()
         detector = enable(home)
         home.kernel.schedule(2.0, home.crash_device, "desktop")
         home.run(until=6.0)
@@ -104,6 +104,6 @@ class TestMonitorIntegration:
     def test_enable_order_does_not_matter(self, home):
         """Detection first, monitoring second: the probe still registers."""
         detector = enable(home)
-        home.enable_monitoring(period_s=0.5)
+        home.enable_monitoring()
         home.run(until=2.0)
         assert home.monitor.latest("failures", "watched") == 2.0

@@ -122,7 +122,7 @@ class TestHomeIntegration:
         home = VideoPipe.paper_testbed(seed=0)
         home.deploy_service(FunctionService("echo", lambda p, c: p,
                                             default_port=7500), "desktop")
-        monitor = home.enable_monitoring(period_s=0.5)
+        monitor = home.enable_monitoring()
         home.add_device("laptop")  # added after enabling: still probed
         assert "device/phone" in monitor.probe_names()
         assert "device/laptop" in monitor.probe_names()
@@ -140,7 +140,7 @@ class TestHomeIntegration:
         services = install_fitness_services(
             home, recognizer=train_activity_recognizer(seed=1, train_subjects=2)
         )
-        home.enable_monitoring(period_s=0.5)
+        home.enable_monitoring()
         app = FitnessApp(home, services)
         app.deploy(fitness_pipeline_config(fps=10.0, duration_s=10.0))
         home.run(until=11.0)

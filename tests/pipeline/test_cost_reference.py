@@ -16,7 +16,11 @@ from dataclasses import replace
 import pytest
 
 from repro.pipeline import COLOCATED, CostModel, OptimizerConfig
-from repro.pipeline.optimizer import REMOTE_CALL_OVERHEAD_S
+from repro.pipeline.optimizer import (
+    CAPACITY_WEIGHT_S,
+    MEMORY_WEIGHT_S,
+    REMOTE_CALL_OVERHEAD_S,
+)
 from repro.runtime.module import Module
 from repro.services.stubs import API_MARSHAL_S
 
@@ -113,7 +117,7 @@ def reference_score(config, devices, registry, topology, opt, observed,
         max(0.0, seconds / max(1, devices[name].spec.cores) - 1.0)
         for name, seconds in load.items()
     )
-    capacity_penalty_s = opt.capacity_weight_s * overload + pool_s
+    capacity_penalty_s = CAPACITY_WEIGHT_S * overload + pool_s
 
     memory_penalty_s = 0.0
     placed = list(assignments.values())
@@ -121,7 +125,7 @@ def reference_score(config, devices, registry, topology, opt, observed,
         footprint = placed.count(device) * opt.module_footprint_mb
         budget = max(1.0, devices[device].spec.memory_mb * 0.5)
         if footprint > budget:
-            memory_penalty_s += opt.memory_weight_s * (footprint - budget) / budget
+            memory_penalty_s += MEMORY_WEIGHT_S * (footprint - budget) / budget
 
     return {
         "critical_path_s": critical_path_s,

@@ -166,7 +166,7 @@ def test_local_search_finds_the_same_winner():
     config = _trap_config()
     plan = plan_optimized(
         config, home.devices, home.registry, home.topology,
-        "phone", optimizer=OptimizerConfig(max_candidates=1, restarts=2),
+        "phone", optimizer=OptimizerConfig(max_candidates=1),
     )
     assert plan.assignments["stage"] == "zeta"
 
@@ -177,7 +177,7 @@ def test_local_search_deterministic_under_seed():
     plans = [
         plan_optimized(
             config, home.devices, home.registry, home.topology, "phone",
-            optimizer=OptimizerConfig(max_candidates=1, restarts=3, seed=9),
+            optimizer=OptimizerConfig(max_candidates=1),
         ).assignments
         for _ in range(2)
     ]

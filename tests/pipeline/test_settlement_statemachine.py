@@ -141,7 +141,8 @@ class SettlementMachine(RuleBasedStateMachine):
         home.run()
         # every violation, not only the ones this last check adds: the
         # live-ops laws record theirs at verdict time
-        home.check_invariants(quiesce=True)
+        assert home.kernel.pending_events == 0
+        home.check_invariants()
         assert home.auditor.violations == [], home.auditor.report()
         for device in DEVICES:
             assert home.device(device).frame_store.live_count == 0, device

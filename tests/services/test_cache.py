@@ -1,4 +1,4 @@
-"""The host result cache: key derivation, LRU/TTL mechanics, call paths."""
+"""The host result cache: key derivation, LRU mechanics, call paths."""
 
 import pytest
 
@@ -14,38 +14,30 @@ from .conftest import make_frame
 class TestResultCache:
     def test_roundtrip_and_miss_sentinel(self):
         cache = ResultCache()
-        assert cache.lookup("k", now=0.0) is MISS
-        cache.store("k", {"reps": 3}, now=0.0)
-        assert cache.lookup("k", now=1.0) == {"reps": 3}
+        assert cache.lookup("k") is MISS
+        cache.store("k", {"reps": 3})
+        assert cache.lookup("k") == {"reps": 3}
         assert cache.hits == 1 and cache.misses == 1
 
     def test_none_is_a_valid_cached_value(self):
         cache = ResultCache()
-        cache.store("k", None, now=0.0)
-        assert cache.lookup("k", now=0.0) is None
+        cache.store("k", None)
+        assert cache.lookup("k") is None
 
     def test_lru_eviction_respects_recency(self):
         cache = ResultCache(max_entries=2)
-        cache.store("a", 1, now=0.0)
-        cache.store("b", 2, now=0.0)
-        cache.lookup("a", now=0.0)  # refresh a: b is now LRU
-        cache.store("c", 3, now=0.0)
+        cache.store("a", 1)
+        cache.store("b", 2)
+        cache.lookup("a")  # refresh a: b is now LRU
+        cache.store("c", 3)
         assert "a" in cache and "c" in cache and "b" not in cache
         assert cache.evictions == 1
 
-    def test_ttl_expires_entries(self):
-        cache = ResultCache(ttl_s=1.0)
-        cache.store("k", 1, now=0.0)
-        assert cache.lookup("k", now=0.5) == 1
-        assert cache.lookup("k", now=2.0) is MISS
-        assert cache.expirations == 1
-        assert len(cache) == 0
-
     def test_invalidate_all_and_by_prefix(self):
         cache = ResultCache()
-        cache.store("pose:aa", 1, now=0.0)
-        cache.store("pose:bb", 2, now=0.0)
-        cache.store("reps:cc", 3, now=0.0)
+        cache.store("pose:aa", 1)
+        cache.store("pose:bb", 2)
+        cache.store("reps:cc", 3)
         assert cache.invalidate(prefix="pose:") == 2
         assert "reps:cc" in cache
         assert cache.invalidate() == 1
@@ -56,23 +48,23 @@ class TestResultCache:
         """Regression: invalidating service ``"pose"`` used to match any
         key *starting with* ``pose`` — wiping ``pose_v2``'s entries too."""
         cache = ResultCache()
-        cache.store("pose:aa", 1, now=0.0)
-        cache.store("pose_v2:aa", 2, now=0.0)
+        cache.store("pose:aa", 1)
+        cache.store("pose_v2:aa", 2)
         assert cache.invalidate(prefix="pose") == 1
         assert "pose_v2:aa" in cache
         assert "pose:aa" not in cache
 
     def test_invalidate_with_colon_matches_raw_for_digest_ranges(self):
         cache = ResultCache()
-        cache.store("pose:ab12", 1, now=0.0)
-        cache.store("pose:cd34", 2, now=0.0)
+        cache.store("pose:ab12", 1)
+        cache.store("pose:cd34", 2)
         assert cache.invalidate(prefix="pose:ab") == 1
         assert "pose:cd34" in cache
 
     def test_invalidations_counts_entries_removed_not_calls(self):
         cache = ResultCache()
-        cache.store("pose:aa", 1, now=0.0)
-        cache.store("pose:bb", 2, now=0.0)
+        cache.store("pose:aa", 1)
+        cache.store("pose:bb", 2)
         assert cache.invalidate(prefix="pose") == 2
         assert cache.invalidate(prefix="pose") == 0  # already empty
         assert cache.invalidate() == 0
@@ -81,16 +73,14 @@ class TestResultCache:
     def test_hit_rate(self):
         cache = ResultCache()
         assert cache.hit_rate() == 0.0
-        cache.store("k", 1, now=0.0)
-        cache.lookup("k", now=0.0)
-        cache.lookup("gone", now=0.0)
+        cache.store("k", 1)
+        cache.lookup("k")
+        cache.lookup("gone")
         assert cache.hit_rate() == pytest.approx(0.5)
 
     def test_parameter_validation(self):
         with pytest.raises(ServiceError):
             ResultCache(max_entries=0)
-        with pytest.raises(ServiceError):
-            ResultCache(ttl_s=0.0)
 
 
 class TestPayloadCacheKey:
@@ -209,17 +199,6 @@ class TestHostCaching:
         host.call_local({"x": 1})
         home.kernel.run()
         assert len(calls) == 2  # a restarted process may carry a new model
-
-    def test_ttl_applies_in_simulated_time(self, home):
-        calls = []
-        host = ServiceHost(home.kernel, home.desktop, counting_service(calls),
-                           home.transport)
-        host.enable_result_cache(ttl_s=0.5)
-        done = host.call_local({"x": 1})
-        home.kernel.run_until_resolved(done)
-        home.kernel.schedule(1.0, lambda: host.call_local({"x": 1}))
-        home.kernel.run()
-        assert len(calls) == 2
 
     def test_ref_payloads_hit_across_byte_identical_frames(self, home):
         host = ServiceHost(home.kernel, home.desktop, PoseDetectorService(),

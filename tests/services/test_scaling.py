@@ -3,7 +3,7 @@
 import pytest
 
 from repro.services import FunctionService, ServiceHost
-from repro.services.scaling import AutoScaler, ScalingPolicy
+from repro.services.scaling import COOLDOWN_S, AutoScaler, ScalingPolicy
 
 
 def busy_host(home, cost=0.100, replicas=1):
@@ -17,24 +17,14 @@ class TestScalingPolicy:
         with pytest.raises(ValueError):
             ScalingPolicy(check_interval_s=0)
         with pytest.raises(ValueError):
-            ScalingPolicy(window=0)
-        with pytest.raises(ValueError):
             ScalingPolicy(max_replicas=0)
-        with pytest.raises(ValueError):
-            ScalingPolicy(step=0)
-        with pytest.raises(ValueError):
-            ScalingPolicy(min_replicas=0)
-        with pytest.raises(ValueError):
-            ScalingPolicy(max_replicas=2, min_replicas=3)
-        with pytest.raises(ValueError):
-            ScalingPolicy(cooldown_s=-1.0)
 
 
 class TestAutoScaler:
     def test_scales_up_under_sustained_queue(self, home):
         host = busy_host(home)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
-                               window=3, max_replicas=3)
+                               max_replicas=3)
         scaler = AutoScaler(home.kernel, policy)
         scaler.watch(host)
         scaler.start()
@@ -59,7 +49,7 @@ class TestAutoScaler:
     def test_respects_max_replicas(self, home):
         host = busy_host(home)
         policy = ScalingPolicy(check_interval_s=0.05, queue_threshold=0.5,
-                               window=2, max_replicas=2)
+                               max_replicas=2)
         scaler = AutoScaler(home.kernel, policy)
         scaler.watch(host)
         scaler.start()
@@ -78,7 +68,7 @@ class TestAutoScaler:
     def test_idle_service_never_scales(self, home):
         host = busy_host(home)
         scaler = AutoScaler(home.kernel,
-                            ScalingPolicy(check_interval_s=0.1, window=2))
+                            ScalingPolicy(check_interval_s=0.1))
         scaler.watch(host)
         scaler.start()
         home.kernel.run(until=2.0)
@@ -103,7 +93,7 @@ class TestWindowAccounting:
     def test_one_event_per_sustained_load_episode(self, home):
         host = busy_host(home)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
-                               window=3, max_replicas=6, cooldown_s=1.0)
+                               max_replicas=6)
         scaler = AutoScaler(home.kernel, policy)
         scaler.watch(host)
         scaler.start()
@@ -126,7 +116,7 @@ class TestWindowAccounting:
     def test_consecutive_events_respect_the_cooldown(self, home):
         host = busy_host(home)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
-                               window=3, max_replicas=6, cooldown_s=1.0)
+                               max_replicas=6)
         scaler = AutoScaler(home.kernel, policy)
         scaler.watch(host)
         scaler.start()
@@ -142,14 +132,14 @@ class TestWindowAccounting:
         assert len(scaler.events) >= 2
         gaps = [b.at - a.at
                 for a, b in zip(scaler.events, scaler.events[1:])]
-        assert all(gap >= policy.cooldown_s for gap in gaps), gaps
+        assert all(gap >= COOLDOWN_S for gap in gaps), gaps
 
 
 class TestScaleDown:
     def test_sustained_idle_shrinks_back_to_min(self, home):
         host = busy_host(home)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
-                               window=3, max_replicas=4, cooldown_s=0.5)
+                               max_replicas=4)
         scaler = AutoScaler(home.kernel, policy)
         scaler.watch(host)
         scaler.start()
@@ -165,7 +155,7 @@ class TestScaleDown:
         assert any(e.reason == "scale_up" for e in scaler.events)
         downs = [e for e in scaler.events if e.reason == "scale_down"]
         assert downs, "idle service never scaled back down"
-        assert host.replicas == policy.min_replicas
+        assert host.replicas == 1
         for event in downs:
             assert event.to_replicas == event.from_replicas - 1
             assert event.avg_queue == 0.0
@@ -173,8 +163,7 @@ class TestScaleDown:
     def test_never_shrinks_below_min_replicas(self, home):
         host = busy_host(home)
         scaler = AutoScaler(home.kernel,
-                            ScalingPolicy(check_interval_s=0.1, window=2,
-                                          cooldown_s=0.0))
+                            ScalingPolicy(check_interval_s=0.1))
         scaler.watch(host)
         scaler.start()
         home.kernel.run(until=3.0)

@@ -14,8 +14,7 @@ from repro.slo.spec import HEALTHY, OVERLOADED, STRAINED
 SLO_T = SLO(p99_latency_s=0.25, min_fps=4.0, window_s=2.0)
 #: Fast loop for tests: act every 0.5 s at most, restore after 1 s healthy.
 CONFIG = SLOConfig(check_interval_s=0.25, hysteresis_s=0.5,
-                   recovery_hold_s=1.0, use_optimizer=False,
-                   max_extra_replicas=0)
+                   recovery_hold_s=1.0, use_optimizer=False)
 
 
 def force_state(controller, state):
@@ -55,13 +54,6 @@ class TestEnrollment:
         pipeline = home.deploy_pipeline(fitness_pipeline_config(fps=10.0))
         assert home.slo.enrollment("fitness") is None
         assert pipeline is not None
-
-    def test_default_slo_enrolls_unlabelled_deploys(self, home):
-        home.enable_slo(config=CONFIG, default_slo=SLO_T)
-        home.deploy_pipeline(fitness_pipeline_config(fps=10.0))
-        enrollment = home.slo.enrollment("fitness")
-        assert enrollment is not None
-        assert enrollment.slo is SLO_T
 
     def test_pipelines_deployed_before_enable_are_enrolled(
             self, home):
@@ -185,7 +177,7 @@ class TestStatusAndMetrics:
 
     def test_monitor_probe_surfaces_the_controller(self, enrolled):
         home, controller, _ = enrolled
-        monitor = home.enable_monitoring(period_s=0.5)
+        monitor = home.enable_monitoring()
         force_state(controller, OVERLOADED)
         home.run_for(2.0)
         assert monitor.latest("slo", "enrolled") == 1

@@ -7,13 +7,13 @@ from repro.apps.fitness import (
     fitness_pipeline_config,
     install_fitness_services,
 )
-from repro.slo import SLO, SLOConfig
-from repro.slo.detector import OverloadDetector, classify_signals
+from repro.slo import SLO
+from repro.slo.detector import OVERLOAD_RATIO, OverloadDetector, classify_signals
 from repro.slo.spec import HEALTHY, OVERLOADED, STRAINED
 
 SLO_T = SLO(p99_latency_s=0.2, min_fps=5.0, window_s=2.0)
-CONFIG = SLOConfig()  # overload_ratio 1.25, fps_overload_frac 0.75,
-#                       queue_strain 1.0, queue_overload 6.0, min_samples 3
+# thresholds: overload ratio 1.25, fps overload fraction 0.75, queue strain
+# 1.0, queue overload 6.0, 3 samples before the ratios are trusted
 
 
 def classify(**kwargs):
@@ -22,7 +22,7 @@ def classify(**kwargs):
         samples=10, ever_completed=True, paused=False,
     )
     defaults.update(kwargs)
-    return classify_signals(SLO_T, CONFIG, **defaults)
+    return classify_signals(SLO_T, **defaults)
 
 
 class TestClassifySignals:
@@ -33,7 +33,7 @@ class TestClassifySignals:
         assert classify(latency_ratio=1.30).state == OVERLOADED
 
     def test_latency_strain_band_holds(self):
-        # [1, overload_ratio) is the hold band
+        # [1, OVERLOAD_RATIO) is the hold band
         assert classify(latency_ratio=1.10).state == STRAINED
         assert classify(latency_ratio=1.25).state == OVERLOADED
 
@@ -118,4 +118,4 @@ class TestOverloadDetector:
         reading = detector.reading(pipeline, SLO(p99_latency_s=0.0005,
                                                  min_fps=5.0))
         assert reading.state == OVERLOADED
-        assert reading.latency_ratio > CONFIG.overload_ratio
+        assert reading.latency_ratio > OVERLOAD_RATIO

@@ -7,8 +7,10 @@ from repro.apps.fitness import (
     fitness_pipeline_config,
     install_fitness_services,
 )
+from repro.fleet import Fleet, FleetConfig
 from repro.slo import SLO, SLOConfig, find_source
 from repro.slo.ladder import (
+    TIER_SERVICES,
     FpsStep,
     PauseStep,
     ResolutionStep,
@@ -178,16 +180,20 @@ class TestFindSourceAndBuild:
 
     def test_config_gates_the_rungs(self, home_and_pipeline):
         home, pipeline = home_and_pipeline
-        steps = build_ladder(home, pipeline, SLO(), SLOConfig(
-            max_extra_replicas=0, use_optimizer=False, resolution_steps=1,
-            tier_factor=1.0, fps_steps=0, allow_pause=False,
-        ))
-        assert [s.name for s in steps] == ["resolution"]
+        steps = build_ladder(home, pipeline, SLO(),
+                             SLOConfig(use_optimizer=False))
+        assert [s.name for s in steps] == [
+            "scale_up", "resolution", "resolution",
+            "service_tier", "fps", "fps", "pause",
+        ]
 
-    def test_tier_rung_needs_a_called_service(self, home_and_pipeline):
-        home, pipeline = home_and_pipeline
-        steps = build_ladder(home, pipeline, SLO(), SLOConfig(
-            max_extra_replicas=0, use_optimizer=False, resolution_steps=0,
-            tier_services=("not_called",), fps_steps=0, allow_pause=False,
-        ))
-        assert steps == []
+    def test_tier_rung_needs_a_called_service(self):
+        # a fleet home's stage pipeline calls no tiered service
+        fleet = Fleet(FleetConfig(homes=1, strategy="colocated"))
+        home, pipeline = fleet.homes[0], fleet.pipelines[0]
+        assert not set(TIER_SERVICES) & set(pipeline.config.declared_services())
+        steps = build_ladder(home, pipeline, SLO(), SLOConfig())
+        assert [s.name for s in steps] == [
+            "scale_up", "replan", "resolution", "resolution",
+            "fps", "fps", "pause",
+        ]

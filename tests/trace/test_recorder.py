@@ -151,13 +151,6 @@ class TestCapacity:
         assert recorder.frames_finished == 1
         assert recorder.dropped_spans == 2
 
-    def test_config_rejects_nonpositive_cap(self):
-        from repro.errors import ConfigError
-        from repro.pipeline.config import TraceConfig
-        assert TraceConfig().max_spans == 1_000_000
-        with pytest.raises(ConfigError):
-            TraceConfig(max_spans=0)
-
 
 class TestIntrospection:
     def test_traces_groups_by_trace_id(self, recorder):
