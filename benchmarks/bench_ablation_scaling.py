@@ -35,7 +35,8 @@ def test_scaling_restores_shared_throughput(benchmark, fitness_recognizer,
             ),
         )
         results["autoscaled"] = (f_fit, f_gest)
-        results["events"] = list(home.autoscaler.events)
+        results["events"] = [a for a in home.actions
+                             if a.controller == "autoscaler"]
         results["final_replicas"] = home.registry.any_host("pose_detector").replicas
         return results
 
@@ -49,10 +50,12 @@ def test_scaling_restores_shared_throughput(benchmark, fitness_recognizer,
          if name in ("1 replica", "2 replicas", "autoscaled")],
         title="§7 ablation — pose service scaling at a 30 FPS source",
     ))
-    for event in results["events"]:
-        print(f"  autoscaler: {event.service} {event.from_replicas}->"
-              f"{event.to_replicas} replicas at t={event.at:.2f}s"
-              f" (avg queue {event.avg_queue:.1f})")
+    for action in results["events"]:
+        evidence = action.evidence
+        print(f"  autoscaler: {action.target.split('@')[0]}"
+              f" {evidence['from_replicas']}->{evidence['to_replicas']}"
+              f" replicas at t={action.at:.2f}s"
+              f" (avg queue {evidence['avg_queue']:.1f})")
 
     benchmark.extra_info["one_replica_fitness_fps"] = round(results["1 replica"][0], 2)
     benchmark.extra_info["two_replicas_fitness_fps"] = round(results["2 replicas"][0], 2)

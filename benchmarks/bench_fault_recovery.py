@@ -59,7 +59,8 @@ def run_crash_scenario(recognizer, period_s, seed=11, fps=10.0):
     home.run(until=DURATION_S)
     post = frames()
 
-    down_events = [e for e in detector.events if e.kind == "down"]
+    down_events = [a for a in home.actions
+                   if a.controller == "detector" and a.kind == "down"]
     report = tracker.report()
     report["time_to_detect_s"] = (
         down_events[0].at - CRASH_AT if down_events else float("nan"))

@@ -135,7 +135,7 @@ def test_slo_guardian_ramp(benchmark, tmp_path,
         }
         results["controller"] = {
             "ramp_attainment": ramp_attainment(controlled_pipe),
-            "actions": len(controlled_home.slo.actions),
+            "actions": len(controlled_home.slo.ladder_actions()),
         }
         results["_home"] = controlled_home
         results["_pipe"] = controlled_pipe

@@ -71,13 +71,17 @@ def main() -> None:
         print(f"  t={at:5.2f}s  {kind} -> {target}")
 
     print("\ndetector events:")
-    for event in detector.events:
-        mttr = f"  (MTTR {event.mttr_s:.2f}s)" if event.mttr_s else ""
-        print(f"  t={event.at:5.2f}s  {event.device} {event.kind}{mttr}")
+    for action in home.actions:
+        if action.controller == "detector":
+            mttr = action.evidence.get("mttr_s")
+            mttr = f"  (MTTR {mttr:.2f}s)" if mttr else ""
+            print(f"  t={action.at:5.2f}s  {action.target} {action.kind}{mttr}")
 
     print("\norchestrator actions:")
-    for action in home.orchestrator.actions:
-        print(f"  t={action.at:5.2f}s  [{action.remedy}] {action.description}")
+    for action in home.actions:
+        if action.controller == "orchestrator":
+            print(f"  t={action.at:5.2f}s  [{action.kind}:{action.target}]"
+                  f" {action.reason}")
 
     print("\nwhere the compute modules live now:")
     for name in ("pose_detector_module", "activity_detector_module"):

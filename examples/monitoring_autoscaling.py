@@ -63,10 +63,13 @@ def main() -> None:
               f"{alarm.value:.0f}")
 
     print("\nautoscaler decisions:")
-    for event in home.autoscaler.events:
-        print(f"  t={event.at:5.2f}s  {event.service}@{event.device}: "
-              f"{event.from_replicas} -> {event.to_replicas} replicas "
-              f"(avg queue {event.avg_queue:.1f})")
+    for action in home.actions:
+        if action.controller != "autoscaler":
+            continue
+        evidence = action.evidence
+        print(f"  t={action.at:5.2f}s  {action.target}: "
+              f"{evidence['from_replicas']} -> {evidence['to_replicas']}"
+              f" replicas (avg queue {evidence['avg_queue']:.1f})")
 
     pose = home.registry.any_host("pose_detector")
     print(f"\npose service: {pose.replicas} replicas, "

@@ -1,0 +1,40 @@
+"""One record of what a controller did.
+
+Every periodic controller — the autoscaler, the SLO ladder, the online
+optimizer, the failure detector, the orchestrator and the live-ops canary
+judge — records each decision it carries out as one :class:`Action`. A home
+keeps them in one list, ``VideoPipe.actions``, which it hands to each
+controller it builds; a controller built on its own keeps a list of its
+own. Readers filter by ``controller``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any
+
+
+@dataclass(frozen=True, slots=True)
+class Action:
+    """One decision a controller carried out.
+
+    Attributes:
+        at: simulated time of the decision.
+        controller: who decided — ``autoscaler``, ``slo``, ``optimizer``,
+            ``detector``, ``orchestrator`` or ``liveops``.
+        kind: what it did — ``scale_up``/``scale_down``,
+            ``degrade``/``restore``, ``replan``, ``down``/``up``, the
+            remedy's kind (``evacuate``), ``promoted``/``rolled_back``.
+        target: what it acted on — a ``service@device`` host, a pipeline,
+            a device, or a ``pipeline/module``.
+        reason: why, in words (the autoscaler names the rule or the
+            requester).
+        evidence: the values behind the decision, by name.
+    """
+
+    at: float
+    controller: str
+    kind: str
+    target: str
+    reason: str
+    evidence: dict[str, Any] = field(default_factory=dict)

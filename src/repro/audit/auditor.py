@@ -59,15 +59,15 @@ from typing import TYPE_CHECKING, Any
 from ..services.scaling import COOLDOWN_S
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..actions import Action
     from ..frames.arena import ArenaHandle, FrameArena
     from ..frames.framestore import FrameStore
     from ..metrics.collector import MetricsCollector
     from ..net.transport import Transport
-    from ..services.scaling import AutoScaler, ScalingEvent
+    from ..services.scaling import AutoScaler
     from ..sim.events import Event
     from ..sim.kernel import Kernel
     from ..slo.controller import SLOController
-    from ..slo.ladder import LadderAction
     from ..slo.spec import AdmissionDecision
 
 #: Tolerance for float time comparisons (kernel times are exact sums of
@@ -481,38 +481,39 @@ class InvariantAuditor:
 
     # -- autoscaler pacing ------------------------------------------------------------
     def watch_autoscaler(self, scaler: "AutoScaler") -> None:
-        """Check cooldown pacing and replica bounds on *scaler*'s events."""
+        """Check cooldown pacing and replica bounds on *scaler*'s actions."""
         if id(scaler) in self._scalers:
             return
         scaler.auditor = self
         self._scalers[id(scaler)] = (scaler, {})
 
-    def on_scaling_event(self, scaler: "AutoScaler", event: "ScalingEvent") -> None:
+    def on_scaling_event(self, scaler: "AutoScaler", action: "Action") -> None:
         entry = self._scalers.get(id(scaler))
         if entry is None:
             return
         last_by_host = entry[1]
-        key = (event.service, event.device)
         policy = scaler.policy
-        subject = f"autoscaler/{event.service}@{event.device}"
-        previous = last_by_host.get(key)
-        if previous is not None and event.at - previous < COOLDOWN_S - _EPS:
+        subject = f"autoscaler/{action.target}"
+        previous = last_by_host.get(action.target)
+        if previous is not None and action.at - previous < COOLDOWN_S - _EPS:
             self.record(
                 "autoscaler-pacing",
                 subject,
-                f"scaling events {previous:.3f}s and {event.at:.3f}s are"
-                f" {event.at - previous:.3f}s apart, inside the"
+                f"scaling events {previous:.3f}s and {action.at:.3f}s are"
+                f" {action.at - previous:.3f}s apart, inside the"
                 f" {COOLDOWN_S:.3f}s cooldown — the sampler is"
                 " re-evaluating overlapping windows (one decision should"
                 " consume its window)",
             )
-        last_by_host[key] = event.at
-        if not (1 <= event.to_replicas <= policy.max_replicas):
+        last_by_host[action.target] = action.at
+        before = action.evidence["from_replicas"]
+        after = action.evidence["to_replicas"]
+        if not (1 <= after <= policy.max_replicas):
             self.record(
                 "autoscaler-pacing",
                 subject,
                 f"replica count left [1, {policy.max_replicas}]:"
-                f" {event.from_replicas} -> {event.to_replicas}",
+                f" {before} -> {after}",
             )
 
     # -- slo ladder & admission --------------------------------------------------------
@@ -537,14 +538,18 @@ class InvariantAuditor:
         self._slo[id(controller)] = (controller, state)
 
     def on_slo_action(
-        self, controller: "SLOController", action: "LadderAction"
+        self, controller: "SLOController", action: "Action"
     ) -> None:
         entry = self._slo.get(id(controller))
         if entry is None:
             return
         state = entry[1]
-        subject = f"slo/{action.pipeline}"
-        previous = state.last_action_at.get(action.pipeline)
+        pipeline = action.target
+        step = action.evidence["step"]
+        depth_before = action.evidence["depth_before"]
+        depth_after = action.evidence["depth_after"]
+        subject = f"slo/{pipeline}"
+        previous = state.last_action_at.get(pipeline)
         hysteresis = controller.config.hysteresis_s
         if previous is not None and action.at - previous < hysteresis - _EPS:
             self.record(
@@ -554,33 +559,33 @@ class InvariantAuditor:
                 f" {action.at - previous:.3f}s apart, inside the"
                 f" {hysteresis:.3f}s hysteresis — the controller is flapping",
             )
-        state.last_action_at[action.pipeline] = action.at
-        expected_delta = 1 if action.direction == "degrade" else -1
-        if action.depth_after - action.depth_before != expected_delta:
+        state.last_action_at[pipeline] = action.at
+        expected_delta = 1 if action.kind == "degrade" else -1
+        if depth_after - depth_before != expected_delta:
             self.record(
                 "slo-ladder",
                 subject,
-                f"{action.direction} moved ladder depth"
-                f" {action.depth_before} -> {action.depth_after}; every"
+                f"{action.kind} moved ladder depth"
+                f" {depth_before} -> {depth_after}; every"
                 " action must move it by exactly one rung",
             )
-        stack = state.stacks.setdefault(action.pipeline, [])
-        if len(stack) != action.depth_before:
+        stack = state.stacks.setdefault(pipeline, [])
+        if len(stack) != depth_before:
             self.record(
                 "slo-ladder",
                 subject,
-                f"action reports depth_before={action.depth_before} but the"
+                f"action reports depth_before={depth_before} but the"
                 f" auditor mirrors {len(stack)} applied rung(s)",
             )
-        if action.direction == "degrade":
-            stack.append(action.step)
+        if action.kind == "degrade":
+            stack.append(step)
         elif stack:
             top = stack.pop()
-            if top != action.step:
+            if top != step:
                 self.record(
                     "slo-ladder",
                     subject,
-                    f"restore reverted {action.step!r} while the most"
+                    f"restore reverted {step!r} while the most"
                     f" recently applied rung is {top!r} — recovery must"
                     " retrace the ladder in reverse order",
                 )
@@ -588,7 +593,7 @@ class InvariantAuditor:
             self.record(
                 "slo-ladder",
                 subject,
-                f"restore of {action.step!r} with no applied rung mirrored",
+                f"restore of {step!r} with no applied rung mirrored",
             )
 
     def on_admission(

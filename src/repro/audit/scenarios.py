@@ -308,8 +308,9 @@ def monitoring_autoscaling(seed: int):
     def run_fn() -> dict:
         result = base_run()
         result["scaling_events"] = [
-            (e.at, e.service, e.from_replicas, e.to_replicas, e.reason)
-            for e in home.autoscaler.events
+            (a.at, a.target.split("@")[0], a.evidence["from_replicas"],
+             a.evidence["to_replicas"], a.reason)
+            for a in home.actions if a.controller == "autoscaler"
         ]
         return result
 
@@ -404,7 +405,8 @@ def chaos_fitness(seed: int):
         result = base_run()
         result["fault_trace"] = list(injector.trace)
         result["detector_events"] = [
-            (e.at, e.device, e.kind) for e in home.detector.events
+            (a.at, a.target, a.kind)
+            for a in home.actions if a.controller == "detector"
         ]
         return result
 

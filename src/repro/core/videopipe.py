@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable
 
+from ..actions import Action
 from ..audit.auditor import InvariantAuditor, Violation
 from ..devices.catalog import make_spec
 from ..devices.device import Device
@@ -130,6 +131,8 @@ class VideoPipe:
         self.auditor: InvariantAuditor | None = None
         self.slo: SLOController | None = None
         self.liveops: LiveOpsManager | None = None
+        #: Every decision the home's controllers carried out, in order.
+        self.actions: list[Action] = []
         #: SLOs declared at deploy time before enable_slo() was called
         self._pending_slos: dict[str, SLO] = {}
         self.pipelines: list[Pipeline] = []
@@ -562,7 +565,7 @@ class VideoPipe:
     def enable_autoscaling(self, policy: ScalingPolicy | None = None) -> AutoScaler:
         """Turn on the §7 future-work autoscaler over the service hosts."""
         if self.autoscaler is None:
-            self.autoscaler = AutoScaler(self.kernel, policy)
+            self.autoscaler = AutoScaler(self.kernel, policy, self.actions)
             self._wire()
             self.autoscaler.start()
         return self.autoscaler
@@ -676,6 +679,7 @@ class VideoPipe:
                 home,
                 period_s=period_s,
                 miss_threshold=miss_threshold,
+                actions=self.actions,
             )
             self._wire()
             self.detector.start()
@@ -693,13 +697,11 @@ class VideoPipe:
         self, pipeline: Pipeline, cooldown_s: float = 1.0
     ) -> Orchestrator:
         """Close the §7 loop for *pipeline*: failure detection, plus the
-        remediation loop (over the monitor, created if needed) with a remedy
-        that evacuates its modules off any device declared dead."""
+        remediation loop with a remedy that evacuates its modules off any
+        device declared dead."""
         detector = self.enable_failure_detection()
         if self.orchestrator is None:
-            self.orchestrator = Orchestrator(
-                self.kernel, self.enable_monitoring()
-            )
+            self.orchestrator = Orchestrator(self.kernel, self.actions)
             self.orchestrator.start()
         self.orchestrator.add_remedy(
             evacuate_dead_device_remedy(

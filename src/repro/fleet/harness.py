@@ -412,8 +412,8 @@ class Fleet:
         capture horizon (``duration_s + tail_s``) and then — optimizers
         stopped — drains every remaining in-flight event so quiesce-time
         invariants hold. An explicit *until* is honored as a hard horizon:
-        the optimizers' stop interrupts (scheduled at *until*) are still
-        delivered, but any work scheduled later stays unrun.
+        stopping an optimizer only takes its next tick off the queue, and
+        any work scheduled after *until* stays unrun.
         """
         horizon = (
             until if until is not None

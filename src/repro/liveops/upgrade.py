@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Any
 
+from ..actions import Action
 from ..errors import ConfigError
 from ..frames.payloads import add_refs, frame_ids_in, release_refs
 from ..metrics.collector import MetricsCollector
@@ -49,6 +50,7 @@ from .policy import CanaryPolicy
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline.pipeline import Pipeline
     from ..runtime.moduleruntime import DeployedModule
+    from ..sim.kernel import Ticker
 
 #: Upgrade lifecycle states.
 MIRRORING = "mirroring"
@@ -169,6 +171,8 @@ class ModuleUpgrade:
         self.primary_deployed: "DeployedModule | None" = None
         self.shadow_deployed: "DeployedModule | None" = None
         self.sink_deployed: "DeployedModule | None" = None
+        #: The auto policy's decision loop while it runs.
+        self.judge: "Ticker | None" = None
 
     @property
     def active(self) -> bool:
@@ -217,6 +221,7 @@ class LiveOpsManager:
 
     Attributes:
         upgrades: every upgrade ever started, oldest first.
+        actions: the home's action log, where each verdict is recorded.
         lineage: the home's :class:`LineageRecorder`.
         auditor: the home's auditor, or ``None`` (set by
             ``watch_liveops``).
@@ -226,6 +231,7 @@ class LiveOpsManager:
         self.home = home
         self.kernel = home.kernel
         self.upgrades: list[ModuleUpgrade] = []
+        self.actions: list[Action] = home.actions
         self._active: dict[tuple[str, str], ModuleUpgrade] = {}
         self.lineage = LineageRecorder(home.kernel)
         self.auditor: Any = None
@@ -281,7 +287,8 @@ class LiveOpsManager:
         if self.auditor is not None:
             self.auditor.on_upgrade_started(self, upgrade)
         if upgrade.policy.auto:
-            self.kernel.schedule(CHECK_INTERVAL_S, self._tick, upgrade)
+            upgrade.judge = self.kernel.every(
+                CHECK_INTERVAL_S, self._judge, upgrade)
         return upgrade
 
     def _deploy_shadow(self, upgrade: ModuleUpgrade, module_cfg) -> None:
@@ -337,16 +344,12 @@ class LiveOpsManager:
         primary.mirror = MirrorTap(upgrade)
 
     # -- decision loop -------------------------------------------------------
-    def _tick(self, upgrade: ModuleUpgrade) -> None:
-        if upgrade.state != MIRRORING:
-            return
+    def _judge(self, upgrade: ModuleUpgrade) -> None:
         verdict, reason = self._evaluate(upgrade)
         if verdict == "promote":
             self.promote(upgrade, reason=reason)
         elif verdict == "rollback":
             self.rollback(upgrade, reason=reason)
-        else:
-            self.kernel.schedule(CHECK_INTERVAL_S, self._tick, upgrade)
 
     def _evaluate(self, upgrade: ModuleUpgrade) -> tuple[str | None, str]:
         """Score the candidate against the incumbent; returns
@@ -435,6 +438,15 @@ class LiveOpsManager:
         upgrade.state = state
         upgrade.decided_at = self.kernel.now
         upgrade.reason = reason
+        if upgrade.judge is not None:
+            upgrade.judge.cancel()
+        self.actions.append(Action(
+            upgrade.decided_at, "liveops", state,
+            f"{upgrade.pipeline.name}/{upgrade.module_name}", reason,
+            {"from_version": upgrade.from_version,
+             "to_version": upgrade.to_version,
+             "mirrored_frames": upgrade.mirrored_frames},
+        ))
         self._active.pop((upgrade.pipeline.name, upgrade.module_name), None)
         if self.auditor is not None:
             self.auditor.on_upgrade_finished(self, upgrade)

@@ -3,22 +3,22 @@
 Every device runs a tiny :class:`HeartbeatResponder` (a native RPC
 endpoint). The :class:`FailureDetector` — typically on the home's most
 reliable device — pings each watched device on a fixed period; after
-``miss_threshold`` consecutive misses the device is declared **dead**,
-``on_down`` hooks fire (the orchestrator's evacuation remedy hangs off
-this), and when heartbeats come back the device is declared recovered and
-an MTTR sample is recorded (first miss → recovery, the detector's honest
-view of the outage).
+``miss_threshold`` consecutive misses the device is declared **dead** (the
+orchestrator's evacuation remedy reads :meth:`FailureDetector.dead_devices`),
+and when heartbeats come back the device is declared recovered and an MTTR
+sample is recorded (first miss → recovery, the detector's honest view of
+the outage). Both transitions are ``down`` / ``up`` actions in the log.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
+from ..actions import Action
 from ..net.address import Address
 from ..net.rpc import RpcClient, RpcServer
 from ..net.transport import Transport
-from ..sim.kernel import Kernel
+from ..sim.kernel import Kernel, Ticker
 from .probes import ProbeFn
 
 #: Well-known port for the heartbeat endpoint on every device.
@@ -50,18 +50,6 @@ class _WatchState:
     misses: int = 0
     dead: bool = False
     first_miss_at: float | None = None
-    detected_at: float | None = None
-    outages: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class DetectionEvent:
-    """One detector state transition, for the deterministic event log."""
-
-    at: float
-    device: str
-    kind: str  # "down" | "up"
-    mttr_s: float | None = None
 
 
 class FailureDetector:
@@ -73,8 +61,8 @@ class FailureDetector:
         transport: Transport,
         home_device: str,
         period_s: float = 0.5,
-        timeout_s: float | None = None,
         miss_threshold: int = 3,
+        actions: list[Action] | None = None,
     ) -> None:
         if period_s <= 0:
             raise ValueError("period must be positive")
@@ -83,23 +71,18 @@ class FailureDetector:
         self.kernel = kernel
         self.home_device = home_device
         self.period_s = period_s
-        #: Per-probe timeout; defaults to one period so a hung probe can't
-        #: overlap more than one round.
-        self.timeout_s = timeout_s if timeout_s is not None else period_s
         self.miss_threshold = miss_threshold
         # probes must not themselves retry or trip breakers: the detector IS
-        # the component that interprets failures
+        # the component that interprets failures. A probe times out after
+        # one period, so a hung probe can't overlap more than one round.
         self._client = RpcClient(
             kernel, transport, home_device,
-            default_timeout_s=self.timeout_s, retry=None, breaker=None,
+            default_timeout_s=period_s, retry=None, breaker=None,
         )
         self._watched: dict[str, _WatchState] = {}
-        self._running = False
-        #: Hooks fired on transitions: callbacks receive the device name.
-        self.on_down: list[Callable[[str], None]] = []
-        self.on_up: list[Callable[[str], None]] = []
-        #: Deterministic transition log.
-        self.events: list[DetectionEvent] = []
+        self._ticker: Ticker | None = None
+        #: Where each transition (``down``/``up``) is recorded.
+        self.actions = [] if actions is None else actions
         #: Outage durations (first missed heartbeat → recovery), seconds.
         self.mttr_samples: list[float] = []
         # statistics
@@ -119,19 +102,13 @@ class FailureDetector:
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.kernel.process(self._loop(), name="failure-detector")
+        """Probe every watched device now, then once per period."""
+        if self._ticker is None:
+            self._ticker = self.kernel.every(self.period_s, self._tick, first=0.0)
 
-    def stop(self) -> None:
-        self._running = False
-
-    def _loop(self):
-        while self._running:
-            for device in sorted(self._watched):
-                self._probe(device)
-            yield self.period_s
+    def _tick(self) -> None:
+        for device in sorted(self._watched):
+            self._probe(device)
 
     # -- probing -----------------------------------------------------------------
     def _probe(self, device: str) -> None:
@@ -152,11 +129,10 @@ class FailureDetector:
                 mttr = (self.kernel.now - state.first_miss_at
                         if state.first_miss_at is not None else 0.0)
                 self.mttr_samples.append(mttr)
-                self.events.append(DetectionEvent(
-                    self.kernel.now, device, "up", mttr_s=mttr,
+                self.actions.append(Action(
+                    self.kernel.now, "detector", "up", device,
+                    "heartbeat answered", {"mttr_s": mttr},
                 ))
-                for hook in self.on_up:
-                    hook(device)
             state.misses = 0
             state.first_miss_at = None
             return
@@ -166,12 +142,11 @@ class FailureDetector:
         state.misses += 1
         if not state.dead and state.misses >= self.miss_threshold:
             state.dead = True
-            state.detected_at = self.kernel.now
-            state.outages += 1
             self.detections += 1
-            self.events.append(DetectionEvent(self.kernel.now, device, "down"))
-            for hook in self.on_down:
-                hook(device)
+            self.actions.append(Action(
+                self.kernel.now, "detector", "down", device,
+                f"{state.misses} heartbeats missed in a row",
+            ))
 
     # -- queries -----------------------------------------------------------------
     def is_dead(self, device: str) -> bool:

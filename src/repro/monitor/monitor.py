@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
-from ..sim.kernel import Kernel
+from ..sim.kernel import Kernel, Ticker
 from .probes import ProbeFn, Sample
 
 
@@ -57,7 +57,7 @@ class Monitor:
         self._streaks: dict[tuple[str, str], int] = defaultdict(int)
         self.samples: list[Sample] = []
         self.alarms: list[Alarm] = []
-        self._running = False
+        self._ticker: Ticker | None = None
 
     # -- registration -----------------------------------------------------------
     def add_probe(self, name: str, probe: ProbeFn) -> None:
@@ -73,20 +73,13 @@ class Monitor:
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.kernel.process(self._loop(), name="monitor")
+        if self._ticker is None:
+            self._ticker = self.kernel.every(self.period_s, self.sample_once)
 
     def stop(self) -> None:
-        self._running = False
-
-    def _loop(self):
-        while self._running:
-            yield self.period_s
-            if not self._running:  # stopped while sleeping
-                break
-            self.sample_once()
+        if self._ticker is not None:
+            self._ticker.cancel()
+            self._ticker = None
 
     # -- sampling -------------------------------------------------------------------
     def sample_once(self) -> list[Sample]:

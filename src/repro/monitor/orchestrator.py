@@ -1,10 +1,9 @@
-"""The self-management loop: the monitor's state drives remediation.
+"""The self-management loop: detected state drives remediation.
 
 §7 names three future components — automatic deployment, scheduling, and
 monitoring. The :class:`Orchestrator` closes the loop between them: it
-periodically evaluates *remedies* against the monitor's fresh state, so
-modules stranded on a dead device are re-deployed without an operator in
-the loop.
+periodically evaluates *remedies*, so modules stranded on a dead device are
+re-deployed without an operator in the loop.
 """
 
 from __future__ import annotations
@@ -12,102 +11,77 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ..sim.kernel import Kernel
-from .monitor import Monitor
+from ..actions import Action
+from ..sim.kernel import Kernel, Ticker
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline.pipeline import Pipeline
     from .failure_detector import FailureDetector
 
-
-@dataclass(frozen=True, slots=True)
-class Action:
-    """One remediation the orchestrator executed."""
-
-    at: float
-    remedy: str
-    description: str
+#: Seconds between two evaluations of the remedies.
+PERIOD_S = 1.0
 
 
 @dataclass(slots=True)
 class Remedy:
-    """A named condition → action pair with a cooldown.
+    """A condition → action pair with a cooldown.
 
-    ``condition`` reads the monitor and returns a description string when
-    the remedy should fire (or None); ``action`` performs the change.
+    ``condition`` returns a description string when the remedy should fire
+    (or None); ``action`` performs the change. ``kind`` and ``target`` name
+    what it does and to what in the action log.
     """
 
-    name: str
-    condition: Callable[[Monitor], str | None]
+    kind: str
+    target: str
+    condition: Callable[[], str | None]
     action: Callable[[], None]
     cooldown_s: float = 5.0
-    max_firings: int | None = None
     _last_fired: float = -1e18
-    _fired: int = 0
-
-    def due(self, monitor: Monitor, now: float) -> str | None:
-        if self.max_firings is not None and self._fired >= self.max_firings:
-            return None
-        if now - self._last_fired < self.cooldown_s:
-            return None
-        return self.condition(monitor)
 
 
 class Orchestrator:
-    """Evaluates remedies on a fixed period against the monitor."""
+    """Evaluates remedies once per :data:`PERIOD_S`."""
 
-    def __init__(self, kernel: Kernel, monitor: Monitor,
-                 period_s: float = 1.0) -> None:
-        if period_s <= 0:
-            raise ValueError("period must be positive")
+    def __init__(self, kernel: Kernel,
+                 actions: list[Action] | None = None) -> None:
         self.kernel = kernel
-        self.monitor = monitor
-        self.period_s = period_s
         self._remedies: list[Remedy] = []
-        self.actions: list[Action] = []
-        #: (time, remedy name, exception) for actions that raised; a broken
+        #: Where each remedy that ran is recorded.
+        self.actions = [] if actions is None else actions
+        #: (time, remedy, exception) for actions that raised; a broken
         #: remedy must not kill the control loop.
-        self.action_failures: list[tuple[float, str, Exception]] = []
-        self._running = False
+        self.action_failures: list[tuple[float, Remedy, Exception]] = []
+        self._ticker: Ticker | None = None
 
     def add_remedy(self, remedy: Remedy) -> None:
         self._remedies.append(remedy)
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.kernel.process(self._loop(), name="orchestrator")
+        if self._ticker is None:
+            self._ticker = self.kernel.every(PERIOD_S, self.evaluate_once)
 
     def stop(self) -> None:
-        self._running = False
+        if self._ticker is not None:
+            self._ticker.cancel()
+            self._ticker = None
 
-    def _loop(self):
-        while self._running:
-            yield self.period_s
-            if not self._running:
-                break
-            self.evaluate_once()
-
-    def evaluate_once(self) -> list[Action]:
-        """Check every remedy now; returns the actions taken."""
-        fired = []
+    def evaluate_once(self) -> None:
+        """Check every remedy now, running each that is due."""
         now = self.kernel.now
         for remedy in self._remedies:
-            description = remedy.due(self.monitor, now)
+            if now - remedy._last_fired < remedy.cooldown_s:
+                continue
+            description = remedy.condition()
             if description is None:
                 continue
             remedy._last_fired = now  # cooldown applies even to failures
             try:
                 remedy.action()
             except Exception as exc:
-                self.action_failures.append((now, remedy.name, exc))
+                self.action_failures.append((now, remedy, exc))
                 continue
-            remedy._fired += 1
-            action = Action(at=now, remedy=remedy.name, description=description)
-            self.actions.append(action)
-            fired.append(action)
-        return fired
+            self.actions.append(Action(
+                now, "orchestrator", remedy.kind, remedy.target, description))
 
 
 # -- the ready-made remedy -----------------------------------------------------
@@ -136,7 +110,7 @@ def evacuate_dead_device_remedy(
     def needs_containers(module_name: str) -> bool:
         return bool(pipeline.config.module(module_name).services)
 
-    def condition(monitor: Monitor) -> str | None:
+    def condition() -> str | None:
         for device in detector.dead_devices():
             stranded = stranded_on(device)
             if stranded:
@@ -166,7 +140,8 @@ def evacuate_dead_device_remedy(
                 pipeline.metrics.increment("recovery_migrations")
 
     return Remedy(
-        name=f"evacuate:{pipeline.name}",
+        kind="evacuate",
+        target=pipeline.name,
         condition=condition,
         action=action,
         cooldown_s=cooldown_s,

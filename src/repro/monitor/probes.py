@@ -122,7 +122,7 @@ def slo_probe(controller) -> ProbeFn:
                 sum(1 for e in enrollments if e.state == "strained")
             ),
             "ladder_depth": float(sum(e.depth for e in enrollments)),
-            "actions": float(len(controller.actions)),
+            "actions": float(len(controller.ladder_actions())),
             "deploys_requested": float(counters.get("deploys_requested", 0)),
             "deploys_rejected": float(counters.get("deploys_rejected", 0)),
             "deploys_withdrawn": float(counters.get("deploys_withdrawn", 0)),

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import networkx as nx
 
+from ..actions import Action
 from ..devices.device import Device
-from ..errors import ConfigError, Interrupt, NetworkError, PlacementError
+from ..errors import ConfigError, NetworkError, PlacementError
 from ..net.topology import Topology
 from ..runtime.module import Module
 from ..services.balancer import host_is_live
@@ -54,6 +55,7 @@ from .placement import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.videopipe import VideoPipe
+    from ..sim.kernel import Ticker
     from .pipeline import Pipeline
 
 OPTIMIZED = "optimized"
@@ -667,19 +669,6 @@ def observed_module_seconds(
     return observed
 
 
-@dataclass(slots=True)
-class ReplanEvent:
-    """Record of one online re-placement decision that migrated modules."""
-
-    at: float
-    pipeline: str
-    #: module -> (from_device, to_device)
-    moves: dict[str, tuple[str, str]] = field(default_factory=dict)
-    predicted_before_s: float = 0.0
-    predicted_after_s: float = 0.0
-    observed_mean_s: float = 0.0
-
-
 class OnlineOptimizer:
     """Periodically re-places watched pipelines from live measurements.
 
@@ -690,61 +679,46 @@ class OnlineOptimizer:
     improvement clears ``replan_threshold_frac``, or the current placement
     is stranded on a down device — applies the difference through
     :meth:`Deployer.migrate <repro.pipeline.deployer.Deployer.migrate>`.
+    Each re-placement that moved modules is recorded in the home's
+    ``actions`` log as a ``replan`` whose evidence holds the ``moves``
+    (module -> (from device, to device)) and the predicted and observed
+    seconds.
     """
 
     def __init__(self, home: "VideoPipe", config: OptimizerConfig | None = None) -> None:
         self.home = home
         self.config = config or OptimizerConfig()
-        self.events: list[ReplanEvent] = []
+        self.actions: list[Action] = home.actions
         self._pipelines: dict[str, "Pipeline"] = {}
-        self._running = False
-        self._proc = None
+        self._ticker: Ticker | None = None
 
     def watch(self, pipeline: "Pipeline") -> None:
         """Add a pipeline to the replan loop (idempotent)."""
         self._pipelines.setdefault(pipeline.config.name, pipeline)
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._proc = self.home.kernel.process(self._loop(), name="optimizer")
+        if self._ticker is None:
+            self._ticker = self.home.kernel.every(
+                self.config.replan_interval_s, self._tick)
 
     def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        if self._proc is not None and self._proc.alive:
-            self._proc.interrupt("optimizer stopped")
-        self._proc = None
+        if self._ticker is not None:
+            self._ticker.cancel()
+            self._ticker = None
 
-    def _loop(self):
-        try:
-            while self._running:
-                yield self.config.replan_interval_s
-                for pipeline in list(self._pipelines.values()):
-                    self._consider(pipeline)
-        except Interrupt:
-            return
+    def _tick(self) -> None:
+        for pipeline in list(self._pipelines.values()):
+            self.replan_now(pipeline)
 
-    def replan_now(self, pipeline: "Pipeline") -> ReplanEvent | None:
-        """Reconsider one pipeline immediately, outside the periodic loop.
-
-        The SLO controller's placement rung calls this when a pipeline is
-        overloaded — same calibrated model, same migration threshold as a
-        scheduled tick. Returns the :class:`ReplanEvent` when modules
-        actually moved, ``None`` when the current placement stands."""
-        before = len(self.events)
-        self._consider(pipeline)
-        if len(self.events) > before:
-            return self.events[-1]
-        return None
-
-    def _consider(self, pipeline: "Pipeline") -> None:
+    def replan_now(self, pipeline: "Pipeline") -> Action | None:
+        """Reconsider one pipeline now; a scheduled tick does this for
+        every watched pipeline, and the SLO controller's placement rung
+        calls it when a pipeline is overloaded. Returns the ``replan``
+        action when modules moved, ``None`` when the placement stands."""
         home = self.home
         live = {name: dev for name, dev in home.devices.items() if dev.up}
         if not live or home.deployer is None:
-            return
+            return None
         current = pipeline.placement.assignments
         observed: dict[str, tuple[float, str]] = {}
         for name, seconds in observed_module_seconds(
@@ -764,7 +738,7 @@ class OnlineOptimizer:
         except (PlacementError, NetworkError):
             # a pin or every host of a service is down, or a live device is
             # partitioned and its routes cannot be priced: skip this tick
-            return
+            return None
         moves = {
             name: (current[name], device)
             for name, device in target.assignments.items()
@@ -772,26 +746,29 @@ class OnlineOptimizer:
             and pipeline.config.module(name).device is None
         }
         if not moves:
-            return
+            return None
         stranded = any(device not in live for device in current.values())
         before = float("inf") if stranded else model.score(current).total
         after = model.score(target.assignments).total
         if not stranded:
             if before <= 0:
-                return
+                return None
             if (before - after) / before < self.config.replan_threshold_frac:
-                return
+                return None
         for name in sorted(moves):
             home.deployer.migrate(pipeline, name, moves[name][1])
         pipeline.metrics.increment("replans")
-        self.events.append(ReplanEvent(
-            at=home.now,
-            pipeline=pipeline.config.name,
-            moves=moves,
-            predicted_before_s=before,
-            predicted_after_s=after,
-            observed_mean_s=self._observed_mean_s(pipeline),
-        ))
+        action = Action(
+            at=home.now, controller="optimizer", kind="replan",
+            target=pipeline.config.name,
+            reason=("placement stranded on a down device" if stranded else
+                    f"predicted {before * 1e3:.1f} -> {after * 1e3:.1f} ms"),
+            evidence={"moves": moves, "predicted_before_s": before,
+                      "predicted_after_s": after,
+                      "observed_mean_s": self._observed_mean_s(pipeline)},
+        )
+        self.actions.append(action)
+        return action
 
     def _observed_mean_s(self, pipeline: "Pipeline") -> float:
         if self.home.tracer is not None:

@@ -21,7 +21,7 @@ from .builtin.tracker import ObjectTrackingService
 from .host import ServiceHost
 from .pool import PoolLease, ReplicaPool
 from .registry import ServiceRegistry
-from .scaling import AutoScaler, ScalingEvent, ScalingPolicy
+from .scaling import AutoScaler, ScalingPolicy
 from .stubs import (
     DEFAULT_SERVICE_RETRY,
     LocalServiceStub,
@@ -51,7 +51,6 @@ __all__ = [
     "RemoteServiceStub",
     "ReplicaPool",
     "RepCounterService",
-    "ScalingEvent",
     "ScalingPolicy",
     "Service",
     "ServiceCallContext",

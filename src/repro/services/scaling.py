@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import Interrupt
-from ..sim.kernel import Kernel
-from ..sim.process import Process
+from ..actions import Action
+from ..sim.kernel import Kernel, Ticker
 from .host import ServiceHost
 
 #: Queue samples per decision. Windows never overlap (a decision consumes
@@ -59,23 +58,15 @@ class ScalingPolicy:
             raise ValueError("max_replicas must be >= 1")
 
 
-@dataclass(slots=True)
-class ScalingEvent:
-    """Record of one scaling decision (up or down)."""
-
-    at: float
-    service: str
-    device: str
-    from_replicas: int
-    to_replicas: int
-    avg_queue: float
-    reason: str = "scale_up"
-
-
 class AutoScaler:
     """Watches service hosts and sizes their replica pools to the load."""
 
-    def __init__(self, kernel: Kernel, policy: ScalingPolicy | None = None) -> None:
+    def __init__(
+        self,
+        kernel: Kernel,
+        policy: ScalingPolicy | None = None,
+        actions: list[Action] | None = None,
+    ) -> None:
         self.kernel = kernel
         self.policy = policy or ScalingPolicy()
         self._hosts: list[ServiceHost] = []
@@ -85,9 +76,10 @@ class AutoScaler:
         # the two hosts' sample streams
         self._samples: dict[ServiceHost, list[int]] = {}
         self._last_event_at: dict[ServiceHost, float] = {}
-        self.events: list[ScalingEvent] = []
-        self._running = False
-        self._proc: Process | None = None
+        #: Where each decision is recorded (the home's log when the home
+        #: built this autoscaler).
+        self.actions = [] if actions is None else actions
+        self._ticker: Ticker | None = None
         #: The home's :class:`~repro.audit.auditor.InvariantAuditor`, or
         #: ``None`` while auditing is off (set by ``watch_autoscaler``).
         self.auditor: Any = None
@@ -101,29 +93,18 @@ class AutoScaler:
         self._samples[host] = []
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._proc = self.kernel.process(self._loop(), name="autoscaler")
+        if self._ticker is None:
+            self._ticker = self.kernel.every(
+                self.policy.check_interval_s, self._tick)
 
     def stop(self) -> None:
-        """Stop sampling and cancel the pending kernel tick (the sampling
-        process is interrupted rather than left waiting on a live timer)."""
-        if not self._running:
-            return
-        self._running = False
-        if self._proc is not None and self._proc.alive:
-            self._proc.interrupt("autoscaler stopped")
-        self._proc = None
+        if self._ticker is not None:
+            self._ticker.cancel()
+            self._ticker = None
 
-    def _loop(self):
-        try:
-            while self._running:
-                yield self.policy.check_interval_s
-                for host in self._hosts:
-                    self._sample(host)
-        except Interrupt:
-            return
+    def _tick(self) -> None:
+        for host in self._hosts:
+            self._sample(host)
 
     def _sample(self, host: ServiceHost) -> None:
         samples = self._samples[host]
@@ -132,24 +113,15 @@ class AutoScaler:
             return
         # non-overlapping windows: the decision consumes its samples, so a
         # transient spike is evaluated once, not on every subsequent tick
-        window = samples[:]
+        avg_queue = sum(samples) / len(samples)
         samples.clear()
-        avg_queue = sum(window) / len(window)
-        now = self.kernel.now
-        last = self._last_event_at.get(host)
-        if last is not None and now - last < COOLDOWN_S:
-            return
         if (
             avg_queue >= self.policy.queue_threshold
             and host.replicas < self.policy.max_replicas
         ):
-            before = host.replicas
-            host.add_replica()
-            self._record(host, before, avg_queue, "scale_up")
+            self._scale(host, +1, avg_queue, "scale_up")
         elif avg_queue == 0 and host.busy_workers == 0 and host.replicas > 1:
-            before = host.replicas
-            host.remove_replica()
-            self._record(host, before, avg_queue, "scale_down")
+            self._scale(host, -1, avg_queue, "scale_down")
 
     def request_scale(
         self, host: ServiceHost, step: int, reason: str = "slo"
@@ -162,11 +134,13 @@ class AutoScaler:
         Returns ``True`` when a replica was actually added or removed;
         ``False`` when the request was refused (cooldown still running, or
         the host already sits at the relevant bound)."""
-        if step == 0:
-            return False
-        now = self.kernel.now
+        return self._scale(host, step, float(host.queue_length), reason)
+
+    def _scale(
+        self, host: ServiceHost, step: int, avg_queue: float, reason: str
+    ) -> bool:
         last = self._last_event_at.get(host)
-        if last is not None and now - last < COOLDOWN_S:
+        if last is not None and self.kernel.now - last < COOLDOWN_S:
             return False
         before = host.replicas
         target = max(1, min(self.policy.max_replicas, before + step))
@@ -176,22 +150,22 @@ class AutoScaler:
             host.add_replica(target - before)
         else:
             host.remove_replica(before - target)
-        self._record(host, before, float(host.queue_length), reason)
+        self._record(host, before, avg_queue, reason)
         return True
 
     def _record(
         self, host: ServiceHost, before: int, avg_queue: float, reason: str
     ) -> None:
-        event = ScalingEvent(
+        action = Action(
             at=self.kernel.now,
-            service=host.service_name,
-            device=host.device.name,
-            from_replicas=before,
-            to_replicas=host.replicas,
-            avg_queue=avg_queue,
+            controller="autoscaler",
+            kind="scale_up" if host.replicas > before else "scale_down",
+            target=f"{host.service_name}@{host.device.name}",
             reason=reason,
+            evidence={"from_replicas": before, "to_replicas": host.replicas,
+                      "avg_queue": avg_queue},
         )
-        self.events.append(event)
+        self.actions.append(action)
         self._last_event_at[host] = self.kernel.now
         if self.auditor is not None:
-            self.auditor.on_scaling_event(self, event)
+            self.auditor.on_scaling_event(self, action)

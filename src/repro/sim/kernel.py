@@ -117,6 +117,18 @@ class Kernel:
         """Start a generator as a simulated :class:`Process`."""
         return Process(self, gen, name)
 
+    def every(
+        self,
+        period: float,
+        fn: Callable[..., None],
+        *args: Any,
+        first: float | None = None,
+    ) -> "Ticker":
+        """Call ``fn(*args)`` every *period* seconds, the first time *first*
+        seconds from now (default: one period), until the returned
+        :class:`Ticker` is cancelled."""
+        return Ticker(self, period, fn, args, period if first is None else first)
+
     # -- execution -----------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single earliest event. Returns False if none remain."""
@@ -200,6 +212,59 @@ class Kernel:
     def _wait_until(self, sim_time: float) -> None:
         """Hook for realtime pacing, called before each event when
         ``realtime`` is set; the pure simulator advances instantly."""
+
+
+class Ticker:
+    """A periodic callback: what :meth:`Kernel.every` returns.
+
+    It starts the way a process does, with a zero-delay start event at the
+    call; that event schedules the first tick *first* seconds later, or is
+    the first tick when *first* is 0. Each tick schedules the next one after
+    ``fn`` returns. So every tick takes the ``(time, seq)`` place the same
+    tick of a ``while True: yield period; fn()`` process started at the same
+    call would take, and orders against same-instant events exactly as that
+    process did. :meth:`cancel` stops it from anywhere, ``fn`` included, and
+    takes its one pending event off the queue. An exception from ``fn``
+    propagates out of the kernel's run and ends the ticker.
+    """
+
+    __slots__ = ("kernel", "period", "name", "_fn", "_args", "_event")
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        period: float,
+        fn: Callable[..., None],
+        args: tuple,
+        first: float,
+    ) -> None:
+        if not period > 0:
+            raise SimulationError(f"a ticker period must be positive, got {period}")
+        self.kernel = kernel
+        self.period = period
+        #: the event tap's label for the ticks
+        self.name = getattr(fn, "__qualname__", "ticker")
+        self._fn = fn
+        self._args = args
+        self._event: Event | None = kernel.schedule(0.0, self._start, first)
+
+    def cancel(self) -> None:
+        """Stop ticking (a no-op once stopped)."""
+        if self._event is not None:
+            self.kernel.cancel(self._event)
+            self._event = None
+
+    def _start(self, first: float) -> None:
+        if first > 0:
+            self._event = self.kernel.schedule(first, self._tick)
+        else:
+            self._tick()
+
+    def _tick(self) -> None:
+        ticking = self._event
+        self._fn(*self._args)
+        if self._event is ticking:  # fn did not cancel
+            self._event = self.kernel.schedule(self.period, self._tick)
 
 
 class RealtimeKernel(Kernel):

@@ -8,7 +8,7 @@ that ties them together. ``docs/SLO.md`` walks through the design.
 """
 
 from .controller import SLOController
-from .ladder import LadderAction, find_source
+from .ladder import find_source
 from .spec import (
     ADMITTED,
     HEALTHY,
@@ -27,7 +27,6 @@ __all__ = [
     "ADMITTED",
     "AdmissionDecision",
     "HEALTHY",
-    "LadderAction",
     "OVERLOADED",
     "QUEUED",
     "REJECTED",

@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..errors import Interrupt
+from ..actions import Action
 from ..metrics.collector import MetricsCollector
 from .admission import AdmissionController
-from .detector import DetectorReading, OverloadDetector
-from .ladder import LadderAction, LadderStep, build_ladder
+from .detector import OverloadDetector
+from .ladder import LadderStep, build_ladder
 from .spec import (
     ADMITTED,
     HEALTHY,
@@ -50,11 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.videopipe import VideoPipe
     from ..pipeline.config import PipelineConfig
     from ..pipeline.pipeline import Pipeline
+    from ..sim.kernel import Ticker
 
 _EPS = 1e-9
-
-#: Detector readings retained per enrolled pipeline.
-HISTORY = 256
 
 
 @dataclass
@@ -70,8 +68,6 @@ class Enrollment:
     applied: list[tuple[int, LadderStep]] = field(default_factory=list)
     last_action_at: float | None = None
     healthy_since: float | None = None
-    readings: list[DetectorReading] = field(default_factory=list)
-    actions: list[LadderAction] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -116,10 +112,9 @@ class SLOController:
         self.metrics = MetricsCollector("slo")
         self._enrolled: dict[str, Enrollment] = {}
         self._queue: list[QueuedDeploy] = []
-        #: Every ladder action across all pipelines, in order.
-        self.actions: list[LadderAction] = []
-        self._running = False
-        self._proc = None
+        #: Where each ladder action is recorded: the home's log.
+        self.actions: list[Action] = home.actions
+        self._ticker: Ticker | None = None
         #: The home's auditor, or ``None`` (set by ``watch_slo``).
         self.auditor: Any = None
 
@@ -153,26 +148,9 @@ class SLOController:
 
     # -- control loop --------------------------------------------------------
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._proc = self.kernel.process(self._loop(), name="slo-controller")
-
-    def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        if self._proc is not None and self._proc.alive:
-            self._proc.interrupt("slo controller stopped")
-        self._proc = None
-
-    def _loop(self):
-        try:
-            while self._running:
-                yield self.config.check_interval_s
-                self._tick()
-        except Interrupt:
-            return
+        if self._ticker is None:
+            self._ticker = self.kernel.every(
+                self.config.check_interval_s, self._tick)
 
     def _tick(self) -> None:
         self._drain_queue()
@@ -186,9 +164,6 @@ class SLOController:
                 paused=enrollment.paused,
             )
             enrollment.state = reading.state
-            enrollment.readings.append(reading)
-            if len(enrollment.readings) > HISTORY:
-                del enrollment.readings[:-HISTORY]
             if reading.state == OVERLOADED:
                 enrollment.healthy_since = None
                 if self._can_act(enrollment, now):
@@ -219,34 +194,36 @@ class SLOController:
                 continue  # rung not actionable right now; try the next
             depth_before = enrollment.depth
             enrollment.applied.append((rung, step))
-            self._record(enrollment, LadderAction(
-                at=now, pipeline=enrollment.pipeline.config.name,
-                step=step.name, direction="degrade",
-                depth_before=depth_before, depth_after=enrollment.depth,
-                detail=detail,
-            ))
+            self._record(enrollment, now, "degrade", step, detail,
+                         depth_before)
             return
         # ladder exhausted: nothing left to shed
 
     def _restore(self, enrollment: Enrollment, now: float) -> None:
-        rung, step = enrollment.applied[-1]
+        _, step = enrollment.applied[-1]
         detail = step.revert()
         depth_before = enrollment.depth
         enrollment.applied.pop()
-        self._record(enrollment, LadderAction(
-            at=now, pipeline=enrollment.pipeline.config.name,
-            step=step.name, direction="restore",
-            depth_before=depth_before, depth_after=enrollment.depth,
-            detail=detail,
-        ))
+        self._record(enrollment, now, "restore", step, detail, depth_before)
 
-    def _record(self, enrollment: Enrollment, action: LadderAction) -> None:
-        enrollment.last_action_at = action.at
-        enrollment.actions.append(action)
+    def _record(self, enrollment: Enrollment, now: float, kind: str,
+                step: LadderStep, detail: str, depth_before: int) -> None:
+        action = Action(
+            at=now, controller="slo", kind=kind,
+            target=enrollment.pipeline.config.name, reason=detail,
+            evidence={"step": step.name, "depth_before": depth_before,
+                      "depth_after": enrollment.depth},
+        )
+        enrollment.last_action_at = now
         self.actions.append(action)
-        self.metrics.increment(f"slo_{action.direction}s")
         if self.auditor is not None:
             self.auditor.on_slo_action(self, action)
+
+    def ladder_actions(self, pipeline: str | None = None) -> list[Action]:
+        """This controller's actions, oldest first (for one pipeline when
+        *pipeline* is given)."""
+        return [a for a in self.actions if a.controller == "slo"
+                and (pipeline is None or a.target == pipeline)]
 
     # -- admission flow ------------------------------------------------------
     def admit(
@@ -364,7 +341,7 @@ class SLOController:
                 "slo": enrollment.slo.as_dict(),
                 "depth": enrollment.depth,
                 "applied": enrollment.applied_steps(),
-                "actions": len(enrollment.actions),
+                "actions": len(self.ladder_actions(name)),
                 "attainment": self.attainment(name),
             }
         counters = self.metrics.counters()
@@ -380,5 +357,5 @@ class SLOController:
                 "queued_now": [item.name for item in self._queue],
                 "threshold": self.config.admission_threshold,
             },
-            "actions_total": len(self.actions),
+            "actions_total": len(self.ladder_actions()),
         }

@@ -27,7 +27,6 @@ from :meth:`LadderStep.apply` and the controller moves past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .spec import SLO, SLOConfig
@@ -44,19 +43,6 @@ TIER_SERVICES = ("pose_detector",)
 TIER_FACTOR = 0.6
 #: Per-rung source fps multiplier; the ladder has two such rungs.
 FPS_FACTOR = 0.7
-
-
-@dataclass(frozen=True, slots=True)
-class LadderAction:
-    """Record of one controller actuation (a degrade or a restore)."""
-
-    at: float
-    pipeline: str
-    step: str
-    direction: str  # "degrade" | "restore"
-    depth_before: int
-    depth_after: int
-    detail: str
 
 
 class LadderStep:
@@ -139,12 +125,12 @@ class ReplanStep(LadderStep):
         optimizer = self.home.optimizer
         if optimizer is None:
             return None
-        event = optimizer.replan_now(self.pipeline)
-        if event is None:
+        action = optimizer.replan_now(self.pipeline)
+        if action is None:
             return None
         moves = ", ".join(
             f"{name}:{src}->{dst}"
-            for name, (src, dst) in sorted(event.moves.items())
+            for name, (src, dst) in sorted(action.evidence["moves"].items())
         )
         return f"replanned ({moves})"
 
@@ -153,8 +139,7 @@ class ReplanStep(LadderStep):
         # optimizer re-place for the recovered regime instead
         optimizer = self.home.optimizer
         if optimizer is not None:
-            event = optimizer.replan_now(self.pipeline)
-            if event is not None:
+            if optimizer.replan_now(self.pipeline) is not None:
                 return "replanned for recovered load"
         return "placement kept"
 

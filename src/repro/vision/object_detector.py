@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .bbox import BBox
 
@@ -84,6 +83,9 @@ class ObjectDetector:
         """Find labelled boxes in an (h, w, 3) uint8 image."""
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError("object detection expects an RGB image")
+        # scipy is a dev extra, not a dependency: only detection needs it
+        from scipy import ndimage
+
         foreground = image.max(axis=2) >= self.brightness_threshold
         labels, count = ndimage.label(foreground)
         detections = []

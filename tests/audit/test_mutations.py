@@ -203,7 +203,7 @@ class TestAutoscalerBurst:
         self._overload(home, host)
         home.kernel.run(until=4.0)
         scaler.stop()
-        assert scaler.events  # it did scale...
+        assert scaler.actions  # it did scale...
         assert auditor.violations == []  # ...at the documented pace
 
 

@@ -80,40 +80,35 @@ def composed_home(recognizer):
     return home, pipeline
 
 
+#: One plain tuple per action, per controller.
+AS_TUPLE = {
+    "autoscaler": lambda a, e: (
+        repr(a.at), *a.target.split("@"), e["from_replicas"],
+        e["to_replicas"], repr(e["avg_queue"]), a.reason),
+    "slo": lambda a, e: (
+        repr(a.at), a.target, e["step"], a.kind, e["depth_before"],
+        e["depth_after"], a.reason),
+    "optimizer": lambda a, e: (
+        repr(a.at), a.target,
+        sorted((m, src, dst) for m, (src, dst) in e["moves"].items()),
+        repr(e["predicted_before_s"]), repr(e["predicted_after_s"]),
+        repr(e["observed_mean_s"])),
+    "detector": lambda a, e: (
+        repr(a.at), a.target, a.kind, repr(e.get("mttr_s"))),
+    "orchestrator": lambda a, e: (
+        repr(a.at), f"{a.kind}:{a.target}", a.reason),
+    "liveops": lambda a, e: (
+        repr(a.at), *a.target.split("/"), a.kind, a.reason),
+}
+
+
 def decisions(home) -> dict[str, list[tuple]]:
     """Every controller decision, per controller, as plain tuples."""
-    return {
-        "autoscaler": [
-            (repr(e.at), e.service, e.device, e.from_replicas, e.to_replicas,
-             repr(e.avg_queue), e.reason)
-            for e in home.autoscaler.events
-        ],
-        "slo": [
-            (repr(a.at), a.pipeline, a.step, a.direction, a.depth_before,
-             a.depth_after, a.detail)
-            for a in home.slo.actions
-        ],
-        "optimizer": [
-            (repr(e.at), e.pipeline,
-             sorted((m, src, dst) for m, (src, dst) in e.moves.items()),
-             repr(e.predicted_before_s), repr(e.predicted_after_s),
-             repr(e.observed_mean_s))
-            for e in home.optimizer.events
-        ],
-        "detector": [
-            (repr(e.at), e.device, e.kind, repr(e.mttr_s))
-            for e in home.detector.events
-        ],
-        "orchestrator": [
-            (repr(a.at), a.remedy, a.description)
-            for a in home.orchestrator.actions
-        ],
-        "liveops": [
-            (repr(u.decided_at), u.pipeline.name, u.module_name, u.state,
-             u.reason)
-            for u in home.liveops.upgrades
-        ],
-    }
+    found = {controller: [] for controller in AS_TUPLE}
+    for action in home.actions:
+        found[action.controller].append(
+            AS_TUPLE[action.controller](action, action.evidence))
+    return found
 
 
 def fingerprint_sha256(home, pipeline) -> str:
@@ -131,7 +126,9 @@ def fingerprint_sha256(home, pipeline) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_once(recognizer) -> dict:
+def run_once(recognizer) -> tuple[dict, list]:
+    """The run's record (what the golden holds) and its same-instant
+    collisions."""
     home, pipeline = composed_home(recognizer)
     home.run(until=UPGRADE_AT)
     home.upgrade_module(pipeline, "rep_counter_module",
@@ -145,27 +142,15 @@ def run_once(recognizer) -> dict:
         "decisions": decisions(home),
         "fingerprint_sha256": fingerprint_sha256(home, pipeline),
         "violations": violations,
-    }))
+    })), same_instant_collisions(home.actions)
 
 
-#: Where each controller's tuple names what it acted on.
-TARGET = {
-    "autoscaler": lambda d: f"{d[1]}@{d[2]}",
-    "slo": lambda d: d[1],
-    "optimizer": lambda d: d[1],
-    "detector": lambda d: d[1],
-    "orchestrator": lambda d: d[1].split(":", 1)[1],
-    "liveops": lambda d: f"{d[1]}/{d[2]}",
-}
-
-
-def same_instant_collisions(by_controller) -> list[tuple[str, str, list]]:
+def same_instant_collisions(actions) -> list[tuple[float, str, list[str]]]:
     """``(time, target, controllers)`` wherever two controllers acted on
     one target at one instant."""
     acted = defaultdict(set)
-    for controller, records in by_controller.items():
-        for record in records:
-            acted[(record[0], TARGET[controller](record))].add(controller)
+    for action in actions:
+        acted[(action.at, action.target)].add(action.controller)
     return [(at, target, sorted(names))
             for (at, target), names in sorted(acted.items())
             if len(names) > 1]
@@ -182,15 +167,16 @@ def test_composed_run_is_deterministic(runs):
 
 
 def test_composed_run_is_audit_clean(runs):
-    assert runs[0]["violations"] == []
+    assert runs[0][0]["violations"] == []
 
 
 def test_every_controller_acted(runs):
-    assert all(runs[0]["decisions"].values()), runs[0]["decisions"]
+    decided = runs[0][0]["decisions"]
+    assert all(decided.values()), decided
 
 
 def test_decisions_match_golden(runs):
-    actual = runs[0]
+    actual = runs[0][0]
     if UPDATE or not GOLDEN.exists():
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(
@@ -214,4 +200,4 @@ def test_decisions_match_golden(runs):
     " whose detector has not yet seen a heartbeat, evacuates it back to the"
     " laptop in the same instant (ROADMAP item 10)"))
 def test_no_two_controllers_act_on_one_target_at_one_instant(runs):
-    assert same_instant_collisions(runs[0]["decisions"]) == []
+    assert runs[0][1] == []

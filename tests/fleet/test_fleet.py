@@ -117,13 +117,13 @@ class _Executed:
 
 def test_horizon_on_a_replan_tick_is_exact():
     # until= lands exactly on the online optimizers' first replan tick: the
-    # tick runs, the stop interrupts run at the horizon, nothing after it
+    # tick runs, the optimizers stop at the horizon, nothing after it runs
     tick = OptimizerConfig().replan_interval_s
     cfg = _small(strategy=OPTIMIZED, online=True, duration_s=2 * tick)
     reports = []
     for _ in range(2):
         fleet = Fleet(cfg)
-        optimizers = [home.optimizer._proc for home in fleet.homes]
+        ticks = {home.optimizer._ticker._tick for home in fleet.homes}
         executed = _Executed()
         fleet.kernel.add_observer(executed)
         assert fleet.run(until=tick) == tick
@@ -131,7 +131,9 @@ def test_horizon_on_a_replan_tick_is_exact():
         assert tick in executed.times
         assert max(executed.times) == tick
         assert fleet.kernel.pending_events > 0  # later work stays unrun
-        assert optimizers and not any(proc.alive for proc in optimizers)
+        pending = [entry[3] for entry in fleet.kernel._heap
+                   if not entry[3].cancelled]
+        assert ticks and not any(e.callback in ticks for e in pending)
         reports.append(fleet.report().as_dict())
     assert reports[0] == reports[1]
 

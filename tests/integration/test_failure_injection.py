@@ -343,8 +343,7 @@ class TestChaosDeterminism:
             home.run(until=14.0)
             return (
                 tuple(injector.trace),
-                tuple((e.at, e.device, e.kind, e.mttr_s)
-                      for e in detector.events),
+                tuple(detector.actions),
                 completed(pipeline),
             )
 

@@ -64,7 +64,7 @@ class TestManyPipelines:
         home, _ = big_home
         pose = home.registry.any_host("pose_detector")
         assert pose.replicas >= 3  # six feeds cannot run on one worker
-        assert home.autoscaler.events
+        assert home.autoscaler.actions
 
     def test_aggregate_throughput_tracks_capacity(self, big_home):
         home, pipelines = big_home

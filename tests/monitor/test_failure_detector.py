@@ -38,7 +38,7 @@ class TestDetection:
         assert detector.is_dead("desktop")
         assert not detector.is_dead("phone")
         assert detector.detections == 1
-        down = [e for e in detector.events if e.kind == "down"]
+        down = [a for a in detector.actions if a.kind == "down"]
         # 2 missed probes at 0.25 s period + 0.25 s probe timeout + slack
         assert len(down) == 1
         assert 3.0 < down[0].at < 4.5
@@ -71,18 +71,17 @@ class TestRecovery:
         assert len(detector.mttr_samples) == 1
         # the outage lasted ~4 s as the detector saw it
         assert 3.5 < detector.mttr_samples[0] < 5.5
-        up = [e for e in detector.events if e.kind == "up"]
-        assert up and up[0].mttr_s == detector.mttr_samples[0]
+        up = [a for a in detector.actions if a.kind == "up"]
+        assert up and up[0].evidence["mttr_s"] == detector.mttr_samples[0]
 
-    def test_hooks_fire_on_transitions(self, home):
+    def test_transitions_are_logged_in_order(self, home):
         detector = enable(home)
-        transitions = []
-        detector.on_down.append(lambda d: transitions.append(("down", d)))
-        detector.on_up.append(lambda d: transitions.append(("up", d)))
         home.kernel.schedule(2.0, home.crash_device, "phone")
         home.kernel.schedule(5.0, home.restart_device, "phone")
         home.run(until=8.0)
-        assert transitions == [("down", "phone"), ("up", "phone")]
+        assert detector.actions is home.actions
+        assert [(a.controller, a.kind, a.target) for a in home.actions] == [
+            ("detector", "down", "phone"), ("detector", "up", "phone")]
 
     def test_mttr_stats(self, home):
         detector = enable(home)

@@ -372,11 +372,13 @@ def test_online_optimizer_migrates_off_the_slow_replica():
     optimizer.stop()
     home.run()
 
-    assert optimizer.events, "expected at least one replan"
-    event = optimizer.events[0]
-    assert event.pipeline == "trap"
-    assert event.moves.get("stage") == ("alpha", "zeta")
-    assert event.predicted_after_s < event.predicted_before_s
+    assert optimizer.actions, "expected at least one replan"
+    action = optimizer.actions[0]
+    assert (action.controller, action.kind) == ("optimizer", "replan")
+    assert action.target == "trap"
+    evidence = action.evidence
+    assert evidence["moves"].get("stage") == ("alpha", "zeta")
+    assert evidence["predicted_after_s"] < evidence["predicted_before_s"]
     assert pipeline.placement.assignments["stage"] == "zeta"
     assert pipeline.metrics.counter("replans") >= 1
     assert pipeline.metrics.counter("migrations") >= 1
@@ -407,7 +409,7 @@ def test_online_optimizer_respects_hysteresis():
     home.run(until=4.5)
     optimizer.stop()
     home.run()
-    assert optimizer.events == []
+    assert optimizer.actions == []
     assert pipeline.placement.assignments["stage"] == "alpha"
     assert pipeline.metrics.counter("migrations") == 0
 
@@ -436,16 +438,16 @@ def test_online_optimizer_survives_replanning_during_a_partition():
         strategy=COLOCATED, default_device="phone",
     )
     home.topology.partition("zeta")
-    home.run(until=1.2)  # two ticks inside the partition
-    assert optimizer._proc.alive
-    assert optimizer.events == []
+    home.run(until=1.2)  # two ticks inside the partition, neither raised
+    assert optimizer.actions == []
     # the SLO controller's placement rung takes the same path
     assert optimizer.replan_now(pipeline) is None
     home.topology.heal("zeta")
     home.run(until=5.5)
     optimizer.stop()
     home.run()
-    assert [e.moves.get("stage") for e in optimizer.events] == [("alpha", "zeta")]
+    assert [a.evidence["moves"].get("stage")
+            for a in optimizer.actions] == [("alpha", "zeta")]
 
 
 # -- which host serves a call ----------------------------------------------------
@@ -528,16 +530,15 @@ def test_online_optimizer_evacuates_a_crashed_device():
     )
     assert pipeline.placement.assignments["stage"] == "alpha"
     home.kernel.schedule(0.3, lambda: home.crash_device("alpha"))
-    home.run(until=3.0)
-    assert optimizer._proc.alive
+    home.run(until=3.0)  # a tick that raised would end the run here
     optimizer.stop()
     home.run()
 
-    [event] = optimizer.events
-    assert event.at == 0.5
-    assert event.moves == {"stage": ("alpha", "zeta"),
-                           "sink": ("alpha", "zeta")}
-    assert event.predicted_before_s == float("inf")
+    [action] = optimizer.actions
+    assert action.at == 0.5
+    assert action.evidence["moves"] == {"stage": ("alpha", "zeta"),
+                                        "sink": ("alpha", "zeta")}
+    assert action.evidence["predicted_before_s"] == float("inf")
     assert pipeline.placement.assignments == {
         "camera": "phone", "stage": "zeta", "sink": "zeta"}
     # frames complete on zeta after the move

@@ -40,11 +40,13 @@ class TestAutoScaler:
         scaler.stop()
         home.kernel.run(until=4.2)
         assert host.replicas > 1
-        assert scaler.events
-        event = scaler.events[0]
-        assert event.service == "busy"
-        assert event.to_replicas == event.from_replicas + 1
-        assert event.avg_queue >= 1.0
+        assert scaler.actions
+        action = scaler.actions[0]
+        assert (action.controller, action.kind) == ("autoscaler", "scale_up")
+        assert action.target == "busy@desktop"
+        evidence = action.evidence
+        assert evidence["to_replicas"] == evidence["from_replicas"] + 1
+        assert evidence["avg_queue"] >= 1.0
 
     def test_respects_max_replicas(self, home):
         host = busy_host(home)
@@ -75,7 +77,7 @@ class TestAutoScaler:
         scaler.stop()
         home.kernel.run(until=2.5)
         assert host.replicas == 1
-        assert scaler.events == []
+        assert scaler.actions == []
 
     def test_start_is_idempotent(self, home):
         scaler = AutoScaler(home.kernel)
@@ -106,10 +108,10 @@ class TestWindowAccounting:
 
         home.kernel.process(load())
         home.kernel.run(until=1.5)
-        ups = [e for e in scaler.events if e.reason == "scale_up"]
+        ups = [a for a in scaler.actions if a.reason == "scale_up"]
         assert len(ups) == 1, (
             f"one episode produced {len(ups)} scale-ups: "
-            f"{[(e.at, e.to_replicas) for e in ups]}"
+            f"{[(a.at, a.evidence['to_replicas']) for a in ups]}"
         )
         scaler.stop()
 
@@ -129,9 +131,9 @@ class TestWindowAccounting:
         home.kernel.process(load())
         home.kernel.run(until=6.0)
         scaler.stop()
-        assert len(scaler.events) >= 2
+        assert len(scaler.actions) >= 2
         gaps = [b.at - a.at
-                for a, b in zip(scaler.events, scaler.events[1:])]
+                for a, b in zip(scaler.actions, scaler.actions[1:])]
         assert all(gap >= COOLDOWN_S for gap in gaps), gaps
 
 
@@ -152,13 +154,14 @@ class TestScaleDown:
         home.kernel.process(load())
         home.kernel.run(until=8.0)
         scaler.stop()
-        assert any(e.reason == "scale_up" for e in scaler.events)
-        downs = [e for e in scaler.events if e.reason == "scale_down"]
+        assert any(a.kind == "scale_up" for a in scaler.actions)
+        downs = [a for a in scaler.actions if a.kind == "scale_down"]
         assert downs, "idle service never scaled back down"
         assert host.replicas == 1
-        for event in downs:
-            assert event.to_replicas == event.from_replicas - 1
-            assert event.avg_queue == 0.0
+        for action in downs:
+            evidence = action.evidence
+            assert evidence["to_replicas"] == evidence["from_replicas"] - 1
+            assert evidence["avg_queue"] == 0.0
 
     def test_never_shrinks_below_min_replicas(self, home):
         host = busy_host(home)
@@ -169,7 +172,7 @@ class TestScaleDown:
         home.kernel.run(until=3.0)
         scaler.stop()
         assert host.replicas == 1
-        assert scaler.events == []
+        assert scaler.actions == []
 
 
 class TestLifecycle:
@@ -179,8 +182,8 @@ class TestLifecycle:
         scaler.start()
         assert home.kernel.pending_events > 0
         scaler.stop()
-        # the interrupted process unwinds immediately; nothing keeps the
-        # kernel alive for the remainder of the 10 s tick
+        # the pending tick is cancelled; nothing keeps the kernel alive for
+        # the remainder of the 10 s period
         home.kernel.run()
         assert home.kernel.now < 10.0
         assert home.kernel.pending_events == 0

@@ -71,13 +71,14 @@ class TestDegradeAndRecover:
         assert enrollment.depth >= 2
         # without autoscaler/optimizer rungs, resolution goes first
         assert enrollment.applied_steps()[0] == "resolution"
-        assert all(a.direction == "degrade" for a in enrollment.actions)
+        assert all(a.kind == "degrade"
+                   for a in controller.ladder_actions("fitness"))
 
     def test_actions_respect_hysteresis(self, enrolled):
         home, controller, _ = enrolled
         force_state(controller, OVERLOADED)
         home.run_for(3.0)
-        times = [a.at for a in controller.actions]
+        times = [a.at for a in controller.ladder_actions()]
         assert len(times) >= 2
         spacing = [b - a for a, b in zip(times, times[1:])]
         assert min(spacing) >= CONFIG.hysteresis_s - 1e-9
@@ -86,7 +87,7 @@ class TestDegradeAndRecover:
         home, controller, _ = enrolled
         force_state(controller, STRAINED)
         home.run_for(3.0)
-        assert controller.actions == []
+        assert controller.ladder_actions() == []
         assert controller.enrollment("fitness").state == STRAINED
 
     def test_recovery_retraces_in_reverse_order(self, enrolled):
@@ -99,8 +100,9 @@ class TestDegradeAndRecover:
         force_state(controller, HEALTHY)
         home.run_for(6.0)
         assert enrollment.depth == 0
-        restores = [a.step for a in enrollment.actions
-                    if a.direction == "restore"]
+        restores = [a.evidence["step"]
+                    for a in controller.ladder_actions("fitness")
+                    if a.kind == "restore"]
         assert restores == degraded[::-1]
 
     def test_strain_resets_the_recovery_hold(self, enrolled):
@@ -110,14 +112,14 @@ class TestDegradeAndRecover:
         assert controller.enrollment("fitness").depth >= 1
         # bouncing healthy <-> strained never accumulates recovery_hold_s
         # of continuous health, so nothing is restored
-        before = len(controller.actions)
+        before = len(controller.ladder_actions())
         for _ in range(3):
             force_state(controller, HEALTHY)
             home.run_for(0.5)
             force_state(controller, STRAINED)
             home.run_for(0.5)
-        restores = [a for a in controller.actions[before:]
-                    if a.direction == "restore"]
+        restores = [a for a in controller.ladder_actions()[before:]
+                    if a.kind == "restore"]
         assert restores == []
 
     def test_full_fidelity_after_recovery(self, enrolled):
@@ -143,7 +145,7 @@ class TestDegradeAndRecover:
         pipeline.stop()
         force_state(controller, OVERLOADED)
         home.run_for(2.0)
-        assert controller.actions == []
+        assert controller.ladder_actions() == []
 
 
 class TestStatusAndMetrics:
@@ -171,9 +173,9 @@ class TestStatusAndMetrics:
         home.run_for(2.0)
         force_state(controller, HEALTHY)
         home.run_for(6.0)
-        counters = controller.metrics.counters()
-        assert counters["slo_degrades"] >= 2
-        assert counters["slo_restores"] == counters["slo_degrades"]
+        kinds = [a.kind for a in controller.ladder_actions()]
+        assert kinds.count("degrade") >= 2
+        assert kinds.count("restore") == kinds.count("degrade")
 
     def test_monitor_probe_surfaces_the_controller(self, enrolled):
         home, controller, _ = enrolled
@@ -199,7 +201,6 @@ class TestAuditedInvariants:
 
     def test_flapping_is_a_violation(self, enrolled):
         from repro.audit.auditor import InvariantAuditor
-        from repro.slo.ladder import LadderAction
 
         home, controller, pipeline = enrolled
         # an explicitly constructed auditor (not enable_audit): this test
@@ -213,11 +214,8 @@ class TestAuditedInvariants:
         for at in (1.0, 1.1):
             detail = step.apply() or "noop"
             enrollment.applied.append((0, step))
-            controller._record(enrollment, LadderAction(
-                at=at, pipeline="fitness", step=step.name,
-                direction="degrade", depth_before=enrollment.depth - 1,
-                depth_after=enrollment.depth, detail=detail,
-            ))
+            controller._record(enrollment, at, "degrade", step, detail,
+                               enrollment.depth - 1)
         assert any(v.invariant == "slo-ladder" for v in auditor.violations)
         # undo the hand-applied rungs so the home is left consistent (the
         # REPRO_AUDIT gate cross-checks applied rungs at teardown)

@@ -63,19 +63,22 @@ class TestCrashUnderSLO:
         enrollment = controller.enrollment("fitness")
 
         # the crash drove the pipeline off its SLO; the ladder acted
-        degrades = [a for a in controller.actions if a.direction == "degrade"]
+        degrades = [a for a in controller.ladder_actions()
+                    if a.kind == "degrade"]
         assert degrades, "controller never degraded through the crash"
         assert all(CRASH_AT <= a.at for a in degrades)
 
         # no flapping: every pair of consecutive actions on the pipeline is
         # spaced at least hysteresis_s apart, whichever direction
-        times = [a.at for a in enrollment.actions]
+        actions = controller.ladder_actions("fitness")
+        times = [a.at for a in actions]
         spacing = [b - a for a, b in zip(times, times[1:])]
         assert all(s >= CONFIG.hysteresis_s - 1e-9 for s in spacing)
 
         # every action moved depth by exactly one rung (monotone ladder)
-        for action in enrollment.actions:
-            assert abs(action.depth_after - action.depth_before) == 1
+        for action in actions:
+            evidence = action.evidence
+            assert abs(evidence["depth_after"] - evidence["depth_before"]) == 1
 
         # after the device returns and load clears, the ladder is unwound
         assert enrollment.depth == 0
@@ -95,8 +98,8 @@ class TestCrashUnderSLO:
                 controller = home.slo
                 return (
                     pipeline.metrics.counter("frames_completed"),
-                    [(a.at, a.step, a.direction)
-                     for a in controller.actions],
+                    [(a.at, a.evidence["step"], a.kind)
+                     for a in controller.ladder_actions()],
                 )
 
             return home, run_fn

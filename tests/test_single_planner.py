@@ -126,4 +126,4 @@ def test_no_scheduler_module():
 
 
 def test_the_online_optimizer_builds_one_model_per_decision():
-    assert collected("models")[PLANNER].count("_consider") == 1
+    assert collected("models")[PLANNER].count("replan_now") == 1
