@@ -238,8 +238,9 @@ class Ticker:
         args: tuple,
         first: float,
     ) -> None:
-        if not period > 0:
-            raise SimulationError(f"a ticker period must be positive, got {period}")
+        if not (period > 0 and first >= 0):
+            raise SimulationError(
+                f"a ticker needs period > 0 and first >= 0, got {period}, {first}")
         self.kernel = kernel
         self.period = period
         #: the event tap's label for the ticks

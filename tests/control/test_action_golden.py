@@ -126,6 +126,17 @@ def fingerprint_sha256(home, pipeline) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def same_instant_collisions(actions) -> list[tuple[float, str, list[str]]]:
+    """``(time, target, controllers)`` wherever two controllers acted on
+    one target at one instant."""
+    acted = defaultdict(set)
+    for action in actions:
+        acted[(action.at, action.target)].add(action.controller)
+    return [(at, target, sorted(names))
+            for (at, target), names in sorted(acted.items())
+            if len(names) > 1]
+
+
 def run_once(recognizer) -> tuple[dict, list]:
     """The run's record (what the golden holds) and its same-instant
     collisions."""
@@ -143,17 +154,6 @@ def run_once(recognizer) -> tuple[dict, list]:
         "fingerprint_sha256": fingerprint_sha256(home, pipeline),
         "violations": violations,
     })), same_instant_collisions(home.actions)
-
-
-def same_instant_collisions(actions) -> list[tuple[float, str, list[str]]]:
-    """``(time, target, controllers)`` wherever two controllers acted on
-    one target at one instant."""
-    acted = defaultdict(set)
-    for action in actions:
-        acted[(action.at, action.target)].add(action.controller)
-    return [(at, target, sorted(names))
-            for (at, target), names in sorted(acted.items())
-            if len(names) > 1]
 
 
 @pytest.fixture(scope="module")

@@ -196,9 +196,12 @@ def test_ticks_pass_their_arguments_and_start_where_asked():
     assert ticks == [("x", 0.25), ("x", 0.75), ("x", 1.25)]
 
 
-@pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
-def test_the_period_must_be_positive(period):
+@pytest.mark.parametrize("period, first", [
+    (0.0, None), (-1.0, None), (float("nan"), None),
+    (1.0, -0.5), (1.0, float("nan")),
+])
+def test_the_period_and_the_first_delay_are_checked(period, first):
     kernel = Kernel()
     with pytest.raises(SimulationError):
-        kernel.every(period, lambda: None)
+        kernel.every(period, lambda: None, first=first)
     assert kernel.pending_events == 0
