@@ -1,6 +1,6 @@
 """Property-based tests for kernel invariants.
 
-``REPRO_FUZZ_N`` scales the example budget of the two reference-executor
+``REPRO_FUZZ_N`` scales the example budget of the three reference-executor
 tests like the other fuzz suites (default 300; CI's audit job runs 3000).
 """
 
@@ -254,6 +254,43 @@ class ReferenceProcess:
             priority=URGENT)
 
 
+class ReferenceResource:
+    """What :meth:`~repro.sim.Resource.hold` must do. The slot is requested
+    at the call. A free slot (nobody queued) is granted there and the hold
+    goes on in the same event; a queued request — lowest priority first, then
+    first come — is granted by a release, which schedules one wake-up. At
+    the grant a callable duration is drawn and the timer armed; the timer
+    releases the slot, then wakes the hold's waiters inline, like a timeout."""
+
+    def __init__(self, executor, capacity):
+        self.executor, self.capacity = executor, capacity
+        self.busy, self.queue, self.requests = 0, [], 0
+
+    def hold(self, duration, priority=0):
+        done = ReferenceSignal(self.executor)
+        granted = functools.partial(self.granted, done, duration)
+        self.requests += 1
+        if self.busy < self.capacity and not self.queue:
+            self.busy += 1
+            granted()
+        else:
+            self.queue.append((priority, self.requests, granted))
+        return done
+
+    def granted(self, done, duration):
+        if callable(duration):
+            duration = duration()
+        self.executor.schedule(duration, functools.partial(self.held, done, duration))
+
+    def held(self, done, duration):
+        self.busy -= 1
+        if self.queue and self.busy < self.capacity:
+            self.queue.sort(key=lambda entry: entry[:2])
+            self.busy += 1
+            self.executor.schedule(0.0, self.queue.pop(0)[2])
+        done.resolve((duration, None), inline=True)
+
+
 class ReferenceProcesses(ReferenceKernel):
     """:class:`ReferenceKernel` plus the three factories processes use."""
 
@@ -280,17 +317,19 @@ class Boom(Exception):
 MAX_PROCESSES = 8
 
 
-def play_processes(executor, timer_delays, scripts):
+def play_processes(executor, timer_delays, scripts, resource=Resource):
     """Run *scripts* as processes on *executor*; return one
     ``(time, actor, step, kind, outcome, pending_events)`` entry per finished
     step, then the final clock, the events executed and who is still alive.
 
-    Three plain signals and the timeouts of *timer_delays* exist from time
-    zero and are shared by every process; every script is spawned once at
-    time zero, and ``spawn`` steps add instances up to ``MAX_PROCESSES``."""
+    Three plain signals, the timeouts of *timer_delays* and two *resource*
+    pools (one slot, two slots) exist from time zero and are shared by every
+    process; every script is spawned once at time zero, and ``spawn`` steps
+    add instances up to ``MAX_PROCESSES``."""
     log, procs = [], []
     signals = [executor.signal() for _ in range(3)]
     timers = [executor.timeout(delay) for delay in timer_delays]
+    pools = [resource(executor, capacity) for capacity in (1, 2)]
 
     def spawn(script):
         if len(procs) < MAX_PROCESSES:
@@ -311,6 +350,15 @@ def play_processes(executor, timer_delays, scripts):
                 (executor.now, actor, index, "woke", (value, type(exc).__name__),
                  executor.pending_events)))
 
+    def hold(actor, index, pool, seconds, priority, drawn_at_grant):
+        duration = seconds
+        if drawn_at_grant:  # logs the moment the pool draws it
+            def duration():
+                log.append((executor.now, actor, index, "drawn", seconds,
+                            executor.pending_events))
+                return seconds
+        return pools[pool].hold(duration, priority)
+
     def body(actor, script):
         for index, (kind, arg) in enumerate(script):
             try:
@@ -328,6 +376,8 @@ def play_processes(executor, timer_delays, scripts):
                     result = yield procs[arg % len(procs)]
                 elif kind == "bad":
                     result = yield "not awaitable"
+                elif kind == "hold":
+                    result = yield hold(actor, index, *arg)
                 else:
                     result = act(actor, index, kind, arg)
                 outcome = ("ok", result)
@@ -419,7 +469,61 @@ def test_processes_match_the_reference_executor(timer_delays, scripts):
     ``Process`` and ``Kernel.timeout`` spend an event only to move time or
     to hand control to another party."""
     assert (play_processes(Kernel(), timer_delays, scripts)
-            == play_processes(ReferenceProcesses(), timer_delays, scripts))
+            == play_processes(ReferenceProcesses(), timer_delays, scripts,
+                              resource=ReferenceResource))
+
+
+_HOLDS = st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                   st.integers(0, 2), st.booleans())
+#: scripts where most steps hold a pool, so requests queue behind each other
+HOLD_SCRIPTS = st.lists(
+    st.lists(
+        st.one_of(
+            _steps("hold", _HOLDS), _steps("hold", _HOLDS), _steps("hold", _HOLDS),
+            _steps("delay", GRID), _steps("join", _ANYONE),
+            _steps("interrupt", _ANYONE), _steps("spawn", _ANYONE),
+            _steps("watch", _ANYONE),
+        ),
+        max_size=5,
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def _hold(pool, seconds, priority=0, drawn_at_grant=False):
+    return ("hold", (pool, seconds, priority, drawn_at_grant))
+
+
+@given(timer_delays=st.tuples(GRID, GRID), scripts=HOLD_SCRIPTS)
+# a hold's timer takes the seq of the call, not of a start event: it fires
+# ahead of a timer armed for the same instant after the call, and the holder
+# wakes inside it
+@example((0.0, 0.0), [[_hold(0, 1.0)], [("delay", 1.0)]])
+# a queued grant is one wake-up, priority first, then first come; a
+# zero-length hold still costs its timer event; a callable duration is
+# drawn at the grant, not at the call
+@example((0.0, 0.0), [[_hold(0, 0.0)], [_hold(0, 0.0, 2)],
+                      [_hold(0, 0.0, 1, True)], [_hold(0, 0.0, 1)]])
+# the timer releases the slot before the holder wakes: holding again is
+# granted in the same event, unless someone queued first
+@example((0.0, 0.0), [[_hold(0, 1.0), _hold(0, 1.0, 0, True)]])
+@example((0.0, 0.0), [[_hold(0, 1.0), _hold(0, 1.0)],
+                      [("delay", 0.5), _hold(0, 0.5, 0, True)]])
+# an interrupted holder leaves its hold to run out and release the slot
+@example((0.0, 0.0), [[_hold(0, 1.0)], [("delay", 0.5), ("interrupt", 0),
+                                        _hold(0, 0.25)]])
+# the holder ends inside the timer, so its joiner runs there too, and the
+# other slot's timer for that instant is an event of its own
+@example((0.0, 0.0), [[_hold(1, 1.0)], [("join", 0)], [_hold(1, 1.0)]])
+@settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
+def test_holds_match_the_reference_executor(timer_delays, scripts):
+    """``Resource.hold`` under contention — priorities, zero-length holds,
+    durations drawn at the grant, interrupted holders — spends an event only
+    on its timer and on the wake-up of a queued grant, in the same order as
+    the reference."""
+    assert (play_processes(Kernel(), timer_delays, scripts)
+            == play_processes(ReferenceProcesses(), timer_delays, scripts,
+                              resource=ReferenceResource))
 
 
 @given(
