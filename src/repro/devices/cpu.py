@@ -34,12 +34,12 @@ class Cpu:
     def execute(self, reference_seconds: float, priority: int = 0) -> Signal:
         """Run a job that takes *reference_seconds* on the reference machine.
 
-        Returns a signal resolving (with the actual duration) when the job
-        finishes; the job queues if all cores are busy. The signal *is* the
-        job's ``Process.done``: it fails if the job dies.
+        Returns the job's :meth:`~repro.sim.resources.Resource.hold` on a
+        core: it resolves with the actual duration in the job's last event,
+        after the core is released. The core is requested at the call and
+        the job queues if all cores are busy.
         """
-        duration = self.sample_duration(reference_seconds)
-        return self.kernel.process(self._run(duration, priority), name="cpu.job").done
+        return self._hold(self.sample_duration(reference_seconds), priority)
 
     def execute_fixed(self, seconds: float, priority: int = 0) -> Signal:
         """Run a job whose duration does **not** scale with ``cpu_factor``
@@ -51,7 +51,7 @@ class Cpu:
             duration = 0.0
         else:
             duration = lognormal_around(self.rng, seconds, self.spec.compute_jitter_cv)
-        return self.kernel.process(self._run(duration, priority), name="cpu.fixed").done
+        return self._hold(duration, priority)
 
     def sample_duration(self, reference_seconds: float) -> float:
         """Draw the actual duration for a reference-time job (no queueing)."""
@@ -60,13 +60,14 @@ class Cpu:
             return 0.0
         return lognormal_around(self.rng, scaled, self.spec.compute_jitter_cv)
 
-    def _run(self, duration: float, priority: int):
-        grant = yield self.cores.request(priority=priority)
-        yield duration
-        self.cores.release(grant)
+    def _hold(self, duration: float, priority: int) -> Signal:
+        job = self.cores.hold(duration, priority)
+        job.wait(self._tally)
+        return job
+
+    def _tally(self, duration: float, _exc) -> None:
         self.jobs_completed += 1
         self.busy_seconds += duration
-        return duration
 
     def utilization(self) -> float:
         """Average busy fraction across cores since creation."""

@@ -55,9 +55,7 @@ class BrokeredTransport(Transport):
             message.src.device, self.broker_device, message.size_bytes
         )
         # Broker processing (queues under load).
-        grant = yield self._workers.request()
-        yield self.processing_s
-        self._workers.release(grant)
+        yield self._workers.hold(self.processing_s)
         # Leg 2: broker -> consumer.
         yield self.topology.transfer(
             self.broker_device, message.dst.device, message.size_bytes

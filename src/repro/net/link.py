@@ -102,24 +102,32 @@ class Link:
         self.retransmits = 0
 
     def transfer(self, nbytes: int) -> Signal:
-        """Start transferring *nbytes*; returns the arrival signal — the
-        transfer's own ``Process.done``, which resolves with the arrival
-        time in the transfer's last event and fails if the transfer dies."""
-        return self.kernel.process(self._transfer(nbytes), name=f"{self.name}.tx").done
+        """Start transferring *nbytes*; returns the arrival signal, which
+        resolves with the arrival time in the transfer's last event.
 
-    def _transfer(self, nbytes: int):
-        grant = yield self.medium.request()
+        The medium is requested at the call and held for the transmission
+        time (:meth:`~repro.sim.resources.Resource.hold`), whose loss draw
+        is made at the grant; the latency is drawn as the last byte leaves.
+        """
+        arrival = Signal(self.kernel, self.name)
+        self.medium.hold(lambda: self._airtime(nbytes)).wait(
+            self._propagate, arrival, nbytes)
+        return arrival
+
+    def _airtime(self, nbytes: int) -> float:
         tx_time = self.spec.transmission_time(nbytes)
         if self.spec.loss_prob > 0 and self.rng.random() < self.spec.loss_prob:
             tx_time += self.spec.retransmit_penalty_s
             self.retransmits += 1
-        yield tx_time
-        self.medium.release(grant)
+        return tx_time
+
+    def _propagate(self, arrival: Signal, nbytes: int, _tx_time, _exc) -> None:
         self.messages_sent += 1
         self.bytes_sent += nbytes
         latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
-        yield latency + self.extra_latency_s
-        return self.kernel.now
+        delay = latency + self.extra_latency_s
+        # the latency timer fires the arrival with its own time, as a timeout
+        self.kernel.schedule(delay, arrival._fire, self.kernel.now + delay)
 
     def expected_delay(self, nbytes: int) -> float:
         """Uncontended expected transfer time (for planning/placement)."""

@@ -22,7 +22,7 @@ from ..errors import LinkDown, NetworkError
 from ..sim.kernel import Kernel
 from ..sim.resources import Resource
 from ..sim.rng import RngStreams, ScopedRng
-from ..sim.signals import Signal
+from ..sim.signals import SUCCEEDED, Signal
 from .link import LOOPBACK, WAN_METRO, Link, LinkSpec
 
 
@@ -238,15 +238,23 @@ class Topology:
     def transfer(self, src: str, dst: str, nbytes: int) -> Signal:
         """Move *nbytes* from *src* to *dst* hop by hop.
 
-        Returns a signal resolving with the arrival time — the relay's own
-        ``Process.done``, resolved in the last hop's last event; it fails if
-        the relay dies. The route is resolved eagerly so routing errors
-        raise at call time.
+        Returns a signal resolving with the arrival time in the last hop's
+        last event: for a one-hop route the link's own
+        :meth:`~repro.net.link.Link.transfer` signal, else one that each
+        hop's arrival passes on by starting the next hop. The route is
+        resolved eagerly so routing errors raise at call time.
         """
-        links = self.path_links(src, dst)
-        return self.kernel.process(self._relay(links, nbytes), name="relay").done
+        first, *rest = self.path_links(src, dst)
+        arrival = first.transfer(nbytes)
+        if not rest:
+            return arrival
+        relayed = Signal(self.kernel, "relay")
+        arrival.wait(self._relay, relayed, iter(rest), nbytes)
+        return relayed
 
-    def _relay(self, links: list[Link], nbytes: int):
-        for link in links:
-            yield link.transfer(nbytes)
-        return self.kernel.now
+    def _relay(self, relayed: Signal, hops, nbytes: int, now: float, _exc) -> None:
+        link = next(hops, None)
+        if link is None:
+            relayed._settle(SUCCEEDED, now, None)
+        else:
+            link.transfer(nbytes).wait(self._relay, relayed, hops, nbytes)

@@ -1,9 +1,11 @@
 """Contended resources for the discrete-event kernel.
 
 :class:`Resource` models a fixed pool of identical slots (e.g. CPU cores or
-service worker threads); :class:`Store` is an unbounded FIFO hand-off queue
-(used for mailboxes). Both hand out :class:`~repro.sim.signals.Signal`
-objects so processes can ``yield`` on them.
+service worker threads), and :meth:`Resource.hold` is "request a slot, hold
+it for a duration, release it" with no process behind it; :class:`Store` is
+an unbounded FIFO hand-off queue (used for mailboxes). Both hand out
+:class:`~repro.sim.signals.Signal` objects so processes can ``yield`` on
+them.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import SimulationError
 from .kernel import Kernel
-from .signals import Signal
+from .signals import PENDING, SUCCEEDED, Signal
 
 
 class Grant:
@@ -62,6 +64,7 @@ class Resource:
         self.capacity = capacity
         self.name = name or "resource"
         self._request_name = f"{self.name}.request"
+        self._hold_name = f"{self.name}.hold"
         self._ids = itertools.count(1)
         self._in_use = 0
         self._waiting: list[tuple[int, int, Signal, Grant]] = []
@@ -108,6 +111,32 @@ class Resource:
             # tie-break, without re-sorting the queue on every request
             heapq.heappush(self._waiting, (priority, grant.id, sig, grant))
         return sig
+
+    def hold(self, duration: float | Callable[[], float], priority: int = 0) -> Signal:
+        """Request one slot now, hold it for *duration* seconds once granted,
+        then release it. A callable *duration* is drawn at the grant.
+
+        Returns a signal that succeeds with the duration held. Its timer
+        event releases the slot and then resolves it, so its waiters run
+        inside that event, as a timeout's do. A free slot is granted in the
+        call; a queued request costs the one wake-up its grant schedules.
+        """
+        done = Signal(self.kernel, self._hold_name)
+        request = self.request(priority)
+        if request._state == PENDING:
+            request.wait(self._granted, done, duration)
+        else:
+            self._granted(done, duration, request._value, None)
+        return done
+
+    def _granted(self, done: Signal, duration, grant: Grant, _exc) -> None:
+        if callable(duration):
+            duration = duration()
+        self.kernel.schedule(duration, self._held, done, grant, duration)
+
+    def _held(self, done: Signal, grant: Grant, duration: float) -> None:
+        self.release(grant)
+        done._settle(SUCCEEDED, duration, None)
 
     def owns(self, grant: Grant) -> bool:
         """True when *grant* was issued by this resource and is still held.

@@ -26,11 +26,12 @@ class Signal:
     at :meth:`wait` — and exactly one of the two is meaningful depending on
     whether the signal succeeded or failed. Waiters never run inside the
     caller of ``succeed``/``fail``/``wait`` — each gets its own event at the
-    current simulated time, so ordering stays deterministic. The two
+    current simulated time, so ordering stays deterministic. The
     exceptions are the kernel's own resolutions, which have no caller to run
-    inside (see :meth:`_settle`): a timeout's waiters run in its timer
-    event, and the waiters of a process's ``done`` — its joiners — run in
-    that process's last event.
+    inside (see :meth:`_settle`): the waiters of a timeout or of a
+    :meth:`~repro.sim.resources.Resource.hold` run in its timer event, and
+    the waiters of a process's ``done`` — its joiners — run in that
+    process's last event.
     """
 
     __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_timer_event")

@@ -22,7 +22,7 @@ def test_fleet_histogram_accounts_for_every_event():
     assert sum(result["by_callback"].values()) == result["events"]
     assert not kernel._observers  # detached again
     # a process is named by what it runs, and starts apart from wake-ups
-    assert "Process._resume start Cpu._run" in result["by_callback"]
+    assert "Process._resume start ServiceHost._run" in result["by_callback"]
     assert "Process._resume wake ModuleRuntime._worker" in result["by_callback"]
 
 
@@ -51,20 +51,24 @@ def test_a_closed_pipe_ends_the_cli_quietly():
     assert done.returncode == 0 and done.stderr == b""
 
 
-def test_a_fleet_frame_costs_at_most_78_events():
+def test_a_fleet_frame_costs_at_most_54_events():
     """The exact-count regression of docs/PERF.md "What is an event": the
     ledger's fleet-stage shape took 160.5 events per completed frame when a
     timeout cost two events and a resolved wait one, 106.5 when every job
-    handed its result over through a second completion signal; it takes 74.5
-    now, and must not silently regrow."""
+    handed its result over through a second completion signal, 74.5 when a
+    CPU job, a link transfer and a relay each started a process; it takes
+    50.5 now, and must not silently regrow."""
     result = hist.histogram(*hist.fleet_stage(5, seed=1))
     per_frame = result["events"] / result["frames_completed"]
-    assert per_frame <= 78, result["by_callback"]
+    assert per_frame <= 54, result["by_callback"]
     # the kinds of event each rule removed are gone, not merely fewer
     for gone in (
         "Kernel._fire_timeout",
         "Process._resume wake Cpu._run",
         "Process._resume wake Topology._relay",
+        "Process._resume start Cpu._run",
+        "Process._resume start Link._transfer",
+        "Process._resume start Topology._relay",
         "Transport.send.<locals>.<lambda>",
         "ModuleRuntime._forward.<locals>.<lambda>",
     ):

@@ -10,7 +10,9 @@ a signal left pending forever when the process died before its hand-written
 test forbids the idiom: no function under ``src/repro`` both creates a
 signal and hands that name to the generator it starts with
 ``kernel.process(``. ``tests/runtime/test_moduleruntime.py::
-TestRemoteSendThatDies`` is the behavioural referee.
+TestRemoteSendThatDies`` is the behavioural referee. Three of the seven —
+``Cpu.execute``, ``Link.transfer``, ``Topology.transfer`` — start no process
+at all now, and the last test here keeps it so.
 """
 
 import ast
@@ -31,6 +33,14 @@ def _creates_signal(value: ast.AST) -> bool:
     return False
 
 
+def _is_process_start(node: ast.AST) -> bool:
+    """A ``kernel.process(…)`` / ``self.kernel.process(…)`` call."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "process"
+            and "kernel" in ast.unparse(node.func.value))
+
+
 def hand_made_completions(tree: ast.AST) -> list[str]:
     """``function:name`` for every signal a function creates and passes
     into the generator call of a ``kernel.process(`` call."""
@@ -45,10 +55,7 @@ def hand_made_completions(tree: ast.AST) -> list[str]:
             for target in node.targets if isinstance(target, ast.Name)
         }
         for call in ast.walk(function):
-            if not (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "process"
-                    and "kernel" in ast.unparse(call.func.value)):
+            if not _is_process_start(call):
                 continue
             for generator in call.args:
                 if not isinstance(generator, ast.Call):
@@ -93,9 +100,8 @@ def test_the_copying_waiter_and_the_done_parameters_are_gone():
     runtime = (SRC / "runtime" / "moduleruntime.py").read_text()
     assert "_forward" not in runtime
     generators = {
-        "devices/cpu.py": "_run", "net/link.py": "_transfer",
-        "net/topology.py": "_relay", "net/broker.py": "_relay",
-        "services/stubs.py": "_call", "runtime/moduleruntime.py": "_send_remote",
+        "net/broker.py": "_relay", "services/stubs.py": "_call",
+        "runtime/moduleruntime.py": "_send_remote",
     }
     for relative, name in generators.items():
         functions = [node for node in ast.walk(ast.parse((SRC / relative).read_text()))
@@ -103,3 +109,15 @@ def test_the_copying_waiter_and_the_done_parameters_are_gone():
         assert functions, f"{relative} lost {name}"
         for function in functions:
             assert "done" not in [arg.arg for arg in function.args.args], relative
+
+
+def test_holding_a_core_or_a_link_starts_no_process():
+    """A CPU job, a link transfer and a multi-hop relay hand control to
+    nobody, so none is a process: each is a ``Resource.hold`` (and, for the
+    link and the relay, waiters chained on it) settled in its timer event
+    (docs/PERF.md "What is an event", mechanism 4)."""
+    for relative in ("devices/cpu.py", "net/link.py", "net/topology.py"):
+        tree = ast.parse((SRC / relative).read_text())
+        starts = [ast.unparse(node) for node in ast.walk(tree)
+                  if _is_process_start(node)]
+        assert starts == [], relative
