@@ -10,9 +10,9 @@ a signal left pending forever when the process died before its hand-written
 test forbids the idiom: no function under ``src/repro`` both creates a
 signal and hands that name to the generator it starts with
 ``kernel.process(``. ``tests/runtime/test_moduleruntime.py::
-TestRemoteSendThatDies`` is the behavioural referee. Three of the seven —
-``Cpu.execute``, ``Link.transfer``, ``Topology.transfer`` — start no process
-at all now, and the last test here keeps it so.
+TestRemoteSendThatDies`` is the behavioural referee. Four of the seven —
+``Cpu.execute``/``execute_fixed``, ``Link.transfer``, ``Topology.transfer``
+— start no process at all now, and the last test here keeps it so.
 """
 
 import ast
