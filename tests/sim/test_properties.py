@@ -158,13 +158,14 @@ def test_kernel_matches_the_reference_executor(program):
 
 # -- processes on top of the event list ---------------------------------------
 class ReferenceSignal:
-    """What :class:`~repro.sim.Signal` must do. Resolved from ordinary code
-    it schedules one zero-delay event per waiter, in registration order;
-    resolved by the kernel itself (``inline``: its timer fired, or the
-    process it belongs to ended) its waiters are called, in that order,
-    inside that same event — through the executor's one ``waking`` queue,
-    so a process that ends *while* another signal's waiters are being
-    called queues its joiners behind the waiters still to come."""
+    """What :class:`~repro.sim.Signal` must do. Resolved while the
+    executor's one ``waking`` queue is being drained — by a process that
+    ends there, or by any code a drained waiter runs — it queues its
+    waiters behind the ones still to come. Otherwise, resolved by the
+    kernel itself (``inline``: its timer fired, or the process it belongs
+    to ended) it starts that drain and its waiters are called, in
+    registration order, inside that same event; resolved from ordinary code
+    it schedules one zero-delay event per waiter, in that order."""
 
     def __init__(self, executor):
         self.executor, self.outcome, self.waiters, self.timer = executor, None, [], None
@@ -188,11 +189,11 @@ class ReferenceSignal:
         self.outcome = outcome
         wakes = [functools.partial(waiter, *outcome) for waiter in self.waiters]
         self.waiters = []
-        if not inline:
+        if self.executor.waking is not None:
+            self.executor.waking.extend(wakes)  # behind the waiters still to come
+        elif not inline:
             for wake in wakes:
                 self.executor.schedule(0.0, wake)
-        elif self.executor.waking is not None:
-            self.executor.waking.extend(wakes)  # behind the waiters still to come
         else:
             self.executor.waking = wakes
             while wakes:
@@ -202,17 +203,22 @@ class ReferenceSignal:
 
 
 class ReferenceProcess:
-    """What :class:`~repro.sim.Process` must do: start through one event,
-    then run until the generator yields something still *pending* — a
-    resolved signal, a finished process and an invalid yield are answered
-    on the spot, in the same event. Its last event wakes whoever waits for
-    it: the end resolves ``done`` the way a timer resolves its timeout."""
+    """What :class:`~repro.sim.Process` must do: start through one event —
+    or, made while a drain runs, at the back of that drain — then run until
+    the generator yields something still *pending*: a resolved signal, a
+    finished process and an invalid yield are answered on the spot, in the
+    same event. Its last event wakes whoever waits for it: the end resolves
+    ``done`` the way a timer resolves its timeout."""
 
     def __init__(self, executor, gen):
         self.executor, self.gen = executor, gen
         self.done = ReferenceSignal(executor)
         self.epoch, self.parked = 0, None
-        executor.schedule(0.0, functools.partial(self.resume, 0, None, None))
+        start = functools.partial(self.resume, 0, None, None)
+        if executor.waking is not None:
+            executor.waking.append(start)
+        else:
+            executor.schedule(0.0, start)
 
     def resume(self, epoch, value, exc):
         if epoch != self.epoch or not self.done.pending:
@@ -462,6 +468,15 @@ _WAIT_0, _WAIT_1, _NAP = ("timer", 0), ("timer", 1), ("delay", 0.0)
 # a process ends inside a shared timer's firing: its joiner runs after the
 # timer's remaining waiters, not in front of them
 @example((1.0, 0.0), [[_WAIT_0], [("join", 0)], [_WAIT_0]])
+# a signal resolved by a waiter inside a drain wakes its own waiters in that
+# drain, not through one event each
+@example((0.0, 0.0), [[_NAP, ("succeed", 0)], [("signal", 0)]])
+# the tie-break: the hand-off runs ahead of a timer already queued for the
+# same instant
+@example((1.0, 0.0), [[_WAIT_0, ("succeed", 1)], [("signal", 1)], [("delay", 1.0)]])
+# a process spawned inside a timer's drain starts in it, ahead of a timer
+# already queued for the same instant
+@example((1.0, 0.0), [[_WAIT_0, ("spawn", 2)], [("delay", 1.0)], [("resolved", None)]])
 @settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
 def test_processes_match_the_reference_executor(timer_delays, scripts):
     """Same steps finished at the same times in the same order, the same
