@@ -42,7 +42,8 @@ class Kernel:
         self._running = False
         self._stopped = False
         # the wake-ups still to run inside the event now executing, while a
-        # timer or a process end drains its waiters (Signal._settle)
+        # timer or a process end drains its waiters (Signal._settle); a
+        # hand-off made meanwhile joins it (signals.hand_off)
         self._waking = None
         # passive observers notified on schedule/execute; a tuple so the hot
         # path pays one truthiness check when nobody is watching
@@ -110,7 +111,7 @@ class Kernel:
         """Return a signal that succeeds with *value* after *delay* seconds."""
         # the timer event is the wake-up: the waiters run inside it
         sig = Signal(self, "timeout")
-        sig._timer_event = self.schedule(delay, sig._fire, value)
+        sig._source = self.schedule(delay, sig._fire, value)
         return sig
 
     def process(self, gen: ProcessGenerator, name: str | None = None) -> Process:

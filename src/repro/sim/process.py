@@ -9,13 +9,15 @@ suspend itself:
 * another :class:`Process` — resume when that process terminates (join);
 * a number — shorthand for ``kernel.timeout(number)``.
 
-A process runs until it has to wait: an awaitable that is already resolved
-costs no event (its outcome goes straight back in at the ``yield``), only a
-pending one parks the process. ``yield 0.0`` makes a pending timeout, so it
-is the way to let everything else due now run first. When the generator
-returns or raises, that same event resolves :attr:`Process.done` and runs
-its waiters — the processes joined on it and plain ``wait()`` callbacks, in
-registration order: a process's last event is its joiners' wake-up.
+A process starts through one zero-delay event — or, started inside another
+event's drain, at the back of that drain (see :class:`Signal`). It runs
+until it has to wait: an awaitable that is already resolved costs no event
+(its outcome goes straight back in at the ``yield``), only a pending one
+parks the process. ``yield 0.0`` makes a pending timeout, so it is the way
+to let everything else due now run first. When the generator returns or
+raises, that same event resolves :attr:`Process.done` and runs its waiters —
+the processes joined on it and plain ``wait()`` callbacks, in registration
+order: a process's last event is its joiners' wake-up.
 
 Example::
 
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import Interrupt, SimulationError
 from .events import URGENT
-from .signals import FAILED, PENDING, SUCCEEDED, Signal
+from .signals import FAILED, PENDING, SUCCEEDED, Signal, hand_off
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -68,7 +70,8 @@ class Process:
         #: (e.g. after an interrupt) carry an older epoch and are dropped.
         self._epoch = 0
         self._waiting_on: Signal | None = None
-        kernel.schedule(0.0, self._resume, self._epoch, None, None)
+        # the start: its own event, or a place in the drain now running
+        hand_off(kernel, ((self._resume, 0),), None, None)
 
     # -- state ---------------------------------------------------------------
     @property
@@ -93,7 +96,7 @@ class Process:
         if waiting is not None and waiting.pending:
             waiting.discard(self._resume)  # no dead waiter stays behind
             if not waiting._waiters:
-                waiting.cancel_timer()  # abandoned timeouts must not hold the clock
+                waiting.abandon()  # nor hold the clock, nor take an item or slot
         self._epoch += 1
         self._waiting_on = None
         self.kernel.schedule(

@@ -110,7 +110,13 @@ class Resource:
             # a heap keyed on (priority, id): priority order with FIFO
             # tie-break, without re-sorting the queue on every request
             heapq.heappush(self._waiting, (priority, grant.id, sig, grant))
+            sig._source = self
         return sig
+
+    def _withdraw(self, sig: Signal) -> None:
+        """``sig.abandon()``: an interrupted requester leaves the queue."""
+        self._waiting = [entry for entry in self._waiting if entry[2] is not sig]
+        heapq.heapify(self._waiting)
 
     def hold(self, duration: float | Callable[[], float], priority: int = 0) -> Signal:
         """Request one slot now, hold it for *duration* seconds once granted,
@@ -230,7 +236,12 @@ class Store:
             sig.succeed(self._items.popleft())
         else:
             self._getters.append(sig)
+            sig._source = self
         return sig
+
+    def _withdraw(self, sig: Signal) -> None:
+        """``sig.abandon()``: an interrupted getter leaves the queue."""
+        self._getters.remove(sig)
 
     def drain(self) -> list[Any]:
         """Remove and return all buffered items without blocking."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import SimulationError
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -25,16 +26,18 @@ class Signal:
     Waiter callbacks receive ``(value, exc)`` — after any arguments bound
     at :meth:`wait` — and exactly one of the two is meaningful depending on
     whether the signal succeeded or failed. Waiters never run inside the
-    caller of ``succeed``/``fail``/``wait`` — each gets its own event at the
-    current simulated time, so ordering stays deterministic. The
-    exceptions are the kernel's own resolutions, which have no caller to run
-    inside (see :meth:`_settle`): the waiters of a timeout or of a
-    :meth:`~repro.sim.resources.Resource.hold` run in its timer event, and
-    the waiters of a process's ``done`` — its joiners — run in that
-    process's last event.
+    caller of ``succeed``/``fail``/``wait``. The kernel's own resolutions
+    have no caller to run inside (see :meth:`_settle`): the waiters of a
+    timeout or of a :meth:`~repro.sim.resources.Resource.hold` run in its
+    timer event, and the waiters of a process's ``done`` — its joiners —
+    run in that process's last event; that event's *drain*. A signal
+    resolved while a drain runs — by a waiter it woke — queues its waiters
+    at the back of that drain, so they run in the same event once the
+    caller has returned. Resolved anywhere else, each waiter gets its own
+    event at the current simulated time.
     """
 
-    __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_timer_event")
+    __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_source")
 
     def __init__(self, kernel: "Kernel", name: str | None = None) -> None:
         self.kernel = kernel
@@ -44,9 +47,9 @@ class Signal:
         self._exc: BaseException | None = None
         #: ``(callback, *bound_args)`` per waiter, ready to be scheduled
         self._waiters: list[tuple] = []
-        #: Set by Kernel.timeout(): the scheduled event that will fire this
-        #: signal, so abandoned timeouts can be cancelled (see cancel_timer).
-        self._timer_event = None
+        #: What resolves this signal unless abandon() takes it back: the timer
+        #: event of a Kernel.timeout(), or the Store / Resource it queues in.
+        self._source = None
 
     # -- introspection -----------------------------------------------------
     @property
@@ -99,9 +102,8 @@ class Signal:
 
     def _dispatch(self) -> None:
         waiters, self._waiters = self._waiters, []
-        schedule = self.kernel.schedule
-        for waiter in waiters:
-            schedule(0.0, *waiter, self._value, self._exc)
+        if waiters:
+            hand_off(self.kernel, waiters, self._value, self._exc)
 
     def _fire(self, value: Any) -> None:
         """The timer event of :meth:`Kernel.timeout`, which is the wake-up."""
@@ -113,20 +115,19 @@ class Signal:
         — and run the waiters inside the event now executing."""
         # The kernel is the caller, so nothing is re-entered and no second
         # event is spent per waiter. The waiters run in registration order
-        # off one queue per kernel: a process that ends *during* the drain
-        # appends its joiners to that queue (no recursion, so a join chain
-        # may be any length) and they run after the waiters already queued.
-        # A waiter attached meanwhile finds the signal resolved and is
-        # scheduled by wait().
+        # off one queue per kernel: a hand-off made *during* the drain — a
+        # process that ends, a signal resolved or a process started by a
+        # waiter — is appended to that queue (no recursion, so a chain may
+        # be any length) and runs after the waiters already queued. A waiter
+        # attached meanwhile finds the signal resolved and is scheduled by
+        # wait().
         self._state, self._value, self._exc = state, value, exc
-        if not self._waiters:
-            return
         kernel = self.kernel
+        if kernel._waking is not None or not self._waiters:
+            self._dispatch()  # nobody to wake, or inside another drain: join it
+            return
         batch = (iter(self._waiters), value, exc)
         self._waiters = []
-        if kernel._waking is not None:  # inside another signal's drain
-            kernel._waking.append(batch)
-            return
         kernel._waking = [batch]
         batches = iter(kernel._waking)  # by index: sees batches appended meanwhile
         try:
@@ -137,8 +138,7 @@ class Signal:
         finally:  # some are left only if one raised: they still wake
             kernel._waking = None
             for waiters, value, exc in (batch, *batches):
-                for waiter in waiters:
-                    kernel.schedule(0.0, *waiter, value, exc)
+                hand_off(kernel, waiters, value, exc)
 
     # -- waiting ------------------------------------------------------------
     def wait(self, callback: Callable[..., None], *args: Any) -> None:
@@ -153,22 +153,38 @@ class Signal:
         else:
             self.kernel.schedule(0.0, callback, *args, self._value, self._exc)
 
-    def cancel_timer(self) -> None:
-        """If this signal is a pending timeout, cancel its underlying event.
+    def abandon(self) -> None:
+        """Take a pending signal back from whatever was to resolve it.
 
         For when its last waiter has abandoned the wait (``interrupt()``):
-        an abandoned long timeout must not keep the clock running toward it.
+        an abandoned timeout must not keep the clock running toward it, and
+        an abandoned ``Store.get()`` or ``Resource.request()`` must not be
+        handed the next item or slot.
         """
-        if self._timer_event is not None and self._state == PENDING:
-            self.kernel.cancel(self._timer_event)
-            self._timer_event = None
+        source = self._source
+        if source is not None and self._state == PENDING:
+            self._source = None
+            if isinstance(source, Event):
+                self.kernel.cancel(source)
+            else:
+                source._withdraw(self)
 
     def discard(self, callback: Callable[..., None]) -> None:
         """Remove a previously attached waiter, if still registered."""
         self._waiters = [w for w in self._waiters if w[0] != callback]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        timer = self._timer_event
-        due = "" if timer is None else f" due t={timer.time:.6f}"
+        timer = self._source
+        due = f" due t={timer.time:.6f}" if isinstance(timer, Event) else ""
         return f"<Signal {self.name or id(self):}{due} {self._state}>"
 
+
+def hand_off(kernel: "Kernel", waiters, value: Any, exc: BaseException | None) -> None:
+    """Wake *waiters* (``(callback, *bound_args)`` each) with ``(value,
+    exc)``: at the back of the drain now running (:meth:`Signal._settle`),
+    if one is, else by one zero-delay event each."""
+    if kernel._waking is not None:
+        kernel._waking.append((iter(waiters), value, exc))
+    else:
+        for waiter in waiters:
+            kernel.schedule(0.0, *waiter, value, exc)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import Interrupt, SimulationError
 from repro.sim import Kernel, Resource, Store
 
 
@@ -164,6 +164,47 @@ class TestResource:
         res.request()
         assert res.queue_length == 2
 
+    def test_an_interrupted_requester_gives_up_its_place(self, kernel):
+        """The next release goes to the next requester, not to nobody."""
+        res = Resource(kernel, capacity=1)
+        held = res.request().value
+        log = []
+
+        def requester(tag):
+            try:
+                grant = yield res.request()
+            except Interrupt:
+                log.append((tag, "interrupted", res.queue_length))
+                return
+            log.append((tag, "granted", kernel.now))
+            res.release(grant)
+
+        quitter = kernel.process(requester("quitter"))
+        kernel.process(requester("next"))
+        kernel.schedule(1.0, quitter.interrupt)
+        kernel.schedule(2.0, res.release, held)
+        kernel.run()
+        assert log == [("quitter", "interrupted", 1), ("next", "granted", 2.0)]
+        assert res.in_use == 0 and res.queue_length == 0
+
+    def test_an_interrupted_requester_keeps_the_queue_in_priority_order(self, kernel):
+        res = Resource(kernel, capacity=1)
+        held = res.request().value
+        order = []
+
+        def requester(tag, priority):
+            grant = yield res.request(priority)
+            order.append(tag)
+            res.release(grant)
+
+        for tag, priority in (("low", 5), ("quitter", 0), ("mid", 3), ("high", 1)):
+            proc = kernel.process(requester(tag, priority), name=tag)
+            if tag == "quitter":
+                kernel.schedule(1.0, proc.interrupt)
+        kernel.schedule(2.0, res.release, held)
+        kernel.run()
+        assert order == ["high", "mid", "low"]
+
 
 class TestStore:
     def test_put_then_get_immediate(self, kernel):
@@ -207,6 +248,45 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
+
+    def test_an_interrupted_getter_gives_up_its_place(self, kernel):
+        """The next item goes to the next getter, not to nobody."""
+        store = Store(kernel)
+        got = []
+
+        def getter(tag):
+            try:
+                got.append((tag, (yield store.get())))
+            except Interrupt:
+                got.append((tag, "interrupted"))
+
+        quitter = kernel.process(getter("quitter"))
+        kernel.process(getter("next"))
+        kernel.schedule(1.0, quitter.interrupt)
+        kernel.schedule(2.0, store.put, "x")
+        kernel.run()
+        assert got == [("quitter", "interrupted"), ("next", "x")]
+        assert len(store) == 0
+
+    def test_a_get_made_now_and_yielded_later_still_receives(self, kernel):
+        """Only an abandoned wait withdraws a get: one nobody waits on yet,
+        or whose process is interrupted elsewhere, keeps its place."""
+        store = Store(kernel)
+        got = []
+
+        def consumer():
+            pending = store.get()
+            try:
+                yield 5.0
+            except Interrupt:
+                pass
+            got.append((yield pending))
+
+        proc = kernel.process(consumer())
+        kernel.schedule(1.0, proc.interrupt)
+        kernel.schedule(2.0, store.put, "kept")
+        kernel.run()
+        assert got == ["kept"]
 
     def test_drain_empties_store(self, kernel):
         store = Store(kernel)

@@ -190,11 +190,20 @@ class TestTimerEvent:
 
 class TestOneDrainPerEvent:
     """A firing timer and an ending process wake their waiters off one queue
-    (``Signal._settle``); everything else still wakes by events."""
+    (``Signal._settle``), and a hand-off made while that queue is drained —
+    a signal resolved or a process started by a waiter — joins it. Outside
+    a drain everything still wakes by events."""
 
-    def test_succeed_from_a_waiter_inside_a_drain_is_still_never_inline(self, kernel):
-        """Only the kernel's own resolutions run waiters in place: a waiter
-        that resolves another signal is ordinary code, drain or no drain."""
+    def executed(self, kernel):
+        count = 0
+        while kernel.step():
+            count += 1
+        return count
+
+    def test_succeed_from_a_waiter_inside_a_drain_joins_the_drain(self, kernel):
+        """Appended, not called: the resolving waiter returns first, the
+        timer's remaining waiter runs next, then the other signal's waiter,
+        all inside the timer's event."""
         other = kernel.signal()
         seen = []
         other.wait(lambda v, e: seen.append(("other's waiter", v)))
@@ -206,10 +215,63 @@ class TestOneDrainPerEvent:
         timer = kernel.timeout(1.0)
         timer.wait(first)
         timer.wait(lambda v, e: seen.append("second"))
-        kernel.step()
-        assert seen == [("first", 1), "second"]
+        assert self.executed(kernel) == 1
+        assert seen == [("first", 0), "second", ("other's waiter", "by hand")]
+
+    def test_a_process_started_inside_a_drain_starts_in_it(self, kernel):
+        """After the starter has returned, and ahead of an event already
+        queued for the same instant."""
+        log = []
+
+        def started():
+            log.append(("started", kernel.now))
+            yield kernel.signal().succeed()
+            log.append("ran on")
+
+        def starter(value, exc):
+            kernel.process(started())
+            log.append(("starter returns", kernel.pending_events))
+
+        kernel.timeout(1.0).wait(starter)
+        kernel.schedule(1.0, log.append, "bystander")
+        assert self.executed(kernel) == 2
+        assert log == [("starter returns", 1), ("started", 1.0), "ran on",
+                       "bystander"]
+
+    def test_a_hand_off_runs_ahead_of_an_event_already_queued_for_the_instant(self, kernel):
+        """The tie-break the rule moves: the woken process used to run behind
+        the bystander, in an event of its own."""
+        order = []
+        handed = kernel.signal()
+
+        def receiver():
+            order.append((yield handed))
+
+        kernel.process(receiver())
         kernel.run()
-        assert seen[-1] == ("other's waiter", "by hand")
+        kernel.timeout(1.0).wait(lambda v, e: handed.succeed("handed"))
+        kernel.schedule(1.0, order.append, "bystander")
+        assert self.executed(kernel) == 2
+        assert order == ["handed", "bystander"]
+
+    def test_a_2000_deep_hand_off_chain_ends_in_one_event(self, kernel):
+        """No recursion: each process, woken in the timer's drain, succeeds
+        the next one's signal, which appends that one's wake-up."""
+        depth = 2000
+        signals = [kernel.signal() for _ in range(depth + 1)]
+        reached = []
+
+        def link(index):
+            value = yield signals[index]
+            signals[index + 1].succeed(value + 1)
+
+        for index in range(depth):
+            kernel.process(link(index))
+        signals[depth].wait(lambda v, e: reached.append((v, kernel.now)))
+        kernel.run()  # every link is parked on its signal
+        kernel.timeout(1.0).wait(lambda v, e: signals[0].succeed(0))
+        assert self.executed(kernel) == 1
+        assert reached == [(depth, 1.0)]
 
     def test_a_raising_waiter_also_wakes_what_an_ended_process_queued(self, kernel):
         """The joiner of a process that ended earlier in the drain sits in
@@ -254,9 +316,11 @@ class TestOneDrainPerEvent:
 
 
 class TestCancelTimer:
+    """``abandon()`` of a timeout cancels its timer event."""
+
     def test_abandoned_timeout_does_not_hold_the_clock(self, kernel):
         sig = kernel.timeout(100.0)
-        sig.cancel_timer()
+        sig.abandon()
         kernel.schedule(1.0, lambda: None)
         kernel.run()
         assert kernel.now == 1.0
@@ -264,7 +328,7 @@ class TestCancelTimer:
 
     def test_cancel_timer_on_plain_signal_is_noop(self, kernel):
         sig = kernel.signal()
-        sig.cancel_timer()  # no timer attached: must not raise
+        sig.abandon()  # no timer attached: must not raise
         sig.succeed(1)
         assert sig.value == 1
 
@@ -272,4 +336,4 @@ class TestCancelTimer:
         sig = kernel.timeout(0.5)
         kernel.run()
         assert sig.succeeded
-        sig.cancel_timer()  # must not raise
+        sig.abandon()  # must not raise
