@@ -222,12 +222,10 @@ class Store:
 
     def put(self, item: Any) -> None:
         """Deposit *item*, waking the oldest waiting getter if present."""
-        while self._getters:
-            sig = self._getters.popleft()
-            if sig.pending:  # skip abandoned/interrupted getters
-                sig.succeed(item)
-                return
-        self._items.append(item)
+        if self._getters:  # an interrupted getter has left (abandon())
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
 
     def get(self) -> Signal:
         """Return a signal that succeeds with the next item (FIFO)."""
