@@ -1,12 +1,19 @@
-"""Property-based tests for the network substrate."""
+"""Property-based tests for the network substrate.
 
-import numpy as np
-from hypothesis import given, settings
+``REPRO_FUZZ_N`` scales the example budget of the link reference test like
+the other fuzz suites (default 300; CI's audit job runs 3000).
+"""
+
+import os
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.net import LinkSpec, Topology
+from repro.net import Link, LinkSpec, Topology
 from repro.net.wire import WireFormatError, decode, encode
-from repro.sim import Kernel, RngStreams
+from repro.sim import Kernel, Resource, RngStreams, lognormal_around
+
+FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "300"))
 
 
 @given(data=st.binary(min_size=0, max_size=200))
@@ -97,3 +104,112 @@ def test_jittered_transfers_replay_identically(seed):
         return [s.value for s in arrivals]
 
     assert run() == run()
+
+
+# -- the link against a reference --------------------------------------------
+class ReferenceLink:
+    """What :class:`~repro.net.Link` must do, written as the two-stage link:
+    the medium is a one-slot :class:`~repro.sim.Resource` requested at the
+    call. The grant draws the loss into the airtime and arms the airtime
+    timer, in the call when the medium is free and in the wake-up a release
+    schedules when it is queued. The airtime timer releases the medium,
+    counts the message, draws the latency and arms the arrival timer. A
+    test-side reference, not a second link."""
+
+    def __init__(self, kernel, spec, rng, medium=None):
+        self.kernel, self.spec, self.rng = kernel, spec, rng
+        self.medium = medium if medium is not None else Resource(kernel, 1)
+        self.extra_latency_s = 0.0
+        self.messages_sent = self.bytes_sent = self.retransmits = 0
+
+    def transfer(self, nbytes):
+        arrival = self.kernel.signal("reference")
+        request = self.medium.request()
+        if request.pending:
+            request.wait(self._granted, arrival, nbytes)
+        else:
+            self._granted(arrival, nbytes, request.value, None)
+        return arrival
+
+    def _granted(self, arrival, nbytes, grant, _exc):
+        airtime = self.spec.transmission_time(nbytes)
+        if self.spec.loss_prob > 0 and self.rng.random() < self.spec.loss_prob:
+            airtime += self.spec.retransmit_penalty_s
+            self.retransmits += 1
+        self.kernel.schedule(airtime, self._sent, arrival, nbytes, grant)
+
+    def _sent(self, arrival, nbytes, grant):
+        self.medium.release(grant)
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
+        delay = latency + self.extra_latency_s
+        self.kernel.schedule(delay, arrival._fire, self.kernel.now + delay)
+
+
+def play_links(link_class, links, transfers, seed):
+    """Build *links* (``(spec, medium group)`` each: links of one group
+    share a medium) with *link_class* and run *transfers* (``(at, then,
+    link, nbytes)`` each: at time *at* an event schedules the transfer
+    *then* seconds later, so a request can come before or after a release
+    due at the same instant). Return every arrival time in call order, each
+    link's counters and the final clock."""
+    kernel, streams = Kernel(), RngStreams(seed=seed)
+    built, media = [], {}
+    for index, (spec, group) in enumerate(links):
+        link = link_class(kernel, spec, streams.stream(f"link/{index}"),
+                          medium=media.get(group))
+        media.setdefault(group, link.medium)
+        built.append(link)
+    arrivals = []
+
+    def start(index, nbytes):
+        arrivals.append(built[index % len(built)].transfer(nbytes))
+
+    for at, then, index, nbytes in transfers:
+        kernel.schedule(at, kernel.schedule, then, start, index, nbytes)
+    kernel.run()
+    return ([arrival.value for arrival in arrivals],
+            [(link.messages_sent, link.bytes_sent, link.retransmits) for link in built],
+            kernel.now)
+
+
+#: airtimes, latencies and penalties on one grid of exact binary fractions
+#: (32 bit/s: a byte is 0.25 s of airtime), so that requests, releases and
+#: arrivals fall on the same instants; 0.003 s with jitter draws real floats
+_LINK_SPECS = st.builds(
+    LinkSpec,
+    latency_s=st.sampled_from([0.0, 0.25, 0.003]),
+    jitter_cv=st.sampled_from([0.0, 0.25]),
+    bandwidth_bps=st.just(32.0),
+    loss_prob=st.sampled_from([0.0, 0.3, 0.9]),
+    retransmit_penalty_s=st.just(0.5),
+)
+_GRID = st.integers(0, 8).map(lambda n: n * 0.25)
+_LINKS = st.lists(st.tuples(_LINK_SPECS, st.integers(0, 3)), min_size=1, max_size=4)
+_TRANSFERS = st.lists(
+    st.tuples(_GRID, _GRID, st.integers(0, 3), st.integers(0, 4)),
+    min_size=1, max_size=12)
+_LOSSY = LinkSpec(latency_s=0.003, jitter_cv=0.25, bandwidth_bps=32.0,
+                  loss_prob=0.3, retransmit_penalty_s=0.5)
+_EXACT = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=32.0,
+                  loss_prob=0.0, retransmit_penalty_s=0.5)
+
+
+@given(links=_LINKS, transfers=_TRANSFERS, seed=st.integers(0, 2**16))
+# two transfers queued on one lossy, jittered link: each link's stream reads
+# loss, latency, loss, latency — drawing the loss at the call, and the
+# latency when the airtime ends, would read loss, loss, latency, latency
+@example([(_LOSSY, 0)], [(0.0, 0.0, 0, 4), (0.0, 0.0, 0, 4)], 7)
+# a shared zero-latency medium: a request made at the instant the airtime
+# before it ends, once ahead of that release and once behind it
+@example([(_EXACT, 0), (_EXACT, 0)],
+         [(0.0, 1.0, 1, 2), (0.0, 0.0, 0, 4), (1.0, 0.0, 1, 2)], 0)
+@settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
+def test_one_event_link_matches_the_two_stage_reference(links, transfers, seed):
+    """Same arrival time for every transfer (float ``==``), same per-link
+    ``messages_sent`` / ``bytes_sent`` / ``retransmits`` and the same final
+    clock: shared and private media, lossy and jittered links, zero
+    latency and same-instant requests included."""
+    assert (play_links(Link, links, transfers, seed)
+            == play_links(ReferenceLink, links, transfers, seed))
