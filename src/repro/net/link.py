@@ -1,9 +1,9 @@
 """Link models: how long bytes take to cross the network.
 
 A :class:`LinkSpec` holds the physical parameters; a :class:`Link` is a
-kernel-attached transmission channel with a serializing medium (transmissions
-queue behind each other, which is what makes a busy Wi-Fi radio a shared
-bottleneck). Several links may *share* one medium — that is how the home
+kernel-attached transmission channel with a serializing :class:`Medium`
+(transmissions queue behind each other, which is what makes a busy Wi-Fi
+radio a shared bottleneck). Several links may *share* one medium — that is how the home
 Wi-Fi access point is modeled: every device's traffic contends for the same
 airtime.
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sim.kernel import Kernel
-from ..sim.resources import Resource
 from ..sim.rng import lognormal_around
 from ..sim.signals import Signal
 
@@ -70,12 +69,27 @@ WAN_METRO = LinkSpec(latency_s=0.005, jitter_cv=0.15, bandwidth_bps=300e6, loss_
 WAN_REGIONAL = LinkSpec(latency_s=0.02, jitter_cv=0.25, bandwidth_bps=100e6, loss_prob=0.003)
 
 
+class Medium:
+    """The airtime of one radio (or wire): a FIFO, one-slot medium whose
+    transmission times are known when they are requested, so it needs no
+    queue, only a clock — the instant its last requested transmission ends.
+    A transfer starts at ``max(now, free_at)`` (Lindley's recursion). Links
+    that share one instance contend for the same airtime (Wi-Fi)."""
+
+    __slots__ = ("free_at",)
+
+    def __init__(self) -> None:
+        self.free_at = 0.0
+
+
 class Link:
     """A transmission channel bound to the kernel.
 
     ``transfer(nbytes)`` returns a signal that resolves when the last byte
-    arrives at the far end. Transmissions serialize on the link's medium
-    resource; propagation of one message overlaps the next transmission.
+    arrives at the far end. Transmissions serialize on the link's
+    :class:`Medium`; propagation of one message overlaps the next
+    transmission. The counters — and so ``Topology.wan_egress_bytes`` —
+    count a transfer at its request, not at its arrival.
     """
 
     def __init__(
@@ -84,17 +98,18 @@ class Link:
         spec: LinkSpec,
         rng: np.random.Generator,
         name: str = "link",
-        medium: Resource | None = None,
+        medium: Medium | None = None,
     ) -> None:
         self.kernel = kernel
         self.spec = spec
         self.rng = rng
         self.name = name
-        #: The airtime resource. Pass a shared Resource to model a shared
-        #: medium (Wi-Fi); default is a private point-to-point medium.
-        self.medium = medium if medium is not None else Resource(kernel, 1, f"{name}.medium")
+        #: The airtime clock. Pass a shared Medium to model a shared medium
+        #: (Wi-Fi); default is a private point-to-point medium.
+        self.medium = medium if medium is not None else Medium()
         #: Additional per-message latency, mutable at runtime — the knob the
-        #: fault injector turns for transient latency-spike faults.
+        #: fault injector turns for transient latency-spike faults. A
+        #: transfer reads it at its request.
         self.extra_latency_s = 0.0
         # counters
         self.messages_sent = 0
@@ -103,15 +118,23 @@ class Link:
 
     def transfer(self, nbytes: int) -> Signal:
         """Start transferring *nbytes*; returns the arrival signal, which
-        resolves with the arrival time in the transfer's last event.
+        resolves with the arrival time in the transfer's one event.
 
-        The medium is requested at the call and held for the transmission
-        time (:meth:`~repro.sim.resources.Resource.hold`), whose loss draw
-        is made at the grant; the latency is drawn as the last byte leaves.
+        Everything is decided at the call: the transmission starts when the
+        medium is free, draws its loss into the airtime, and the latency is
+        drawn as it leaves. Each link draws from its own stream and its
+        medium is FIFO, so the draws come in the order a hold of the medium
+        followed by a latency timer would make them.
         """
-        arrival = Signal(self.kernel, self.name)
-        self.medium.hold(lambda: self._airtime(nbytes)).wait(
-            self._propagate, arrival, nbytes)
+        medium, kernel = self.medium, self.kernel
+        start = max(kernel.now, medium.free_at)
+        medium.free_at = sent = start + self._airtime(nbytes)
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
+        at = sent + (latency + self.extra_latency_s)
+        arrival = Signal(kernel, self.name)
+        kernel.schedule_at(at, arrival._fire, at)
         return arrival
 
     def _airtime(self, nbytes: int) -> float:
@@ -120,14 +143,6 @@ class Link:
             tx_time += self.spec.retransmit_penalty_s
             self.retransmits += 1
         return tx_time
-
-    def _propagate(self, arrival: Signal, nbytes: int, _tx_time, _exc) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
-        delay = latency + self.extra_latency_s
-        # the latency timer fires the arrival with its own time, as a timeout
-        self.kernel.schedule(delay, arrival._fire, self.kernel.now + delay)
 
     def expected_delay(self, nbytes: int) -> float:
         """Uncontended expected transfer time (for planning/placement)."""

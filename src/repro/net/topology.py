@@ -20,10 +20,9 @@ import networkx as nx
 
 from ..errors import LinkDown, NetworkError
 from ..sim.kernel import Kernel
-from ..sim.resources import Resource
 from ..sim.rng import RngStreams, ScopedRng
 from ..sim.signals import SUCCEEDED, Signal
-from .link import LOOPBACK, WAN_METRO, Link, LinkSpec
+from .link import LOOPBACK, WAN_METRO, Link, LinkSpec, Medium
 
 
 class Topology:
@@ -34,7 +33,7 @@ class Topology:
         self.rng = rng if rng is not None else RngStreams(seed=0)
         self.graph = nx.Graph()
         self._loopbacks: dict[str, Link] = {}
-        self._shared_media: dict[str, Resource] = {}
+        self._shared_media: dict[str, Medium] = {}
         self._down: set[str] = set()
         self._partitioned: set[str] = set()
         #: (src, dst) -> links of the resolved route; emptied by every edit.
@@ -53,7 +52,7 @@ class Topology:
         if name in self._shared_media:
             raise NetworkError(f"wifi network {name!r} already exists")
         self.graph.add_node(name, kind="ap", spec=spec or LinkSpec())
-        self._shared_media[name] = Resource(self.kernel, 1, f"{name}.medium")
+        self._shared_media[name] = Medium()
         self._routes.clear()
 
     def attach(self, device: str, ap: str, spec: LinkSpec | None = None) -> None:

@@ -63,8 +63,9 @@ class Kernel:
     # -- observation ------------------------------------------------------------
     def add_observer(self, observer: Any) -> None:
         """Register a passive observer: ``on_schedule(now, event)`` is called
-        after every :meth:`schedule`, ``on_execute(now, event)`` before every
-        event's callback runs. Observers must never mutate kernel state —
+        after every :meth:`schedule` and :meth:`schedule_at`,
+        ``on_execute(now, event)`` before every event's callback runs.
+        Observers must never mutate kernel state —
         they exist for auditing and determinism checking, and an observed
         run is bit-for-bit identical to an unobserved one."""
         if observer not in self._observers:
@@ -85,8 +86,19 @@ class Kernel:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN, which no ordering survives
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
+        return self._push(self._now + delay, priority, callback, args)
+
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` to run at the absolute simulated
+        *time*, which must not lie before now. For a time computed ahead of
+        the clock: ``schedule(time - now, …)`` would round it."""
+        if not time >= self._now:  # also rejects NaN
+            raise SimulationError(f"cannot schedule at t={time:.6f}, before now")
+        return self._push(time, NORMAL, callback, args)
+
+    def _push(self, time: float, priority: int, callback: Callable[..., None],
+              args: tuple) -> Event:
         self._seq = seq = self._seq + 1
-        time = self._now + delay
         event = Event(time, priority, seq, callback, args)
         heappush(self._heap, (time, priority, seq, event))
         self._live += 1

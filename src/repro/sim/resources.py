@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import SimulationError
 from .kernel import Kernel
@@ -118,9 +118,9 @@ class Resource:
         self._waiting = [entry for entry in self._waiting if entry[2] is not sig]
         heapq.heapify(self._waiting)
 
-    def hold(self, duration: float | Callable[[], float], priority: int = 0) -> Signal:
+    def hold(self, duration: float, priority: int = 0) -> Signal:
         """Request one slot now, hold it for *duration* seconds once granted,
-        then release it. A callable *duration* is drawn at the grant.
+        then release it.
 
         Returns a signal that succeeds with the duration held. Its timer
         event releases the slot and then resolves it, so its waiters run
@@ -135,9 +135,7 @@ class Resource:
             self._granted(done, duration, request._value, None)
         return done
 
-    def _granted(self, done: Signal, duration, grant: Grant, _exc) -> None:
-        if callable(duration):
-            duration = duration()
+    def _granted(self, done: Signal, duration: float, grant: Grant, _exc) -> None:
         self.kernel.schedule(duration, self._held, done, grant, duration)
 
     def _held(self, done: Signal, grant: Grant, duration: float) -> None:

@@ -102,6 +102,28 @@ class TestLinkFaults:
         home.run(until=3.5)
         assert [link.extra_latency_s for link in links] == before
 
+    def test_latency_spike_applies_to_transfers_requested_after_it(self):
+        """A link reads ``extra_latency_s`` when a transfer is requested. A
+        transfer requested at 0.9 s whose 0.2 s of phone airtime spans the
+        spike at 1.0 s arrives as without the spike; one requested at
+        1.5 s, inside the spike, arrives about 0.25 s later."""
+
+        def arrivals(spike):
+            home = VideoPipe.paper_testbed(seed=3)
+            if spike:
+                home.enable_fault_injection(FaultPlan().latency_spike(
+                    1.0, "phone", extra_latency_s=0.25, duration_s=2.0))
+            sent = {}
+            for tag, at, nbytes in (("before", 0.9, 3_000_000), ("after", 1.5, 1_000)):
+                home.kernel.schedule(at, lambda tag=tag, nbytes=nbytes: sent.setdefault(
+                    tag, home.topology.transfer("phone", "desktop", nbytes)))
+            home.run(until=5.0)
+            return {tag: done.value for tag, done in sent.items()}
+
+        quiet, spiked = arrivals(False), arrivals(True)
+        assert spiked["before"] == quiet["before"]
+        assert spiked["after"] - quiet["after"] == pytest.approx(0.25)
+
 
 class TestServiceFaults:
     def test_service_crash_hits_one_host_only(self, home):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net import Link, LinkSpec
-from repro.sim import Kernel, Resource, RngStreams
+from repro.net.link import Medium
+from repro.sim import Kernel, RngStreams
 
 
 @pytest.fixture
@@ -49,7 +50,7 @@ class TestLinkTransfer:
 
     def test_shared_medium_couples_two_links(self, kernel):
         spec = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
-        medium = Resource(kernel, 1, "shared")
+        medium = Medium()
         link_a = Link(kernel, spec, rng(), medium=medium)
         link_b = Link(kernel, spec, rng(), medium=medium)
         first = link_a.transfer(125000)
@@ -102,3 +103,74 @@ class TestLinkTransfer:
         assert min(arrivals) != max(arrivals)
         mean = sum(arrivals) / len(arrivals)
         assert mean == pytest.approx(0.010, rel=0.15)
+
+
+def run_counting(kernel):
+    """Run until the queue drains; return the number of events executed."""
+    executed = 0
+    while kernel.step():
+        executed += 1
+    return executed
+
+
+class TestOneEventPerTransfer:
+    """A link is a clock, not a queue: a transfer schedules its arrival at
+    the call, and that is its only event (docs/PERF.md "A link is a clock,
+    not a queue")."""
+
+    SPEC = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
+
+    def test_an_uncontended_transfer_costs_exactly_one_event(self, kernel):
+        done = Link(kernel, self.SPEC, rng()).transfer(125000)
+        assert kernel.pending_events == 1  # the arrival, armed at the call
+        assert run_counting(kernel) == 1
+        assert done.value == 1.0
+
+    def test_a_transfer_queued_on_a_shared_medium_costs_one_event(self, kernel):
+        medium = Medium()
+        first = Link(kernel, self.SPEC, rng(), medium=medium).transfer(125000)
+        queued = Link(kernel, self.SPEC, rng(), medium=medium).transfer(125000)
+        assert medium.free_at == 2.0
+        # one arrival each: no airtime timer, no grant wake-up
+        assert run_counting(kernel) == 2
+        assert (first.value, queued.value) == (1.0, 2.0)
+
+    def test_the_arrival_takes_its_place_at_the_request(self, kernel):
+        """The tie-break: at t=0 a 1 s-airtime, zero-latency transfer; at
+        t=0.5 a callback B for t=1. The arrival's heap seq is the one it
+        took at t=0, so it runs before B."""
+        seen = []
+        Link(kernel, self.SPEC, rng()).transfer(125000).wait(
+            lambda value, _exc: seen.append(("arrival", value)))
+        kernel.schedule(0.5, kernel.schedule, 0.5, seen.append, "B")
+        kernel.run()
+        assert seen == [("arrival", 1.0), "B"]
+
+    def test_counters_count_at_the_request(self, kernel):
+        link = Link(kernel, self.SPEC, rng())
+        link.transfer(100)
+        assert (link.messages_sent, link.bytes_sent) == (1, 100)
+        assert run_counting(kernel) == 1
+
+
+class TestLatencySpike:
+    """``extra_latency_s`` is read at the request: a spike applies to the
+    transfers requested after it, not to one already under way."""
+
+    SPEC = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
+
+    def test_a_spike_applies_to_a_transfer_requested_after_it(self, kernel):
+        link = Link(kernel, self.SPEC, rng())
+        link.extra_latency_s = 0.25
+        done = link.transfer(125000)
+        kernel.run()
+        assert done.value == 1.25
+
+    def test_a_spike_skips_a_transfer_requested_before_it(self, kernel):
+        """The transfer's airtime runs 0 → 1 s; the spike at 0.5 s comes
+        while it is on the air and leaves its arrival alone."""
+        link = Link(kernel, self.SPEC, rng())
+        done = link.transfer(125000)
+        kernel.schedule(0.5, setattr, link, "extra_latency_s", 0.25)
+        kernel.run()
+        assert done.value == 1.0

@@ -60,23 +60,9 @@ class TestHold:
 
     def test_the_signal_value_is_the_duration(self, kernel):
         pool = Resource(kernel, capacity=2)
-        fixed, drawn = pool.hold(0.25), pool.hold(lambda: 0.75)
+        short, long = pool.hold(0.25), pool.hold(0.75)
         kernel.run()
-        assert (fixed.value, drawn.value) == (0.25, 0.75)
-
-    def test_a_callable_duration_is_drawn_at_the_grant(self, kernel):
-        pool = Resource(kernel, capacity=1)
-        drawn_at = []
-
-        def duration():
-            drawn_at.append(kernel.now)
-            return 0.5
-
-        pool.hold(1.0)
-        pool.hold(duration)
-        assert drawn_at == []  # queued: nothing drawn at the call
-        kernel.run()
-        assert drawn_at == [1.0] and kernel.now == 1.5
+        assert (short.value, long.value) == (0.25, 0.75)
 
     def test_the_waiters_run_inside_the_timer_event(self, kernel):
         pool = Resource(kernel, capacity=1)

@@ -118,6 +118,44 @@ class TestScheduling:
         assert seen == ["a", "b"]
 
 
+class TestScheduleAt:
+    def test_lands_on_the_exact_float(self):
+        """``now + (at - now)`` need not be *at*: 0.7 + (2.9 - 0.7) is
+        2.9000000000000004. ``schedule_at`` keeps the time it is given."""
+        k = Kernel()
+        k.run(until=0.7)
+        at = 2.9
+        assert k.now + (at - k.now) != at
+        seen = []
+        k.schedule_at(at, lambda: seen.append(k.now))
+        k.run()
+        assert seen == [at]
+
+    def test_now_is_allowed_and_takes_the_next_seq(self):
+        k = Kernel()
+        seen = []
+        k.schedule(0.0, seen.append, "scheduled")
+        k.schedule_at(0.0, seen.append, "at")
+        k.run()
+        assert seen == ["scheduled", "at"]
+
+    @pytest.mark.parametrize("at", [0.5, float("nan")])
+    def test_a_time_before_now_or_nan_is_rejected(self, at):
+        k = Kernel()
+        k.run(until=1.0)
+        with pytest.raises(SimulationError):
+            k.schedule_at(at, lambda: None)
+        assert k.pending_events == 0
+
+    def test_observers_see_it(self):
+        k = Kernel()
+        recorder = Recorder()
+        k.add_observer(recorder)
+        k.schedule_at(0.25, lambda: None)
+        k.run()
+        assert recorder.calls == [("S", 0.0, 0.25, 1), ("X", 0.0, 0.25, 1)]
+
+
 class Recorder:
     def __init__(self):
         self.calls = []

@@ -264,9 +264,9 @@ class ReferenceResource:
     """What :meth:`~repro.sim.Resource.hold` must do. The slot is requested
     at the call. A free slot (nobody queued) is granted there and the hold
     goes on in the same event; a queued request — lowest priority first, then
-    first come — is granted by a release, which schedules one wake-up. At
-    the grant a callable duration is drawn and the timer armed; the timer
-    releases the slot, then wakes the hold's waiters inline, like a timeout."""
+    first come — is granted by a release, which schedules one wake-up. The
+    grant arms the timer; the timer releases the slot, then wakes the hold's
+    waiters inline, like a timeout."""
 
     def __init__(self, executor, capacity):
         self.executor, self.capacity = executor, capacity
@@ -284,8 +284,6 @@ class ReferenceResource:
         return done
 
     def granted(self, done, duration):
-        if callable(duration):
-            duration = duration()
         self.executor.schedule(duration, functools.partial(self.held, done, duration))
 
     def held(self, done, duration):
@@ -356,15 +354,6 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
                 (executor.now, actor, index, "woke", (value, type(exc).__name__),
                  executor.pending_events)))
 
-    def hold(actor, index, pool, seconds, priority, drawn_at_grant):
-        duration = seconds
-        if drawn_at_grant:  # logs the moment the pool draws it
-            def duration():
-                log.append((executor.now, actor, index, "drawn", seconds,
-                            executor.pending_events))
-                return seconds
-        return pools[pool].hold(duration, priority)
-
     def body(actor, script):
         for index, (kind, arg) in enumerate(script):
             try:
@@ -383,7 +372,8 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
                 elif kind == "bad":
                     result = yield "not awaitable"
                 elif kind == "hold":
-                    result = yield hold(actor, index, *arg)
+                    pool, seconds, priority = arg
+                    result = yield pools[pool].hold(seconds, priority)
                 else:
                     result = act(actor, index, kind, arg)
                 outcome = ("ok", result)
@@ -489,7 +479,7 @@ def test_processes_match_the_reference_executor(timer_delays, scripts):
 
 
 _HOLDS = st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-                   st.integers(0, 2), st.booleans())
+                   st.integers(0, 2))
 #: scripts where most steps hold a pool, so requests queue behind each other
 HOLD_SCRIPTS = st.lists(
     st.lists(
@@ -505,8 +495,8 @@ HOLD_SCRIPTS = st.lists(
 )
 
 
-def _hold(pool, seconds, priority=0, drawn_at_grant=False):
-    return ("hold", (pool, seconds, priority, drawn_at_grant))
+def _hold(pool, seconds, priority=0):
+    return ("hold", (pool, seconds, priority))
 
 
 @given(timer_delays=st.tuples(GRID, GRID), scripts=HOLD_SCRIPTS)
@@ -515,15 +505,14 @@ def _hold(pool, seconds, priority=0, drawn_at_grant=False):
 # wakes inside it
 @example((0.0, 0.0), [[_hold(0, 1.0)], [("delay", 1.0)]])
 # a queued grant is one wake-up, priority first, then first come; a
-# zero-length hold still costs its timer event; a callable duration is
-# drawn at the grant, not at the call
+# zero-length hold still costs its timer event
 @example((0.0, 0.0), [[_hold(0, 0.0)], [_hold(0, 0.0, 2)],
-                      [_hold(0, 0.0, 1, True)], [_hold(0, 0.0, 1)]])
+                      [_hold(0, 0.0, 1)], [_hold(0, 0.0, 1)]])
 # the timer releases the slot before the holder wakes: holding again is
 # granted in the same event, unless someone queued first
-@example((0.0, 0.0), [[_hold(0, 1.0), _hold(0, 1.0, 0, True)]])
+@example((0.0, 0.0), [[_hold(0, 1.0), _hold(0, 1.0)]])
 @example((0.0, 0.0), [[_hold(0, 1.0), _hold(0, 1.0)],
-                      [("delay", 0.5), _hold(0, 0.5, 0, True)]])
+                      [("delay", 0.5), _hold(0, 0.5)]])
 # an interrupted holder leaves its hold to run out and release the slot
 @example((0.0, 0.0), [[_hold(0, 1.0)], [("delay", 0.5), ("interrupt", 0),
                                         _hold(0, 0.25)]])
@@ -533,7 +522,7 @@ def _hold(pool, seconds, priority=0, drawn_at_grant=False):
 @settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
 def test_holds_match_the_reference_executor(timer_delays, scripts):
     """``Resource.hold`` under contention — priorities, zero-length holds,
-    durations drawn at the grant, interrupted holders — spends an event only
+    interrupted holders — spends an event only
     on its timer and on the wake-up of a queued grant, in the same order as
     the reference."""
     assert (play_processes(Kernel(), timer_delays, scripts)

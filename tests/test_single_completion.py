@@ -12,7 +12,9 @@ signal and hands that name to the generator it starts with
 ``kernel.process(``. ``tests/runtime/test_moduleruntime.py::
 TestRemoteSendThatDies`` is the behavioural referee. Four of the seven —
 ``Cpu.execute``/``execute_fixed``, ``Link.transfer``, ``Topology.transfer``
-— start no process at all now, and the last test here keeps it so.
+— start no process at all now: a CPU job is a ``Resource.hold``, a link
+transfer is one arrival timer armed at the call, and a relay chains the
+hops as waiters. The last test here keeps it so.
 """
 
 import ast
@@ -113,9 +115,11 @@ def test_the_copying_waiter_and_the_done_parameters_are_gone():
 
 def test_holding_a_core_or_a_link_starts_no_process():
     """A CPU job, a link transfer and a multi-hop relay hand control to
-    nobody, so none is a process: each is a ``Resource.hold`` (and, for the
-    link and the relay, waiters chained on it) settled in its timer event
-    (docs/PERF.md "What is an event", mechanism 4)."""
+    nobody, so none is a process. A CPU job is a ``Resource.hold`` settled
+    in its timer event (docs/PERF.md "What is an event", mechanism 4); a
+    link transfer is no hold but one arrival timer, armed at the call on
+    the medium's clock (mechanism 6); a relay chains the links' arrivals as
+    waiters."""
     for relative in ("devices/cpu.py", "net/link.py", "net/topology.py"):
         tree = ast.parse((SRC / relative).read_text())
         starts = [ast.unparse(node) for node in ast.walk(tree)
