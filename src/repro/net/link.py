@@ -3,9 +3,9 @@
 A :class:`LinkSpec` holds the physical parameters; a :class:`Link` is a
 kernel-attached transmission channel with a serializing :class:`Medium`
 (transmissions queue behind each other, which is what makes a busy Wi-Fi
-radio a shared bottleneck). Several links may *share* one medium — that is how the home
-Wi-Fi access point is modeled: every device's traffic contends for the same
-airtime.
+radio a shared bottleneck). Several links may *share* one medium — that is
+how the home Wi-Fi access point is modeled: every device's traffic contends
+for the same airtime.
 
 Loss is modeled as TCP-style retransmission delay rather than message drop,
 because the paper's ZeroMQ transport runs over TCP: a lost packet delays the
@@ -121,10 +121,11 @@ class Link:
         resolves with the arrival time in the transfer's one event.
 
         Everything is decided at the call: the transmission starts when the
-        medium is free, draws its loss into the airtime, and the latency is
-        drawn as it leaves. Each link draws from its own stream and its
-        medium is FIFO, so the draws come in the order a hold of the medium
-        followed by a latency timer would make them.
+        medium is free, its loss is drawn into the airtime, then its latency
+        is drawn, and the arrival is scheduled at the absolute time it
+        lands. So a link's own stream reads loss, latency per transfer, in
+        the order the transfers were requested — the order in which a FIFO
+        medium sends them.
         """
         medium, kernel = self.medium, self.kernel
         start = max(kernel.now, medium.free_at)

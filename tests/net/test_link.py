@@ -159,18 +159,19 @@ class TestLatencySpike:
 
     SPEC = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
 
-    def test_a_spike_applies_to_a_transfer_requested_after_it(self, kernel):
+    def test_a_spike_applies_to_transfers_requested_after_it(self, kernel):
+        """The first transfer's airtime runs 0 → 1 s; the spike at 0.5 s
+        comes while it is on the air and leaves its arrival alone. The
+        second, requested at 0.5 s after the spike, queues behind it and
+        arrives 0.25 s late."""
         link = Link(kernel, self.SPEC, rng())
-        link.extra_latency_s = 0.25
-        done = link.transfer(125000)
-        kernel.run()
-        assert done.value == 1.25
+        on_air = link.transfer(125000)
+        after = []
 
-    def test_a_spike_skips_a_transfer_requested_before_it(self, kernel):
-        """The transfer's airtime runs 0 → 1 s; the spike at 0.5 s comes
-        while it is on the air and leaves its arrival alone."""
-        link = Link(kernel, self.SPEC, rng())
-        done = link.transfer(125000)
-        kernel.schedule(0.5, setattr, link, "extra_latency_s", 0.25)
+        def spike():
+            link.extra_latency_s = 0.25
+            after.append(link.transfer(125000))
+
+        kernel.schedule(0.5, spike)
         kernel.run()
-        assert done.value == 1.0
+        assert (on_air.value, after[0].value) == (1.0, 2.25)
