@@ -1,22 +1,21 @@
 """Network topology: which devices can reach which, over what links.
 
-The home network is a graph (networkx) whose nodes are device names and
-whose edges carry :class:`~repro.net.link.Link` objects. The common case is
-a star around a Wi-Fi access point — created with :meth:`Topology.add_wifi`
-— where all attached devices contend for one shared radio medium, exactly
-the condition under which the paper's baseline (which ships frames back and
+The home network is an adjacency dict, ``{node: {neighbour: Link}}``, whose
+edges carry :class:`~repro.net.link.Link` objects. The common case is a
+star around a Wi-Fi access point — created with :meth:`Topology.add_wifi` —
+where all attached devices contend for one shared radio medium, exactly the
+condition under which the paper's baseline (which ships frames back and
 forth) loses to co-located modules.
 
-Message delivery walks the shortest path hop by hop, so a two-hop
-phone→AP→desktop transfer pays airtime twice on the shared medium, as a real
-Wi-Fi frame relay does. Resolved routes are kept in a table that every
-method able to change the graph or the partition set empties; delays are
-never kept, so a link's current state is priced on every query.
+Message delivery walks the shortest path hop by hop (the neighbour attached
+first wins a tie), so a two-hop phone→AP→desktop transfer pays airtime
+twice on the shared medium, as a real Wi-Fi frame relay does. Resolved
+routes are kept in a table that every method able to change the graph or
+the partition set empties; delays are never kept, so a link's current state
+is priced on every query.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from ..errors import LinkDown, NetworkError
 from ..sim.kernel import Kernel
@@ -31,9 +30,11 @@ class Topology:
     def __init__(self, kernel: Kernel, rng: RngStreams | ScopedRng | None = None) -> None:
         self.kernel = kernel
         self.rng = rng if rng is not None else RngStreams(seed=0)
-        self.graph = nx.Graph()
+        #: node -> {neighbour: link}, both in attachment order.
+        self.graph: dict[str, dict[str, Link]] = {}
         self._loopbacks: dict[str, Link] = {}
-        self._shared_media: dict[str, Medium] = {}
+        #: access point -> its shared medium and its default link spec.
+        self._aps: dict[str, tuple[Medium, LinkSpec]] = {}
         self._down: set[str] = set()
         self._partitioned: set[str] = set()
         #: (src, dst) -> links of the resolved route; emptied by every edit.
@@ -44,33 +45,31 @@ class Topology:
     # -- construction --------------------------------------------------------
     def add_device(self, name: str) -> None:
         """Register a device node (idempotent)."""
-        self.graph.add_node(name, kind="device")
+        self.graph.setdefault(name, {})
         self._routes.clear()
 
     def add_wifi(self, name: str = "wifi", spec: LinkSpec | None = None) -> None:
         """Create a Wi-Fi access point with a single shared airtime medium."""
-        if name in self._shared_media:
+        if name in self._aps:
             raise NetworkError(f"wifi network {name!r} already exists")
-        self.graph.add_node(name, kind="ap", spec=spec or LinkSpec())
-        self._shared_media[name] = Medium()
+        self.graph.setdefault(name, {})
+        self._aps[name] = (Medium(), spec or LinkSpec())
         self._routes.clear()
 
     def attach(self, device: str, ap: str, spec: LinkSpec | None = None) -> None:
         """Attach *device* to access point *ap*, sharing the AP's medium."""
-        medium = self._shared_media.get(ap)
-        if medium is None:
+        if ap not in self._aps:
             raise NetworkError(f"unknown wifi network {ap!r}")
+        medium, ap_spec = self._aps[ap]
         self.add_device(device)
-        link_spec = spec or self.graph.nodes[ap]["spec"]
         link = Link(
             self.kernel,
-            link_spec,
+            spec or ap_spec,
             self.rng.stream(f"link/{device}-{ap}"),
             name=f"{device}<->{ap}",
             medium=medium,
         )
-        self.graph.add_edge(device, ap, link=link)
-        self._routes.clear()
+        self._connect(device, ap, link)
 
     def add_cloud(
         self,
@@ -92,10 +91,10 @@ class Topology:
         if name in self._wan_links or name in self.graph:
             raise NetworkError(f"device {name!r} already attached")
         if ap is None:
-            if not self._shared_media:
+            if not self._aps:
                 raise NetworkError("add an access point before add_cloud()")
-            ap = next(iter(self._shared_media))
-        elif ap not in self._shared_media:
+            ap = next(iter(self._aps))
+        elif ap not in self._aps:
             raise NetworkError(f"unknown wifi network {ap!r}")
         self.add_device(name)
         link = Link(
@@ -104,8 +103,7 @@ class Topology:
             self.rng.stream(f"wan/{name}"),
             name=f"{ap}<->{name}",
         )
-        self.graph.add_edge(ap, name, link=link)
-        self._routes.clear()
+        self._connect(ap, name, link)
         self._wan_links[name] = link
         return link
 
@@ -132,7 +130,11 @@ class Topology:
             self.rng.stream(f"link/{a}-{b}"),
             name=f"{a}<->{b}",
         )
-        self.graph.add_edge(a, b, link=link)
+        self._connect(a, b, link)
+
+    def _connect(self, a: str, b: str, link: Link) -> None:
+        """Put *link* on the edge a–b (a new edge, or in the old one's place)."""
+        self.graph[a][b] = self.graph[b][a] = link
         self._routes.clear()
 
     # -- failure surface --------------------------------------------------------
@@ -170,17 +172,11 @@ class Topology:
         """Every link touching *name* (for latency-spike fault injection)."""
         if name not in self.graph:
             raise NetworkError(f"unknown node {name!r}")
-        return [
-            self.graph.edges[name, nbr]["link"]
-            for nbr in self.graph.neighbors(name)
-        ]
+        return list(self.graph[name].values())
 
     # -- queries ---------------------------------------------------------------
     def has_device(self, name: str) -> bool:
-        return name in self.graph and self.graph.nodes[name].get("kind") == "device"
-
-    def devices(self) -> list[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == "device"]
+        return name in self.graph and name not in self._aps
 
     def loopback(self, device: str) -> Link:
         """The in-process 'link' used for same-device delivery."""
@@ -216,18 +212,17 @@ class Topology:
         for endpoint in (src, dst):
             if endpoint in self._partitioned:
                 raise LinkDown(f"{endpoint!r} is partitioned from the network")
-        graph = self.graph
-        if self._partitioned:
-            graph = nx.subgraph_view(
-                self.graph, filter_node=lambda n: n not in self._partitioned
-            )
-        try:
-            path = nx.shortest_path(graph, src, dst)
-        except nx.NetworkXNoPath as exc:
-            raise LinkDown(f"no route from {src!r} to {dst!r}") from exc
-        return tuple(
-            self.graph.edges[a, b]["link"] for a, b in zip(path[:-1], path[1:])
-        )
+        # breadth-first around partitioned nodes, neighbours in attachment order
+        routes: dict[str, tuple[Link, ...]] = {src: ()}
+        frontier = [src]
+        for node in frontier:  # grows as the search reaches new nodes
+            for nbr, link in self.graph[node].items():
+                if nbr not in routes and nbr not in self._partitioned:
+                    routes[nbr] = routes[node] + (link,)
+                    frontier.append(nbr)
+        if dst not in routes:
+            raise LinkDown(f"no route from {src!r} to {dst!r}")
+        return routes[dst]
 
     def expected_delay(self, src: str, dst: str, nbytes: int) -> float:
         """Uncontended expected transfer time along the route (planning)."""

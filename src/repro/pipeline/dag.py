@@ -7,55 +7,68 @@ source (otherwise it would never see a frame), and endpoints don't collide.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import ConfigError
 from ..net.address import parse_endpoint
 from .config import PipelineConfig
 
 
-def build_graph(config: PipelineConfig) -> nx.DiGraph:
-    """The configuration's module graph (nodes carry their ModuleConfig)."""
-    graph = nx.DiGraph()
-    for module in config.modules:
-        graph.add_node(module.name, config=module)
-    for module in config.modules:
-        for target in module.next_modules:
-            if target not in graph:
+def walk(config: PipelineConfig) -> list[tuple[str, tuple[str, ...]]]:
+    """Each module with its predecessors (in config order), in Kahn's order:
+    the modules nothing points at, in config order, then each child, in
+    ``next_modules`` order, once its last predecessor is walked. A repeated
+    ``next_modules`` entry is one edge. Raises
+    :class:`~repro.errors.ConfigError` on an unknown target or a cycle.
+    """
+    successors = {m.name: list(dict.fromkeys(m.next_modules)) for m in config.modules}
+    predecessors: dict[str, list[str]] = {name: [] for name in successors}
+    for name, targets in successors.items():
+        for target in targets:
+            if target not in predecessors:
                 raise ConfigError(
-                    f"module {module.name!r} points at unknown module {target!r}"
+                    f"module {name!r} points at unknown module {target!r}"
                 )
-            graph.add_edge(module.name, target)
-    return graph
+            predecessors[target].append(name)
+    waiting = {name: len(preds) for name, preds in predecessors.items()}
+    order = [name for name, count in waiting.items() if not count]
+    for name in order:  # grows as children become ready
+        for child in successors[name]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                order.append(child)
+    if len(order) < len(successors):
+        # each module left waits on another one left: walk back to a repeat
+        path = [next(name for name, count in waiting.items() if count)]
+        while path.count(path[-1]) < 2:
+            path.append(next(p for p in predecessors[path[-1]] if waiting[p]))
+        cycle = " -> ".join(reversed(path[path.index(path[-1]):]))
+        raise ConfigError(f"pipeline {config.name!r} has a cycle: {cycle}")
+    return [(name, tuple(predecessors[name])) for name in order]
 
 
-def validate(config: PipelineConfig) -> nx.DiGraph:
-    """Validate the whole configuration; returns the graph on success.
+def validate(config: PipelineConfig) -> list[tuple[str, tuple[str, ...]]]:
+    """Validate the whole configuration; returns its walk on success.
 
     Raises :class:`~repro.errors.ConfigError` with a specific message on the
     first violation found.
     """
     if not config.modules:
         raise ConfigError(f"pipeline {config.name!r} has no modules")
-    graph = build_graph(config)
-
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
-        raise ConfigError(f"pipeline {config.name!r} has a cycle: {path}")
-
+    steps = walk(config)
     source = config.source_module
-    if source not in graph:
+    if source not in dict(steps):
         raise ConfigError(f"source module {source!r} is not defined")
-    reachable = {source} | nx.descendants(graph, source)
-    unreachable = set(graph.nodes) - reachable
+    reachable = {source}
+    for name, predecessors in steps:
+        if reachable.intersection(predecessors):
+            reachable.add(name)
+    unreachable = {name for name, _ in steps} - reachable
     if unreachable:
         raise ConfigError(
             f"modules unreachable from source {source!r}: {sorted(unreachable)}"
         )
 
     _validate_endpoints(config)
-    return graph
+    return steps
 
 
 def _validate_endpoints(config: PipelineConfig) -> None:
@@ -77,9 +90,4 @@ def _validate_endpoints(config: PipelineConfig) -> None:
                 f" {spec.port} on the same host"
             )
         seen[key] = module.name
-
-
-def topological_order(config: PipelineConfig) -> list[str]:
-    """Module names in dependency order (source first)."""
-    return list(nx.topological_sort(build_graph(config)))
 

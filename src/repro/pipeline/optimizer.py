@@ -33,8 +33,6 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import networkx as nx
-
 from ..actions import Action
 from ..devices.device import Device
 from ..errors import ConfigError, NetworkError, PlacementError
@@ -45,7 +43,7 @@ from ..services.host import ServiceHost
 from ..services.registry import ServiceRegistry
 from ..services.stubs import API_MARSHAL_S
 from .config import ModuleConfig, PipelineConfig
-from .dag import build_graph
+from .dag import walk
 from .placement import (
     PlacementPlan,
     _check_device,
@@ -257,13 +255,12 @@ class CostModel:
             edge_bytes if callable(edge_bytes) else lambda src, dst: edge_bytes
         )
         self.observed_module_s = dict(observed_module_s or {})
-        graph = build_graph(config)
         self._modules = {module.name: module for module in config.modules}
-        self._walk = [
-            (name, tuple(graph.predecessors(name)))
-            for name in nx.topological_sort(graph)
-        ]
-        self._edges = tuple(graph.edges)
+        self._walk = walk(config)
+        self._edges = tuple(
+            (module.name, target) for module in config.modules
+            for target in dict.fromkeys(module.next_modules)
+        )
         self._serving: dict[tuple[str, str], tuple[ServiceHost, float]] = {}
         self._calibration: dict[str, float] = {}
         self._module_cost_cache: dict[tuple[str, str], float] = {}

@@ -17,7 +17,7 @@ from ..errors import PlacementError
 from ..services.balancer import host_is_live
 from ..services.registry import ServiceRegistry
 from .config import PipelineConfig
-from .dag import build_graph, topological_order
+from .dag import walk
 
 COLOCATED = "colocated"
 SINGLE_HOST = "single-host"
@@ -79,15 +79,11 @@ def plan_colocated(
     4. the source (no predecessor) defaults to *default_device*.
     """
     _check_device(default_device, devices, "default device")
-    graph = build_graph(config)
     plan = PlacementPlan(pipeline=config.name, strategy=COLOCATED)
 
-    for name in topological_order(config):
+    for name, upstream in walk(config):
         module = config.module(name)
-        predecessors = [
-            plan.assignments[p] for p in graph.predecessors(name)
-            if p in plan.assignments
-        ]
+        predecessors = [plan.assignments[p] for p in upstream]
         if module.device is not None:
             _check_device(module.device, devices, f"module {name!r} pin")
             plan.assignments[name] = module.device

@@ -68,6 +68,42 @@ def render_scene(
     return image
 
 
+def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-D boolean mask: an int32 array of
+    labels 1..count (0 off the mask), numbered by each component's first
+    pixel in raster order, and the count — ``scipy.ndimage.label``'s answer.
+
+    Each row's runs of set pixels join the runs they overlap in the row
+    above (union-find; a component's root is its first run).
+    """
+    height, width = mask.shape
+    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(steps == 1)
+    ends = np.nonzero(steps == -1)[1]
+    # the runs above each run that it overlaps: run numbers [first, stop)
+    flat, above = steps.ravel(), (rows - 1) * (width + 1)
+    first = np.searchsorted(np.flatnonzero(flat == -1), above + starts, "right")
+    stop = np.searchsorted(np.flatnonzero(flat == 1), above + ends)
+    parent = list(range(len(rows)))
+
+    def root(run: int) -> int:
+        while parent[run] != run:
+            parent[run] = run = parent[parent[run]]
+        return run
+
+    for run in np.flatnonzero(first < stop).tolist():
+        for other in range(first[run], stop[run]):
+            a, b = root(run), root(other)
+            parent[max(a, b)] = min(a, b)
+    roots = np.array([root(run) for run in range(len(rows))], dtype=np.int64)
+    firsts, run_labels = np.unique(roots, return_inverse=True)
+    paint = np.zeros(height * width + 1, dtype=np.int64)
+    np.add.at(paint, rows * width + starts, run_labels + 1)
+    np.subtract.at(paint, rows * width + ends, run_labels + 1)
+    labels = np.cumsum(paint[:-1]).astype(np.int32).reshape(height, width)
+    return labels, len(firsts)
+
+
 class ObjectDetector:
     """Detects bright color blobs and classifies them by nearest class color."""
 
@@ -83,11 +119,8 @@ class ObjectDetector:
         """Find labelled boxes in an (h, w, 3) uint8 image."""
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError("object detection expects an RGB image")
-        # scipy is a dev extra, not a dependency: only detection needs it
-        from scipy import ndimage
-
         foreground = image.max(axis=2) >= self.brightness_threshold
-        labels, count = ndimage.label(foreground)
+        labels, count = label_components(foreground)
         detections = []
         for component in range(1, count + 1):
             mask = labels == component

@@ -23,7 +23,6 @@ shows the machine notices each of the seven going missing.
 
 import os
 
-import networkx as nx
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
@@ -49,8 +48,10 @@ NBYTES = 42_000
 
 
 def reference_route(topo: Topology, src: str, dst: str) -> list:
-    """``path_links`` as it was before it kept a table: the shortest path,
-    searched on the graph as it is now."""
+    """``path_links`` as it was before it kept a table: a breadth-first
+    search of the graph as it is now, around the partitioned nodes, trying
+    neighbours in attachment order (so between equal-length routes the one
+    through the neighbour attached first)."""
     if src == dst:
         return [topo.loopback(src)]
     if src not in topo.graph or dst not in topo.graph:
@@ -58,14 +59,15 @@ def reference_route(topo: Topology, src: str, dst: str) -> list:
     for endpoint in (src, dst):
         if topo.is_partitioned(endpoint):
             raise LinkDown(f"{endpoint!r} is partitioned from the network")
-    reachable = nx.subgraph_view(
-        topo.graph, filter_node=lambda n: not topo.is_partitioned(n)
-    )
-    try:
-        path = nx.shortest_path(reachable, src, dst)
-    except nx.NetworkXNoPath:
-        raise LinkDown(f"no route from {src!r} to {dst!r}") from None
-    return [topo.graph.edges[a, b]["link"] for a, b in zip(path, path[1:])]
+    routes, frontier = {src: []}, [src]
+    for node in frontier:
+        for nbr, link in topo.graph[node].items():
+            if nbr not in routes and not topo.is_partitioned(nbr):
+                routes[nbr] = [*routes[node], link]
+                frontier.append(nbr)
+    if dst not in routes:
+        raise LinkDown(f"no route from {src!r} to {dst!r}")
+    return routes[dst]
 
 
 def outcome(resolve, *args):
@@ -139,7 +141,8 @@ class RouteTableMachine(RuleBasedStateMachine):
     def spike(self, pick, extra_s):
         """A latency-spike fault: delays are never tabled, so the very next
         ``expected_delay`` (in the invariant below) must price it."""
-        links = [link for _, _, link in self.topo.graph.edges(data="link")]
+        links = [link for node in self.topo.graph
+                 for link in self.topo.incident_links(node)]
         if links:
             links[pick % len(links)].extra_latency_s = extra_s
 

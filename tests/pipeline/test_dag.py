@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.pipeline import ModuleConfig, PipelineConfig, validate
-from repro.pipeline.dag import topological_order
+from repro.pipeline.dag import walk
 
 
 def chain(*names, extra_edges=None, endpoints=None):
@@ -23,8 +23,8 @@ def chain(*names, extra_edges=None, endpoints=None):
 
 class TestValidate:
     def test_valid_chain_passes(self):
-        graph = validate(chain("a", "b", "c"))
-        assert set(graph.nodes) == {"a", "b", "c"}
+        steps = validate(chain("a", "b", "c"))
+        assert steps == [("a", ()), ("b", ("a",)), ("c", ("b",))]
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ConfigError, match="no modules"):
@@ -37,12 +37,12 @@ class TestValidate:
 
     def test_cycle_rejected(self):
         config = chain("a", "b", "c", extra_edges={"c": ["a"]})
-        with pytest.raises(ConfigError, match="cycle"):
+        with pytest.raises(ConfigError, match="has a cycle: a -> b -> c -> a$"):
             validate(config)
 
     def test_self_loop_rejected(self):
         config = chain("a", extra_edges={"a": ["a"]})
-        with pytest.raises(ConfigError, match="cycle"):
+        with pytest.raises(ConfigError, match="has a cycle: a -> a$"):
             validate(config)
 
     def test_unreachable_module_rejected(self):
@@ -93,5 +93,10 @@ class TestValidate:
 
 class TestGraphQueries:
     def test_topological_order(self):
-        order = topological_order(chain("a", "b", "c"))
+        order = [name for name, _ in walk(chain("a", "b", "c"))]
         assert order == ["a", "b", "c"]
+
+    def test_walk_lists_predecessors_in_config_order_once(self):
+        """The fitness DAG with a repeated edge: a → {b, c, c}, b → c."""
+        config = chain("a", "b", "c", extra_edges={"a": ["c", "c"]})
+        assert walk(config) == [("a", ()), ("b", ("a",)), ("c", ("a", "b"))]

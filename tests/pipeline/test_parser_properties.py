@@ -69,10 +69,10 @@ def test_generated_dags_validate(data):
 @given(data=pipeline_dicts())
 @settings(max_examples=50)
 def test_topological_order_respects_edges(data):
-    from repro.pipeline.dag import topological_order
+    from repro.pipeline.dag import walk
 
     config = config_from_dict(data)
-    order = {name: i for i, name in enumerate(topological_order(config))}
+    order = {name: i for i, (name, _) in enumerate(walk(config))}
     for module in config.modules:
         for target in module.next_modules:
             assert order[module.name] < order[target]

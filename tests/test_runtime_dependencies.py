@@ -1,11 +1,14 @@
-"""``import repro`` needs only the dependencies ``pyproject.toml`` declares.
+"""``import repro`` needs only numpy, the one dependency ``pyproject.toml``
+declares.
 
-scipy is a ``dev`` extra (``pyproject.toml``), yet ``vision/object_detector``
-imported ``scipy.ndimage`` at module level and ``import repro`` reaches that
-module (``core.videopipe → audit → services → builtin.activity → vision``),
-so a plain install could not even import the package. The one ``ndimage``
-call now imports it where it runs. This test blocks scipy in a fresh
-interpreter and runs a paper-testbed fitness home for one simulated second.
+networkx and scipy are ``dev`` extras, kept as test oracles. Each test runs
+a fresh interpreter; all but the first block both (``sys.modules[name] =
+None`` makes every import of them fail) and then run a home whose code
+path once needed one of them: the fitness home plans and routes over the
+pipeline DAG and the home network, and the object-tracking home labels
+connected components in every frame. A missing labeller used to fail
+quietly — detection counted the frame completed and found nothing — so
+the tracking home must create tracks, not merely run.
 """
 
 import os
@@ -15,9 +18,13 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SCRIPT = """
+BLOCK = """
 import sys
-sys.modules["scipy"] = None  # every "import scipy..." now fails
+for name in ("networkx", "scipy"):
+    sys.modules[name] = None  # every "import networkx..." now fails
+"""
+
+FITNESS = BLOCK + """
 from repro import VideoPipe
 from repro.apps import (FitnessApp, fitness_pipeline_config,
                         install_fitness_services, train_activity_recognizer)
@@ -29,12 +36,41 @@ home.run(until=1.0)
 print(pipeline.metrics.counter("frames_completed"))
 """
 
+TRACKING = BLOCK + """
+from repro import VideoPipe
+from repro.apps import scene_pipeline_config
+from repro.devices import DeviceSpec
+from repro.services import ObjectDetectionService, ObjectTrackingService
+home = VideoPipe.paper_testbed(seed=51)
+home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
+                           cores=8, supports_containers=False))
+home.deploy_service(ObjectDetectionService(), "desktop")
+home.deploy_service(ObjectTrackingService(), "desktop")
+pipeline = home.deploy_pipeline(scene_pipeline_config(fps=10.0, duration_s=1.0))
+home.run(until=2.0)
+print(pipeline.metrics.counter("tracks_created"))
+"""
 
-def test_a_fitness_home_runs_without_scipy():
+
+def run(script: str) -> str:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), path])))
-    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) > 0
+    return result.stdout
+
+
+def test_import_loads_neither_library():
+    loaded = run("import sys, repro\n"
+                 "print(sorted({'networkx', 'scipy'} & set(sys.modules)))")
+    assert loaded.strip() == "[]"
+
+
+def test_a_fitness_home_runs_without_scipy():
+    assert int(run(FITNESS)) > 0
+
+
+def test_an_object_tracking_home_tracks_without_scipy():
+    assert int(run(TRACKING)) > 0

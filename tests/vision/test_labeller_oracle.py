@@ -1,9 +1,10 @@
-"""Oracle: object detection finds the components ``ndimage.label`` finds.
+"""Oracle: object detection labels the components ``ndimage.label`` does.
 
 scipy is a dev extra. On random masks, and on the shapes a labeller gets
 wrong first — empty, full, one row, one column, pixels that touch only
-diagonally — the detector's boxes and labels must be those of the
-4-connected components ``scipy.ndimage.label`` numbers, in its order.
+diagonally — ``label_components`` must return ``scipy.ndimage.label``'s
+labels array and count, and the detector's boxes must be those of its
+components, in its order.
 
 ``REPRO_FUZZ_N`` scales the example budget like the other fuzz suites.
 """
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vision import BBox
-from repro.vision.object_detector import ObjectDetector
+from repro.vision.object_detector import ObjectDetector, label_components
 
 ndimage = pytest.importorskip("scipy.ndimage")
 
@@ -63,6 +64,25 @@ def reference_boxes(mask: np.ndarray, min_area: int) -> list[BBox]:
 def detected_boxes(mask: np.ndarray, min_area: int) -> list[BBox]:
     detector = ObjectDetector(min_area=min_area)
     return [d.bbox for d in detector.detect(image_of(mask))]
+
+
+def assert_labels_equal(mask: np.ndarray) -> None:
+    labels, count = label_components(mask)
+    want, want_count = ndimage.label(mask)
+    assert count == want_count
+    assert labels.dtype == want.dtype
+    np.testing.assert_array_equal(labels, want)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shapes_are_labelled_as_ndimage_labels_them(name):
+    assert_labels_equal(SHAPES[name])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
+def test_random_masks_are_labelled_as_ndimage_labels_them(seed):
+    assert_labels_equal(random_mask(seed))
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
