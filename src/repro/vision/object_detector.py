@@ -76,32 +76,30 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     Each row's runs of set pixels join the runs they overlap in the row
     above (union-find; a component's root is its first run).
     """
-    height, width = mask.shape
-    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, starts = np.nonzero(steps == 1)
-    ends = np.nonzero(steps == -1)[1]
-    # the runs above each run that it overlaps: run numbers [first, stop)
-    flat, above = steps.ravel(), (rows - 1) * (width + 1)
-    first = np.searchsorted(np.flatnonzero(flat == -1), above + starts, "right")
-    stop = np.searchsorted(np.flatnonzero(flat == 1), above + ends)
-    parent = list(range(len(rows)))
+    stride = mask.shape[1] + 1  # one padding column closes each row's last run
+    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1).ravel()
+    begin, end = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+    # the runs a row above that each run overlaps: run numbers [first, stop)
+    first = np.searchsorted(end, begin - stride, "right").tolist()
+    stop = np.searchsorted(begin, end - stride).tolist()
+    parent = list(range(len(begin)))
 
     def root(run: int) -> int:
         while parent[run] != run:
             parent[run] = run = parent[parent[run]]
         return run
 
-    for run in np.flatnonzero(first < stop).tolist():
-        for other in range(first[run], stop[run]):
+    for run, (lo, hi) in enumerate(zip(first, stop)):
+        for other in range(lo, hi):
             a, b = root(run), root(other)
             parent[max(a, b)] = min(a, b)
-    roots = np.array([root(run) for run in range(len(rows))], dtype=np.int64)
+    roots = np.array([root(run) for run in range(len(parent))], dtype=np.int64)
     firsts, run_labels = np.unique(roots, return_inverse=True)
-    paint = np.zeros(height * width + 1, dtype=np.int64)
-    np.add.at(paint, rows * width + starts, run_labels + 1)
-    np.subtract.at(paint, rows * width + ends, run_labels + 1)
-    labels = np.cumsum(paint[:-1]).astype(np.int32).reshape(height, width)
-    return labels, len(firsts)
+    labels = np.zeros(mask.size, dtype=np.int32)
+    pixels = np.flatnonzero(mask)
+    run_starts = begin - begin // stride  # each run's first pixel, flat
+    labels[pixels] = run_labels[np.searchsorted(run_starts, pixels, "right") - 1] + 1
+    return labels.reshape(mask.shape), len(firsts)
 
 
 class ObjectDetector:
