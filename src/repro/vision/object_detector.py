@@ -76,7 +76,7 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     Each row's runs of set pixels join the runs they overlap in the row
     above (union-find; a component's root is its first run).
     """
-    stride = mask.shape[1] + 1  # one padding column closes each row's last run
+    stride = mask.shape[1] + 1  # the step grid is one column wider than the mask
     steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1).ravel()
     begin, end = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
     # the runs a row above that each run overlaps: run numbers [first, stop)
