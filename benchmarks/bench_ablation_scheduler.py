@@ -33,8 +33,7 @@ class SinkModule(Module):
         payload = event.payload
         if "frame" in payload:
             ctx.release(payload["frame"])
-        ctx.metrics.frame_completed(payload["frame_id"], ctx.now)
-        ctx.signal_source()
+        ctx.finish(payload["frame_id"])
 
 
 def pipeline_config() -> PipelineConfig:

@@ -136,16 +136,7 @@ class PoseDetectionModule(Module):
             ref = payload["frame"]
             load_s = ctx.now - event.enqueued_at
             call_started = ctx.now
-            try:
-                result = yield ctx.call_service(self.service, {"frame": ref})
-            except Exception:
-                # a failed inference must not wedge the pipeline: free the
-                # frame, refill the credit, surface the error to the runtime
-                ctx.release(ref)
-                ctx.metrics.increment("pose_failures")
-                ctx.frame_completed(payload["frame_id"])
-                ctx.signal_source()
-                raise
+            result = yield ctx.call_service(self.service, {"frame": ref})
             prepare_s = ctx.service_prepare_s(self.service)
             ctx.record_stage("load_frame", load_s + prepare_s)
             ctx.record_stage("pose_detection", ctx.now - call_started - prepare_s)
@@ -153,8 +144,7 @@ class PoseDetectionModule(Module):
                 # nothing to analyze: drop the frame, free the pipeline
                 ctx.release(ref)
                 ctx.metrics.increment("pose_misses")
-                ctx.frame_completed(payload["frame_id"])
-                ctx.signal_source()
+                ctx.finish(payload["frame_id"])
                 return
             out = {
                 "frame_id": payload["frame_id"],
@@ -320,41 +310,31 @@ class DisplayModule(Module):
 
         def finish():
             ctx.record_stage("total_duration", ctx.now - frame.capture_time)
-            ctx.frame_completed(payload["frame_id"])
-            ctx.signal_source()
+            ctx.finish(payload["frame_id"])
 
         def flow():
-            finished = False
-            try:
-                call = ctx.call_service(
-                    self.service,
-                    {
-                        "frame": ref,
-                        "keypoints": payload.get("keypoints"),
-                        "label": self.last_label,
-                        "reps": self.last_reps,
-                    },
-                )
-                if ctx.service_is_local(self.service):
-                    # co-located display: the frame was handed over by
-                    # reference, so the module is done with its data now —
-                    # refill the source credit before the screen even paints
-                    finish()
-                    finished = True
-                    yield call
-                else:
-                    # remote display: the module still owns the frame until
-                    # the RPC has shipped it; only then is it 'done'
-                    yield call
-                    finish()
-                    finished = True
-                self.frames_shown += 1
-            finally:
-                # a crashed display call must neither leak the frame nor
-                # starve the source of credit
-                if not finished:
-                    finish()
-                ctx.release(ref)
+            call = ctx.call_service(
+                self.service,
+                {
+                    "frame": ref,
+                    "keypoints": payload.get("keypoints"),
+                    "label": self.last_label,
+                    "reps": self.last_reps,
+                },
+            )
+            if ctx.service_is_local(self.service):
+                # co-located display: the frame was handed over by
+                # reference, so the module is done with its data now —
+                # refill the source credit before the screen even paints
+                finish()
+                yield call
+            else:
+                # remote display: the module still owns the frame until
+                # the RPC has shipped it; only then is it 'done'
+                yield call
+                finish()
+            self.frames_shown += 1
+            ctx.release(ref)
 
         return flow()
 
@@ -423,8 +403,7 @@ class GestureControlModule(Module):
             ctx.record_stage(
                 "total_duration", ctx.now - payload["capture_time"]
             )
-            ctx.frame_completed(payload["frame_id"])
-            ctx.signal_source()
+            ctx.finish(payload["frame_id"])
 
         return flow()
 
@@ -495,7 +474,6 @@ class FallDetectionModule(Module):
                     ctx.metrics.increment("iot_failures")
             if "frame" in payload:
                 ctx.release(payload["frame"])
-            ctx.frame_completed(payload["frame_id"])
-            ctx.signal_source()
+            ctx.finish(payload["frame_id"])
 
         return flow()

@@ -161,16 +161,8 @@ class ObjectDetectionModule(Module):
         def flow():
             payload = event.payload
             ref = payload["frame"]
-            try:
-                result = yield ctx.call_service("object_detector",
-                                                {"frame": ref})
-            except Exception:
-                ctx.metrics.increment("detection_failures")
-                ctx.frame_completed(payload["frame_id"])
-                ctx.signal_source()
-                raise
-            finally:
-                ctx.release(ref)
+            result = yield ctx.call_service("object_detector", {"frame": ref})
+            ctx.release(ref)
             ctx.call_next({
                 "frame_id": payload["frame_id"],
                 "capture_time": payload["capture_time"],
@@ -193,25 +185,21 @@ class ObjectTrackingModule(Module):
     def event_received(self, ctx: ModuleContext, event: ModuleEvent):
         def flow():
             payload = event.payload
-            try:
-                result = yield ctx.call_service("object_tracker", {
-                    "detections": payload["detections"],
-                    "tracks": self.tracks,
-                    "next_track_id": self.next_track_id,
-                })
-                self.tracks = result["tracks"]
-                self.next_track_id = result["next_track_id"]
-                for track in self.tracks:
-                    if track["track_id"] not in self._seen_ids:
-                        self._seen_ids.add(track["track_id"])
-                        self.appeared.append(
-                            (ctx.now, track["track_id"], track["label"])
-                        )
-                        ctx.metrics.increment("tracks_created")
-            except Exception:
-                ctx.metrics.increment("tracking_failures")
-            ctx.frame_completed(payload["frame_id"])
-            ctx.signal_source()
+            result = yield ctx.call_service("object_tracker", {
+                "detections": payload["detections"],
+                "tracks": self.tracks,
+                "next_track_id": self.next_track_id,
+            })
+            self.tracks = result["tracks"]
+            self.next_track_id = result["next_track_id"]
+            for track in self.tracks:
+                if track["track_id"] not in self._seen_ids:
+                    self._seen_ids.add(track["track_id"])
+                    self.appeared.append(
+                        (ctx.now, track["track_id"], track["label"])
+                    )
+                    ctx.metrics.increment("tracks_created")
+            ctx.finish(payload["frame_id"])
 
         return flow()
 

@@ -299,16 +299,9 @@ class SceneTrackModule(Module):
             frame = ctx.get_frame(ref)
             if self._camera is None:
                 self._camera = camera_from_dict(frame.metadata["camera"])
-            try:
-                result = yield ctx.call_service("scene_pose_estimator",
-                                                {"frame": ref})
-            except Exception:
-                ctx.metrics.increment("scene_pose_failures")
-                ctx.frame_completed(payload["frame_id"])
-                ctx.signal_source()
-                raise
-            finally:
-                ctx.release(ref)
+            result = yield ctx.call_service("scene_pose_estimator",
+                                            {"frame": ref})
+            ctx.release(ref)
             tracklets = self._track(result["detections"])
             ctx.record_stage("camera_track", ctx.now - started)
             ctx.call_next({
@@ -410,17 +403,13 @@ class SceneFusionModule(Module):
 
     def event_received(self, ctx: ModuleContext, event: ModuleEvent):
         payload = event.payload
-        try:
-            self.core.update(
-                payload["camera"], payload["capture_time"],
-                payload["tracklets"], room=payload.get("room", "home"),
-            )
-        finally:
-            self.frame_ids.append(payload["frame_id"])
-            ctx.record_stage("total_duration",
-                             ctx.now - payload["capture_time"])
-            ctx.frame_completed(payload["frame_id"])
-            ctx.signal_source()
+        self.core.update(
+            payload["camera"], payload["capture_time"],
+            payload["tracklets"], room=payload.get("room", "home"),
+        )
+        self.frame_ids.append(payload["frame_id"])
+        ctx.record_stage("total_duration", ctx.now - payload["capture_time"])
+        ctx.finish(payload["frame_id"])
 
     def scene_graph(self) -> dict:
         return self.core.scene_graph()

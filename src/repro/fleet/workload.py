@@ -48,18 +48,9 @@ class FleetStageModule(Module):
     def event_received(self, ctx: ModuleContext, event: ModuleEvent):
         def flow():
             payload = event.payload
-            ref = payload["frame"]
             started = ctx.now
-            try:
-                result = yield ctx.call_service(self.service, {"frame": ref})
-            except Exception:
-                # a failed call must not wedge the home: free the frame,
-                # refill the credit, surface the error to the runtime
-                ctx.release(ref)
-                ctx.metrics.increment(f"{self.stage}_failures")
-                ctx.frame_completed(payload["frame_id"])
-                ctx.signal_source()
-                raise
+            result = yield ctx.call_service(self.service,
+                                            {"frame": payload["frame"]})
             ctx.record_stage(self.stage, ctx.now - started)
             out = dict(payload)
             out[self.stage] = result
@@ -86,8 +77,7 @@ class FleetSinkModule(Module):
         ref = payload.get("frame")
         if ref is not None:
             ctx.release(ref)
-        ctx.frame_completed(payload["frame_id"])
-        ctx.signal_source()
+        ctx.finish(payload["frame_id"])
 
 
 def _detect(payload, ctx) -> dict:

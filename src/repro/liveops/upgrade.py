@@ -41,7 +41,7 @@ from ..net.address import Address
 from ..runtime.events import DATA, ModuleEvent
 from ..runtime.module import Module
 from ..runtime.registry import create_module
-from ..runtime.settlement import SHADOW_RETIRE, unsettled_frames
+from ..runtime.settlement import SHADOW_RETIRE
 from ..runtime.wiring import PipelineWiring
 from ..slo.spec import quantile
 from .lineage import LineageRecorder
@@ -88,9 +88,10 @@ class CanarySinkModule(Module):
     def event_received(self, ctx, event: ModuleEvent) -> Any:
         payload = event.payload
         release_refs(payload, ctx._runtime.device.frame_store)
-        # a fan-out DAG reaches the sink once per edge; complete once
-        for frame_id in unsettled_frames(payload, ctx.metrics):
-            ctx.frame_completed(frame_id)
+        # a fan-out DAG reaches the sink once per edge; finish completes
+        # once, and on this source-less wiring signals nothing
+        for frame_id in frame_ids_in(payload):
+            ctx.finish(frame_id)
 
 
 class MirrorTap:

@@ -12,6 +12,8 @@ Frame-reference ownership contract (the paper's minimal-copy design):
   the receiver(s); the sender must not use them afterwards.
 * ``call_service`` **borrows**: refs stay owned by the module.
 * a module that drops a frame without forwarding it calls ``release``.
+* a handler that raises has done neither: the runtime settles its input
+  (``runtime/settlement.py``), so release only after a call succeeds.
 """
 
 from __future__ import annotations
@@ -215,8 +217,28 @@ class ModuleContext:
         return self.wiring.downstream_of(self.module_name)
 
     # -- §2.3 flow control -----------------------------------------------------------
-    def signal_source(self) -> Signal | None:
-        """Tell the pipeline source this frame is done (credit refill)."""
+    def finish(self, frame_id: int) -> Signal | None:
+        """The final module is done with *frame_id*: complete it (metrics,
+        and its trace closed at this instant) and return the source its
+        credit (§2.3). Returns the ready signal, or ``None`` when none was
+        sent: a shadow wiring has no source, and a frame ends once —
+        finishing a frame that was already settled records nothing and
+        returns no credit."""
+        if not self.metrics.frame_in_flight(frame_id):
+            return None
+        self.metrics.frame_completed(frame_id, self.now)
+        tracer = self.tracer
+        if tracer is not None:
+            if self._trace_span is not None:
+                tracer.annotate(
+                    "frame.complete", parent=self._trace_span,
+                    device=self.device_name, actor=self.module_name,
+                )
+            tracer.frame_finished(trace_id_for(self.pipeline_name, frame_id))
+        return self._signal_source()
+
+    def _signal_source(self) -> Signal | None:
+        """Send the pipeline source one ready signal (credit refill)."""
         source = self.wiring.source_module
         if source is None:
             return None
@@ -256,20 +278,6 @@ class ModuleContext:
             self._trace_root = root
             self._trace_span = root
 
-    def frame_completed(self, frame_id: int) -> None:
-        """The pipeline is done with *frame_id*: metrics bookkeeping plus
-        closing the frame's trace at the completion instant."""
-        self.metrics.frame_completed(frame_id, self.now)
-        tracer = self.tracer
-        if tracer is not None:
-            trace_id = trace_id_for(self.pipeline_name, frame_id)
-            if self._trace_span is not None:
-                tracer.annotate(
-                    "frame.complete", parent=self._trace_span,
-                    device=self.device_name, actor=self.module_name,
-                )
-            tracer.frame_finished(trace_id)
-
     def frame_dropped(self, frame_id: int) -> None:
         """This module dropped *frame_id* (a source-side drop): prune its
         metrics entry and close its trace — if it ever had one."""
@@ -280,6 +288,7 @@ class ModuleContext:
             tracer.frame_dropped(
                 trace_id_for(self.pipeline_name, frame_id),
                 device=self.device_name, actor=self.module_name,
+                reason=SOURCE_BUSY,
             )
 
     def record_stage(self, stage: str, seconds: float) -> None:

@@ -29,7 +29,7 @@ from ..trace.span import CAT_COMPUTE, CAT_QUEUE, CAT_WIRE, SpanContext
 from .context import ModuleContext
 from .events import DATA, READY_SIGNAL, ModuleEvent
 from .module import Module
-from .settlement import CRASH, DEAD_LETTER, settle_payload
+from .settlement import CRASH, DEAD_LETTER, HANDLER_FAILED, settle_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
@@ -384,7 +384,17 @@ class ModuleRuntime:
             except Exception as exc:  # a module crash must not kill the device
                 failed = True
                 deployed.errors.append(exc)
-                deployed.ctx.metrics.increment("module_errors")
+                ctx.metrics.increment("module_errors")
+                if event.kind == DATA:
+                    # the one place a raising handler's frame ends: it has
+                    # neither released nor forwarded its input, so the refs
+                    # are still its own (docs/AUDIT.md §Settlement)
+                    dropped = settle_payload(
+                        payload, self.device.frame_store, ctx.wiring,
+                        self.kernel.now, HANDLER_FAILED, deployed.name,
+                    )
+                    for _ in range(dropped):
+                        ctx._signal_source()
             if handler_ctx is not None:
                 tracer.record_span(
                     handler_ctx, f"module.{deployed.name}", CAT_COMPUTE,

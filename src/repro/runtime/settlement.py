@@ -1,14 +1,22 @@
 """Settlement: the one way a frame leaves the pipeline early.
 
 The paper drops frames only at the source (§1.4); here a crash, a
-migration, a dead letter, a deploy rollback, a canary teardown and
-``Pipeline.stop`` also end frames early, and all of them go through
-:func:`settle_payload` (``docs/AUDIT.md`` §Settlement).
+migration, a dead letter, a deploy rollback, a canary teardown,
+``Pipeline.stop`` and a DATA handler that raises also end frames early —
+seven reasons, and all of them go through :func:`settle_payload`
+(``docs/AUDIT.md`` §Settlement).
+
+Ownership rule for :data:`HANDLER_FAILED`: a handler that raises has
+neither released nor forwarded its input, so the payload's refs are still
+its own and the worker settles them. Handlers therefore release their
+input only after the call that can fail has succeeded. A breach releases a
+ref twice: the store refuses the stale ref, the worker stops, and the
+auditor's frame-ref conservation flags the events queued behind it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from ..frames.arena import MIGRATED, RELEASED
 from ..frames.framestore import FrameStore
@@ -16,7 +24,6 @@ from ..frames.payloads import frame_ids_in, release_refs
 from ..trace.span import trace_id_for
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..metrics.collector import MetricsCollector
     from .wiring import PipelineWiring
 
 #: Why a payload was settled: the call site picks one, and each dropped
@@ -27,23 +34,15 @@ DEAD_LETTER = "dead_letter"
 ROLLBACK = "rollback"
 SHADOW_RETIRE = "shadow_retire"
 STOP = "stop"
+HANDLER_FAILED = "handler_failed"
 
-REASONS = (CRASH, MIGRATE, DEAD_LETTER, ROLLBACK, SHADOW_RETIRE, STOP)
+REASONS = (CRASH, MIGRATE, DEAD_LETTER, ROLLBACK, SHADOW_RETIRE, STOP,
+           HANDLER_FAILED)
 
 #: Not a settlement: the source's own §2.3 drop, counted under the same
 #: ``frames_dropped.<reason>`` scheme by ``ModuleContext.frame_dropped`` so
 #: the per-reason counters sum to ``frames_dropped`` on every collector.
 SOURCE_BUSY = "source_busy"
-
-
-def unsettled_frames(
-    payload: Any, metrics: "MetricsCollector"
-) -> Iterator[int]:
-    """The frames *payload* carries that *metrics* still holds in flight —
-    the guard that makes settling idempotent across payload copies."""
-    for frame_id in frame_ids_in(payload):
-        if metrics.frame_in_flight(frame_id):
-            yield frame_id
 
 
 def settle_payload(
@@ -54,8 +53,9 @@ def settle_payload(
     reason: str,
     actor: str,
     owns_refs: bool = True,
-) -> None:
-    """Settle one payload that will never be handled.
+) -> int:
+    """Settle one payload that will never be handled; returns how many
+    frames this call dropped.
 
     Each payload copy owns its refs, so every call releases them (unless
     ``owns_refs=False``: a cross-device send already did, at encode). The
@@ -71,11 +71,16 @@ def settle_payload(
         )
     metrics = wiring.metrics
     tracer = wiring.tracer
-    for frame_id in unsettled_frames(payload, metrics):
+    dropped = 0
+    for frame_id in frame_ids_in(payload):
+        if not metrics.frame_in_flight(frame_id):
+            continue
         metrics.frame_dropped(frame_id, now)
         metrics.increment(f"frames_dropped.{reason}")
+        dropped += 1
         if tracer is not None:
             tracer.frame_dropped(
                 trace_id_for(wiring.pipeline_name, frame_id),
-                device=store.device, actor=actor,
+                device=store.device, actor=actor, reason=reason,
             )
+    return dropped

@@ -142,7 +142,7 @@ class TestFanInMigrateDrain:
             kind=DATA, payload={"frame_id": 803, "ref": ref},
         ))
         # the sibling ("right") finishes the frame first
-        pipeline.module("right").ctx.frame_completed(803)
+        pipeline.module("right").ctx.finish(803)
 
         home.migrate_module(pipeline, "left", "desktop")
 

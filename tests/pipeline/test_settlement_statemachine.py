@@ -2,7 +2,8 @@
 
 Random interleavings of fan-in traffic with everything that ends a frame
 early — migrate, swap, canary upgrade/promote/rollback, device crash and
-restart, a deploy that rolls back, ``Pipeline.stop`` — with the invariant
+restart, a deploy that rolls back, ``Pipeline.stop``, a handler that
+raises — with the invariant
 auditor as the oracle. Each of those used to carry its own copy of the
 drain loop; they now share ``repro.runtime.settlement.settle_payload``, so
 what this test can still find is a caller that forgets to call it.
@@ -25,6 +26,7 @@ from repro.runtime.settlement import REASONS, SOURCE_BUSY
 from ..settlement_sites import (
     SITES,
     FanInSink,
+    Raising,
     Stage,
     diamond_config,
     inject_frame,
@@ -77,11 +79,22 @@ class SettlementMachine(RuleBasedStateMachine):
     @precondition(_running)
     @rule(module=st.sampled_from(MOVABLE), burst=BURSTS, lead=LEADS)
     def swap(self, module, burst, lead):
+        self._swap(module, FanInSink() if module == "sink" else Stage(),
+                   burst, lead)
+
+    @precondition(_running)
+    @rule(module=st.sampled_from(MOVABLE), burst=BURSTS, lead=LEADS)
+    def handler_raises(self, module, burst, lead):
+        """Swap in a version whose handler raises on every event: the
+        worker settles each one as ``handler_failed`` until a later swap
+        or promotion replaces it."""
+        self._swap(module, Raising(), burst, lead)
+
+    def _swap(self, module, fresh, burst, lead):
         if self._upgrading(module):
             return  # the version-swap law pins the label until the verdict
         self.traffic(burst, lead)
         self.swaps += 1
-        fresh = FanInSink() if module == "sink" else Stage()
         self.home.deployer.swap_module(self.pipeline, module, fresh,
                                        version=f"swap{self.swaps}")
 

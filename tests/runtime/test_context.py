@@ -126,9 +126,11 @@ class TestFanOut:
 
 
 class TestSignalsAndLogs:
-    def test_signal_source_without_source_is_none(self, home):
-        ctx, _ = deploy_with_ctx(home)
-        assert ctx.signal_source() is None
+    def test_finish_without_source_is_none(self, home):
+        ctx, wiring = deploy_with_ctx(home)
+        ctx.frame_entered(1)
+        assert ctx.finish(1) is None
+        assert wiring.metrics.counter("frames_completed") == 1
 
     def test_log_records_time_and_module(self, home):
         ctx, wiring = deploy_with_ctx(home)

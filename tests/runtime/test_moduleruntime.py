@@ -169,7 +169,9 @@ class TestEventDelivery:
             wiring.address_of("sink"),
             wiring,
         )
-        sink_ctx["ctx"].signal_source()
+        wiring.metrics.frame_entered(1, 0.0)
+        sink_ctx["ctx"].finish(1)
+        assert sink_ctx["ctx"].finish(1) is None  # a frame ends once
         home.kernel.run()
         assert len(signals) == 1
         assert wiring.metrics.counter("ready_signals") == 1

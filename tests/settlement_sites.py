@@ -11,12 +11,11 @@ own way, and returns the :class:`~repro.runtime.DeployedModule` it settled
 
 from repro.errors import ConfigError
 from repro.frames.frame import VideoFrame
-from repro.frames.payloads import release_refs
+from repro.frames.payloads import frame_ids_in, release_refs
 from repro.liveops import CanaryPolicy
 from repro.pipeline import ModuleConfig, PipelineConfig
 from repro.runtime import Module, register_module
 from repro.runtime.events import DATA, ModuleEvent
-from repro.runtime.settlement import unsettled_frames
 
 
 @register_module("./SettleStage.js")
@@ -39,8 +38,18 @@ class FanInSink(Module):
 
     def event_received(self, ctx, event):
         release_refs(event.payload, ctx._runtime.device.frame_store)
-        for frame_id in unsettled_frames(event.payload, ctx.metrics):
-            ctx.frame_completed(frame_id)
+        for frame_id in frame_ids_in(event.payload):
+            ctx.finish(frame_id)
+
+
+class Raising(Module):
+    """A broken version: raises on every event without touching its
+    input, so the worker settles each one as ``handler_failed``."""
+
+    event_overhead_s = 0.002
+
+    def event_received(self, ctx, event):
+        raise RuntimeError("handler bug")
 
 
 class PlantOnInit(Module):
