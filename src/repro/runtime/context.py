@@ -222,10 +222,10 @@ class ModuleContext:
         and its trace closed at this instant) and return the source its
         credit (§2.3). Returns the ready signal, or ``None`` when none was
         sent: a shadow wiring has no source, and a frame ends once —
-        finishing a frame that was already settled records nothing and
-        returns no credit."""
+        finishing a frame that a settlement already ended records nothing
+        and only pays the credit that settlement left owed."""
         if not self.metrics.frame_in_flight(frame_id):
-            return None
+            return self._pay_owed_credit(frame_id)
         self.metrics.frame_completed(frame_id, self.now)
         tracer = self.tracer
         if tracer is not None:
@@ -235,6 +235,13 @@ class ModuleContext:
                     device=self.device_name, actor=self.module_name,
                 )
             tracer.frame_finished(trace_id_for(self.pipeline_name, frame_id))
+        return self._signal_source()
+
+    def _pay_owed_credit(self, frame_id: int) -> Signal | None:
+        """Return the credit a settlement left owed for *frame_id*, if any."""
+        if frame_id not in self.wiring.credits_owed:
+            return None
+        self.wiring.credits_owed.discard(frame_id)
         return self._signal_source()
 
     def _signal_source(self) -> Signal | None:

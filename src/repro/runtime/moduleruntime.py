@@ -17,7 +17,11 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..devices.device import Device
 from ..errors import DeploymentError
-from ..frames.payloads import decode_frames_from_wire, encode_refs_for_wire
+from ..frames.payloads import (
+    decode_frames_from_wire,
+    encode_refs_for_wire,
+    frame_ids_in,
+)
 from ..net.address import Address
 from ..net.message import H_TRACE, KIND_SIGNAL, Message
 from ..net.wire import ENVELOPE_OVERHEAD
@@ -389,12 +393,12 @@ class ModuleRuntime:
                     # the one place a raising handler's frame ends: it has
                     # neither released nor forwarded its input, so the refs
                     # are still its own (docs/AUDIT.md §Settlement)
-                    dropped = settle_payload(
+                    settle_payload(
                         payload, self.device.frame_store, ctx.wiring,
                         self.kernel.now, HANDLER_FAILED, deployed.name,
                     )
-                    for _ in range(dropped):
-                        ctx._signal_source()
+                    for frame_id in frame_ids_in(payload):
+                        ctx._pay_owed_credit(frame_id)
             if handler_ctx is not None:
                 tracer.record_span(
                     handler_ctx, f"module.{deployed.name}", CAT_COMPUTE,

@@ -6,12 +6,10 @@ migration, a dead letter, a deploy rollback, a canary teardown,
 seven reasons, and all of them go through :func:`settle_payload`
 (``docs/AUDIT.md`` §Settlement).
 
-Ownership rule for :data:`HANDLER_FAILED`: a handler that raises has
-neither released nor forwarded its input, so the payload's refs are still
-its own and the worker settles them. Handlers therefore release their
-input only after the call that can fail has succeeded. A breach releases a
-ref twice: the store refuses the stale ref, the worker stops, and the
-auditor's frame-ref conservation flags the events queued behind it.
+A settlement leaves each dropped frame's §2.3 credit owed on the wiring;
+a failed handler's worker or a sibling branch's ``finish`` pays it. A
+handler that raises still owns its input: the worker settles it, and a
+stale ref (released, then raised) is counted in ``ownership_breaches``.
 """
 
 from __future__ import annotations
@@ -19,8 +17,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..frames.arena import MIGRATED, RELEASED
+from ..frames.frame import FrameRef
 from ..frames.framestore import FrameStore
-from ..frames.payloads import frame_ids_in, release_refs
+from ..frames.payloads import frame_ids_in, frame_refs_in, map_leaves
+from ..frames.payloads import release_refs
 from ..trace.span import trace_id_for
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,34 +53,50 @@ def settle_payload(
     reason: str,
     actor: str,
     owns_refs: bool = True,
-) -> int:
-    """Settle one payload that will never be handled; returns how many
-    frames this call dropped.
+) -> None:
+    """Settle one payload that will never be handled.
 
     Each payload copy owns its refs, so every call releases them (unless
     ``owns_refs=False``: a cross-device send already did, at encode). The
     frame leaves the pipeline once: fan-out puts it in several mailboxes,
     or a sibling branch completes it, so the drop is recorded only while
-    the collector holds it in flight. Takes the *wiring*, not a module
-    context — a sender may be undeployed when its message dead-letters.
+    the collector holds it in flight, and leaves the frame's credit owed.
+    Takes the *wiring*, not a module context — a sender may be undeployed
+    when its message dead-letters.
     """
     if owns_refs:
+        if reason == HANDLER_FAILED:
+            payload = _without_stale_refs(payload, store, wiring, actor)
         release_refs(
             payload, store,
             reason=MIGRATED if reason == MIGRATE else RELEASED,
         )
     metrics = wiring.metrics
     tracer = wiring.tracer
-    dropped = 0
     for frame_id in frame_ids_in(payload):
         if not metrics.frame_in_flight(frame_id):
             continue
         metrics.frame_dropped(frame_id, now)
         metrics.increment(f"frames_dropped.{reason}")
-        dropped += 1
+        wiring.credits_owed.add(frame_id)
         if tracer is not None:
             tracer.frame_dropped(
                 trace_id_for(wiring.pipeline_name, frame_id),
                 device=store.device, actor=actor, reason=reason,
             )
-    return dropped
+
+
+def _without_stale_refs(payload, store, wiring, actor):
+    """*payload* minus the refs its failed handler already released: each
+    is an ownership breach, counted, and a violation when audited."""
+    stale = {ref for ref in frame_refs_in(payload)
+             if ref.device == store.device and not store.contains(ref)}
+    if not stale:
+        return payload
+    wiring.metrics.increment("ownership_breaches", len(stale))
+    if store.auditor is not None:
+        store.auditor.record("frame-ref-conservation",
+                             f"framestore/{store.device}",
+                             f"{actor} raised after releasing its input")
+    return map_leaves(payload, lambda leaf: None if isinstance(
+        leaf, FrameRef) and leaf in stale else leaf)

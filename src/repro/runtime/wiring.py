@@ -38,6 +38,10 @@ class PipelineWiring:
     #: the home's :class:`~repro.liveops.lineage.LineageRecorder`, or
     #: ``None`` while lineage is off (set by ``VideoPipe.enable_liveops``).
     lineage: Any = None
+    #: frames a settlement ended whose §2.3 credit has not come back yet —
+    #: paid by the sink that finishes a fanned-out copy, or by a failed
+    #: handler's worker (``runtime/settlement.py``).
+    credits_owed: set[int] = field(default_factory=set)
 
     def address_of(self, module_name: str) -> Address:
         try:

@@ -4,7 +4,8 @@ Random interleavings of fan-in traffic with everything that ends a frame
 early — migrate, swap, canary upgrade/promote/rollback, device crash and
 restart, a deploy that rolls back, ``Pipeline.stop``, a handler that
 raises — with the invariant
-auditor as the oracle. Each of those used to carry its own copy of the
+auditor as the oracle, and one §2.3 credit per admitted frame, returned or
+still owed. Each of those used to carry its own copy of the
 drain loop; they now share ``repro.runtime.settlement.settle_payload``, so
 what this test can still find is a caller that forgets to call it.
 
@@ -159,6 +160,12 @@ class SettlementMachine(RuleBasedStateMachine):
         assert home.auditor.violations == [], home.auditor.report()
         for device in DEVICES:
             assert home.device(device).frame_store.live_count == 0, device
+        # one credit per admitted frame: returned to the source, or still
+        # owed because no copy of the frame reached the sink
+        count = self.pipeline.metrics.counter
+        assert count("ready_signals") + len(
+            self.pipeline.wiring.credits_owed
+        ) == count("frames_entered"), self.pipeline.metrics.counters()
         for metrics in self.collectors:
             count = metrics.counter
             assert metrics.frames_in_flight == 0, metrics

@@ -1,15 +1,26 @@
 """A raising DATA handler's frame ends in one place: the module worker.
 
 The worker settles the event's payload as ``handler_failed`` (releasing the
-refs the handler still owns), counts ``module_errors`` once, and returns the
-source its credit for each frame the settlement dropped. A frame ends once,
-so a sibling branch that finishes the same frame later records nothing and
-returns no credit (``docs/AUDIT.md`` §Settlement).
+refs the handler still owns), counts ``module_errors`` once, and pays the
+source the credit the settlement left owed. A frame ends once and returns
+one credit: a sibling branch that finishes the same frame later records
+nothing, and pays the credit only if the settlement that ended the frame
+did not (a crash, a migration, a dead letter; ``docs/AUDIT.md``
+§Settlement).
 """
+
+import dataclasses
 
 import pytest
 
-from repro.apps import multi_camera_pipeline_config, scene_pipeline_config
+from repro.apps import (
+    FitnessApp,
+    fitness_pipeline_config,
+    install_fitness_services,
+    multi_camera_pipeline_config,
+    scene_pipeline_config,
+    train_activity_recognizer,
+)
 from repro.apps.scenefusion import ScenePoseEstimatorService
 from repro.audit.determinism import record_scenario
 from repro.core import VideoPipe
@@ -17,7 +28,7 @@ from repro.devices import DeviceSpec
 from repro.errors import ServiceError
 from repro.pipeline import ModuleConfig, PipelineConfig
 from repro.runtime import Module, register_module
-from repro.runtime.settlement import CRASH, HANDLER_FAILED
+from repro.runtime.settlement import CRASH, DEAD_LETTER, HANDLER_FAILED, MIGRATE
 from repro.services import FunctionService, ObjectTrackingService
 from repro.trace.span import CAT_FRAME
 
@@ -72,6 +83,25 @@ class ReleaseThenRaise(Module):
     def event_received(self, ctx, event):
         ctx.release(event.payload["frame"])
         raise RuntimeError("released, then failed")
+
+
+@register_module("./HandlerFailureHold.js")
+class Hold(Module):
+    """Holds each frame for *delay_s*, then frees it and — when it is the
+    sink — finishes it."""
+
+    def __init__(self, delay_s, sink=False):
+        self.delay_s = delay_s
+        self.sink = sink
+
+    def event_received(self, ctx, event):
+        def flow():
+            yield self.delay_s
+            ctx.release(event.payload["frame"])
+            if self.sink:
+                ctx.finish(event.payload["frame_id"])
+
+        return flow()
 
 
 def camera(next_modules, **params):
@@ -185,24 +215,94 @@ def test_a_raising_fan_in_branch_still_returns_the_rig_its_credit():
 
 def test_releasing_then_raising_trips_frame_ref_conservation(monkeypatch):
     """The mutation: a handler that frees its input and then raises. The
-    worker's settlement releases that ref a second time, the store refuses
-    the stale ref and the worker stops; the frames queued behind it leak,
-    and frame-ref conservation names them at quiesce."""
+    settlement finds the ref already released, counts the breach, records
+    a frame-ref-conservation violation and skips the ref, so the worker
+    lives on and the source keeps its credit."""
     monkeypatch.delenv("REPRO_AUDIT", raising=False)
     home = VideoPipe.paper_testbed(seed=3)
     auditor = home.enable_audit()
     pipeline = home.deploy_pipeline(PipelineConfig(
         name="mutant", source="camera",
         modules=[
-            camera(["mutant"], credit_timeout_s=0.3),
+            camera(["mutant"]),
             stage("mutant", "./HandlerFailureReleaseThenRaise.js"),
         ],
     ))
     home.run()
-    assert pipeline.module("mutant").errors
-    violations = auditor.check_quiesce()
-    assert any(v.invariant == "frame-ref-conservation"
-               for v in violations), auditor.report()
+    count = pipeline.metrics.counter
+    entered = count("frames_entered")
+    mutant = pipeline.module("mutant")
+    assert entered >= 5  # no watchdog: every credit came back
+    assert mutant.events_processed == len(mutant.errors) == entered
+    assert count("ownership_breaches") == count(FAILED) == entered
+    assert pipeline.metrics.frames_in_flight == 0
+    assert home.devices["phone"].frame_store.live_count == 0
+    breaches = [v for v in auditor.violations
+                if v.invariant == "frame-ref-conservation"]
+    assert len(breaches) == entered, auditor.report()
+    assert "mutant raised after releasing" in breaches[0].detail
+
+
+def test_a_migrated_branchs_queued_copy_leaves_the_sink_its_credit():
+    """Fan-out: the side branch is busy, so the next frame's copy waits in
+    its mailbox; migrating it drops that frame while the sink still holds
+    its copy. The sink's ``finish`` records nothing but pays the credit the
+    migration left owed, so the source keeps emitting."""
+    home = VideoPipe.paper_testbed(seed=3)
+    home.enable_audit()
+    pipeline = home.deploy_pipeline(PipelineConfig(
+        name="fork", source="camera",
+        modules=[
+            camera(["fork"], duration_s=3.0),
+            stage("fork", "./HandlerFailureFork.js", ["side", "sink"]),
+            stage("side", "./HandlerFailureHold.js", delay_s=1.0),
+            stage("sink", "./HandlerFailureHold.js", delay_s=0.2, sink=True),
+        ],
+    ))
+    side = pipeline.module("side")
+    while not (side.mailbox_depth and pipeline.metrics.frames_in_flight):
+        assert home.now < 2.0, "the side branch never queued a live frame"
+        home.run_for(0.01)
+    home.migrate_module(pipeline, "side", "desktop")
+    at_migration = pipeline.metrics.counter("frames_entered")
+    home.run()
+    count = pipeline.metrics.counter
+    entered = count("frames_entered")
+    assert count(f"frames_dropped.{MIGRATE}") == 1
+    assert entered >= at_migration + 5
+    assert count("frames_completed") == entered - 1
+    assert count("ready_signals") == entered
+    assert_every_frame_ended(home, pipeline)
+
+
+def test_a_crashed_rep_counter_still_leaves_the_display_its_credit():
+    """The fitness DAG fans each frame out to the rep counter and the
+    display. With the rep counter's device down, every copy sent to it
+    dead-letters and ends its frame; the display's ``finish`` pays the
+    credit each dead letter left owed, so the stream runs to its end."""
+    home = VideoPipe.paper_testbed(seed=9)
+    home.enable_audit()
+    home.add_device(DeviceSpec(name="laptop", kind="laptop"))
+    services = install_fitness_services(
+        home, recognizer=train_activity_recognizer(seed=0))
+    config = fitness_pipeline_config(fps=10.0, duration_s=3.0)
+    config.modules[:] = [
+        dataclasses.replace(module, device="laptop")
+        if module.name == "rep_counter_module" else module
+        for module in config.modules
+    ]
+    pipeline = FitnessApp(home, services).deploy(config)
+    home.run(until=1.0)
+    completed = pipeline.metrics.counter("frames_completed")
+    home.crash_device("laptop")
+    home.run()
+    count = pipeline.metrics.counter
+    entered = count("frames_entered")
+    lost = count(f"frames_dropped.{DEAD_LETTER}")
+    assert lost >= 15  # one per frame after the crash: the source kept going
+    assert count("frames_completed") == completed
+    assert count("ready_signals") == entered == completed + lost
+    assert_every_frame_ended(home, pipeline)
 
 
 def crash_and_failure(seed, traced=False):

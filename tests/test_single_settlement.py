@@ -7,7 +7,8 @@ test forbids outside their one home: raw access to a mailbox's queued
 events, and the in-flight guard. Ending a frame by hand — completing it,
 returning the source its credit, or freeing it on a failure path — is
 likewise the runtime's job: sinks call ``ctx.finish`` and a raising
-handler's frame is settled by the module worker.
+handler's frame is settled by the module worker, and only a settlement
+marks a frame's credit owed and only the context pays it.
 """
 
 import ast
@@ -24,7 +25,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
     (r"frame_in_flight\(", {"metrics/collector.py", "runtime/context.py",
                             "runtime/settlement.py"}),
     (r"\.frame_completed\(", {"runtime/context.py"}),
-    (r"signal_source\(", {"runtime/context.py", "runtime/moduleruntime.py"}),
+    (r"signal_source\(", {"runtime/context.py"}),
+    (r"credits_owed", {"runtime/wiring.py", "runtime/settlement.py",
+                       "runtime/context.py"}),
 ])
 def test_only_the_settlement_path_uses(pattern, allowed):
     users = {
