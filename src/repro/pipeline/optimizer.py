@@ -28,10 +28,13 @@ up a second pipeline), a search against an explicit cost model wins:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from ..actions import Action
 from ..devices.device import Device
@@ -228,12 +231,13 @@ class CostModel:
     way), so a module that runs hotter than its spec suggests is charged
     accordingly on *every* candidate device.
 
-    A model is a snapshot of one planning call. The DAG's walk order, the
-    host serving each (service, caller device) pair, and what placing a
-    module on a device costs and bills are worked out once — when the model
-    is built or on first use — and looked up for every later candidate, so
-    a change of devices, hosts or routes needs a new model, not another
-    call on this one. Only ``pool.contention()`` is read live at score time.
+    A model is a snapshot of one planning call. Its DAG walk, the host
+    serving each (service, caller device) pair and the tables of what each
+    placement costs and bills are worked out once, and :meth:`sweep` prices
+    any number of candidates from them in one numpy pass; a change of
+    devices, hosts or routes needs a new model. ``pool.contention()`` is
+    read once per sweep, the value each of its candidates would read alone:
+    no simulated time passes during a planning call.
     """
 
     def __init__(
@@ -255,7 +259,10 @@ class CostModel:
             edge_bytes if callable(edge_bytes) else lambda src, dst: edge_bytes
         )
         self.observed_module_s = dict(observed_module_s or {})
+        #: The devices a candidate matrix indexes, in this order.
+        self.device_names = sorted(devices)
         self._modules = {module.name: module for module in config.modules}
+        self._module_index = {name: m for m, name in enumerate(self._modules)}
         self._walk = walk(config)
         self._edges = tuple(
             (module.name, target) for module in config.modules
@@ -263,22 +270,15 @@ class CostModel:
         )
         self._serving: dict[tuple[str, str], tuple[ServiceHost, float]] = {}
         self._calibration: dict[str, float] = {}
-        self._module_cost_cache: dict[tuple[str, str], float] = {}
-        self._transfer_cache: dict[tuple[str, str], float] = {}
-        self._billing_cache: dict[tuple[str, str], tuple] = {}
+        self._node: np.ndarray | None = None  # the tables, see _tabulate
+        self._refusal: NetworkError | None = None
 
     # -- calibrated node/edge costs ------------------------------------------
     def module_cost(self, module: ModuleConfig, device_name: str) -> float:
         """Calibrated dispatch overhead + service time for one event on
         *device_name*."""
-        key = (module.name, device_name)
-        cached = self._module_cost_cache.get(key)
-        if cached is None:
-            cached = self._module_cost_cache[key] = (
-                self._modeled_cost(module, device_name)
-                * self.calibration(module.name)
-            )
-        return cached
+        return self._modeled_cost(module, device_name) * self.calibration(
+            module.name)
 
     def _modeled_cost(self, module: ModuleConfig, device_name: str) -> float:
         """What the specs alone predict, before calibration."""
@@ -363,155 +363,168 @@ class CostModel:
     def transfer_cost(self, src_device: str, dst_device: str) -> float:
         if src_device == dst_device:
             return 0.0001  # loopback hand-off
-        key = (src_device, dst_device)
-        cached = self._transfer_cache.get(key)
-        if cached is None:
-            cached = self._transfer_cache[key] = self.topology.expected_delay(
-                src_device, dst_device, self.edge_bytes(src_device, dst_device)
-            )
-        return cached
-
-    # -- whole-placement latency ----------------------------------------------
-    def evaluate(self, assignments: dict[str, str]) -> PlacementCost:
-        """Critical-path latency of the DAG under *assignments*."""
-        node_cost = {
-            name: self.module_cost(module, assignments[name])
-            for name, module in self._modules.items()
-        }
-        # longest path over node+edge weights via DP in topological order
-        best: dict[str, float] = {}
-        transfer_total = 0.0
-        for name, predecessors in self._walk:
-            incoming = [
-                best[p] + self.transfer_cost(assignments[p], assignments[name])
-                for p in predecessors
-            ]
-            best[name] = node_cost[name] + (max(incoming) if incoming else 0.0)
-        for a, b in self._edges:
-            transfer_total += self.transfer_cost(assignments[a], assignments[b])
-        return PlacementCost(
-            critical_path_s=max(best.values()),
-            transfer_s=transfer_total,
-            compute_s=sum(node_cost.values()),
+        return self.topology.expected_delay(
+            src_device, dst_device, self.edge_bytes(src_device, dst_device)
         )
 
-    # -- capacity and memory --------------------------------------------------
-    def _billing(self, module_name: str, device_name: str) -> tuple:
-        """What placing *module_name* on *device_name* bills, as ``(charges,
-        pooled, cloud_calls)``: the ``(charged_device, busy_seconds_per_s)``
-        utilization charges in the order they are added, a ``(pool,
-        service_seconds)`` pair per call served by a pooled host, and the
-        number of calls served from a cloud-tier device."""
-        key = (module_name, device_name)
-        billing = self._billing_cache.get(key)
-        if billing is None:
-            fps = self.optimizer.fps
-            spec = self.devices[device_name].spec
-            charges = [
-                (device_name, fps * spec.compute_time(Module.event_overhead_s))
-            ]
-            pooled = []
-            cloud_calls = 0
-            for service_name in self._modules[module_name].services:
-                host, _ = self._serving_host(service_name, device_name)
-                exec_device = host.device
-                if exec_device.name != device_name:
+    # -- the tables ------------------------------------------------------------
+    def _tabulate(self) -> None:
+        """Tabulate, per module and device, a placement's cost, utilization
+        charges (its dispatch overhead and a remote call's marshaling on its
+        device, each call's compute time where it runs, all at ``fps``) and
+        pooled and cloud calls; and each device pair's transfer. A refused
+        route is NaN, and a sweep reading one raises, as pricing it alone would."""
+        modules, names = list(self._modules.values()), self.device_names
+        fps, calls = self.optimizer.fps, max(len(m.services) for m in modules)
+        self._node = np.array([[self._priced(self.module_cost, module, device)
+                                for device in names] for module in modules])
+        self._transfer = np.array([[self._priced(self.transfer_cost, src, dst)
+                                    for dst in names] for src in names])
+        self._charge_to = np.zeros(self._node.shape + (1 + 2 * calls,), np.intp)
+        self._charge_s = np.zeros(self._charge_to.shape)
+        self._pool_of = np.zeros(self._node.shape + (calls,), np.intp)
+        self._pool_s = np.zeros(self._pool_of.shape)
+        self._cloud_calls = np.zeros(self._node.shape, np.intp)
+        self._charged, self._pools = list(self.devices), []
+        for m, p in zip(*np.nonzero(~np.isnan(self._node))):
+            device, spec = names[p], self.devices[names[p]].spec
+            charges = [(device, fps * spec.compute_time(Module.event_overhead_s))]
+            for k, service_name in enumerate(modules[m].services):
+                host, _ = self._serving_host(service_name, device)
+                if host.device.name != device:
                     # request + reply marshaling burns the caller's CPU
                     charges.append(
-                        (device_name, fps * spec.compute_time(2 * API_MARSHAL_S))
-                    )
-                service_s = exec_device.spec.compute_time(
-                    host.service.reference_cost_s
-                )
-                charges.append((exec_device.name, fps * service_s))
+                        (device, fps * spec.compute_time(2 * API_MARSHAL_S)))
+                service_s = host.device.spec.compute_time(
+                    host.service.reference_cost_s)
+                charges.append((host.device.name, fps * service_s))
                 if host.pool is not None:
-                    pooled.append((host.pool, service_s))
-                cloud_calls += self.topology.is_cloud(exec_device.name)
-            billing = self._billing_cache[key] = (charges, pooled, cloud_calls)
-        return billing
+                    self._pools += [host.pool] * (host.pool not in self._pools)
+                    self._pool_of[m, p, k] = self._pools.index(host.pool)
+                    self._pool_s[m, p, k] = service_s
+                self._cloud_calls[m, p] += self.topology.is_cloud(host.device.name)
+            for c, (charged, busy) in enumerate(charges):
+                self._charged += [charged] * (charged not in self._charged)
+                self._charge_to[m, p, c] = self._charged.index(charged)
+                self._charge_s[m, p, c] = busy
+        self._cores = np.array([max(1, self.devices[name].spec.cores) if name
+                                in self.devices else 1 for name in self._charged])
+        self._budget = np.array([max(1.0, self.devices[name].spec.memory_mb * 0.5)
+                                 for name in names])
+
+    def _priced(self, cost, *args) -> float:
+        """``cost(*args)``, or NaN when a route it needs is refused."""
+        try:
+            return cost(*args)
+        except NetworkError as refusal:
+            self._refusal = self._refusal or refusal
+            return np.nan
+
+    def _candidates(self, base: dict[str, str], free: Sequence[str] = (), rows=None):
+        """*base*'s module names, and each candidate's device indices."""
+        if self._node is None:
+            self._tabulate()
+        names = list(base)
+        full = np.array([[self.device_names.index(d) for d in base.values()]])
+        if rows is not None:
+            full = full.repeat(len(rows), axis=0)
+            full[:, [names.index(name) for name in free]] = rows
+        return names, full
+
+    def _utilization(self, names: list[str], full: np.ndarray) -> np.ndarray:
+        """Each candidate's busy-seconds per second per charged device, per core."""
+        rows, load = np.arange(len(full)), np.zeros((len(full), len(self._charged)))
+        modules = [self._module_index[name] for name in names]
+        charge_to = self._charge_to[modules, full]
+        charge_s = self._charge_s[modules, full]
+        for j, c in np.ndindex(charge_to.shape[1:]):
+            load[rows, charge_to[:, j, c]] += charge_s[:, j, c]
+        return load / self._cores
+
+    def sweep(self, base: dict[str, str], free: Sequence[str] = (), rows=None):
+        """Score candidate placements in one pass. Each row of *rows* is one
+        candidate: *base* with module ``free[i]`` on ``device_names[row[i]]``
+        (*base* alone when *rows* is None). Returns an array with, per
+        candidate, ``critical_path_s``, ``transfer_s``, ``compute_s``,
+        ``capacity_penalty_s``, ``memory_penalty_s``, ``cloud_penalty_s`` and
+        ``total``, each added up as one candidate alone would be: placements
+        in *base*'s key order, memory terms by each device's first appearance.
+        """
+        names, full = self._candidates(base, free, rows)
+        n, column = len(full), {name: j for j, name in enumerate(names)}
+        modules = [self._module_index[name] for name in names]
+        node = self._node[modules, full]
+        # latency: the longest node+edge path into each module, in walk order
+        best = {}
+        for name, predecessors in self._walk:
+            here = full[:, column[name]]
+            incoming = [best[p] + self._transfer[full[:, column[p]], here]
+                        for p in predecessors]
+            best[name] = node[:, column[name]] + (
+                functools.reduce(np.maximum, incoming) if incoming else 0.0)
+        critical = functools.reduce(np.maximum, best.values())
+        transfer = _fold(n, (self._transfer[full[:, column[a]], full[:, column[b]]]
+                             for a, b in self._edges))
+        compute = _fold(n, (node[:, column[name]] for name in self._modules))
+        overload = _fold(n, np.maximum(
+            0.0, self._utilization(names, full) - 1.0).T)
+        contention = np.array([*(pool.contention() for pool in self._pools), 0.0])
+        queued = (contention[self._pool_of[modules, full]]
+                  * self._pool_s[modules, full])
+        capacity = CAPACITY_WEIGHT_S * overload + _fold(
+            n, queued.reshape(n, -1).T)
+        counts = (full[:, :, None] == np.arange(len(self.device_names))).sum(axis=1)
+        footprint = counts * self.optimizer.module_footprint_mb
+        overflow = np.where(
+            footprint > self._budget,
+            MEMORY_WEIGHT_S * (footprint - self._budget) / self._budget, 0.0)
+        memory = _fold(n, (
+            np.where((full[:, :j] != full[:, [j]]).all(axis=1),
+                     overflow[np.arange(n), full[:, j]], 0.0)
+            for j in range(len(names))
+        ))
+        calls = self._cloud_calls[modules, full].sum(axis=1)
+        cloud = _fold(n, (  # the bias added once per call, one after another
+            np.where(calls > k, self.optimizer.cloud_bias_s, 0.0)
+            for k in range(calls.max())))
+        total = critical + capacity + memory + cloud
+        if self._refusal is not None and np.isnan(total).any():
+            raise self._refusal
+        return np.column_stack(
+            (critical, transfer, compute, capacity, memory, cloud, total))
+
+    # -- one candidate ---------------------------------------------------------
+    def evaluate(self, assignments: dict[str, str]) -> PlacementCost:
+        """Critical-path latency of the DAG under *assignments*."""
+        return PlacementCost(*self.sweep(assignments)[0, :3].tolist())
 
     def utilization(self, assignments: dict[str, str]) -> dict[str, float]:
-        """Offered busy-seconds per second per device, normalized by cores.
-
-        Each module charges its dispatch overhead (and the marshal cost of
-        any remote service call) to its hosting device at ``fps`` events
-        per second; each service call charges the service's compute time to
-        the device that actually executes it.
-        """
-        load: dict[str, float] = {name: 0.0 for name in self.devices}
-        for placed in assignments.items():
-            charges, _, _ = self._billing(*placed)
-            for device_name, busy in charges:
-                load[device_name] = load.get(device_name, 0.0) + busy
-        cores = {
-            name: self.devices[name].spec.cores if name in self.devices else 1
-            for name in load
-        }
-        return {
-            name: seconds / max(1, cores[name])
-            for name, seconds in load.items()
-        }
-
-    def pool_contention_s(self, assignments: dict[str, str]) -> float:
-        """Live latency-equivalent seconds of shared-pool queueing this
-        candidate would feel: for every service call that lands on a pooled
-        host, the device pool's backlog-per-slot scaled by that call's
-        compute time. Fixed-replica hosts contribute nothing — their queues
-        are already modeled by the capacity term; a pooled device's real
-        wait is set by *everyone* queued on its shared slots."""
-        total = 0.0
-        for placed in assignments.items():
-            _, pooled, _ = self._billing(*placed)
-            for pool, service_s in pooled:
-                total += pool.contention() * service_s
-        return total
+        """Offered busy-seconds per second per device, normalized by cores."""
+        load = self._utilization(*self._candidates(assignments))[0]
+        return dict(zip(self._charged, load.tolist()))
 
     def capacity_penalty(self, assignments: dict[str, str]) -> float:
-        overload = sum(
-            max(0.0, u - 1.0) for u in self.utilization(assignments).values()
-        )
-        return (
-            CAPACITY_WEIGHT_S * overload
-            + self.pool_contention_s(assignments)
-        )
+        return self.score(assignments).capacity_penalty_s
 
     def memory_penalty(self, assignments: dict[str, str]) -> float:
-        counts: dict[str, int] = {}
-        for device_name in assignments.values():
-            counts[device_name] = counts.get(device_name, 0) + 1
-        penalty = 0.0
-        for device_name, count in counts.items():
-            spec = self.devices[device_name].spec
-            footprint = count * self.optimizer.module_footprint_mb
-            budget = max(1.0, spec.memory_mb * 0.5)
-            if footprint > budget:
-                penalty += MEMORY_WEIGHT_S * (footprint - budget) / budget
-        return penalty
+        return self.score(assignments).memory_penalty_s
 
     def cloud_penalty(self, assignments: dict[str, str]) -> float:
-        """Billing penalty: ``cloud_bias_s`` latency-equivalent seconds per
-        service call this candidate routes to a cloud-tier device (the
-        host a co-located or cheapest-remote resolution would pick). The
-        WAN's *latency* is already in the transfer/service terms; this is
-        the dollar preference only."""
-        bias = self.optimizer.cloud_bias_s
-        if bias == 0.0:
-            return 0.0
-        total = 0.0
-        for placed in assignments.items():
-            _, _, cloud_calls = self._billing(*placed)
-            for _ in range(cloud_calls):
-                total += bias
-        return total
+        """``cloud_bias_s`` per service call served from a cloud-tier device."""
+        return self.score(assignments).cloud_penalty_s
 
     def score(self, assignments: dict[str, str]) -> OptimizedCost:
         """Full verdict on one candidate placement."""
-        return OptimizedCost(
-            latency=self.evaluate(assignments),
-            capacity_penalty_s=self.capacity_penalty(assignments),
-            memory_penalty_s=self.memory_penalty(assignments),
-            cloud_penalty_s=self.cloud_penalty(assignments),
-        )
+        row = self.sweep(assignments)[0].tolist()
+        return OptimizedCost(PlacementCost(*row[:3]), *row[3:6])
+
+
+def _fold(n: int, columns) -> np.ndarray:
+    """*columns* (arrays of *n* floats) added to 0.0 one after another."""
+    total = np.zeros(n)
+    for column in columns:
+        total = total + column
+    return total
 
 
 def plan_optimized(
@@ -555,25 +568,28 @@ def plan_optimized(
 
 
 def _search(model: CostModel, default_device: str) -> PlacementPlan:
-    """The one search: score the co-located plan, then every candidate (or,
-    past ``max_candidates``, greedy walks from a few starts), and keep the
-    co-located plan unless something beats it by more than 1e-9."""
+    """The one search: score the co-located plan, then every candidate in
+    one sweep (or, past ``max_candidates``, greedy walks from a few starts),
+    and keep the co-located plan unless something beats it by more than
+    1e-9, scanning the sweep's totals in candidate order."""
     config, devices, opt = model.config, model.devices, model.optimizer
     fixed = {m.name: m.device for m in config.modules if m.device is not None}
     free = [m.name for m in config.modules if m.device is None]
-    device_names = sorted(devices)
+    device_names = model.device_names
 
     fallback = plan_colocated(config, devices, model.registry, default_device)
     best_assignment = fallback.assignments
     best_total = fallback_total = model.score(best_assignment).total
 
-    scored = ()  # (assignments, total) pairs; empty when every module is pinned
     if free and len(device_names) ** len(free) <= opt.max_candidates:
-        candidates = (
-            {**fixed, **dict(zip(free, choice))}
-            for choice in itertools.product(device_names, repeat=len(free))
-        )
-        scored = ((a, model.score(a).total) for a in candidates)
+        rows = list(itertools.product(range(len(device_names)), repeat=len(free)))
+        base = {**fixed, **dict.fromkeys(free, device_names[0])}
+        totals = model.sweep(base, free, rows)[:, -1].tolist()
+        for row, total in zip(rows, totals):
+            if total < best_total - 1e-9:
+                best_total = total
+                best_assignment = {**fixed, **{
+                    name: device_names[p] for name, p in zip(free, row)}}
     elif free:
         rng = random.Random(SEARCH_SEED)
         starts = [
@@ -584,13 +600,10 @@ def _search(model: CostModel, default_device: str) -> PlacementPlan:
             start = dict(fixed)
             start.update({name: rng.choice(device_names) for name in free})
             starts.append(start)
-        scored = (
-            _local_search(model, start, free, device_names) for start in starts
-        )
-    for assignments, total in scored:
-        if total < best_total - 1e-9:
-            best_total = total
-            best_assignment = assignments
+        for start in starts:
+            assignments, total = _local_search(model, start, free)
+            if total < best_total - 1e-9:
+                best_total, best_assignment = total, assignments
 
     if best_total < fallback_total - 1e-9:
         return PlacementPlan(
@@ -601,31 +614,24 @@ def _search(model: CostModel, default_device: str) -> PlacementPlan:
 
 
 def _local_search(
-    model: CostModel,
-    start: dict[str, str],
-    free: list[str],
-    device_names: list[str],
+    model: CostModel, start: dict[str, str], free: list[str]
 ) -> tuple[dict[str, str], float]:
     """Greedy first-improvement: move one free module at a time while it
-    strictly lowers the score."""
+    strictly lowers the score. A module's moves differ from the current
+    placement in it alone, so one sweep prices them and the scan replays."""
     assignments = dict(start)
     current = model.score(assignments).total
+    moves = np.arange(len(model.device_names))[:, None]
     improved = True
     while improved:
         improved = False
         for name in free:
             original = assignments[name]
-            for candidate in device_names:
-                if candidate == original:
-                    continue
-                assignments[name] = candidate
-                total = model.score(assignments).total
-                if total < current - 1e-9:
-                    current = total
-                    original = candidate
-                    improved = True
-                else:
-                    assignments[name] = original
+            totals = model.sweep(assignments, [name], moves)[:, -1].tolist()
+            for candidate, total in zip(model.device_names, totals):
+                if candidate != original and total < current - 1e-9:
+                    current, original, improved = total, candidate, True
+            assignments[name] = original
     return assignments, current
 
 

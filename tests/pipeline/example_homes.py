@@ -7,9 +7,9 @@ single-host, optimized) for every deployed pipeline's config. The golden
 test freezes the resulting assignments; a placement-affecting change must
 show up as a reviewed golden diff, never as silent drift.
 
-Also home to the two helpers the fleet-population golden and the
+Also home to the helpers the fleet-population golden and the
 reference-scorer test share: seeded fleet homes, and the candidates the
-exhaustive search visits.
+exhaustive search visits, one at a time and as its one batch.
 """
 
 from __future__ import annotations
@@ -73,3 +73,14 @@ def every_candidate(config, devices):
     free = [m.name for m in config.modules if m.device is None]
     for choice in itertools.product(sorted(devices), repeat=len(free)):
         yield {**fixed, **dict(zip(free, choice))}
+
+
+def candidate_rows(config, devices):
+    """The same candidates as :func:`every_candidate`, as the one batch the
+    exhaustive search prices: ``(base, free, rows)`` for
+    ``CostModel.sweep``, one row of device indices per candidate."""
+    fixed = {m.name: m.device for m in config.modules if m.device is not None}
+    free = [m.name for m in config.modules if m.device is None]
+    names = sorted(devices)
+    rows = list(itertools.product(range(len(names)), repeat=len(free)))
+    return {**fixed, **dict.fromkeys(free, names[0])}, free, rows

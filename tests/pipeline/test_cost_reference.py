@@ -1,30 +1,44 @@
-"""``CostModel.score`` against a from-scratch reference, bit for bit.
+"""``CostModel`` against a from-scratch reference, bit for bit.
 
 The model answers from tables it fills once per planning call (walk order,
-serving hosts, per-placement charges). ``reference_score`` below keeps no
-table: for one candidate it walks the modules and their services, resolves
-each serving host by the one rule, and adds the same terms in the same
-order. The two must agree on every float of every candidate — compared by
-``float.hex``, so the last bit counts — and the reference stays here as the
-test-side statement of what a score *is*.
+serving hosts, per-placement costs and charges) and prices a whole batch of
+candidates in one numpy pass (``CostModel.sweep``). ``reference_score``
+below keeps no table and no array: for one candidate it walks the modules
+and their services, resolves each serving host by the one rule, and adds
+the same terms in the same order, each sum a plain left fold. The two must
+agree on every float of every candidate — compared by ``float.hex``, so the
+last bit counts — and the reference stays here as the test-side statement
+of what a score *is*. ``reference_search`` does the same for the greedy
+walk the search runs past its exhaustive budget.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
-from repro.pipeline import COLOCATED, CostModel, OptimizerConfig
+from repro.pipeline import (
+    COLOCATED,
+    OPTIMIZED,
+    CostModel,
+    OptimizerConfig,
+    plan_colocated,
+    plan_optimized,
+    plan_single_host,
+)
 from repro.pipeline.optimizer import (
     CAPACITY_WEIGHT_S,
     MEMORY_WEIGHT_S,
     REMOTE_CALL_OVERHEAD_S,
+    RESTARTS,
+    SEARCH_SEED,
 )
 from repro.runtime.module import Module
 from repro.services.stubs import API_MARSHAL_S
 
-from .example_homes import every_candidate, fleet_homes
+from .example_homes import candidate_rows, every_candidate, fleet_homes
 
 FIELDS = (
     "critical_path_s", "transfer_s", "compute_s",
@@ -113,10 +127,9 @@ def reference_score(config, devices, registry, topology, opt, observed,
                 pool_s += host.pool.contention() * service_s(host)
             if topology.is_cloud(there) and opt.cloud_bias_s:
                 cloud_s += opt.cloud_bias_s
-    overload = sum(
-        max(0.0, seconds / max(1, devices[name].spec.cores) - 1.0)
-        for name, seconds in load.items()
-    )
+    overload = 0.0
+    for name, seconds in load.items():
+        overload += max(0.0, seconds / max(1, devices[name].spec.cores) - 1.0)
     capacity_penalty_s = CAPACITY_WEIGHT_S * overload + pool_s
 
     memory_penalty_s = 0.0
@@ -127,10 +140,14 @@ def reference_score(config, devices, registry, topology, opt, observed,
         if footprint > budget:
             memory_penalty_s += MEMORY_WEIGHT_S * (footprint - budget) / budget
 
+    compute_s = 0.0
+    for seconds in node.values():
+        compute_s += seconds
+
     return {
         "critical_path_s": critical_path_s,
         "transfer_s": transfer_s,
-        "compute_s": sum(node.values()),
+        "compute_s": compute_s,
         "capacity_penalty_s": capacity_penalty_s,
         "memory_penalty_s": memory_penalty_s,
         "cloud_penalty_s": cloud_s,
@@ -173,6 +190,10 @@ def _load_up(home, config):
     return pinned, opt, observed
 
 
+def _hexes(values) -> dict[str, str]:
+    return {name: value.hex() for name, value in zip(FIELDS, values)}
+
+
 @pytest.mark.parametrize("cloud", [False, True], ids=["edge", "cloud"])
 @pytest.mark.parametrize("loaded", [False, True], ids=["plain", "loaded"])
 def test_every_candidate_scores_as_the_reference_does(cloud, loaded):
@@ -185,25 +206,25 @@ def test_every_candidate_scores_as_the_reference_does(cloud, loaded):
             config, home.devices, home.registry, home.topology,
             optimizer=opt, observed_module_s=observed or None,
         )
-        for assignments in every_candidate(config, home.devices):
-            cost = model.score(assignments)
-            got = {
-                "critical_path_s": cost.latency.critical_path_s,
-                "transfer_s": cost.latency.transfer_s,
-                "compute_s": cost.latency.compute_s,
-                "capacity_penalty_s": cost.capacity_penalty_s,
-                "memory_penalty_s": cost.memory_penalty_s,
-                "cloud_penalty_s": cost.cloud_penalty_s,
-                "total": cost.total,
-            }
-            want = reference_score(
+        # the batch the exhaustive search prices, one row per candidate in
+        # the order it visits them
+        swept = model.sweep(*candidate_rows(config, home.devices)).tolist()
+        candidates = list(every_candidate(config, home.devices))
+        assert len(swept) == len(candidates)
+        for index, (row, assignments) in enumerate(zip(swept, candidates)):
+            want = _hexes(reference_score(
                 config, home.devices, home.registry, home.topology,
                 opt, observed, assignments,
-            )
-            assert {k: v.hex() for k, v in got.items()} == {
-                k: v.hex() for k, v in want.items()
-            }, assignments
-            for name, value in got.items():
+            ).values())
+            assert _hexes(row) == want, assignments
+            if index % 17 == 0:  # a sample of one-row reads of the sweep
+                cost = model.score(assignments)
+                assert _hexes((
+                    cost.latency.critical_path_s, cost.latency.transfer_s,
+                    cost.latency.compute_s, cost.capacity_penalty_s,
+                    cost.memory_penalty_s, cost.cloud_penalty_s, cost.total,
+                )) == want, assignments
+            for name, value in zip(FIELDS, row):
                 nonzero[name] += value != 0.0
     # not vacuous: the stock knobs price latency only on these homes, the
     # loaded ones make every term non-zero (billing needs a cloud to bill)
@@ -213,3 +234,77 @@ def test_every_candidate_scores_as_the_reference_does(cloud, loaded):
     if not cloud:
         expected_zero.add("cloud_penalty_s")
     assert {name for name, hits in nonzero.items() if not hits} == expected_zero
+
+
+def reference_search(config, home, opt, observed, default_device):
+    """What ``plan_optimized`` returns past its exhaustive budget, walked
+    one candidate at a time over :func:`reference_score`: greedy
+    first-improvement from the co-located plan, the single-host plan and
+    the seeded random starts, each move kept only when it lowers the total
+    by more than 1e-9, and the co-located plan kept unless a walk beats it
+    by as much. Returns ``(strategy, assignments)``."""
+    devices = home.devices
+
+    def total(assignments):
+        return reference_score(config, devices, home.registry, home.topology,
+                               opt, observed, assignments)["total"]
+
+    names = sorted(devices)
+    fixed = {m.name: m.device for m in config.modules if m.device is not None}
+    free = [m.name for m in config.modules if m.device is None]
+    fallback = plan_colocated(config, devices, home.registry, default_device)
+    best, best_total = fallback.assignments, total(fallback.assignments)
+    fallback_total = best_total
+    rng = random.Random(SEARCH_SEED)
+    starts = [fallback.assignments,
+              plan_single_host(config, devices, default_device).assignments]
+    for _ in range(RESTARTS):
+        starts.append({**fixed, **{name: rng.choice(names) for name in free}})
+    for start in starts:
+        assignments = dict(start)
+        current = total(assignments)
+        improved = True
+        while improved:
+            improved = False
+            for name in free:
+                original = assignments[name]
+                for candidate in names:
+                    if candidate == original:
+                        continue
+                    assignments[name] = candidate
+                    moved = total(assignments)
+                    if moved < current - 1e-9:
+                        current, original, improved = moved, candidate, True
+                    else:
+                        assignments[name] = original
+        if current < best_total - 1e-9:
+            best, best_total = assignments, current
+    if best_total < fallback_total - 1e-9:
+        return OPTIMIZED, best
+    return COLOCATED, fallback.assignments
+
+
+@pytest.mark.parametrize("cloud", [False, True], ids=["edge", "cloud"])
+@pytest.mark.parametrize("loaded", [False, True], ids=["plain", "loaded"])
+def test_local_search_walks_as_the_reference_does(cloud, loaded):
+    """``max_candidates=1`` sends every home past the exhaustive sweep, so
+    the plan comes from the greedy walks, each module's moves priced as one
+    sweep; the plan (and its key order) must be the one-at-a-time walk's."""
+    strategies = []
+    for home, config in _homes_of_every_size(cloud):
+        opt, observed = OptimizerConfig(max_candidates=1), {}
+        if loaded:
+            config, opt, observed = _load_up(home, config)
+            opt = replace(opt, max_candidates=1)
+        default_device = next(iter(home.devices))
+        plan = plan_optimized(
+            config, home.devices, home.registry, home.topology,
+            default_device, optimizer=opt, observed_module_s=observed or None,
+        )
+        strategy, assignments = reference_search(
+            config, home, opt, observed, default_device)
+        assert (plan.strategy, list(plan.assignments.items())) == (
+            strategy, list(assignments.items()))
+        strategies.append(plan.strategy)
+    # not vacuous: the loaded homes' walks beat the co-located plan
+    assert (OPTIMIZED in strategies) == loaded

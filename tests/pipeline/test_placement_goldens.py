@@ -25,7 +25,7 @@ from repro.pipeline import OPTIMIZED, CostModel
 
 from .example_homes import (
     EXAMPLE_NAMES,
-    every_candidate,
+    candidate_rows,
     example_placements,
     fleet_homes,
 )
@@ -106,8 +106,9 @@ def fleet_population() -> dict:
 
     Per home: the returned plan's tag and assignments, its ``total`` and
     penalties as ``float.hex``, and a SHA-256 over the ``total`` of *every*
-    candidate in the order the exhaustive search visits them — so a single
-    changed bit in any candidate's score shows, not just a changed winner.
+    candidate in the order the exhaustive search visits them, read from the
+    one sweep it prices them in — so a single changed bit in any candidate's
+    score shows, not just a changed winner.
     """
     population: dict[str, dict] = {}
     for seed, cloud in itertools.product((0, 1), (False, True)):
@@ -116,10 +117,10 @@ def fleet_population() -> dict:
                 pipeline.config, home.devices, home.registry, home.topology
             )
             digest = hashlib.sha256()
-            candidates = 0
-            for assignments in every_candidate(pipeline.config, home.devices):
-                digest.update(model.score(assignments).total.hex().encode())
-                candidates += 1
+            totals = model.sweep(
+                *candidate_rows(pipeline.config, home.devices))[:, -1].tolist()
+            for total in totals:
+                digest.update(total.hex().encode())
             plan = pipeline.placement
             cost = model.score(plan.assignments)
             tier = "cloud" if cloud else "edge"
@@ -129,7 +130,7 @@ def fleet_population() -> dict:
                 "total": cost.total.hex(),
                 "capacity_penalty_s": cost.capacity_penalty_s.hex(),
                 "memory_penalty_s": cost.memory_penalty_s.hex(),
-                "candidates": candidates,
+                "candidates": len(totals),
                 "candidates_sha256": digest.hexdigest(),
             }
     return population

@@ -5,7 +5,9 @@ model with its own exhaustive sweep and greedy refinement beside the
 capacity-aware one, each with its own tie-break (docs/PLACEMENT.md,
 "Tie-breaks"). A second planner needs a second class that evaluates
 placements, a second loop that scores candidates, or a fourth strategy tag
-on a ``PlacementPlan``; this test forbids each.
+on a ``PlacementPlan``; this test forbids each. Candidates are priced in
+batches by ``CostModel.sweep``, so a one-row ``score``/``evaluate`` inside a
+loop is a second, per-candidate pricing path, and is forbidden too.
 """
 
 import ast
@@ -22,14 +24,16 @@ STRATEGY_TAGS = {"COLOCATED", "SINGLE_HOST", "OPTIMIZED"}
 
 class PlannerSites(ast.NodeVisitor):
     """Collects, for one file: classes defining ``evaluate``; calls that
-    score a placement, enumerate a product, build a ``CostModel`` (directly
-    or through ``plan_optimized``) or build a ``PlacementPlan``, each with
-    its enclosing function and the loops around it; and every imported
+    score one placement or sweep a batch of them, each with its enclosing
+    function and the loops around it; calls that enumerate a product, build
+    a ``CostModel`` (directly or through ``plan_optimized``) or build a
+    ``PlacementPlan``, each with its enclosing function; and every imported
     module name."""
 
     def __init__(self):
         self.evaluators = []
         self.scored = []      # (function, kinds of the enclosing loops)
+        self.swept = []       # (function, kinds of the enclosing loops)
         self.products = []    # function
         self.models = []      # function
         self.plan_tags = []   # the ``strategy=`` argument, unparsed
@@ -61,6 +65,8 @@ class PlannerSites(ast.NodeVisitor):
             func.id if isinstance(func, ast.Name) else None)
         if isinstance(func, ast.Attribute) and name in ("score", "evaluate"):
             self.scored.append((where, tuple(self._loops)))
+        elif isinstance(func, ast.Attribute) and name == "sweep":
+            self.swept.append((where, tuple(self._loops)))
         elif name == "product":
             self.products.append(where)
         elif name in ("CostModel", "plan_optimized"):  # which builds its own
@@ -102,15 +108,25 @@ def test_one_class_evaluates_placements():
 
 def test_one_exhaustive_sweep_and_one_greedy_loop():
     assert collected("products") == {PLANNER: ["_search"]}
-    # nothing outside the planner scores a placement, in or out of a loop
+    # nothing outside the planner scores or sweeps a placement
     assert set(collected("scored")) == {PLANNER}
-    scored = collected("scored")[PLANNER]
-    # candidates are scored in the search's sweep and in the greedy walk,
-    # the one loop that repeats until no move helps
-    assert {function for function, loops in scored if loops} == {
-        "_search", "_local_search"}
-    assert [function for function, loops in scored if "While" in loops] == [
-        "_local_search"]
+    assert set(collected("swept")) == {PLANNER}
+    # candidates are priced by the search's one sweep over the product
+    # space and in the greedy walk, the one loop that repeats until no move
+    # helps (one sweep per module's moves); score and evaluate are one-row
+    # reads of the same sweep
+    swept = collected("swept")[PLANNER]
+    assert sorted(swept) == [
+        ("_local_search", ("While", "For")), ("_search", ()),
+        ("evaluate", ()), ("score", ())]
+
+
+def test_no_placement_is_scored_one_at_a_time_in_a_loop():
+    in_loops = [
+        (path, function) for path, calls in collected("scored").items()
+        for function, loops in calls if loops
+    ]
+    assert in_loops == []
 
 
 def test_a_plan_carries_one_of_three_strategy_tags():
