@@ -385,7 +385,9 @@ class CostModel:
         self._pool_of = np.zeros(self._node.shape + (calls,), np.intp)
         self._pool_s = np.zeros(self._pool_of.shape)
         self._cloud_calls = np.zeros(self._node.shape, np.intp)
-        self._charged, self._pools = list(self.devices), []
+        # column of each charged device and of each pool: the model's devices
+        # first, then any other device a serving host runs on, as first met
+        self._charged, self._pools = dict(zip(self.devices, itertools.count())), {}
         for m, p in zip(*np.nonzero(~np.isnan(self._node))):
             device, spec = names[p], self.devices[names[p]].spec
             charges = [(device, fps * spec.compute_time(Module.event_overhead_s))]
@@ -399,13 +401,13 @@ class CostModel:
                     host.service.reference_cost_s)
                 charges.append((host.device.name, fps * service_s))
                 if host.pool is not None:
-                    self._pools += [host.pool] * (host.pool not in self._pools)
-                    self._pool_of[m, p, k] = self._pools.index(host.pool)
+                    self._pool_of[m, p, k] = self._pools.setdefault(
+                        host.pool, len(self._pools))
                     self._pool_s[m, p, k] = service_s
                 self._cloud_calls[m, p] += self.topology.is_cloud(host.device.name)
             for c, (charged, busy) in enumerate(charges):
-                self._charged += [charged] * (charged not in self._charged)
-                self._charge_to[m, p, c] = self._charged.index(charged)
+                self._charge_to[m, p, c] = self._charged.setdefault(
+                    charged, len(self._charged))
                 self._charge_s[m, p, c] = busy
         self._cores = np.array([max(1, self.devices[name].spec.cores) if name
                                 in self.devices else 1 for name in self._charged])
@@ -468,6 +470,9 @@ class CostModel:
         compute = _fold(n, (node[:, column[name]] for name in self._modules))
         overload = _fold(n, np.maximum(
             0.0, self._utilization(names, full) - 1.0).T)
+        # a call to a pooled host waits behind everyone queued on the pool's
+        # shared slots: backlog per slot x the call's compute time (a
+        # fixed-replica host's queue is the utilization term's business)
         contention = np.array([*(pool.contention() for pool in self._pools), 0.0])
         queued = (contention[self._pool_of[modules, full]]
                   * self._pool_s[modules, full])

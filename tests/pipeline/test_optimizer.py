@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import VideoPipe
 from repro.devices.spec import DeviceSpec
-from repro.errors import ConfigError, PlacementError
+from repro.errors import ConfigError, LinkDown, PlacementError
 from repro.fleet.workload import FleetSinkModule, FleetStageModule  # noqa: F401  (registers modules)
 from repro.pipeline import (
     COLOCATED,
@@ -451,6 +451,25 @@ def test_online_optimizer_survives_replanning_during_a_partition():
 
 
 # -- which host serves a call ----------------------------------------------------
+
+def test_a_partitioned_device_refuses_only_the_candidates_that_use_it():
+    """The model tabulates every (module, device) pair up front; a pair
+    whose route is refused raises only when a candidate reads it, as
+    pricing that candidate alone would."""
+    home = _trap_home()
+    home.add_device(DeviceSpec(name="spare", kind="laptop", cpu_factor=1.0,
+                               cores=2, supports_containers=True))
+    home.topology.partition("spare")
+    model = CostModel(_trap_config(), home.devices, home.registry,
+                      home.topology)
+    on_alpha = {"camera": "phone", "stage": "alpha", "sink": "alpha"}
+    assert model.score(on_alpha).total > 0.0
+    assert set(model.utilization(on_alpha)) == set(home.devices)
+    with pytest.raises(LinkDown, match="spare"):
+        model.score({**on_alpha, "sink": "spare"})
+    with pytest.raises(LinkDown, match="spare"):
+        model.sweep(on_alpha, ["sink"], [[0], [1], [2], [3]])
+
 
 def test_planner_does_not_price_a_host_on_a_crashed_device():
     home = _trap_home()
