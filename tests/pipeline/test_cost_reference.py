@@ -236,6 +236,45 @@ def test_every_candidate_scores_as_the_reference_does(cloud, loaded):
     assert {name for name, hits in nonzero.items() if not hits} == expected_zero
 
 
+@pytest.mark.parametrize("cloud", [False, True], ids=["edge", "cloud"])
+def test_memory_terms_add_in_order_of_first_appearance(cloud):
+    """With 5 GB modules, some candidates overflow three devices whose
+    memory terms sum to another float when added in device order than in
+    the order the candidate first places them: the sweep must add them as
+    the reference does."""
+    order_matters = 0
+    for home, config in _homes_of_every_size(cloud):
+        config, opt, observed = _load_up(home, config)
+        opt = replace(opt, module_footprint_mb=5000)
+        model = CostModel(
+            config, home.devices, home.registry, home.topology,
+            optimizer=opt, observed_module_s=observed,
+        )
+        memory = model.sweep(*candidate_rows(config, home.devices))[:, 4]
+        for got, assignments in zip(memory.tolist(),
+                                    every_candidate(config, home.devices)):
+            want = reference_score(
+                config, home.devices, home.registry, home.topology,
+                opt, observed, assignments,
+            )["memory_penalty_s"]
+            assert got.hex() == want.hex(), assignments
+            by_device = 0.0
+            for device in sorted(set(assignments.values())):
+                by_device += _overflow(home, opt, assignments, device)
+            order_matters += by_device != want
+    assert order_matters  # not vacuous
+
+
+def _overflow(home, opt, assignments, device) -> float:
+    """One device's memory term under *assignments*, as the reference
+    computes it."""
+    footprint = list(assignments.values()).count(device) * opt.module_footprint_mb
+    budget = max(1.0, home.devices[device].spec.memory_mb * 0.5)
+    if footprint <= budget:
+        return 0.0
+    return MEMORY_WEIGHT_S * (footprint - budget) / budget
+
+
 def reference_search(config, home, opt, observed, default_device):
     """What ``plan_optimized`` returns past its exhaustive budget, walked
     one candidate at a time over :func:`reference_score`: greedy

@@ -286,6 +286,31 @@ def test_an_exact_tie_keeps_the_colocated_plan():
         assert plan.assignments == heuristic.assignments
 
 
+def test_an_exact_tie_between_two_winners_keeps_the_first_in_sweep_order():
+    """Two identical fast replicas: a placement on either scores the same
+    float. The exhaustive scan and the greedy walk both keep the first in
+    candidate order, as a one-candidate-at-a-time scan does."""
+    home = _trap_home()
+    home.add_device(DeviceSpec(name="zeta2", kind="desktop", cpu_factor=0.8,
+                               cores=8, memory_mb=16384,
+                               supports_containers=True))
+    home.deploy_service(
+        FunctionService("heavy", lambda p, c: {"done": True},
+                        reference_cost_s=HEAVY_COST_S),
+        "zeta2", port=7922,
+    )
+    config = _trap_config()
+    model = CostModel(config, home.devices, home.registry, home.topology)
+    on_zeta = {"camera": "phone", "stage": "zeta", "sink": "zeta"}
+    on_zeta2 = {"camera": "phone", "stage": "zeta2", "sink": "zeta2"}
+    assert model.score(on_zeta).total == model.score(on_zeta2).total
+    for optimizer in (None, OptimizerConfig(max_candidates=1)):
+        plan = plan_optimized(config, home.devices, home.registry,
+                              home.topology, "phone", optimizer=optimizer)
+        assert plan.strategy == OPTIMIZED
+        assert plan.assignments["stage"] == "zeta"
+
+
 def test_per_edge_byte_hint_moves_the_pose_module():
     """A5's home (``benchmarks/bench_ablation_scheduler.py``): the pose
     service on slow ``athena`` and fast ``zeus``, camera and sink pinned to
