@@ -191,6 +191,7 @@ def _load_up(home, config):
 
 
 def _hexes(values) -> dict[str, str]:
+    """One sweep row (the seven floats, in ``FIELDS`` order) by name."""
     return {name: value.hex() for name, value in zip(FIELDS, values)}
 
 
@@ -212,10 +213,10 @@ def test_every_candidate_scores_as_the_reference_does(cloud, loaded):
         candidates = list(every_candidate(config, home.devices))
         assert len(swept) == len(candidates)
         for index, (row, assignments) in enumerate(zip(swept, candidates)):
-            want = _hexes(reference_score(
+            want = {name: value.hex() for name, value in reference_score(
                 config, home.devices, home.registry, home.topology,
                 opt, observed, assignments,
-            ).values())
+            ).items()}
             assert _hexes(row) == want, assignments
             if index % 17 == 0:  # a sample of one-row reads of the sweep
                 cost = model.score(assignments)
