@@ -13,6 +13,7 @@ with the display module granting the source its next-frame credit (§2.3).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 import numpy as np
@@ -25,7 +26,7 @@ from ..runtime.context import ModuleContext
 from ..runtime.events import ModuleEvent
 from ..runtime.module import Module
 from ..runtime.registry import register_module
-from ..vision.features import WINDOW_FRAMES, window_feature
+from ..vision.features import WINDOW_FRAMES, frame_feature
 
 
 @register_module("./VideoStreamingModule.js")
@@ -165,7 +166,11 @@ class PoseDetectionModule(Module):
 @register_module("./ActivityDetectorModule.js")
 class ActivityRecognitionModule(Module):
     """Maintains the 15-frame window (module state) and calls the stateless
-    activity classifier once the window is full."""
+    activity classifier once the window is full.
+
+    The window holds each pose's normalized row (:func:`frame_feature`),
+    computed once when the pose arrives; the shipped feature is their
+    concatenation, the same bytes as ``window_feature`` of the poses."""
 
     def __init__(self, window: int = WINDOW_FRAMES, forward_frame_to: str = "display",
                  service: str = "activity_classifier") -> None:
@@ -177,20 +182,18 @@ class ActivityRecognitionModule(Module):
         #: itself; the others get keypoints/labels only (the rep counter
         #: needs no pixels, so shipping it the frame would waste the link).
         self.forward_frame_to = forward_frame_to
-        self._poses: list[Pose] = []
+        self._rows: deque[np.ndarray] = deque(maxlen=window)
 
     def event_received(self, ctx: ModuleContext, event: ModuleEvent):
         def flow():
             payload = event.payload
             pose = Pose(payload["keypoints"], payload.get("visibility"))
-            self._poses.append(pose)
-            if len(self._poses) > self.window:
-                self._poses.pop(0)
+            self._rows.append(frame_feature(pose))
             label = None
             confidence = 0.0
             started = ctx.now
-            if len(self._poses) == self.window:
-                feature = window_feature(self._poses)
+            if len(self._rows) == self.window:
+                feature = np.concatenate(self._rows)
                 try:
                     result = yield ctx.call_service(
                         self.service, {"window_feature": feature}

@@ -11,38 +11,42 @@ the authors' recorded workout data plays in §4.1.2–4.1.3.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .skeleton import KEYPOINT_INDEX as KP
-from .skeleton import NUM_KEYPOINTS, Pose
+from .skeleton import Pose
+
+
+#: A neutral standing pose in the body frame (hips at the origin), one row
+#: per keypoint in COCO order, built once; :func:`base_pose` hands out copies.
+_BASE_POSE = np.array([
+    (0.00, -0.75),  # nose
+    (-0.05, -0.78),  # left_eye
+    (0.05, -0.78),  # right_eye
+    (-0.10, -0.75),  # left_ear
+    (0.10, -0.75),  # right_ear
+    (-0.20, -0.50),  # left_shoulder
+    (0.20, -0.50),  # right_shoulder
+    (-0.26, -0.25),  # left_elbow
+    (0.26, -0.25),  # right_elbow
+    (-0.28, 0.02),  # left_wrist
+    (0.28, 0.02),  # right_wrist
+    (-0.12, 0.00),  # left_hip
+    (0.12, 0.00),  # right_hip
+    (-0.13, 0.45),  # left_knee
+    (0.13, 0.45),  # right_knee
+    (-0.14, 0.90),  # left_ankle
+    (0.14, 0.90),  # right_ankle
+])
+_BASE_POSE.flags.writeable = False
 
 
 def base_pose() -> np.ndarray:
-    """A neutral standing pose in the body frame (hips at the origin)."""
-    pose = np.zeros((NUM_KEYPOINTS, 2))
-
-    def put(name: str, x: float, y: float) -> None:
-        pose[KP[name]] = (x, y)
-
-    put("nose", 0.00, -0.75)
-    put("left_eye", -0.05, -0.78)
-    put("right_eye", 0.05, -0.78)
-    put("left_ear", -0.10, -0.75)
-    put("right_ear", 0.10, -0.75)
-    put("left_shoulder", -0.20, -0.50)
-    put("right_shoulder", 0.20, -0.50)
-    put("left_elbow", -0.26, -0.25)
-    put("right_elbow", 0.26, -0.25)
-    put("left_wrist", -0.28, 0.02)
-    put("right_wrist", 0.28, 0.02)
-    put("left_hip", -0.12, 0.00)
-    put("right_hip", 0.12, 0.00)
-    put("left_knee", -0.13, 0.45)
-    put("right_knee", 0.13, 0.45)
-    put("left_ankle", -0.14, 0.90)
-    put("right_ankle", 0.14, 0.90)
-    return pose
+    """A neutral standing pose in the body frame (hips at the origin); a
+    fresh copy the caller may change."""
+    return _BASE_POSE.copy()
 
 
 _UPPER_BODY = [
@@ -90,6 +94,14 @@ class MotionModel:
 
     def _keypoints_at(self, phase: float) -> np.ndarray:
         raise NotImplementedError
+
+    @cached_property
+    def neutral_keypoints(self) -> np.ndarray:
+        """The read-only keypoints at t = 0: the reference a subject's
+        amplitude scales the motion about, computed once per model."""
+        keypoints = self.pose_at(0.0).keypoints
+        keypoints.flags.writeable = False
+        return keypoints
 
     def sample(self, fps: float, duration_s: float, t0: float = 0.0) -> list[Pose]:
         """Poses at ``fps`` over ``duration_s`` seconds starting at ``t0``."""

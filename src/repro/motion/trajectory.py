@@ -80,10 +80,8 @@ def subject_pose(model: MotionModel, subject: SubjectParams, t: float) -> Pose:
     """The image-space pose of *subject* performing *model* at time *t*."""
     body = model.pose_at((t + subject.phase_offset_s) / subject.tempo)
     if subject.amplitude != 1.0:
-        base = model.pose_at(subject.phase_offset_s * 0.0)  # neutral reference
-        keypoints = base.keypoints + subject.amplitude * (
-            body.keypoints - base.keypoints
-        )
+        neutral = model.neutral_keypoints
+        keypoints = neutral + subject.amplitude * (body.keypoints - neutral)
         body = Pose(keypoints, body.visibility)
     return place_in_image(body, subject)
 

@@ -16,21 +16,16 @@ from ..motion.skeleton import NUM_KEYPOINTS, Pose
 WINDOW_FRAMES = 15
 
 
-def normalize_framewise(poses: list[Pose]) -> list[Pose]:
-    """Hip-center (and torso-scale) each pose independently."""
-    return [p.normalized() for p in poses]
-
-
 def window_feature(poses: list[Pose]) -> np.ndarray:
     """Flatten a window of poses into one feature vector.
 
     Each pose is normalized framewise, then the (T, 17, 2) block is reshaped
-    to length T*34. Raises if the window is empty.
+    to length T*34 — the concatenation of the poses' :func:`frame_feature`
+    rows. Raises if the window is empty.
     """
     if not poses:
         raise ValueError("empty pose window")
-    normalized = normalize_framewise(poses)
-    return np.concatenate([p.flatten() for p in normalized])
+    return np.concatenate([frame_feature(p) for p in poses])
 
 
 def sliding_windows(
@@ -46,14 +41,27 @@ def sliding_windows(
 
 
 def windows_to_matrix(windows: list[list[Pose]]) -> np.ndarray:
-    """Stack window features into an (n, window*34) matrix."""
+    """Stack window features into an (n, window*34) matrix.
+
+    Overlapping windows share ``Pose`` objects; each one is normalized once
+    per call, not once per window it sits in.
+    """
     if not windows:
         return np.zeros((0, WINDOW_FRAMES * NUM_KEYPOINTS * 2))
-    return np.stack([window_feature(w) for w in windows])
+    # keyed by id(): every pose stays alive in *windows* for the call
+    rows: dict[int, np.ndarray] = {}
+    for w in windows:
+        if not w:
+            raise ValueError("empty pose window")
+        for pose in w:
+            if id(pose) not in rows:
+                rows[id(pose)] = frame_feature(pose)
+    return np.stack([np.concatenate([rows[id(p)] for p in w]) for w in windows])
 
 
 def frame_feature(pose: Pose) -> np.ndarray:
-    """Single-frame normalized feature (used by the rep counter)."""
+    """Single-frame normalized feature: one row of a window feature, and
+    the rep counter's per-frame input."""
     return pose.normalized().flatten()
 
 

@@ -14,8 +14,11 @@ from repro.apps.modules import (
     FallDetectionModule,
     GestureControlModule,
 )
-from repro.motion import Squat, SubjectParams, subject_pose
+from repro.motion import Squat, SubjectParams, random_subject, subject_pose
 from repro.motion.exercises import Fall, Stand
+from repro.motion.skeleton import Pose
+from repro.runtime.events import ModuleEvent
+from repro.vision import window_feature
 
 
 class FakeContext:
@@ -85,6 +88,56 @@ class TestActivityFanOut:
         self.make()._fan_out(ctx, {"keypoints": 1})
         assert ctx.released == [] and ctx.addrefs == []
         assert len(ctx.sent) == 1
+
+
+class WindowContext(FakeContext):
+    """Records what the activity module ships to its classifier."""
+
+    def __init__(self):
+        super().__init__(next_modules=["display_module"])
+        self.features = []
+
+    def call_service(self, service, payload):
+        self.features.append(payload["window_feature"])
+        return "PENDING"
+
+    def record_stage(self, stage, seconds):
+        pass
+
+
+class TestActivityWindow:
+    def test_each_pose_is_normalized_once_and_the_window_ships_its_bytes(
+        self, monkeypatch
+    ):
+        subject = random_subject(np.random.default_rng(2))
+        poses = [subject_pose(Squat(), subject, i / 10.0) for i in range(40)]
+        normalized = Pose.normalized
+        calls = []
+
+        def counting(pose):
+            calls.append(pose)
+            return normalized(pose)
+
+        monkeypatch.setattr(Pose, "normalized", counting)
+        ctx = WindowContext()
+        module = ActivityRecognitionModule()
+        for i, pose in enumerate(poses):
+            flow = module.event_received(ctx, ModuleEvent("data", {
+                "frame_id": i, "capture_time": i / 10.0,
+                "keypoints": pose.keypoints, "visibility": pose.visibility,
+            }))
+            if i >= 14:  # the window is full: the classifier is called
+                assert next(flow) == "PENDING"
+                with pytest.raises(StopIteration):
+                    flow.send({"label": "squat", "confidence": 1.0})
+            else:
+                with pytest.raises(StopIteration):
+                    next(flow)
+        assert len(calls) == len(poses)
+        monkeypatch.undo()
+        assert len(ctx.features) == len(poses) - 14
+        for end, feature in enumerate(ctx.features, start=15):
+            assert feature.tobytes() == window_feature(poses[end - 15 : end]).tobytes()
 
 
 class TestDisplayOverlayState:

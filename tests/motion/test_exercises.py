@@ -12,6 +12,7 @@ from repro.motion.exercises import (
     Stand,
     Wave,
 )
+from repro.motion.exercises import base_pose
 from repro.motion.skeleton import KEYPOINT_INDEX as KP
 
 
@@ -121,3 +122,42 @@ class TestMotionShapes:
         shallow = Squat(amplitude=0.5).pose_at(1.0).hip_center()[1]
         deep = Squat(amplitude=1.0).pose_at(1.0).hip_center()[1]
         assert deep > shallow
+
+
+class TestConstantsBuiltOnce:
+    #: The neutral standing pose, by keypoint name.
+    STANDING = {
+        "nose": (0.00, -0.75), "left_eye": (-0.05, -0.78),
+        "right_eye": (0.05, -0.78), "left_ear": (-0.10, -0.75),
+        "right_ear": (0.10, -0.75), "left_shoulder": (-0.20, -0.50),
+        "right_shoulder": (0.20, -0.50), "left_elbow": (-0.26, -0.25),
+        "right_elbow": (0.26, -0.25), "left_wrist": (-0.28, 0.02),
+        "right_wrist": (0.28, 0.02), "left_hip": (-0.12, 0.00),
+        "right_hip": (0.12, 0.00), "left_knee": (-0.13, 0.45),
+        "right_knee": (0.13, 0.45), "left_ankle": (-0.14, 0.90),
+        "right_ankle": (0.14, 0.90),
+    }
+
+    def test_base_pose_places_every_keypoint_by_name(self):
+        pose = base_pose()
+        assert len(self.STANDING) == len(KP)
+        for name, xy in self.STANDING.items():
+            assert tuple(pose[KP[name]]) == xy
+
+    def test_a_caller_mutating_base_pose_cannot_change_the_next_call(self):
+        first = base_pose()
+        expected = first.copy()
+        first += 5.0
+        first[KP["nose"]] = (9.0, 9.0)
+        again = base_pose()
+        assert again.tobytes() == expected.tobytes()
+        assert again.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BY_NAME))
+    def test_neutral_keypoints_are_the_pose_at_zero_read_only(self, name):
+        model = make_model(name, amplitude=0.8)
+        neutral = model.neutral_keypoints
+        assert neutral.tobytes() == model.pose_at(0.0).keypoints.tobytes()
+        assert model.neutral_keypoints is neutral  # computed once
+        with pytest.raises(ValueError):
+            neutral[0, 0] = 1.0

@@ -12,7 +12,7 @@ from repro.motion import (
     subject_pose,
 )
 from repro.motion.skeleton import Pose
-from repro.motion.exercises import base_pose
+from repro.motion.exercises import MODEL_BY_NAME, base_pose, make_model
 
 
 class TestPlacement:
@@ -69,6 +69,45 @@ class TestSubjectPose:
     def test_sequence_length(self):
         seq = sample_subject_sequence(Squat(), SubjectParams(), fps=10, duration_s=2.0)
         assert len(seq) == 20
+
+
+def reference_subject_pose(model, subject, t):
+    """``subject_pose`` recomputing the neutral reference on every call."""
+    body = model.pose_at((t + subject.phase_offset_s) / subject.tempo)
+    if subject.amplitude != 1.0:
+        base = model.pose_at(subject.phase_offset_s * 0.0)
+        keypoints = base.keypoints + subject.amplitude * (
+            body.keypoints - base.keypoints
+        )
+        body = Pose(keypoints, body.visibility)
+    return place_in_image(body, subject)
+
+
+class TestNeutralComputedOnce:
+    @pytest.mark.parametrize("name", sorted(MODEL_BY_NAME))
+    def test_bit_identical_to_the_reference_on_a_grid(self, name):
+        rng = np.random.default_rng(11)
+        subjects = [random_subject(rng) for _ in range(5)]
+        subjects += [SubjectParams(), SubjectParams(amplitude=0.5, tempo=1.7)]
+        for period in (0.9, 2.0):
+            model = make_model(name, period_s=period)
+            for subject in subjects:
+                for t in np.linspace(0.0, 3.0, 37).tolist():
+                    got = subject_pose(model, subject, t)
+                    want = reference_subject_pose(model, subject, t)
+                    assert got.keypoints.tobytes() == want.keypoints.tobytes()
+                    assert got.visibility.tobytes() == want.visibility.tobytes()
+
+    def test_a_caller_mutating_a_pose_cannot_change_the_next_call(self):
+        model = Squat(period_s=2.0)
+        subject = SubjectParams(amplitude=0.7)
+        first = subject_pose(model, subject, 0.4)
+        expected = first.keypoints.copy()
+        first.keypoints += 100.0
+        first.visibility[:] = False
+        again = subject_pose(model, subject, 0.4)
+        assert again.keypoints.tobytes() == expected.tobytes()
+        assert again.visibility.all()
 
 
 class TestVariation:

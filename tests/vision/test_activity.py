@@ -70,6 +70,24 @@ class TestActivityRecognizer:
         )
 
 
+    def test_neighbours_of_real_windows_match_the_full_scan(self, trained):
+        """The 510-wide pose windows the service sees, against the test
+        reference, bit for bit (test_knn.py has the random inputs)."""
+        from repro.vision import window_feature
+
+        from .test_knn import reference_neighbours
+
+        recognizer, dataset = trained
+        classifier = recognizer.classifier
+        training = classifier._features
+        for window in dataset.test_windows + dataset.train_windows[::7]:
+            query = window_feature(window)
+            order, distances = classifier._neighbours(query)
+            want_order, want_distances = reference_neighbours(training, query, 5)
+            assert order.tolist() == want_order.tolist()
+            assert distances.tobytes() == want_distances.tobytes()
+
+
 class TestDataset:
     def test_split_sizes(self):
         dataset = small_dataset()

@@ -10,7 +10,6 @@ from repro.vision import WINDOW_FRAMES, window_feature
 from repro.vision.features import (
     frame_feature,
     frames_to_matrix,
-    normalize_framewise,
     sliding_windows,
     windows_to_matrix,
 )
@@ -65,10 +64,10 @@ class TestFeatures:
             window_feature(seq_near), window_feature(seq_far), atol=1e-6
         )
 
-    def test_normalize_framewise_centers_every_frame(self):
-        normalized = normalize_framewise(pose_sequence(5))
-        for pose in normalized:
-            np.testing.assert_allclose(pose.hip_center(), [0, 0], atol=1e-9)
+    def test_frame_feature_centers_every_frame(self):
+        for pose in pose_sequence(5):
+            row = Pose(frame_feature(pose).reshape(-1, 2))
+            np.testing.assert_allclose(row.hip_center(), [0, 0], atol=1e-9)
 
     def test_matrix_shapes(self):
         windows = sliding_windows(pose_sequence(30), window=15, stride=5)
@@ -82,3 +81,37 @@ class TestFeatures:
     def test_frames_to_matrix(self):
         assert frames_to_matrix(pose_sequence(8)).shape == (8, 34)
         assert frames_to_matrix([]).shape == (0, 34)
+
+
+class TestTrainingMatrix:
+    """``windows_to_matrix`` normalizes each pose once per call, and its
+    rows are the window features bit for bit."""
+
+    def test_rows_are_the_window_features_bit_for_bit(self):
+        poses = pose_sequence(60)
+        for stride in (1, 5, 15):
+            windows = sliding_windows(poses, window=15, stride=stride)
+            matrix = windows_to_matrix(windows)
+            stacked = np.stack([window_feature(w) for w in windows])
+            assert matrix.shape == stacked.shape
+            assert [x.hex() for x in matrix.ravel().tolist()] == [
+                x.hex() for x in stacked.ravel().tolist()
+            ]
+
+    def test_each_pose_is_normalized_once(self, monkeypatch):
+        poses = pose_sequence(60)
+        windows = sliding_windows(poses, window=15, stride=5)
+        normalized = Pose.normalized
+        calls = []
+
+        def counting(pose):
+            calls.append(id(pose))
+            return normalized(pose)
+
+        monkeypatch.setattr(Pose, "normalized", counting)
+        windows_to_matrix(windows)
+        assert sorted(calls) == sorted(id(p) for p in poses)
+
+    def test_an_empty_window_is_rejected(self):
+        with pytest.raises(ValueError, match="empty pose window"):
+            windows_to_matrix([pose_sequence(15), []])
