@@ -15,7 +15,7 @@ import numpy as np
 
 from ..sim.kernel import Kernel
 from ..sim.resources import Resource
-from ..sim.rng import lognormal_around
+from ..sim.rng import lognormal_params
 from ..sim.signals import Signal
 from .spec import DeviceSpec
 
@@ -30,6 +30,9 @@ class Cpu:
         self.cores = Resource(kernel, spec.cores, name=f"{spec.name}.cpu")
         self.jobs_completed = 0
         self.busy_seconds = 0.0
+        #: ``lognormal_params(mean, compute_jitter_cv)`` per mean duration
+        #: drawn — one entry per distinct job size on this core pool
+        self._jitter: dict[float, tuple[float, float] | None] = {}
 
     def execute(self, reference_seconds: float, priority: int = 0) -> Signal:
         """Run a job that takes *reference_seconds* on the reference machine.
@@ -47,18 +50,24 @@ class Cpu:
         device in the paper's testbed offloads to a codec block. The job
         still occupies a core (drives contention) and keeps jitter.
         """
-        if seconds == 0.0:
-            duration = 0.0
-        else:
-            duration = lognormal_around(self.rng, seconds, self.spec.compute_jitter_cv)
-        return self._hold(duration, priority)
+        return self._hold(self._draw(seconds), priority)
 
     def sample_duration(self, reference_seconds: float) -> float:
         """Draw the actual duration for a reference-time job (no queueing)."""
-        scaled = self.spec.compute_time(reference_seconds)
-        if scaled == 0.0:
-            return 0.0
-        return lognormal_around(self.rng, scaled, self.spec.compute_jitter_cv)
+        return self._draw(self.spec.compute_time(reference_seconds))
+
+    def _draw(self, mean: float) -> float:
+        """``lognormal_around(rng, mean, compute_jitter_cv)``, with the
+        lognormal's parameters computed once per *mean*."""
+        try:
+            params = self._jitter[mean]
+        except KeyError:
+            params = self._jitter[mean] = lognormal_params(
+                mean, self.spec.compute_jitter_cv
+            )
+        if params is None:
+            return mean
+        return self.rng.lognormal(*params)
 
     def _hold(self, duration: float, priority: int) -> Signal:
         job = self.cores.hold(duration, priority)

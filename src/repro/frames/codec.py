@@ -15,6 +15,7 @@ quantization), so tests can verify content survives a codec boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -78,6 +79,7 @@ def encode_frame(frame: VideoFrame, quality: int = 80) -> EncodedFrame:
     encoded_pixels = None
     if frame.pixels is not None:
         encoded_pixels = _quantize(frame.pixels, quality)
+    deferred = frame._truth_source is not None
     carried = VideoFrame(
         frame_id=frame.frame_id,
         source=frame.source,
@@ -86,9 +88,11 @@ def encode_frame(frame: VideoFrame, quality: int = 80) -> EncodedFrame:
         height=frame.height,
         channels=frame.channels,
         pixels=encoded_pixels,
-        truth=frame.truth,
+        truth=None if deferred else frame.truth,
         metadata=dict(frame.metadata),
     )
+    if deferred:  # the copy reads the pose through the frame: computed once
+        carried._defer_truth(partial(getattr, frame, "truth"))
     return EncodedFrame(
         frame=carried,
         quality=quality,

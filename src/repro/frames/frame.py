@@ -11,7 +11,7 @@ pass on a reference id" design (§3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -30,7 +30,8 @@ class VideoFrame:
         pixels: the image as a (height, width) or (height, width, channels)
             uint8 array, or ``None`` in annotated (render-free) mode.
         truth: ground-truth pose of the subject in image coordinates, if a
-            subject is in view (synthetic camera annotation).
+            subject is in view (synthetic camera annotation). A camera may
+            defer it: it is then computed on its first read, and kept.
         metadata: free-form extras (exercise label, subject id, ...).
     """
 
@@ -51,6 +52,27 @@ class VideoFrame:
     _digest_cache: "tuple[str, int | None] | None" = field(
         default=None, repr=False, compare=False
     )
+    #: What computes ``truth`` on its first read while its slot is empty
+    #: (:meth:`_defer_truth`).
+    _truth_source: "Callable[[], Pose | None] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an empty slot: a deferred ``truth`` is computed
+        # here once, and read from its slot from then on
+        if name == "truth" and self._truth_source is not None:
+            self.truth = truth = self._truth_source()
+            self._truth_source = None
+            return truth
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def _defer_truth(self, compute: "Callable[[], Pose | None]") -> None:
+        """Leave ``truth`` to ``compute()``, called on its first read."""
+        del self.truth
+        self._truth_source = compute
 
     def invalidate_digest(self) -> None:
         """Drop the memoized content digest after mutating ``pixels``,

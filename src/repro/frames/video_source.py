@@ -13,6 +13,7 @@ pipeline — which is the queued architecture the flow-control ablation
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,12 @@ class SyntheticCamera:
     pose service adds estimation noise and simulated compute). With
     ``render=True`` frames also carry real rendered pixels at
     ``render_size`` resolution, exercising the pixel path end to end.
+
+    An annotated frame's pose is a pure function of the motion, the subject
+    and the capture time, so it is bound at capture and computed only when
+    something reads ``frame.truth`` (most captures at a busy source are
+    dropped unread). A rendered frame draws its pixels — from the same
+    ``rng`` the source's capture jitter may use — at capture.
 
     ``freeze=True`` models a **static scene** (an empty room, a parked
     subject): the content of the first capture is reused for every
@@ -95,9 +102,11 @@ class SyntheticCamera:
             if self._frozen is None:
                 self._frozen = self._content_at(t)
             truth, pixels = self._frozen
-        else:
+        elif self.render:
             truth, pixels = self._content_at(t)
-        return VideoFrame(
+        else:
+            truth = pixels = None
+        frame = VideoFrame(
             frame_id=frame_id,
             source=self.device,
             capture_time=t,
@@ -108,6 +117,9 @@ class SyntheticCamera:
             truth=truth,
             metadata={"activity": self.motion.name},
         )
+        if not (self.freeze or self.render):
+            frame._defer_truth(partial(subject_pose, self.motion, self.subject, t))
+        return frame
 
 
 class VideoSource:

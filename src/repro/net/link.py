@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sim.kernel import Kernel
-from ..sim.rng import lognormal_around
+from ..sim.rng import lognormal_params
 from ..sim.signals import Signal
 
 
@@ -104,6 +104,8 @@ class Link:
         self.spec = spec
         self.rng = rng
         self.name = name
+        #: the latency lognormal's (mu, sigma), fixed by the frozen spec
+        self._latency = lognormal_params(spec.latency_s, spec.jitter_cv)
         #: The airtime clock. Pass a shared Medium to model a shared medium
         #: (Wi-Fi); default is a private point-to-point medium.
         self.medium = medium if medium is not None else Medium()
@@ -132,7 +134,10 @@ class Link:
         medium.free_at = sent = start + self._airtime(nbytes)
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
+        latency = (
+            self.spec.latency_s if self._latency is None
+            else self.rng.lognormal(*self._latency)
+        )
         at = sent + (latency + self.extra_latency_s)
         arrival = Signal(kernel, self.name)
         kernel.schedule_at(at, arrival._fire, at)

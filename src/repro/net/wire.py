@@ -182,7 +182,36 @@ def decode(data: bytes) -> Any:
 
 
 def _size_of(value: Any) -> int:
-    """Size of the encoding of *value*, without building the buffer."""
+    """Size of the encoding of *value*, without building the buffer.
+
+    The plain types payloads are made of are dispatched on their exact
+    type; an ASCII string's UTF-8 length is its ``len``. Everything else —
+    subclasses, numpy scalars and arrays, ``wire_size`` hints — takes
+    :func:`_size_by_cascade`, which gives the same integers for all types.
+    """
+    kind = type(value)
+    if kind is dict:
+        size = 5
+        for key, item in value.items():
+            size += _size_of(key) + _size_of(item)
+        return size
+    if kind is str:
+        return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+    if kind is int or kind is float:
+        return 9
+    if kind is list or kind is tuple:
+        size = 5
+        for item in value:
+            size += _size_of(item)
+        return size
+    if value is None or kind is bool:
+        return 1
+    return _size_by_cascade(value)
+
+
+def _size_by_cascade(value: Any) -> int:
+    """:func:`_size_of` for any type, by ``isinstance`` tests in the order
+    the encoder makes them."""
     if value is None or value is True or value is False:
         return 1
     if isinstance(value, (int, np.integer)):
@@ -194,9 +223,11 @@ def _size_of(value: Any) -> int:
     if isinstance(value, (bytes, bytearray, memoryview)):
         return 5 + len(value)
     if isinstance(value, (list, tuple)):
-        return 5 + sum(_size_of(item) for item in value)
+        return 5 + sum(_size_by_cascade(item) for item in value)
     if isinstance(value, dict):
-        return 5 + sum(_size_of(k) + _size_of(v) for k, v in value.items())
+        return 5 + sum(
+            _size_by_cascade(k) + _size_by_cascade(v) for k, v in value.items()
+        )
     if isinstance(value, np.ndarray):
         dtype_len = len(value.dtype.str.encode("ascii"))
         return 1 + 1 + dtype_len + 1 + 8 * value.ndim + 8 + value.nbytes

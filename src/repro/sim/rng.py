@@ -59,6 +59,25 @@ class ScopedRng:
         return ScopedRng(self._root, f"{self._prefix}/{prefix}")
 
 
+def lognormal_params(mean: float, cv: float) -> "tuple[float, float] | None":
+    """The ``(mu, sigma)`` of the lognormal with the given *mean* and
+    coefficient of variation *cv*, or ``None`` when ``mean`` or ``cv`` is 0
+    (the draw is then *mean* itself, and no variate is consumed).
+
+    A component whose *mean* and *cv* are fixed computes these once and
+    draws ``rng.lognormal(mu, sigma)``: the same values
+    :func:`lognormal_around` computes per draw, so the same variates.
+    """
+    if mean < 0:
+        raise ValueError("mean must be non-negative")
+    if cv < 0:
+        raise ValueError("cv must be non-negative")
+    if mean == 0 or cv == 0:
+        return None
+    sigma2 = np.log(1.0 + cv * cv)
+    return float(np.log(mean) - sigma2 / 2.0), float(np.sqrt(sigma2))
+
+
 def lognormal_around(rng: np.random.Generator, mean: float, cv: float) -> float:
     """Draw a lognormal sample with the given *mean* and coefficient of
     variation *cv* (std/mean). ``cv=0`` returns *mean* exactly.
@@ -68,12 +87,7 @@ def lognormal_around(rng: np.random.Generator, mean: float, cv: float) -> float:
     measured at a 10 FPS source) arise from exactly this kind of jitter
     interacting with the one-frame-in-flight protocol.
     """
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
-    if cv < 0:
-        raise ValueError("cv must be non-negative")
-    if mean == 0 or cv == 0:
+    params = lognormal_params(mean, cv)
+    if params is None:
         return mean
-    sigma2 = np.log(1.0 + cv * cv)
-    mu = np.log(mean) - sigma2 / 2.0
-    return float(rng.lognormal(mean=mu, sigma=np.sqrt(sigma2)))
+    return float(rng.lognormal(*params))

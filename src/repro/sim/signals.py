@@ -107,6 +107,9 @@ class Signal:
 
     def _fire(self, value: Any) -> None:
         """The timer event of :meth:`Kernel.timeout`, which is the wake-up."""
+        # the event holds this bound method, so keeping the event would make
+        # every fired timeout a cycle only the cyclic collector frees
+        self._source = None
         if self._state == PENDING:
             self._settle(SUCCEEDED, value, None)
 

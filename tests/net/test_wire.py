@@ -1,17 +1,29 @@
-"""Unit and property tests for the binary wire codec and size model."""
+"""Unit and property tests for the binary wire codec and size model.
+
+``REPRO_FUZZ_N`` scales the example budget of the size reference test like
+the other fuzz suites (default 300; CI's audit job runs 3000).
+"""
+
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.frames import FrameRef, VideoFrame
+from repro.frames.codec import encode_frame
 from repro.net.wire import (
     ENVELOPE_OVERHEAD,
     WireFormatError,
+    _size_by_cascade,
+    _size_of,
     decode,
     encode,
     payload_size,
 )
+
+FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "300"))
 
 
 SAMPLES = [
@@ -139,3 +151,80 @@ def test_property_roundtrip(value):
 @settings(max_examples=150)
 def test_property_size_model_is_exact(value):
     assert payload_size(value) == ENVELOPE_OVERHEAD + len(encode(value))
+
+
+class Flag(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+def _outcome(size_of, value):
+    try:
+        return size_of(value)
+    except WireFormatError as exc:
+        return type(exc)
+
+
+#: Every kind of leaf a payload holds: plain values (ASCII and non-ASCII
+#: text), subclasses, numpy scalars and arrays, and wire-size hints.
+wire_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**62), max_value=2**62)
+    | st.floats()
+    | st.text(max_size=20)
+    | st.text(alphabet=st.characters(max_codepoint=127), max_size=20)
+    | st.binary(max_size=20)
+    | st.binary(max_size=20).map(bytearray)
+    | st.integers(min_value=-5, max_value=5).map(Flag)
+    | st.text(max_size=10).map(Name)
+    | st.integers(min_value=-(2**31), max_value=2**31).map(np.int64)
+    | st.integers(min_value=0, max_value=255).map(np.uint8)
+    | st.floats(width=32).map(np.float32)
+    | st.floats().map(np.float64)
+    | st.booleans().map(np.bool_)
+    | st.tuples(
+        st.sampled_from(["uint8", "int32", "float32", "float64", "<U3"]),
+        st.lists(st.integers(min_value=0, max_value=4), max_size=3),
+    ).map(lambda spec: np.zeros(spec[1], dtype=spec[0]))
+    | st.builds(FrameRef, st.text(max_size=8), st.integers(0, 10**6))
+    | st.builds(
+        lambda w, h, q: encode_frame(
+            VideoFrame(frame_id=1, source="cam", capture_time=0.0,
+                       width=w, height=h),
+            q,
+        ),
+        st.integers(16, 1920), st.integers(16, 1080), st.integers(1, 100),
+    )
+)
+
+wire_payloads = st.recursive(
+    wire_leaves,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.lists(children, max_size=5).map(Items)
+    | st.dictionaries(st.text(max_size=10) | st.integers(), children, max_size=5)
+    | st.dictionaries(st.text(max_size=10), children, max_size=5).map(Record),
+    max_leaves=25,
+)
+
+
+@given(value=wire_payloads)
+@example(value={"label": "ünïcødé ☃", "n": [True, 1, 1.0, None]})
+@example(value=[Name("é"), Flag(1), np.int64(3), object()])
+@settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
+def test_sizes_by_exact_type_equal_the_cascade(value):
+    """The exact-type dispatch gives the cascade's integer (or its error)
+    for every payload the reference can size."""
+    assert _outcome(_size_of, value) == _outcome(_size_by_cascade, value)

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
 import time as wall_time
 
 import pytest
@@ -232,6 +233,23 @@ class TestTimeout:
         k.run()
         assert sig.succeeded
         assert k.now == 0.0
+
+    def test_fired_timeouts_leave_no_reference_cycle(self):
+        # each fired timeout must be freed by reference counting alone: a
+        # cycle (the signal holding its timer event, whose callback is the
+        # signal's own bound method) is garbage only the collector finds
+        gc.collect()
+        gc.disable()
+        try:
+            k = Kernel()
+            signals = [k.timeout(0.001 * i, i) for i in range(50)]
+            signals[0].wait(lambda _value, _exc: None)
+            k.run()
+            assert [s.value for s in signals] == list(range(50))
+            del signals, k
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRunUntilResolved:

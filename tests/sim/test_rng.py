@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sim import RngStreams, lognormal_around
+from repro.devices import DeviceSpec
+from repro.devices.cpu import Cpu
+from repro.net.link import Link, LinkSpec
+from repro.sim import Kernel, RngStreams, lognormal_around
+from repro.sim.rng import lognormal_params
 
 
 class TestRngStreams:
@@ -71,3 +75,72 @@ class TestLognormalAround:
         assert samples.mean() == pytest.approx(0.050, rel=0.02)
         assert samples.std() / samples.mean() == pytest.approx(0.2, rel=0.05)
         assert (samples > 0).all()
+
+
+def per_draw_lognormal(rng, mean, cv):
+    """The reference: the lognormal's parameters computed at every draw."""
+    if mean == 0 or cv == 0:
+        return mean
+    sigma2 = np.log(1.0 + cv * cv)
+    mu = np.log(mean) - sigma2 / 2.0
+    return float(rng.lognormal(mean=mu, sigma=np.sqrt(sigma2)))
+
+
+def twin_streams():
+    return RngStreams(seed=5).stream("t"), RngStreams(seed=5).stream("t")
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+#: Means and coefficients of variation from 0 through the subnormals to
+#: values whose squares or logarithms are near the float64 limits.
+MEANS = [0.0, 5e-324, 1e-300, 1e-9, 0.00005, 0.0012, 0.05, 1.0, 1e6, 1e300]
+CVS = [0.0, 5e-324, 1e-160, 1e-8, 0.05, 0.25, 1.0, 10.0, 1e150]
+DRAWS = 12
+
+
+@pytest.mark.parametrize("cv", CVS)
+@pytest.mark.parametrize("mean", MEANS)
+class TestParametersFixedOnce:
+    """Each component that fixes its lognormal's (mu, sigma) draws, in
+    lockstep on a twin generator, the bits the per-draw formula draws."""
+
+    def test_lognormal_params(self, mean, cv):
+        rng, twin = twin_streams()
+        params = lognormal_params(mean, cv)
+        got = [mean if params is None else rng.lognormal(*params)
+               for _ in range(DRAWS)]
+        want = [per_draw_lognormal(twin, mean, cv) for _ in range(DRAWS)]
+        assert hexes(got) == hexes(want)
+        assert hexes([lognormal_around(rng, mean, cv)]) == hexes(
+            [per_draw_lognormal(twin, mean, cv)]
+        )
+
+    def test_cpu_jobs_scaled_and_fixed(self, mean, cv):
+        """A scaled and a fixed job of the same reference seconds have
+        different means on a device whose cpu_factor is not 1."""
+        factor = 2.5
+        rng, twin = twin_streams()
+        kernel = Kernel()
+        cpu = Cpu(kernel, DeviceSpec(name="dev", cpu_factor=factor, cores=1,
+                                     compute_jitter_cv=cv), rng)
+        got, want, fixed = [], [], []
+        for _ in range(DRAWS // 2):
+            fixed.append(cpu.execute_fixed(mean))
+            want.append(per_draw_lognormal(twin, mean, cv))
+            got.append(cpu.sample_duration(mean))
+            want.append(per_draw_lognormal(twin, mean * factor, cv))
+        assert hexes(got) == hexes(want[1::2])
+        kernel.run()
+        assert hexes(job.value for job in fixed) == hexes(want[::2])
+
+    def test_link_latency(self, mean, cv):
+        rng, twin = twin_streams()
+        kernel = Kernel()
+        link = Link(kernel, LinkSpec(latency_s=mean, jitter_cv=cv), rng)
+        arrivals = [link.transfer(0) for _ in range(DRAWS)]
+        kernel.run()
+        want = [per_draw_lognormal(twin, mean, cv) for _ in range(DRAWS)]
+        assert hexes(a.value for a in arrivals) == hexes(want)
