@@ -90,4 +90,4 @@ def lognormal_around(rng: np.random.Generator, mean: float, cv: float) -> float:
     params = lognormal_params(mean, cv)
     if params is None:
         return mean
-    return float(rng.lognormal(*params))
+    return rng.lognormal(*params)

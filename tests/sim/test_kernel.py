@@ -6,7 +6,7 @@ import time as wall_time
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Kernel, RealtimeKernel
+from repro.sim import Event, Kernel, RealtimeKernel, Signal
 
 
 class TestScheduling:
@@ -237,9 +237,12 @@ class TestTimeout:
     def test_fired_timeouts_leave_no_reference_cycle(self):
         # each fired timeout must be freed by reference counting alone: a
         # cycle (the signal holding its timer event, whose callback is the
-        # signal's own bound method) is garbage only the collector finds
+        # signal's own bound method) is garbage only the collector finds.
+        # DEBUG_SAVEALL keeps what the collector finds, so the test looks
+        # only at its own types, whatever else the process leaves behind.
         gc.collect()
         gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             k = Kernel()
             signals = [k.timeout(0.001 * i, i) for i in range(50)]
@@ -247,8 +250,11 @@ class TestTimeout:
             k.run()
             assert [s.value for s in signals] == list(range(50))
             del signals, k
-            assert gc.collect() == 0
+            gc.collect()
+            assert [o for o in gc.garbage if isinstance(o, (Signal, Event))] == []
         finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
             gc.enable()
 
 
