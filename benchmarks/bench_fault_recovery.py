@@ -41,7 +41,7 @@ def run_crash_scenario(recognizer, period_s, seed=11, fps=10.0):
 
     detector = home.enable_failure_detection(
         home_device="tv", period_s=period_s, miss_threshold=2)
-    home.enable_self_healing(pipeline, cooldown_s=0.5)
+    home.enable_self_healing(pipeline)
     injector = home.enable_fault_injection(
         FaultPlan().device_crash(CRASH_AT, "desktop", down_for=DOWN_FOR))
     tracker = (RecoveryTracker()

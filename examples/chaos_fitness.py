@@ -43,10 +43,10 @@ def main() -> None:
     config.module("video_streaming_module").params["credit_timeout_s"] = 1.0
     pipeline = FitnessApp(home, services).deploy(config)
 
-    # close the §7 loop: heartbeats -> detection -> evacuation remedy
+    # close the §7 loop: heartbeats -> detection -> evacuation
     detector = home.enable_failure_detection(
         home_device="tv", period_s=0.25, miss_threshold=2)
-    home.enable_self_healing(pipeline, cooldown_s=0.5)
+    home.enable_self_healing(pipeline)
     injector = home.enable_fault_injection(
         FaultPlan().device_crash(CRASH_AT, "desktop", down_for=DOWN_FOR))
 

@@ -1,11 +1,11 @@
 """One record of what a controller did.
 
 Every periodic controller — the autoscaler, the SLO ladder, the online
-optimizer, the failure detector, the orchestrator and the live-ops canary
-judge — records each decision it carries out as one :class:`Action`. A home
-keeps them in one list, ``VideoPipe.actions``, which it hands to each
-controller it builds; a controller built on its own keeps a list of its
-own. Readers filter by ``controller``.
+optimizer, the failure detector, the evacuation tick (``orchestrator``) and
+the live-ops canary judge — records each decision it carries out as one
+:class:`Action`. A home keeps them in one list, ``VideoPipe.actions``, which
+it hands to each controller it builds; a controller built on its own keeps
+a list of its own. Readers filter by ``controller``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class Action:
             ``detector``, ``orchestrator`` or ``liveops``.
         kind: what it did — ``scale_up``/``scale_down``,
             ``degrade``/``restore``, ``replan``, ``down``/``up``, the
-            remedy's kind (``evacuate``), ``promoted``/``rolled_back``.
+            ``evacuate``, ``promoted``/``rolled_back``.
         target: what it acted on — a ``service@device`` host, a pipeline,
             a device, or a ``pipeline/module``.
         reason: why, in words (the autoscaler names the rule or the

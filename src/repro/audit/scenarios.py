@@ -395,7 +395,7 @@ def chaos_fitness(seed: int):
     pipeline = FitnessApp(home, services).deploy(config)
     home.enable_failure_detection(home_device="tv", period_s=0.25,
                                   miss_threshold=2)
-    home.enable_self_healing(pipeline, cooldown_s=0.5)
+    home.enable_self_healing(pipeline)
     injector = home.enable_fault_injection(
         FaultPlan().device_crash(crash_at, "desktop", down_for=down_for)
     )

@@ -37,10 +37,7 @@ from ..monitor.failure_detector import (
     failure_probe,
 )
 from ..monitor.monitor import Monitor
-from ..monitor.orchestrator import (
-    Orchestrator,
-    evacuate_dead_device_remedy,
-)
+from ..monitor.orchestrator import PERIOD_S as EVACUATION_PERIOD_S, evacuate
 from ..monitor.probes import (
     ProbeFn,
     audit_probe,
@@ -121,7 +118,8 @@ class VideoPipe:
         self.autoscaler: AutoScaler | None = None
         self.monitor: Monitor | None = None
         self.detector: FailureDetector | None = None
-        self.orchestrator: Orchestrator | None = None
+        #: Pipelines evacuation watches, in enable_self_healing order.
+        self._self_healed: list[Pipeline] = []
         self.injector: ChaosInjector | None = None
         self._responders: dict[str, HeartbeatResponder] = {}
         self._perf: PerfConfig | None = None
@@ -693,22 +691,31 @@ class VideoPipe:
         self.injector.arm()
         return self.injector
 
-    def enable_self_healing(
-        self, pipeline: Pipeline, cooldown_s: float = 1.0
-    ) -> Orchestrator:
-        """Close the §7 loop for *pipeline*: failure detection, plus the
-        remediation loop with a remedy that evacuates its modules off any
-        device declared dead."""
+    def enable_self_healing(self, pipeline: Pipeline) -> FailureDetector:
+        """Close the §7 loop for *pipeline*: failure detection, plus a tick
+        that evacuates its modules off any device declared dead
+        (:func:`~repro.monitor.orchestrator.evacuate`). Returns the home's
+        failure detector."""
         detector = self.enable_failure_detection()
-        if self.orchestrator is None:
-            self.orchestrator = Orchestrator(self.kernel, self.actions)
-            self.orchestrator.start()
-        self.orchestrator.add_remedy(
-            evacuate_dead_device_remedy(
-                self, pipeline, detector, cooldown_s=cooldown_s
-            )
-        )
-        return self.orchestrator
+        if not self._self_healed:
+            self.kernel.every(EVACUATION_PERIOD_S, evacuate, self,
+                              self._self_healed)
+        if pipeline not in self._self_healed:
+            self._self_healed.append(pipeline)
+        return detector
+
+    def live_devices(self) -> dict[str, Device]:
+        """The devices that are up and, while a failure detector runs, not
+        declared dead by it — the one view of liveness that placement
+        (:meth:`OnlineOptimizer.replan_now
+        <repro.pipeline.optimizer.OnlineOptimizer.replan_now>`) and
+        evacuation choose devices from. A restarted device stays out until
+        it answers a heartbeat."""
+        detector = self.detector
+        return {
+            name: device for name, device in self.devices.items()
+            if device.up and (detector is None or not detector.is_dead(name))
+        }
 
     # -- pipelines ------------------------------------------------------------------
     def plan(

@@ -2,7 +2,6 @@
 
 from .failure_detector import FailureDetector, HeartbeatResponder, failure_probe
 from .monitor import AlarmRule, Monitor
-from .orchestrator import Orchestrator, evacuate_dead_device_remedy
 from .probes import (
     device_probe,
     pipeline_probe,
@@ -16,9 +15,7 @@ __all__ = [
     "FailureDetector",
     "HeartbeatResponder",
     "Monitor",
-    "Orchestrator",
     "device_probe",
-    "evacuate_dead_device_remedy",
     "failure_probe",
     "pipeline_probe",
     "service_probe",

@@ -3,8 +3,9 @@
 Every device runs a tiny :class:`HeartbeatResponder` (a native RPC
 endpoint). The :class:`FailureDetector` — typically on the home's most
 reliable device — pings each watched device on a fixed period; after
-``miss_threshold`` consecutive misses the device is declared **dead** (the
-orchestrator's evacuation remedy reads :meth:`FailureDetector.dead_devices`),
+``miss_threshold`` consecutive misses the device is declared **dead**
+(evacuation moves modules off :meth:`FailureDetector.dead_devices`, and
+``VideoPipe.live_devices`` leaves a dead device out until it answers),
 and when heartbeats come back the device is declared recovered and an MTTR
 sample is recorded (first miss → recovery, the detector's honest view of
 the outage). Both transitions are ``down`` / ``up`` actions in the log.

@@ -681,11 +681,11 @@ class OnlineOptimizer:
     """Periodically re-places watched pipelines from live measurements.
 
     Every ``replan_interval_s`` it builds one :class:`CostModel` restricted
-    to *up* devices, calibrated with observed per-module latencies (trace
+    to the home's live devices (``VideoPipe.live_devices``), calibrated with observed per-module latencies (trace
     spans when tracing is on, metrics stages otherwise), searches it for a
     target placement as :func:`plan_optimized` does, and — when the predicted
     improvement clears ``replan_threshold_frac``, or the current placement
-    is stranded on a down device — applies the difference through
+    is stranded on a device that is not live — applies the difference through
     :meth:`Deployer.migrate <repro.pipeline.deployer.Deployer.migrate>`.
     Each re-placement that moved modules is recorded in the home's
     ``actions`` log as a ``replan`` whose evidence holds the ``moves``
@@ -724,7 +724,7 @@ class OnlineOptimizer:
         calls it when a pipeline is overloaded. Returns the ``replan``
         action when modules moved, ``None`` when the placement stands."""
         home = self.home
-        live = {name: dev for name, dev in home.devices.items() if dev.up}
+        live = home.live_devices()
         if not live or home.deployer is None:
             return None
         current = pipeline.placement.assignments

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..services.balancer import host_is_live
 from .spec import SLO, SLOConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,11 +71,12 @@ class ScaleUpStep(LadderStep):
         self._host = None
 
     def _pick_host(self):
-        candidates = []
-        for service in self.services:
-            for host in self.home.registry.hosts_of(service):
-                if host.up and host.device.up:
-                    candidates.append(host)
+        candidates = [
+            host
+            for service in self.services
+            for host in self.home.registry.hosts_of(service)
+            if host_is_live(host)
+        ]
         if not candidates:
             return None
         # the deepest backlog first; device name breaks ties so the pick is

@@ -179,14 +179,14 @@ class TestDeviceCrashRecovery:
     def test_mid_run_crash_detected_evacuated_and_recovered(
             self, fitness_recognizer):
         """The ISSUE's acceptance scenario: the device hosting the pose
-        service dies mid-run; the failure detector notices, the orchestrator
+        service dies mid-run; the failure detector notices, evacuation
         re-deploys the stranded modules onto the standby laptop, and
         post-recovery throughput lands within 30% of pre-fault."""
         home = VideoPipe.paper_testbed(seed=11)
         _, pipeline = deploy_chaos(home, fitness_recognizer, fps=10.0)
         detector = home.enable_failure_detection(
             home_device="tv", period_s=0.25, miss_threshold=2)
-        orchestrator = home.enable_self_healing(pipeline, cooldown_s=0.5)
+        home.enable_self_healing(pipeline)
         home.enable_fault_injection(
             FaultPlan().device_crash(4.0, "desktop", down_for=8.0))
 
@@ -210,8 +210,6 @@ class TestDeviceCrashRecovery:
         assert detector.detections >= 1
         assert detector.mttr_samples
         assert 6.0 < detector.mttr_max() < 10.0
-        # no remedy blew up; the control loop stayed healthy
-        assert orchestrator.action_failures == []
         # post-recovery throughput within 30% of pre-fault
         assert post_rate >= 0.7 * pre_rate
 
@@ -222,7 +220,7 @@ class TestDeviceCrashRecovery:
         _, pipeline = deploy_chaos(home, fitness_recognizer, fps=10.0)
         detector = home.enable_failure_detection(
             home_device="tv", period_s=0.25, miss_threshold=2)
-        home.enable_self_healing(pipeline, cooldown_s=0.5)
+        home.enable_self_healing(pipeline)
         injector = home.enable_fault_injection(
             FaultPlan().device_crash(4.0, "desktop", down_for=8.0))
         tracker = (RecoveryTracker()
@@ -334,7 +332,7 @@ class TestChaosDeterminism:
             _, pipeline = deploy_chaos(home, fitness_recognizer, fps=10.0)
             detector = home.enable_failure_detection(
                 home_device="tv", period_s=0.25, miss_threshold=2)
-            home.enable_self_healing(pipeline, cooldown_s=0.5)
+            home.enable_self_healing(pipeline)
             injector = home.enable_fault_injection(
                 FaultPlan()
                 .device_crash(3.0, "desktop", down_for=4.0)

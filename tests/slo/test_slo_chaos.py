@@ -47,7 +47,7 @@ def build_crash_scenario(recognizer, seed, audit=False):
                                     default_device="phone", slo=SLO_T)
     home.enable_failure_detection(home_device="tv", period_s=0.25,
                                   miss_threshold=2)
-    home.enable_self_healing(pipeline, cooldown_s=0.5)
+    home.enable_self_healing(pipeline)
     home.enable_fault_injection(
         FaultPlan().device_crash(CRASH_AT, "desktop", down_for=DOWN_FOR))
     return home, pipeline

@@ -1,7 +1,7 @@
 """Structural guard: one way to tick a controller, one record of what it did.
 
 Seven periodic mechanisms — the autoscaler, the SLO controller, the online
-optimizer, the failure detector, the orchestrator, the monitor and the
+optimizer, the failure detector, the evacuation tick, the monitor and the
 live-ops canary judge — each ran a hand-rolled loop: a ``kernel.process``
 with a ``_loop`` generator stopped by an ``Interrupt`` or by a flag that
 left a sleeping process to wake once more, or a callback that re-armed
