@@ -33,32 +33,27 @@ def evacuate(home: "VideoPipe", pipelines: list["Pipeline"]) -> None:
     ``evacuate`` action naming the first dead device that hosted some.
     """
     dead = home.detector.dead_devices()
-    if not dead:
-        return
     live = home.live_devices().values()
     for pipeline in pipelines:
-        stranded = [
-            (device, [m for m in pipeline.module_names()
-                      if pipeline.device_of(m) == device])
-            for device in dead
-        ]
-        stranded = [(device, modules) for device, modules in stranded if modules]
+        stranded = [(device, module_name) for device in dead
+                    for module_name in pipeline.module_names()
+                    if pipeline.device_of(module_name) == device]
         if not stranded:
             continue
-        for _device, modules in stranded:
-            for module_name in modules:
-                containers = bool(pipeline.config.module(module_name).services)
-                targets = [d for d in live
-                           if d.supports_containers or not containers]
-                if not targets:
-                    continue
-                target = min(targets, key=lambda d: (d.spec.cpu_factor, d.name))
-                try:
-                    home.migrate_module(pipeline, module_name, target.name)
-                except Exception:
-                    continue
-                pipeline.metrics.increment("recovery_migrations")
-        device, modules = stranded[0]
+        for _device, module_name in stranded:
+            containers = bool(pipeline.config.module(module_name).services)
+            targets = [d for d in live
+                       if d.supports_containers or not containers]
+            if not targets:
+                continue
+            target = min(targets, key=lambda d: (d.spec.cpu_factor, d.name))
+            try:
+                home.migrate_module(pipeline, module_name, target.name)
+            except Exception:
+                continue
+            pipeline.metrics.increment("recovery_migrations")
+        first = stranded[0][0]
+        hosted = ", ".join(m for device, m in stranded if device == first)
         home.actions.append(Action(
             home.now, "orchestrator", "evacuate", pipeline.name,
-            f"dead {device!r} still hosts {', '.join(modules)}"))
+            f"dead {first!r} still hosts {hosted}"))

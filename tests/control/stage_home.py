@@ -1,39 +1,23 @@
-"""A home and pipelines whose modules can be stranded on a dead device.
+"""Pipelines whose modules can be stranded on a dead device.
 
-The home (:func:`stage_home`) has a phone and two container-capable
-devices, a slow ``alpha`` and a fast ``zeta``, each serving ``heavy``. Each
-pipeline (:func:`stage_pipeline`) is camera on the phone → stage calling
-``heavy`` → sink; the co-located plan puts stage and sink on ``alpha``. A
-stage is evacuated only to a container-capable device, so while ``alpha``
-and ``zeta`` are both dead it has nowhere to go and stays stranded.
+The home is the trap home of ``tests/pipeline/test_optimizer.py``
+(:func:`stage_home`): a phone and two container-capable devices, a slow
+``alpha`` and a fast ``zeta``, each serving ``heavy``. Each pipeline
+(:func:`stage_pipeline`) is camera on the phone → stage calling ``heavy`` →
+sink; the co-located plan puts stage and sink on ``alpha``. A stage is
+evacuated only to a container-capable device, so while ``alpha`` and
+``zeta`` are both dead it has nowhere to go and stays stranded.
 """
 
 from __future__ import annotations
 
 from repro.core import VideoPipe
-from repro.devices.spec import DeviceSpec
-from repro.fleet.workload import FleetSinkModule, FleetStageModule  # noqa: F401  (registers modules)
 from repro.pipeline import COLOCATED
 from repro.pipeline.config import ModuleConfig, PipelineConfig
-from repro.services.base import FunctionService
 
+from ..pipeline.test_optimizer import _trap_home as stage_home
 
-def stage_home() -> VideoPipe:
-    home = VideoPipe(seed=5)
-    home.add_device("phone")
-    home.add_device(DeviceSpec(name="alpha", kind="laptop", cpu_factor=6.0,
-                               cores=2, memory_mb=2048,
-                               supports_containers=True))
-    home.add_device(DeviceSpec(name="zeta", kind="desktop", cpu_factor=0.8,
-                               cores=8, memory_mb=16384,
-                               supports_containers=True))
-    for device, port in (("alpha", 7920), ("zeta", 7921)):
-        home.deploy_service(
-            FunctionService("heavy", lambda p, c: {"done": True},
-                            reference_cost_s=0.05),
-            device, port=port,
-        )
-    return home
+__all__ = ["stage_home", "stage_pipeline"]
 
 
 def stage_pipeline(home: VideoPipe, name: str):
