@@ -681,11 +681,12 @@ class OnlineOptimizer:
     """Periodically re-places watched pipelines from live measurements.
 
     Every ``replan_interval_s`` it builds one :class:`CostModel` restricted
-    to the home's live devices (``VideoPipe.live_devices``), calibrated with observed per-module latencies (trace
-    spans when tracing is on, metrics stages otherwise), searches it for a
-    target placement as :func:`plan_optimized` does, and — when the predicted
-    improvement clears ``replan_threshold_frac``, or the current placement
-    is stranded on a device that is not live — applies the difference through
+    to the home's live devices (``VideoPipe.live_devices``), calibrated with
+    observed per-module latencies (trace spans when tracing is on, metrics
+    stages otherwise), searches it for a target placement as
+    :func:`plan_optimized` does, and — when the predicted improvement clears
+    ``replan_threshold_frac``, or the current placement is stranded on a
+    device that is not live — applies the difference through
     :meth:`Deployer.migrate <repro.pipeline.deployer.Deployer.migrate>`.
     Each re-placement that moved modules is recorded in the home's
     ``actions`` log as a ``replan`` whose evidence holds the ``moves``

@@ -71,12 +71,11 @@ class ScaleUpStep(LadderStep):
         self._host = None
 
     def _pick_host(self):
-        candidates = [
-            host
-            for service in self.services
-            for host in self.home.registry.hosts_of(service)
-            if host_is_live(host)
-        ]
+        candidates = []
+        for service in self.services:
+            for host in self.home.registry.hosts_of(service):
+                if host_is_live(host):
+                    candidates.append(host)
         if not candidates:
             return None
         # the deepest backlog first; device name breaks ties so the pick is
