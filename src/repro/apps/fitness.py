@@ -230,7 +230,3 @@ class FitnessApp:
                 prefer_local_services=False,
             )
         return self.pipeline
-
-    def measure_fps(self, end_time: float, warmup_s: float = 2.0) -> float:
-        assert self.pipeline is not None, "deploy first"
-        return self.pipeline.metrics.throughput_fps(end_time, warmup_s)

@@ -442,7 +442,6 @@ def multi_camera_pipeline_config(
     reid_gate: float = 0.45,
     credit_timeout_s: float | None = None,
     fusion_name: str = "scene_fusion_module",
-    balancing: str | None = None,
 ) -> PipelineConfig:
     """rig → N per-camera track branches → one fused sink (fan-in DAG)."""
     branches = [f"cam_track_{i}" for i in range(cameras)]
@@ -479,4 +478,4 @@ def multi_camera_pipeline_config(
         ),
     ]
     return PipelineConfig(name=name, modules=modules,
-                          source="scene_rig_module", balancing=balancing)
+                          source="scene_rig_module")

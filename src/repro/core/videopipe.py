@@ -175,10 +175,10 @@ class VideoPipe:
         The device behaves like any other — services deploy to it, modules
         can be placed on it — but it is only reachable across the WAN link,
         and every byte crossing that link is metered as cloud egress
-        (:meth:`cloud_stats`). The placement optimizer and the
-        ``cost_aware`` balancer price the WAN leg through the topology, so
-        whether a home calls its hub or the cloud falls out of the same
-        cost model as every other decision (``docs/FLEET.md``).
+        (:meth:`cloud_stats`). The placement optimizer prices the WAN leg
+        through the topology, so whether a module runs at home or in the
+        cloud falls out of the same cost model as every other decision
+        (``docs/FLEET.md``).
         """
         spec = make_spec("cloud")
         if spec.name in self.devices:

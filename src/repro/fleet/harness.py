@@ -34,7 +34,6 @@ from ..net.link import LinkSpec
 from ..pipeline.optimizer import OPTIMIZED, CloudPricing, plan_optimized
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.placement import COLOCATED, SINGLE_HOST
-from ..services.balancer import COST_AWARE
 from ..sim.kernel import Kernel
 from .workload import (
     home_device_kinds,
@@ -87,9 +86,8 @@ class FleetConfig:
             bit-identical for every shard count.
         cloud: attach the shared cloud tier: every home gets a ``cloud``
             device behind a metered WAN uplink hosting replicas of the
-            heavy services, with ``cost_aware`` balancing (``fastest``
-            without it) so each home's calls pick home-vs-cloud by modeled
-            cost.
+            heavy services. Home-vs-cloud is decided by module placement;
+            a remote call dials the fastest live replica.
         wan: WAN uplink profile for the cloud tier (``None`` keeps
             :data:`~repro.net.link.WAN_METRO`).
         online: enable each home's :class:`OnlineOptimizer
@@ -326,9 +324,6 @@ class Fleet:
     # -- construction --------------------------------------------------------
     def _build(self) -> None:
         cfg = self.config
-        # a home with a cloud replica in reach should price the WAN leg when
-        # dialing, not just pick the fastest device
-        balancing = COST_AWARE if cfg.cloud else None
         for index in self.home_indices:
             # a per-home stream for the mix/fps draws, decoupled from the
             # home's own RNG so adding knobs never shifts another home
@@ -358,7 +353,6 @@ class Fleet:
                     camera,
                     fps=fps,
                     duration_s=cfg.duration_s,
-                    balancing=balancing,
                 )
             else:
                 pipeline_config = home_pipeline_config(
@@ -366,7 +360,6 @@ class Fleet:
                     camera,
                     fps=fps,
                     duration_s=cfg.duration_s,
-                    balancing=balancing,
                 )
             if cfg.strategy == SINGLE_HOST:
                 # the EdgeEye-style baseline: the whole app on the camera

@@ -150,7 +150,6 @@ def scene_home_pipeline_config(
     camera_device: str,
     fps: float = 8.0,
     duration_s: float = 4.0,
-    balancing: str | None = None,
 ) -> PipelineConfig:
     """The per-home *scene* DAG: one rig fanning out to two camera-track
     branches that fan back into one fusion sink — the fan-in counterpart
@@ -166,7 +165,6 @@ def scene_home_pipeline_config(
         source_device=camera_device,
         credit_timeout_s=1.0,
         fusion_name="sink",
-        balancing=balancing,
     )
 
 
@@ -184,7 +182,6 @@ def home_pipeline_config(
     camera_device: str,
     fps: float = 8.0,
     duration_s: float = 4.0,
-    balancing: str | None = None,
 ) -> PipelineConfig:
     """The per-home application DAG. The source is pinned to the camera
     device (the sensor is physical); everything else is free for the
@@ -192,7 +189,6 @@ def home_pipeline_config(
     alive across live migrations that drop an in-flight frame."""
     return PipelineConfig(
         name=name,
-        balancing=balancing,
         modules=[
             ModuleConfig(
                 name="camera",

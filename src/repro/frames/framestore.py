@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import FrameStoreError, StaleHandleError
 from .arena import EVICTED, RELEASED, ArenaHandle, FrameArena
@@ -32,12 +32,6 @@ from .frame import FrameRef, VideoFrame
 #: stale dereference reports use-after-evict vs use-after-migrate vs
 #: double-release instead of a generic "unknown reference".
 TOMBSTONE_LIMIT = 1024
-
-#: An eviction hook: called as ``hook(store, needed_slots)`` when the store
-#: is full; it frees slots by releasing its own holds. The hook's return
-#: value is ignored — the store measures the actual occupancy delta rather
-#: than trusting a self-reported count.
-EvictionHook = Callable[["FrameStore", int], int]
 
 
 class FrameStore:
@@ -76,10 +70,6 @@ class FrameStore:
         #: zero-refcount entries kept alive as dedup targets (LRU by
         #: release order; value unused).
         self._retained: OrderedDict[int, None] = OrderedDict()
-        self._eviction_hooks: list[EvictionHook] = []
-        #: True while eviction hooks run; guards against hooks re-entering
-        #: :meth:`put` mid-eviction (which would recurse into `_make_room`).
-        self._evicting = False
         #: The device's :class:`~repro.frames.arena.FrameArena`, or ``None``
         #: when the shared-memory frame plane is off (see ``attach_arena``).
         self.arena: FrameArena | None = None
@@ -101,7 +91,6 @@ class FrameStore:
         self.dedup_misses = 0
         self.dedup_bytes_saved = 0
         self.retained_evictions = 0
-        self.hook_evictions = 0
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -174,12 +163,6 @@ class FrameStore:
         With dedup enabled, a byte-identical frame resolves to the existing
         stored object instead of taking a new slot.
         """
-        if self._evicting:
-            raise FrameStoreError(
-                f"eviction hook re-entered put() on {self.device!r} while the"
-                " store was making room — hooks may only release their own"
-                " holds, never store new objects"
-            )
         digest: str | None = None
         if self.dedup and isinstance(obj, VideoFrame):
             digest = content_digest(obj)
@@ -287,38 +270,10 @@ class FrameStore:
         return self.dedup_hits / attempts
 
     # -- capacity pressure ----------------------------------------------------
-    def add_eviction_hook(self, hook: EvictionHook) -> None:
-        """Register a hook consulted when the store is full. Hooks free
-        slots by releasing holds they own (e.g. a cache dropping pinned
-        entries); the store measures how many slots each hook actually
-        freed rather than trusting a returned count. Hooks must not call
-        :meth:`put` — eviction is in progress and re-entering would
-        recurse."""
-        self._eviction_hooks.append(hook)
-
     def _make_room(self) -> None:
         """Free at least one slot or raise the leak diagnostic."""
         # retained dedup targets are pure cache: reclaim oldest first
         self._reclaim_retained()
-        needed = len(self._objects) - self.capacity + 1
-        if needed > 0 and self._eviction_hooks:
-            self._evicting = True
-            try:
-                for hook in self._eviction_hooks:
-                    before = len(self._objects)
-                    hook(self, needed)
-                    # a hook's releases may land in the retained cache (dedup
-                    # stores) instead of freeing slots outright; sweep it so
-                    # the measured delta reflects reclaimable room
-                    self._reclaim_retained()
-                    freed = before - len(self._objects)
-                    if freed > 0:
-                        self.hook_evictions += freed
-                    needed = len(self._objects) - self.capacity + 1
-                    if needed <= 0:
-                        break
-            finally:
-                self._evicting = False
         if len(self._objects) >= self.capacity:
             raise FrameStoreError(
                 f"frame store on {self.device!r} full ({self.capacity} slots,"

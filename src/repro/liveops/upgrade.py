@@ -175,10 +175,6 @@ class ModuleUpgrade:
         #: The auto policy's decision loop while it runs.
         self.judge: "Ticker | None" = None
 
-    @property
-    def active(self) -> bool:
-        return self.state == MIRRORING
-
     def describe(self) -> dict[str, Any]:
         shadow = self.shadow_metrics
         return {

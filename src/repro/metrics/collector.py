@@ -129,18 +129,6 @@ class MetricsCollector:
         read-only (it is the live record, not a copy)."""
         return self._latency_events
 
-    def delivered_fps(self, now: float, window_s: float) -> float:
-        """Completed frames per second over the trailing *window_s*."""
-        if window_s <= 0:
-            return 0.0
-        cutoff = now - window_s
-        count = 0
-        for at, _ in reversed(self._latency_events):
-            if at <= cutoff:
-                break
-            count += 1
-        return count / window_s
-
     # -- counters ------------------------------------------------------------
     def increment(self, counter: str, amount: int = 1) -> None:
         self._counters[counter] += amount

@@ -1,11 +1,12 @@
 """Recovery accounting: one place that answers "how did the home cope?".
 
-Resilience counters live where the mechanisms live — retries on the RPC
-clients, failovers on the stubs, detections and MTTR on the failure
-detector, faults on the injector, migrations on pipeline metrics. The
-:class:`RecoveryTracker` aggregates whichever of those a scenario wires in
-and renders a single report dict, so chaos tests and the recovery benchmark
-read one structure instead of spelunking five layers.
+Resilience counters live where the mechanisms live — detections and MTTR
+on the failure detector, faults on the injector, migrations on pipeline
+metrics, retries and circuit trips on each :class:`~repro.net.rpc.RpcClient`
+and failovers on each remote stub. The :class:`RecoveryTracker` aggregates
+the first three for whichever detector, injector and pipelines a scenario
+wires in and renders a single report dict, so chaos tests and the recovery
+benchmark read one structure instead of spelunking three layers.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import ChaosInjector
     from ..monitor.failure_detector import FailureDetector
-    from ..net.rpc import RpcClient
     from ..pipeline.pipeline import Pipeline
-    from ..services.stubs import RemoteServiceStub
 
 
 class RecoveryTracker:
@@ -27,8 +26,6 @@ class RecoveryTracker:
         self._detector: "FailureDetector | None" = None
         self._injector: "ChaosInjector | None" = None
         self._pipelines: list["Pipeline"] = []
-        self._stubs: list["RemoteServiceStub"] = []
-        self._clients: list["RpcClient"] = []
 
     # -- wiring ----------------------------------------------------------------
     def watch_detector(self, detector: "FailureDetector") -> "RecoveryTracker":
@@ -43,15 +40,6 @@ class RecoveryTracker:
         self._pipelines.append(pipeline)
         return self
 
-    def watch_stub(self, stub: "RemoteServiceStub") -> "RecoveryTracker":
-        self._stubs.append(stub)
-        self._clients.append(stub._client)
-        return self
-
-    def watch_client(self, client: "RpcClient") -> "RecoveryTracker":
-        self._clients.append(client)
-        return self
-
     # -- report ----------------------------------------------------------------
     def report(self) -> dict[str, Any]:
         """Everything a post-mortem wants, in one flat dict."""
@@ -61,11 +49,6 @@ class RecoveryTracker:
             "recoveries": 0,
             "mttr_mean_s": 0.0,
             "mttr_max_s": 0.0,
-            "rpc_retries": 0,
-            "rpc_timeouts": 0,
-            "circuit_opens": 0,
-            "circuit_rejections": 0,
-            "failovers": 0,
             "recovery_migrations": 0,
         }
         if self._injector is not None:
@@ -75,13 +58,6 @@ class RecoveryTracker:
             out["recoveries"] = self._detector.recoveries
             out["mttr_mean_s"] = self._detector.mttr_mean()
             out["mttr_max_s"] = self._detector.mttr_max()
-        out["rpc_retries"] = sum(c.retries for c in self._clients)
-        out["rpc_timeouts"] = sum(c.timeouts for c in self._clients)
-        out["circuit_opens"] = sum(c.circuit_opens for c in self._clients)
-        out["circuit_rejections"] = sum(
-            c.circuit_rejections for c in self._clients
-        )
-        out["failovers"] = sum(s.failovers for s in self._stubs)
         out["recovery_migrations"] = sum(
             p.metrics.counter("recovery_migrations") for p in self._pipelines
         )

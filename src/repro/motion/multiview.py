@@ -296,28 +296,19 @@ class MultiViewScene:
         self.cameras = list(cameras)
         self.room = room
         self.occlusion_iou = occlusion_iou
-        self._by_name = {c.name: c for c in cameras}
 
-    def camera(self, name: str) -> CameraView:
-        return self._by_name[name]
-
-    def positions(self, t: float) -> dict[int, tuple[float, float]]:
-        """Ground-truth floor positions at time *t*, keyed by actor id."""
-        return {a.actor_id: a.position(t, self.room) for a in self.actors}
-
-    def observe(self, camera: CameraView | str, t: float) -> list[ActorObservation]:
+    def observe(self, camera: CameraView, t: float) -> list[ActorObservation]:
         """The actors *camera* sees at *t*, nearest first within occlusion.
 
         An actor whose projected box overlaps an already-kept nearer
         actor's box by more than ``occlusion_iou`` is occluded — dropped
         from the observation entirely, the way a real detector loses the
         person behind. Returned in actor-id order."""
-        cam = self._by_name[camera] if isinstance(camera, str) else camera
         candidates: list[tuple[float, int, WorldActor, SubjectParams,
                                tuple[float, float]]] = []
         for actor in sorted(self.actors, key=lambda a: a.actor_id):
             world = actor.position(t, self.room)
-            projected = cam.project(world, actor.shape.height_m)
+            projected = camera.project(world, actor.shape.height_m)
             if projected is None:
                 continue
             subject, distance = projected
@@ -331,14 +322,11 @@ class MultiViewScene:
                    for seen in kept):
                 continue
             kept.append(ActorObservation(
-                actor_id=actor_id, camera=cam.name, pose=pose, bbox=bbox,
+                actor_id=actor_id, camera=camera.name, pose=pose, bbox=bbox,
                 distance_m=distance, world=world,
             ))
         kept.sort(key=lambda o: o.actor_id)
         return kept
-
-    def observe_all(self, t: float) -> dict[str, list[ActorObservation]]:
-        return {c.name: self.observe(c, t) for c in self.cameras}
 
 
 #: Wall-mount slots the preset and random scenes draw cameras from, for an

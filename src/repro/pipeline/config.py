@@ -109,10 +109,6 @@ class PipelineConfig:
     link/compute budget (see
     :func:`repro.services.stubs.derive_service_timeout`).
 
-    ``balancing`` selects the replica-selection policy for this pipeline's
-    remote service stubs (see :mod:`repro.services.balancer`); ``None``
-    keeps the home default (``fastest``).
-
     ``version`` labels the application revision as a whole; per-module
     versions live on each :class:`ModuleConfig` and move independently
     under hot upgrades (``docs/LIVEOPS.md``).
@@ -122,7 +118,6 @@ class PipelineConfig:
     modules: list[ModuleConfig] = field(default_factory=list)
     source: str | None = None
     service_timeout_s: float | None = None
-    balancing: str | None = None
     version: str = "v1"
 
     def __post_init__(self) -> None:
@@ -132,14 +127,6 @@ class PipelineConfig:
             raise ConfigError("pipeline needs a non-empty version")
         if self.service_timeout_s is not None and self.service_timeout_s <= 0:
             raise ConfigError("service_timeout_s must be positive")
-        if self.balancing is not None:
-            from ..services.balancer import POLICIES
-
-            if self.balancing not in POLICIES:
-                raise ConfigError(
-                    f"unknown balancing policy {self.balancing!r};"
-                    f" known: {POLICIES}"
-                )
         seen: set[str] = set()
         for module in self.modules:
             if module.name in seen:
@@ -175,7 +162,6 @@ class PipelineConfig:
             "name": self.name,
             "source": self.source,
             "service_timeout_s": self.service_timeout_s,
-            "balancing": self.balancing,
             "version": self.version,
             "modules": [
                 {
@@ -197,6 +183,11 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from its plain-dict/JSON form."""
     if "name" not in data:
         raise ConfigError("pipeline dict needs a 'name'")
+    unknown = set(data) - {
+        "name", "source", "service_timeout_s", "version", "modules",
+    }
+    if unknown:
+        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
     modules = []
     for entry in data.get("modules", []):
         unknown = set(entry) - {
@@ -226,6 +217,5 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     return PipelineConfig(
         name=data["name"], modules=modules, source=data.get("source"),
         service_timeout_s=data.get("service_timeout_s"),
-        balancing=data.get("balancing"),
         version=data.get("version", "v1"),
     )

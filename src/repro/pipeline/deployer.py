@@ -210,7 +210,6 @@ class Deployer:
             service: make_stub(
                 self.kernel, self.transport, self.registry, device, service,
                 prefer_local=pipeline.prefer_local_services,
-                balancing=pipeline.config.balancing or "fastest",
                 timeout_s=pipeline.config.service_timeout_s,
             )
             for service in module_cfg.services

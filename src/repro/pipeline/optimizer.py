@@ -322,8 +322,9 @@ class CostModel:
 
         Only live hosts count (the balancer dials no other). A co-located
         one serves for free; otherwise the cheapest by call overhead +
-        request + 512-byte reply + service time, which is the rule the
-        ``cost_aware`` balancer dials by. Every term of a score that asks
+        request + 512-byte reply + service time. The runtime's balancer
+        dials the fastest live host by service time alone, a difference
+        ROADMAP item 6c is to reconcile. Every term of a score that asks
         where a call runs reads this one answer, resolved once per model.
         """
         key = (service_name, caller_device)

@@ -180,7 +180,8 @@ class ModuleRuntime:
         payload: Any,
         headers: dict[str, Any],
         kind: str = DATA,
-        wiring: "PipelineWiring | None" = None,
+        *,
+        wiring: "PipelineWiring",
     ) -> Signal:
         """Route a payload to a module anywhere in the pipeline.
 
@@ -188,13 +189,11 @@ class ModuleRuntime:
         cross-device traffic pays JPEG encode on this device's CPU and the
         network transfer, with refs rematerialized on arrival.
 
-        Callers that already hold the pipeline wiring pass it explicitly —
-        a migrated-away module's last in-flight handler must still be able
-        to forward its frame even though this runtime no longer lists the
-        module as deployed.
+        The caller passes the pipeline *wiring* it holds — a migrated-away
+        module's last in-flight handler must still be able to forward its
+        frame even though this runtime no longer lists the module as
+        deployed.
         """
-        if wiring is None:
-            wiring = self._wiring_of(source_module)
         target_address = wiring.address_of(target_module)
         source_address = wiring.address_of(source_module)
         local = target_address.device == self.device.name
@@ -414,6 +413,3 @@ class ModuleRuntime:
                     self.kernel.now - event.enqueued_at
                 )
             deployed.events_processed += 1
-
-    def _wiring_of(self, module_name: str) -> "PipelineWiring":
-        return self.deployed(module_name).ctx.wiring

@@ -1,11 +1,6 @@
 """The stateless service framework: hosts, registry, stubs, autoscaling."""
 
-from .balancer import (
-    LEAST_LOADED,
-    expected_service_time,
-    host_is_live,
-    select_host,
-)
+from .balancer import expected_service_time, host_is_live, select_host
 from .base import FunctionService, Service, ServiceCallContext
 from .builtin.activity import ActivityClassifierService
 from .builtin.display import DisplayService, DisplaySink
@@ -42,7 +37,6 @@ __all__ = [
     "IoTActuatorService",
     "IoTDeviceFleet",
     "ImageClassificationService",
-    "LEAST_LOADED",
     "LocalServiceStub",
     "ObjectDetectionService",
     "ObjectTrackingService",

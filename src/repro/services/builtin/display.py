@@ -76,12 +76,6 @@ class DisplaySink:
     def count(self) -> int:
         return len(self.frames)
 
-    def fps_over(self, duration_s: float) -> float:
-        """Displayed frames per second across a measurement window."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        return len(self.frames) / duration_s
-
 
 class DisplayService(Service):
     """Composites frame + skeleton + activity label + rep count.

@@ -133,7 +133,6 @@ class RemoteServiceStub(ServiceStub):
         host: ServiceHost,
         timeout_s: float | None = None,
         registry: ServiceRegistry | None = None,
-        balancing: str = "fastest",
         retry: RetryPolicy | None = DEFAULT_SERVICE_RETRY,
     ) -> None:
         super().__init__(host.service_name)
@@ -142,7 +141,6 @@ class RemoteServiceStub(ServiceStub):
         self.caller_device = caller_device
         self.target_address = host.address
         self.registry = registry
-        self.balancing = balancing
         self._derive_timeout = timeout_s is None
         self.timeout_s = (
             derive_service_timeout(host, caller_device, transport)
@@ -225,10 +223,7 @@ class RemoteServiceStub(ServiceStub):
 
         try:
             return select_host(
-                self.registry, self.service_name,
-                policy=self.balancing, exclude_devices=tried,
-                caller_device=self.caller_device,
-                topology=self.transport.topology,
+                self.registry, self.service_name, exclude_devices=tried
             )
         except ServiceError:
             return None
@@ -244,12 +239,11 @@ def make_stub(
     caller_device: Device,
     service_name: str,
     prefer_local: bool = True,
-    balancing: str = "fastest",
     timeout_s: float | None = None,
 ) -> ServiceStub:
     """Build the right stub for *caller_device*: local when the service is
-    co-located (and preferred); otherwise a remote stub dialing the replica
-    chosen by the *balancing* policy (see :mod:`repro.services.balancer`).
+    co-located (and preferred); otherwise a remote stub dialing the fastest
+    live replica (see :func:`repro.services.balancer.select_host`).
     Remote stubs carry the registry so they can fail over to a surviving
     replica; ``timeout_s=None`` derives the timeout from the link/compute
     budget (see :func:`derive_service_timeout`)."""
@@ -259,13 +253,10 @@ def make_stub(
         host = registry.host_on(service_name, caller_device.name)
         if host is not None and host.up:
             return LocalServiceStub(host)
-    host = select_host(
-        registry, service_name, policy=balancing,
-        caller_device=caller_device, topology=transport.topology,
-    )
+    host = select_host(registry, service_name)
     if host.device.name == caller_device.name and prefer_local:
         return LocalServiceStub(host)
     return RemoteServiceStub(
         kernel, transport, caller_device, host,
-        timeout_s=timeout_s, registry=registry, balancing=balancing,
+        timeout_s=timeout_s, registry=registry,
     )

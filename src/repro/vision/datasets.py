@@ -47,12 +47,6 @@ class ActivityDataset:
     test_windows: list[list[Pose]] = field(default_factory=list)
     test_labels: list[str] = field(default_factory=list)
 
-    def summary(self) -> str:
-        return (
-            f"{len(self.train_windows)} train / {len(self.test_windows)} test windows,"
-            f" classes: {sorted(set(self.train_labels))}"
-        )
-
 
 def generate_activity_dataset(
     activities: tuple[str, ...] = ("squat", "jumping_jack", "lunge", "lateral_raise", "stand"),

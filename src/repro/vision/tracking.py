@@ -83,7 +83,3 @@ class IoUTracker:
                     Track(track_id=next(self._ids), label=det.label, bbox=det.bbox)
                 )
         return self.tracks
-
-    @property
-    def live_track_ids(self) -> list[int]:
-        return [t.track_id for t in self.tracks]

@@ -1,4 +1,4 @@
-"""Content-addressed frame store: dedup, retention, and eviction hooks."""
+"""Content-addressed frame store: dedup, retention, and capacity pressure."""
 
 import numpy as np
 import pytest
@@ -94,23 +94,6 @@ class TestCapacityPressure:
         assert store.contains(parked) and store.contains(extra)
         assert store.retained_count == 0
         assert store.retained_evictions == 1
-
-    def test_eviction_hook_frees_slots(self):
-        store = FrameStore("phone", capacity=2)
-        held = [store.put("a"), store.put("b")]
-
-        def drop_mine(st, needed):
-            freed = 0
-            while held and freed < needed:
-                st.release(held.pop())
-                freed += 1
-            return freed
-
-        store.add_eviction_hook(drop_mine)
-        ref = store.put("c")  # would overflow without the hook
-        assert store.contains(ref)
-        assert store.hook_evictions == 1
-        assert len(held) == 1
 
     def test_leak_diagnostic_names_top_holders(self):
         store = FrameStore("phone", capacity=2)

@@ -161,6 +161,12 @@ class TestConfigModel:
                 {"name": "p", "modules": [{"name": "m", "include": "./M.js",
                                            "color": "red"}]}
             )
+        with pytest.raises(ConfigError,
+                           match=r"unknown pipeline config keys: \['sorce'\]"):
+            config_from_dict(
+                {"name": "p", "sorce": "m",
+                 "modules": [{"name": "m", "include": "./M.js"}]}
+            )
 
     def test_config_from_dict_needs_name(self):
         with pytest.raises(ConfigError):

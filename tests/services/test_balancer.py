@@ -6,7 +6,6 @@ from repro.core import VideoPipe
 from repro.devices import DeviceSpec
 from repro.errors import ServiceError
 from repro.services import (
-    LEAST_LOADED,
     FunctionService,
     RemoteServiceStub,
     ServiceRegistry,
@@ -14,7 +13,6 @@ from repro.services import (
     make_stub,
     select_host,
 )
-from repro.services.balancer import FASTEST
 
 
 @pytest.fixture
@@ -39,7 +37,7 @@ def multi_home():
 
 class TestSelectHost:
     def test_fastest_picks_quick_device(self, multi_home):
-        host = select_host(multi_home.registry, "svc", policy=FASTEST)
+        host = select_host(multi_home.registry, "svc")
         assert host.device.name == "zeus"
 
     def test_expected_service_time_scales(self, multi_home):
@@ -50,22 +48,9 @@ class TestSelectHost:
         assert times["athena"] == pytest.approx(0.160)
         assert times["zeus"] == pytest.approx(0.040)
 
-    def test_least_loaded_prefers_idle_replica(self, multi_home):
-        zeus_host = multi_home.registry.host_on("svc", "zeus")
-        # saturate zeus with queued calls
-        for _ in range(5):
-            zeus_host.call_local({})
-        multi_home.kernel.run(until=0.001)  # let requests take workers
-        host = select_host(multi_home.registry, "svc", policy=LEAST_LOADED)
-        assert host.device.name == "athena"
-
     def test_unknown_service_rejected(self):
         with pytest.raises(ServiceError):
             select_host(ServiceRegistry(), "ghost")
-
-    def test_unknown_policy_rejected(self, multi_home):
-        with pytest.raises(ServiceError):
-            select_host(multi_home.registry, "svc", policy="random")
 
 
 class TestTieBreaking:
@@ -85,16 +70,12 @@ class TestTieBreaking:
         return home
 
     def test_fastest_ties_break_by_device_name(self, twin_home):
-        host = select_host(twin_home.registry, "svc", policy=FASTEST)
+        host = select_host(twin_home.registry, "svc")
         assert host.device.name == "alpha"  # not registration order
-
-    def test_least_loaded_ties_break_by_device_name(self, twin_home):
-        host = select_host(twin_home.registry, "svc", policy=LEAST_LOADED)
-        assert host.device.name == "alpha"
 
     def test_tie_break_is_stable_across_calls(self, twin_home):
         picks = {
-            select_host(twin_home.registry, "svc", policy=FASTEST).device.name
+            select_host(twin_home.registry, "svc").device.name
             for _ in range(5)
         }
         assert picks == {"alpha"}

@@ -11,7 +11,7 @@ from repro.apps.gesture import (
     gesture_pipeline_config,
     install_gesture_services,
 )
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, ConfigError
 from repro.slo import SLO, SLOConfig
 from repro.slo.admission import AdmissionController, pipeline_fps
 from repro.slo.spec import ADMITTED, QUEUED, REJECTED
@@ -174,9 +174,21 @@ class TestFacadeAdmission:
             + len(status["queued_now"])
         )
 
-    def test_invalid_admission_mode(self, home):
-        from repro.errors import ConfigError
+    def test_a_failed_deploy_is_withdrawn(self, home):
+        home.enable_audit()
+        home.enable_slo(config=SLOConfig(admission_threshold=0.25))
+        config = fitness_pipeline_config(fps=10.0)
+        config.modules[-1].include = "./NoSuchModule.js"
+        with pytest.raises(ConfigError, match="no module registered"):
+            home.deploy_pipeline(config, slo=SLO_T)
+        status = home.slo_status()["admission"]
+        assert (status["requested"], status["admitted"]) == (1, 1)
+        assert (status["deployed"], status["withdrawn"]) == (0, 1)
+        assert home.pipelines == []
+        assert home.check_invariants() == []
+        assert home.auditor.violations == []
 
+    def test_invalid_admission_mode(self, home):
         home.enable_slo()
         with pytest.raises(ConfigError):
             home.deploy_pipeline(fitness_pipeline_config(fps=10.0),

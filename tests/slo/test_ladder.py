@@ -8,6 +8,7 @@ from repro.apps.fitness import (
     install_fitness_services,
 )
 from repro.fleet import Fleet, FleetConfig
+from repro.pipeline import OptimizerConfig
 from repro.slo import SLO, SLOConfig, find_source
 from repro.slo.ladder import (
     TIER_SERVICES,
@@ -18,6 +19,8 @@ from repro.slo.ladder import (
     TierStep,
     build_ladder,
 )
+
+from ..control.stage_home import stage_home, stage_pipeline
 
 
 class FakeCamera:
@@ -160,6 +163,49 @@ class TestTierStep:
     def test_unknown_service_not_actionable(self, home_and_pipeline):
         home, _ = home_and_pipeline
         assert TierStep(home, ("no_such",), factor=0.6).apply() is None
+
+
+class TestReplanStep:
+    """The controller unwinds an applied replan rung through
+    ``ReplanStep.revert``, which asks the optimizer to re-place for the
+    recovered load, or keeps the placement when there is no optimizer."""
+
+    @staticmethod
+    def replanned_then_healthy(optimizer_on):
+        home = stage_home()
+        home.enable_optimizer(OptimizerConfig(
+            fps=8.0, replan_interval_s=100.0, replan_threshold_frac=0.05))
+        pipeline = stage_pipeline(home, "a")
+        controller = home.enable_slo(SLOConfig(
+            check_interval_s=0.5, hysteresis_s=0.5, recovery_hold_s=1.0))
+        # an unmeetable p99 reads overloaded: scale-up is not actionable
+        # without an autoscaler, so the first rung applied is the replan
+        enrollment = controller.watch(pipeline, SLO(p99_latency_s=0.001))
+        home.run(until=1.0)
+        assert enrollment.applied_steps() == ["replan"]
+        assert pipeline.device_of("a_stage") == "zeta"
+        enrollment.slo = SLO(p99_latency_s=10.0)  # the load clears
+        if optimizer_on:
+            # zeta slows down meanwhile, so zeta no longer serves best
+            zeta = home.registry.host_on("heavy", "zeta")
+            zeta.service.reference_cost_s *= 20
+        else:
+            home.optimizer = None
+        home.run(until=3.0)
+        assert enrollment.applied_steps() == []
+        restore = controller.ladder_actions("a")[-1]
+        assert (restore.kind, restore.evidence["step"]) == ("restore", "replan")
+        return pipeline, restore
+
+    def test_revert_replans_with_the_optimizer_on(self):
+        pipeline, restore = self.replanned_then_healthy(optimizer_on=True)
+        assert restore.reason == "replanned for recovered load"
+        assert pipeline.device_of("a_stage") != "zeta"
+
+    def test_revert_keeps_the_placement_with_the_optimizer_off(self):
+        pipeline, restore = self.replanned_then_healthy(optimizer_on=False)
+        assert restore.reason == "placement kept"
+        assert pipeline.device_of("a_stage") == "zeta"
 
 
 class TestFindSourceAndBuild:

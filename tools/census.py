@@ -1,0 +1,128 @@
+"""Function census: which kind of run first reaches each function in src/repro.
+
+Report only: no gate and no CI step. Four phases run in order under
+``sys.setprofile``, and each function is credited to the first that calls
+it: ``example`` (every ``examples/*.py``), ``bench`` (``benchmarks/`` at
+``REPRO_BENCH_FAST=1``), ``ledger`` (the four ledger workloads, then
+``tools/check_determinism.py``) and ``tier-1`` (``tests/``). Two rules:
+
+* Run the benches with ``--benchmark-disable``. pytest-benchmark's
+  ``PauseInstrumentation`` unsets ``sys.setprofile`` during timed runs,
+  which hides whatever a bench times (it once hid the SLO controller).
+* Reach subprocesses through a ``sitecustomize`` on ``PYTHONPATH``:
+  ``tests/test_examples.py`` runs the examples as subprocesses, and the
+  ledger runs its workloads in child processes. Each process writes what
+  it saw at exit (one that leaves through ``os._exit`` records nothing).
+
+Usage: ``python tools/census.py [--phase example ...]`` (all four phases
+take about ten minutes on two cores).
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+PY = sys.executable
+LEDGER = ["fleet-stage-90", "fleet-plan-cloud-16", "home-fitness-shared",
+          "home-static-features-on"]
+
+PHASES = {
+    "example": [[PY, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))],
+    "bench": [[PY, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider",
+               "--benchmark-disable"]],
+    "ledger": [[PY, "benchmarks/ledger/run.py", "--workload", w, "--seconds",
+                "1", "--out", "{tmp}/ledger"] for w in LEDGER]
+    + [[PY, "tools/check_determinism.py"]],
+    "tier-1": [[PY, "-m", "pytest", "tests", "-q", "-p", "no:cacheprovider"]],
+}
+
+SITECUSTOMIZE = """\
+import atexit, os, sys, threading
+_src, _seen = {src!r}, set()
+def _profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(_src):
+        _seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+def _dump():
+    sys.setprofile(None)
+    path = os.path.join(os.environ["CENSUS_OUT"], f"{{os.getpid()}}.txt")
+    with open(path, "a") as out:
+        out.writelines(f"{{f}}\\t{{n}}\\n" for f, n in _seen)
+if os.environ.get("CENSUS_OUT"):
+    atexit.register(_dump)
+    threading.setprofile(_profile)
+    sys.setprofile(_profile)
+"""
+
+
+def functions() -> dict[tuple[str, int], str]:
+    """(file, first line as the code object reports it) -> qualified name."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        stack = [(tree, "")]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                name = getattr(child, "name", None)
+                qual = f"{prefix}.{name}" if prefix else name
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([child.lineno]
+                               + [d.lineno for d in child.decorator_list])
+                    found[(str(path), line)] = qual
+                stack.append((child, qual if name else prefix))
+    return found
+
+
+def run_phase(commands: list[list[str]], tmp: str) -> set[tuple[str, int]]:
+    out = Path(tmp) / "seen"
+    out.mkdir(exist_ok=True)
+    env = dict(os.environ, CENSUS_OUT=str(out), REPRO_BENCH_FAST="1",
+               PYTHONPATH=os.pathsep.join([tmp, str(ROOT / "src")]))
+    for command in commands:
+        command = [part.format(tmp=tmp) for part in command]
+        print("census:", " ".join(command[1:]), file=sys.stderr)
+        done = subprocess.run(command, cwd=ROOT, env=env,
+                              stdout=subprocess.DEVNULL)
+        if done.returncode:
+            print(f"census: exited {done.returncode}", file=sys.stderr)
+    seen = set()
+    for path in out.glob("*.txt"):
+        for line in path.read_text().splitlines():
+            filename, lineno = line.split("\t")
+            seen.add((filename, int(lineno)))
+        path.unlink()
+    return seen
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--phase", action="append", choices=list(PHASES),
+                        help="run only this phase (repeatable)")
+    args = parser.parse_args()
+    table = functions()
+    first: dict[tuple[str, int], str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "sitecustomize.py").write_text(
+            SITECUSTOMIZE.format(src=str(SRC)))
+        for phase in args.phase or list(PHASES):
+            for key in run_phase(PHASES[phase], tmp) & table.keys():
+                first.setdefault(key, phase)
+    for key in sorted(table):
+        where = Path(key[0]).relative_to(ROOT)
+        print(f"{first.get(key, 'nothing'):8} {where}:{key[1]} {table[key]}")
+    counts = Counter(first.get(key, "nothing") for key in table)
+    print(f"\n{len(table)} functions: " + ", ".join(
+        f"{phase} {counts[phase]}" for phase in [*PHASES, "nothing"]))
+
+
+if __name__ == "__main__":
+    main()
