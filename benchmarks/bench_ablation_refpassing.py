@@ -13,6 +13,12 @@ A chain of co-located relay modules forwards frames three ways:
   ``(arena_id, offset, generation)`` handle envelope and the payload tree
   is never walked.
 
+The last relay completes each frame with ``ctx.metrics.frame_completed``,
+not ``ctx.finish``: the source is paced by an interval, not by credits, so
+a ready signal would be one more loopback message per frame that nothing
+reads. It would also move what the bench measures: the arena arm's bytes
+per hop would rise from 88 to 102.7.
+
 The test prints the per-hop cost of each and writes a JSON report
 (``REPRO_REFPASS_OUT`` chooses where; CI uploads it).
 """

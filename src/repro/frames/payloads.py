@@ -12,8 +12,10 @@ exist, matching the paper's minimal-copy design:
 * **land** (:func:`decode_frames_from_wire`) — on arrival, encoded frames are
   decoded into the receiving device's store and replaced by fresh local refs.
 
-Each shipping/landing operation reports the codec CPU cost so callers can
-charge the device.
+Each is one copy-on-write pass (:func:`replace_leaves`) that copies only
+the containers on a path to a replaced leaf, so untouched ones are shared —
+safe because a sent payload is never changed (docs/PERF.md "One walk per
+message"). Shipping and landing report the codec CPU cost to charge.
 """
 
 from __future__ import annotations
@@ -29,64 +31,46 @@ from .framestore import FrameStore
 WIRE_QUALITY = 80
 
 
-def map_leaves(payload: Any, fn: Callable[[Any], Any]) -> Any:
-    """Rebuild *payload* with every non-container leaf passed through *fn*.
+def replace_leaves(
+    payload: Any, leaf_type: type, fn: Callable[[Any], Any]
+) -> Any:
+    """*payload* with every *leaf_type* leaf replaced by ``fn(leaf)``.
 
-    Containers (dict/list/tuple) are walked recursively; everything else is
-    a leaf. Dicts keep their keys.
+    Containers (dict/list/tuple) are walked depth-first, in order. One none
+    of whose leaves changed (``fn`` returned the leaf itself, or there was
+    none) comes back as itself; one on the path to a changed leaf is copied
+    once, as a plain dict, list or tuple.
     """
-    if isinstance(payload, dict):
-        return {key: map_leaves(value, fn) for key, value in payload.items()}
-    if isinstance(payload, list):
-        return [map_leaves(item, fn) for item in payload]
-    if isinstance(payload, tuple):
-        return tuple(map_leaves(item, fn) for item in payload)
-    return fn(payload)
-
-
-def iter_leaves(payload: Any):
-    """Yield every non-container leaf of *payload* without rebuilding it.
-
-    The read-only companion to :func:`map_leaves`: an explicit-stack walk
-    that allocates nothing per node, so scans (``frame_refs_in``,
-    ``contains_type``) stop costing a full tree copy per hop.
-    """
-    stack = [payload]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            stack.extend(node.values())
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-        else:
-            yield node
-
-
-def contains_type(payload: Any, leaf_type: type) -> bool:
-    """True when any leaf is an instance of *leaf_type* (early exit — the
-    cheap pre-scan that lets boundary ops skip the rebuild entirely)."""
-    for leaf in iter_leaves(payload):
-        if isinstance(leaf, leaf_type):
-            return True
-    return False
+    if isinstance(payload, (dict, list, tuple)):
+        is_dict = isinstance(payload, dict)
+        copy = None
+        for key, value in payload.items() if is_dict else enumerate(payload):
+            if isinstance(value, leaf_type):
+                new = fn(value)
+            elif isinstance(value, (dict, list, tuple)):
+                new = replace_leaves(value, leaf_type, fn)
+            else:
+                continue
+            if new is not value:
+                if copy is None:
+                    copy = dict(payload) if is_dict else list(payload)
+                copy[key] = new
+        if copy is None:
+            return payload
+        return tuple(copy) if isinstance(payload, tuple) else copy
+    if isinstance(payload, leaf_type):
+        return fn(payload)
+    return payload
 
 
 def collect_leaves(payload: Any, predicate: Callable[[Any], bool]) -> list[Any]:
     """All leaves for which *predicate* holds, in traversal order."""
-    if isinstance(payload, dict):
-        found: list[Any] = []
-        stack: list[Any] = list(reversed(list(payload.values())))
-    elif isinstance(payload, (list, tuple)):
-        found = []
-        stack = list(reversed(payload))
-    elif predicate(payload):
-        return [payload]
-    else:
-        return []
+    found: list[Any] = []
+    stack = [payload]
     while stack:
         node = stack.pop()
         if isinstance(node, dict):
-            stack.extend(reversed(list(node.values())))
+            stack.extend(reversed(node.values()))
         elif isinstance(node, (list, tuple)):
             stack.extend(reversed(node))
         elif predicate(node):
@@ -128,16 +112,8 @@ def frame_ids_in(payload: Any) -> list[int]:
 def resolve_refs(payload: Any, store: FrameStore) -> Any:
     """Borrow: replace refs with the stored objects (no copy, no release).
 
-    Frame-free payloads are returned as-is (identity, no rebuild)."""
-    if not contains_type(payload, FrameRef):
-        return payload
-
-    def resolve(leaf: Any) -> Any:
-        if isinstance(leaf, FrameRef):
-            return store.get(leaf)
-        return leaf
-
-    return map_leaves(payload, resolve)
+    A frame-free payload is returned as itself."""
+    return replace_leaves(payload, FrameRef, store.get)
 
 
 def encode_refs_for_wire(
@@ -151,31 +127,27 @@ def encode_refs_for_wire(
     keeps the caller's hold — service calls only borrow.
 
     Returns ``(wire_payload, total_encode_cost_s, frames_shipped)``. Refs to
-    non-frame objects are shipped as-is (they are plain values). Frame-free
-    payloads short-circuit: the payload is returned unchanged at zero cost.
+    non-frame objects are shipped as-is (they are plain values). A
+    frame-free payload is returned as itself, at zero cost.
     """
-    if not contains_type(payload, FrameRef):
-        return payload, 0.0, 0
     total_cost = 0.0
     shipped = 0
 
-    def ship(leaf: Any) -> Any:
+    def ship(ref: FrameRef) -> Any:
         nonlocal total_cost, shipped
-        if isinstance(leaf, FrameRef):
-            obj = store.get(leaf)
-            if release:
-                # ownership moves with the message: the frame is migrating
-                # off-device, and any handle left behind must say so
-                store.release(leaf, reason=MIGRATED)
-            if isinstance(obj, VideoFrame):
-                encoded = encode_frame(obj, quality=quality)
-                total_cost += encoded.encode_cost_s
-                shipped += 1
-                return encoded
-            return obj
-        return leaf
+        obj = store.get(ref)
+        if release:
+            # ownership moves with the message: the frame is migrating
+            # off-device, and any handle left behind must say so
+            store.release(ref, reason=MIGRATED)
+        if isinstance(obj, VideoFrame):
+            encoded = encode_frame(obj, quality=quality)
+            total_cost += encoded.encode_cost_s
+            shipped += 1
+            return encoded
+        return obj
 
-    return map_leaves(payload, ship), total_cost, shipped
+    return replace_leaves(payload, FrameRef, ship), total_cost, shipped
 
 
 def decode_frames_from_wire(
@@ -183,42 +155,33 @@ def decode_frames_from_wire(
 ) -> tuple[Any, float, int]:
     """Land: decode arriving frames into the local store, yielding new refs.
 
-    Returns ``(local_payload, total_decode_cost_s, frames_landed)``.
-    Payloads with no encoded frames (every intra-device hop) short-circuit
-    to identity at zero cost.
+    Returns ``(local_payload, total_decode_cost_s, frames_landed)``. A
+    payload with no encoded frame is returned as itself, at zero cost.
     """
-    if not contains_type(payload, EncodedFrame):
-        return payload, 0.0, 0
     total_cost = 0.0
     landed = 0
 
-    def land(leaf: Any) -> Any:
+    def land(encoded: EncodedFrame) -> FrameRef:
         nonlocal total_cost, landed
-        if isinstance(leaf, EncodedFrame):
-            total_cost += leaf.decode_cost_s
-            landed += 1
-            return store.put(decode_frame(leaf))
-        return leaf
+        total_cost += encoded.decode_cost_s
+        landed += 1
+        return store.put(decode_frame(encoded))
 
-    return map_leaves(payload, land), total_cost, landed
+    return replace_leaves(payload, EncodedFrame, land), total_cost, landed
 
 
 def decode_frames_inline(payload: Any) -> tuple[Any, float]:
     """Land without a store: decode arriving frames to bare
     :class:`VideoFrame` objects (used by remote service calls, where the
     frame is consumed immediately and never re-referenced)."""
-    if not contains_type(payload, EncodedFrame):
-        return payload, 0.0
     total_cost = 0.0
 
-    def land(leaf: Any) -> Any:
+    def land(encoded: EncodedFrame) -> VideoFrame:
         nonlocal total_cost
-        if isinstance(leaf, EncodedFrame):
-            total_cost += leaf.decode_cost_s
-            return decode_frame(leaf)
-        return leaf
+        total_cost += encoded.decode_cost_s
+        return decode_frame(encoded)
 
-    return map_leaves(payload, land), total_cost
+    return replace_leaves(payload, EncodedFrame, land), total_cost
 
 
 def release_refs(

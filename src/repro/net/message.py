@@ -42,6 +42,9 @@ class Message:
         headers: small string-keyed metadata (trace ids, frame ids, ...).
         size_bytes: bytes charged on the wire (payload + headers + envelope).
         sent_at / delivered_at: simulated timestamps filled by the transport.
+        hinted: the payload leaves the size walk sized by their
+            ``wire_size`` hint (frame refs, encoded frames), in walk order;
+            ``None`` when ``size_bytes`` was given and no walk ran.
     """
 
     kind: str
@@ -53,10 +56,13 @@ class Message:
     size_bytes: int = 0
     sent_at: float | None = None
     delivered_at: float | None = None
+    hinted: list[Any] | None = None
 
     def __post_init__(self) -> None:
         if self.size_bytes == 0:
-            self.size_bytes = payload_size(self.payload) + payload_size(self.headers)
+            self.hinted = []
+            self.size_bytes = (payload_size(self.payload, self.hinted)
+                               + payload_size(self.headers))
 
     @property
     def latency(self) -> float:

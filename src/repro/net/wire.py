@@ -181,7 +181,7 @@ def decode(data: bytes) -> Any:
     return value
 
 
-def _size_of(value: Any) -> int:
+def _size_of(value: Any, hinted: list | None = None) -> int:
     """Size of the encoding of *value*, without building the buffer.
 
     The plain types payloads are made of are dispatched on their exact
@@ -193,7 +193,7 @@ def _size_of(value: Any) -> int:
     if kind is dict:
         size = 5
         for key, item in value.items():
-            size += _size_of(key) + _size_of(item)
+            size += _size_of(key) + _size_of(item, hinted)
         return size
     if kind is str:
         return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
@@ -202,14 +202,14 @@ def _size_of(value: Any) -> int:
     if kind is list or kind is tuple:
         size = 5
         for item in value:
-            size += _size_of(item)
+            size += _size_of(item, hinted)
         return size
     if value is None or kind is bool:
         return 1
-    return _size_by_cascade(value)
+    return _size_by_cascade(value, hinted)
 
 
-def _size_by_cascade(value: Any) -> int:
+def _size_by_cascade(value: Any, hinted: list | None = None) -> int:
     """:func:`_size_of` for any type, by ``isinstance`` tests in the order
     the encoder makes them."""
     if value is None or value is True or value is False:
@@ -223,10 +223,11 @@ def _size_by_cascade(value: Any) -> int:
     if isinstance(value, (bytes, bytearray, memoryview)):
         return 5 + len(value)
     if isinstance(value, (list, tuple)):
-        return 5 + sum(_size_by_cascade(item) for item in value)
+        return 5 + sum(_size_by_cascade(item, hinted) for item in value)
     if isinstance(value, dict):
         return 5 + sum(
-            _size_by_cascade(k) + _size_by_cascade(v) for k, v in value.items()
+            _size_by_cascade(k) + _size_by_cascade(v, hinted)
+            for k, v in value.items()
         )
     if isinstance(value, np.ndarray):
         dtype_len = len(value.dtype.str.encode("ascii"))
@@ -235,10 +236,17 @@ def _size_by_cascade(value: Any) -> int:
     # carry their compressed size without holding real pixel buffers).
     hint = getattr(value, "wire_size", None)
     if hint is not None:
+        if hinted is not None:
+            hinted.append(value)
         return int(hint)
     raise WireFormatError(f"unsupported wire type: {type(value).__name__}")
 
 
-def payload_size(value: Any) -> int:
-    """Bytes this payload occupies on the wire, including envelope overhead."""
-    return ENVELOPE_OVERHEAD + 3 + _size_of(value)
+def payload_size(value: Any, hinted: list | None = None) -> int:
+    """Bytes this payload occupies on the wire, including envelope overhead.
+
+    The walk visits every leaf, so it also reports what it saw: given a
+    *hinted* list, it appends each leaf sized by its ``wire_size`` hint
+    (frame refs, encoded frames), in walk order. Dict keys are sized but
+    not reported."""
+    return ENVELOPE_OVERHEAD + 3 + _size_of(value, hinted)

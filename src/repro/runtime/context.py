@@ -11,6 +11,9 @@ Frame-reference ownership contract (the paper's minimal-copy design):
 * ``call_module`` / ``call_next`` **move** every reference in the payload to
   the receiver(s); the sender must not use them afterwards.
 * ``call_service`` **borrows**: refs stay owned by the module.
+* a payload is never changed once sent or received: a module forwards a new
+  dict (``dict(payload)``). Same-device hops and fan-out share the payload
+  object, and the boundary ops share every sub-container they leave as is.
 * a module that drops a frame without forwarding it calls ``release``.
 * a handler that raises has done neither: the runtime settles its input
   (``runtime/settlement.py``), so release only after a call succeeds.
@@ -25,6 +28,7 @@ import numpy as np
 from ..errors import CircuitOpenError, ServiceError
 from ..frames.frame import FrameRef, VideoFrame
 from ..frames.payloads import add_refs
+from ..net.message import H_TRACE
 from ..sim.signals import Signal
 from ..trace.span import (
     CAT_SERIALIZE,
@@ -172,8 +176,6 @@ class ModuleContext:
     def _trace_headers(self, headers: dict[str, Any] | None) -> dict[str, Any]:
         """Outgoing headers with the frame's root trace context attached
         (when tracing is on and this event belongs to a traced frame)."""
-        from ..net.message import H_TRACE
-
         out = dict(headers) if headers else {}
         if self.tracer is not None and self._trace_root is not None:
             out[H_TRACE] = self._trace_root.header()

@@ -25,6 +25,9 @@ class ModuleEvent:
     headers: dict[str, Any] = field(default_factory=dict)
     enqueued_at: float = 0.0
     dequeued_at: float = 0.0
+    #: False only when the message's size walk proved the payload holds no
+    #: encoded frame: the worker then has nothing to land, and skips it
+    lands: bool = True
 
     @property
     def queueing_delay(self) -> float:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..devices.device import Device
 from ..errors import DeploymentError
+from ..frames.codec import EncodedFrame
 from ..frames.payloads import (
     decode_frames_from_wire,
     encode_refs_for_wire,
@@ -296,12 +297,18 @@ class ModuleRuntime:
 
     # -- receiving ---------------------------------------------------------------------
     def _on_message(self, deployed: DeployedModule, message: Message) -> None:
+        # landing is skipped only when the size walk saw every leaf and
+        # none was an encoded frame; an arena hop's size was never walked
+        hinted = message.hinted
         event = ModuleEvent(
             kind=message.headers.get("event_kind", DATA),
             payload=message.payload,
             source_module=None,
             headers=dict(message.headers),
             enqueued_at=self.kernel.now,
+            lands=hinted is None or any(
+                isinstance(leaf, EncodedFrame) for leaf in hinted
+            ),
         )
         tracer = deployed.ctx.wiring.tracer
         if tracer is not None:
@@ -342,13 +349,15 @@ class ModuleRuntime:
                         owns_refs=True,
                     )
                 break
-            # land any encoded frames into the local store (decode cost)
-            payload, decode_cost, _ = decode_frames_from_wire(
-                event.payload, self.device.frame_store
-            )
-            event.payload = payload
-            if decode_cost > 0:
-                yield self.device.cpu.execute_fixed(decode_cost)
+            payload = event.payload
+            if event.lands:
+                # land the encoded frames into the local store (decode cost)
+                payload, decode_cost, _ = decode_frames_from_wire(
+                    payload, self.device.frame_store
+                )
+                event.payload = payload
+                if decode_cost > 0:
+                    yield self.device.cpu.execute_fixed(decode_cost)
             if module.event_overhead_s > 0:
                 yield self.device.cpu.execute(module.event_overhead_s)
             # dequeued_at marks handler start: mailbox wait + arrival decode

@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, Any
 from ..frames.arena import MIGRATED, RELEASED
 from ..frames.frame import FrameRef
 from ..frames.framestore import FrameStore
-from ..frames.payloads import frame_ids_in, frame_refs_in, map_leaves
-from ..frames.payloads import release_refs
+from ..frames.payloads import frame_ids_in, release_refs, replace_leaves
 from ..trace.span import trace_id_for
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,14 +88,19 @@ def settle_payload(
 def _without_stale_refs(payload, store, wiring, actor):
     """*payload* minus the refs its failed handler already released: each
     is an ownership breach, counted, and a violation when audited."""
-    stale = {ref for ref in frame_refs_in(payload)
-             if ref.device == store.device and not store.contains(ref)}
-    if not stale:
-        return payload
-    wiring.metrics.increment("ownership_breaches", len(stale))
-    if store.auditor is not None:
-        store.auditor.record("frame-ref-conservation",
-                             f"framestore/{store.device}",
-                             f"{actor} raised after releasing its input")
-    return map_leaves(payload, lambda leaf: None if isinstance(
-        leaf, FrameRef) and leaf in stale else leaf)
+    stale: set[FrameRef] = set()
+
+    def drop(ref: FrameRef) -> FrameRef | None:
+        if ref.device == store.device and not store.contains(ref):
+            stale.add(ref)
+            return None
+        return ref
+
+    payload = replace_leaves(payload, FrameRef, drop)
+    if stale:
+        wiring.metrics.increment("ownership_breaches", len(stale))
+        if store.auditor is not None:
+            store.auditor.record("frame-ref-conservation",
+                                 f"framestore/{store.device}",
+                                 f"{actor} raised after releasing its input")
+    return payload

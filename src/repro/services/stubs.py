@@ -14,6 +14,7 @@ from typing import Any
 from ..devices.device import Device
 from ..errors import NetworkError, RpcError, ServiceError
 from ..frames.payloads import encode_refs_for_wire
+from ..net.message import H_TRACE
 from ..net.resilience import RetryPolicy
 from ..net.rpc import RpcClient
 from ..net.transport import Transport
@@ -170,8 +171,6 @@ class RemoteServiceStub(ServiceStub):
         ).done
 
     def _call(self, wire_payload: Any, encode_cost: float, trace: Any = None):
-        from ..net.message import H_TRACE
-
         headers = {H_TRACE: trace.header()} if trace is not None else None
         try:
             started = self.kernel.now

@@ -1,11 +1,17 @@
-"""Unit and property tests for payload boundary transformations."""
+"""Unit and property tests for payload boundary transformations.
 
-import pytest
+``REPRO_FUZZ_N`` scales the example budget of the one-walk reference test
+like the other fuzz suites (default 300; CI's audit job runs 3000).
+"""
+
+import os
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frames import FrameStore, SyntheticCamera, VideoFrame
-from repro.frames.codec import EncodedFrame
+from repro.frames import FrameRef, FrameStore, SyntheticCamera, VideoFrame
+from repro.frames.arena import MIGRATED, RELEASED
+from repro.frames.codec import EncodedFrame, decode_frame, encode_frame
 from repro.frames.payloads import (
     add_refs,
     collect_leaves,
@@ -13,15 +19,28 @@ from repro.frames.payloads import (
     decode_frames_inline,
     encode_refs_for_wire,
     frame_refs_in,
-    map_leaves,
     release_refs,
     resolve_refs,
 )
 from repro.motion import Squat
 
+FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "300"))
+
 
 def frame(frame_id=1):
     return SyntheticCamera("phone", Squat()).capture(frame_id, 0.0)
+
+
+def map_leaves(payload, fn):
+    """Rebuild *payload* with every non-container leaf passed through *fn*:
+    the full-rebuild walk the one-walk boundary ops are checked against."""
+    if isinstance(payload, dict):
+        return {key: map_leaves(value, fn) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [map_leaves(item, fn) for item in payload]
+    if isinstance(payload, tuple):
+        return tuple(map_leaves(item, fn) for item in payload)
+    return fn(payload)
 
 
 class TestMapLeaves:
@@ -132,8 +151,9 @@ class TestRefHelpers:
 
 payload_shapes = st.recursive(
     st.none() | st.integers(-100, 100) | st.text(max_size=8)
-    | st.just("FRAME_SLOT"),
+    | st.just("FRAME_SLOT") | st.just("ENCODED_SLOT"),
     lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(st.text(min_size=1, max_size=6), children, max_size=4),
     max_leaves=12,
 )
@@ -191,3 +211,190 @@ def test_property_add_release_never_corrupts(shape, extra_holds):
         release_refs(payload, store)
     for ref in frame_refs_in(payload):
         assert store.refcount(ref) == 1
+
+
+# -- the one-walk boundary ops against the full-rebuild reference ------------
+def reference_resolve(payload, store):
+    """Borrow as a pre-scan plus a full rebuild."""
+    if not frame_refs_in(payload):
+        return payload
+    return map_leaves(
+        payload,
+        lambda leaf: store.get(leaf) if isinstance(leaf, FrameRef) else leaf,
+    )
+
+
+def reference_ship(payload, store, release=True):
+    """Ship as a pre-scan plus a full rebuild."""
+    if not frame_refs_in(payload):
+        return payload, 0.0, 0
+    totals = {"cost": 0.0, "shipped": 0}
+
+    def ship(leaf):
+        if not isinstance(leaf, FrameRef):
+            return leaf
+        obj = store.get(leaf)
+        if release:
+            store.release(leaf, reason=MIGRATED)
+        if isinstance(obj, VideoFrame):
+            encoded = encode_frame(obj)
+            totals["cost"] += encoded.encode_cost_s
+            totals["shipped"] += 1
+            return encoded
+        return obj
+
+    return map_leaves(payload, ship), totals["cost"], totals["shipped"]
+
+
+def _encoded_leaves(payload):
+    return collect_leaves(payload, lambda leaf: isinstance(leaf, EncodedFrame))
+
+
+def reference_land(payload, store):
+    """Land as a pre-scan plus a full rebuild."""
+    if not _encoded_leaves(payload):
+        return payload, 0.0, 0
+    totals = {"cost": 0.0, "landed": 0}
+
+    def land(leaf):
+        if not isinstance(leaf, EncodedFrame):
+            return leaf
+        totals["cost"] += leaf.decode_cost_s
+        totals["landed"] += 1
+        return store.put(decode_frame(leaf))
+
+    return map_leaves(payload, land), totals["cost"], totals["landed"]
+
+
+def reference_land_inline(payload):
+    """Inline landing as a pre-scan plus a full rebuild."""
+    if not _encoded_leaves(payload):
+        return payload, 0.0
+    totals = {"cost": 0.0}
+
+    def land(leaf):
+        if not isinstance(leaf, EncodedFrame):
+            return leaf
+        totals["cost"] += leaf.decode_cost_s
+        return decode_frame(leaf)
+
+    return map_leaves(payload, land), totals["cost"]
+
+
+class RecordingStore(FrameStore):
+    """A frame store that logs every get/release/put, in call order."""
+
+    def __init__(self, device):
+        super().__init__(device, capacity=1000)
+        self.calls = []
+
+    def get(self, ref):
+        self.calls.append(("get", ref))
+        return super().get(ref)
+
+    def release(self, ref, reason=RELEASED):
+        self.calls.append(("release", ref, reason))
+        super().release(ref, reason=reason)
+
+    def put(self, obj):
+        ref = super().put(obj)
+        self.calls.append(("put", ref, getattr(obj, "frame_id", None)))
+        return ref
+
+
+def _plain(payload):
+    """*payload* with codec objects reduced to comparable tuples (two
+    encodes of one frame are equal in every field but the copy)."""
+    def plain(leaf):
+        if isinstance(leaf, EncodedFrame):
+            return ("encoded", leaf.frame.frame_id, leaf.quality,
+                    leaf.wire_size, leaf.encode_cost_s, leaf.decode_cost_s)
+        if isinstance(leaf, VideoFrame):
+            return ("frame", leaf.frame_id)
+        return leaf
+
+    return map_leaves(payload, plain)
+
+
+def _assert_copy_on_write(before, after, leaf_type):
+    """Every sub-container of *before* without a *leaf_type* leaf is shared
+    with *after* (the same object); every one with such a leaf is a copy."""
+    has_leaf = bool(collect_leaves(before, lambda x: isinstance(x, leaf_type)))
+    if isinstance(before, (dict, list, tuple)):
+        assert (after is before) is not has_leaf
+        pairs = (zip(before.values(), after.values())
+                 if isinstance(before, dict) else zip(before, after))
+        for old, new in pairs:
+            _assert_copy_on_write(old, new, leaf_type)
+    elif not has_leaf:
+        assert after is before
+
+
+def _fill(shape, store):
+    """*shape* with each FRAME_SLOT a fresh ref in *store* and each
+    ENCODED_SLOT an encoded frame (ids count up in walk order)."""
+    counter = {"n": 0}
+
+    def fill(leaf):
+        if leaf == "FRAME_SLOT":
+            counter["n"] += 1
+            return store.put(VideoFrame(frame_id=counter["n"], source="cam",
+                                        capture_time=0.0, width=64,
+                                        height=48))
+        if leaf == "ENCODED_SLOT":
+            counter["n"] += 1
+            return encode_frame(VideoFrame(frame_id=counter["n"],
+                                           source="cam", capture_time=0.0,
+                                           width=32, height=24))
+        return leaf
+
+    return map_leaves(shape, fill)
+
+
+@given(shape=payload_shapes, release=st.booleans())
+@settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
+def test_property_one_walk_ops_match_the_full_rebuild(shape, release):
+    """Borrow, ship, land and inline landing each equal the pre-scan plus
+    full-rebuild reference: the same payload, counts, codec costs and
+    store calls in the same order, with a frame-free payload returned as
+    itself and only the containers on a changed path copied."""
+    # twin stores fed the same puts hold equal refs, so one payload serves
+    # both the one-walk op and the reference
+    walked, reference = RecordingStore("phone"), RecordingStore("phone")
+    payload = _fill(shape, walked)
+    assert _fill(shape, reference) == payload
+    walked.calls.clear()
+    reference.calls.clear()
+
+    borrowed = resolve_refs(payload, walked)
+    assert borrowed == reference_resolve(payload, reference)
+    assert walked.calls == reference.calls
+    _assert_copy_on_write(payload, borrowed, FrameRef)
+
+    wire, cost, shipped = encode_refs_for_wire(payload, walked,
+                                               release=release)
+    ref_wire, ref_cost, ref_shipped = reference_ship(payload, reference,
+                                                     release=release)
+    assert _plain(wire) == _plain(ref_wire)
+    assert (cost, shipped) == (ref_cost, ref_shipped)
+    assert walked.calls == reference.calls
+    _assert_copy_on_write(payload, wire, FrameRef)
+
+    desk, ref_desk = RecordingStore("desktop"), RecordingStore("desktop")
+    landed, cost, count = decode_frames_from_wire(wire, desk)
+    ref_landed, ref_cost, ref_count = reference_land(wire, ref_desk)
+    assert landed == ref_landed
+    assert (cost, count) == (ref_cost, ref_count)
+    assert desk.calls == ref_desk.calls
+    _assert_copy_on_write(wire, landed, EncodedFrame)
+
+    inline, cost = decode_frames_inline(wire)
+    ref_inline, ref_cost = reference_land_inline(wire)
+    assert _plain(inline) == _plain(ref_inline)
+    assert cost == ref_cost
+    _assert_copy_on_write(wire, inline, EncodedFrame)
+
+    if not frame_refs_in(payload):
+        assert borrowed is payload and wire is payload
+    if not _encoded_leaves(wire):
+        assert landed is wire and inline is wire

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.frames import FrameRef, VideoFrame
-from repro.frames.codec import encode_frame
+from repro.frames.codec import EncodedFrame, encode_frame
+from repro.net import Address, Message
 from repro.net.wire import (
     ENVELOPE_OVERHEAD,
     WireFormatError,
@@ -151,6 +152,10 @@ def test_property_roundtrip(value):
 @settings(max_examples=150)
 def test_property_size_model_is_exact(value):
     assert payload_size(value) == ENVELOPE_OVERHEAD + len(encode(value))
+    # asking the walk what it saw changes no size; plain values hint nothing
+    hinted = []
+    assert payload_size(value, hinted) == ENVELOPE_OVERHEAD + len(encode(value))
+    assert hinted == []
 
 
 class Flag(int):
@@ -220,11 +225,37 @@ wire_payloads = st.recursive(
 )
 
 
+def _hinted_by_full_scan(value):
+    """Every ``wire_size``-hinted leaf of *value*, depth-first, by a plain
+    ``isinstance`` walk of dict values, lists and tuples."""
+    if isinstance(value, dict):
+        return [leaf for item in value.values()
+                for leaf in _hinted_by_full_scan(item)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _hinted_by_full_scan(item)]
+    if isinstance(value, (str, bytes, bytearray, np.ndarray, np.generic)):
+        return []
+    return [value] if getattr(value, "wire_size", None) is not None else []
+
+
 @given(value=wire_payloads)
 @example(value={"label": "ünïcødé ☃", "n": [True, 1, 1.0, None]})
 @example(value=[Name("é"), Flag(1), np.int64(3), object()])
 @settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
 def test_sizes_by_exact_type_equal_the_cascade(value):
     """The exact-type dispatch gives the cascade's integer (or its error)
-    for every payload the reference can size."""
-    assert _outcome(_size_of, value) == _outcome(_size_by_cascade, value)
+    for every payload the reference can size. A message's size walk also
+    records the same hinted leaves, in the same order, as a full scan, so
+    "it saw an encoded frame" (the rule that lets a receiver skip landing)
+    agrees with the scan."""
+    outcome = _outcome(_size_by_cascade, value)
+    assert _outcome(_size_of, value) == outcome
+    if outcome is WireFormatError:
+        return
+    message = Message(kind="data", dst=Address("desktop", 1), payload=value)
+    scanned = _hinted_by_full_scan(value)
+    assert len(message.hinted) == len(scanned)
+    assert all(seen is found for seen, found in zip(message.hinted, scanned))
+    assert (any(isinstance(leaf, EncodedFrame) for leaf in message.hinted)
+            == any(isinstance(leaf, EncodedFrame) for leaf in scanned))
+    assert message.size_bytes == payload_size(value) + payload_size({})

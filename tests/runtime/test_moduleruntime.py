@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeploymentError
-from repro.frames import SyntheticCamera
+from repro.frames import FrameRef, SyntheticCamera, encode_frame
 from repro.motion import Squat
 from repro.runtime import DATA, READY_SIGNAL, Module
 from repro.runtime.module import FunctionModule
@@ -100,6 +100,31 @@ class TestEventDelivery:
         assert home.devices["desktop"].frame_store.contains(landed)
         # ownership moved: the phone-side hold was released
         assert not home.devices["phone"].frame_store.contains(ref)
+
+    @pytest.mark.parametrize("arena", [False, True], ids=["store", "arena"])
+    def test_same_device_encoded_frame_still_lands(self, home, arena):
+        """Landing is skipped only when the size walk proved a payload holds
+        no encoded frame, never for being local: an EncodedFrame sent on a
+        same-device hop arrives as a local ref to its frame, and its decode
+        is charged to the device's CPU. An arena hop is sized without a
+        walk, so it lands too."""
+        phone = home.devices["phone"]
+        if arena:
+            phone.enable_arena()
+        got = []
+        sender_ctx, a, b = self.deploy_pair(
+            home, lambda ctx, e: got.append(e.payload["frame"]),
+            dst_dev="phone")
+        b.module.event_overhead_s = 0.0  # the decode is the one CPU job
+        encoded = encode_frame(frame())
+        sender_ctx["ctx"].call_module("b", {"frame": encoded, "frame_id": 1})
+        home.kernel.run()
+        (landed,) = got
+        assert isinstance(landed, FrameRef) and landed.device == "phone"
+        assert phone.frame_store.get(landed) is encoded.frame
+        # one CPU job, drawn around the frame's decode cost (the draw jitters)
+        assert phone.cpu.jobs_completed == 1
+        assert list(phone.cpu._jitter) == [encoded.decode_cost_s]
 
     def test_cross_device_transfer_takes_network_time(self, home):
         got = []
