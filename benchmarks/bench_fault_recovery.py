@@ -36,7 +36,6 @@ def run_crash_scenario(recognizer, period_s, seed=11, fps=10.0):
     config = fitness_pipeline_config(fps=fps, duration_s=DURATION_S)
     config.module("pose_detector_module").device = "desktop"
     config.module("activity_detector_module").device = "desktop"
-    config.module("video_streaming_module").params["credit_timeout_s"] = 1.0
     pipeline = FitnessApp(home, services).deploy(config)
 
     detector = home.enable_failure_detection(

@@ -39,8 +39,6 @@ def main() -> None:
     config = fitness_pipeline_config(fps=10.0)
     config.module("pose_detector_module").device = "desktop"
     config.module("activity_detector_module").device = "desktop"
-    # the credit watchdog restarts the stream after frames die on the wire
-    config.module("video_streaming_module").params["credit_timeout_s"] = 1.0
     pipeline = FitnessApp(home, services).deploy(config)
 
     # close the §7 loop: heartbeats -> detection -> evacuation

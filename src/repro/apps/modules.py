@@ -54,7 +54,6 @@ class VideoStreamingModule(Module):
         capture_jitter_cv: float = 0.02,
         period_s: float = 2.0,
         randomize_subject: bool = False,
-        credit_timeout_s: float | None = None,
         static_scene: bool = False,
     ) -> None:
         self.fps = fps
@@ -66,7 +65,6 @@ class VideoStreamingModule(Module):
         self.capture_jitter_cv = capture_jitter_cv
         self.period_s = period_s
         self.randomize_subject = randomize_subject
-        self.credit_timeout_s = credit_timeout_s
         #: Freeze the camera content after the first capture: every frame is
         #: byte-identical (fresh ids/timestamps), the dedup/cache workload.
         self.static_scene = static_scene
@@ -91,7 +89,6 @@ class VideoStreamingModule(Module):
             mode=self.mode,
             jitter_cv=self.capture_jitter_cv,
             rng=rng,
-            credit_timeout_s=self.credit_timeout_s,
             on_drop=lambda frame: ctx.frame_dropped(frame.frame_id),
         )
         self.source.start(duration_s=self.duration_s, max_frames=self.max_frames)

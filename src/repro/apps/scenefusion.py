@@ -17,8 +17,8 @@ world tracks and per-track provenance::
 Flow control generalizes §2.3 to fan-in: the rig holds one credit worth N
 frames (one per camera); each fused event returns one ready signal, and
 the rig emits the next synchronized tick only when all N came back. A
-``credit_timeout_s`` watchdog regenerates the credit when signals are lost
-(module crash, mid-flight migration), mirroring ``VideoSource``.
+frame a crash or a migration drops returns its credit too, straight from
+the runtime once its last live copy ends, as for ``VideoSource``.
 
 Frames are *annotated* (``pixels=None``): metadata carries the per-camera
 ground-truth observations (already occlusion-filtered), and the pose
@@ -143,7 +143,6 @@ class SceneRigModule(Module):
         actors: int = 2,
         scene: str = "crossing",
         cross_at: float = 3.0,
-        credit_timeout_s: float | None = None,
     ) -> None:
         self.fps = fps
         self.duration_s = duration_s
@@ -151,15 +150,12 @@ class SceneRigModule(Module):
         self.actors = actors
         self.scene_preset = scene
         self.cross_at = cross_at
-        self.credit_timeout_s = credit_timeout_s
         self.scene: MultiViewScene | None = None
         self._branches: list[str] = []
         self._outstanding = 0
         self._running = False
-        self._last_emit_at = 0.0
         self.emitted_ticks = 0
         self.dropped_ticks = 0
-        self.watchdog_recoveries = 0
 
     def init(self, ctx: ModuleContext) -> None:
         self.scene = build_scene(
@@ -210,17 +206,6 @@ class SceneRigModule(Module):
             if (self.duration_s is not None
                     and elapsed >= self.duration_s - 1e-9):
                 break
-            if (
-                self._outstanding > 0
-                and self.credit_timeout_s is not None
-                and self.emitted_ticks > 0
-                and ctx.now - self._last_emit_at >= self.credit_timeout_s
-            ):
-                # ready signals lost downstream (crash, migration):
-                # regenerate the credit instead of stalling forever
-                self.watchdog_recoveries += 1
-                ctx.metrics.increment("scene_credit_timeouts")
-                self._outstanding = 0
             frame_ids = [tick * n + i + 1 for i in range(n)]
             if self._outstanding == 0:
                 t = ctx.now
@@ -236,7 +221,6 @@ class SceneRigModule(Module):
                     })
                     self._outstanding += 1
                 self.emitted_ticks += 1
-                self._last_emit_at = t
             else:
                 # pipeline still busy: the whole tick is dropped at the
                 # source (§2.3 — never queue inside the pipeline)
@@ -440,7 +424,6 @@ def multi_camera_pipeline_config(
     embed_threshold: float = 0.30,
     position_threshold_m: float = 0.90,
     reid_gate: float = 0.45,
-    credit_timeout_s: float | None = None,
     fusion_name: str = "scene_fusion_module",
 ) -> PipelineConfig:
     """rig → N per-camera track branches → one fused sink (fan-in DAG)."""
@@ -453,7 +436,6 @@ def multi_camera_pipeline_config(
             params={
                 "fps": fps, "duration_s": duration_s, "cameras": cameras,
                 "actors": actors, "scene": scene, "cross_at": cross_at,
-                "credit_timeout_s": credit_timeout_s,
             },
         ),
         *[

@@ -391,7 +391,6 @@ def chaos_fitness(seed: int):
     config = fitness_pipeline_config(fps=10.0, duration_s=duration)
     config.module("pose_detector_module").device = "desktop"
     config.module("activity_detector_module").device = "desktop"
-    config.module("video_streaming_module").params["credit_timeout_s"] = 1.0
     pipeline = FitnessApp(home, services).deploy(config)
     home.enable_failure_detection(home_device="tv", period_s=0.25,
                                   miss_threshold=2)

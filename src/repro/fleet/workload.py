@@ -163,7 +163,6 @@ def scene_home_pipeline_config(
         fps=fps,
         duration_s=duration_s,
         source_device=camera_device,
-        credit_timeout_s=1.0,
         fusion_name="sink",
     )
 
@@ -185,8 +184,9 @@ def home_pipeline_config(
 ) -> PipelineConfig:
     """The per-home application DAG. The source is pinned to the camera
     device (the sensor is physical); everything else is free for the
-    placement strategy to assign. ``credit_timeout_s`` keeps the stream
-    alive across live migrations that drop an in-flight frame."""
+    placement strategy to assign. A live migration that drops an
+    in-flight frame still returns the source its credit (the frame's
+    last live copy hands it back), so the stream keeps flowing."""
     return PipelineConfig(
         name=name,
         modules=[
@@ -195,11 +195,7 @@ def home_pipeline_config(
                 include="./VideoStreamingModule.js",
                 device=camera_device,
                 next_modules=["detect"],
-                params={
-                    "fps": fps,
-                    "duration_s": duration_s,
-                    "credit_timeout_s": 1.0,
-                },
+                params={"fps": fps, "duration_s": duration_s},
             ),
             ModuleConfig(
                 name="detect",

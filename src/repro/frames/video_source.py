@@ -135,13 +135,9 @@ class VideoSource:
             ``"push"`` (no gate; the queued baseline).
         jitter_cv: coefficient of variation on the inter-frame interval.
         rng: RNG for capture jitter (required if ``jitter_cv > 0``).
-        credit_timeout_s: optional watchdog — if the sink's ready signal is
-            lost (a crashed module, a mid-flight migration), regenerate the
-            credit after this many seconds instead of stalling forever.
-            ``None`` (default) is the paper's pure protocol.
         on_drop: callback invoked with each frame dropped at the source
-            (buffered frame replaced by a fresher capture, or discarded by
-            the watchdog). Lets the pipeline account for frames that never
+            (a buffered frame replaced by a fresher capture). Lets the
+            pipeline account for frames that never
             complete — only frames the pipeline has *seen* matter, so most
             sources leave this unset; the streaming module wires it to
             frame accounting.
@@ -156,7 +152,6 @@ class VideoSource:
         mode: str = "signal",
         jitter_cv: float = 0.0,
         rng: np.random.Generator | None = None,
-        credit_timeout_s: float | None = None,
         on_drop: Callable[[VideoFrame], None] | None = None,
     ) -> None:
         if fps <= 0:
@@ -169,23 +164,18 @@ class VideoSource:
         self.camera = camera
         self.fps = fps
         self.deliver = deliver
-        if credit_timeout_s is not None and credit_timeout_s <= 0:
-            raise ConfigError("credit_timeout_s must be positive")
         self.mode = mode
         self.jitter_cv = jitter_cv
         self.rng = rng
-        self.credit_timeout_s = credit_timeout_s
         self.on_drop = on_drop
         self._credits = 1
         self._pending: VideoFrame | None = None
-        self._last_emit_at = 0.0
         self._running = False
         self._paused = False
         # statistics
         self.captured_count = 0
         self.emitted_count = 0
         self.dropped_count = 0
-        self.watchdog_recoveries = 0
 
     # -- control ---------------------------------------------------------------
     def start(self, duration_s: float | None = None, max_frames: int | None = None) -> None:
@@ -238,7 +228,6 @@ class VideoSource:
 
     def _emit(self, frame: VideoFrame) -> None:
         self.emitted_count += 1
-        self._last_emit_at = self.kernel.now
         self.deliver(frame)
 
     def _drop(self, frame: VideoFrame) -> None:
@@ -280,21 +269,6 @@ class VideoSource:
             capture = getattr(self.camera, "capture", self.camera)
             frame = capture(frame_id, self.kernel.now)
             self.captured_count += 1
-            if (
-                self.mode == "signal"
-                and self.credit_timeout_s is not None
-                and self._credits == 0
-                and self.emitted_count > 0
-                and self.kernel.now - self._last_emit_at >= self.credit_timeout_s
-            ):
-                # the ready signal was lost downstream: regenerate the
-                # credit rather than stall the pipeline forever; the frame
-                # just captured supersedes anything buffered
-                self.watchdog_recoveries += 1
-                self._credits = 1
-                if self._pending is not None:
-                    stale, self._pending = self._pending, None
-                    self._drop(stale)
             if self.mode == "push":
                 self._emit(frame)
             elif self._credits > 0:

@@ -118,11 +118,10 @@ class Deployer:
         redeployed. Events still queued in the old mailbox are settled as
         dropped, like a real stop-and-move: senders see the brief gap.
 
-        Caveat: a message in flight to the old address during the move is
-        lost. If the migrated module sits on the §2.3 credit path, a lost
-        frame means the source never gets its ready signal — streams that
-        must survive live migration should enable the video source's
-        ``credit_timeout_s`` watchdog.
+        A message in flight to the old address during the move
+        dead-letters. Either way a dropped frame's §2.3 credit comes back
+        to the source when its last live copy ends
+        (``runtime/settlement.py``), so the stream survives the move.
         """
         old_deployed = pipeline.module(module_name)
         module_cfg = pipeline.config.module(module_name)

@@ -38,7 +38,7 @@ from ..trace.span import (
     trace_id_for,
 )
 from .events import DATA, READY_SIGNAL
-from .settlement import SOURCE_BUSY
+from .settlement import SOURCE_BUSY, ready_signal_sent
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
@@ -224,10 +224,11 @@ class ModuleContext:
         and its trace closed at this instant) and return the source its
         credit (§2.3). Returns the ready signal, or ``None`` when none was
         sent: a shadow wiring has no source, and a frame ends once —
-        finishing a frame that a settlement already ended records nothing
-        and only pays the credit that settlement left owed."""
+        finishing a frame that a settlement already ended records nothing,
+        and the settlement's entry in ``credits_owed`` comes back to the
+        source when the frame's last live copy ends."""
         if not self.metrics.frame_in_flight(frame_id):
-            return self._pay_owed_credit(frame_id)
+            return None
         self.metrics.frame_completed(frame_id, self.now)
         tracer = self.tracer
         if tracer is not None:
@@ -239,23 +240,19 @@ class ModuleContext:
             tracer.frame_finished(trace_id_for(self.pipeline_name, frame_id))
         return self._signal_source()
 
-    def _pay_owed_credit(self, frame_id: int) -> Signal | None:
-        """Return the credit a settlement left owed for *frame_id*, if any."""
-        if frame_id not in self.wiring.credits_owed:
-            return None
-        self.wiring.credits_owed.discard(frame_id)
-        return self._signal_source()
-
     def _signal_source(self) -> Signal | None:
-        """Send the pipeline source one ready signal (credit refill)."""
+        """Send the pipeline source one ready signal (credit refill); if
+        the send fails, the credit is handed to the source directly."""
         source = self.wiring.source_module
         if source is None:
             return None
         self.metrics.increment("ready_signals")
-        return self._runtime.send_to_module(
+        done = self._runtime.send_to_module(
             self.module_name, source, None, {}, kind=READY_SIGNAL,
             wiring=self.wiring,
         )
+        done.wait(ready_signal_sent, self.wiring)
+        return done
 
     # -- frame references ---------------------------------------------------------------
     def store_frame(self, frame: VideoFrame | Any) -> FrameRef:

@@ -18,11 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..devices.device import Device
 from ..errors import DeploymentError
 from ..frames.codec import EncodedFrame
-from ..frames.payloads import (
-    decode_frames_from_wire,
-    encode_refs_for_wire,
-    frame_ids_in,
-)
+from ..frames.payloads import decode_frames_from_wire, encode_refs_for_wire
 from ..net.address import Address
 from ..net.message import H_TRACE, KIND_SIGNAL, Message
 from ..net.wire import ENVELOPE_OVERHEAD
@@ -31,10 +27,10 @@ from ..sim.kernel import Kernel
 from ..sim.resources import Store
 from ..sim.signals import Signal
 from ..trace.span import CAT_COMPUTE, CAT_QUEUE, CAT_WIRE, SpanContext
+from . import settlement
 from .context import ModuleContext
 from .events import DATA, READY_SIGNAL, ModuleEvent
 from .module import Module
-from .settlement import CRASH, DEAD_LETTER, HANDLER_FAILED, settle_payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
@@ -77,13 +73,13 @@ class DeployedModule:
         return len(self.mailbox)
 
     def settle_queued(self, reason: str) -> int:
-        """:func:`~repro.runtime.settlement.settle_payload` every event
+        """:func:`~repro.runtime.settlement.settle_event` every event
         still queued in the mailbox; returns how many there were."""
         runtime = self.runtime
         events = self.mailbox.drain()
         for event in events:
-            settle_payload(
-                event.payload, runtime.device.frame_store, self.ctx.wiring,
+            settlement.settle_event(
+                event, runtime.device.frame_store, self.ctx.wiring,
                 runtime.kernel.now, reason, self.name,
             )
         return len(events)
@@ -141,6 +137,8 @@ class ModuleRuntime:
         ctx = ModuleContext(self, name, wiring, stubs or {})
         deployed = DeployedModule(self, name, module, address, ctx)
         self._deployed[name] = deployed
+        if name == wiring.source_module:
+            wiring.source = deployed
         self.transport.bind(address, lambda msg: self._on_message(deployed, msg))
         if run_init:
             module.init(ctx)
@@ -158,7 +156,7 @@ class ModuleRuntime:
         """Device-crash semantics: events still queued in mailboxes are lost
         with RAM. Returns the number of events dropped."""
         return sum(
-            deployed.settle_queued(CRASH)
+            deployed.settle_queued(settlement.CRASH)
             for deployed in self._deployed.values()
         )
 
@@ -198,6 +196,8 @@ class ModuleRuntime:
         target_address = wiring.address_of(target_module)
         source_address = wiring.address_of(source_module)
         local = target_address.device == self.device.name
+        if kind == DATA:
+            settlement.copies_sent(wiring, payload)
         if local:
             done = self.transport.send(self._build_message(
                 kind, payload, source_address, target_address, headers,
@@ -250,9 +250,9 @@ class ModuleRuntime:
         owns_refs: bool,
     ) -> None:
         wiring.metrics.increment("dead_letters")
-        settle_payload(
+        settlement.settle_payload(
             payload, self.device.frame_store, wiring, self.kernel.now,
-            DEAD_LETTER, source_module, owns_refs=owns_refs,
+            settlement.DEAD_LETTER, source_module, owns_refs=owns_refs,
         )
 
     #: Charged bytes for one intra-device hop through the arena frame
@@ -344,10 +344,11 @@ class ModuleRuntime:
                 # undeployed while this get was in flight: the event already
                 # left the mailbox, so no drain saw it
                 if event.kind == DATA:
-                    self._dead_letter(
-                        deployed.name, deployed.ctx.wiring, event.payload,
-                        owns_refs=True,
-                    )
+                    deployed.ctx.wiring.metrics.increment("dead_letters")
+                settlement.settle_event(
+                    event, self.device.frame_store, deployed.ctx.wiring,
+                    self.kernel.now, settlement.DEAD_LETTER, deployed.name,
+                )
                 break
             payload = event.payload
             if event.lands:
@@ -401,12 +402,10 @@ class ModuleRuntime:
                     # the one place a raising handler's frame ends: it has
                     # neither released nor forwarded its input, so the refs
                     # are still its own (docs/AUDIT.md §Settlement)
-                    settle_payload(
+                    settlement.settle_payload(
                         payload, self.device.frame_store, ctx.wiring,
-                        self.kernel.now, HANDLER_FAILED, deployed.name,
+                        self.kernel.now, settlement.HANDLER_FAILED, deployed.name,
                     )
-                    for frame_id in frame_ids_in(payload):
-                        ctx._pay_owed_credit(frame_id)
             if handler_ctx is not None:
                 tracer.record_span(
                     handler_ctx, f"module.{deployed.name}", CAT_COMPUTE,
@@ -418,6 +417,8 @@ class ModuleRuntime:
                 ctx._trace_root = None
                 ctx._trace_span = None
             if event.kind == DATA:
+                if not failed:
+                    settlement.copies_handled(ctx.wiring, payload)
                 deployed.handler_samples.append(
                     self.kernel.now - event.enqueued_at
                 )

@@ -6,10 +6,11 @@ migration, a dead letter, a deploy rollback, a canary teardown,
 seven reasons, and all of them go through :func:`settle_payload`
 (``docs/AUDIT.md`` §Settlement).
 
-A settlement leaves each dropped frame's §2.3 credit owed on the wiring;
-a failed handler's worker or a sibling branch's ``finish`` pays it. A
-handler that raises still owns its input: the worker settles it, and a
-stale ref (released, then raised) is counted in ``ownership_breaches``.
+A settlement leaves each dropped frame's §2.3 credit owed on the wiring,
+handed straight to the source when the frame's last live copy ends, as is
+a ready signal's that failed. A handler that raises still owns its input:
+the worker settles it, and a stale ref (released, then raised) is counted
+in ``ownership_breaches``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from ..frames.frame import FrameRef
 from ..frames.framestore import FrameStore
 from ..frames.payloads import frame_ids_in, release_refs, replace_leaves
 from ..trace.span import trace_id_for
+from .events import READY_SIGNAL, ModuleEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from .wiring import PipelineWiring
@@ -60,8 +62,8 @@ def settle_payload(
     frame leaves the pipeline once: fan-out puts it in several mailboxes,
     or a sibling branch completes it, so the drop is recorded only while
     the collector holds it in flight, and leaves the frame's credit owed.
-    Takes the *wiring*, not a module context — a sender may be undeployed
-    when its message dead-letters.
+    Each call ends one live copy. Takes the *wiring*, not a module
+    context — a sender may be undeployed when its message dead-letters.
     """
     if owns_refs:
         if reason == HANDLER_FAILED:
@@ -73,16 +75,71 @@ def settle_payload(
     metrics = wiring.metrics
     tracer = wiring.tracer
     for frame_id in frame_ids_in(payload):
-        if not metrics.frame_in_flight(frame_id):
-            continue
-        metrics.frame_dropped(frame_id, now)
-        metrics.increment(f"frames_dropped.{reason}")
-        wiring.credits_owed.add(frame_id)
-        if tracer is not None:
-            tracer.frame_dropped(
-                trace_id_for(wiring.pipeline_name, frame_id),
-                device=store.device, actor=actor, reason=reason,
-            )
+        if metrics.frame_in_flight(frame_id):
+            metrics.frame_dropped(frame_id, now)
+            metrics.increment(f"frames_dropped.{reason}")
+            wiring.credits_owed.add(frame_id)
+            if tracer is not None:
+                tracer.frame_dropped(
+                    trace_id_for(wiring.pipeline_name, frame_id),
+                    device=store.device, actor=actor, reason=reason,
+                )
+        _copy_ended(wiring, frame_id)
+
+
+def settle_event(event: ModuleEvent, store: FrameStore,
+                 wiring: "PipelineWiring", now: float, reason: str,
+                 actor: str) -> None:
+    """Settle one queued event; a ready signal hands its credit over."""
+    if event.kind == READY_SIGNAL:
+        hand_credit(wiring)
+    else:
+        settle_payload(event.payload, store, wiring, now, reason, actor)
+
+
+def copies_sent(wiring: "PipelineWiring", payload: Any) -> None:
+    """A DATA message is sent: one more live copy of each of its frames."""
+    live = wiring.live_copies
+    for frame_id in frame_ids_in(payload):
+        live[frame_id] = live.get(frame_id, 0) + 1
+
+
+def copies_handled(wiring: "PipelineWiring", payload: Any) -> None:
+    """A DATA handler returned: its copy of each frame has ended."""
+    for frame_id in frame_ids_in(payload):
+        _copy_ended(wiring, frame_id)
+
+
+def _copy_ended(wiring: "PipelineWiring", frame_id: int) -> None:
+    """The credit rule: a settled frame's owed credit goes back to the
+    source when the frame's last live copy ends, and not before."""
+    copies = wiring.live_copies.pop(frame_id, 1) - 1
+    if copies:
+        wiring.live_copies[frame_id] = copies
+    elif frame_id in wiring.credits_owed:
+        wiring.credits_owed.discard(frame_id)
+        if wiring.source is not None:  # a canary's shadow has no source
+            wiring.metrics.increment("ready_signals")
+            hand_credit(wiring)
+
+
+def hand_credit(wiring: "PipelineWiring") -> None:
+    """Give the source a credit that no ready signal carries, in an event
+    of its own: no message from a device that may be down."""
+    wiring.source.runtime.kernel.schedule(0.0, _deliver_credit, wiring)
+
+
+def ready_signal_sent(wiring: "PipelineWiring", _value: Any,
+                      exc: BaseException | None) -> None:
+    """``done.wait`` callback: a ready signal that failed hands it over."""
+    if exc is not None:
+        hand_credit(wiring)
+
+
+def _deliver_credit(wiring: "PipelineWiring") -> None:
+    source = wiring.source  # the deployment now, after any migration
+    if source.active:
+        source.module.on_ready_signal(source.ctx, ModuleEvent(READY_SIGNAL))
 
 
 def _without_stale_refs(payload, store, wiring, actor):

@@ -38,10 +38,15 @@ class PipelineWiring:
     #: the home's :class:`~repro.liveops.lineage.LineageRecorder`, or
     #: ``None`` while lineage is off (set by ``VideoPipe.enable_liveops``).
     lineage: Any = None
+    #: the source module's current deployment, which a credit no ready
+    #: signal carries is handed to (set by ``ModuleRuntime.deploy``).
+    source: Any = None
     #: frames a settlement ended whose §2.3 credit has not come back yet —
-    #: paid by the sink that finishes a fanned-out copy, or by a failed
-    #: handler's worker (``runtime/settlement.py``).
+    #: paid to the source when the frame's last live copy ends.
     credits_owed: set[int] = field(default_factory=set)
+    #: frame id -> DATA copies of it sent and not yet handled or settled
+    #: (``runtime/settlement.py`` alone reads and writes both).
+    live_copies: dict[int, int] = field(default_factory=dict)
 
     def address_of(self, module_name: str) -> Address:
         try:

@@ -24,8 +24,7 @@ def stage_pipeline(home: VideoPipe, name: str):
     config = PipelineConfig(name=name, modules=[
         ModuleConfig(name=f"{name}_camera", include="./VideoStreamingModule.js",
                      device="phone", next_modules=[f"{name}_stage"],
-                     params={"fps": 8.0, "duration_s": 4.0,
-                             "credit_timeout_s": 1.0}),
+                     params={"fps": 8.0, "duration_s": 4.0}),
         ModuleConfig(name=f"{name}_stage", include="./FleetStageModule.js",
                      services=["heavy"], next_modules=[f"{name}_sink"],
                      params={"service": "heavy", "stage": "stage"}),

@@ -67,7 +67,6 @@ def composed_home(recognizer):
                               recovery_hold_s=1.0))
     config = fitness_pipeline_config(fps=15.0, duration_s=END_S - 1.0)
     config.module("pose_detector_module").device = "desktop"
-    config.module("video_streaming_module").params["credit_timeout_s"] = 1.0
     pipeline = home.deploy_pipeline(
         config, default_device="phone",
         slo=SLO(p99_latency_s=0.1, min_fps=4.0, window_s=2.0),

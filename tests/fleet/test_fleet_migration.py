@@ -3,7 +3,8 @@
 The hard part of ``Deployer.migrate`` is not the happy path but migrating
 *mid-stream*: a frame may be in flight inside the migrated module, queued
 events must be drained, their frame refs released and the frames accounted
-as dropped, and the §2.3 credit watchdog must revive the stream. These
+as dropped, and each dropped frame's §2.3 credit must still come back to
+the source, with nothing but the runtime to return it. These
 tests run migrations in a live fleet and then hold the auditor to the
 usual quiesce bar: no frame-ref leaks, conserved frame accounting, and
 strictly increasing frame ids at every sink.

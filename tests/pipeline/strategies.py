@@ -96,7 +96,6 @@ def random_deployable_config(
         params={
             "fps": rng.choice([4.0, 8.0, 12.0]),
             "duration_s": duration_s,
-            "credit_timeout_s": 1.0,
         },
     )]
     for position, service in enumerate(chosen):

@@ -53,8 +53,7 @@ def _trap_config(fps: float = 8.0, duration_s: float = 3.0) -> PipelineConfig:
     return PipelineConfig(name="trap", modules=[
         ModuleConfig(name="camera", include="./VideoStreamingModule.js",
                      device="phone", next_modules=["stage"],
-                     params={"fps": fps, "duration_s": duration_s,
-                             "credit_timeout_s": 1.0}),
+                     params={"fps": fps, "duration_s": duration_s}),
         ModuleConfig(name="stage", include="./FleetStageModule.js",
                      services=["heavy"], next_modules=["sink"],
                      params={"service": "heavy", "stage": "stage"}),

@@ -4,10 +4,12 @@ Random interleavings of fan-in traffic with everything that ends a frame
 early — migrate, swap, canary upgrade/promote/rollback, device crash and
 restart, a deploy that rolls back, ``Pipeline.stop``, a handler that
 raises — with the invariant
-auditor as the oracle, and one §2.3 credit per admitted frame, returned or
-still owed. Each of those used to carry its own copy of the
-drain loop; they now share ``repro.runtime.settlement.settle_payload``, so
-what this test can still find is a caller that forgets to call it.
+auditor as the oracle, and exactly one §2.3 credit returned per admitted
+frame once the home is quiet: none is left owed, whatever device was down
+when the frame's last copy ended. Each of those used to carry its own copy
+of the drain loop; they now share
+``repro.runtime.settlement.settle_payload``, so what this test can still
+find is a caller that forgets to call it.
 
 ``REPRO_FUZZ_N`` scales the example budget like the other fuzz suites
 (default 200 -> 50 examples of up to 30 steps, about a second).
@@ -130,6 +132,15 @@ class SettlementMachine(RuleBasedStateMachine):
     def restart(self, device):
         self.home.restart_device(device)
 
+    @rule(device=st.sampled_from(DEVICES), burst=BURSTS, lead=LEADS,
+          down_for=LEADS)
+    def outage(self, device, burst, lead, down_for):
+        """A device goes down with traffic in flight, frames keep coming
+        while it is down, and it comes back."""
+        self.crash(device, burst, lead)
+        self.traffic(burst, down_for)
+        self.restart(device)
+
     @rule()
     def failed_deploy(self):
         frame_id = next(self.frame_ids)
@@ -160,12 +171,11 @@ class SettlementMachine(RuleBasedStateMachine):
         assert home.auditor.violations == [], home.auditor.report()
         for device in DEVICES:
             assert home.device(device).frame_store.live_count == 0, device
-        # one credit per admitted frame: returned to the source, or still
-        # owed because no copy of the frame reached the sink
+        # one credit per admitted frame, every one of them returned
         count = self.pipeline.metrics.counter
-        assert count("ready_signals") + len(
-            self.pipeline.wiring.credits_owed
-        ) == count("frames_entered"), self.pipeline.metrics.counters()
+        assert not self.pipeline.wiring.credits_owed
+        assert count("ready_signals") == count("frames_entered"), (
+            self.pipeline.metrics.counters())
         for metrics in self.collectors:
             count = metrics.counter
             assert metrics.frames_in_flight == 0, metrics

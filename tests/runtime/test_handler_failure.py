@@ -1,12 +1,11 @@
 """A raising DATA handler's frame ends in one place: the module worker.
 
 The worker settles the event's payload as ``handler_failed`` (releasing the
-refs the handler still owns), counts ``module_errors`` once, and pays the
-source the credit the settlement left owed. A frame ends once and returns
-one credit: a sibling branch that finishes the same frame later records
-nothing, and pays the credit only if the settlement that ended the frame
-did not (a crash, a migration, a dead letter; ``docs/AUDIT.md``
-§Settlement).
+refs the handler still owns) and counts ``module_errors`` once. A frame
+ends once and returns one credit: a sibling branch that finishes the same
+frame later records nothing, and a settled frame's credit goes back to the
+source when the frame's last live copy ends — never while a sibling copy
+still runs (``docs/AUDIT.md`` §Settlement).
 """
 
 import dataclasses
@@ -88,11 +87,12 @@ class ReleaseThenRaise(Module):
 @register_module("./HandlerFailureHold.js")
 class Hold(Module):
     """Holds each frame for *delay_s*, then frees it and — when it is the
-    sink — finishes it."""
+    sink — finishes it. Records when it let go of each frame."""
 
     def __init__(self, delay_s, sink=False):
         self.delay_s = delay_s
         self.sink = sink
+        self.done_at = {}
 
     def event_received(self, ctx, event):
         def flow():
@@ -100,6 +100,7 @@ class Hold(Module):
             ctx.release(event.payload["frame"])
             if self.sink:
                 ctx.finish(event.payload["frame_id"])
+            self.done_at[event.payload["frame_id"]] = ctx.now
 
         return flow()
 
@@ -115,6 +116,24 @@ def camera(next_modules, **params):
 def stage(name, include, next_modules=(), device="phone", **params):
     return ModuleConfig(name=name, include=include, device=device,
                         next_modules=list(next_modules), params=params)
+
+
+def record_admissions(pipeline):
+    """Spy on *pipeline*'s collector: frame id -> admission time."""
+    admitted = {}
+    enter = pipeline.metrics.frame_entered
+
+    def frame_entered(frame_id, now):
+        admitted[frame_id] = now
+        enter(frame_id, now)
+
+    pipeline.metrics.frame_entered = frame_entered
+    return admitted
+
+
+def next_admission(admitted, frame_id):
+    """When the source admitted its first frame after *frame_id*."""
+    return min(t for f, t in admitted.items() if f > frame_id)
 
 
 def assert_every_frame_ended(home, pipeline):
@@ -207,7 +226,6 @@ def test_a_raising_fan_in_branch_still_returns_the_rig_its_credit():
     count = pipeline.metrics.counter
     # one credit per camera frame: no watchdog, and tick after tick
     assert rig.emitted_ticks >= 8
-    assert rig.watchdog_recoveries == 0
     assert count(FAILED) == count("frames_completed") == rig.emitted_ticks
     assert count("ready_signals") == 2 * rig.emitted_ticks
     assert_every_frame_ended(home, pipeline)
@@ -246,8 +264,9 @@ def test_releasing_then_raising_trips_frame_ref_conservation(monkeypatch):
 def test_a_migrated_branchs_queued_copy_leaves_the_sink_its_credit():
     """Fan-out: the side branch is busy, so the next frame's copy waits in
     its mailbox; migrating it drops that frame while the sink still holds
-    its copy. The sink's ``finish`` records nothing but pays the credit the
-    migration left owed, so the source keeps emitting."""
+    its copy. The sink's ``finish`` records nothing, and the credit the
+    migration left owed comes back when the sink lets go of its copy — not
+    before — so the source keeps emitting, one frame at a time."""
     home = VideoPipe.paper_testbed(seed=3)
     home.enable_audit()
     pipeline = home.deploy_pipeline(PipelineConfig(
@@ -259,6 +278,7 @@ def test_a_migrated_branchs_queued_copy_leaves_the_sink_its_credit():
             stage("sink", "./HandlerFailureHold.js", delay_s=0.2, sink=True),
         ],
     ))
+    admitted = record_admissions(pipeline)
     side = pipeline.module("side")
     while not (side.mailbox_depth and pipeline.metrics.frames_in_flight):
         assert home.now < 2.0, "the side branch never queued a live frame"
@@ -273,13 +293,19 @@ def test_a_migrated_branchs_queued_copy_leaves_the_sink_its_credit():
     assert count("frames_completed") == entered - 1
     assert count("ready_signals") == entered
     assert_every_frame_ended(home, pipeline)
+    # the side branch never handled the frame the migration dropped; the
+    # source admitted its next frame only once the sink's copy ended
+    [dropped] = set(admitted) - set(pipeline.module_instance("side").done_at)
+    sink_done = pipeline.module_instance("sink").done_at[dropped]
+    assert next_admission(admitted, dropped) >= sink_done
 
 
 def test_a_crashed_rep_counter_still_leaves_the_display_its_credit():
     """The fitness DAG fans each frame out to the rep counter and the
     display. With the rep counter's device down, every copy sent to it
-    dead-letters and ends its frame; the display's ``finish`` pays the
-    credit each dead letter left owed, so the stream runs to its end."""
+    dead-letters and ends its frame; the credit each dead letter left owed
+    comes back once the display is done with its copy — never sooner — so
+    the stream runs to its end."""
     home = VideoPipe.paper_testbed(seed=9)
     home.enable_audit()
     home.add_device(DeviceSpec(name="laptop", kind="laptop"))
@@ -292,8 +318,19 @@ def test_a_crashed_rep_counter_still_leaves_the_display_its_credit():
         for module in config.modules
     ]
     pipeline = FitnessApp(home, services).deploy(config)
+    admitted = record_admissions(pipeline)
+    display = pipeline.module("display_module").ctx
+    finished_at = {}
+    finish = display.finish
+
+    def spy_finish(frame_id):
+        finished_at[frame_id] = display.now
+        return finish(frame_id)
+
+    display.finish = spy_finish
     home.run(until=1.0)
     completed = pipeline.metrics.counter("frames_completed")
+    crashed_after = max(admitted)
     home.crash_device("laptop")
     home.run()
     count = pipeline.metrics.counter
@@ -302,6 +339,48 @@ def test_a_crashed_rep_counter_still_leaves_the_display_its_credit():
     assert lost >= 15  # one per frame after the crash: the source kept going
     assert count("frames_completed") == completed
     assert count("ready_signals") == entered == completed + lost
+    assert_every_frame_ended(home, pipeline)
+    for frame_id in sorted(f for f in admitted if f > crashed_after)[:-1]:
+        assert next_admission(admitted, frame_id) >= finished_at[frame_id]
+
+
+def test_a_source_on_a_dead_device_gets_each_credit_back_once():
+    """The source's own device is down: each admitted frame's send fails
+    inside ``Transport.send``, and the dead letter hands the credit back
+    in an event of its own, never from inside the source's emit."""
+    home = VideoPipe.paper_testbed(seed=9)
+    home.enable_audit()
+    services = install_fitness_services(
+        home, recognizer=train_activity_recognizer(seed=0))
+    pipeline = FitnessApp(home, services).deploy(
+        fitness_pipeline_config(fps=10.0, duration_s=4.0))
+    source = pipeline.module_instance("video_streaming_module").source
+    depth = {"now": 0, "max": 0}
+    grant = source.grant_credit
+
+    def spy_grant():
+        depth["now"] += 1
+        depth["max"] = max(depth["max"], depth["now"])
+        grant()
+        depth["now"] -= 1
+
+    source.grant_credit = spy_grant
+    home.run(until=1.0)
+    home.crash_device("phone")
+    before = pipeline.metrics.counter("frames_entered")
+    home.run(until=2.0)
+    count = pipeline.metrics.counter
+    lost = count(f"frames_dropped.{DEAD_LETTER}")
+    # every capture of the outage was admitted and dead-lettered
+    assert count("frames_entered") - before >= 9
+    assert lost >= 9
+    home.restart_device("phone")
+    at_restart = count("frames_completed")
+    home.run()
+    assert count("frames_completed") >= at_restart + 10
+    assert depth["max"] == 1
+    assert count("ready_signals") == count("frames_entered")
+    assert not pipeline.wiring.credits_owed
     assert_every_frame_ended(home, pipeline)
 
 

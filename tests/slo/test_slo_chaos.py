@@ -42,7 +42,6 @@ def build_crash_scenario(recognizer, seed, audit=False):
     config = fitness_pipeline_config(fps=10.0)
     config.module("pose_detector_module").device = "desktop"
     config.module("activity_detector_module").device = "desktop"
-    config.module("video_streaming_module").params["credit_timeout_s"] = 1.0
     pipeline = home.deploy_pipeline(config, strategy=COLOCATED,
                                     default_device="phone", slo=SLO_T)
     home.enable_failure_detection(home_device="tv", period_s=0.25,
