@@ -235,8 +235,7 @@ class SceneRigModule(Module):
         pass
 
     def on_ready_signal(self, ctx: ModuleContext, event: ModuleEvent):
-        if self._outstanding > 0:
-            self._outstanding -= 1
+        self._outstanding -= 1  # each admitted frame returns one credit
 
     def shutdown(self, ctx: ModuleContext) -> None:
         self._running = False

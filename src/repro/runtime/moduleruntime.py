@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
     from .wiring import PipelineWiring
 
+#: Header of a DATA message: its frame ids, walked once when the copy is
+#: sent, so the copy ends at its handler without a second walk.
+H_FRAME_IDS = "frame_ids"
+
 
 class DeployedModule:
     """One module instance running on one device."""
@@ -197,7 +201,7 @@ class ModuleRuntime:
         source_address = wiring.address_of(source_module)
         local = target_address.device == self.device.name
         if kind == DATA:
-            settlement.copies_sent(wiring, payload)
+            headers = {**headers, H_FRAME_IDS: settlement.copies_sent(wiring, payload)}
         if local:
             done = self.transport.send(self._build_message(
                 kind, payload, source_address, target_address, headers,
@@ -271,10 +275,12 @@ class ModuleRuntime:
     ) -> Message:
         wire_kind = KIND_SIGNAL if kind == READY_SIGNAL else kind
         headers = dict(headers)
-        # the trace context joins event_kind *after* construction: runtime
-        # metadata stays outside the charged envelope (message.size_bytes is
-        # fixed in __post_init__), so tracing cannot change wire timing
+        # the trace context and a DATA copy's frame ids join event_kind
+        # *after* construction: runtime metadata stays outside the charged
+        # envelope (message.size_bytes is fixed in __post_init__), so
+        # neither can change wire timing
         trace = headers.pop(H_TRACE, None)
+        frame_ids = headers.pop(H_FRAME_IDS, None)
         # with the arena frame plane on, an intra-device hop ships only a
         # handle tuple over shared memory: zero charged payload bytes, and
         # no per-hop payload-size tree walk at all
@@ -291,6 +297,7 @@ class ModuleRuntime:
             size_bytes=size,
         )
         message.headers["event_kind"] = kind
+        message.headers[H_FRAME_IDS] = frame_ids
         if trace is not None:
             message.headers[H_TRACE] = trace
         return message
@@ -418,7 +425,7 @@ class ModuleRuntime:
                 ctx._trace_span = None
             if event.kind == DATA:
                 if not failed:
-                    settlement.copies_handled(ctx.wiring, payload)
+                    settlement.copies_handled(ctx.wiring, event.headers.get(H_FRAME_IDS))
                 deployed.handler_samples.append(
                     self.kernel.now - event.enqueued_at
                 )

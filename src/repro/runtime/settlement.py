@@ -87,9 +87,8 @@ def settle_payload(
         _copy_ended(wiring, frame_id)
 
 
-def settle_event(event: ModuleEvent, store: FrameStore,
-                 wiring: "PipelineWiring", now: float, reason: str,
-                 actor: str) -> None:
+def settle_event(event: ModuleEvent, store: FrameStore, wiring: "PipelineWiring",
+                 now: float, reason: str, actor: str) -> None:
     """Settle one queued event; a ready signal hands its credit over."""
     if event.kind == READY_SIGNAL:
         hand_credit(wiring)
@@ -97,22 +96,26 @@ def settle_event(event: ModuleEvent, store: FrameStore,
         settle_payload(event.payload, store, wiring, now, reason, actor)
 
 
-def copies_sent(wiring: "PipelineWiring", payload: Any) -> None:
-    """A DATA message is sent: one more live copy of each of its frames."""
+def copies_sent(wiring: "PipelineWiring", payload: Any) -> list[int]:
+    """A DATA message is sent: one more live copy of each frame it lists."""
+    frame_ids = frame_ids_in(payload)
     live = wiring.live_copies
-    for frame_id in frame_ids_in(payload):
+    for frame_id in frame_ids:
         live[frame_id] = live.get(frame_id, 0) + 1
+    return frame_ids
 
 
-def copies_handled(wiring: "PipelineWiring", payload: Any) -> None:
-    """A DATA handler returned: its copy of each frame has ended."""
-    for frame_id in frame_ids_in(payload):
+def copies_handled(wiring: "PipelineWiring", frame_ids: list[int] | None) -> None:
+    """A DATA handler returned: its copy of each frame has ended (no ids: a
+    copy queued by hand, which no send counted)."""
+    for frame_id in frame_ids or ():
         _copy_ended(wiring, frame_id)
 
 
 def _copy_ended(wiring: "PipelineWiring", frame_id: int) -> None:
     """The credit rule: a settled frame's owed credit goes back to the
     source when the frame's last live copy ends, and not before."""
+    # a copy queued by hand, with no send to count it, ends as the last
     copies = wiring.live_copies.pop(frame_id, 1) - 1
     if copies:
         wiring.live_copies[frame_id] = copies
@@ -124,13 +127,11 @@ def _copy_ended(wiring: "PipelineWiring", frame_id: int) -> None:
 
 
 def hand_credit(wiring: "PipelineWiring") -> None:
-    """Give the source a credit that no ready signal carries, in an event
-    of its own: no message from a device that may be down."""
+    """Give the source a credit no ready signal carries, in its own event."""
     wiring.source.runtime.kernel.schedule(0.0, _deliver_credit, wiring)
 
 
-def ready_signal_sent(wiring: "PipelineWiring", _value: Any,
-                      exc: BaseException | None) -> None:
+def ready_signal_sent(wiring: "PipelineWiring", _value: Any, exc: Any) -> None:
     """``done.wait`` callback: a ready signal that failed hands it over."""
     if exc is not None:
         hand_credit(wiring)

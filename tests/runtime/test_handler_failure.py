@@ -16,11 +16,12 @@ from repro.apps import (
     FitnessApp,
     fitness_pipeline_config,
     install_fitness_services,
+    install_scene_services,
     multi_camera_pipeline_config,
     scene_pipeline_config,
     train_activity_recognizer,
 )
-from repro.apps.scenefusion import ScenePoseEstimatorService
+from repro.apps.scenefusion import SceneRigModule, ScenePoseEstimatorService
 from repro.audit.determinism import record_scenario
 from repro.core import VideoPipe
 from repro.devices import DeviceSpec
@@ -228,6 +229,36 @@ def test_a_raising_fan_in_branch_still_returns_the_rig_its_credit():
     assert rig.emitted_ticks >= 8
     assert count(FAILED) == count("frames_completed") == rig.emitted_ticks
     assert count("ready_signals") == 2 * rig.emitted_ticks
+    assert_every_frame_ended(home, pipeline)
+
+
+def test_ready_signals_queued_at_a_crashed_rig_still_return_their_credits():
+    """A slow rig takes its ready signals one at a time, so the fusion
+    sink's signals queue in its mailbox. Its device crashes with one
+    queued: the drained signal hands its credit to the rig directly, and
+    the rig's ticks resume once the device is back."""
+    home = VideoPipe.paper_testbed(seed=5)
+    home.enable_audit()
+    home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
+                               cores=8, supports_containers=False))
+    install_scene_services(home, "desktop")
+    slow_rig = SceneRigModule(fps=8.0, duration_s=4.0, cameras=3)
+    slow_rig.event_overhead_s = 0.05
+    pipeline = home.deploy_pipeline(
+        multi_camera_pipeline_config(cameras=3, fps=8.0, duration_s=4.0),
+        module_instances={"scene_rig_module": slow_rig})
+    mailbox = pipeline.module("scene_rig_module").mailbox
+    while not len(mailbox):
+        assert home.now < 1.0, "no ready signal ever queued at the rig"
+        home.run_for(0.0002)
+    home.crash_device("camera")
+    home.run_for(0.5)
+    home.restart_device("camera")
+    ticks = slow_rig.emitted_ticks
+    home.run()
+    assert slow_rig.emitted_ticks >= ticks + 5
+    count = pipeline.metrics.counter
+    assert count("ready_signals") == count("frames_entered")
     assert_every_frame_ended(home, pipeline)
 
 
