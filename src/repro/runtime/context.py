@@ -224,9 +224,8 @@ class ModuleContext:
         and its trace closed at this instant) and return the source its
         credit (§2.3). Returns the ready signal, or ``None`` when none was
         sent: a shadow wiring has no source, and a frame ends once —
-        finishing a frame that a settlement already ended records nothing,
-        and the settlement's entry in ``credits_owed`` comes back to the
-        source when the frame's last live copy ends."""
+        finishing a frame a settlement already ended records nothing (its
+        ``credits_owed`` entry is paid when its last live copy ends)."""
         if not self.metrics.frame_in_flight(frame_id):
             return None
         self.metrics.frame_completed(frame_id, self.now)
@@ -241,8 +240,7 @@ class ModuleContext:
         return self._signal_source()
 
     def _signal_source(self) -> Signal | None:
-        """Send the pipeline source one ready signal (credit refill); if
-        the send fails, the credit is handed to the source directly."""
+        """Send the source one ready signal; a failed one is handed over."""
         source = self.wiring.source_module
         if source is None:
             return None

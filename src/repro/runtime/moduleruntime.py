@@ -36,10 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
     from .wiring import PipelineWiring
 
-#: Header of a DATA message: its frame ids, walked once when the copy is
-#: sent, so the copy ends at its handler without a second walk.
-H_FRAME_IDS = "frame_ids"
-
 
 class DeployedModule:
     """One module instance running on one device."""
@@ -200,8 +196,10 @@ class ModuleRuntime:
         target_address = wiring.address_of(target_module)
         source_address = wiring.address_of(source_module)
         local = target_address.device == self.device.name
+        copy = None
         if kind == DATA:
-            headers = {**headers, H_FRAME_IDS: settlement.copies_sent(wiring, payload)}
+            copy = settlement.copy_sent(wiring, payload)
+            headers = {**headers, settlement.H_COPY: copy}
         if local:
             done = self.transport.send(self._build_message(
                 kind, payload, source_address, target_address, headers,
@@ -222,7 +220,7 @@ class ModuleRuntime:
             # accounted as dropped, like a drained mailbox
             done.wait(
                 lambda _v, exc: self._dead_letter(
-                    source_module, wiring, payload, owns_refs=local
+                    source_module, wiring, payload, local, copy
                 ) if exc is not None else None
             )
         return done
@@ -252,11 +250,12 @@ class ModuleRuntime:
         wiring: "PipelineWiring",
         payload: Any,
         owns_refs: bool,
+        copy: int | None,
     ) -> None:
         wiring.metrics.increment("dead_letters")
         settlement.settle_payload(
             payload, self.device.frame_store, wiring, self.kernel.now,
-            settlement.DEAD_LETTER, source_module, owns_refs=owns_refs,
+            settlement.DEAD_LETTER, source_module, owns_refs, copy,
         )
 
     #: Charged bytes for one intra-device hop through the arena frame
@@ -275,12 +274,12 @@ class ModuleRuntime:
     ) -> Message:
         wire_kind = KIND_SIGNAL if kind == READY_SIGNAL else kind
         headers = dict(headers)
-        # the trace context and a DATA copy's frame ids join event_kind
-        # *after* construction: runtime metadata stays outside the charged
-        # envelope (message.size_bytes is fixed in __post_init__), so
-        # neither can change wire timing
+        # the trace context and a DATA copy's id join event_kind *after*
+        # construction: runtime metadata stays outside the charged envelope
+        # (message.size_bytes is fixed in __post_init__), so neither can
+        # change wire timing
         trace = headers.pop(H_TRACE, None)
-        frame_ids = headers.pop(H_FRAME_IDS, None)
+        copy = headers.pop(settlement.H_COPY, None)
         # with the arena frame plane on, an intra-device hop ships only a
         # handle tuple over shared memory: zero charged payload bytes, and
         # no per-hop payload-size tree walk at all
@@ -297,7 +296,7 @@ class ModuleRuntime:
             size_bytes=size,
         )
         message.headers["event_kind"] = kind
-        message.headers[H_FRAME_IDS] = frame_ids
+        message.headers[settlement.H_COPY] = copy
         if trace is not None:
             message.headers[H_TRACE] = trace
         return message
@@ -424,8 +423,7 @@ class ModuleRuntime:
                 ctx._trace_root = None
                 ctx._trace_span = None
             if event.kind == DATA:
-                if not failed:
-                    settlement.copies_handled(ctx.wiring, event.headers.get(H_FRAME_IDS))
+                settlement.copy_ended(ctx.wiring, event.headers.get(settlement.H_COPY))
                 deployed.handler_samples.append(
                     self.kernel.now - event.enqueued_at
                 )

@@ -15,6 +15,7 @@ in ``ownership_breaches``.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any
 
 from ..frames.arena import MIGRATED, RELEASED
@@ -40,6 +41,13 @@ HANDLER_FAILED = "handler_failed"
 REASONS = (CRASH, MIGRATE, DEAD_LETTER, ROLLBACK, SHADOW_RETIRE, STOP,
            HANDLER_FAILED)
 
+#: Header carrying a DATA message's copy id (:func:`copy_sent`) to the
+#: handler or settlement that ends the copy; the runtime adds it after the
+#: message is sized, so it costs no wire bytes.
+H_COPY = "copy"
+
+_copy_ids = itertools.count(1)
+
 #: Not a settlement: the source's own §2.3 drop, counted under the same
 #: ``frames_dropped.<reason>`` scheme by ``ModuleContext.frame_dropped`` so
 #: the per-reason counters sum to ``frames_dropped`` on every collector.
@@ -54,6 +62,7 @@ def settle_payload(
     reason: str,
     actor: str,
     owns_refs: bool = True,
+    copy: int | None = None,
 ) -> None:
     """Settle one payload that will never be handled.
 
@@ -62,7 +71,7 @@ def settle_payload(
     frame leaves the pipeline once: fan-out puts it in several mailboxes,
     or a sibling branch completes it, so the drop is recorded only while
     the collector holds it in flight, and leaves the frame's credit owed.
-    Each call ends one live copy. Takes the *wiring*, not a module
+    It ends the live *copy* it is given. Takes the *wiring*, not a module
     context — a sender may be undeployed when its message dead-letters.
     """
     if owns_refs:
@@ -84,7 +93,7 @@ def settle_payload(
                     trace_id_for(wiring.pipeline_name, frame_id),
                     device=store.device, actor=actor, reason=reason,
                 )
-        _copy_ended(wiring, frame_id)
+    copy_ended(wiring, copy)
 
 
 def settle_event(event: ModuleEvent, store: FrameStore, wiring: "PipelineWiring",
@@ -93,33 +102,27 @@ def settle_event(event: ModuleEvent, store: FrameStore, wiring: "PipelineWiring"
     if event.kind == READY_SIGNAL:
         hand_credit(wiring)
     else:
-        settle_payload(event.payload, store, wiring, now, reason, actor)
+        settle_payload(event.payload, store, wiring, now, reason, actor,
+                       copy=event.headers.get(H_COPY))
 
 
-def copies_sent(wiring: "PipelineWiring", payload: Any) -> list[int]:
-    """A DATA message is sent: one more live copy of each frame it lists."""
-    frame_ids = frame_ids_in(payload)
-    live = wiring.live_copies
-    for frame_id in frame_ids:
-        live[frame_id] = live.get(frame_id, 0) + 1
-    return frame_ids
+def copy_sent(wiring: "PipelineWiring", payload: Any) -> int:
+    """A DATA message is sent: a live copy of its frames, until its handler
+    returns or a settlement ends it. Returns the copy's id."""
+    copy = next(_copy_ids)
+    wiring.live_copies[copy] = payload
+    return copy
 
 
-def copies_handled(wiring: "PipelineWiring", frame_ids: list[int] | None) -> None:
-    """A DATA handler returned: its copy of each frame has ended (no ids: a
-    copy queued by hand, which no send counted)."""
-    for frame_id in frame_ids or ():
-        _copy_ended(wiring, frame_id)
-
-
-def _copy_ended(wiring: "PipelineWiring", frame_id: int) -> None:
+def copy_ended(wiring: "PipelineWiring", copy: int | None) -> None:
     """The credit rule: a settled frame's owed credit goes back to the
-    source when the frame's last live copy ends, and not before."""
-    # a copy queued by hand, with no send to count it, ends as the last
-    copies = wiring.live_copies.pop(frame_id, 1) - 1
-    if copies:
-        wiring.live_copies[frame_id] = copies
-    elif frame_id in wiring.credits_owed:
+    source once no live copy carries the frame, and not before."""
+    wiring.live_copies.pop(copy, None)
+    if not wiring.credits_owed:
+        return
+    held = {frame_id for payload in wiring.live_copies.values()
+            for frame_id in frame_ids_in(payload)}
+    for frame_id in sorted(wiring.credits_owed - held):
         wiring.credits_owed.discard(frame_id)
         if wiring.source is not None:  # a canary's shadow has no source
             wiring.metrics.increment("ready_signals")

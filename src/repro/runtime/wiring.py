@@ -44,9 +44,9 @@ class PipelineWiring:
     #: frames a settlement ended whose §2.3 credit has not come back yet —
     #: paid to the source when the frame's last live copy ends.
     credits_owed: set[int] = field(default_factory=set)
-    #: frame id -> DATA copies of it sent and not yet handled or settled
-    #: (``runtime/settlement.py`` alone reads and writes both).
-    live_copies: dict[int, int] = field(default_factory=dict)
+    #: copy id -> payload of each DATA message sent and not yet handled or
+    #: settled (``runtime/settlement.py`` alone reads and writes both).
+    live_copies: dict[int, Any] = field(default_factory=dict)
 
     def address_of(self, module_name: str) -> Address:
         try:
