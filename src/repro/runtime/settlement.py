@@ -84,15 +84,16 @@ def settle_payload(
     metrics = wiring.metrics
     tracer = wiring.tracer
     for frame_id in frame_ids_in(payload):
-        if metrics.frame_in_flight(frame_id):
-            metrics.frame_dropped(frame_id, now)
-            metrics.increment(f"frames_dropped.{reason}")
-            wiring.credits_owed.add(frame_id)
-            if tracer is not None:
-                tracer.frame_dropped(
-                    trace_id_for(wiring.pipeline_name, frame_id),
-                    device=store.device, actor=actor, reason=reason,
-                )
+        if not metrics.frame_in_flight(frame_id):
+            continue
+        metrics.frame_dropped(frame_id, now)
+        metrics.increment(f"frames_dropped.{reason}")
+        wiring.credits_owed.add(frame_id)
+        if tracer is not None:
+            tracer.frame_dropped(
+                trace_id_for(wiring.pipeline_name, frame_id),
+                device=store.device, actor=actor, reason=reason,
+            )
     copy_ended(wiring, copy)
 
 
