@@ -14,7 +14,7 @@ from repro.apps import (
 )
 from repro.core import VideoPipe
 from repro.faults import FaultPlan
-from repro.metrics import RecoveryTracker, format_table
+from repro.metrics import format_table
 from repro.services import ActivityClassifierService, PoseDetectorService
 
 from .conftest import FAST
@@ -26,8 +26,9 @@ DETECTION_PERIODS = (0.25, 0.5, 1.0)
 
 
 def run_crash_scenario(recognizer, period_s, seed=11, fps=10.0):
-    """One crash/recover run; returns the RecoveryTracker report plus
-    throughput in the pre/during/post windows and the time-to-detect."""
+    """One crash/recover run; returns the snapshot's ``failures`` section
+    and the pipeline's ``recovery_migrations``, plus throughput in the
+    pre/during/post windows and the time-to-detect."""
     home = VideoPipe.paper_testbed(seed=seed)
     home.add_device("laptop")
     services = install_fitness_services(home, recognizer=recognizer)
@@ -38,15 +39,11 @@ def run_crash_scenario(recognizer, period_s, seed=11, fps=10.0):
     config.module("activity_detector_module").device = "desktop"
     pipeline = FitnessApp(home, services).deploy(config)
 
-    detector = home.enable_failure_detection(
+    home.enable_failure_detection(
         home_device="tv", period_s=period_s, miss_threshold=2)
     home.enable_self_healing(pipeline)
-    injector = home.enable_fault_injection(
+    home.enable_fault_injection(
         FaultPlan().device_crash(CRASH_AT, "desktop", down_for=DOWN_FOR))
-    tracker = (RecoveryTracker()
-               .watch_detector(detector)
-               .watch_injector(injector)
-               .watch_pipeline(pipeline))
 
     def frames():
         return pipeline.metrics.counter("frames_completed")
@@ -60,7 +57,9 @@ def run_crash_scenario(recognizer, period_s, seed=11, fps=10.0):
 
     down_events = [a for a in home.actions
                    if a.controller == "detector" and a.kind == "down"]
-    report = tracker.report()
+    snapshot = home.snapshot()
+    report = dict(snapshot["failures"], recovery_migrations=snapshot[
+        "pipeline"][pipeline.name]["recovery_migrations"])
     report["time_to_detect_s"] = (
         down_events[0].at - CRASH_AT if down_events else float("nan"))
     report["pre_fps"] = pre / CRASH_AT

@@ -218,7 +218,7 @@ def test_slo_admission_gate(benchmark, fitness_recognizer,
         home.run_for(4.0)
         outcome["admitted"] = admitted is not None
         outcome["rejected"] = rejected
-        outcome["status"] = home.slo_status()["admission"]
+        outcome["status"] = home.snapshot()["slo"]
         return outcome
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -228,18 +228,19 @@ def test_slo_admission_gate(benchmark, fitness_recognizer,
     print()
     print(format_table(
         ["metric", "value"],
-        [["requested", status["requested"]],
-         ["rejected", status["rejected"]],
+        [["requested", status["deploys_requested"]],
+         ["rejected", status["deploys_rejected"]],
          ["worst utilization", rejected.worst_utilization if rejected else 0],
-         ["threshold", status["threshold"]]],
+         ["threshold", rejected.threshold if rejected else 0]],
         title="Admission gate — threshold 0.25",
         float_format="{:.3f}",
     ))
 
-    benchmark.extra_info["deploys_rejected"] = status["rejected"]
+    benchmark.extra_info["deploys_rejected"] = status["deploys_rejected"]
 
     assert outcome["admitted"]
     assert rejected is not None, "overloading guest was admitted"
     assert rejected.worst_utilization > rejected.threshold
-    assert status["rejected"] >= 1
-    assert status["requested"] == status["deployed"] + status["rejected"]
+    assert status["deploys_rejected"] >= 1
+    assert status["deploys_requested"] == (
+        status["deploys_deployed"] + status["deploys_rejected"])

@@ -18,7 +18,6 @@ from repro.apps import (
     install_fitness_services,
     train_activity_recognizer,
 )
-from repro.metrics import RecoveryTracker
 from repro.services import ActivityClassifierService, PoseDetectorService
 
 CRASH_AT = 5.0
@@ -42,16 +41,11 @@ def main() -> None:
     pipeline = FitnessApp(home, services).deploy(config)
 
     # close the §7 loop: heartbeats -> detection -> evacuation
-    detector = home.enable_failure_detection(
+    home.enable_failure_detection(
         home_device="tv", period_s=0.25, miss_threshold=2)
     home.enable_self_healing(pipeline)
     injector = home.enable_fault_injection(
         FaultPlan().device_crash(CRASH_AT, "desktop", down_for=DOWN_FOR))
-
-    tracker = (RecoveryTracker()
-               .watch_detector(detector)
-               .watch_injector(injector)
-               .watch_pipeline(pipeline))
 
     def frames():
         return pipeline.metrics.counter("frames_completed")
@@ -85,10 +79,12 @@ def main() -> None:
     for name in ("pose_detector_module", "activity_detector_module"):
         print(f"  {name}: {pipeline.device_of(name)}")
 
-    report = tracker.report()
-    print(f"\nMTTR: {report['mttr_mean_s']:.2f}s over"
-          f" {report['recoveries']} recovery"
-          f" ({report['recovery_migrations']} modules migrated)")
+    snapshot = home.snapshot()
+    failures = snapshot["failures"]
+    migrated = snapshot["pipeline"][pipeline.name]["recovery_migrations"]
+    print(f"\nMTTR: {failures['mttr_mean_s']:.2f}s over"
+          f" {failures['recoveries']} recovery"
+          f" ({migrated} modules migrated)")
     print(f"throughput: {pre_rate:.1f} fps pre-fault,"
           f" {(during - pre) / DOWN_FOR:.1f} fps during the outage,"
           f" {post_rate:.1f} fps post-recovery"

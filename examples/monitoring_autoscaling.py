@@ -33,7 +33,8 @@ def main() -> None:
     fitness = install_fitness_services(home)
     install_gesture_services(home)
 
-    # 1. monitoring: probe every device, service and pipeline twice a second
+    # 1. monitoring: sample the home's snapshot (every device, service and
+    #    pipeline) twice a second
     monitor = home.enable_monitoring()
     monitor.add_rule(AlarmRule(
         name="pose-overload",

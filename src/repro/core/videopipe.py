@@ -18,7 +18,7 @@ Typical use::
 from __future__ import annotations
 
 import os
-from typing import Any, Callable
+from typing import Any
 
 from ..actions import Action
 from ..audit.auditor import InvariantAuditor, Violation
@@ -31,22 +31,9 @@ from ..faults.plan import FaultPlan
 from ..liveops.policy import CanaryPolicy
 from ..liveops.upgrade import LiveOpsManager, ModuleUpgrade
 from ..metrics.collector import MetricsCollector
-from ..monitor.failure_detector import (
-    FailureDetector,
-    HeartbeatResponder,
-    failure_probe,
-)
+from ..monitor.failure_detector import FailureDetector, HeartbeatResponder
 from ..monitor.monitor import Monitor
 from ..monitor.orchestrator import PERIOD_S as EVACUATION_PERIOD_S, evacuate
-from ..monitor.probes import (
-    ProbeFn,
-    audit_probe,
-    device_probe,
-    pipeline_probe,
-    service_probe,
-    slo_probe,
-    tracing_probe,
-)
 from ..net.broker import BrokeredTransport
 from ..net.link import WIFI_HOME, LinkSpec
 from ..net.topology import Topology
@@ -175,10 +162,10 @@ class VideoPipe:
         The device behaves like any other — services deploy to it, modules
         can be placed on it — but it is only reachable across the WAN link,
         and every byte crossing that link is metered as cloud egress
-        (:meth:`cloud_stats`). The placement optimizer prices the WAN leg
-        through the topology, so whether a module runs at home or in the
-        cloud falls out of the same cost model as every other decision
-        (``docs/FLEET.md``).
+        (the ``cloud`` section of :meth:`snapshot`). The placement
+        optimizer prices the WAN leg through the topology, so whether a
+        module runs at home or in the cloud falls out of the same cost
+        model as every other decision (``docs/FLEET.md``).
         """
         spec = make_spec("cloud")
         if spec.name in self.devices:
@@ -193,28 +180,6 @@ class VideoPipe:
         ModuleRuntime(self.kernel, device, self._get_transport())
         self._wire_device(device)
         return device
-
-    def cloud_stats(self) -> dict:
-        """Cloud-tier accounting for this home: WAN egress bytes, calls
-        served by cloud-hosted services, and their modeled CPU seconds.
-        All zeros while no cloud device is attached."""
-        calls = 0
-        compute_s = 0.0
-        for service_name in self.registry.service_names():
-            for host in self.registry.hosts_of(service_name):
-                if not self.topology.is_cloud(host.device.name):
-                    continue
-                served = host.local_calls + host.remote_calls
-                calls += served
-                compute_s += served * host.device.spec.compute_time(
-                    host.service.reference_cost_s
-                )
-        return {
-            "devices": self.topology.cloud_devices(),
-            "egress_bytes": self.topology.wan_egress_bytes(),
-            "calls": calls,
-            "compute_s": compute_s,
-        }
 
     def device(self, name: str) -> Device:
         try:
@@ -246,9 +211,8 @@ class VideoPipe:
         """Replay the wiring over everything the home holds."""
         for device in self.devices.values():
             self._wire_device(device)
-        for service_name in self.registry.service_names():
-            for host in self.registry.hosts_of(service_name):
-                self._wire_host(host)
+        for host in self._hosts():
+            self._wire_host(host)
         for pipeline in self.pipelines:
             self._wire_pipeline(pipeline)
         if self.liveops is not None:
@@ -261,10 +225,6 @@ class VideoPipe:
                 self.auditor.watch_slo(self.slo)
             if self.liveops is not None:
                 self.auditor.watch_liveops(self.liveops)
-        self._wire_probe("failures", failure_probe, self.detector)
-        self._wire_probe("tracing", tracing_probe, self.tracer)
-        self._wire_probe("audit", audit_probe, self.auditor)
-        self._wire_probe("slo", slo_probe, self.slo)
 
     def _wire_device(self, device: Device) -> None:
         name = device.spec.name
@@ -286,7 +246,6 @@ class VideoPipe:
                     self.kernel, device.runtime.transport, name
                 )
             self.detector.watch(name)
-        self._wire_probe(f"device/{name}", device_probe, device)
 
     def _wire_host(self, host: ServiceHost) -> None:
         perf, plane = self._perf, self._data_plane
@@ -302,10 +261,6 @@ class VideoPipe:
             self.autoscaler.watch(host)
         if self.tracer is not None:
             host.tracer = self.tracer
-        self._wire_probe(
-            f"service/{host.service_name}@{host.device.name}",
-            service_probe, host,
-        )
 
     def _wire_pipeline(self, pipeline: Pipeline) -> None:
         if self.optimizer is not None:
@@ -315,9 +270,6 @@ class VideoPipe:
         if self.liveops is not None:
             pipeline.wiring.lineage = self.liveops.lineage
         self._wire_metrics(pipeline.metrics)
-        self._wire_probe(
-            f"pipeline/{pipeline.name}", pipeline_probe, pipeline
-        )
         if self.slo is not None:
             self.slo.watch(
                 pipeline, self._pending_slos.pop(pipeline.config.name, None)
@@ -328,15 +280,6 @@ class VideoPipe:
         metrics-conservation law *is* the mirror-conservation law)."""
         if self.auditor is not None:
             self.auditor.watch_metrics(collector)
-
-    def _wire_probe(
-        self, name: str, make_probe: Callable[[Any], ProbeFn], subject: Any
-    ) -> None:
-        """Probe *subject* under *name* once the monitor and it exist."""
-        monitor = self.monitor
-        if (monitor is not None and subject is not None
-                and name not in monitor.probe_names()):
-            monitor.add_probe(name, make_probe(subject))
 
     # -- services ----------------------------------------------------------------
     def deploy_service(
@@ -533,12 +476,10 @@ class VideoPipe:
         return self.auditor.check_now()
 
     def enable_monitoring(self) -> Monitor:
-        """Turn on the §7 future-work monitor: one probe per device,
-        service host, pipeline and enabled feature, sampled every half
-        second."""
+        """Turn on the §7 future-work monitor: every numeric leaf of
+        :meth:`snapshot`, sampled every half second."""
         if self.monitor is None:
-            self.monitor = Monitor(self.kernel)
-            self._wire()
+            self.monitor = Monitor(self.kernel, self.snapshot)
             self.monitor.start()
         return self.monitor
 
@@ -627,21 +568,6 @@ class VideoPipe:
             pipeline, module_name,
             policy=policy, module_instance=module_instance,
         )
-
-    def liveops_status(self) -> dict:
-        """Live upgrade report: every upgrade's state plus lineage
-        counters. Requires :meth:`enable_liveops`."""
-        if self.liveops is None:
-            raise ConfigError("call enable_liveops() before liveops_status()")
-        return self.liveops.status()
-
-    def slo_status(self) -> dict:
-        """Live SLO report: per-pipeline state, ladder depth and
-        attainment, plus the admission counters. Requires
-        :meth:`enable_slo`."""
-        if self.slo is None:
-            raise ConfigError("call enable_slo() before slo_status()")
-        return self.slo.status()
 
     # -- faults & recovery --------------------------------------------------------
     def crash_device(self, name: str) -> None:
@@ -818,6 +744,103 @@ class VideoPipe:
             raise ConfigError("nothing deployed yet")
         self.deployer.migrate(pipeline, module_name, target_device)
 
+    # -- reading ------------------------------------------------------------------------
+    def snapshot(self) -> dict[str, Any]:
+        """The home's state as one JSON-ready dict — the one reading of each
+        component, and what the monitor samples (schema: DESIGN.md "The
+        snapshot"). Sections of features that are off are absent."""
+        out: dict[str, Any] = {
+            "device": {name: {
+                "cpu_in_use": device.cpu.cores.in_use,
+                "cpu_queue": device.cpu.cores.queue_length,
+                "cpu_utilization": device.cpu.utilization(),
+                "frame_store_used": len(device.frame_store),
+                "frame_store_retained": device.frame_store.retained_count,
+                "dedup_ratio": device.frame_store.dedup_ratio(),
+            } for name, device in self.devices.items()},
+            "service": {f"{host.service_name}@{host.device.name}": {
+                "busy_workers": host.busy_workers,
+                "queue_length": host.queue_length,
+                "replicas": host.replicas,
+                "utilization": host.utilization(),
+                "errors": host.errors,
+                "cache_hits": host.cache_hits,
+                "cache_hit_rate": host.cache_hit_rate(),
+                "avg_batch_size": host.avg_batch_size(),
+            } for host in self._hosts()},
+            "pipeline": {p.name: _pipeline_section(p) for p in self.pipelines},
+        }
+        if self._perf is not None:
+            out["perf"] = self.perf_stats()
+        if self._data_plane is not None:
+            out["data_plane"] = self.data_plane_stats()
+        if self.topology.cloud_devices():
+            out["cloud"] = self._cloud_section()
+        failures: dict[str, Any] = {}
+        if self.detector is not None:
+            detector = self.detector
+            failures.update(
+                watched=len(detector.watched()),
+                dead_devices=len(detector.dead_devices()),
+                detections=detector.detections,
+                recoveries=detector.recoveries,
+                probes_failed=detector.probes_failed,
+                mttr_mean_s=detector.mttr_mean(),
+                mttr_max_s=detector.mttr_max(),
+            )
+        if self.injector is not None:
+            failures["faults_injected"] = self.injector.faults_injected
+        if failures:
+            out["failures"] = failures
+        if self.tracer is not None:
+            tracer = self.tracer
+            out["tracing"] = {
+                "spans": tracer.span_count,
+                "open_frames": tracer.open_frame_count,
+                "dropped_spans": tracer.dropped_spans,
+                "frames_traced": tracer.frames_started,
+                "frames_finished": tracer.frames_finished,
+                "frames_dropped": tracer.frames_dropped,
+            }
+        if self.auditor is not None:
+            # the instant laws run at every reading, so a violation shows
+            # on the next monitor period, not only at quiesce
+            self.auditor.check_now()
+            out["audit"] = {
+                "violations": self.auditor.violation_count,
+                "dropped_violations": self.auditor.dropped_violations,
+                "checks_run": self.auditor.checks_run,
+            }
+        if self.slo is not None:
+            out["slo"] = self.slo.snapshot()
+        if self.liveops is not None:
+            out["liveops"] = self.liveops.snapshot()
+        return out
+
+    def _hosts(self) -> list[ServiceHost]:
+        return [host for name in self.registry.service_names()
+                for host in self.registry.hosts_of(name)]
+
+    def _cloud_section(self) -> dict[str, Any]:
+        """The snapshot's ``cloud`` section: WAN egress bytes, calls served
+        by cloud-hosted services and their modeled CPU seconds (zeros
+        without a cloud device, when the snapshot leaves it out)."""
+        calls = 0
+        compute_s = 0.0
+        for host in self._hosts():
+            if self.topology.is_cloud(host.device.name):
+                served = host.local_calls + host.remote_calls
+                calls += served
+                compute_s += served * host.device.spec.compute_time(
+                    host.service.reference_cost_s
+                )
+        return {
+            "devices": self.topology.cloud_devices(),
+            "egress_bytes": self.topology.wan_egress_bytes(),
+            "calls": calls,
+            "compute_s": compute_s,
+        }
+
     # -- execution ----------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -836,3 +859,18 @@ class VideoPipe:
             f"<VideoPipe {len(self.devices)} devices,"
             f" services={self.registry.service_names()}>"
         )
+
+
+#: The pipeline counters the snapshot reads, by their collector names.
+PIPELINE_COUNTERS = ("frames_entered", "frames_completed", "frames_dropped",
+                     "service_rejections", "recovery_migrations")
+
+
+def _pipeline_section(pipeline: Pipeline) -> dict[str, Any]:
+    modules = [pipeline.module(name) for name in pipeline.module_names()]
+    return {
+        **{name: pipeline.metrics.counter(name) for name in PIPELINE_COUNTERS},
+        "frames_in_flight": pipeline.metrics.frames_in_flight,
+        "module_errors": sum(len(module.errors) for module in modules),
+        "queued_events": sum(module.mailbox_depth for module in modules),
+    }

@@ -430,7 +430,9 @@ class Fleet:
         ):
             metrics = pipeline.metrics
             sink = pipeline.module_instance("sink")
-            cloud = home.cloud_stats()
+            # the snapshot's cloud section alone: this runs in the timed
+            # report phase, and nothing else of the snapshot is reported
+            cloud = home._cloud_section()
             edge_devices = len(home.devices) - len(cloud["devices"])
             results.append(HomeResult(
                 name=pipeline.name,

@@ -458,8 +458,9 @@ class LiveOpsManager:
         """The in-flight upgrade for one module, or ``None``."""
         return self._active.get((pipeline_name, module_name))
 
-    def status(self) -> dict[str, Any]:
-        """Live report: every upgrade's state plus lineage counters."""
+    def snapshot(self) -> dict[str, Any]:
+        """The ``liveops`` section of ``VideoPipe.snapshot()``: every
+        upgrade's state plus lineage counters."""
         states = {MIRRORING: 0, PROMOTED: 0, ROLLED_BACK: 0}
         for upgrade in self.upgrades:
             states[upgrade.state] += 1

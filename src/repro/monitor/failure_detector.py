@@ -20,7 +20,6 @@ from ..net.address import Address
 from ..net.rpc import RpcClient, RpcServer
 from ..net.transport import Transport
 from ..sim.kernel import Kernel, Ticker
-from .probes import ProbeFn
 
 #: Well-known port for the heartbeat endpoint on every device.
 HEARTBEAT_PORT = 190
@@ -165,21 +164,3 @@ class FailureDetector:
     def mttr_max(self) -> float:
         return max(self.mttr_samples, default=0.0)
 
-
-def failure_probe(detector: FailureDetector) -> ProbeFn:
-    """A monitor probe surfacing the detector's state as metrics, so MTTR
-    and outage counts land in the monitor's time series like any other
-    signal."""
-
-    def probe() -> dict[str, float]:
-        return {
-            "watched": float(len(detector.watched())),
-            "dead_devices": float(len(detector.dead_devices())),
-            "detections": float(detector.detections),
-            "recoveries": float(detector.recoveries),
-            "probes_failed": float(detector.probes_failed),
-            "mttr_mean_s": detector.mttr_mean(),
-            "mttr_max_s": detector.mttr_max(),
-        }
-
-    return probe

@@ -1,18 +1,31 @@
 """The monitoring component (§7 future work, implemented).
 
-A :class:`Monitor` samples registered probes on a fixed period, stores the
-time series, evaluates alarm rules against fresh samples, and can answer
-rate queries (e.g. live pipeline FPS from the frames_completed counter).
+A :class:`Monitor` reads one snapshot function on a fixed period — the
+home's :meth:`~repro.core.videopipe.VideoPipe.snapshot` — and keeps every
+numeric leaf of the nested dict it returns as a time series named by its
+path: ``{"device": {"phone": {"cpu_utilization": 0.4}}}`` is metric
+``cpu_utilization`` of probe ``device/phone``. It evaluates alarm rules
+against fresh samples and answers rate queries (e.g. live pipeline FPS from
+the frames_completed counter).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 from ..sim.kernel import Kernel, Ticker
-from .probes import ProbeFn, Sample
+
+
+@dataclass(frozen=True, slots=True)
+class Sample:
+    """One reading: (time, probe path, metric, value)."""
+
+    at: float
+    probe: str
+    metric: str
+    value: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,17 +55,27 @@ class Alarm:
     value: float
 
 
+def _leaves(tree: dict, path: str = "") -> Iterator[tuple[str, str, float]]:
+    """Every numeric leaf of *tree* as ``(probe path, metric, value)``,
+    depth first in dict order; strings, lists and ``None`` are skipped."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}/{key}" if path else str(key))
+        elif isinstance(value, (int, float)):
+            yield path, str(key), float(value)
+
+
 class Monitor:
     """Periodic sampling + time series + alarms for the whole home."""
 
-    def __init__(self, kernel: Kernel, period_s: float = 0.5,
-                 keep_samples: int = 100_000) -> None:
+    def __init__(self, kernel: Kernel, read: Callable[[], dict[str, Any]],
+                 period_s: float = 0.5, keep_samples: int = 100_000) -> None:
         if period_s <= 0:
             raise ValueError("period must be positive")
         self.kernel = kernel
+        self.read = read
         self.period_s = period_s
         self.keep_samples = keep_samples
-        self._probes: dict[str, ProbeFn] = {}
         self._rules: list[AlarmRule] = []
         self._streaks: dict[tuple[str, str], int] = defaultdict(int)
         self.samples: list[Sample] = []
@@ -60,16 +83,8 @@ class Monitor:
         self._ticker: Ticker | None = None
 
     # -- registration -----------------------------------------------------------
-    def add_probe(self, name: str, probe: ProbeFn) -> None:
-        if name in self._probes:
-            raise ValueError(f"probe {name!r} already registered")
-        self._probes[name] = probe
-
     def add_rule(self, rule: AlarmRule) -> None:
         self._rules.append(rule)
-
-    def probe_names(self) -> list[str]:
-        return sorted(self._probes)
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
@@ -83,14 +98,12 @@ class Monitor:
 
     # -- sampling -------------------------------------------------------------------
     def sample_once(self) -> list[Sample]:
-        """Read every probe now; returns the fresh samples."""
+        """Read the snapshot now; returns the fresh samples."""
         now = self.kernel.now
-        fresh = []
-        for probe_name, probe in self._probes.items():
-            for metric, value in probe().items():
-                sample = Sample(now, probe_name, metric, float(value))
-                fresh.append(sample)
-                self._check_rules(sample)
+        fresh = [Sample(now, probe, metric, value)
+                 for probe, metric, value in _leaves(self.read())]
+        for sample in fresh:
+            self._check_rules(sample)
         self.samples.extend(fresh)
         if len(self.samples) > self.keep_samples:
             del self.samples[: len(self.samples) - self.keep_samples]

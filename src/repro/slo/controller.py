@@ -41,6 +41,7 @@ from .spec import (
     QUEUED,
     REJECTED,
     SLO,
+    STRAINED,
     AdmissionDecision,
     SLOConfig,
     attainment,
@@ -53,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Ticker
 
 _EPS = 1e-9
+
+#: The admission counters, each one step of an admitted or refused deploy.
+ADMISSION_COUNTERS = ("deploys_requested", "deploys_admitted",
+                      "deploys_rejected", "deploys_queued",
+                      "deploys_withdrawn", "deploys_deployed")
 
 
 @dataclass
@@ -332,30 +338,26 @@ class SLOController:
             bucket_s=bucket_s,
         )
 
-    def status(self) -> dict:
-        """The facade's ``slo_status()`` payload."""
-        pipelines = {}
-        for name, enrollment in self._enrolled.items():
-            pipelines[name] = {
+    def snapshot(self) -> dict:
+        """The ``slo`` section of ``VideoPipe.snapshot()``: enrollment
+        totals, the admission counters under their collector names, and
+        per pipeline its state, ladder depth and attainment."""
+        enrolled = self._enrolled
+        counters = self.metrics.counters()
+        return {
+            "enrolled": len(enrolled),
+            "overloaded": sum(e.state == OVERLOADED for e in enrolled.values()),
+            "strained": sum(e.state == STRAINED for e in enrolled.values()),
+            "ladder_depth": sum(e.depth for e in enrolled.values()),
+            "actions": len(self.ladder_actions()),
+            **{name: counters.get(name, 0) for name in ADMISSION_COUNTERS},
+            "deploys_queued_now": len(self._queue),
+            "pipelines": {name: {
                 "state": enrollment.state,
                 "slo": enrollment.slo.as_dict(),
                 "depth": enrollment.depth,
                 "applied": enrollment.applied_steps(),
                 "actions": len(self.ladder_actions(name)),
                 "attainment": self.attainment(name),
-            }
-        counters = self.metrics.counters()
-        return {
-            "pipelines": pipelines,
-            "admission": {
-                "requested": counters.get("deploys_requested", 0),
-                "admitted": counters.get("deploys_admitted", 0),
-                "rejected": counters.get("deploys_rejected", 0),
-                "queued": counters.get("deploys_queued", 0),
-                "withdrawn": counters.get("deploys_withdrawn", 0),
-                "deployed": counters.get("deploys_deployed", 0),
-                "queued_now": [item.name for item in self._queue],
-                "threshold": self.config.admission_threshold,
-            },
-            "actions_total": len(self.ladder_actions()),
+            } for name, enrollment in enrolled.items()},
         }

@@ -138,7 +138,7 @@ def snapshot(home):
             (p.name, p.wiring.tracer is tracer,
              p.wiring.lineage is home.liveops.lineage)
             for p in home.pipelines),
-        "probes": home.monitor.probe_names(),
+        "series": sorted({s.probe for s in home.monitor.sample_once()}),
         "autoscaled": sorted(h.service_name for h in home.autoscaler._hosts),
         "optimized": sorted(home.optimizer._pipelines),
         "slo_enrolled": sorted(
@@ -168,11 +168,19 @@ def test_canonical_snapshot_is_fully_wired():
         ("fleet_detector", True, True, True, 0.004),
     ]
     assert wired["pipelines"] == [("order", True, True)]
-    assert wired["probes"] == [
-        "audit", "device/desktop", "device/phone", "device/tv", "failures",
-        "pipeline/order", "service/fleet_alerter@phone",
-        "service/fleet_classifier@desktop", "service/fleet_detector@desktop",
-        "slo", "tracing",
+    assert wired["series"] == [
+        "audit", "data_plane/arena", "data_plane/arena/by_device/desktop",
+        "data_plane/arena/by_device/phone", "data_plane/arena/by_device/tv",
+        "data_plane/pool", "data_plane/pool/by_device/desktop",
+        "data_plane/pool/by_device/desktop/shares",
+        "data_plane/pool/by_device/phone",
+        "data_plane/pool/by_device/phone/shares",
+        "data_plane/pool/by_device/tv", "device/desktop", "device/phone",
+        "device/tv", "failures", "liveops/counts", "liveops/lineage",
+        "perf/batching", "perf/cache", "perf/dedup", "pipeline/order",
+        "service/fleet_alerter@phone", "service/fleet_classifier@desktop",
+        "service/fleet_detector@desktop", "slo", "slo/pipelines/order",
+        "slo/pipelines/order/slo", "tracing",
     ]
     assert wired["slo_enrolled"] == ["order"]
     assert wired["detector_watched"] == ["desktop", "tv"]
@@ -232,10 +240,12 @@ def test_passive_features_in_any_order_leave_the_event_stream_alone(data):
 
 
 def test_late_monitoring_probes_existing_pipelines():
-    """The regression: ``enable_monitoring()`` after ``deploy_pipeline()``
-    replayed devices, hosts and features but had no loop over pipelines —
-    the shape ``enable_self_healing`` builds after a deploy."""
+    """``enable_monitoring()`` after ``deploy_pipeline()`` (the shape
+    ``enable_self_healing`` builds after a deploy) reads the same series as
+    before it: the monitor reads the home's snapshot, not per-resource
+    registrations."""
     late = build([("monitoring", SLOTS)])
     early = build([("monitoring", 0)])
-    assert "pipeline/order" in late.monitor.probe_names()
-    assert late.monitor.probe_names() == early.monitor.probe_names()
+    series = [(s.probe, s.metric) for s in late.monitor.sample_once()]
+    assert ("pipeline/order", "frames_completed") in series
+    assert series == [(s.probe, s.metric) for s in early.monitor.sample_once()]

@@ -8,11 +8,13 @@ dict, set iteration, an unseeded RNG — fails here with the exact record
 where the two runs parted ways.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.audit.scenarios import EXAMPLE_SCENARIOS
+from repro.monitor import Monitor
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
@@ -41,13 +43,42 @@ def work_done(fingerprint) -> list:
     return []
 
 
+def expected_series(home) -> set[str]:
+    """The probe paths a monitor must find in *home*'s snapshot: one per
+    device, service host and pipeline, and one per feature that is on."""
+    series = {f"device/{name}" for name in home.devices}
+    series |= {f"service/{host.service_name}@{host.device.name}"
+               for name in home.registry.service_names()
+               for host in home.registry.hosts_of(name)}
+    series |= {f"pipeline/{pipeline.name}" for pipeline in home.pipelines}
+    features = {"failures": home.detector or home.injector,
+                "tracing": home.tracer, "audit": home.auditor,
+                "slo": home.slo}
+    return series | {name for name, on in features.items() if on is not None}
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLE_SCENARIOS))
 def test_example_scenario_is_deterministic(name, assert_deterministic):
-    report = assert_deterministic(EXAMPLE_SCENARIOS[name], seed=7, name=name)
+    homes = []
+
+    def scenario(seed):
+        home, run_fn = EXAMPLE_SCENARIOS[name](seed)
+        homes.append(home)
+        return home, run_fn
+
+    report = assert_deterministic(scenario, seed=7, name=name)
     # the scenario exercised the home: every pipeline it runs did work (an
     # event count would move with every change to what an event is)
     done = work_done(report.fingerprints[0])
     assert done and all(count > 0 for entry in done for count in entry), done
+    # the ran home reads as one JSON-ready snapshot, and a monitor finds a
+    # series for every resource and every feature that is on
+    home = homes[-1]
+    json.dumps(home.snapshot())
+    probes = {s.probe for s in Monitor(home.kernel, home.snapshot).sample_once()}
+    assert expected_series(home) <= probes
+    assert not {"failures", "tracing", "audit", "slo"} & (
+        probes - expected_series(home))
 
 
 def test_different_seeds_produce_different_streams(assert_deterministic):

@@ -212,26 +212,23 @@ class TestDeviceCrashRecovery:
         assert post_rate >= 0.7 * pre_rate
 
     def test_recovery_tracker_aggregates_the_story(self, fitness_recognizer):
-        from repro.metrics import RecoveryTracker
-
+        """One snapshot tells the recovery story: the faults, the
+        detection and its MTTR, and the modules evacuated."""
         home = VideoPipe.paper_testbed(seed=11)
         _, pipeline = deploy_chaos(home, fitness_recognizer, fps=10.0)
-        detector = home.enable_failure_detection(
+        home.enable_failure_detection(
             home_device="tv", period_s=0.25, miss_threshold=2)
         home.enable_self_healing(pipeline)
-        injector = home.enable_fault_injection(
+        home.enable_fault_injection(
             FaultPlan().device_crash(4.0, "desktop", down_for=8.0))
-        tracker = (RecoveryTracker()
-                   .watch_detector(detector)
-                   .watch_injector(injector)
-                   .watch_pipeline(pipeline))
         home.run(until=16.0)
-        report = tracker.report()
-        assert report["faults_injected"] == 2
-        assert report["detections"] == 1
-        assert report["recoveries"] == 1
-        assert report["mttr_mean_s"] > 0
-        assert report["recovery_migrations"] == 2
+        snapshot = home.snapshot()
+        failures = snapshot["failures"]
+        assert failures["faults_injected"] == 2
+        assert failures["detections"] == 1
+        assert failures["recoveries"] == 1
+        assert failures["mttr_mean_s"] > 0
+        assert snapshot["pipeline"][pipeline.name]["recovery_migrations"] == 2
 
 
 @pytest.mark.chaos

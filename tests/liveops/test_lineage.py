@@ -87,7 +87,7 @@ class TestExport:
     def test_status_exposes_lineage_counters(self):
         home, _ = fitness_home()
         home.run_for(5.0)
-        status = home.liveops_status()
+        status = home.snapshot()["liveops"]
         assert status["lineage"]["frames_recorded"] > 0
         assert status["lineage"]["touches"] >= (
             status["lineage"]["frames_recorded"]

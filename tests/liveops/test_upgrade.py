@@ -272,7 +272,7 @@ class TestStatusAndAuditing:
             policy=CanaryPolicy(min_mirrored=5, decision_timeout_s=8.0),
         )
         home.run_for(10.0)
-        status = home.liveops_status()
+        status = home.snapshot()["liveops"]
         assert status["counts"] == {
             "mirroring": 0, "promoted": 1, "rolled_back": 0,
         }
@@ -283,9 +283,9 @@ class TestStatusAndAuditing:
             entry["mirror_dropped"]
 
     def test_status_requires_enable(self):
+        """No live-ops manager, no ``liveops`` section."""
         home = VideoPipe.paper_testbed(seed=0)
-        with pytest.raises(ConfigError):
-            home.liveops_status()
+        assert "liveops" not in home.snapshot()
 
     def test_canary_started_before_audit_is_audited(self, monkeypatch):
         """The regression: the shadow collector was handed to the auditor

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import VideoPipe
-from repro.monitor import FailureDetector, failure_probe
+from repro.monitor import FailureDetector
 
 
 @pytest.fixture
@@ -101,7 +101,7 @@ class TestMonitorIntegration:
         assert home.monitor.latest("failures", "detections") == 1.0
 
     def test_enable_order_does_not_matter(self, home):
-        """Detection first, monitoring second: the probe still registers."""
+        """Detection first, monitoring second: still sampled."""
         detector = enable(home)
         home.enable_monitoring()
         home.run(until=2.0)

@@ -6,14 +6,15 @@ from repro.monitor import AlarmRule, Monitor
 from repro.sim import Kernel
 
 
-def counting_probe(values):
-    """A probe that replays a list of {metric: value} dicts."""
+def probe_p(values):
+    """A snapshot function that replays a list of {metric: value} dicts
+    under probe ``p``, then repeats the last one."""
     state = {"i": 0}
 
     def read():
         i = min(state["i"], len(values) - 1)
         state["i"] += 1
-        return values[i]
+        return {"p": values[i]}
 
     return read
 
@@ -26,17 +27,27 @@ def kernel():
 class TestMonitorBasics:
     def test_period_validated(self, kernel):
         with pytest.raises(ValueError):
-            Monitor(kernel, period_s=0)
+            Monitor(kernel, dict, period_s=0)
 
-    def test_duplicate_probe_rejected(self, kernel):
-        monitor = Monitor(kernel)
-        monitor.add_probe("p", lambda: {})
-        with pytest.raises(ValueError):
-            monitor.add_probe("p", lambda: {})
+    def test_every_numeric_leaf_is_a_sample_named_by_its_path(self, kernel):
+        monitor = Monitor(kernel, lambda: {
+            "device": {"phone": {"cpu": 0.5, "name": "phone"}},
+            "slo": {"enrolled": 2, "ready": True, "queue": [1, 2],
+                    "pipelines": {"fit": {"depth": 1, "state": "healthy"}}},
+            "perf": {"batching": {"size_counts": {4: 3}}},
+            "none": {"x": None},
+        })
+        assert [(s.probe, s.metric, s.value) for s in monitor.sample_once()] == [
+            ("device/phone", "cpu", 0.5),
+            ("slo", "enrolled", 2.0),
+            ("slo", "ready", 1.0),
+            ("slo/pipelines/fit", "depth", 1.0),
+            ("perf/batching/size_counts", "4", 3.0),
+        ]
 
     def test_periodic_sampling(self, kernel):
-        monitor = Monitor(kernel, period_s=0.5)
-        monitor.add_probe("p", counting_probe([{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]))
+        monitor = Monitor(kernel, probe_p([{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]),
+                          period_s=0.5)
         monitor.start()
         kernel.run(until=1.6)
         series = monitor.series("p", "x")
@@ -44,8 +55,7 @@ class TestMonitorBasics:
         assert [t for t, _ in series] == [0.5, 1.0, 1.5]
 
     def test_stop_halts_sampling(self, kernel):
-        monitor = Monitor(kernel, period_s=0.5)
-        monitor.add_probe("p", counting_probe([{"x": 1.0}]))
+        monitor = Monitor(kernel, probe_p([{"x": 1.0}]), period_s=0.5)
         monitor.start()
         kernel.run(until=1.1)
         monitor.stop()
@@ -53,33 +63,31 @@ class TestMonitorBasics:
         assert len(monitor.samples) == 2
 
     def test_latest(self, kernel):
-        monitor = Monitor(kernel, period_s=0.5)
-        monitor.add_probe("p", counting_probe([{"x": 1.0}, {"x": 9.0}]))
+        monitor = Monitor(kernel, probe_p([{"x": 1.0}, {"x": 9.0}]),
+                          period_s=0.5)
         monitor.start()
         kernel.run(until=1.1)
         assert monitor.latest("p", "x") == 9.0
         assert monitor.latest("p", "ghost") is None
 
     def test_sample_cap(self, kernel):
-        monitor = Monitor(kernel, period_s=0.1, keep_samples=5)
-        monitor.add_probe("p", lambda: {"x": 1.0})
+        monitor = Monitor(kernel, lambda: {"p": {"x": 1.0}}, period_s=0.1,
+                          keep_samples=5)
         monitor.start()
         kernel.run(until=3.0)
         assert len(monitor.samples) == 5
 
     def test_rate_from_counter(self, kernel):
-        monitor = Monitor(kernel, period_s=0.5)
         # counter grows by 5 per sample (=10/s)
-        monitor.add_probe("p", counting_probe(
+        monitor = Monitor(kernel, probe_p(
             [{"done": float(5 * i)} for i in range(1, 20)]
-        ))
+        ), period_s=0.5)
         monitor.start()
         kernel.run(until=4.0)
         assert monitor.rate("p", "done", window_s=2.0) == pytest.approx(10.0)
 
     def test_rate_needs_two_points(self, kernel):
-        monitor = Monitor(kernel, period_s=0.5)
-        monitor.add_probe("p", lambda: {"x": 1.0})
+        monitor = Monitor(kernel, lambda: {"p": {"x": 1.0}}, period_s=0.5)
         assert monitor.rate("p", "x", 1.0) is None
         monitor.sample_once()
         assert monitor.rate("p", "x", 1.0) is None
@@ -87,11 +95,10 @@ class TestMonitorBasics:
 
 class TestAlarms:
     def test_threshold_alarm_fires_once_per_streak(self, kernel):
-        monitor = Monitor(kernel, period_s=0.5)
-        monitor.add_probe("p", counting_probe(
+        monitor = Monitor(kernel, probe_p(
             [{"q": 0.0}, {"q": 5.0}, {"q": 6.0}, {"q": 7.0}, {"q": 0.0},
              {"q": 8.0}, {"q": 9.0}]
-        ))
+        ), period_s=0.5)
         monitor.add_rule(AlarmRule("overload", "p", "q",
                                    lambda v: v > 4, for_samples=2))
         monitor.start()
@@ -105,9 +112,8 @@ class TestAlarms:
             AlarmRule("r", "p", "m", lambda v: True, for_samples=0)
 
     def test_rule_scoped_to_probe_and_metric(self, kernel):
-        monitor = Monitor(kernel, period_s=0.5)
-        monitor.add_probe("a", lambda: {"x": 100.0})
-        monitor.add_probe("b", lambda: {"x": 0.0, "y": 100.0})
+        monitor = Monitor(kernel, lambda: {
+            "a": {"x": 100.0}, "b": {"x": 0.0, "y": 100.0}}, period_s=0.5)
         monitor.add_rule(AlarmRule("high-x-on-b", "b", "x", lambda v: v > 50))
         monitor.start()
         kernel.run(until=2.0)
@@ -124,10 +130,10 @@ class TestHomeIntegration:
                                             default_port=7500), "desktop")
         monitor = home.enable_monitoring()
         home.add_device("laptop")  # added after enabling: still probed
-        assert "device/phone" in monitor.probe_names()
-        assert "device/laptop" in monitor.probe_names()
-        assert "service/echo@desktop" in monitor.probe_names()
         home.run_for(2.0)
+        probes = {sample.probe for sample in monitor.samples}
+        assert {"device/phone", "device/laptop",
+                "service/echo@desktop"} <= probes
         assert monitor.latest("device/phone", "cpu_utilization") is not None
 
     def test_live_fps_via_pipeline_probe(self, ):

@@ -10,7 +10,6 @@ from repro.apps.fitness import (
     install_fitness_services,
 )
 from repro.faults import FaultPlan
-from repro.monitor import pipeline_probe
 from repro.pipeline.placement import SINGLE_HOST
 
 
@@ -58,7 +57,7 @@ class TestServiceRejections:
         home.enable_fault_injection(
             FaultPlan().partition(2.0, "desktop", heal_after=4.0))
         home.run(until=10.0)
-        sample = pipeline_probe(pipeline)()
-        assert sample["service_rejections"] == float(
-            pipeline.metrics.counter("service_rejections"))
-        assert sample["service_rejections"] > 0
+        section = home.snapshot()["pipeline"][pipeline.name]
+        assert section["service_rejections"] == pipeline.metrics.counter(
+            "service_rejections")
+        assert section["service_rejections"] > 0

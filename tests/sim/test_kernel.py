@@ -239,7 +239,8 @@ class TestTimeout:
         # cycle (the signal holding its timer event, whose callback is the
         # signal's own bound method) is garbage only the collector finds.
         # DEBUG_SAVEALL keeps what the collector finds, so the test looks
-        # only at its own types, whatever else the process leaves behind.
+        # only at its own objects — signals of its kernel and the events
+        # that fire them — whatever else the process leaves behind.
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
@@ -249,9 +250,15 @@ class TestTimeout:
             signals[0].wait(lambda _value, _exc: None)
             k.run()
             assert [s.value for s in signals] == list(range(50))
-            del signals, k
+            del signals
             gc.collect()
-            assert [o for o in gc.garbage if isinstance(o, (Signal, Event))] == []
+
+            def own(o):
+                if isinstance(o, Event):
+                    o = getattr(o.callback, "__self__", None)
+                return isinstance(o, Signal) and o.kernel is k
+
+            assert [o for o in gc.garbage if own(o)] == []
         finally:
             gc.set_debug(0)
             gc.garbage.clear()

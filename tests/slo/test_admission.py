@@ -114,10 +114,10 @@ class TestFacadeAdmission:
         decision = excinfo.value.decision
         assert decision.action == REJECTED
         assert decision.worst_utilization > 0.25
-        status = home.slo_status()["admission"]
-        assert status["requested"] == 3
-        assert status["rejected"] == 1
-        assert status["deployed"] == 2
+        status = home.snapshot()["slo"]
+        assert status["deploys_requested"] == 3
+        assert status["deploys_rejected"] == 1
+        assert status["deploys_deployed"] == 2
 
     def test_bypass_mode_skips_the_gate(self, home):
         home.enable_slo(config=SLOConfig(admission_threshold=0.25))
@@ -126,7 +126,7 @@ class TestFacadeAdmission:
         pipeline = home.deploy_pipeline(guest_config(1, fps=15.0),
                                         admission="bypass")
         assert pipeline is not None
-        assert home.slo_status()["admission"]["rejected"] == 0
+        assert home.snapshot()["slo"]["deploys_rejected"] == 0
 
     def test_queue_mode_parks_and_drains(self, home):
         home.enable_slo(config=SLOConfig(admission_threshold=0.25))
@@ -145,9 +145,9 @@ class TestFacadeAdmission:
         assert home.slo.queued == []
         names = [p.config.name for p in home.pipelines if not p.stopped]
         assert "guest1" in names
-        status = home.slo_status()["admission"]
-        assert status["requested"] == 3
-        assert status["deployed"] == 3
+        status = home.snapshot()["slo"]
+        assert status["deploys_requested"] == 3
+        assert status["deploys_deployed"] == 3
 
     def test_withdraw_a_parked_deploy(self, home):
         home.enable_slo(config=SLOConfig(admission_threshold=0.25))
@@ -156,9 +156,9 @@ class TestFacadeAdmission:
         home.deploy_pipeline(guest_config(1, fps=15.0), admission="queue")
         assert home.slo.withdraw("guest1")
         assert not home.slo.withdraw("guest1")
-        status = home.slo_status()["admission"]
-        assert status["withdrawn"] == 1
-        assert status["queued_now"] == []
+        status = home.snapshot()["slo"]
+        assert status["deploys_withdrawn"] == 1
+        assert status["deploys_queued_now"] == 0
 
     def test_conservation_invariant(self, home):
         home.enable_slo(config=SLOConfig(admission_threshold=0.25))
@@ -168,10 +168,10 @@ class TestFacadeAdmission:
             home.deploy_pipeline(guest_config(1, fps=15.0))
         home.deploy_pipeline(guest_config(2, fps=15.0), admission="queue")
         home.run_for(1.0)
-        status = home.slo_status()["admission"]
-        assert status["requested"] == (
-            status["deployed"] + status["rejected"] + status["withdrawn"]
-            + len(status["queued_now"])
+        status = home.snapshot()["slo"]
+        assert status["deploys_requested"] == (
+            status["deploys_deployed"] + status["deploys_rejected"]
+            + status["deploys_withdrawn"] + status["deploys_queued_now"]
         )
 
     def test_a_failed_deploy_is_withdrawn(self, home):
@@ -181,9 +181,11 @@ class TestFacadeAdmission:
         config.modules[-1].include = "./NoSuchModule.js"
         with pytest.raises(ConfigError, match="no module registered"):
             home.deploy_pipeline(config, slo=SLO_T)
-        status = home.slo_status()["admission"]
-        assert (status["requested"], status["admitted"]) == (1, 1)
-        assert (status["deployed"], status["withdrawn"]) == (0, 1)
+        status = home.snapshot()["slo"]
+        assert (status["deploys_requested"],
+                status["deploys_admitted"]) == (1, 1)
+        assert (status["deploys_deployed"],
+                status["deploys_withdrawn"]) == (0, 1)
         assert home.pipelines == []
         assert home.check_invariants() == []
         assert home.auditor.violations == []

@@ -152,20 +152,19 @@ class TestStatusAndMetrics:
     def test_status_shape(self, enrolled):
         home, controller, _ = enrolled
         home.run_for(1.0)
-        status = home.slo_status()
+        status = home.snapshot()["slo"]
         entry = status["pipelines"]["fitness"]
         assert entry["state"] in (HEALTHY, STRAINED, OVERLOADED)
         assert entry["slo"] == SLO_T.as_dict()
         assert entry["depth"] == 0
         assert 0.0 <= entry["attainment"] <= 1.0
-        assert status["actions_total"] == 0
-        assert status["admission"]["requested"] == 1
+        assert status["actions"] == 0
+        assert status["deploys_requested"] == 1
+        assert status["enrolled"] == 1
 
     def test_slo_status_requires_enable(self, home):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            home.slo_status()
+        """No controller, no ``slo`` section."""
+        assert "slo" not in home.snapshot()
 
     def test_action_counters(self, enrolled):
         home, controller, _ = enrolled

@@ -17,7 +17,7 @@ FACADE = "core/videopipe.py"
 
 ATTACH_CALLS = {
     "watch_store", "watch_arena", "watch_metrics", "watch_transport",
-    "watch_autoscaler", "watch_slo", "watch_liveops", "add_probe",
+    "watch_autoscaler", "watch_slo", "watch_liveops",
 }
 OBSERVER_ATTRS = {"tracer", "lineage"}
 

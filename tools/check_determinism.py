@@ -38,10 +38,13 @@ import json
 import os
 import platform
 import sys
+from pathlib import Path
 
 import numpy
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# resolved, so code objects carry the same path as an installed or
+# PYTHONPATH import (tools/census.py matches functions by that path)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.audit.determinism import (  # noqa: E402
     check_determinism,
