@@ -13,6 +13,7 @@ The three promises ``docs/TRACING.md`` makes, checked end to end:
    event phases Perfetto expects.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -22,7 +23,9 @@ from repro.apps import (
     fitness_pipeline_config,
     install_fitness_services,
 )
+from repro.audit.scenarios import canary_upgrade, chaos_fitness
 from repro.core import VideoPipe
+from repro.runtime.settlement import REASONS
 from repro.trace import (
     CAT_COMPUTE,
     CAT_QUEUE,
@@ -34,6 +37,22 @@ from repro.trace import (
 
 DURATION = 8.0
 RUN_UNTIL = 9.0
+
+#: sha256 of every field of every span (ids, parent, name, category, start,
+#: end, device, actor, attrs) of each traced run below, and of the canary
+#: scenario's lineage record. A change to how spans are produced must leave
+#: them as they are: same spans, same ids minted in the same order.
+SPAN_DIGESTS = {
+    "videopipe":
+        "80f0a1b1b61c06d2feedd9c7585b68ee66362908351970c535875ea94fbd8123",
+    "baseline":
+        "c63b5529b16a1fa41369284eb84c20408267ac0556b2a52a1a23f17feed098a0",
+    "chaos_fitness":
+        "47a2a3c12a1bc0005fcd066db0ca8a3fec0bf9f37d7b3f755989abc6fe2520f7",
+}
+LINEAGE_DIGEST = (
+    "c208ff5a8014a33ccef16773899782ad1271872fcfd2e79c43a5b726167c30e6")
+SCENARIO_SEED = 3
 
 
 def run(recognizer, trace=False, architecture="videopipe", seed=11,
@@ -50,6 +69,17 @@ def run(recognizer, trace=False, architecture="videopipe", seed=11,
                                                   duration_s=DURATION))
     home.run(until=RUN_UNTIL)
     return home, pipeline, tracer
+
+
+def span_digest(spans):
+    digest = hashlib.sha256()
+    for s in spans:
+        digest.update(repr((
+            s.trace_id, s.span_id, s.parent_id, s.name, s.category,
+            s.start, s.end, s.device, s.actor, sorted(s.attrs.items()),
+        )).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def fingerprint(pipeline):
@@ -79,6 +109,34 @@ class TestNoObserverEffect:
         assert t1.span_count == t2.span_count
         assert [(s.name, s.start, s.end) for s in t1.spans] == \
             [(s.name, s.start, s.end) for s in t2.spans]
+
+    @pytest.mark.parametrize("architecture", ["videopipe", "baseline"])
+    def test_fitness_spans_match_their_digest(self, fitness_recognizer,
+                                              architecture):
+        _, _, tracer = run(fitness_recognizer, trace=True,
+                           architecture=architecture)
+        names = {s.name for s in tracer.spans}
+        if architecture == "baseline":
+            # a remote service call: serialized, shipped, served
+            assert {"rpc.serialize", "rpc.transfer"} <= names
+        assert span_digest(tracer.spans) == SPAN_DIGESTS[architecture]
+
+    def test_chaos_spans_match_their_digest(self):
+        home, run_fn = chaos_fitness(SCENARIO_SEED)
+        tracer = home.enable_tracing()
+        run_fn()
+        (pipeline,) = home.pipelines
+        assert pipeline.metrics.counter("frames_dropped.source_busy") > 0
+        settled = {s.attrs.get("reason") for s in tracer.spans
+                   if s.name == "frame" and s.attrs["outcome"] == "dropped"}
+        assert settled & set(REASONS)
+        assert span_digest(tracer.spans) == SPAN_DIGESTS["chaos_fitness"]
+
+    def test_canary_lineage_matches_its_digest(self):
+        home, run_fn = canary_upgrade(SCENARIO_SEED)
+        run_fn()
+        record = json.dumps(home.liveops.lineage.as_dict(), sort_keys=True)
+        assert hashlib.sha256(record.encode()).hexdigest() == LINEAGE_DIGEST
 
 
 class TestDecomposition:
