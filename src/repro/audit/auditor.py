@@ -56,6 +56,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..runtime.observe import FrameObserver
 from ..services.scaling import COOLDOWN_S
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,9 +171,11 @@ class _LiveOpsState:
     rolled_back: int = 0
 
 
-@dataclass(slots=True)
-class _MetricsState:
-    """Baseline counters and the admitted-frame mirror for one collector."""
+@dataclass(slots=True, eq=False)
+class _FrameMirror(FrameObserver):
+    """Baseline counters and the admitted-frame mirror for one collector:
+    it subscribes to the collector's wiring (``runtime/observe.py``), so it
+    counts each frame event on its own, apart from the collector."""
 
     base_entered: int = 0
     base_completed: int = 0
@@ -183,6 +186,23 @@ class _MetricsState:
     completed_admitted: int = 0
     dropped_admitted: int = 0
     dropped_unadmitted: int = 0
+
+    def admitted(self, ctx: Any, frame_id: int) -> None:
+        self.entered += 1
+        self.in_flight.add(frame_id)
+
+    def completed(self, ctx: Any, frame_id: int) -> None:
+        if frame_id in self.in_flight:
+            self.in_flight.discard(frame_id)
+            self.completed_admitted += 1
+
+    def dropped(self, wiring: Any, frame_id: int, reason: str, device: str,
+                actor: str) -> None:
+        if frame_id in self.in_flight:
+            self.in_flight.discard(frame_id)
+            self.dropped_admitted += 1
+        else:
+            self.dropped_unadmitted += 1
 
 
 class InvariantAuditor:
@@ -215,7 +235,7 @@ class InvariantAuditor:
         self._stores: dict[int, tuple["FrameStore", _StoreState]] = {}
         self._arenas: dict[int, tuple["FrameArena", _ArenaState]] = {}
         self._transports: dict[int, tuple["Transport", _TransportState]] = {}
-        self._metrics: dict[int, tuple["MetricsCollector", _MetricsState]] = {}
+        self._metrics: dict[int, tuple["MetricsCollector", _FrameMirror]] = {}
         self._scalers: dict[int, tuple["AutoScaler", dict]] = {}
         self._slo: dict[int, tuple["SLOController", "_SloState"]] = {}
         self._liveops: dict[int, tuple[Any, _LiveOpsState]] = {}
@@ -437,47 +457,20 @@ class InvariantAuditor:
             entry[1].in_flight.pop(message.msg_id, None)
 
     # -- metrics conservation -------------------------------------------------------
-    def watch_metrics(self, collector: "MetricsCollector") -> None:
+    def watch_metrics(self, collector: "MetricsCollector") -> _FrameMirror:
         """Check frames admitted == completed + dropped + in-flight on
-        *collector*."""
-        if id(collector) in self._metrics:
-            return
-        collector.auditor = self
-        state = _MetricsState(
+        *collector*; returns the frame mirror to subscribe to its wiring."""
+        entry = self._metrics.get(id(collector))
+        if entry is not None:
+            return entry[1]
+        mirror = _FrameMirror(
             base_entered=collector.counter("frames_entered"),
             base_completed=collector.counter("frames_completed"),
             base_dropped=collector.counter("frames_dropped"),
             clean_at_watch=collector.frames_in_flight == 0,
         )
-        self._metrics[id(collector)] = (collector, state)
-
-    def on_frame_entered(self, collector: "MetricsCollector", frame_id: int) -> None:
-        entry = self._metrics.get(id(collector))
-        if entry is None:
-            return
-        state = entry[1]
-        state.entered += 1
-        state.in_flight.add(frame_id)
-
-    def on_frame_completed(self, collector: "MetricsCollector", frame_id: int) -> None:
-        entry = self._metrics.get(id(collector))
-        if entry is None:
-            return
-        state = entry[1]
-        if frame_id in state.in_flight:
-            state.in_flight.discard(frame_id)
-            state.completed_admitted += 1
-
-    def on_frame_dropped(self, collector: "MetricsCollector", frame_id: int) -> None:
-        entry = self._metrics.get(id(collector))
-        if entry is None:
-            return
-        state = entry[1]
-        if frame_id in state.in_flight:
-            state.in_flight.discard(frame_id)
-            state.dropped_admitted += 1
-        else:
-            state.dropped_unadmitted += 1
+        self._metrics[id(collector)] = (collector, mirror)
+        return mirror
 
     # -- autoscaler pacing ------------------------------------------------------------
     def watch_autoscaler(self, scaler: "AutoScaler") -> None:
@@ -846,7 +839,7 @@ class InvariantAuditor:
                 " without resolving its signal",
             )
 
-    def _check_metrics(self, collector: "MetricsCollector", state: _MetricsState) -> None:
+    def _check_metrics(self, collector: "MetricsCollector", state: _FrameMirror) -> None:
         subject = f"metrics/{collector.name}"
         entered = collector.counter("frames_entered") - state.base_entered
         completed = collector.counter("frames_completed") - state.base_completed
@@ -856,7 +849,7 @@ class InvariantAuditor:
                 "metrics-conservation",
                 subject,
                 f"frames_entered counter moved by {entered} but the"
-                f" collector notified {state.entered} admissions",
+                f" frame events notified {state.entered} admissions",
             )
         if state.clean_at_watch:
             mirrored = len(state.in_flight)

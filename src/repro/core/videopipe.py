@@ -30,7 +30,6 @@ from ..faults.injector import ChaosInjector
 from ..faults.plan import FaultPlan
 from ..liveops.policy import CanaryPolicy
 from ..liveops.upgrade import LiveOpsManager, ModuleUpgrade
-from ..metrics.collector import MetricsCollector
 from ..monitor.failure_detector import FailureDetector, HeartbeatResponder
 from ..monitor.monitor import Monitor
 from ..monitor.orchestrator import PERIOD_S as EVACUATION_PERIOD_S, evacuate
@@ -56,6 +55,7 @@ from ..pipeline.placement import (
 )
 from ..runtime.module import Module
 from ..runtime.moduleruntime import ModuleRuntime
+from ..runtime.wiring import PipelineWiring
 from ..services.base import Service
 from ..services.host import ServiceHost
 from ..services.registry import ServiceRegistry
@@ -217,7 +217,7 @@ class VideoPipe:
             self._wire_pipeline(pipeline)
         if self.liveops is not None:
             for upgrade in self.liveops.active_upgrades():
-                self._wire_metrics(upgrade.shadow_metrics)
+                self._wire_observers(upgrade.shadow_wiring, traced=False)
         if self.auditor is not None:
             if self.autoscaler is not None:
                 self.auditor.watch_autoscaler(self.autoscaler)
@@ -265,21 +265,24 @@ class VideoPipe:
     def _wire_pipeline(self, pipeline: Pipeline) -> None:
         if self.optimizer is not None:
             self.optimizer.watch(pipeline)
-        if self.tracer is not None:
-            pipeline.wiring.tracer = self.tracer
-        if self.liveops is not None:
-            pipeline.wiring.lineage = self.liveops.lineage
-        self._wire_metrics(pipeline.metrics)
+        self._wire_observers(pipeline.wiring, traced=True)
         if self.slo is not None:
             self.slo.watch(
                 pipeline, self._pending_slos.pop(pipeline.config.name, None)
             )
 
-    def _wire_metrics(self, collector: MetricsCollector) -> None:
-        """Audit one collector: a pipeline's, or a canary's shadow (whose
-        metrics-conservation law *is* the mirror-conservation law)."""
+    def _wire_observers(self, wiring: PipelineWiring, traced: bool) -> None:
+        """Set who *wiring*'s frame events go to. A canary's shadow wiring
+        (``traced=False``) gets only the auditor's frame mirror: its copies
+        are not the pipeline's frames, so no trace and no lineage."""
+        observers = []
+        if traced and self.tracer is not None:
+            observers.append(self.tracer)
+        if traced and self.liveops is not None:
+            observers.append(self.liveops.lineage)
         if self.auditor is not None:
-            self.auditor.watch_metrics(collector)
+            observers.append(self.auditor.watch_metrics(wiring.metrics))
+        wiring.observers = tuple(observers)
 
     # -- services ----------------------------------------------------------------
     def deploy_service(

@@ -93,8 +93,8 @@ class FleetConfig:
         online: enable each home's :class:`OnlineOptimizer
             <repro.pipeline.optimizer.OnlineOptimizer>` (live re-placement).
         audit: enable each home's invariant auditor.
-        tracing: enable each home's trace recorder (feeds the online
-            optimizer's calibration).
+        tracing: enable each home's trace recorder (spans only: no
+            controller reads them).
         workload: per-home application shape — ``"stage"`` (default, the
             linear camera → detect → classify → alert → sink DAG) or
             ``"scene"`` (the multi-camera fan-in scene-fusion DAG; the

@@ -38,7 +38,7 @@ class FleetStageModule(Module):
         service: the service this stage calls per frame.
         stage: metrics stage name (defaults to the service name). Naming
             the stage after the *module* lets the online optimizer
-            calibrate from ``MetricsCollector`` when tracing is off.
+            calibrate it from ``MetricsCollector``.
     """
 
     def __init__(self, service: str, stage: str | None = None) -> None:

@@ -3,9 +3,9 @@
 A rolling upgrade makes "what code processed this output?" a real
 question — during the canary phase two versions of one module are live at
 once, and after a promotion old and new frames in one run crossed
-different code. The recorder answers it per frame, passively: the module
-runtime calls :meth:`LineageRecorder.touch_event` as each DATA event
-reaches its handler, and the recorder appends a
+different code. The recorder answers it per frame, passively: it
+subscribes to the frame events (``runtime/observe.py``), and as each DATA
+event reaches its handler it appends a
 ``(module, version, device, service versions)`` step to that frame's
 path. Like tracing and auditing, lineage never schedules kernel events,
 never consumes randomness and never touches message sizes, so a recorded
@@ -22,13 +22,16 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from ..frames.payloads import frame_ids_in
+from ..runtime.events import DATA
+from ..runtime.observe import FrameObserver
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.context import ModuleContext
+    from ..runtime.events import ModuleEvent
     from ..sim.kernel import Kernel
 
 
-class LineageRecorder:
+class LineageRecorder(FrameObserver):
     """Passive per-frame version-lineage sink for one home.
 
     Attributes:
@@ -44,16 +47,16 @@ class LineageRecorder:
         self.touches = 0
         self.dropped_frames = 0
 
-    # -- recording (called from the module runtime's worker) -----------------
-    def touch_event(self, ctx: "ModuleContext", payload: Any) -> None:
-        """Record that *ctx*'s module is handling *payload* now.
+    # -- recording ------------------------------------------------------------
+    def handler_start(self, ctx: "ModuleContext", event: "ModuleEvent") -> None:
+        """Record that *ctx*'s module is handling a DATA *event* now.
 
         One step is appended to every frame the payload carries. The step
         captures the module's deployed version (from the pipeline wiring)
         and the versions of every service the module's stubs currently
         resolve to — the exact code a call from this step would reach.
         """
-        frame_ids = frame_ids_in(payload)
+        frame_ids = frame_ids_in(event.payload) if event.kind == DATA else ()
         if not frame_ids:
             return
         services: dict[str, str] = {}

@@ -38,6 +38,7 @@ from ..errors import ConfigError
 from ..frames.payloads import add_refs, frame_ids_in, release_refs
 from ..metrics.collector import MetricsCollector
 from ..net.address import Address
+from ..runtime import observe
 from ..runtime.events import DATA, ModuleEvent
 from ..runtime.module import Module
 from ..runtime.registry import create_module
@@ -123,11 +124,11 @@ class MirrorTap:
         runtime = upgrade.primary_deployed.runtime
         payload = event.payload
         add_refs(payload, runtime.device.frame_store)
-        now = runtime.kernel.now
         for frame_id in frame_ids_in(payload):
             if frame_id not in self._admitted:
                 self._admitted.add(frame_id)
-                upgrade.shadow_metrics.frame_entered(frame_id, now)
+                # admitted at the candidate, on the shadow wiring
+                observe.admitted(upgrade.shadow_deployed.ctx, frame_id)
                 upgrade.mirrored_frames += 1
         upgrade.mirrored_events += 1
         # the tap alias (never deployed) is the shadow wiring's name for
@@ -337,7 +338,7 @@ class LiveOpsManager:
         upgrade.sink_deployed = runtime.deploy(
             upgrade.sink_name, CanarySinkModule(), sink_address, wiring, {},
         )
-        self.home._wire_metrics(metrics)
+        self.home._wire_observers(wiring, traced=False)
         primary.mirror = MirrorTap(upgrade)
 
     # -- decision loop -------------------------------------------------------

@@ -2,14 +2,13 @@
 
 One :class:`MetricsCollector` per pipeline gathers per-stage latencies
 (Fig. 6's bars), end-to-end frame completions (Table 2's FPS), and free-form
-counters. Components record through the module context; benchmarks read the
-summaries.
+counters. The runtime's frame events (``runtime/observe.py``) update it before
+any observer sees them; benchmarks read the summaries.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any
 
 from .stats import RateMeter, Summary, summarize
 
@@ -25,9 +24,6 @@ class MetricsCollector:
         self._frame_started: dict[int, float] = {}
         self._frame_latencies: list[float] = []
         self._latency_events: list[tuple[float, float]] = []
-        #: The home's :class:`~repro.audit.auditor.InvariantAuditor`, or
-        #: ``None`` while auditing is off (set by ``watch_metrics``).
-        self.auditor: Any = None
 
     # -- stage latencies ----------------------------------------------------
     def record_stage(self, stage: str, seconds: float) -> None:
@@ -73,8 +69,6 @@ class MetricsCollector:
         """A frame was admitted into the pipeline at the source."""
         self._frame_started[frame_id] = now
         self._counters["frames_entered"] += 1
-        if self.auditor is not None:
-            self.auditor.on_frame_entered(self, frame_id)
 
     def frame_completed(self, frame_id: int, now: float) -> None:
         """The final module finished the frame; updates FPS and latency."""
@@ -84,8 +78,6 @@ class MetricsCollector:
             self._frame_latencies.append(now - started)
             self._latency_events.append((now, now - started))
         self._counters["frames_completed"] += 1
-        if self.auditor is not None:
-            self.auditor.on_frame_completed(self, frame_id)
 
     def frame_dropped(self, frame_id: int, now: float) -> None:
         """A frame left the pipeline without completing (a source-side drop,
@@ -94,8 +86,6 @@ class MetricsCollector:
         were never admitted (the source's pre-admission drops)."""
         self._frame_started.pop(frame_id, None)
         self._counters["frames_dropped"] += 1
-        if self.auditor is not None:
-            self.auditor.on_frame_dropped(self, frame_id)
 
     @property
     def frames_in_flight(self) -> int:

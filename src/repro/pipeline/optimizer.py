@@ -644,34 +644,17 @@ def _local_search(
 # -- online re-placement -------------------------------------------------------
 
 def observed_module_seconds(
-    pipeline: "Pipeline", tracer=None, window: int = 50
+    pipeline: "Pipeline", window: int = 50
 ) -> dict[str, float]:
     """Live per-module handler seconds for calibration.
 
-    With a tracer, the mean of the last *window* ``module.<name>`` compute
-    spans for this pipeline (the same spans critical-path analysis walks);
-    otherwise, :meth:`MetricsCollector.recent_stage_mean
+    :meth:`MetricsCollector.recent_stage_mean
     <repro.metrics.collector.MetricsCollector.recent_stage_mean>` for any
-    stage that shares a module's name.
+    stage that shares a module's name. Never the trace: an observer must
+    not steer what it observes (``docs/TRACING.md``).
     """
     observed: dict[str, float] = {}
-    module_names = set(pipeline.config.module_names())
-    if tracer is not None:
-        prefix = f"{pipeline.config.name}/"
-        samples: dict[str, list[float]] = {}
-        for span in tracer.spans:
-            if not span.trace_id.startswith(prefix):
-                continue
-            if not span.name.startswith("module."):
-                continue
-            name = span.name.removeprefix("module.")
-            if name in module_names:
-                samples.setdefault(name, []).append(span.duration)
-        for name, values in samples.items():
-            tail = values[-window:]
-            observed[name] = sum(tail) / len(tail)
-        return observed
-    for name in module_names:
+    for name in pipeline.config.module_names():
         mean = pipeline.metrics.recent_stage_mean(name, window)
         if mean is not None:
             observed[name] = mean
@@ -683,8 +666,8 @@ class OnlineOptimizer:
 
     Every ``replan_interval_s`` it builds one :class:`CostModel` restricted
     to the home's live devices (``VideoPipe.live_devices``), calibrated with
-    observed per-module latencies (trace spans when tracing is on, metrics
-    stages otherwise), searches it for a target placement as
+    observed per-module latencies (the pipeline's metrics stages, whether
+    or not tracing is on), searches it for a target placement as
     :func:`plan_optimized` does, and — when the predicted improvement clears
     ``replan_threshold_frac``, or the current placement is stranded on a
     device that is not live — applies the difference through
@@ -731,9 +714,7 @@ class OnlineOptimizer:
             return None
         current = pipeline.placement.assignments
         observed: dict[str, tuple[float, str]] = {}
-        for name, seconds in observed_module_seconds(
-            pipeline, home.tracer
-        ).items():
+        for name, seconds in observed_module_seconds(pipeline).items():
             device = current.get(name)
             if device is not None:
                 observed[name] = (seconds, device)
@@ -775,18 +756,8 @@ class OnlineOptimizer:
                     f"predicted {before * 1e3:.1f} -> {after * 1e3:.1f} ms"),
             evidence={"moves": moves, "predicted_before_s": before,
                       "predicted_after_s": after,
-                      "observed_mean_s": self._observed_mean_s(pipeline)},
+                      "observed_mean_s":
+                          pipeline.metrics.total_latency_summary().mean},
         )
         self.actions.append(action)
         return action
-
-    def _observed_mean_s(self, pipeline: "Pipeline") -> float:
-        if self.home.tracer is not None:
-            from ..trace.critical_path import critical_path
-
-            report = critical_path(
-                self.home.tracer, pipeline=pipeline.config.name
-            )
-            if report.frame_count:
-                return report.mean_total_ms() / 1e3
-        return pipeline.metrics.total_latency_summary().mean

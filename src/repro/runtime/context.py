@@ -28,21 +28,13 @@ import numpy as np
 from ..errors import CircuitOpenError, ServiceError
 from ..frames.frame import FrameRef, VideoFrame
 from ..frames.payloads import add_refs
-from ..net.message import H_TRACE
 from ..sim.signals import Signal
-from ..trace.span import (
-    CAT_SERIALIZE,
-    CAT_SERVICE,
-    CAT_STAGE,
-    SpanContext,
-    trace_id_for,
-)
+from . import observe
 from .events import DATA, READY_SIGNAL
 from .settlement import SOURCE_BUSY, ready_signal_sent
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..services.stubs import ServiceStub
-    from ..trace.recorder import TraceRecorder
     from .moduleruntime import ModuleRuntime
     from .wiring import PipelineWiring
 
@@ -61,15 +53,10 @@ class ModuleContext:
         self.module_name = module_name
         self.wiring = wiring
         self._stubs = stubs
-        # Ambient trace state for the event currently being handled. Safe
-        # as instance state because the runtime worker delivers events one
-        # at a time per module (single-threaded Duktape semantics): the
-        # fields are set before the handler runs and cleared after it
-        # finishes, including across generator suspensions.
-        #: the frame's root span — what outgoing messages propagate.
-        self._trace_root: SpanContext | None = None
-        #: the current handler span — what child spans parent to.
-        self._trace_span: SpanContext | None = None
+        #: The trace context this module's sends carry, unread: the one the
+        #: event being handled arrived with, or the one an observer gave
+        #: when this module admitted a frame.
+        self._carried: Any = None
 
     # -- identity & clock ------------------------------------------------------
     @property
@@ -87,11 +74,6 @@ class ModuleContext:
     @property
     def pipeline_name(self) -> str:
         return self.wiring.pipeline_name
-
-    @property
-    def tracer(self) -> "TraceRecorder | None":
-        """The home's trace recorder, or ``None`` while tracing is off."""
-        return self.wiring.tracer
 
     def rng(self, purpose: str) -> np.random.Generator:
         return self._runtime.device.local_rng(f"module/{self.module_name}/{purpose}")
@@ -124,36 +106,7 @@ class ModuleContext:
         # snapshot attributes them to this pipeline's metrics
         host = getattr(stub, "host", None)
         hits_before = host.cache_hits if host is not None else 0
-        tracer = self.tracer
-        if tracer is not None and self._trace_span is not None:
-            # pre-mint the call span's identity so the callee (local host or
-            # remote server) can parent its queue/compute spans to it; the
-            # span itself is recorded when the signal resolves
-            call_ctx = tracer.child_context(self._trace_span)
-            started = self.now
-            signal = stub.call(payload, trace=call_ctx)
-            device, actor = self.device_name, self.module_name
-            is_local = stub.is_local
-
-            def _record(_value: Any, exc: BaseException | None) -> None:
-                if not is_local and stub.last_prepare_s > 0:
-                    # the encode+marshal interval sits at the head of the
-                    # call window (the stub stamps it before dispatching)
-                    tracer.record(
-                        "rpc.serialize", CAT_SERIALIZE, parent=call_ctx,
-                        start=started, end=started + stub.last_prepare_s,
-                        device=device, actor=actor,
-                    )
-                tracer.record_span(
-                    call_ctx, f"service.call:{service_name}", CAT_SERVICE,
-                    start=started, end=tracer.kernel.now,
-                    device=device, actor=actor,
-                    service=service_name, ok=exc is None,
-                )
-
-            signal.wait(_record)
-        else:
-            signal = stub.call(payload)
+        signal = observe.service_call(self, service_name, stub, payload)
         signal.wait(_count_rejection)
         if host is not None and host.cache_hits > hits_before:
             self.metrics.increment(f"service_cache_hits.{service_name}")
@@ -173,14 +126,6 @@ class ModuleContext:
         return stub.last_prepare_s if stub is not None else 0.0
 
     # -- Table 1: call_module ------------------------------------------------------
-    def _trace_headers(self, headers: dict[str, Any] | None) -> dict[str, Any]:
-        """Outgoing headers with the frame's root trace context attached
-        (when tracing is on and this event belongs to a traced frame)."""
-        out = dict(headers) if headers else {}
-        if self.tracer is not None and self._trace_root is not None:
-            out[H_TRACE] = self._trace_root.header()
-        return out
-
     def call_module(
         self,
         target_module: str,
@@ -189,8 +134,8 @@ class ModuleContext:
     ) -> Signal:
         """Send a payload to another module (ownership of refs moves)."""
         return self._runtime.send_to_module(
-            self.module_name, target_module, payload,
-            self._trace_headers(headers), kind=DATA, wiring=self.wiring
+            self.module_name, target_module, payload, headers or {},
+            kind=DATA, wiring=self.wiring, trace=self._carried,
         )
 
     def call_next(
@@ -208,8 +153,8 @@ class ModuleContext:
             add_refs(payload, self._runtime.device.frame_store)
         return [
             self._runtime.send_to_module(
-                self.module_name, target, payload,
-                self._trace_headers(headers), kind=DATA, wiring=self.wiring
+                self.module_name, target, payload, headers or {},
+                kind=DATA, wiring=self.wiring, trace=self._carried,
             )
             for target in targets
         ]
@@ -228,15 +173,7 @@ class ModuleContext:
         ``credits_owed`` entry is paid when its last live copy ends)."""
         if not self.metrics.frame_in_flight(frame_id):
             return None
-        self.metrics.frame_completed(frame_id, self.now)
-        tracer = self.tracer
-        if tracer is not None:
-            if self._trace_span is not None:
-                tracer.annotate(
-                    "frame.complete", parent=self._trace_span,
-                    device=self.device_name, actor=self.module_name,
-                )
-            tracer.frame_finished(trace_id_for(self.pipeline_name, frame_id))
+        observe.completed(self, frame_id)
         return self._signal_source()
 
     def _signal_source(self) -> Signal | None:
@@ -269,47 +206,20 @@ class ModuleContext:
 
     # -- instrumentation -----------------------------------------------------------------
     def frame_entered(self, frame_id: int) -> None:
-        """Admit *frame_id* into the pipeline: metrics bookkeeping plus —
-        when tracing is on — the frame's root span, which this module's
-        outgoing sends will propagate."""
-        self.metrics.frame_entered(frame_id, self.now)
-        tracer = self.tracer
-        if tracer is not None:
-            root = tracer.frame_started(
-                self.pipeline_name, frame_id,
-                device=self.device_name, actor=self.module_name,
-            )
-            self._trace_root = root
-            self._trace_span = root
+        """Admit *frame_id* into the pipeline; this module's sends carry
+        the frame's trace context from here on."""
+        self._carried = observe.admitted(self, frame_id)
 
     def frame_dropped(self, frame_id: int) -> None:
-        """This module dropped *frame_id* (a source-side drop): prune its
-        metrics entry and close its trace — if it ever had one."""
-        self.metrics.frame_dropped(frame_id, self.now)
-        self.metrics.increment(f"frames_dropped.{SOURCE_BUSY}")
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.frame_dropped(
-                trace_id_for(self.pipeline_name, frame_id),
-                device=self.device_name, actor=self.module_name,
-                reason=SOURCE_BUSY,
-            )
+        """This module dropped *frame_id* before admitting it: the source
+        was busy (§2.3)."""
+        observe.dropped(self.wiring, frame_id, self.now, SOURCE_BUSY,
+                        self.device_name, self.module_name)
 
     def record_stage(self, stage: str, seconds: float) -> None:
-        """Record one latency sample for a named pipeline stage.
-
-        With tracing on, the sample is mirrored as a ``stage.<name>`` span
-        ending now — so trace-derived stage means cross-check the
-        collector's exactly (see ``docs/TRACING.md``).
-        """
-        self.metrics.record_stage(stage, seconds)
-        tracer = self.tracer
-        if tracer is not None and self._trace_span is not None:
-            tracer.record(
-                f"stage.{stage}", CAT_STAGE, parent=self._trace_span,
-                start=self.now - seconds, end=self.now,
-                device=self.device_name, actor=self.module_name,
-            )
+        """Record one latency sample for a named pipeline stage, ending
+        now (mirrored as a ``stage.<name>`` span while tracing is on)."""
+        observe.stage(self, stage, seconds)
 
     def log(self, text: str) -> None:
         self.wiring.logs.append((self.now, self.module_name, text))

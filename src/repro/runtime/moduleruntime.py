@@ -26,8 +26,7 @@ from ..net.transport import Transport
 from ..sim.kernel import Kernel
 from ..sim.resources import Store
 from ..sim.signals import Signal
-from ..trace.span import CAT_COMPUTE, CAT_QUEUE, CAT_WIRE, SpanContext
-from . import settlement
+from . import observe, settlement
 from .context import ModuleContext
 from .events import DATA, READY_SIGNAL, ModuleEvent
 from .module import Module
@@ -181,6 +180,7 @@ class ModuleRuntime:
         kind: str = DATA,
         *,
         wiring: "PipelineWiring",
+        trace: Any = None,
     ) -> Signal:
         """Route a payload to a module anywhere in the pipeline.
 
@@ -191,15 +191,13 @@ class ModuleRuntime:
         The caller passes the pipeline *wiring* it holds — a migrated-away
         module's last in-flight handler must still be able to forward its
         frame even though this runtime no longer lists the module as
-        deployed.
+        deployed. *trace* is the sender's trace context, carried uncharged.
         """
         target_address = wiring.address_of(target_module)
         source_address = wiring.address_of(source_module)
         local = target_address.device == self.device.name
-        copy = None
-        if kind == DATA:
-            copy = settlement.copy_sent(wiring, payload)
-            headers = {**headers, settlement.H_COPY: copy}
+        copy = settlement.copy_sent(wiring, payload) if kind == DATA else None
+        headers = {**headers, settlement.H_COPY: copy, H_TRACE: trace}
         if local:
             done = self.transport.send(self._build_message(
                 kind, payload, source_address, target_address, headers,
@@ -316,22 +314,7 @@ class ModuleRuntime:
                 isinstance(leaf, EncodedFrame) for leaf in hinted
             ),
         )
-        tracer = deployed.ctx.wiring.tracer
-        if tracer is not None:
-            parent = SpanContext.from_header(message.headers.get(H_TRACE))
-            if (
-                parent is not None
-                and message.src is not None
-                and message.src.device != self.device.name
-                and message.sent_at is not None
-                and message.delivered_at is not None
-            ):
-                tracer.record(
-                    "wire.transfer", CAT_WIRE, parent=parent,
-                    start=message.sent_at, end=message.delivered_at,
-                    device=self.device.name, actor=deployed.name,
-                    bytes=message.size_bytes, src=message.src.device,
-                )
+        observe.enqueued(deployed.ctx, message)
         deployed.mailbox.put(event)
         deployed.max_mailbox_depth = max(
             deployed.max_mailbox_depth, deployed.mailbox_depth
@@ -371,25 +354,8 @@ class ModuleRuntime:
             # + dispatch overhead are all 'time to load the data' (Fig. 6)
             event.dequeued_at = self.kernel.now
             ctx = deployed.ctx
-            lineage = ctx.wiring.lineage
-            if lineage is not None and event.kind == DATA:
-                lineage.touch_event(ctx, payload)
-            tracer = ctx.wiring.tracer
-            handler_ctx = None
-            if tracer is not None:
-                root = SpanContext.from_header(event.headers.get(H_TRACE))
-                ctx._trace_root = root
-                ctx._trace_span = None
-                if root is not None:
-                    tracer.record(
-                        "mailbox.wait", CAT_QUEUE, parent=root,
-                        start=event.enqueued_at, end=self.kernel.now,
-                        device=self.device.name, actor=deployed.name,
-                    )
-                    handler_ctx = tracer.child_context(root)
-                    ctx._trace_root = root
-                    ctx._trace_span = handler_ctx
-                    handler_started = self.kernel.now
+            ctx._carried = event.headers.get(H_TRACE)
+            observe.handler_start(ctx, event)
             failed = False
             try:
                 if event.kind == READY_SIGNAL:
@@ -412,16 +378,8 @@ class ModuleRuntime:
                         payload, self.device.frame_store, ctx.wiring,
                         self.kernel.now, settlement.HANDLER_FAILED, deployed.name,
                     )
-            if handler_ctx is not None:
-                tracer.record_span(
-                    handler_ctx, f"module.{deployed.name}", CAT_COMPUTE,
-                    start=handler_started, end=self.kernel.now,
-                    device=self.device.name, actor=deployed.name,
-                    ok=not failed,
-                )
-            if tracer is not None:
-                ctx._trace_root = None
-                ctx._trace_span = None
+            observe.handler_end(ctx, event, not failed)
+            ctx._carried = None
             if event.kind == DATA:
                 settlement.copy_ended(ctx.wiring, event.headers.get(settlement.H_COPY))
                 deployed.handler_samples.append(

@@ -22,7 +22,7 @@ from ..frames.arena import MIGRATED, RELEASED
 from ..frames.frame import FrameRef
 from ..frames.framestore import FrameStore
 from ..frames.payloads import frame_ids_in, release_refs, replace_leaves
-from ..trace.span import trace_id_for
+from . import observe
 from .events import READY_SIGNAL, ModuleEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,9 +48,9 @@ H_COPY = "copy"
 
 _copy_ids = itertools.count(1)
 
-#: Not a settlement: the source's own §2.3 drop, counted under the same
-#: ``frames_dropped.<reason>`` scheme by ``ModuleContext.frame_dropped`` so
-#: the per-reason counters sum to ``frames_dropped`` on every collector.
+#: Not a settlement: the source's own §2.3 drop, recorded by the same
+#: :func:`~repro.runtime.observe.dropped` so the per-reason counters sum to
+#: ``frames_dropped`` on every collector.
 SOURCE_BUSY = "source_busy"
 
 
@@ -81,19 +81,10 @@ def settle_payload(
             payload, store,
             reason=MIGRATED if reason == MIGRATE else RELEASED,
         )
-    metrics = wiring.metrics
-    tracer = wiring.tracer
     for frame_id in frame_ids_in(payload):
-        if not metrics.frame_in_flight(frame_id):
-            continue
-        metrics.frame_dropped(frame_id, now)
-        metrics.increment(f"frames_dropped.{reason}")
-        wiring.credits_owed.add(frame_id)
-        if tracer is not None:
-            tracer.frame_dropped(
-                trace_id_for(wiring.pipeline_name, frame_id),
-                device=store.device, actor=actor, reason=reason,
-            )
+        if wiring.metrics.frame_in_flight(frame_id):
+            observe.dropped(wiring, frame_id, now, reason, store.device, actor)
+            wiring.credits_owed.add(frame_id)
     copy_ended(wiring, copy)
 
 

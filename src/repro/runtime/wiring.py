@@ -29,15 +29,13 @@ class PipelineWiring:
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
     #: free-form log of (time, module, text) entries.
     logs: list[tuple[float, str, str]] = field(default_factory=list)
-    #: the home's :class:`~repro.trace.recorder.TraceRecorder`, or ``None``
-    #: while tracing is off (set by ``VideoPipe.enable_tracing``).
-    tracer: Any = None
+    #: who the frame events go to (``runtime/observe.py``): the tracer, the
+    #: lineage recorder and the auditor's frame mirror, each while its
+    #: feature is on (built by ``VideoPipe._wire*`` alone).
+    observers: tuple = ()
     #: module name -> deployed code version (mirrors the module configs at
     #: deploy time; a hot upgrade rewrites one entry at promotion).
     versions: dict[str, str] = field(default_factory=dict)
-    #: the home's :class:`~repro.liveops.lineage.LineageRecorder`, or
-    #: ``None`` while lineage is off (set by ``VideoPipe.enable_liveops``).
-    lineage: Any = None
     #: the source module's current deployment, which a credit no ready
     #: signal carries is handed to (set by ``ModuleRuntime.deploy``).
     source: Any = None

@@ -44,7 +44,7 @@ from .spec import (
     STRAINED,
     AdmissionDecision,
     SLOConfig,
-    attainment,
+    bucket_complies,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Ticker
 
 _EPS = 1e-9
+
+#: The width of the buckets the snapshot's attainment is scored over.
+_BUCKET_S = 1.0
 
 #: The admission counters, each one step of an admitted or refused deploy.
 ADMISSION_COUNTERS = ("deploys_requested", "deploys_admitted",
@@ -74,6 +77,11 @@ class Enrollment:
     applied: list[tuple[int, LadderStep]] = field(default_factory=list)
     last_action_at: float | None = None
     healthy_since: float | None = None
+    #: Attainment so far: buckets scored, how many complied, and the first
+    #: completion no scored bucket read (a closed bucket's verdict is final).
+    buckets_scored: int = 0
+    buckets_compliant: int = 0
+    next_completion: int = 0
 
     @property
     def depth(self) -> int:
@@ -320,23 +328,35 @@ class SLOController:
             self.metrics.increment("deploys_deployed")
 
     # -- reporting -----------------------------------------------------------
-    def attainment(
-        self,
-        name: str,
-        start: float | None = None,
-        end: float | None = None,
-        bucket_s: float = 1.0,
-    ) -> float:
-        """SLO attainment for one enrolled pipeline over ``[start, end)``
-        (defaults: enrollment time to now)."""
-        enrollment = self._enrolled[name]
-        return attainment(
-            enrollment.slo,
-            enrollment.pipeline.metrics.latency_events(),
-            start=enrollment.enrolled_at if start is None else start,
-            end=self.kernel.now if end is None else end,
-            bucket_s=bucket_s,
-        )
+    def _attainment(self, enrollment: Enrollment) -> float:
+        """:func:`~repro.slo.spec.attainment` since enrollment, scoring each
+        bucket once it closed: linear in the run, however often read."""
+        start, slo = enrollment.enrolled_at, enrollment.slo
+        buckets = int((self.kernel.now - start + _EPS) // _BUCKET_S)
+        if buckets <= 0:
+            return 1.0
+        # no completion from now on lands before bucket `final`; the one
+        # bucket the tolerance may count early is scored but not kept
+        final = int((self.kernel.now - start) // _BUCKET_S)
+        events = enrollment.pipeline.metrics.latency_events()
+        index, compliant = (enrollment.next_completion,
+                            enrollment.buckets_compliant)
+        for bucket in range(enrollment.buckets_scored, buckets):
+            latencies = []
+            while index < len(events):
+                at, latency = events[index]
+                where = int((at - start) // _BUCKET_S)
+                if where > bucket:
+                    break
+                if where == bucket:
+                    latencies.append(latency)
+                index += 1
+            compliant += bucket_complies(slo, latencies, _BUCKET_S)
+            if bucket < final:
+                enrollment.buckets_scored = bucket + 1
+                enrollment.buckets_compliant = compliant
+                enrollment.next_completion = index
+        return compliant / buckets
 
     def snapshot(self) -> dict:
         """The ``slo`` section of ``VideoPipe.snapshot()``: enrollment
@@ -358,6 +378,6 @@ class SLOController:
                 "depth": enrollment.depth,
                 "applied": enrollment.applied_steps(),
                 "actions": len(self.ladder_actions(name)),
-                "attainment": self.attainment(name),
+                "attainment": self._attainment(enrollment),
             } for name, enrollment in enrolled.items()},
         }

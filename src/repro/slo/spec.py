@@ -162,11 +162,13 @@ def attainment(
         index = int((at - start) // bucket_s)
         if 0 <= index < buckets:
             per_bucket[index].append(latency)
-    needed = slo.min_fps * bucket_s - 1e-9
-    compliant = 0
-    for latencies in per_bucket:
-        if len(latencies) < needed:
-            continue
-        if quantile(latencies, 0.99) <= slo.p99_latency_s + 1e-9:
-            compliant += 1
+    compliant = sum(bucket_complies(slo, latencies, bucket_s)
+                    for latencies in per_bucket)
     return compliant / buckets
+
+
+def bucket_complies(slo: SLO, latencies: list[float], bucket_s: float) -> bool:
+    """One bucket's verdict: enough completions, and their p99 in bound."""
+    if len(latencies) < slo.min_fps * bucket_s - 1e-9:
+        return False
+    return quantile(latencies, 0.99) <= slo.p99_latency_s + 1e-9

@@ -1,9 +1,10 @@
 """The per-kernel span sink.
 
-One :class:`TraceRecorder` serves a whole home: every instrumented
-component (module runtimes, service hosts, the module context) records into
-it, reading time from the shared kernel. Root spans — one per admitted
-frame — stay *open* from ``frame_started`` until ``frame_finished`` (or
+One :class:`TraceRecorder` serves a whole home, reading time from the
+shared kernel. It subscribes to every pipeline's frame events
+(``runtime/observe.py``) and turns them into spans; service hosts record
+their own server-side spans into it. Root spans — one per admitted frame —
+stay *open* from ``frame_started`` until ``frame_finished`` (or
 ``frame_dropped``), so a frame's end-to-end span has the true completion
 time; child spans are recorded retrospectively with explicit start/end.
 
@@ -20,11 +21,30 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
-from .span import CAT_FRAME, CAT_MARK, Span, SpanContext, trace_id_for
+from ..net.message import H_TRACE
+from ..runtime.observe import FrameObserver
+from .span import (
+    CAT_COMPUTE,
+    CAT_FRAME,
+    CAT_MARK,
+    CAT_QUEUE,
+    CAT_SERIALIZE,
+    CAT_SERVICE,
+    CAT_STAGE,
+    CAT_WIRE,
+    Span,
+    SpanContext,
+    trace_id_for,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..net.message import Message
+    from ..runtime.context import ModuleContext
+    from ..runtime.events import ModuleEvent
+    from ..runtime.wiring import PipelineWiring
+    from ..services.stubs import ServiceStub
     from ..sim.kernel import Kernel
 
 
@@ -36,7 +56,7 @@ class _OpenFrame:
     actor: str
 
 
-class TraceRecorder:
+class TraceRecorder(FrameObserver):
     """Collects spans for every traced frame running on one kernel."""
 
     def __init__(self, kernel: "Kernel", max_spans: int = 1_000_000) -> None:
@@ -45,6 +65,11 @@ class TraceRecorder:
         self.spans: list[Span] = []
         self._ids = itertools.count(1)
         self._open_frames: dict[str, _OpenFrame] = {}
+        # per module context: the span its children parent to (the handler
+        # span, or the root of a frame it just admitted), and the open
+        # handler span with its start
+        self._parents: dict["ModuleContext", SpanContext] = {}
+        self._handlers: dict["ModuleContext", tuple[SpanContext, float]] = {}
         # statistics
         self.dropped_spans = 0
         self.frames_started = 0
@@ -174,6 +199,103 @@ class TraceRecorder:
             self.dropped_spans += 1
             return
         self.spans.append(span)
+
+    # -- frame events (runtime/observe.py) -------------------------------------
+    def _record_at(self, ctx: "ModuleContext", name: str, category: str,
+                   parent: SpanContext, start: float, **attrs: Any) -> None:
+        """A span of *ctx*'s module under *parent*, from *start* to now
+        unless *attrs* gives an ``end``."""
+        attrs.setdefault("end", self.kernel.now)
+        self.record(name, category, parent=parent, start=start,
+                    device=ctx.device_name, actor=ctx.module_name, **attrs)
+
+    def admitted(self, ctx: "ModuleContext", frame_id: int) -> list:
+        root = self.frame_started(ctx.pipeline_name, frame_id,
+                                  device=ctx.device_name, actor=ctx.module_name)
+        self._parents[ctx] = root
+        return root.header()
+
+    def enqueued(self, ctx: "ModuleContext", message: "Message") -> None:
+        parent = SpanContext.from_header(message.headers.get(H_TRACE))
+        src = message.src
+        if (parent is not None and src is not None
+                and src.device != ctx.device_name
+                and message.sent_at is not None
+                and message.delivered_at is not None):
+            self._record_at(ctx, "wire.transfer", CAT_WIRE, parent,
+                            message.sent_at, end=message.delivered_at,
+                            bytes=message.size_bytes, src=src.device)
+
+    def handler_start(self, ctx: "ModuleContext", event: "ModuleEvent") -> None:
+        root = SpanContext.from_header(event.headers.get(H_TRACE))
+        self._parents.pop(ctx, None)
+        self._handlers.pop(ctx, None)
+        if root is not None:
+            self._record_at(ctx, "mailbox.wait", CAT_QUEUE, root,
+                            event.enqueued_at)
+            handler = self._parents[ctx] = self.child_context(root)
+            self._handlers[ctx] = (handler, self.kernel.now)
+
+    def handler_end(self, ctx: "ModuleContext", event: "ModuleEvent",
+                    ok: bool) -> None:
+        self._parents.pop(ctx, None)
+        if ctx in self._handlers:
+            handler, started = self._handlers.pop(ctx)
+            self.record_span(handler, f"module.{ctx.module_name}",
+                             CAT_COMPUTE, start=started, end=self.kernel.now,
+                             device=ctx.device_name, actor=ctx.module_name,
+                             ok=ok)
+
+    def service_call(self, ctx: "ModuleContext", service: str,
+                     stub: "ServiceStub", call: Callable) -> Callable:
+        parent = self._parents.get(ctx)
+        if parent is None:
+            return call
+
+        def traced(payload: Any) -> Any:
+            # the call span's identity is minted first, so the callee (local
+            # host or remote server) can parent its spans to it; the span
+            # itself is recorded when the signal resolves
+            call_ctx = self.child_context(parent)
+            started, is_local = self.kernel.now, stub.is_local
+            signal = call(payload, trace=call_ctx)
+
+            def _record(_value: Any, exc: BaseException | None) -> None:
+                if not is_local and stub.last_prepare_s > 0:
+                    # encode+marshal heads the call window (the stub stamps
+                    # it before dispatching)
+                    self._record_at(ctx, "rpc.serialize", CAT_SERIALIZE,
+                                    call_ctx, started,
+                                    end=started + stub.last_prepare_s)
+                self.record_span(
+                    call_ctx, f"service.call:{service}", CAT_SERVICE,
+                    start=started, end=self.kernel.now,
+                    device=ctx.device_name, actor=ctx.module_name,
+                    service=service, ok=exc is None,
+                )
+
+            signal.wait(_record)
+            return signal
+
+        return traced
+
+    def stage(self, ctx: "ModuleContext", stage: str, seconds: float) -> None:
+        parent = self._parents.get(ctx)
+        if parent is not None:
+            self._record_at(ctx, f"stage.{stage}", CAT_STAGE, parent,
+                            self.kernel.now - seconds)
+
+    def completed(self, ctx: "ModuleContext", frame_id: int) -> None:
+        parent = self._parents.get(ctx)
+        if parent is not None:
+            self.annotate("frame.complete", parent=parent,
+                          device=ctx.device_name, actor=ctx.module_name)
+        self.frame_finished(trace_id_for(ctx.pipeline_name, frame_id))
+
+    def dropped(self, wiring: "PipelineWiring", frame_id: int, reason: str,
+                device: str, actor: str) -> None:
+        self.frame_dropped(trace_id_for(wiring.pipeline_name, frame_id),
+                           device=device, actor=actor, reason=reason)
 
     # -- introspection ----------------------------------------------------------
     @property

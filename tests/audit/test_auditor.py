@@ -1,12 +1,17 @@
 """Unit tests for the invariant auditor: registry, recording, and each
 invariant family against small hand-built components."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.audit import InvariantAuditor
 from repro.audit.auditor import MAX_VIOLATIONS, live_auditors
 from repro.frames.framestore import FrameStore
 from repro.metrics.collector import MetricsCollector
+from repro.runtime import observe
+from repro.runtime.settlement import SOURCE_BUSY, STOP
+from repro.runtime.wiring import PipelineWiring
 from repro.sim.kernel import Kernel
 
 
@@ -141,15 +146,27 @@ class TestFrameRefConservation:
         assert auditor.check_quiesce() == []
 
 
+def module_context(auditor, collector):
+    """A stand-in module context whose frame events (``runtime/observe.py``)
+    reach *collector* and, as ``VideoPipe._wire*`` subscribes it, the
+    auditor's frame mirror of it."""
+    wiring = PipelineWiring(collector.name, metrics=collector)
+    wiring.observers = (auditor.watch_metrics(collector),)
+    return SimpleNamespace(wiring=wiring, now=0.0)
+
+
 class TestMetricsConservation:
     def test_balanced_lifecycle_is_clean(self, auditor):
         collector = MetricsCollector("p")
-        auditor.watch_metrics(collector)
-        collector.frame_entered(1, 0.0)
-        collector.frame_entered(2, 0.1)
-        collector.frame_completed(1, 0.5)
-        collector.frame_dropped(2, 0.6)
-        collector.frame_dropped(3, 0.7)  # pre-admission drop: tolerated
+        ctx = module_context(auditor, collector)
+        observe.admitted(ctx, 1)
+        ctx.now = 0.1
+        observe.admitted(ctx, 2)
+        ctx.now = 0.5
+        observe.completed(ctx, 1)
+        observe.dropped(ctx.wiring, 2, 0.6, STOP, "phone", "m")
+        # pre-admission drop: tolerated
+        observe.dropped(ctx.wiring, 3, 0.7, SOURCE_BUSY, "phone", "m")
         assert auditor.check_quiesce() == []
 
     def test_counter_moving_without_notification_is_flagged(self, auditor):
@@ -162,8 +179,7 @@ class TestMetricsConservation:
 
     def test_unsettled_frame_is_flagged_at_quiesce(self, auditor):
         collector = MetricsCollector("p")
-        auditor.watch_metrics(collector)
-        collector.frame_entered(1, 0.0)
+        observe.admitted(module_context(auditor, collector), 1)
         violations = auditor.check_quiesce()
         assert any("still marked" in v.detail for v in violations)
 

@@ -19,9 +19,12 @@ from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.net.address import Address
 from repro.net.message import Message
 from repro.net.rpc import RpcClient, RpcServer
+from repro.runtime import observe
 from repro.services import FunctionService, ServiceHost
 from repro.services.scaling import WINDOW, AutoScaler, ScalingPolicy
 from repro.sim import Kernel, RngStreams
+
+from .test_auditor import module_context
 
 
 @pytest.fixture(autouse=True)
@@ -213,8 +216,6 @@ class LeakyCollector(MetricsCollector):
     def frame_completed(self, frame_id, now):
         self.completions.tick(now)
         self._counters["frames_completed"] += 1
-        if self.auditor is not None:
-            self.auditor.on_frame_completed(self, frame_id)
 
 
 class TestCollectorLeak:
@@ -222,9 +223,10 @@ class TestCollectorLeak:
         kernel = Kernel()
         auditor = InvariantAuditor(kernel)
         collector = LeakyCollector("leaky")
-        auditor.watch_metrics(collector)
-        collector.frame_entered(1, 0.0)
-        collector.frame_completed(1, 0.5)
+        ctx = module_context(auditor, collector)
+        observe.admitted(ctx, 1)
+        ctx.now = 0.5
+        observe.completed(ctx, 1)
         violations = auditor.check_now()
         assert violations, "the in-flight leak went unnoticed"
         assert "not pruning" in violations[0].detail

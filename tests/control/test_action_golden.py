@@ -136,10 +136,13 @@ def same_instant_collisions(actions) -> list[tuple[float, str, list[str]]]:
             if len(names) > 1]
 
 
-def run_once(recognizer) -> tuple[dict, list]:
+def run_once(recognizer, traced=False) -> tuple[dict, list]:
     """The run's record (what the golden holds) and its same-instant
-    collisions."""
+    collisions; *traced* runs it with tracing on, which must change
+    nothing, not even what the optimizer predicts."""
     home, pipeline = composed_home(recognizer)
+    if traced:
+        home.enable_tracing()
     home.run(until=UPGRADE_AT)
     home.upgrade_module(pipeline, "rep_counter_module",
                         policy=CanaryPolicy(min_mirrored=4,
@@ -158,10 +161,12 @@ def run_once(recognizer) -> tuple[dict, list]:
 @pytest.fixture(scope="module")
 def runs():
     recognizer = train_activity_recognizer(seed=1, train_subjects=3)
-    return run_once(recognizer), run_once(recognizer)
+    return run_once(recognizer), run_once(recognizer, traced=True)
 
 
 def test_composed_run_is_deterministic(runs):
+    """Two runs, the second traced: equal records prove both determinism
+    and that no controller reads the tracer."""
     assert runs[0] == runs[1]
 
 

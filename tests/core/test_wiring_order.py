@@ -115,7 +115,8 @@ def snapshot(home):
             if device.arena is not None and device.arena.auditor is auditor),
         "audited_transport": home.transport.auditor is auditor,
         "audited_collectors": sorted(
-            p.name for p in home.pipelines if p.metrics.auditor is auditor),
+            p.name for p in home.pipelines
+            if auditor.watch_metrics(p.metrics) in p.wiring.observers),
         "audited_controllers": [
             controller.auditor is auditor
             for controller in (home.autoscaler, home.slo, home.liveops)],
@@ -135,8 +136,8 @@ def snapshot(home):
              host.result_cache is not None, host.batch_wait_s)
             for host in hosts),
         "pipelines": sorted(
-            (p.name, p.wiring.tracer is tracer,
-             p.wiring.lineage is home.liveops.lineage)
+            (p.name, tracer in p.wiring.observers,
+             home.liveops.lineage in p.wiring.observers)
             for p in home.pipelines),
         "series": sorted({s.probe for s in home.monitor.sample_once()}),
         "autoscaled": sorted(h.service_name for h in home.autoscaler._hosts),

@@ -299,8 +299,10 @@ class TestStatusAndAuditing:
         up = home.upgrade_module(pipeline, "sink",
                                  policy=CanaryPolicy(auto=False))
         auditor = home.enable_audit()
-        assert pipeline.metrics.auditor is auditor
-        assert up.shadow_metrics.auditor is auditor
+        assert (auditor.watch_metrics(pipeline.metrics)
+                in pipeline.wiring.observers)
+        assert (auditor.watch_metrics(up.shadow_metrics)
+                in up.shadow_wiring.observers)
 
         inject_frame(pipeline, 900)
         while up.mirrored_events < 2:

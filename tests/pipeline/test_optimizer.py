@@ -355,10 +355,8 @@ def test_per_edge_byte_hint_moves_the_pose_module():
 
 # -- observed_module_seconds ----------------------------------------------------
 
-def _run_trap(tracing: bool) -> tuple[VideoPipe, "object"]:
+def _run_trap() -> tuple[VideoPipe, "object"]:
     home = _trap_home()
-    if tracing:
-        home.enable_tracing()
     pipeline = home.deploy_pipeline(_trap_config(duration_s=1.5),
                                     default_device="phone")
     home.run()
@@ -366,18 +364,11 @@ def _run_trap(tracing: bool) -> tuple[VideoPipe, "object"]:
 
 
 def test_observed_module_seconds_from_metrics():
-    home, pipeline = _run_trap(tracing=False)
+    home, pipeline = _run_trap()
     observed = observed_module_seconds(pipeline)
     # the stage records a metrics stage named after the module
     assert "stage" in observed
     assert observed["stage"] > 0
-
-
-def test_observed_module_seconds_from_tracer():
-    home, pipeline = _run_trap(tracing=True)
-    observed = observed_module_seconds(pipeline, home.tracer)
-    assert set(observed) and all(v >= 0 for v in observed.values())
-    assert "stage" in observed
 
 
 # -- OnlineOptimizer ------------------------------------------------------------

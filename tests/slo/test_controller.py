@@ -7,7 +7,7 @@ from repro.apps.fitness import (
     fitness_pipeline_config,
     install_fitness_services,
 )
-from repro.slo import SLO, SLOConfig
+from repro.slo import SLO, SLOConfig, attainment
 from repro.slo.detector import DetectorReading
 from repro.slo.spec import HEALTHY, OVERLOADED, STRAINED
 
@@ -161,6 +161,37 @@ class TestStatusAndMetrics:
         assert status["actions"] == 0
         assert status["deploys_requested"] == 1
         assert status["enrolled"] == 1
+
+    def test_attainment_matches_the_full_rescan_at_every_reading(
+            self, home):
+        """The section scores each bucket once, when it closes; at every
+        monitor reading it equals :func:`repro.slo.attainment` over every
+        completion since enrollment. Enrolled off the bucket grid, under
+        an SLO some buckets miss."""
+        home.enable_slo(config=CONFIG)
+        home.run_for(0.3)
+        tight = SLO(p99_latency_s=0.12, min_fps=9.0, window_s=2.0)
+        pipeline = home.deploy_pipeline(fitness_pipeline_config(fps=10.0),
+                                        slo=tight)
+        enrolled_at = home.slo.enrollment("fitness").enrolled_at
+        monitor = home.enable_monitoring()
+        read, pairs = monitor.read, []
+
+        def checked():
+            snapshot = read()
+            pairs.append((
+                snapshot["slo"]["pipelines"]["fitness"]["attainment"],
+                attainment(tight, pipeline.metrics.latency_events(),
+                           start=enrolled_at, end=home.now),
+            ))
+            return snapshot
+
+        monitor.read = checked
+        home.run_for(8.0)
+        assert len(pairs) == 16
+        assert [section for section, _ in pairs] == \
+            [reference for _, reference in pairs]
+        assert 0.0 < pairs[-1][0] < 1.0
 
     def test_slo_status_requires_enable(self, home):
         """No controller, no ``slo`` section."""

@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
     (r"\.mailbox\.drain\(", {"runtime/moduleruntime.py"}),
     (r"frame_in_flight\(", {"metrics/collector.py", "runtime/context.py",
                             "runtime/settlement.py"}),
-    (r"\.frame_completed\(", {"runtime/context.py"}),
+    (r"\.frame_completed\(", {"runtime/observe.py"}),
     (r"signal_source\(", {"runtime/context.py"}),
     (r"credits_owed", {"runtime/wiring.py", "runtime/settlement.py",
                        "runtime/context.py"}),

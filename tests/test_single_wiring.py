@@ -3,9 +3,12 @@
 Every (feature x resource) attachment used to be written twice in the
 facade — once where the resource was admitted, once in the feature's
 ``enable_*`` replay loop — and the copies drifted (DESIGN.md §5). A
-new copy needs one of the attach primitives below, or to hand a tracer or
-lineage recorder to someone else's object; this test forbids both outside
-``VideoPipe._wire*``.
+new copy needs one of the attach primitives below, or to set a wiring's
+frame observers; this test forbids both outside ``VideoPipe._wire*``.
+
+The frame events have one path too (``runtime/observe.py``): nothing under
+``runtime/`` or ``metrics/`` reads a tracer, lineage recorder or auditor —
+the observers subscribe instead.
 """
 
 import ast
@@ -19,7 +22,13 @@ ATTACH_CALLS = {
     "watch_store", "watch_arena", "watch_metrics", "watch_transport",
     "watch_autoscaler", "watch_slo", "watch_liveops",
 }
-OBSERVER_ATTRS = {"tracer", "lineage"}
+OBSERVER_ATTRS = {"observers"}
+#: What the runtime and the collector must not reach for: each is an
+#: observer of the frame events, not something the emit sites call.
+OBSERVER_NAMES = {"tracer", "lineage", "auditor"}
+#: ``(file, expression)`` reads that are not frame events: settlement's
+#: stale-ref drop reports an ownership breach to the store's auditor.
+OBSERVER_READS_ALLOWED = {("runtime/settlement.py", "store.auditor")}
 
 
 class WiringSites(ast.NodeVisitor):
@@ -43,9 +52,8 @@ class WiringSites(ast.NodeVisitor):
 
     def visit_Assign(self, node):
         for target in node.targets:
-            # ``self.tracer = ...`` is an object keeping its own attribute
-            # (a host's default, LiveOpsManager's recorder, the facade's
-            # switch); anything else sets it on somebody else's object
+            # ``self.observers = ...`` is an object keeping its own
+            # attribute; anything else sets it on somebody else's object
             if (isinstance(target, ast.Attribute)
                     and target.attr in OBSERVER_ATTRS
                     and not (isinstance(target.value, ast.Name)
@@ -77,3 +85,35 @@ def test_each_attach_primitive_has_one_call_site():
     calls = [what for what, _ in wiring_sites()[FACADE]
              if what in ATTACH_CALLS]
     assert sorted(calls) == sorted(ATTACH_CALLS)
+
+
+def observer_reads():
+    """``(file, expression)`` for every read of a tracer, lineage recorder
+    or auditor attribute under ``runtime/`` and ``metrics/``."""
+    found = set()
+    for package in ("runtime", "metrics"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in OBSERVER_NAMES):
+                    found.add((path.relative_to(SRC).as_posix(),
+                               ast.unparse(node)))
+    return found
+
+
+def test_the_runtime_reads_no_observer():
+    assert observer_reads() <= OBSERVER_READS_ALLOWED, (
+        observer_reads() - OBSERVER_READS_ALLOWED)
+
+
+def test_the_runtime_imports_nothing_from_trace():
+    for path in sorted((SRC / "runtime").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert "trace" not in module.split("."), (path, module)
