@@ -202,11 +202,10 @@ class TraceRecorder(FrameObserver):
 
     # -- frame events (runtime/observe.py) -------------------------------------
     def _record_at(self, ctx: "ModuleContext", name: str, category: str,
-                   parent: SpanContext, start: float, **attrs: Any) -> None:
-        """A span of *ctx*'s module under *parent*, from *start* to now
-        unless *attrs* gives an ``end``."""
-        attrs.setdefault("end", self.kernel.now)
-        self.record(name, category, parent=parent, start=start,
+                   parent: SpanContext, start: float, end: float,
+                   **attrs: Any) -> None:
+        """A span of *ctx*'s module under *parent*."""
+        self.record(name, category, parent=parent, start=start, end=end,
                     device=ctx.device_name, actor=ctx.module_name, **attrs)
 
     def admitted(self, ctx: "ModuleContext", frame_id: int) -> list:
@@ -216,31 +215,35 @@ class TraceRecorder(FrameObserver):
         return root.header()
 
     def enqueued(self, ctx: "ModuleContext", message: "Message") -> None:
-        parent = SpanContext.from_header(message.headers.get(H_TRACE))
+        # a message reaches the runtime of its destination's device
         src = message.src
-        if (parent is not None and src is not None
-                and src.device != ctx.device_name
+        if (src is not None and src.device != message.dst.device
                 and message.sent_at is not None
                 and message.delivered_at is not None):
-            self._record_at(ctx, "wire.transfer", CAT_WIRE, parent,
-                            message.sent_at, end=message.delivered_at,
-                            bytes=message.size_bytes, src=src.device)
+            parent = SpanContext.from_header(message.headers.get(H_TRACE))
+            if parent is not None:
+                self._record_at(ctx, "wire.transfer", CAT_WIRE, parent,
+                                message.sent_at, message.delivered_at,
+                                bytes=message.size_bytes, src=src.device)
 
     def handler_start(self, ctx: "ModuleContext", event: "ModuleEvent") -> None:
         root = SpanContext.from_header(event.headers.get(H_TRACE))
-        self._parents.pop(ctx, None)
-        self._handlers.pop(ctx, None)
-        if root is not None:
-            self._record_at(ctx, "mailbox.wait", CAT_QUEUE, root,
-                            event.enqueued_at)
-            handler = self._parents[ctx] = self.child_context(root)
-            self._handlers[ctx] = (handler, self.kernel.now)
+        if root is None:
+            self._parents.pop(ctx, None)
+            self._handlers.pop(ctx, None)
+            return
+        now = self.kernel.now
+        self._record_at(ctx, "mailbox.wait", CAT_QUEUE, root,
+                        event.enqueued_at, now)
+        handler = self._parents[ctx] = self.child_context(root)
+        self._handlers[ctx] = (handler, now)
 
     def handler_end(self, ctx: "ModuleContext", event: "ModuleEvent",
                     ok: bool) -> None:
         self._parents.pop(ctx, None)
-        if ctx in self._handlers:
-            handler, started = self._handlers.pop(ctx)
+        open_handler = self._handlers.pop(ctx, None)
+        if open_handler is not None:
+            handler, started = open_handler
             self.record_span(handler, f"module.{ctx.module_name}",
                              CAT_COMPUTE, start=started, end=self.kernel.now,
                              device=ctx.device_name, actor=ctx.module_name,
@@ -266,7 +269,7 @@ class TraceRecorder(FrameObserver):
                     # it before dispatching)
                     self._record_at(ctx, "rpc.serialize", CAT_SERIALIZE,
                                     call_ctx, started,
-                                    end=started + stub.last_prepare_s)
+                                    started + stub.last_prepare_s)
                 self.record_span(
                     call_ctx, f"service.call:{service}", CAT_SERVICE,
                     start=started, end=self.kernel.now,
@@ -282,8 +285,9 @@ class TraceRecorder(FrameObserver):
     def stage(self, ctx: "ModuleContext", stage: str, seconds: float) -> None:
         parent = self._parents.get(ctx)
         if parent is not None:
+            now = self.kernel.now
             self._record_at(ctx, f"stage.{stage}", CAT_STAGE, parent,
-                            self.kernel.now - seconds)
+                            now - seconds, now)
 
     def completed(self, ctx: "ModuleContext", frame_id: int) -> None:
         parent = self._parents.get(ctx)
