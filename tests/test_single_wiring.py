@@ -87,6 +87,18 @@ def test_each_attach_primitive_has_one_call_site():
     assert sorted(calls) == sorted(ATTACH_CALLS)
 
 
+def attribute_read(node):
+    """The attribute *node* reads: ``x.name``, or ``getattr(x, "name")``
+    (and ``hasattr``) with a literal name; ``None`` for anything else."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)):
+        return node.args[1].value
+    return None
+
+
 def observer_reads():
     """``(file, expression)`` for every read of a tracer, lineage recorder
     or auditor attribute under ``runtime/`` and ``metrics/``."""
@@ -94,8 +106,7 @@ def observer_reads():
     for package in ("runtime", "metrics"):
         for path in sorted((SRC / package).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Attribute)
-                        and node.attr in OBSERVER_NAMES):
+                if attribute_read(node) in OBSERVER_NAMES:
                     found.add((path.relative_to(SRC).as_posix(),
                                ast.unparse(node)))
     return found
