@@ -1,13 +1,14 @@
 """The frame events: the runtime says once what happened to a frame.
 
-Each event has one emit function here, called from the one place in the
-runtime where it happens. It updates the pipeline's collector first (the
-in-flight state settlement guards on), then tells each observer in the
-wiring's ``observers`` tuple, which only ``VideoPipe._wire*`` builds: the
-tracer, the lineage recorder, the auditor's frame mirror. Observers are
-passive — no kernel event, no randomness, no message size — so an observed
-run is the run without them. DESIGN.md "The frame events" lists each
-event's fields, emitter and observers.
+Each event has one emit function here, which the runtime calls where the
+event happens (the canary's mirror tap also admits its copies, on the shadow
+wiring). It updates the pipeline's collector first (the in-flight state
+settlement guards on), then tells each observer in the wiring's
+``observers`` tuple, which only ``VideoPipe._wire*`` builds: the tracer, the
+lineage recorder, the auditor's frame mirror. Observers are passive — no
+kernel event, no randomness, no message size — so an observed run is the
+run without them. DESIGN.md "The frame events" lists each event's fields,
+emitter and observers.
 """
 
 from __future__ import annotations
