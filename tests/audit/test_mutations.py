@@ -10,6 +10,11 @@ sweep fails even where no functional assertion notices.
 
 import pytest
 
+from repro.apps import (
+    fitness_pipeline_config,
+    install_fitness_services,
+    train_activity_recognizer,
+)
 from repro.audit import InvariantAuditor
 from repro.core import VideoPipe
 from repro.devices import Device
@@ -21,8 +26,10 @@ from repro.net.message import Message
 from repro.net.rpc import RpcClient, RpcServer
 from repro.runtime import observe
 from repro.services import FunctionService, ServiceHost
-from repro.services.scaling import WINDOW, AutoScaler, ScalingPolicy
+from repro.services.scaling import COOLDOWN_S, WINDOW, AutoScaler, ScalingPolicy
 from repro.sim import Kernel, RngStreams
+from repro.slo import SLOConfig
+from repro.slo.controller import SLOController
 
 from .test_auditor import module_context
 
@@ -208,6 +215,107 @@ class TestAutoscalerBurst:
         scaler.stop()
         assert scaler.actions  # it did scale...
         assert auditor.violations == []  # ...at the documented pace
+
+
+class UnboundedAutoScaler(AutoScaler):
+    """A scaler that keeps its cooldown but forgets ``max_replicas``: one
+    sustained overload grows the pool past the policy's bound."""
+
+    def _sample(self, host):
+        samples = self._samples[host]
+        samples.append(host.queue_length)
+        if len(samples) < WINDOW:
+            return
+        avg_queue = sum(samples) / len(samples)
+        samples.clear()
+        last = self._last_event_at.get(host)
+        if (avg_queue >= self.policy.queue_threshold
+                and (last is None or self.kernel.now - last >= COOLDOWN_S)):
+            before = host.replicas
+            host.add_replica(1)
+            self._record(host, before, avg_queue, "scale_up")
+
+
+class TestAutoscalerBound:
+    def _run(self, scaler_class):
+        home = MiniHome()
+        auditor = InvariantAuditor(home.kernel)
+        service = FunctionService("busy", lambda p, c: p,
+                                  reference_cost_s=0.100)
+        host = ServiceHost(home.kernel, home.desktop, service, home.transport)
+        policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
+                               max_replicas=2)
+        scaler = scaler_class(home.kernel, policy)
+        auditor.watch_autoscaler(scaler)
+        scaler.watch(host)
+        scaler.start()
+        TestAutoscalerBurst()._overload(home, host)
+        home.kernel.run(until=4.0)
+        scaler.stop()
+        return auditor, host
+
+    def test_scaling_past_max_replicas_trips_the_bound(self):
+        auditor, host = self._run(UnboundedAutoScaler)
+        assert host.replicas > 2
+        bound = [v for v in auditor.violations
+                 if v.invariant == "autoscaler-pacing"]
+        assert bound, "the replica count left its bound unnoticed"
+        # the cooldown held: only the bound arm fires
+        assert all("replica count left [1, 2]" in v.detail for v in bound)
+        assert "2 -> 3" in bound[0].detail
+        assert bound[0].subject == "autoscaler/busy@desktop"
+
+    def test_bounded_autoscaler_is_clean(self):
+        auditor, host = self._run(AutoScaler)
+        assert host.replicas == 2
+        assert auditor.violations == []
+
+
+class TestVanishedQueuedDeploy:
+    """``admission-conservation``: a deploy that admission control parked
+    must leave the queue as deployed or counted withdrawn."""
+
+    @pytest.fixture(scope="class")
+    def recognizer(self):
+        return train_activity_recognizer(seed=9)
+
+    def _parked(self, recognizer):
+        home = VideoPipe.paper_testbed(seed=3)
+        auditor = home.enable_audit()
+        install_fitness_services(home, recognizer=recognizer)
+        # a threshold nothing fits under: every deploy is parked
+        home.enable_slo(SLOConfig(admission_threshold=1e-6))
+        parked = home.deploy_pipeline(fitness_pipeline_config(fps=10.0),
+                                      admission="queue")
+        assert parked is None
+        assert [item.name for item in home.slo.queued] == ["fitness"]
+        return home, auditor
+
+    def test_uncounted_withdrawal_trips_conservation(self, recognizer,
+                                                     monkeypatch):
+        home, auditor = self._parked(recognizer)
+
+        def forgetful(self, name):
+            # the mutation: the deploy leaves the queue, but
+            # deploys_withdrawn is never counted
+            self._queue[:] = [i for i in self._queue if i.name != name]
+            return True
+
+        monkeypatch.setattr(SLOController, "withdraw", forgetful)
+        assert home.slo.withdraw("fitness")
+        home.run_for(1.0)
+        vanished = [v for v in home.check_invariants()
+                    if v.invariant == "admission-conservation"]
+        assert len(vanished) == 1, auditor.report()
+        assert vanished[0].subject == "slo/controller"
+        assert "1 deploy request(s) vanished" in vanished[0].detail
+
+    def test_counted_withdrawal_is_clean(self, recognizer):
+        home, auditor = self._parked(recognizer)
+        assert home.slo.withdraw("fitness")
+        home.run_for(1.0)
+        assert home.check_invariants() == []
+        assert auditor.violations == []
 
 
 class LeakyCollector(MetricsCollector):
