@@ -3,9 +3,10 @@
 Every periodic controller — the autoscaler, the SLO ladder, the online
 optimizer, the failure detector, the evacuation tick (``orchestrator``) and
 the live-ops canary judge — records each decision it carries out as one
-:class:`Action`. A home keeps them in one list, ``VideoPipe.actions``, which
-it hands to each controller it builds; a controller built on its own keeps
-a list of its own. Readers filter by ``controller``.
+:class:`Action`. A home keeps them in one :class:`ActionLog`,
+``VideoPipe.actions``, which it hands to each controller it builds; a
+controller built on its own keeps a list of its own. Readers filter by
+``controller``.
 """
 
 from __future__ import annotations
@@ -38,3 +39,20 @@ class Action:
     target: str
     reason: str
     evidence: dict[str, Any] = field(default_factory=dict)
+
+
+class ActionLog(list):
+    """The home's action log: a list that tells its one observer (the
+    auditor's action mirror, set by ``VideoPipe._wire``, or ``None``) of
+    each action as it is appended."""
+
+    __slots__ = ("observer",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.observer: Any = None
+
+    def append(self, action: Action) -> None:
+        super().append(action)
+        if self.observer is not None:
+            self.observer.appended(action)

@@ -44,6 +44,15 @@ Invariants covered (see ``docs/AUDIT.md`` for the full statement of each):
   label, and every frame the mirror tap copied was admitted on the shadow
   collector.
 
+The auditor only subscribes. Each watched component holds one slot for its
+mirror, which ``VideoPipe._wire*`` fills: a frame store, arena or transport
+reports its own events to its mirror, a pipeline's frame events reach its
+collector's mirror through the wiring's observers, and the controllers'
+decisions reach the action mirror through the home's action log. Each
+mirror keeps the baseline taken when it was watched and runs its
+component's checks. Admission decisions are the one named hook: the SLO
+controller calls :meth:`InvariantAuditor.check_admission`.
+
 Auditing is *passive*: the auditor never schedules kernel events, never
 consumes randomness, and never touches message sizes, so an audited run is
 bit-for-bit identical to an unaudited one — the same guarantee tracing
@@ -53,7 +62,8 @@ makes, and the property ``tests/integration/test_audit.py`` asserts.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..runtime.observe import FrameObserver
@@ -65,10 +75,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..frames.framestore import FrameStore
     from ..metrics.collector import MetricsCollector
     from ..net.transport import Transport
-    from ..services.scaling import AutoScaler
     from ..sim.events import Event
     from ..sim.kernel import Kernel
-    from ..slo.controller import SLOController
     from ..slo.spec import AdmissionDecision
 
 #: Tolerance for float time comparisons (kernel times are exact sums of
@@ -117,75 +125,290 @@ class Violation:
         return f"[t={self.at:.6f}s] {self.invariant} on {self.subject}: {self.detail}"
 
 
-@dataclass(slots=True)
-class _StoreState:
-    """The auditor's mirror of one frame store's live references."""
-
-    refcounts: dict[int, int] = field(default_factory=dict)
-    held_since: dict[int, float] = field(default_factory=dict)
-    holds: int = 0
-    releases: int = 0
+#: The SLO controller's counters admission conservation balances.
+_DEPLOY_COUNTERS = ("deploys_requested", "deploys_deployed",
+                    "deploys_rejected", "deploys_withdrawn")
+#: The live-ops verdicts an upgrade may finish with.
+_VERDICTS = ("promoted", "rolled_back")
 
 
-@dataclass(slots=True)
-class _ArenaState:
-    """The auditor's mirror of one frame arena's handle conservation."""
+class _Mirror:
+    """One watched component's mirror: the baseline taken when it was
+    watched, the events the component reports, and its checks."""
 
-    allocs: int = 0
-    frees: int = 0
-    bytes_in_use: int = 0
-    #: live offsets mirrored independently: offset -> (generation, nbytes).
-    live: dict[int, tuple[int, int]] = field(default_factory=dict)
-    stale_accesses: int = 0
+    __slots__ = ("auditor", "component", "subject")
 
+    def __init__(self, auditor: "InvariantAuditor", component: Any,
+                 subject: str) -> None:
+        self.auditor = auditor
+        self.component = component
+        self.subject = subject
 
-@dataclass(slots=True)
-class _TransportState:
-    """Baseline counters and the in-flight mirror for one transport."""
+    def record(self, invariant: str, detail: str) -> None:
+        self.auditor.record(invariant, self.subject, detail)
 
-    base_sent: int = 0
-    base_delivered: int = 0
-    base_failed: int = 0
-    in_flight: dict[int, float] = field(default_factory=dict)  # msg_id -> sent at
+    def check_now(self) -> None:
+        """The laws that hold at any instant."""
 
-
-@dataclass(slots=True)
-class _SloState:
-    """The auditor's mirror of one SLO controller's ladder and admissions."""
-
-    #: pipeline -> time of the last ladder action (either direction).
-    last_action_at: dict[str, float] = field(default_factory=dict)
-    #: pipeline -> mirrored stack of applied step names.
-    stacks: dict[str, list[str]] = field(default_factory=dict)
-    #: counter baselines at watch time (a controller watched mid-run
-    #: starts conservation from its current totals).
-    base: dict[str, int] = field(default_factory=dict)
+    def check_quiesce(self) -> None:
+        """The laws that hold once the home is done."""
 
 
-@dataclass(slots=True)
-class _LiveOpsState:
-    """The auditor's mirror of one live-ops manager's upgrade ledger."""
+class _StoreMirror(_Mirror):
+    """Frame-ref conservation for one frame store: its live references,
+    mirrored from its hold and release events."""
 
-    started: int = 0
-    promoted: int = 0
-    rolled_back: int = 0
+    __slots__ = ("refcounts", "held_since", "holds", "releases")
+
+    def __init__(self, auditor: "InvariantAuditor", store: "FrameStore") -> None:
+        super().__init__(auditor, store, f"framestore/{store.device}")
+        # a store watched mid-run starts with its current live refs mirrored
+        self.refcounts = {ref_id: count
+                          for ref_id, count in store._refcounts.items()
+                          if count > 0}
+        self.held_since = dict.fromkeys(self.refcounts, auditor.kernel.now)
+        self.holds = 0
+        self.releases = 0
+
+    def held(self, ref_id: int, refcount: int) -> None:
+        self.holds += 1
+        if ref_id not in self.refcounts:
+            self.held_since[ref_id] = self.auditor.kernel.now
+        self.refcounts[ref_id] = refcount
+
+    def released(self, ref_id: int, refcount: int) -> None:
+        self.releases += 1
+        if refcount < 0:
+            self.record(
+                "frame-ref-conservation",
+                f"refcount for ref #{ref_id} went negative ({refcount}):"
+                " a reference was released more times than it was held",
+            )
+        if refcount <= 0:
+            self.refcounts.pop(ref_id, None)
+            self.held_since.pop(ref_id, None)
+        else:
+            self.refcounts[ref_id] = refcount
+
+    def breached(self, actor: str) -> None:
+        """Settlement found refs a failed handler had already released."""
+        self.record("frame-ref-conservation",
+                    f"{actor} raised after releasing its input")
+
+    def check_quiesce(self) -> None:
+        store = self.component
+        if store.live_count == 0:
+            return
+        holders = []
+        for ref_id in sorted(self.refcounts)[:5]:
+            since = self.held_since.get(ref_id, 0.0)
+            obj = store._objects.get(ref_id)
+            holders.append(
+                f"#{ref_id} {type(obj).__name__} x{self.refcounts[ref_id]}"
+                f" (held since t={since:.3f}s)"
+            )
+        attribution = "; ".join(holders) if holders else store._top_holders()
+        self.record(
+            "frame-ref-conservation",
+            f"{store.live_count} live reference(s) at quiesce after"
+            f" {self.holds} hold(s) / {self.releases} release(s) — a"
+            f" module or service is leaking holds. Leaked: {attribution}",
+        )
 
 
-@dataclass(slots=True, eq=False)
-class _FrameMirror(FrameObserver):
-    """Baseline counters and the admitted-frame mirror for one collector:
-    it subscribes to the collector's wiring (``runtime/observe.py``), so it
-    counts each frame event on its own, apart from the collector."""
+class _ArenaMirror(_Mirror):
+    """Handle conservation for one frame arena: its live slots, mirrored
+    from its alloc and free events, and every stale access it reports."""
 
-    base_entered: int = 0
-    base_completed: int = 0
-    base_dropped: int = 0
-    clean_at_watch: bool = True
-    in_flight: set = field(default_factory=set)
-    entered: int = 0
-    completed_admitted: int = 0
-    dropped_admitted: int = 0
-    dropped_unadmitted: int = 0
+    __slots__ = ("allocs", "frees", "bytes_in_use", "live")
+
+    def __init__(self, auditor: "InvariantAuditor", arena: "FrameArena") -> None:
+        super().__init__(auditor, arena, f"arena/{arena.arena_id}")
+        self.allocs = arena.allocs
+        self.frees = arena.frees
+        self.bytes_in_use = arena.bytes_in_use
+        # an arena watched mid-run starts with its current live slots
+        # mirrored: offset -> (generation, nbytes)
+        self.live = {offset: (handle.generation, handle.nbytes)
+                     for offset, handle in arena._live.items()}
+
+    def allocated(self, handle: "ArenaHandle") -> None:
+        self.allocs += 1
+        self.bytes_in_use += handle.nbytes
+        if handle.offset in self.live:
+            self.record(
+                "arena-conservation",
+                f"offset {handle.offset} allocated while the auditor still"
+                f" mirrors it live (generation"
+                f" {self.live[handle.offset][0]}) — a free was never"
+                " reported",
+            )
+        self.live[handle.offset] = (handle.generation, handle.nbytes)
+
+    def freed(self, handle: "ArenaHandle", reason: str) -> None:
+        self.frees += 1
+        self.bytes_in_use -= handle.nbytes
+        mirrored = self.live.pop(handle.offset, None)
+        if mirrored is None:
+            self.record(
+                "arena-conservation",
+                f"free({reason}) of offset {handle.offset} the auditor does"
+                " not mirror as live — double free slipped past the"
+                " generation check",
+            )
+        elif mirrored[0] != handle.generation:
+            self.record(
+                "arena-conservation",
+                f"free({reason}) of offset {handle.offset} at generation"
+                f" {handle.generation} but the auditor mirrors generation"
+                f" {mirrored[0]} — a stale handle reached the free path",
+            )
+
+    def stale(self, handle: "ArenaHandle", reason: str) -> None:
+        self.record(
+            "arena-stale-access",
+            f"stale handle {handle} dereferenced after the slot was retired"
+            f" ({reason}) — a holder kept a handle across"
+            f" {'eviction' if reason == 'evicted' else reason} instead of"
+            " re-resolving through the frame store",
+        )
+
+    def check_now(self) -> None:
+        arena = self.component
+        if arena.allocs != self.allocs or arena.frees != self.frees:
+            self.record(
+                "arena-conservation",
+                f"arena counts {arena.allocs} alloc(s) / {arena.frees}"
+                f" free(s) but the auditor mirrors {self.allocs} /"
+                f" {self.frees} — an alloc or free path skipped its"
+                " notification",
+            )
+        if arena.bytes_in_use != self.bytes_in_use:
+            self.record(
+                "arena-conservation",
+                f"arena reports {arena.bytes_in_use} byte(s) in use but the"
+                f" auditor mirrors {self.bytes_in_use} — per-slot sizes"
+                " disagree between alloc and free",
+            )
+        if arena.live_count != len(self.live):
+            self.record(
+                "arena-conservation",
+                f"arena reports {arena.live_count} live slot(s) but the"
+                f" auditor mirrors {len(self.live)}",
+            )
+
+    def check_quiesce(self) -> None:
+        """Every live slot must back a stored frame. Retained dedup targets
+        legitimately keep their slots, so the law is *no orphans* rather
+        than ``live_count == 0``: a slot the backing store no longer maps
+        is pixel memory nothing can ever free."""
+        arena = self.component
+        store = next((mirror.component for mirror in self.auditor._mirrors
+                      if isinstance(mirror, _StoreMirror)
+                      and mirror.component.arena is arena), None)
+        if store is None:
+            if arena.live_count:
+                self.record(
+                    "arena-conservation",
+                    f"{arena.live_count} live slot(s) at quiesce on an arena"
+                    " with no watched backing store",
+                )
+            return
+        backed = {handle.offset for handle in store._by_handle}
+        orphans = sorted(set(arena._live) - backed)
+        if orphans:
+            self.record(
+                "arena-conservation",
+                f"{len(orphans)} orphaned arena slot(s) at quiesce with no"
+                f" backing store entry (offsets, up to 5: {orphans[:5]}) —"
+                " pixel memory nothing can ever free",
+            )
+
+
+class _TransportMirror(_Mirror):
+    """Message conservation for one transport: ``sent == delivered + failed
+    + in-flight``, with the in-flight messages mirrored from its events."""
+
+    __slots__ = ("base_sent", "base_delivered", "base_failed", "in_flight")
+
+    def __init__(self, auditor: "InvariantAuditor",
+                 transport: "Transport") -> None:
+        super().__init__(auditor, transport,
+                         f"transport/{type(transport).__name__}")
+        self.base_sent = transport.sent_count
+        self.base_delivered = transport.delivered_count
+        self.base_failed = transport.failed_count
+        self.in_flight: set[int] = set()  # msg ids
+
+    def sent(self, message: Any) -> None:
+        self.in_flight.add(message.msg_id)
+
+    def settled(self, message: Any) -> None:
+        """Delivered, or failed."""
+        self.in_flight.discard(message.msg_id)
+
+    def check_now(self) -> None:
+        transport = self.component
+        sent = transport.sent_count - self.base_sent
+        delivered = transport.delivered_count - self.base_delivered
+        failed = transport.failed_count - self.base_failed
+        in_flight = transport.in_flight
+        if sent != delivered + failed + in_flight:
+            self.record(
+                "message-conservation",
+                f"sent ({sent}) != delivered ({delivered}) + failed"
+                f" ({failed}) + in-flight ({in_flight}) — "
+                f"{sent - delivered - failed - in_flight} message(s)"
+                " vanished without a delivery or failure",
+            )
+        if len(self.in_flight) != in_flight:
+            self.record(
+                "message-conservation",
+                f"auditor mirrors {len(self.in_flight)} in-flight message(s)"
+                f" but the transport reports {in_flight}; unsettled msg ids"
+                f" (up to 5): {sorted(self.in_flight)[:5]} — a pending send"
+                " was dropped without resolving its signal",
+            )
+
+    def check_quiesce(self) -> None:
+        transport = self.component
+        if transport.in_flight and not transport.closed:
+            self.record(
+                "message-conservation",
+                f"{transport.in_flight} message(s) still in flight at"
+                " quiesce: a send's arrival signal never resolved",
+            )
+        for client in transport.rpc_clients:
+            pending = client.pending_count
+            if pending:
+                self.auditor.record(
+                    "rpc-quiesce",
+                    f"rpc/{client.reply_address}",
+                    f"{pending} RPC request(s) still pending at quiesce:"
+                    " a reply or timeout was lost",
+                )
+
+
+class _FrameMirror(_Mirror, FrameObserver):
+    """Metrics conservation for one collector: it subscribes to the
+    collector's wiring (``runtime/observe.py``), so it counts each frame
+    event on its own, apart from the collector."""
+
+    __slots__ = ("base_entered", "base_completed", "base_dropped",
+                 "clean_at_watch", "in_flight", "entered",
+                 "completed_admitted", "dropped_admitted")
+
+    def __init__(self, auditor: "InvariantAuditor",
+                 collector: "MetricsCollector") -> None:
+        super().__init__(auditor, collector, f"metrics/{collector.name}")
+        self.base_entered = collector.counter("frames_entered")
+        self.base_completed = collector.counter("frames_completed")
+        self.base_dropped = collector.counter("frames_dropped")
+        self.clean_at_watch = collector.frames_in_flight == 0
+        self.in_flight: set[int] = set()
+        self.entered = 0
+        self.completed_admitted = 0
+        self.dropped_admitted = 0
 
     def admitted(self, ctx: Any, frame_id: int) -> None:
         self.entered += 1
@@ -201,18 +424,299 @@ class _FrameMirror(FrameObserver):
         if frame_id in self.in_flight:
             self.in_flight.discard(frame_id)
             self.dropped_admitted += 1
+
+    def check_now(self) -> None:
+        collector = self.component
+        entered = collector.counter("frames_entered") - self.base_entered
+        completed = collector.counter("frames_completed") - self.base_completed
+        dropped = collector.counter("frames_dropped") - self.base_dropped
+        in_flight = len(self.in_flight)
+        if entered != self.entered:
+            self.record(
+                "metrics-conservation",
+                f"frames_entered counter moved by {entered} but the"
+                f" frame events notified {self.entered} admissions",
+            )
+        if self.clean_at_watch and collector.frames_in_flight != in_flight:
+            self.record(
+                "metrics-conservation",
+                f"collector reports {collector.frames_in_flight} frame(s)"
+                f" in flight but admitted-minus-settled is {in_flight} —"
+                " frame_dropped/frame_completed is not pruning"
+                " _frame_started (the PR-3 leak class)",
+            )
+        if self.entered != (self.completed_admitted + self.dropped_admitted
+                            + in_flight):
+            self.record(
+                "metrics-conservation",
+                f"admitted ({self.entered}) != completed"
+                f" ({self.completed_admitted}) + dropped"
+                f" ({self.dropped_admitted}) + in-flight ({in_flight})",
+            )
+        if dropped < self.dropped_admitted:
+            self.record(
+                "metrics-conservation",
+                f"frames_dropped counter ({dropped}) is below the"
+                f" admitted drops the collector reported"
+                f" ({self.dropped_admitted})",
+            )
+        if completed < self.completed_admitted:
+            self.record(
+                "metrics-conservation",
+                f"frames_completed counter ({completed}) is below the"
+                f" admitted completions the collector reported"
+                f" ({self.completed_admitted})",
+            )
+
+    def check_quiesce(self) -> None:
+        collector = self.component
+        if self.clean_at_watch and collector.frames_in_flight:
+            self.record(
+                "metrics-conservation",
+                f"{collector.frames_in_flight} frame(s) still marked"
+                " in-flight at quiesce: frames_entered was never matched"
+                " by frame_completed/frame_dropped — a drop path is not"
+                " reporting to the collector",
+            )
+
+
+class _ActionMirror(_Mirror):
+    """The controllers' decisions, taken from the home's action log:
+    autoscaler pacing, the SLO ladder and the live-ops verdicts; at any
+    instant, admission conservation and the live-ops ledger. *home* is
+    anything with ``autoscaler``, ``slo`` and ``liveops`` attributes."""
+
+    __slots__ = ("scaled_at", "laddered_at", "stacks", "deploys", "verdicts")
+
+    def __init__(self, auditor: "InvariantAuditor", home: Any) -> None:
+        super().__init__(auditor, home, "controllers")
+        self.scaled_at: dict[str, float] = {}  # host -> last scaling action
+        self.laddered_at: dict[str, float] = {}  # pipeline -> last rung moved
+        self.stacks: dict[str, list[str]] = {}  # pipeline -> applied rungs
+        # controllers built before the audit start from their current state
+        slo, liveops = home.slo, home.liveops
+        counters = slo.metrics.counters() if slo is not None else {}
+        self.deploys = {key: counters.get(key, 0) for key in _DEPLOY_COUNTERS}
+        self.deploys["queued_now"] = len(slo.queued) if slo is not None else 0
+        for enrollment in slo.enrollments if slo is not None else ():
+            name = enrollment.pipeline.config.name
+            self.stacks[name] = enrollment.applied_steps()
+            if enrollment.last_action_at is not None:
+                self.laddered_at[name] = enrollment.last_action_at
+        self.verdicts = Counter(
+            upgrade.state for upgrade in
+            (liveops.upgrades if liveops is not None else ())
+            if upgrade.state in _VERDICTS)
+
+    def appended(self, action: "Action") -> None:
+        if action.controller == "autoscaler":
+            self._scaled(action)
+        elif action.controller == "slo":
+            self._laddered(action)
+        elif action.controller == "liveops":
+            self._judged(action)
+
+    def _scaled(self, action: "Action") -> None:
+        max_replicas = self.component.autoscaler.policy.max_replicas
+        subject = f"autoscaler/{action.target}"
+        previous = self.scaled_at.get(action.target)
+        if previous is not None and action.at - previous < COOLDOWN_S - _EPS:
+            self.auditor.record(
+                "autoscaler-pacing",
+                subject,
+                f"scaling events {previous:.3f}s and {action.at:.3f}s are"
+                f" {action.at - previous:.3f}s apart, inside the"
+                f" {COOLDOWN_S:.3f}s cooldown — the sampler is"
+                " re-evaluating overlapping windows (one decision should"
+                " consume its window)",
+            )
+        self.scaled_at[action.target] = action.at
+        before = action.evidence["from_replicas"]
+        after = action.evidence["to_replicas"]
+        if not 1 <= after <= max_replicas:
+            self.auditor.record(
+                "autoscaler-pacing",
+                subject,
+                f"replica count left [1, {max_replicas}]: {before} -> {after}",
+            )
+
+    def _laddered(self, action: "Action") -> None:
+        record = self.auditor.record
+        pipeline = action.target
+        step = action.evidence["step"]
+        depth_before = action.evidence["depth_before"]
+        depth_after = action.evidence["depth_after"]
+        subject = f"slo/{pipeline}"
+        previous = self.laddered_at.get(pipeline)
+        hysteresis = self.component.slo.config.hysteresis_s
+        if previous is not None and action.at - previous < hysteresis - _EPS:
+            record(
+                "slo-ladder",
+                subject,
+                f"ladder actions at {previous:.3f}s and {action.at:.3f}s are"
+                f" {action.at - previous:.3f}s apart, inside the"
+                f" {hysteresis:.3f}s hysteresis — the controller is flapping",
+            )
+        self.laddered_at[pipeline] = action.at
+        expected_delta = 1 if action.kind == "degrade" else -1
+        if depth_after - depth_before != expected_delta:
+            record(
+                "slo-ladder",
+                subject,
+                f"{action.kind} moved ladder depth"
+                f" {depth_before} -> {depth_after}; every"
+                " action must move it by exactly one rung",
+            )
+        stack = self.stacks.setdefault(pipeline, [])
+        if len(stack) != depth_before:
+            record(
+                "slo-ladder",
+                subject,
+                f"action reports depth_before={depth_before} but the"
+                f" auditor mirrors {len(stack)} applied rung(s)",
+            )
+        if action.kind == "degrade":
+            stack.append(step)
+        elif stack:
+            top = stack.pop()
+            if top != step:
+                record(
+                    "slo-ladder",
+                    subject,
+                    f"restore reverted {step!r} while the most"
+                    f" recently applied rung is {top!r} — recovery must"
+                    " retrace the ladder in reverse order",
+                )
         else:
-            self.dropped_unadmitted += 1
+            record(
+                "slo-ladder",
+                subject,
+                f"restore of {step!r} with no applied rung mirrored",
+            )
+
+    def _judged(self, action: "Action") -> None:
+        """A verdict is logged before the manager retires the upgrade, so
+        it is still the active upgrade of its module."""
+        record = self.auditor.record
+        upgrade = self.component.liveops.upgrade_of(
+            *action.target.rsplit("/", 1))
+        subject = f"liveops/{action.target}"
+        if upgrade.state not in _VERDICTS:
+            record(
+                "liveops-version-swap",
+                subject,
+                f"upgrade finished in state {upgrade.state!r}; every finish"
+                " must be a promotion or a rollback",
+            )
+            return
+        self.verdicts[upgrade.state] += 1
+        # exactly one version of the module may remain live: the shadow
+        # deployment and its sink must be gone, the real name deployed
+        runtime = upgrade.pipeline.module(upgrade.module_name).runtime
+        deployed_names = set(runtime.deployed_names())
+        for ghost in (upgrade.shadow_name, upgrade.sink_name):
+            if ghost in deployed_names:
+                record(
+                    "liveops-version-swap",
+                    subject,
+                    f"shadow deployment {ghost!r} still live after the"
+                    f" upgrade {upgrade.state}; promotion/rollback must"
+                    " retire the canary",
+                )
+        if upgrade.module_name not in deployed_names:
+            record(
+                "liveops-version-swap",
+                subject,
+                f"module {upgrade.module_name!r} is not deployed after the"
+                f" upgrade {upgrade.state} — the swap dropped the module",
+            )
+        expected = (
+            upgrade.to_version if upgrade.state == "promoted"
+            else upgrade.from_version
+        )
+        labeled = upgrade.pipeline.wiring.version_of(upgrade.module_name)
+        if labeled != expected:
+            record(
+                "liveops-version-swap",
+                subject,
+                f"wiring labels {upgrade.module_name!r} as {labeled!r} after"
+                f" a {upgrade.state} upgrade; expected {expected!r}",
+            )
+        shadow = upgrade.shadow_metrics
+        if shadow is not None and upgrade.mirrored_frames != (
+            shadow.counter("frames_entered")
+        ):
+            record(
+                "liveops-version-swap",
+                subject,
+                f"mirror tap copied {upgrade.mirrored_frames} frame(s) but"
+                f" the shadow collector admitted"
+                f" {shadow.counter('frames_entered')} — a mirrored frame"
+                " bypassed shadow accounting",
+            )
+
+    def check_now(self) -> None:
+        home = self.component
+        if home.slo is not None:
+            self._check_slo(home.slo)
+        if home.liveops is not None:
+            active = len(home.liveops.active_upgrades())
+            started = len(home.liveops.upgrades)
+            promoted, rolled_back = (self.verdicts[v] for v in _VERDICTS)
+            if started != active + promoted + rolled_back:
+                self.auditor.record(
+                    "liveops-conservation",
+                    "liveops/manager",
+                    f"started ({started}) != active ({active}) + promoted"
+                    f" ({promoted}) + rolled-back ({rolled_back}) —"
+                    " an upgrade vanished without a verdict",
+                )
+
+    def _check_slo(self, controller: Any) -> None:
+        counters = controller.metrics.counters()
+        requested, deployed, rejected, withdrawn = (
+            counters.get(key, 0) - self.deploys[key]
+            for key in _DEPLOY_COUNTERS)
+        queued_now = len(controller.queued) - self.deploys["queued_now"]
+        if requested != deployed + rejected + withdrawn + queued_now:
+            self.auditor.record(
+                "admission-conservation",
+                "slo/controller",
+                f"requested ({requested}) != deployed ({deployed}) +"
+                f" rejected ({rejected}) + withdrawn ({withdrawn}) +"
+                f" queued-now ({queued_now}) —"
+                f" {requested - deployed - rejected - withdrawn - queued_now}"
+                " deploy request(s) vanished between admission and the"
+                " deployer",
+            )
+        for enrollment in controller.enrollments:
+            name = enrollment.pipeline.config.name
+            depth = enrollment.depth
+            if not 0 <= depth <= len(enrollment.ladder):
+                self.auditor.record(
+                    "slo-ladder",
+                    f"slo/{name}",
+                    f"ladder depth {depth} outside"
+                    f" [0, {len(enrollment.ladder)}]",
+                )
+            mirrored = self.stacks.get(name, [])
+            if enrollment.applied_steps() != mirrored:
+                self.auditor.record(
+                    "slo-ladder",
+                    f"slo/{name}",
+                    f"applied rungs {enrollment.applied_steps()} disagree"
+                    f" with the auditor's mirror {mirrored} — a rung was"
+                    " applied or reverted without a recorded action",
+                )
 
 
 class InvariantAuditor:
-    """Watches components and records :class:`Violation` objects.
+    """Records :class:`Violation` objects, one mirror per component.
 
     One auditor serves a whole home (mirror ``enable_tracing``:
-    :meth:`repro.core.videopipe.VideoPipe.enable_audit` creates and wires
-    it). Components call the ``on_*`` notification methods at the exact
-    points their own bookkeeping changes; the auditor keeps an independent
-    mirror and flags any disagreement.
+    :meth:`repro.core.videopipe.VideoPipe.enable_audit` creates it, and the
+    home's ``_wire*`` functions install its mirrors). Each ``watch_*``
+    returns the component's mirror, the same one on every call.
 
     Attributes:
         violations: recorded violations, oldest first (capped by
@@ -232,13 +736,7 @@ class InvariantAuditor:
         self.violations: list[Violation] = []
         self.dropped_violations = 0
         self.checks_run = 0
-        self._stores: dict[int, tuple["FrameStore", _StoreState]] = {}
-        self._arenas: dict[int, tuple["FrameArena", _ArenaState]] = {}
-        self._transports: dict[int, tuple["Transport", _TransportState]] = {}
-        self._metrics: dict[int, tuple["MetricsCollector", _FrameMirror]] = {}
-        self._scalers: dict[int, tuple["AutoScaler", dict]] = {}
-        self._slo: dict[int, tuple["SLOController", "_SloState"]] = {}
-        self._liveops: dict[int, tuple[Any, _LiveOpsState]] = {}
+        self._mirrors: list[_Mirror] = []
         self._last_exec_time: float | None = None
         self._kernel_attached = False
         _LIVE_AUDITORS.add(self)
@@ -307,294 +805,40 @@ class InvariantAuditor:
         else:
             self._last_exec_time = event.time
 
-    # -- frame-ref conservation ---------------------------------------------------
-    def watch_store(self, store: "FrameStore") -> None:
-        """Mirror *store*'s refcounts; flag negatives now and leaks at quiesce."""
-        if id(store) in self._stores:
-            return
-        store.auditor = self
-        state = _StoreState()
-        # a store watched mid-run starts with its current live refs mirrored
-        for ref_id, count in store._refcounts.items():
-            if count > 0:
-                state.refcounts[ref_id] = count
-                state.held_since[ref_id] = self.kernel.now
-        self._stores[id(store)] = (store, state)
-
-    def on_ref_hold(self, store: "FrameStore", ref_id: int, refcount: int) -> None:
-        entry = self._stores.get(id(store))
-        if entry is None:
-            return
-        state = entry[1]
-        state.holds += 1
-        if ref_id not in state.refcounts:
-            state.held_since[ref_id] = self.kernel.now
-        state.refcounts[ref_id] = refcount
-
-    def on_ref_release(self, store: "FrameStore", ref_id: int, refcount: int) -> None:
-        entry = self._stores.get(id(store))
-        if entry is None:
-            return
-        state = entry[1]
-        state.releases += 1
-        if refcount < 0:
-            self.record(
-                "frame-ref-conservation",
-                f"framestore/{store.device}",
-                f"refcount for ref #{ref_id} went negative ({refcount}):"
-                " a reference was released more times than it was held",
-            )
-        if refcount <= 0:
-            state.refcounts.pop(ref_id, None)
-            state.held_since.pop(ref_id, None)
-        else:
-            state.refcounts[ref_id] = refcount
-
-    # -- arena handle conservation ------------------------------------------------
-    def watch_arena(self, arena: "FrameArena") -> None:
-        """Mirror *arena*'s alloc/free accounting; flag stale handle
-        accesses now and unreleased slots at quiesce."""
-        if id(arena) in self._arenas:
-            return
-        arena.auditor = self
-        state = _ArenaState(
-            allocs=arena.allocs,
-            frees=arena.frees,
-            bytes_in_use=arena.bytes_in_use,
-        )
-        # an arena watched mid-run starts with its current live slots mirrored
-        for offset, handle in arena._live.items():
-            state.live[offset] = (handle.generation, handle.nbytes)
-        self._arenas[id(arena)] = (arena, state)
-
-    def on_arena_alloc(self, arena: "FrameArena", handle: "ArenaHandle") -> None:
-        entry = self._arenas.get(id(arena))
-        if entry is None:
-            return
-        state = entry[1]
-        state.allocs += 1
-        state.bytes_in_use += handle.nbytes
-        if handle.offset in state.live:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"offset {handle.offset} allocated while the auditor still"
-                f" mirrors it live (generation"
-                f" {state.live[handle.offset][0]}) — a free was never"
-                " reported",
-            )
-        state.live[handle.offset] = (handle.generation, handle.nbytes)
-
-    def on_arena_free(
-        self, arena: "FrameArena", handle: "ArenaHandle", reason: str
-    ) -> None:
-        entry = self._arenas.get(id(arena))
-        if entry is None:
-            return
-        state = entry[1]
-        state.frees += 1
-        state.bytes_in_use -= handle.nbytes
-        mirrored = state.live.pop(handle.offset, None)
-        if mirrored is None:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"free({reason}) of offset {handle.offset} the auditor does"
-                " not mirror as live — double free slipped past the"
-                " generation check",
-            )
-        elif mirrored[0] != handle.generation:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"free({reason}) of offset {handle.offset} at generation"
-                f" {handle.generation} but the auditor mirrors generation"
-                f" {mirrored[0]} — a stale handle reached the free path",
-            )
-
-    def on_stale_access(
-        self, arena: "FrameArena", handle: "ArenaHandle", reason: str
-    ) -> None:
-        entry = self._arenas.get(id(arena))
-        if entry is None:
-            return
-        entry[1].stale_accesses += 1
-        self.record(
-            "arena-stale-access",
-            f"arena/{arena.arena_id}",
-            f"stale handle {handle} dereferenced after the slot was retired"
-            f" ({reason}) — a holder kept a handle across"
-            f" {'eviction' if reason == 'evicted' else reason} instead of"
-            " re-resolving through the frame store",
-        )
-
-    # -- message conservation ------------------------------------------------------
-    def watch_transport(self, transport: "Transport") -> None:
-        """Check ``sent == delivered + failed + in-flight`` on *transport*."""
-        if id(transport) in self._transports:
-            return
-        transport.auditor = self
-        state = _TransportState(
-            base_sent=transport.sent_count,
-            base_delivered=transport.delivered_count,
-            base_failed=transport.failed_count,
-        )
-        self._transports[id(transport)] = (transport, state)
-
-    def on_message_sent(self, transport: "Transport", message: Any) -> None:
-        entry = self._transports.get(id(transport))
-        if entry is not None:
-            entry[1].in_flight[message.msg_id] = self.kernel.now
-
-    def on_message_delivered(self, transport: "Transport", message: Any) -> None:
-        entry = self._transports.get(id(transport))
-        if entry is not None:
-            entry[1].in_flight.pop(message.msg_id, None)
-
-    def on_message_failed(self, transport: "Transport", message: Any) -> None:
-        entry = self._transports.get(id(transport))
-        if entry is not None:
-            entry[1].in_flight.pop(message.msg_id, None)
-
-    # -- metrics conservation -------------------------------------------------------
-    def watch_metrics(self, collector: "MetricsCollector") -> _FrameMirror:
-        """Check frames admitted == completed + dropped + in-flight on
-        *collector*; returns the frame mirror to subscribe to its wiring."""
-        entry = self._metrics.get(id(collector))
-        if entry is not None:
-            return entry[1]
-        mirror = _FrameMirror(
-            base_entered=collector.counter("frames_entered"),
-            base_completed=collector.counter("frames_completed"),
-            base_dropped=collector.counter("frames_dropped"),
-            clean_at_watch=collector.frames_in_flight == 0,
-        )
-        self._metrics[id(collector)] = (collector, mirror)
+    # -- mirrors ------------------------------------------------------------------
+    def _watch(self, mirror_class: type, component: Any) -> Any:
+        for mirror in self._mirrors:
+            if mirror.component is component:
+                return mirror
+        mirror = mirror_class(self, component)
+        self._mirrors.append(mirror)
         return mirror
 
-    # -- autoscaler pacing ------------------------------------------------------------
-    def watch_autoscaler(self, scaler: "AutoScaler") -> None:
-        """Check cooldown pacing and replica bounds on *scaler*'s actions."""
-        if id(scaler) in self._scalers:
-            return
-        scaler.auditor = self
-        self._scalers[id(scaler)] = (scaler, {})
+    def watch_store(self, store: "FrameStore") -> _StoreMirror:
+        """The mirror of *store*'s refcounts: negatives now, leaks at quiesce."""
+        return self._watch(_StoreMirror, store)
 
-    def on_scaling_event(self, scaler: "AutoScaler", action: "Action") -> None:
-        entry = self._scalers.get(id(scaler))
-        if entry is None:
-            return
-        last_by_host = entry[1]
-        policy = scaler.policy
-        subject = f"autoscaler/{action.target}"
-        previous = last_by_host.get(action.target)
-        if previous is not None and action.at - previous < COOLDOWN_S - _EPS:
-            self.record(
-                "autoscaler-pacing",
-                subject,
-                f"scaling events {previous:.3f}s and {action.at:.3f}s are"
-                f" {action.at - previous:.3f}s apart, inside the"
-                f" {COOLDOWN_S:.3f}s cooldown — the sampler is"
-                " re-evaluating overlapping windows (one decision should"
-                " consume its window)",
-            )
-        last_by_host[action.target] = action.at
-        before = action.evidence["from_replicas"]
-        after = action.evidence["to_replicas"]
-        if not (1 <= after <= policy.max_replicas):
-            self.record(
-                "autoscaler-pacing",
-                subject,
-                f"replica count left [1, {policy.max_replicas}]:"
-                f" {before} -> {after}",
-            )
+    def watch_arena(self, arena: "FrameArena") -> _ArenaMirror:
+        """The mirror of *arena*'s slots: stale accesses now, orphaned slots
+        at quiesce."""
+        return self._watch(_ArenaMirror, arena)
 
-    # -- slo ladder & admission --------------------------------------------------------
-    def watch_slo(self, controller: "SLOController") -> None:
-        """Check ladder monotonicity and admission conservation on
-        *controller*."""
-        if id(controller) in self._slo:
-            return
-        controller.auditor = self
-        state = _SloState()
-        counters = controller.metrics.counters()
-        for key in ("deploys_requested", "deploys_deployed",
-                    "deploys_rejected", "deploys_withdrawn"):
-            state.base[key] = counters.get(key, 0)
-        state.base["queued_now"] = len(controller.queued)
-        # enrollments that already carry applied rungs are mirrored as-is
-        for enrollment in controller.enrollments:
-            name = enrollment.pipeline.config.name
-            state.stacks[name] = enrollment.applied_steps()
-            if enrollment.last_action_at is not None:
-                state.last_action_at[name] = enrollment.last_action_at
-        self._slo[id(controller)] = (controller, state)
+    def watch_transport(self, transport: "Transport") -> _TransportMirror:
+        """The mirror of *transport*'s in-flight messages."""
+        return self._watch(_TransportMirror, transport)
 
-    def on_slo_action(
-        self, controller: "SLOController", action: "Action"
-    ) -> None:
-        entry = self._slo.get(id(controller))
-        if entry is None:
-            return
-        state = entry[1]
-        pipeline = action.target
-        step = action.evidence["step"]
-        depth_before = action.evidence["depth_before"]
-        depth_after = action.evidence["depth_after"]
-        subject = f"slo/{pipeline}"
-        previous = state.last_action_at.get(pipeline)
-        hysteresis = controller.config.hysteresis_s
-        if previous is not None and action.at - previous < hysteresis - _EPS:
-            self.record(
-                "slo-ladder",
-                subject,
-                f"ladder actions at {previous:.3f}s and {action.at:.3f}s are"
-                f" {action.at - previous:.3f}s apart, inside the"
-                f" {hysteresis:.3f}s hysteresis — the controller is flapping",
-            )
-        state.last_action_at[pipeline] = action.at
-        expected_delta = 1 if action.kind == "degrade" else -1
-        if depth_after - depth_before != expected_delta:
-            self.record(
-                "slo-ladder",
-                subject,
-                f"{action.kind} moved ladder depth"
-                f" {depth_before} -> {depth_after}; every"
-                " action must move it by exactly one rung",
-            )
-        stack = state.stacks.setdefault(pipeline, [])
-        if len(stack) != depth_before:
-            self.record(
-                "slo-ladder",
-                subject,
-                f"action reports depth_before={depth_before} but the"
-                f" auditor mirrors {len(stack)} applied rung(s)",
-            )
-        if action.kind == "degrade":
-            stack.append(step)
-        elif stack:
-            top = stack.pop()
-            if top != step:
-                self.record(
-                    "slo-ladder",
-                    subject,
-                    f"restore reverted {step!r} while the most"
-                    f" recently applied rung is {top!r} — recovery must"
-                    " retrace the ladder in reverse order",
-                )
-        else:
-            self.record(
-                "slo-ladder",
-                subject,
-                f"restore of {step!r} with no applied rung mirrored",
-            )
+    def watch_metrics(self, collector: "MetricsCollector") -> _FrameMirror:
+        """The frame mirror of *collector*, to subscribe to its wiring."""
+        return self._watch(_FrameMirror, collector)
 
-    def on_admission(
-        self, controller: "SLOController", decision: "AdmissionDecision"
-    ) -> None:
-        entry = self._slo.get(id(controller))
-        if entry is None:
-            return
+    def watch_actions(self, home: Any) -> _ActionMirror:
+        """The mirror of *home*'s controllers, to subscribe to its action
+        log."""
+        return self._watch(_ActionMirror, home)
+
+    def check_admission(self, decision: "AdmissionDecision") -> None:
+        """The SLO controller's hook: each admission decision as it is
+        made (admission is not an action)."""
         subject = f"slo/{decision.pipeline}"
         if decision.action not in ("admitted", "rejected", "queued"):
             self.record(
@@ -614,143 +858,7 @@ class InvariantAuditor:
                 f" {decision.threshold:.3f}",
             )
 
-    def _check_slo(self, controller: "SLOController", state: _SloState) -> None:
-        counters = controller.metrics.counters()
-        requested = counters.get("deploys_requested", 0) - state.base["deploys_requested"]
-        deployed = counters.get("deploys_deployed", 0) - state.base["deploys_deployed"]
-        rejected = counters.get("deploys_rejected", 0) - state.base["deploys_rejected"]
-        withdrawn = counters.get("deploys_withdrawn", 0) - state.base["deploys_withdrawn"]
-        queued_now = len(controller.queued) - state.base["queued_now"]
-        if requested != deployed + rejected + withdrawn + queued_now:
-            self.record(
-                "admission-conservation",
-                "slo/controller",
-                f"requested ({requested}) != deployed ({deployed}) +"
-                f" rejected ({rejected}) + withdrawn ({withdrawn}) +"
-                f" queued-now ({queued_now}) —"
-                f" {requested - deployed - rejected - withdrawn - queued_now}"
-                " deploy request(s) vanished between admission and the"
-                " deployer",
-            )
-        for enrollment in controller.enrollments:
-            name = enrollment.pipeline.config.name
-            depth = enrollment.depth
-            if not 0 <= depth <= len(enrollment.ladder):
-                self.record(
-                    "slo-ladder",
-                    f"slo/{name}",
-                    f"ladder depth {depth} outside"
-                    f" [0, {len(enrollment.ladder)}]",
-                )
-            mirrored = state.stacks.get(name, [])
-            if enrollment.applied_steps() != mirrored:
-                self.record(
-                    "slo-ladder",
-                    f"slo/{name}",
-                    f"applied rungs {enrollment.applied_steps()} disagree"
-                    f" with the auditor's mirror {mirrored} — a rung was"
-                    " applied or reverted without a recorded action",
-                )
-
-    # -- live-ops version swaps ---------------------------------------------------------
-    def watch_liveops(self, manager: Any) -> None:
-        """Check the version-swap conservation law on *manager*: every
-        upgrade started either promotes, rolls back, or is still mirroring
-        — and a finished upgrade leaves exactly one version of the module
-        deployed, under the right version label."""
-        if id(manager) in self._liveops:
-            return
-        manager.auditor = self
-        state = _LiveOpsState()
-        # a manager watched mid-run starts with its ledger mirrored as-is
-        for upgrade in manager.upgrades:
-            state.started += 1
-            if upgrade.state == "promoted":
-                state.promoted += 1
-            elif upgrade.state == "rolled_back":
-                state.rolled_back += 1
-        self._liveops[id(manager)] = (manager, state)
-
-    def on_upgrade_started(self, manager: Any, upgrade: Any) -> None:
-        entry = self._liveops.get(id(manager))
-        if entry is not None:
-            entry[1].started += 1
-
-    def on_upgrade_finished(self, manager: Any, upgrade: Any) -> None:
-        entry = self._liveops.get(id(manager))
-        if entry is None:
-            return
-        state = entry[1]
-        subject = f"liveops/{upgrade.pipeline.name}/{upgrade.module_name}"
-        if upgrade.state == "promoted":
-            state.promoted += 1
-        elif upgrade.state == "rolled_back":
-            state.rolled_back += 1
-        else:
-            self.record(
-                "liveops-version-swap",
-                subject,
-                f"upgrade finished in state {upgrade.state!r}; every finish"
-                " must be a promotion or a rollback",
-            )
-            return
-        # exactly one version of the module may remain live: the shadow
-        # deployment and its sink must be gone, the real name deployed
-        runtime = upgrade.pipeline.module(upgrade.module_name).runtime
-        deployed_names = set(runtime.deployed_names())
-        for ghost in (upgrade.shadow_name, upgrade.sink_name):
-            if ghost in deployed_names:
-                self.record(
-                    "liveops-version-swap",
-                    subject,
-                    f"shadow deployment {ghost!r} still live after the"
-                    f" upgrade {upgrade.state}; promotion/rollback must"
-                    " retire the canary",
-                )
-        if upgrade.module_name not in deployed_names:
-            self.record(
-                "liveops-version-swap",
-                subject,
-                f"module {upgrade.module_name!r} is not deployed after the"
-                f" upgrade {upgrade.state} — the swap dropped the module",
-            )
-        expected = (
-            upgrade.to_version if upgrade.state == "promoted"
-            else upgrade.from_version
-        )
-        labeled = upgrade.pipeline.wiring.version_of(upgrade.module_name)
-        if labeled != expected:
-            self.record(
-                "liveops-version-swap",
-                subject,
-                f"wiring labels {upgrade.module_name!r} as {labeled!r} after"
-                f" a {upgrade.state} upgrade; expected {expected!r}",
-            )
-        shadow = upgrade.shadow_metrics
-        if shadow is not None and upgrade.mirrored_frames != (
-            shadow.counter("frames_entered")
-        ):
-            self.record(
-                "liveops-version-swap",
-                subject,
-                f"mirror tap copied {upgrade.mirrored_frames} frame(s) but"
-                f" the shadow collector admitted"
-                f" {shadow.counter('frames_entered')} — a mirrored frame"
-                " bypassed shadow accounting",
-            )
-
-    def _check_liveops(self, manager: Any, state: _LiveOpsState) -> None:
-        active = len(manager.active_upgrades())
-        if state.started != active + state.promoted + state.rolled_back:
-            self.record(
-                "liveops-conservation",
-                "liveops/manager",
-                f"started ({state.started}) != active ({active}) + promoted"
-                f" ({state.promoted}) + rolled-back ({state.rolled_back}) —"
-                " an upgrade vanished without a verdict",
-            )
-
-    # -- checks -------------------------------------------------------------------------
+    # -- checks -------------------------------------------------------------------
     def check_now(self) -> list[Violation]:
         """Run every invariant that must hold at *any* instant.
 
@@ -758,16 +866,8 @@ class InvariantAuditor:
         """
         start = len(self.violations)
         self.checks_run += 1
-        for arena, state in self._arenas.values():
-            self._check_arena(arena, state)
-        for transport, state in self._transports.values():
-            self._check_transport(transport, state)
-        for collector, state in self._metrics.values():
-            self._check_metrics(collector, state)
-        for controller, state in self._slo.values():
-            self._check_slo(controller, state)
-        for manager, state in self._liveops.values():
-            self._check_liveops(manager, state)
+        for mirror in self._mirrors:
+            mirror.check_now()
         return self.violations[start:]
 
     def check_quiesce(self) -> list[Violation]:
@@ -779,200 +879,12 @@ class InvariantAuditor:
         """
         start = len(self.violations)
         self.check_now()
-        for store, state in self._stores.values():
-            self._check_store_quiesce(store, state)
-        for arena, state in self._arenas.values():
-            self._check_arena_quiesce(arena)
-        for transport, state in self._transports.values():
-            if transport.in_flight and not transport.closed:
-                self.record(
-                    "message-conservation",
-                    f"transport/{type(transport).__name__}",
-                    f"{transport.in_flight} message(s) still in flight at"
-                    " quiesce: a send's arrival signal never resolved",
-                )
-            for client in transport.rpc_clients:
-                pending = client.pending_count
-                if pending:
-                    self.record(
-                        "rpc-quiesce",
-                        f"rpc/{client.reply_address}",
-                        f"{pending} RPC request(s) still pending at quiesce:"
-                        " a reply or timeout was lost",
-                    )
-        for collector, state in self._metrics.values():
-            if state.clean_at_watch and collector.frames_in_flight:
-                self.record(
-                    "metrics-conservation",
-                    f"metrics/{collector.name}",
-                    f"{collector.frames_in_flight} frame(s) still marked"
-                    " in-flight at quiesce: frames_entered was never matched"
-                    " by frame_completed/frame_dropped — a drop path is not"
-                    " reporting to the collector",
-                )
+        for mirror in self._mirrors:
+            mirror.check_quiesce()
         return self.violations[start:]
-
-    # -- check bodies ------------------------------------------------------------
-    def _check_transport(self, transport: "Transport", state: _TransportState) -> None:
-        subject = f"transport/{type(transport).__name__}"
-        sent = transport.sent_count - state.base_sent
-        delivered = transport.delivered_count - state.base_delivered
-        failed = transport.failed_count - state.base_failed
-        in_flight = transport.in_flight
-        if sent != delivered + failed + in_flight:
-            self.record(
-                "message-conservation",
-                subject,
-                f"sent ({sent}) != delivered ({delivered}) + failed"
-                f" ({failed}) + in-flight ({in_flight}) — "
-                f"{sent - delivered - failed - in_flight} message(s)"
-                " vanished without a delivery or failure",
-            )
-        if len(state.in_flight) != in_flight:
-            examples = sorted(state.in_flight)[:5]
-            self.record(
-                "message-conservation",
-                subject,
-                f"auditor mirrors {len(state.in_flight)} in-flight message(s)"
-                f" but the transport reports {in_flight}; unsettled msg ids"
-                f" (up to 5): {examples} — a pending send was dropped"
-                " without resolving its signal",
-            )
-
-    def _check_metrics(self, collector: "MetricsCollector", state: _FrameMirror) -> None:
-        subject = f"metrics/{collector.name}"
-        entered = collector.counter("frames_entered") - state.base_entered
-        completed = collector.counter("frames_completed") - state.base_completed
-        dropped = collector.counter("frames_dropped") - state.base_dropped
-        if entered != state.entered:
-            self.record(
-                "metrics-conservation",
-                subject,
-                f"frames_entered counter moved by {entered} but the"
-                f" frame events notified {state.entered} admissions",
-            )
-        if state.clean_at_watch:
-            mirrored = len(state.in_flight)
-            if collector.frames_in_flight != mirrored:
-                self.record(
-                    "metrics-conservation",
-                    subject,
-                    f"collector reports {collector.frames_in_flight} frame(s)"
-                    f" in flight but admitted-minus-settled is {mirrored} —"
-                    " frame_dropped/frame_completed is not pruning"
-                    " _frame_started (the PR-3 leak class)",
-                )
-        accounted = (
-            state.completed_admitted + state.dropped_admitted + len(state.in_flight)
-        )
-        if state.entered != accounted:
-            self.record(
-                "metrics-conservation",
-                subject,
-                f"admitted ({state.entered}) != completed ({state.completed_admitted})"
-                f" + dropped ({state.dropped_admitted})"
-                f" + in-flight ({len(state.in_flight)})",
-            )
-        if dropped < state.dropped_admitted:
-            self.record(
-                "metrics-conservation",
-                subject,
-                f"frames_dropped counter ({dropped}) is below the"
-                f" admitted drops the collector reported"
-                f" ({state.dropped_admitted})",
-            )
-        if completed < state.completed_admitted:
-            self.record(
-                "metrics-conservation",
-                subject,
-                f"frames_completed counter ({completed}) is below the"
-                f" admitted completions the collector reported"
-                f" ({state.completed_admitted})",
-            )
-
-    def _check_arena(self, arena: "FrameArena", state: _ArenaState) -> None:
-        subject = f"arena/{arena.arena_id}"
-        if arena.allocs != state.allocs or arena.frees != state.frees:
-            self.record(
-                "arena-conservation",
-                subject,
-                f"arena counts {arena.allocs} alloc(s) / {arena.frees}"
-                f" free(s) but the auditor mirrors {state.allocs} /"
-                f" {state.frees} — an alloc or free path skipped its"
-                " notification",
-            )
-        if arena.bytes_in_use != state.bytes_in_use:
-            self.record(
-                "arena-conservation",
-                subject,
-                f"arena reports {arena.bytes_in_use} byte(s) in use but the"
-                f" auditor mirrors {state.bytes_in_use} — per-slot sizes"
-                " disagree between alloc and free",
-            )
-        if arena.live_count != len(state.live):
-            self.record(
-                "arena-conservation",
-                subject,
-                f"arena reports {arena.live_count} live slot(s) but the"
-                f" auditor mirrors {len(state.live)}",
-            )
-
-    def _check_arena_quiesce(self, arena: "FrameArena") -> None:
-        """At quiesce every live arena slot must back a stored frame.
-
-        Retained dedup targets legitimately keep their slots, so the law is
-        *no orphans* rather than ``live_count == 0``: a slot the backing
-        store no longer maps is pixel memory nothing can ever free."""
-        store = None
-        for candidate, _ in self._stores.values():
-            if candidate.arena is arena:
-                store = candidate
-                break
-        if store is None:
-            if arena.live_count:
-                self.record(
-                    "arena-conservation",
-                    f"arena/{arena.arena_id}",
-                    f"{arena.live_count} live slot(s) at quiesce on an arena"
-                    " with no watched backing store",
-                )
-            return
-        backed = {handle.offset for handle in store._by_handle}
-        orphans = sorted(set(arena._live) - backed)
-        if orphans:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"{len(orphans)} orphaned arena slot(s) at quiesce with no"
-                f" backing store entry (offsets, up to 5: {orphans[:5]}) —"
-                " pixel memory nothing can ever free",
-            )
-
-    def _check_store_quiesce(self, store: "FrameStore", state: _StoreState) -> None:
-        subject = f"framestore/{store.device}"
-        if store.live_count == 0:
-            return
-        holders = []
-        for ref_id in sorted(state.refcounts)[:5]:
-            count = state.refcounts[ref_id]
-            since = state.held_since.get(ref_id, 0.0)
-            obj = store._objects.get(ref_id)
-            holders.append(
-                f"#{ref_id} {type(obj).__name__} x{count}"
-                f" (held since t={since:.3f}s)"
-            )
-        attribution = "; ".join(holders) if holders else store._top_holders()
-        self.record(
-            "frame-ref-conservation",
-            subject,
-            f"{store.live_count} live reference(s) at quiesce after"
-            f" {state.holds} hold(s) / {state.releases} release(s) — a"
-            f" module or service is leaking holds. Leaked: {attribution}",
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<InvariantAuditor {len(self._stores)} stores,"
-            f" {len(self._transports)} transports, {len(self._metrics)}"
-            f" collectors, {self.violation_count} violations>"
+            f"<InvariantAuditor {len(self._mirrors)} mirrors,"
+            f" {self.violation_count} violations>"
         )

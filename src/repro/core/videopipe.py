@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from ..actions import Action
+from ..actions import ActionLog
 from ..audit.auditor import InvariantAuditor, Violation
 from ..devices.catalog import make_spec
 from ..devices.device import Device
@@ -117,7 +117,7 @@ class VideoPipe:
         self.slo: SLOController | None = None
         self.liveops: LiveOpsManager | None = None
         #: Every decision the home's controllers carried out, in order.
-        self.actions: list[Action] = []
+        self.actions = ActionLog()
         #: SLOs declared at deploy time before enable_slo() was called
         self._pending_slos: dict[str, SLO] = {}
         self.pipelines: list[Pipeline] = []
@@ -219,12 +219,9 @@ class VideoPipe:
             for upgrade in self.liveops.active_upgrades():
                 self._wire_observers(upgrade.shadow_wiring, traced=False)
         if self.auditor is not None:
-            if self.autoscaler is not None:
-                self.auditor.watch_autoscaler(self.autoscaler)
+            self.actions.observer = self.auditor.watch_actions(self)
             if self.slo is not None:
-                self.auditor.watch_slo(self.slo)
-            if self.liveops is not None:
-                self.auditor.watch_liveops(self.liveops)
+                self.slo.auditor = self.auditor
 
     def _wire_device(self, device: Device) -> None:
         name = device.spec.name
@@ -236,10 +233,11 @@ class VideoPipe:
             if plane.replica_pool:
                 device.enable_replica_pool()
         if self.auditor is not None:
-            self.auditor.watch_transport(device.runtime.transport)
-            self.auditor.watch_store(device.frame_store)
+            transport, store = device.runtime.transport, device.frame_store
+            transport.observer = self.auditor.watch_transport(transport)
+            store.observer = self.auditor.watch_store(store)
             if device.arena is not None:
-                self.auditor.watch_arena(device.arena)
+                device.arena.observer = self.auditor.watch_arena(device.arena)
         if self.detector is not None:
             if name not in self._responders:
                 self._responders[name] = HeartbeatResponder(
@@ -260,7 +258,7 @@ class VideoPipe:
         if self.autoscaler is not None:
             self.autoscaler.watch(host)
         if self.tracer is not None:
-            host.tracer = self.tracer
+            host.observer = self.tracer
 
     def _wire_pipeline(self, pipeline: Pipeline) -> None:
         if self.optimizer is not None:
@@ -817,7 +815,11 @@ class VideoPipe:
         if self.slo is not None:
             out["slo"] = self.slo.snapshot()
         if self.liveops is not None:
-            out["liveops"] = self.liveops.snapshot()
+            lineage = self.liveops.lineage
+            out["liveops"] = {**self.liveops.snapshot(), "lineage": {
+                "frames_recorded": lineage.frame_count,
+                "touches": lineage.touches,
+            }}
         return out
 
     def _hosts(self) -> list[ServiceHost]:

@@ -98,8 +98,9 @@ class FrameArena:
         #: size-class free lists for offset reuse.
         self._free: dict[int, list[int]] = {}
         self._next_offset = 0
-        #: The home's auditor, or ``None`` (set by ``watch_arena``).
-        self.auditor: Any = None
+        #: Who hears of each alloc, free and stale access: the auditor's
+        #: mirror of this arena, or ``None`` (set by ``VideoPipe._wire_device``).
+        self.observer: Any = None
         # conservation counters (mirrored by the auditor)
         self.allocs = 0
         self.frees = 0
@@ -140,8 +141,8 @@ class FrameArena:
         self.allocs += 1
         self.bytes_in_use += nbytes
         self.peak_bytes = max(self.peak_bytes, self.bytes_in_use)
-        if self.auditor is not None:
-            self.auditor.on_arena_alloc(self, handle)
+        if self.observer is not None:
+            self.observer.allocated(handle)
         return handle
 
     def free(self, handle: ArenaHandle, reason: str = RELEASED) -> None:
@@ -158,8 +159,8 @@ class FrameArena:
         self._free.setdefault(handle.nbytes, []).append(offset)
         self.frees += 1
         self.bytes_in_use -= handle.nbytes
-        if self.auditor is not None:
-            self.auditor.on_arena_free(self, handle, reason)
+        if self.observer is not None:
+            self.observer.freed(handle, reason)
 
     # -- validation ----------------------------------------------------------
     def check(self, handle: ArenaHandle) -> None:
@@ -175,8 +176,8 @@ class FrameArena:
             return
         reason = self._retired_reason.get(handle.offset, "unknown")
         self.stale_accesses[reason] += 1
-        if self.auditor is not None:
-            self.auditor.on_stale_access(self, handle, reason)
+        if self.observer is not None:
+            self.observer.stale(handle, reason)
         raise StaleHandleError(
             f"stale arena handle {handle}: slot is at generation"
             f" {current if current is not None else '<never allocated>'}"

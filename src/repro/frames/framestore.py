@@ -80,9 +80,9 @@ class FrameStore:
         #: ref_id -> retire reason for recently deleted refs (bounded LRU);
         #: lets ``_check`` raise a typed StaleHandleError naming the cause.
         self._tombstones: OrderedDict[int, str] = OrderedDict()
-        #: The home's :class:`~repro.audit.auditor.InvariantAuditor`, or
-        #: ``None`` while auditing is off (set by ``watch_store``).
-        self.auditor: Any = None
+        #: Who hears of each hold and release: the auditor's mirror of this
+        #: store, or ``None`` (set by ``VideoPipe._wire_device``).
+        self.observer: Any = None
         # statistics for the ref-passing and dedup ablations
         self.stored_count = 0
         self.resolved_count = 0
@@ -176,10 +176,8 @@ class FrameStore:
                         self._refcounts[existing] = 1
                     else:
                         self._refcounts[existing] += 1
-                    if self.auditor is not None:
-                        self.auditor.on_ref_hold(
-                            self, existing, self._refcounts[existing]
-                        )
+                    if self.observer is not None:
+                        self.observer.held(existing, self._refcounts[existing])
                     return FrameRef(self.device, existing)
             self.dedup_misses += 1
         if len(self._objects) >= self.capacity:
@@ -196,8 +194,8 @@ class FrameStore:
             self._by_digest[digest] = ref_id
         self.stored_count += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._objects))
-        if self.auditor is not None:
-            self.auditor.on_ref_hold(self, ref_id, 1)
+        if self.observer is not None:
+            self.observer.held(ref_id, 1)
         return FrameRef(self.device, ref_id)
 
     def get(self, ref: FrameRef) -> Any:
@@ -210,8 +208,8 @@ class FrameStore:
         """Take an additional hold on the object (fan-out to two modules)."""
         self._check(ref)
         self._refcounts[ref.ref_id] += 1
-        if self.auditor is not None:
-            self.auditor.on_ref_hold(self, ref.ref_id, self._refcounts[ref.ref_id])
+        if self.observer is not None:
+            self.observer.held(ref.ref_id, self._refcounts[ref.ref_id])
         return ref
 
     def release(self, ref: FrameRef, reason: str = RELEASED) -> None:
@@ -225,8 +223,8 @@ class FrameStore:
         self._check(ref)
         ref_id = ref.ref_id
         self._refcounts[ref_id] -= 1
-        if self.auditor is not None:
-            self.auditor.on_ref_release(self, ref_id, self._refcounts[ref_id])
+        if self.observer is not None:
+            self.observer.released(ref_id, self._refcounts[ref_id])
         if self._refcounts[ref_id] == 0:
             if (
                 self.dedup

@@ -24,8 +24,8 @@ fleets do:
    :meth:`~repro.pipeline.deployer.Deployer.swap_module` (queued events
    are salvaged, not dropped — zero frame loss); rollback retires the
    shadow deployment and leaves v1 untouched. Either way exactly one
-   version of the module remains live, which the auditor's
-   ``watch_liveops`` law checks.
+   version of the module remains live, which the auditor checks on the
+   verdict's action.
 """
 
 from __future__ import annotations
@@ -221,8 +221,6 @@ class LiveOpsManager:
         upgrades: every upgrade ever started, oldest first.
         actions: the home's action log, where each verdict is recorded.
         lineage: the home's :class:`LineageRecorder`.
-        auditor: the home's auditor, or ``None`` (set by
-            ``watch_liveops``).
     """
 
     def __init__(self, home) -> None:
@@ -232,7 +230,6 @@ class LiveOpsManager:
         self.actions: list[Action] = home.actions
         self._active: dict[tuple[str, str], ModuleUpgrade] = {}
         self.lineage = LineageRecorder(home.kernel)
-        self.auditor: Any = None
 
     # -- lifecycle -----------------------------------------------------------
     def start_upgrade(
@@ -282,8 +279,6 @@ class LiveOpsManager:
         self.upgrades.append(upgrade)
         self._active[key] = upgrade
         pipeline.metrics.increment("upgrades_started")
-        if self.auditor is not None:
-            self.auditor.on_upgrade_started(self, upgrade)
         if upgrade.policy.auto:
             upgrade.judge = self.kernel.every(
                 CHECK_INTERVAL_S, self._judge, upgrade)
@@ -446,8 +441,6 @@ class LiveOpsManager:
              "mirrored_frames": upgrade.mirrored_frames},
         ))
         self._active.pop((upgrade.pipeline.name, upgrade.module_name), None)
-        if self.auditor is not None:
-            self.auditor.on_upgrade_finished(self, upgrade)
 
     # -- inspection ----------------------------------------------------------
     def active_upgrades(self) -> list[ModuleUpgrade]:
@@ -461,17 +454,13 @@ class LiveOpsManager:
 
     def snapshot(self) -> dict[str, Any]:
         """The ``liveops`` section of ``VideoPipe.snapshot()``: every
-        upgrade's state plus lineage counters."""
+        upgrade's state (the home adds the lineage recorder's counters)."""
         states = {MIRRORING: 0, PROMOTED: 0, ROLLED_BACK: 0}
         for upgrade in self.upgrades:
             states[upgrade.state] += 1
         return {
             "upgrades": [u.describe() for u in self.upgrades],
             "counts": states,
-            "lineage": {
-                "frames_recorded": self.lineage.frame_count,
-                "touches": self.lineage.touches,
-            },
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -42,9 +42,9 @@ class Transport:
         self.sent_count = 0
         self.delivered_count = 0
         self.failed_count = 0
-        #: The home's :class:`~repro.audit.auditor.InvariantAuditor`, or
-        #: ``None`` while auditing is off (set by ``watch_transport``).
-        self.auditor: Any = None
+        #: Who hears of each send and its settlement: the auditor's mirror
+        #: of this transport, or ``None`` (set by ``VideoPipe._wire_device``).
+        self.observer: Any = None
 
     @property
     def closed(self) -> bool:
@@ -91,8 +91,8 @@ class Transport:
             raise NetworkError("message needs a src address for routing")
         message.sent_at = self.kernel.now
         self.sent_count += 1
-        if self.auditor is not None:
-            self.auditor.on_message_sent(self, message)
+        if self.observer is not None:
+            self.observer.sent(message)
         done = self.kernel.signal(name=f"send#{message.msg_id}")
         if self._closed:
             self._count_failure(message)
@@ -116,8 +116,8 @@ class Transport:
 
     def _count_failure(self, message: Message) -> None:
         self.failed_count += 1
-        if self.auditor is not None:
-            self.auditor.on_message_failed(self, message)
+        if self.observer is not None:
+            self.observer.settled(message)
 
     def _route(self, message: Message) -> Signal:
         """Return the arrival signal for the message's bytes. Overridden by
@@ -149,8 +149,8 @@ class Transport:
             return
         message.delivered_at = self.kernel.now
         self.delivered_count += 1
-        if self.auditor is not None:
-            self.auditor.on_message_delivered(self, message)
+        if self.observer is not None:
+            self.observer.settled(message)
         handler(message)
         done.succeed(self.kernel.now)
 

@@ -152,8 +152,6 @@ def _without_stale_refs(payload, store, wiring, actor):
     payload = replace_leaves(payload, FrameRef, drop)
     if stale:
         wiring.metrics.increment("ownership_breaches", len(stale))
-        if store.auditor is not None:
-            store.auditor.record("frame-ref-conservation",
-                                 f"framestore/{store.device}",
-                                 f"{actor} raised after releasing its input")
+        if store.observer is not None:
+            store.observer.breached(actor)
     return payload

@@ -38,14 +38,6 @@ from ..sim.kernel import Kernel
 from ..sim.process import Process
 from ..sim.resources import Resource
 from ..sim.signals import Signal
-from ..trace.span import (
-    CAT_COMPUTE,
-    CAT_MARK,
-    CAT_QUEUE,
-    CAT_SERIALIZE,
-    CAT_WIRE,
-    SpanContext,
-)
 from .base import Service, ServiceCallContext
 from .cache import MISS, ResultCache, payload_cache_key
 
@@ -58,7 +50,7 @@ class _Call(NamedTuple):
     done: Signal
     key: str | None  #: result-cache key, None when uncacheable
     admitted_at: float
-    trace: SpanContext | None
+    trace: Any  #: the caller's trace context, None while nobody observes
 
     def fail(self, why: str) -> None:
         if self.done.pending:
@@ -138,9 +130,11 @@ class ServiceHost:
         self.batched_calls = 0
         #: dispatch-size histogram (only populated while batching is on).
         self.batch_size_counts: Counter[int] = Counter()
-        #: the home's :class:`~repro.trace.recorder.TraceRecorder`, or
-        #: ``None`` while tracing is off (set by ``enable_tracing``).
-        self.tracer: Any = None
+        #: Who hears of each call's server-side events (arrival off the
+        #: wire, cache hit, wait, decode, compute): the home's
+        #: :class:`~repro.trace.recorder.TraceRecorder`, or ``None``
+        #: (set by ``VideoPipe._wire_host``).
+        self.observer: Any = None
 
     @property
     def service_name(self) -> str:
@@ -257,49 +251,34 @@ class ServiceHost:
             self.cache_hits += 1
         return key, value
 
-    # -- tracing -------------------------------------------------------------
-    def _trace_span(self, trace: SpanContext | None, name: str, category: str,
-                    start: float, end: float, **attrs: Any) -> None:
-        """Record a server-side span under the caller's call context; a
-        no-op whenever tracing is off or the call carried no context."""
-        if self.tracer is None or trace is None:
-            return
-        self.tracer.record(
-            name, category, parent=trace, start=start, end=end,
-            device=self.device.name, actor=f"service:{self.service_name}",
-            **attrs,
-        )
-
     # -- call paths -----------------------------------------------------------
-    def call_local(self, payload: Any, trace: SpanContext | None = None) -> Signal:
+    def call_local(self, payload: Any, trace: Any = None) -> Signal:
         """Co-located call: refs resolve in-place, nothing is serialized.
 
         With a result cache attached, a repeated payload returns an
         already-succeeded signal: no worker, no queueing, no simulated CPU.
         """
-        return self._admit(payload, trace, off_wire=False)
+        return self._admit(payload, trace, None)
 
     def _handle_remote(self, payload: Any, message: Message) -> Signal:
         """Remote call: a local call plus the frame decode, paid before the
         service sees the data."""
-        trace = None
-        if self.tracer is not None:
-            trace = SpanContext.from_header(message.headers.get(H_TRACE))
-            if message.sent_at is not None and message.delivered_at is not None:
-                self._trace_span(
-                    trace, "rpc.transfer", CAT_WIRE,
-                    start=message.sent_at, end=message.delivered_at,
-                    bytes=message.size_bytes,
-                    src=message.src.device if message.src else "?",
-                )
-        return self._admit(payload, trace, off_wire=True)
+        return self._admit(payload, message.headers.get(H_TRACE), message)
 
-    def _admit(self, payload: Any, trace: SpanContext | None,
-               off_wire: bool) -> Signal:
+    def _admit(self, payload: Any, trace: Any, message: Message | None) -> Signal:
         """The one way in, for both entry points: count the call, refuse it
         while down, answer it from the result cache, decode what came off
         the wire, then queue it for batch formation — or, on a host that
-        does not batch, dispatch it at once as a batch of one."""
+        does not batch, dispatch it at once as a batch of one.
+
+        *trace* is the caller's trace context (the ``H_TRACE`` header
+        value), handed to the observer unread; *message* is the request
+        that brought the call off the wire, ``None`` for a local call."""
+        off_wire = message is not None
+        if self.observer is None:
+            trace = None
+        elif trace is not None and off_wire:
+            self.observer.rpc_received(self, trace, message)
         if off_wire:
             self.remote_calls += 1
         else:
@@ -314,8 +293,8 @@ class ServiceHost:
         # skips the decode as well as the service execution
         key, cached = self._cache_lookup(payload)
         if cached is not MISS:
-            now = self.kernel.now
-            self._trace_span(trace, "cache.hit", CAT_MARK, start=now, end=now)
+            if trace is not None:
+                self.observer.cache_hit(self, trace)
             return done.succeed(cached)
         decode_cost = 0.0
         if off_wire:
@@ -354,23 +333,18 @@ class ServiceHost:
             # room on the remaining replicas
             self._pump_batches()
             started = self.kernel.now
-            queue_span = "service.batch_wait" if formed else "service.queue"
             for call in items:
                 self.total_wait_s += started - call.admitted_at
-                if started > call.admitted_at:
-                    self._trace_span(
-                        call.trace, queue_span, CAT_QUEUE,
-                        start=call.admitted_at, end=started,
-                    )
+                if call.trace is not None:
+                    self.observer.call_waited(self, call.trace, formed,
+                                              call.admitted_at, started)
             decode_cost = sum(call.decode_cost for call in items)
             if decode_cost > 0:
                 yield self.device.cpu.execute_fixed(decode_cost)
                 for call in items:
-                    if call.decode_cost > 0:
-                        self._trace_span(
-                            call.trace, "rpc.deserialize", CAT_SERIALIZE,
-                            start=started, end=self.kernel.now,
-                        )
+                    if call.decode_cost > 0 and call.trace is not None:
+                        self.observer.call_decoded(self, call.trace, started,
+                                                   self.kernel.now)
             resolved: dict[int, Any] = {}  # the payloads that run
             for index, call in enumerate(items):
                 try:
@@ -406,13 +380,11 @@ class ServiceHost:
                         results[index] = self.service.handle(payload, self._ctx)
                     except Exception as exc:
                         failed[index] = exc
-            batch_size = {"batch_size": len(items)} if formed else {}
             for index in resolved:
-                self._trace_span(
-                    items[index].trace, f"service.compute:{self.service_name}",
-                    CAT_COMPUTE, start=compute_started, end=self.kernel.now,
-                    **batch_size,
-                )
+                if items[index].trace is not None:
+                    self.observer.call_computed(
+                        self, items[index].trace, compute_started,
+                        self.kernel.now, len(items) if formed else None)
             self.total_busy_s += self.kernel.now - started
             if formed:
                 self.batched_calls += 1

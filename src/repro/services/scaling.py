@@ -19,7 +19,6 @@ period; the invariant auditor flags any pair of events closer than that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..actions import Action
 from ..sim.kernel import Kernel, Ticker
@@ -80,9 +79,6 @@ class AutoScaler:
         #: built this autoscaler).
         self.actions = [] if actions is None else actions
         self._ticker: Ticker | None = None
-        #: The home's :class:`~repro.audit.auditor.InvariantAuditor`, or
-        #: ``None`` while auditing is off (set by ``watch_autoscaler``).
-        self.auditor: Any = None
 
     def watch(self, host: ServiceHost) -> None:
         """Add a host to the watch list (before or after start).
@@ -165,7 +161,5 @@ class AutoScaler:
             evidence={"from_replicas": before, "to_replicas": host.replicas,
                       "avg_queue": avg_queue},
         )
-        self.actions.append(action)
         self._last_event_at[host] = self.kernel.now
-        if self.auditor is not None:
-            self.auditor.on_scaling_event(self, action)
+        self.actions.append(action)

@@ -79,9 +79,10 @@ class ServiceStub:
     def call(self, payload: Any, trace: Any = None) -> Signal:
         """Invoke the service; the signal resolves with the result.
 
-        *trace* is the caller's pre-minted span context for this call (a
-        :class:`~repro.trace.span.SpanContext`), or ``None`` when tracing
-        is off; the callee parents its queue/compute spans to it.
+        *trace* is the caller's trace context for this call, in its
+        ``H_TRACE`` header form, or ``None`` when tracing is off; the stub
+        and the callee carry it unread to the host's observer, which
+        parents its queue/compute spans to it.
         """
         raise NotImplementedError
 
@@ -171,7 +172,7 @@ class RemoteServiceStub(ServiceStub):
         ).done
 
     def _call(self, wire_payload: Any, encode_cost: float, trace: Any = None):
-        headers = {H_TRACE: trace.header()} if trace is not None else None
+        headers = {H_TRACE: trace} if trace is not None else None
         try:
             started = self.kernel.now
             if encode_cost > 0:

@@ -12,9 +12,9 @@ degradation ladder (:mod:`repro.slo.ladder`):
   fidelity.
 
 Actions on one pipeline are additionally spaced ``hysteresis_s`` apart in
-*time*, whichever direction they go — the auditor's ladder invariants
-(:meth:`~repro.audit.auditor.InvariantAuditor.on_slo_action`) hold the
-controller to that.
+*time*, whichever direction they go — the auditor's ladder invariants,
+checked on each action the home's log receives, hold the controller to
+that.
 
 The controller also owns deploy-time admission
 (:class:`~repro.slo.admission.AdmissionController`) and the queue of
@@ -129,7 +129,8 @@ class SLOController:
         #: Where each ladder action is recorded: the home's log.
         self.actions: list[Action] = home.actions
         self._ticker: Ticker | None = None
-        #: The home's auditor, or ``None`` (set by ``watch_slo``).
+        #: The home's auditor, told of each admission decision, or ``None``
+        #: (set by ``VideoPipe._wire``).
         self.auditor: Any = None
 
     # -- enrollment ----------------------------------------------------------
@@ -230,8 +231,6 @@ class SLOController:
         )
         enrollment.last_action_at = now
         self.actions.append(action)
-        if self.auditor is not None:
-            self.auditor.on_slo_action(self, action)
 
     def ladder_actions(self, pipeline: str | None = None) -> list[Action]:
         """This controller's actions, oldest first (for one pipeline when
@@ -249,15 +248,18 @@ class SLOController:
         """Price one deploy request (the facade calls this from
         :meth:`~repro.core.videopipe.VideoPipe.deploy_pipeline`)."""
         self.metrics.increment("deploys_requested")
-        decision = self.admission.decide(
-            config, placement, on_reject=QUEUED if queue else REJECTED
-        )
+        decision = self._decide(config, placement, QUEUED if queue else REJECTED)
         if decision.action == ADMITTED:
             self.metrics.increment("deploys_admitted")
         elif decision.action == REJECTED:
             self.metrics.increment("deploys_rejected")
+        return decision
+
+    def _decide(self, config: "PipelineConfig", placement,
+                on_reject: str) -> AdmissionDecision:
+        decision = self.admission.decide(config, placement, on_reject=on_reject)
         if self.auditor is not None:
-            self.auditor.on_admission(self, decision)
+            self.auditor.check_admission(decision)
         return decision
 
     def enqueue(
@@ -305,11 +307,7 @@ class SLOController:
                 )
             except Exception:
                 return  # cannot even plan right now; retry next tick
-            decision = self.admission.decide(
-                item.config, placement, on_reject=QUEUED
-            )
-            if self.auditor is not None:
-                self.auditor.on_admission(self, decision)
+            decision = self._decide(item.config, placement, QUEUED)
             if decision.action != ADMITTED:
                 return  # head still does not fit; keep FIFO order
             self._queue.pop(0)

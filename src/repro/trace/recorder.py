@@ -2,8 +2,9 @@
 
 One :class:`TraceRecorder` serves a whole home, reading time from the
 shared kernel. It subscribes to every pipeline's frame events
-(``runtime/observe.py``) and turns them into spans; service hosts record
-their own server-side spans into it. Root spans — one per admitted frame —
+(``runtime/observe.py``) and turns them into spans, and each service host
+tells it of a traced call's server-side events, which it turns into spans
+too. Root spans — one per admitted frame —
 stay *open* from ``frame_started`` until ``frame_finished`` (or
 ``frame_dropped``), so a frame's end-to-end span has the true completion
 time; child spans are recorded retrospectively with explicit start/end.
@@ -44,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.context import ModuleContext
     from ..runtime.events import ModuleEvent
     from ..runtime.wiring import PipelineWiring
+    from ..services.host import ServiceHost
     from ..services.stubs import ServiceStub
     from ..sim.kernel import Kernel
 
@@ -261,7 +263,7 @@ class TraceRecorder(FrameObserver):
             # itself is recorded when the signal resolves
             call_ctx = self.child_context(parent)
             started, is_local = self.kernel.now, stub.is_local
-            signal = call(payload, trace=call_ctx)
+            signal = call(payload, trace=call_ctx.header())
 
             def _record(_value: Any, exc: BaseException | None) -> None:
                 if not is_local and stub.last_prepare_s > 0:
@@ -300,6 +302,54 @@ class TraceRecorder(FrameObserver):
                 device: str, actor: str) -> None:
         self.frame_dropped(trace_id_for(wiring.pipeline_name, frame_id),
                            device=device, actor=actor, reason=reason)
+
+    # -- service host events (services/host.py) ----------------------------------
+    # *trace* is the call's context as the caller sent it (a header value)
+
+    def _record_served(self, host: "ServiceHost", trace: Any, name: str,
+                       category: str, start: float, end: float,
+                       **attrs: Any) -> None:
+        """A span of *host*'s service under the caller's call span."""
+        parent = SpanContext.from_header(trace)
+        if parent is not None:
+            self.record(name, category, parent=parent, start=start, end=end,
+                        device=host.device.name,
+                        actor=f"service:{host.service_name}", **attrs)
+
+    def rpc_received(self, host: "ServiceHost", trace: Any,
+                     message: "Message") -> None:
+        if message.sent_at is not None and message.delivered_at is not None:
+            self._record_served(
+                host, trace, "rpc.transfer", CAT_WIRE, message.sent_at,
+                message.delivered_at, bytes=message.size_bytes,
+                src=message.src.device if message.src else "?")
+
+    def cache_hit(self, host: "ServiceHost", trace: Any) -> None:
+        now = self.kernel.now
+        self._record_served(host, trace, "cache.hit", CAT_MARK, now, now)
+
+    def call_waited(self, host: "ServiceHost", trace: Any, formed: bool,
+                    start: float, end: float) -> None:
+        """Admission to a worker: the batcher's wait when it *formed* the
+        dispatch, the worker queue's otherwise."""
+        if end > start:
+            self._record_served(
+                host, trace,
+                "service.batch_wait" if formed else "service.queue",
+                CAT_QUEUE, start, end)
+
+    def call_decoded(self, host: "ServiceHost", trace: Any, start: float,
+                     end: float) -> None:
+        self._record_served(host, trace, "rpc.deserialize", CAT_SERIALIZE,
+                            start, end)
+
+    def call_computed(self, host: "ServiceHost", trace: Any, start: float,
+                      end: float, batch_size: int | None) -> None:
+        """*batch_size* is the formed batch's, ``None`` for a solo call."""
+        attrs = {} if batch_size is None else {"batch_size": batch_size}
+        self._record_served(host, trace,
+                            f"service.compute:{host.service_name}",
+                            CAT_COMPUTE, start, end, **attrs)
 
     # -- introspection ----------------------------------------------------------
     @property

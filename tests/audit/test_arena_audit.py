@@ -32,7 +32,7 @@ def auditor(kernel):
 class TestArenaConservation:
     def test_clean_lifecycle_stays_clean(self, auditor):
         arena = FrameArena("phone")
-        auditor.watch_arena(arena)
+        arena.observer = auditor.watch_arena(arena)
         handle = arena.alloc(1024)
         arena.free(handle)
         assert auditor.check_now() == []
@@ -40,7 +40,7 @@ class TestArenaConservation:
 
     def test_stale_access_trips_the_auditor(self, auditor):
         arena = FrameArena("phone")
-        auditor.watch_arena(arena)
+        arena.observer = auditor.watch_arena(arena)
         handle = arena.alloc(64)
         arena.free(handle, reason=EVICTED)
         with pytest.raises(StaleHandleError):
@@ -53,10 +53,10 @@ class TestArenaConservation:
 
     def test_skipped_alloc_notification_flags_mirror_divergence(self, auditor):
         arena = FrameArena("phone")
-        auditor.watch_arena(arena)
-        arena.auditor = None  # a buggy alloc path that skips its report
-        arena.alloc(64)
-        arena.auditor = auditor
+        arena.observer = auditor.watch_arena(arena)
+        mirror, arena.observer = arena.observer, None
+        arena.alloc(64)  # a buggy alloc path that skips its report
+        arena.observer = mirror
         violations = auditor.check_now()
         assert any(v.invariant == "arena-conservation" for v in violations)
 
@@ -64,8 +64,8 @@ class TestArenaConservation:
         store = FrameStore("phone", dedup=True, retain_limit=1)
         arena = FrameArena("phone")
         store.attach_arena(arena)
-        auditor.watch_store(store)
-        auditor.watch_arena(arena)
+        store.observer = auditor.watch_store(store)
+        arena.observer = auditor.watch_arena(arena)
         first = store.put(make_frame(fill=1))
         first_handle = store.handle_of(first)
         store.release(first)
@@ -81,7 +81,7 @@ class TestArenaConservation:
     def test_mid_run_watch_mirrors_existing_slots(self, auditor):
         arena = FrameArena("phone")
         keep = arena.alloc(64)
-        auditor.watch_arena(arena)
+        arena.observer = auditor.watch_arena(arena)
         assert auditor.check_now() == []
         arena.free(keep)
         assert auditor.check_quiesce() == []
@@ -90,8 +90,8 @@ class TestArenaConservation:
         store = FrameStore("phone")
         arena = FrameArena("phone")
         store.attach_arena(arena)
-        auditor.watch_store(store)
-        auditor.watch_arena(arena)
+        store.observer = auditor.watch_store(store)
+        arena.observer = auditor.watch_arena(arena)
         ref = store.put(make_frame())
         # simulate a buggy delete that forgets the arena: the store entry
         # dies but the slot stays live
@@ -108,8 +108,8 @@ class TestArenaConservation:
         store = FrameStore("phone", dedup=True, retain_limit=4)
         arena = FrameArena("phone")
         store.attach_arena(arena)
-        auditor.watch_store(store)
-        auditor.watch_arena(arena)
+        store.observer = auditor.watch_store(store)
+        arena.observer = auditor.watch_arena(arena)
         ref = store.put(make_frame())
         store.release(ref)  # zero refcount, retained as a dedup target
         assert arena.live_count == 1  # the slot legitimately stays

@@ -109,7 +109,7 @@ class TestKernelHygiene:
 class TestFrameRefConservation:
     def test_balanced_holds_leave_no_live_refs(self, auditor):
         store = FrameStore("phone", capacity=8)
-        auditor.watch_store(store)
+        store.observer = auditor.watch_store(store)
         ref = store.put(b"frame")
         ref2 = store.add_ref(ref)
         store.release(ref)
@@ -118,7 +118,7 @@ class TestFrameRefConservation:
 
     def test_leaked_ref_is_attributed_at_quiesce(self, auditor):
         store = FrameStore("phone", capacity=8)
-        auditor.watch_store(store)
+        store.observer = auditor.watch_store(store)
         store.put(b"leaked")
         violations = auditor.check_quiesce()
         assert len(violations) == 1
@@ -130,18 +130,18 @@ class TestFrameRefConservation:
 
     def test_negative_refcount_is_flagged(self, auditor):
         store = FrameStore("phone", capacity=8)
-        auditor.watch_store(store)
+        store.observer = auditor.watch_store(store)
         # simulate a component double-releasing behind the store's back
-        auditor.on_ref_release(store, 1, -1)
+        store.observer.released(1, -1)
         assert auditor.violations
         assert "negative" in auditor.violations[0].detail
 
     def test_watch_is_idempotent_and_mirrors_existing_refs(self, auditor):
         store = FrameStore("phone", capacity=8)
         ref = store.put(b"pre-existing")
-        auditor.watch_store(store)
-        auditor.watch_store(store)
-        assert len(auditor._stores) == 1
+        store.observer = auditor.watch_store(store)
+        assert auditor.watch_store(store) is store.observer
+        assert len(auditor._mirrors) == 1
         store.release(ref)
         assert auditor.check_quiesce() == []
 

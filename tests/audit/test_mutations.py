@@ -10,6 +10,7 @@ sweep fails even where no functional assertion notices.
 
 import pytest
 
+from repro.actions import ActionLog
 from repro.apps import (
     fitness_pipeline_config,
     install_fitness_services,
@@ -43,9 +44,12 @@ def _explicit_auditors_only(monkeypatch):
 
 
 class MiniHome:
-    """Two-device harness without the facade (mirrors tests/services)."""
+    """Two-device harness without the facade (mirrors tests/services), with
+    the action log and controller slots the auditor's action mirror reads."""
 
     def __init__(self, seed=1):
+        self.actions = ActionLog()
+        self.autoscaler = self.slo = self.liveops = None
         self.kernel = Kernel()
         self.rng = RngStreams(seed=seed)
         self.topology = Topology(self.kernel, self.rng)
@@ -111,7 +115,7 @@ class TestLostMessage:
     def test_silently_dropped_delivery_trips_conservation(self, monkeypatch):
         home = MiniHome()
         auditor = InvariantAuditor(home.kernel)
-        auditor.watch_transport(home.transport)
+        home.transport.observer = auditor.watch_transport(home.transport)
         self._sender(home)
 
         original = BrokerlessTransport._deliver
@@ -142,7 +146,7 @@ class TestLostMessage:
     def test_undropped_run_is_clean(self):
         home = MiniHome()
         auditor = InvariantAuditor(home.kernel)
-        auditor.watch_transport(home.transport)
+        home.transport.observer = auditor.watch_transport(home.transport)
         received = self._sender(home)
         home.kernel.run(until=2.0)
         assert len(received) == 5
@@ -184,8 +188,9 @@ class TestAutoscalerBurst:
         host = ServiceHost(home.kernel, home.desktop, service, home.transport)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
                                max_replicas=6)
-        scaler = BuggyAutoScaler(home.kernel, policy)
-        auditor.watch_autoscaler(scaler)
+        scaler = home.autoscaler = BuggyAutoScaler(home.kernel, policy,
+                                                   home.actions)
+        home.actions.observer = auditor.watch_actions(home)
         scaler.watch(host)
         scaler.start()
         self._overload(home, host)
@@ -206,8 +211,9 @@ class TestAutoscalerBurst:
         host = ServiceHost(home.kernel, home.desktop, service, home.transport)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
                                max_replicas=6)
-        scaler = AutoScaler(home.kernel, policy)
-        auditor.watch_autoscaler(scaler)
+        scaler = home.autoscaler = AutoScaler(home.kernel, policy,
+                                              home.actions)
+        home.actions.observer = auditor.watch_actions(home)
         scaler.watch(host)
         scaler.start()
         self._overload(home, host)
@@ -245,8 +251,9 @@ class TestAutoscalerBound:
         host = ServiceHost(home.kernel, home.desktop, service, home.transport)
         policy = ScalingPolicy(check_interval_s=0.1, queue_threshold=1.0,
                                max_replicas=2)
-        scaler = scaler_class(home.kernel, policy)
-        auditor.watch_autoscaler(scaler)
+        scaler = home.autoscaler = scaler_class(home.kernel, policy,
+                                                home.actions)
+        home.actions.observer = auditor.watch_actions(home)
         scaler.watch(host)
         scaler.start()
         TestAutoscalerBurst()._overload(home, host)
@@ -357,7 +364,7 @@ class TestLostRpcReply:
     def test_swallowed_reply_and_timeout_names_the_client(self, monkeypatch):
         home = MiniHome()
         auditor = InvariantAuditor(home.kernel)
-        auditor.watch_transport(home.transport)
+        home.transport.observer = auditor.watch_transport(home.transport)
         original = RpcClient._on_reply
 
         def lossy(self, message):
@@ -382,7 +389,7 @@ class TestLostRpcReply:
     def test_unswallowed_run_is_clean_and_close_unlists_the_client(self):
         home = MiniHome()
         auditor = InvariantAuditor(home.kernel)
-        auditor.watch_transport(home.transport)
+        home.transport.observer = auditor.watch_transport(home.transport)
         client, results = self._calls(home)
         home.kernel.run()
         assert [r.value for r in results] == [0, 1, 2]

@@ -54,11 +54,11 @@ class TestFacade:
         first = VideoPipe.paper_testbed(seed=1)
         first.enable_audit()
         first.enable_data_plane()
-        assert first.device("desktop").arena.auditor is first.auditor
+        assert first.device("desktop").arena.observer.auditor is first.auditor
         second = VideoPipe.paper_testbed(seed=1)
         second.enable_data_plane()
         second.enable_audit()
-        assert second.device("desktop").arena.auditor is second.auditor
+        assert second.device("desktop").arena.observer.auditor is second.auditor
 
     def test_stats_aggregate_across_devices(self):
         home = VideoPipe.paper_testbed(seed=1)

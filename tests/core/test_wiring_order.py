@@ -104,22 +104,25 @@ def interleavings(draw, features=tuple(FEATURES)):
 def snapshot(home):
     """Who is attached to what — everything the wiring functions decide."""
     auditor, tracer = home.auditor, home.tracer
+
+    def audited(component):
+        return getattr(component.observer, "auditor", None) is auditor
+
     hosts = [host for name in home.registry.service_names()
              for host in home.registry.hosts_of(name)]
     return {
         "audited_stores": sorted(
             name for name, device in home.devices.items()
-            if device.frame_store.auditor is auditor),
+            if audited(device.frame_store)),
         "audited_arenas": sorted(
             name for name, device in home.devices.items()
-            if device.arena is not None and device.arena.auditor is auditor),
-        "audited_transport": home.transport.auditor is auditor,
+            if device.arena is not None and audited(device.arena)),
+        "audited_transport": audited(home.transport),
         "audited_collectors": sorted(
             p.name for p in home.pipelines
             if auditor.watch_metrics(p.metrics) in p.wiring.observers),
-        "audited_controllers": [
-            controller.auditor is auditor
-            for controller in (home.autoscaler, home.slo, home.liveops)],
+        "audited_actions": audited(home.actions),
+        "audited_admissions": home.slo.auditor is auditor,
         "dedup_stores": sorted(
             (name, device.frame_store.retain_limit)
             for name, device in home.devices.items()
@@ -131,7 +134,7 @@ def snapshot(home):
             name for name, device in home.devices.items()
             if device.replica_pool is not None),
         "hosts": sorted(
-            (host.service_name, host.tracer is tracer,
+            (host.service_name, host.observer is tracer,
              host.pool is host.device.replica_pool,
              host.result_cache is not None, host.batch_wait_s)
             for host in hosts),
@@ -162,7 +165,7 @@ def test_canonical_snapshot_is_fully_wired():
     assert wired["audited_arenas"] == everything
     assert wired["audited_transport"]
     assert wired["audited_collectors"] == ["order"]
-    assert wired["audited_controllers"] == [True, True, True]
+    assert wired["audited_actions"] and wired["audited_admissions"]
     assert wired["hosts"] == [
         ("fleet_alerter", True, True, False, 0.0),
         ("fleet_classifier", True, True, False, 0.0),

@@ -90,9 +90,11 @@ class TestCleanOnCorrectCode:
         assert pipeline.metrics.counter("frames_completed") > 30
         assert home.check_invariants() == []
         # everything the facade wired got watched
-        assert auditor._stores
-        assert auditor._transports
-        assert auditor._metrics
+        assert all(device.frame_store.observer.auditor is auditor
+                   for device in home.devices.values())
+        assert home.transport.observer.auditor is auditor
+        assert auditor.watch_metrics(pipeline.metrics) in pipeline.wiring.observers
+        assert home.actions.observer.auditor is auditor
 
 
 class TestFacadeWiring:

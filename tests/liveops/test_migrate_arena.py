@@ -89,8 +89,8 @@ class TestMigrateRetiresArenaSlots:
         pipeline = home.deploy_pipeline(two_stage_config(),
                                         default_device="phone")
         store = home.device("phone").frame_store
-        auditor.watch_store(store)
-        auditor.watch_arena(store.arena)
+        store.observer = auditor.watch_store(store)
+        store.arena.observer = auditor.watch_arena(store.arena)
         ref, handle = queue_arena_frame(pipeline, "consumer", 802)
 
         home.migrate_module(pipeline, "consumer", "desktop")

@@ -232,7 +232,8 @@ class TestFanInDrainMutation:
             auditor = InvariantAuditor(home.kernel)
 
             def plant(deployed):
-                auditor.watch_store(deployed.runtime.device.frame_store)
+                store = deployed.runtime.device.frame_store
+                store.observer = auditor.watch_store(store)
                 auditor.watch_metrics(deployed.ctx.metrics)
                 plant_events(deployed, 804, copies=2)
 

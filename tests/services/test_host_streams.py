@@ -95,7 +95,7 @@ class Script:
     def _host(self, service, replicas):
         host = ServiceHost(self.kernel, self.home.desktop, service,
                            self.home.transport, replicas=replicas)
-        host.tracer = TraceRecorder(self.kernel)
+        host.observer = TraceRecorder(self.kernel)
         if self.pool is not None:
             host.attach_pool(self.pool)
         return host
@@ -109,7 +109,8 @@ class Script:
                 make_frame(frame_id=index, fill=payload["frame"]))
         entry = {"call": f"{kind}{index}", "issued_at": self.kernel.now}
         self.calls.append(entry)
-        signal = call(payload, trace=SpanContext(entry["call"], 1000 + index))
+        signal = call(payload,
+                      trace=SpanContext(entry["call"], 1000 + index).header())
         signal.wait(self._resolved, entry)
 
     def _resolved(self, entry, value, exc):
@@ -172,7 +173,7 @@ class Script:
             "spans": [
                 [span.trace_id, span.name, span.category,
                  round(span.start, 12), round(span.end, 12), span.attrs]
-                for span in host.tracer.spans],
+                for span in host.observer.spans],
         }
 
 

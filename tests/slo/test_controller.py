@@ -237,7 +237,7 @@ class TestAuditedInvariants:
         # *wants* violations, which the REPRO_AUDIT teardown gate exempts
         # only for non-env auditors
         auditor = InvariantAuditor(home.kernel)
-        auditor.watch_slo(controller)
+        home.actions.observer = auditor.watch_actions(home)
         enrollment = controller.enrollment("fitness")
         step = enrollment.ladder[0]
         # two actions closer than hysteresis_s: the auditor flags pacing
