@@ -4,11 +4,14 @@ Every (feature x resource) attachment used to be written twice in the
 facade — once where the resource was admitted, once in the feature's
 ``enable_*`` replay loop — and the copies drifted (DESIGN.md §5). A
 new copy needs one of the attach primitives below, or to set a wiring's
-frame observers; this test forbids both outside ``VideoPipe._wire*``.
+frame observers, or to fill a component's observer slot; this test forbids
+all of these outside ``VideoPipe._wire*``.
 
-The frame events have one path too (``runtime/observe.py``): nothing under
-``runtime/`` or ``metrics/`` reads a tracer, lineage recorder or auditor —
-the observers subscribe instead.
+Observers subscribe; components report. The frame events have one path
+(``runtime/observe.py``), a frame store, arena, transport, service host or
+action log tells the one observer in its slot, and nothing under the
+packages in :data:`REPORTING_PACKAGES` reads a tracer, lineage recorder or
+auditor — except the SLO controller's admission hook.
 """
 
 import ast
@@ -20,15 +23,20 @@ FACADE = "core/videopipe.py"
 
 ATTACH_CALLS = {
     "watch_store", "watch_arena", "watch_metrics", "watch_transport",
-    "watch_autoscaler", "watch_slo", "watch_liveops",
+    "watch_actions",
 }
-OBSERVER_ATTRS = {"observers"}
-#: What the runtime and the collector must not reach for: each is an
-#: observer of the frame events, not something the emit sites call.
+#: A wiring's frame observers, a component's observer slot, and the SLO
+#: controller's auditor.
+OBSERVER_ATTRS = {"observers", "observer", "auditor"}
+#: What a component must not reach for: each is an observer of the events
+#: it reports, not something its report sites call.
 OBSERVER_NAMES = {"tracer", "lineage", "auditor"}
-#: ``(file, expression)`` reads that are not frame events: settlement's
-#: stale-ref drop reports an ownership breach to the store's auditor.
-OBSERVER_READS_ALLOWED = {("runtime/settlement.py", "store.auditor")}
+#: The packages whose components report events.
+REPORTING_PACKAGES = ("runtime", "metrics", "frames", "net", "services",
+                      "slo", "liveops")
+#: ``(file, expression)`` reads that are not events of a slot: an admission
+#: decision is not an action, so the SLO controller hands it to the auditor.
+OBSERVER_READS_ALLOWED = {("slo/controller.py", "self.auditor")}
 
 
 class WiringSites(ast.NodeVisitor):
@@ -89,8 +97,10 @@ def test_each_attach_primitive_has_one_call_site():
 
 def attribute_read(node):
     """The attribute *node* reads: ``x.name``, or ``getattr(x, "name")``
-    (and ``hasattr``) with a literal name; ``None`` for anything else."""
-    if isinstance(node, ast.Attribute):
+    (and ``hasattr``) with a literal name; ``None`` for anything else (an
+    assignment such as ``self.lineage = LineageRecorder(...)`` is a write:
+    the live-ops manager owns the recorder the home subscribes)."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         return node.attr
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
@@ -101,9 +111,9 @@ def attribute_read(node):
 
 def observer_reads():
     """``(file, expression)`` for every read of a tracer, lineage recorder
-    or auditor attribute under ``runtime/`` and ``metrics/``."""
+    or auditor attribute under the reporting packages."""
     found = set()
-    for package in ("runtime", "metrics"):
+    for package in REPORTING_PACKAGES:
         for path in sorted((SRC / package).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if attribute_read(node) in OBSERVER_NAMES:
@@ -118,7 +128,8 @@ def test_the_runtime_reads_no_observer():
 
 
 def test_the_runtime_imports_nothing_from_trace():
-    for path in sorted((SRC / "runtime").rglob("*.py")):
+    paths = [*(SRC / "runtime").rglob("*.py"), *(SRC / "services").rglob("*.py")]
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
