@@ -443,7 +443,7 @@ class _FrameMirror(_Mirror, FrameObserver):
                 f"collector reports {collector.frames_in_flight} frame(s)"
                 f" in flight but admitted-minus-settled is {in_flight} —"
                 " frame_dropped/frame_completed is not pruning"
-                " _frame_started (the PR-3 leak class)",
+                " _frame_started",
             )
         if self.entered != (self.completed_admitted + self.dropped_admitted
                             + in_flight):

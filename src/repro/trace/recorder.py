@@ -2,10 +2,9 @@
 
 One :class:`TraceRecorder` serves a whole home, reading time from the
 shared kernel. It subscribes to every pipeline's frame events
-(``runtime/observe.py``) and turns them into spans, and each service host
-tells it of a traced call's server-side events, which it turns into spans
-too. Root spans — one per admitted frame —
-stay *open* from ``frame_started`` until ``frame_finished`` (or
+(``runtime/observe.py``) and to each service host's server-side events of
+a traced call, and turns both into spans. Root spans — one per admitted
+frame — stay *open* from ``frame_started`` until ``frame_finished`` (or
 ``frame_dropped``), so a frame's end-to-end span has the true completion
 time; child spans are recorded retrospectively with explicit start/end.
 
