@@ -494,19 +494,21 @@ class _ActionMirror(_Mirror):
         self.laddered_at: dict[str, float] = {}  # pipeline -> last rung moved
         self.stacks: dict[str, list[str]] = {}  # pipeline -> applied rungs
         # controllers built before the audit start from their current state
-        slo, liveops = home.slo, home.liveops
-        counters = slo.metrics.counters() if slo is not None else {}
-        self.deploys = {key: counters.get(key, 0) for key in _DEPLOY_COUNTERS}
-        self.deploys["queued_now"] = len(slo.queued) if slo is not None else 0
-        for enrollment in slo.enrollments if slo is not None else ():
-            name = enrollment.pipeline.config.name
-            self.stacks[name] = enrollment.applied_steps()
-            if enrollment.last_action_at is not None:
-                self.laddered_at[name] = enrollment.last_action_at
-        self.verdicts = Counter(
-            upgrade.state for upgrade in
-            (liveops.upgrades if liveops is not None else ())
-            if upgrade.state in _VERDICTS)
+        self.deploys = dict.fromkeys((*_DEPLOY_COUNTERS, "queued_now"), 0)
+        slo = home.slo
+        if slo is not None:
+            counters = slo.metrics.counters()
+            for key in _DEPLOY_COUNTERS:
+                self.deploys[key] = counters.get(key, 0)
+            self.deploys["queued_now"] = len(slo.queued)
+            for enrollment in slo.enrollments:
+                name = enrollment.pipeline.config.name
+                self.stacks[name] = enrollment.applied_steps()
+                if enrollment.last_action_at is not None:
+                    self.laddered_at[name] = enrollment.last_action_at
+        upgrades = home.liveops.upgrades if home.liveops is not None else ()
+        self.verdicts = Counter(upgrade.state for upgrade in upgrades
+                                if upgrade.state in _VERDICTS)
 
     def appended(self, action: "Action") -> None:
         if action.controller == "autoscaler":
