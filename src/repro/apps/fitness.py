@@ -104,7 +104,6 @@ def fitness_pipeline_config(
     mode: str = "signal",
     base_port: int = 5860,
     source_device: str = "phone",
-    render: bool = False,
     static_scene: bool = False,
 ) -> PipelineConfig:
     """The Listing-1 DAG: streaming → pose → activity → {reps, display}."""
@@ -122,7 +121,6 @@ def fitness_pipeline_config(
                     "motion": motion,
                     "duration_s": duration_s,
                     "mode": mode,
-                    "render": render,
                     "static_scene": static_scene,
                 },
             ),

@@ -39,7 +39,6 @@ class VideoStreamingModule(Module):
         motion: activity label for the synthetic subject.
         duration_s / max_frames: capture bounds.
         mode: ``"signal"`` (paper) or ``"push"`` (queued ablation).
-        render: render real pixels (slower, exercises the pixel path).
         capture_jitter_cv: camera timing jitter.
     """
 
@@ -50,7 +49,6 @@ class VideoStreamingModule(Module):
         duration_s: float | None = None,
         max_frames: int | None = None,
         mode: str = "signal",
-        render: bool = False,
         capture_jitter_cv: float = 0.02,
         period_s: float = 2.0,
         randomize_subject: bool = False,
@@ -61,7 +59,6 @@ class VideoStreamingModule(Module):
         self.duration_s = duration_s
         self.max_frames = max_frames
         self.mode = mode
-        self.render = render
         self.capture_jitter_cv = capture_jitter_cv
         self.period_s = period_s
         self.randomize_subject = randomize_subject
@@ -77,8 +74,6 @@ class VideoStreamingModule(Module):
             ctx.device_name,
             make_model(self.motion, period_s=self.period_s),
             subject=subject,
-            render=self.render,
-            rng=rng if self.render else None,
             freeze=self.static_scene,
         )
         self.source = VideoSource(

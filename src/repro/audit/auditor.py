@@ -35,7 +35,7 @@ Invariants covered (see ``docs/AUDIT.md`` for the full statement of each):
   flapping), and restores pop the most recently applied rung (recovery in
   exactly reverse order);
 * **admission conservation** — ``deploys_requested == deploys_deployed +
-  deploys_rejected + deploys_withdrawn + queued-now``: no deploy request
+  deploys_rejected + deploys_withdrawn``: no deploy request
   vanishes between admission control and the deployer;
 * **live-ops version swaps** per :class:`~repro.liveops.upgrade
   .LiveOpsManager` — every hot upgrade started is either still mirroring,
@@ -494,13 +494,12 @@ class _ActionMirror(_Mirror):
         self.laddered_at: dict[str, float] = {}  # pipeline -> last rung moved
         self.stacks: dict[str, list[str]] = {}  # pipeline -> applied rungs
         # controllers built before the audit start from their current state
-        self.deploys = dict.fromkeys((*_DEPLOY_COUNTERS, "queued_now"), 0)
+        self.deploys = dict.fromkeys(_DEPLOY_COUNTERS, 0)
         slo = home.slo
         if slo is not None:
             counters = slo.metrics.counters()
             for key in _DEPLOY_COUNTERS:
                 self.deploys[key] = counters.get(key, 0)
-            self.deploys["queued_now"] = len(slo.queued)
             for enrollment in slo.enrollments:
                 name = enrollment.pipeline.config.name
                 self.stacks[name] = enrollment.applied_steps()
@@ -679,15 +678,13 @@ class _ActionMirror(_Mirror):
         requested, deployed, rejected, withdrawn = (
             counters.get(key, 0) - self.deploys[key]
             for key in _DEPLOY_COUNTERS)
-        queued_now = len(controller.queued) - self.deploys["queued_now"]
-        if requested != deployed + rejected + withdrawn + queued_now:
+        if requested != deployed + rejected + withdrawn:
             self.auditor.record(
                 "admission-conservation",
                 "slo/controller",
                 f"requested ({requested}) != deployed ({deployed}) +"
-                f" rejected ({rejected}) + withdrawn ({withdrawn}) +"
-                f" queued-now ({queued_now}) —"
-                f" {requested - deployed - rejected - withdrawn - queued_now}"
+                f" rejected ({rejected}) + withdrawn ({withdrawn}) —"
+                f" {requested - deployed - rejected - withdrawn}"
                 " deploy request(s) vanished between admission and the"
                 " deployer",
             )
@@ -842,7 +839,7 @@ class InvariantAuditor:
         """The SLO controller's hook: each admission decision as it is
         made (admission is not an action)."""
         subject = f"slo/{decision.pipeline}"
-        if decision.action not in ("admitted", "rejected", "queued"):
+        if decision.action not in ("admitted", "rejected"):
             self.record(
                 "admission-conservation",
                 subject,

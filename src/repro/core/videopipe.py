@@ -63,7 +63,7 @@ from ..services.scaling import AutoScaler, ScalingPolicy
 from ..sim.kernel import Kernel, RealtimeKernel
 from ..sim.rng import RngStreams
 from ..slo.controller import SLOController
-from ..slo.spec import QUEUED, REJECTED, SLO, SLOConfig
+from ..slo.spec import REJECTED, SLO, SLOConfig
 from ..trace.recorder import TraceRecorder
 
 
@@ -679,20 +679,18 @@ class VideoPipe:
         placement: PlacementPlan | None = None,
         slo: SLO | None = None,
         admission: str = "check",
-    ) -> Pipeline | None:
+    ) -> Pipeline:
         """Place and deploy a pipeline; returns its handle.
 
         With :meth:`enable_slo` active, the deploy is priced by admission
         control first. *admission* selects what happens when the predicted
         cost would violate the threshold: ``"check"`` (default) raises
         :class:`~repro.errors.AdmissionError` carrying the typed
-        :class:`~repro.slo.spec.AdmissionDecision`; ``"queue"`` parks the
-        deploy until capacity returns (returns ``None`` — the SLO
-        controller deploys it later); ``"bypass"`` skips the check. A
-        *slo* given here enrolls the pipeline with the controller (now, or
-        when :meth:`enable_slo` is later called).
+        :class:`~repro.slo.spec.AdmissionDecision`; ``"bypass"`` skips the
+        check. A *slo* given here enrolls the pipeline with the controller
+        (now, or when :meth:`enable_slo` is later called).
         """
-        if admission not in ("check", "queue", "bypass"):
+        if admission not in ("check", "bypass"):
             raise ConfigError(f"unknown admission mode {admission!r}")
         if self.deployer is None:
             self.deployer = Deployer(
@@ -702,20 +700,9 @@ class VideoPipe:
             placement = self.plan(config, strategy, default_device, host_device)
         gated = self.slo is not None and admission != "bypass"
         if gated:
-            decision = self.slo.admit(
-                config, placement, queue=(admission == "queue")
-            )
+            decision = self.slo.admit(config, placement)
             if decision.action == REJECTED:
                 raise AdmissionError(decision.reason, decision)
-            if decision.action == QUEUED:
-                self.slo.enqueue(config, slo, {
-                    "strategy": strategy,
-                    "default_device": default_device,
-                    "host_device": host_device,
-                    "module_instances": module_instances,
-                    "prefer_local_services": prefer_local_services,
-                })
-                return None
         try:
             pipeline = self.deployer.deploy(
                 config,

@@ -101,9 +101,6 @@ class FaultPlan:
             self.add(FaultEvent(at + down_for, DEVICE_RESTART, device))
         return self
 
-    def device_restart(self, at: float, device: str) -> "FaultPlan":
-        return self.add(FaultEvent(at, DEVICE_RESTART, device))
-
     def partition(self, at: float, device: str,
                   heal_after: float | None = None) -> "FaultPlan":
         """*device* falls off the network at *at* (it stays powered); with
@@ -140,9 +137,6 @@ class FaultPlan:
             self._check_duration(down_for, "down_for")
             self.add(FaultEvent(at + down_for, SERVICE_RESTART, target))
         return self
-
-    def service_restart(self, at: float, service: str, device: str) -> "FaultPlan":
-        return self.add(FaultEvent(at, SERVICE_RESTART, f"{service}@{device}"))
 
     def latency_spike(self, at: float, device: str, *, extra_latency_s: float,
                       duration_s: float | None = None) -> "FaultPlan":

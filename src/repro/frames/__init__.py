@@ -5,7 +5,6 @@ from .codec import EncodedFrame, decode_frame, encode_frame
 from .digest import content_digest
 from .frame import FrameRef, VideoFrame
 from .framestore import FrameStore
-from .synthetic import detect_foreground_bbox
 from .video_source import SyntheticCamera, VideoSource
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "VideoSource",
     "content_digest",
     "decode_frame",
-    "detect_foreground_bbox",
     "encode_frame",
 ]

@@ -108,7 +108,10 @@ def decode_frame(encoded: EncodedFrame) -> VideoFrame:
 
 
 def psnr(original: np.ndarray, degraded: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB between two uint8 images."""
+    """Peak signal-to-noise ratio in dB between two uint8 images.
+
+    A referee: no run calls it; ``tests/frames/test_codec.py`` measures the
+    quantizer's loss with it."""
     if original.shape != degraded.shape:
         raise ValueError("images must have identical shapes")
     mse = float(np.mean((original.astype(np.float64) - degraded.astype(np.float64)) ** 2))

@@ -141,9 +141,7 @@ def _frame_digest(
     """Digest of one frame's content, memoized on the frame object.
 
     The cache pairs the digest with the identity of the pixels array it was
-    computed over: replacing ``frame.pixels`` invalidates automatically,
-    while in-place mutation requires
-    :meth:`~repro.frames.frame.VideoFrame.invalidate_digest`.
+    computed over: replacing ``frame.pixels`` invalidates automatically.
     """
     pixels_key = id(frame.pixels) if frame.pixels is not None else None
     cached = frame._digest_cache

@@ -28,7 +28,7 @@ class VideoFrame:
         capture_time: simulated capture timestamp (seconds).
         width/height/channels: image geometry.
         pixels: the image as a (height, width) or (height, width, channels)
-            uint8 array, or ``None`` in annotated (render-free) mode.
+            uint8 array, or ``None`` for an annotated pose-camera frame.
         truth: ground-truth pose of the subject in image coordinates, if a
             subject is in view (synthetic camera annotation). A camera may
             defer it: it is then computed on its first read, and kept.
@@ -48,7 +48,7 @@ class VideoFrame:
     #: :mod:`repro.frames.digest` — excluded from equality/repr so caching
     #: never changes frame semantics. Identity of the pixels array is part
     #: of the key, so swapping in a new array invalidates automatically;
-    #: *in-place* pixel mutation must call :meth:`invalidate_digest`.
+    #: nothing mutates a frame's content in place.
     _digest_cache: "tuple[str, int | None] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -73,11 +73,6 @@ class VideoFrame:
         """Leave ``truth`` to ``compute()``, called on its first read."""
         del self.truth
         self._truth_source = compute
-
-    def invalidate_digest(self) -> None:
-        """Drop the memoized content digest after mutating ``pixels``,
-        ``truth`` or ``metadata`` in place."""
-        self._digest_cache = None
 
     @property
     def raw_size(self) -> int:

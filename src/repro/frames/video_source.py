@@ -24,22 +24,17 @@ from ..motion.skeleton import Pose
 from ..motion.trajectory import SubjectParams, subject_pose
 from ..sim.kernel import Kernel
 from .frame import VideoFrame
-from .synthetic import render_pose, scale_pose
 
 
 class SyntheticCamera:
     """A frame factory: a subject performing a motion in front of a camera.
 
-    In *annotated* mode frames carry only the ground-truth pose (fast; the
-    pose service adds estimation noise and simulated compute). With
-    ``render=True`` frames also carry real rendered pixels at
-    ``render_size`` resolution, exercising the pixel path end to end.
-
-    An annotated frame's pose is a pure function of the motion, the subject
-    and the capture time, so it is bound at capture and computed only when
+    Frames carry only the annotated ground-truth pose, no pixels: the pose
+    service adds estimation noise and simulated compute (DESIGN.md §2).
+    A frame's pose is a pure function of the motion, the subject and the
+    capture time, so it is bound at capture and computed only when
     something reads ``frame.truth`` (most captures at a busy source are
-    dropped unread). A rendered frame draws its pixels — from the same
-    ``rng`` the source's capture jitter may use — at capture.
+    dropped unread).
 
     ``freeze=True`` models a **static scene** (an empty room, a parked
     subject): the content of the first capture is reused for every
@@ -55,9 +50,6 @@ class SyntheticCamera:
         subject: SubjectParams | None = None,
         width: int = 640,
         height: int = 480,
-        render: bool = False,
-        render_size: tuple[int, int] = (160, 120),
-        rng: np.random.Generator | None = None,
         freeze: bool = False,
     ) -> None:
         self.device = device
@@ -65,23 +57,8 @@ class SyntheticCamera:
         self.subject = subject or SubjectParams()
         self.width = width
         self.height = height
-        self.render = render
-        self.render_size = render_size
-        self.rng = rng
         self.freeze = freeze
-        self._frozen: tuple[Pose, np.ndarray | None] | None = None
-
-    def _content_at(self, t: float) -> "tuple[Pose, np.ndarray | None]":
-        truth = subject_pose(self.motion, self.subject, t)
-        pixels = None
-        if self.render:
-            scaled = scale_pose(
-                truth, (self.width, self.height), self.render_size
-            )
-            pixels = render_pose(
-                scaled, self.render_size[0], self.render_size[1], rng=self.rng
-            )
-        return truth, pixels
+        self._frozen: Pose | None = None
 
     def set_resolution(self, width: int, height: int) -> None:
         """Change the capture resolution; takes effect on the next frame.
@@ -93,19 +70,16 @@ class SyntheticCamera:
             raise ConfigError("resolution must be at least 16x16")
         self.width = int(width)
         self.height = int(height)
-        # a frozen scene rendered at the old size must not leak through
+        # a frozen scene captured at the old size must not leak through
         self._frozen = None
 
     def capture(self, frame_id: int, t: float) -> VideoFrame:
         """Produce the frame the camera sees at simulated time *t*."""
+        truth = None
         if self.freeze:
             if self._frozen is None:
-                self._frozen = self._content_at(t)
-            truth, pixels = self._frozen
-        elif self.render:
-            truth, pixels = self._content_at(t)
-        else:
-            truth = pixels = None
+                self._frozen = subject_pose(self.motion, self.subject, t)
+            truth = self._frozen
         frame = VideoFrame(
             frame_id=frame_id,
             source=self.device,
@@ -113,11 +87,10 @@ class SyntheticCamera:
             width=self.width,
             height=self.height,
             channels=3,
-            pixels=pixels,
             truth=truth,
             metadata={"activity": self.motion.name},
         )
-        if not (self.freeze or self.render):
+        if not self.freeze:
             frame._defer_truth(partial(subject_pose, self.motion, self.subject, t))
         return frame
 
@@ -234,13 +207,6 @@ class VideoSource:
         self.dropped_count += 1
         if self.on_drop is not None:
             self.on_drop(frame)
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of captured frames dropped at the source."""
-        if self.captured_count == 0:
-            return 0.0
-        return self.dropped_count / self.captured_count
 
     # -- engine ------------------------------------------------------------------
     def _interval(self) -> float:

@@ -11,14 +11,13 @@ path. Like tracing and auditing, lineage never schedules kernel events,
 never consumes randomness and never touches message sizes, so a recorded
 run is bit-for-bit identical to an unrecorded one.
 
-The export (:meth:`LineageRecorder.export_json`) is a JSON artifact meant
-to sit beside the Perfetto trace: one entry per frame, each a list of
-steps in processing order.
+The export (:meth:`LineageRecorder.as_dict`, JSON-ready) is an artifact
+meant to sit beside the Perfetto trace: one entry per frame, each a list
+of steps in processing order.
 """
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any
 
 from ..frames.payloads import frame_ids_in
@@ -118,13 +117,6 @@ class LineageRecorder(FrameObserver):
             "frames_evicted": self.dropped_frames,
             "frames": frames,
         }
-
-    def export_json(self, path: str) -> int:
-        """Write the lineage artifact to *path*; returns frames written."""
-        data = self.as_dict()
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
-        return data["frames_recorded"]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

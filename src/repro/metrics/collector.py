@@ -30,20 +30,6 @@ class MetricsCollector:
         """One sample of a named pipeline stage's latency."""
         self._stages[stage].append(seconds)
 
-    def stage_names(self) -> list[str]:
-        return sorted(self._stages)
-
-    def stage_samples(self, stage: str) -> list[float]:
-        return list(self._stages[stage])
-
-    def stage_summary(self, stage: str) -> Summary:
-        """Summary for one stage; :meth:`Summary.empty` when no samples
-        were recorded (e.g. every frame died under a chaos plan)."""
-        samples = self._stages.get(stage)
-        if not samples:
-            return Summary.empty()
-        return summarize(samples)
-
     def recent_stage_mean(self, stage: str, window: int = 20) -> float | None:
         """Mean of the last *window* samples of one stage, in seconds, or
         ``None`` when the stage has no samples. The online placement
@@ -132,5 +118,5 @@ class MetricsCollector:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<MetricsCollector {self.name}: {self.counter('frames_completed')}"
-            f" frames, stages {self.stage_names()}>"
+            f" frames, stages {sorted(self._stages)}>"
         )

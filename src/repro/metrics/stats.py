@@ -45,19 +45,6 @@ class Summary:
         return cls(count=0, mean=0.0, std=0.0, minimum=0.0,
                    p50=0.0, p90=0.0, p99=0.0, maximum=0.0)
 
-    def scaled(self, factor: float) -> "Summary":
-        """Unit conversion (e.g. seconds -> milliseconds with factor=1e3)."""
-        return Summary(
-            count=self.count,
-            mean=self.mean * factor,
-            std=self.std * factor,
-            minimum=self.minimum * factor,
-            p50=self.p50 * factor,
-            p90=self.p90 * factor,
-            p99=self.p99 * factor,
-            maximum=self.maximum * factor,
-        )
-
 
 def summarize(values) -> Summary:
     """Compute a :class:`Summary`; raises on an empty sample."""
@@ -104,10 +91,6 @@ class RateMeter:
 
     def tick(self, now: float) -> None:
         self.timestamps.append(now)
-
-    @property
-    def count(self) -> int:
-        return len(self.timestamps)
 
     def rate(self, end_time: float, warmup_s: float = 0.0) -> float:
         """Events per second between ``warmup_s`` and ``end_time``.

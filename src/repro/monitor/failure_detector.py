@@ -41,9 +41,6 @@ class HeartbeatResponder:
         self.pings_answered += 1
         return {"device": self.device, "t": self.kernel.now}
 
-    def close(self) -> None:
-        self._rpc.close()
-
 
 @dataclass(slots=True)
 class _WatchState:

@@ -66,6 +66,9 @@ _ARMS_RIGHT = [KP["right_elbow"], KP["right_wrist"]]
 class MotionModel:
     """Base class: a named, (usually) periodic pose trajectory.
 
+    Each subclass defines ``_keypoints_at(phase)``, the body-frame
+    keypoints at a cycle position in [0, 1].
+
     Attributes:
         name: the activity label recognizers learn.
         period_s: seconds per repetition (or total duration for aperiodic
@@ -91,9 +94,6 @@ class MotionModel:
     def pose_at(self, t: float) -> Pose:
         """The body-frame pose at time *t* seconds."""
         return Pose(self._keypoints_at(self.phase(t)))
-
-    def _keypoints_at(self, phase: float) -> np.ndarray:
-        raise NotImplementedError
 
     @cached_property
     def neutral_keypoints(self) -> np.ndarray:

@@ -149,14 +149,6 @@ class RpcClient:
             self._breakers[target] = breaker
         return breaker
 
-    @property
-    def circuit_opens(self) -> int:
-        return sum(b.opens for b in self._breakers.values())
-
-    @property
-    def circuit_rejections(self) -> int:
-        return sum(b.rejections for b in self._breakers.values())
-
     def close(self) -> None:
         """Idempotent teardown: unbind the reply address and fail every
         in-flight request (cancelling their timeout timers)."""

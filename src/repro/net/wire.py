@@ -4,9 +4,9 @@ Two jobs:
 
 * :func:`encode` / :func:`decode` — an actual self-describing binary codec
   for the value types that cross module/service boundaries (None, bool, int,
-  float, str, bytes, list, tuple, dict, numpy arrays). The realtime runtime
-  and the tests use it to prove payloads survive a real serialization
-  boundary.
+  float, str, bytes, list, tuple, dict, numpy arrays). Nothing under
+  ``src/`` calls it: it is the reference that ``tests/net/test_wire.py``
+  holds :func:`payload_size` to.
 * :func:`payload_size` — the byte size the simulator charges to the link for
   a payload, which is simply the length of its encoding (computed without
   materializing the buffer for large arrays).

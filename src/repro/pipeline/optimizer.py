@@ -501,7 +501,10 @@ class CostModel:
 
     # -- one candidate ---------------------------------------------------------
     def evaluate(self, assignments: dict[str, str]) -> PlacementCost:
-        """Critical-path latency of the DAG under *assignments*."""
+        """Critical-path latency of the DAG under *assignments*.
+
+        A referee, like the three ``*_penalty`` readings: the planner reads
+        :meth:`score`; the tests read one term of it through these."""
         return PlacementCost(*self.sweep(assignments)[0, :3].tolist())
 
     def utilization(self, assignments: dict[str, str]) -> dict[str, float]:
@@ -510,9 +513,11 @@ class CostModel:
         return dict(zip(self._charged, load.tolist()))
 
     def capacity_penalty(self, assignments: dict[str, str]) -> float:
+        """The capacity term of :meth:`score`."""
         return self.score(assignments).capacity_penalty_s
 
     def memory_penalty(self, assignments: dict[str, str]) -> float:
+        """The memory term of :meth:`score`."""
         return self.score(assignments).memory_penalty_s
 
     def cloud_penalty(self, assignments: dict[str, str]) -> float:
@@ -624,7 +629,11 @@ def _local_search(
 ) -> tuple[dict[str, str], float]:
     """Greedy first-improvement: move one free module at a time while it
     strictly lowers the score. A module's moves differ from the current
-    placement in it alone, so one sweep prices them and the scan replays."""
+    placement in it alone, so one sweep prices them and the scan replays.
+
+    It runs only for a home past ``max_candidates``, which no example or
+    bench builds; ``tests/pipeline/test_cost_reference.py`` holds its walk
+    to the reference scorer."""
     assignments = dict(start)
     current = model.score(assignments).total
     moves = np.arange(len(model.device_names))[:, None]

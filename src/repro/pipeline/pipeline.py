@@ -74,24 +74,6 @@ class Pipeline:
             deployed.runtime.undeploy(name)
             deployed.settle_queued(reason)
 
-    def describe(self) -> dict:
-        """A structured summary (modules, devices, edges, counters)."""
-        return {
-            "pipeline": self.name,
-            "strategy": self.placement.strategy,
-            "modules": {
-                name: {
-                    "device": self.placement.device_of(name),
-                    "address": str(self.wiring.address_of(name)),
-                    "next": self.wiring.downstream_of(name),
-                    "events": self._deployed[name].events_processed,
-                    "version": self.wiring.version_of(name),
-                }
-                for name in sorted(self._deployed)
-            },
-            "counters": self.metrics.counters(),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "stopped" if self.stopped else "running"
         return f"<Pipeline {self.name} ({self.placement.strategy}, {state})>"

@@ -40,15 +40,6 @@ class PlacementPlan:
                 f" {module_name!r}"
             )
 
-    def devices_used(self) -> list[str]:
-        return sorted(set(self.assignments.values()))
-
-    def describe(self) -> str:
-        lines = [f"placement[{self.strategy}] for {self.pipeline}:"]
-        for module, device in self.assignments.items():
-            lines.append(f"  {module} -> {device}")
-        return "\n".join(lines)
-
 
 def _check_device(name: str, devices: dict[str, Device], context: str) -> None:
     if name not in devices:

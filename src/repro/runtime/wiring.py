@@ -63,12 +63,3 @@ class PipelineWiring:
 
     def version_of(self, module_name: str) -> str:
         return self.versions.get(module_name, "v1")
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "pipeline": self.pipeline_name,
-            "modules": {name: str(addr) for name, addr in self.addresses.items()},
-            "edges": dict(self.next_modules),
-            "source": self.source_module,
-            "versions": dict(self.versions),
-        }

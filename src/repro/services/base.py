@@ -105,15 +105,6 @@ class Service:
         frac = self.batch_marginal_cost_frac
         return self.reference_cost_s * (1.0 + frac * (n - 1.0)) / n
 
-    def describe(self) -> dict[str, Any]:
-        """Human-readable service card (used in logs and docs)."""
-        return {
-            "name": self.name,
-            "version": self.version,
-            "reference_cost_s": self.reference_cost_s,
-            "class": type(self).__name__,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Service {self.name}>"
 

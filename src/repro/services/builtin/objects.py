@@ -51,7 +51,7 @@ class ObjectDetectionService(Service):
 
 
 class FaceDetectionService(Service):
-    """Head-region detection on a rendered grayscale frame.
+    """Head-region detection on a grayscale frame.
 
     Request: ``{"frame": VideoFrame}``.
     Response: ``{"found": bool, "bbox"?: tuple}``.
@@ -64,7 +64,7 @@ class FaceDetectionService(Service):
     def handle(self, payload: Any, ctx: ServiceCallContext) -> dict[str, Any]:
         frame = _require_frame(payload, self.name)
         if frame.pixels is None:
-            raise ServiceError("face_detector needs rendered pixels")
+            raise ServiceError("face_detector needs pixels")
         region = detect_face_region(frame.pixels)
         if region is None:
             return {"frame_id": frame.frame_id, "found": False}

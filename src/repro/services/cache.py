@@ -57,8 +57,8 @@ def payload_cache_key(
 class ResultCache:
     """A bounded LRU of service results.
 
-    Entries never expire on their own; :meth:`invalidate` supports explicit
-    invalidation, e.g. after a model update or a host restart.
+    Entries never expire on their own; :meth:`invalidate` clears them
+    explicitly, e.g. after a model update or a host restart.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -71,12 +71,6 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
 
     # -- protocol --------------------------------------------------------------
     def lookup(self, key: str) -> Any:
@@ -97,40 +91,20 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def invalidate(self, prefix: str | None = None) -> int:
-        """Drop entries; returns how many were removed.
+    def invalidate(self) -> int:
+        """Drop every entry; returns how many were removed.
 
-        ``prefix=None`` clears everything. A bare service name (no ``":"``)
-        matches on the ``"name:"`` boundary, so invalidating ``"pose"``
-        leaves ``"pose_v2:..."`` entries alone. A prefix that already
-        contains ``":"`` (e.g. ``"pose:ab12"``) matches raw, allowing
-        digest-range invalidation.
-
-        Note: the ``invalidations`` statistic counts *entries removed*, not
-        calls to this method — invalidating an already-empty cache leaves
-        it unchanged.
+        The ``invalidations`` statistic counts *entries removed*, not calls
+        to this method — invalidating an already-empty cache leaves it
+        unchanged.
         """
-        if prefix is None:
-            removed = len(self._entries)
-            self._entries.clear()
-        else:
-            needle = prefix if ":" in prefix else prefix + ":"
-            doomed = [k for k in self._entries if k.startswith(needle)]
-            for key in doomed:
-                del self._entries[key]
-            removed = len(doomed)
+        removed = len(self._entries)
+        self._entries.clear()
         self.invalidations += removed
         return removed
-
-    # -- introspection ----------------------------------------------------------
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<ResultCache {len(self._entries)}/{self.max_entries}"
-            f" hit_rate={self.hit_rate():.2f}>"
+            f" hits={self.hits} misses={self.misses}>"
         )

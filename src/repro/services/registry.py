@@ -41,9 +41,6 @@ class ServiceRegistry:
     def hosts_of(self, service_name: str) -> list[ServiceHost]:
         return list(self._hosts.get(service_name, []))
 
-    def devices_hosting(self, service_name: str) -> list[str]:
-        return [h.device.name for h in self.hosts_of(service_name)]
-
     def host_on(self, service_name: str, device_name: str) -> ServiceHost | None:
         """The host of *service_name* on *device_name*, if co-located."""
         for host in self.hosts_of(service_name):

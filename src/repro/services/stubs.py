@@ -228,9 +228,6 @@ class RemoteServiceStub(ServiceStub):
         except ServiceError:
             return None
 
-    def close(self) -> None:
-        self._client.close()
-
 
 def make_stub(
     kernel: Kernel,

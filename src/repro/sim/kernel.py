@@ -26,8 +26,9 @@ class Kernel:
     shared kernel, which is what makes whole-system simulations reproducible.
     """
 
-    #: Set to True by the realtime subclass; components may consult this to
-    #: decide whether to do real work (e.g. rendering) inline.
+    #: Set to True by the realtime subclass, whose ``_wait_until`` the event
+    #: loop then calls before each event; the pure simulator advances
+    #: instantly.
     realtime = False
 
     def __init__(self) -> None:
@@ -221,10 +222,6 @@ class Kernel:
         """Request that the running :meth:`run` or :meth:`run_until_resolved`
         loop return after the current event."""
         self._stopped = True
-
-    def _wait_until(self, sim_time: float) -> None:
-        """Hook for realtime pacing, called before each event when
-        ``realtime`` is set; the pure simulator advances instantly."""
 
 
 class Ticker:

@@ -37,13 +37,6 @@ class Grant:
         self.requested_at = now
         self.granted_at: float | None = None
 
-    @property
-    def wait_time(self) -> float:
-        """Seconds spent queued before the grant was issued."""
-        if self.granted_at is None:
-            raise SimulationError("grant not yet issued")
-        return self.granted_at - self.requested_at
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "released" if self.released else "held"
         return f"<Grant #{self.id} {state}>"

@@ -13,7 +13,6 @@ from .spec import (
     ADMITTED,
     HEALTHY,
     OVERLOADED,
-    QUEUED,
     REJECTED,
     SLO,
     STRAINED,
@@ -28,7 +27,6 @@ __all__ = [
     "AdmissionDecision",
     "HEALTHY",
     "OVERLOADED",
-    "QUEUED",
     "REJECTED",
     "SLO",
     "SLOConfig",

@@ -5,7 +5,7 @@ Reuses the :class:`~repro.pipeline.optimizer.CostModel`'s utilization view
 is already carrying its deployed pipelines' load, and a candidate deploy is
 admitted only when the *combined* prediction stays under the configured
 per-device threshold. A deploy that would push any device past it gets a
-typed :data:`~repro.slo.spec.REJECTED` (or :data:`~repro.slo.spec.QUEUED`)
+typed :data:`~repro.slo.spec.REJECTED`
 :class:`~repro.slo.spec.AdmissionDecision` instead of degrading the
 pipelines that were promised an SLO.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..pipeline.optimizer import CostModel, OptimizerConfig
-from .spec import ADMITTED, QUEUED, REJECTED, AdmissionDecision, SLOConfig
+from .spec import ADMITTED, REJECTED, AdmissionDecision, SLOConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.videopipe import VideoPipe
@@ -86,14 +86,8 @@ class AdmissionController:
         self,
         config: "PipelineConfig",
         placement: "PlacementPlan",
-        on_reject: str = REJECTED,
     ) -> AdmissionDecision:
-        """Price admitting *config* at *placement* and record the verdict.
-
-        ``on_reject`` selects the action recorded when the threshold is
-        exceeded: :data:`REJECTED` (the deploy fails) or :data:`QUEUED`
-        (the controller parks it until capacity returns).
-        """
+        """Price admitting *config* at *placement* and record the verdict."""
         now = self.home.kernel.now
         threshold = self.config.admission_threshold
         try:
@@ -115,7 +109,7 @@ class AdmissionController:
                 f" within threshold {threshold:.2f}"
             )
         else:
-            action, reason = on_reject, (
+            action, reason = REJECTED, (
                 f"predicted utilization {worst:.2f} on {worst_device!r}"
                 f" exceeds threshold {threshold:.2f}"
             )

@@ -17,11 +17,9 @@ checked on each action the home's log receives, hold the controller to
 that.
 
 The controller also owns deploy-time admission
-(:class:`~repro.slo.admission.AdmissionController`) and the queue of
-deploys admission parked; its loop re-prices the queue head each tick and
-deploys it when capacity has returned. Conservation over the whole flow —
-``deploys_requested == deploys_deployed + deploys_rejected +
-deploys_withdrawn + queued_now`` — is an audited invariant.
+(:class:`~repro.slo.admission.AdmissionController`). Conservation over the
+whole flow — ``deploys_requested == deploys_deployed + deploys_rejected +
+deploys_withdrawn`` — is an audited invariant.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ from .spec import (
     ADMITTED,
     HEALTHY,
     OVERLOADED,
-    QUEUED,
-    REJECTED,
     SLO,
     STRAINED,
     AdmissionDecision,
@@ -60,8 +56,8 @@ _BUCKET_S = 1.0
 
 #: The admission counters, each one step of an admitted or refused deploy.
 ADMISSION_COUNTERS = ("deploys_requested", "deploys_admitted",
-                      "deploys_rejected", "deploys_queued",
-                      "deploys_withdrawn", "deploys_deployed")
+                      "deploys_rejected", "deploys_withdrawn",
+                      "deploys_deployed")
 
 
 @dataclass
@@ -95,19 +91,6 @@ class Enrollment:
         return [step.name for _, step in self.applied]
 
 
-@dataclass
-class QueuedDeploy:
-    """A deploy admission parked until capacity returns."""
-
-    config: "PipelineConfig"
-    slo: SLO | None
-    kwargs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        return self.config.name
-
-
 class SLOController:
     """Holds enrolled pipelines to their SLOs by actuating existing knobs."""
 
@@ -125,7 +108,6 @@ class SLOController:
         #: as ``service_rejections`` live on each pipeline's collector.
         self.metrics = MetricsCollector("slo")
         self._enrolled: dict[str, Enrollment] = {}
-        self._queue: list[QueuedDeploy] = []
         #: Where each ladder action is recorded: the home's log.
         self.actions: list[Action] = home.actions
         self._ticker: Ticker | None = None
@@ -168,7 +150,6 @@ class SLOController:
                 self.config.check_interval_s, self._tick)
 
     def _tick(self) -> None:
-        self._drain_queue()
         now = self.kernel.now
         for enrollment in list(self._enrolled.values()):
             if enrollment.pipeline.stopped:
@@ -239,48 +220,18 @@ class SLOController:
                 and (pipeline is None or a.target == pipeline)]
 
     # -- admission flow ------------------------------------------------------
-    def admit(
-        self,
-        config: "PipelineConfig",
-        placement,
-        queue: bool = False,
-    ) -> AdmissionDecision:
+    def admit(self, config: "PipelineConfig", placement) -> AdmissionDecision:
         """Price one deploy request (the facade calls this from
         :meth:`~repro.core.videopipe.VideoPipe.deploy_pipeline`)."""
         self.metrics.increment("deploys_requested")
-        decision = self._decide(config, placement, QUEUED if queue else REJECTED)
-        if decision.action == ADMITTED:
-            self.metrics.increment("deploys_admitted")
-        elif decision.action == REJECTED:
-            self.metrics.increment("deploys_rejected")
-        return decision
-
-    def _decide(self, config: "PipelineConfig", placement,
-                on_reject: str) -> AdmissionDecision:
-        decision = self.admission.decide(config, placement, on_reject=on_reject)
+        decision = self.admission.decide(config, placement)
         if self.auditor is not None:
             self.auditor.check_admission(decision)
+        if decision.action == ADMITTED:
+            self.metrics.increment("deploys_admitted")
+        else:
+            self.metrics.increment("deploys_rejected")
         return decision
-
-    def enqueue(
-        self,
-        config: "PipelineConfig",
-        slo: SLO | None,
-        kwargs: dict[str, Any] | None = None,
-    ) -> QueuedDeploy:
-        item = QueuedDeploy(config=config, slo=slo, kwargs=dict(kwargs or {}))
-        self._queue.append(item)
-        self.metrics.increment("deploys_queued")
-        return item
-
-    def withdraw(self, name: str) -> bool:
-        """Remove a queued deploy by pipeline name; ``True`` if found."""
-        for index, item in enumerate(self._queue):
-            if item.name == name:
-                del self._queue[index]
-                self.metrics.increment("deploys_withdrawn")
-                return True
-        return False
 
     def on_deployed(self) -> None:
         """An admitted deploy completed (facade bookkeeping)."""
@@ -290,40 +241,6 @@ class SLOController:
         """An admitted deploy failed in the deployer — counted as withdrawn
         so admission conservation still balances."""
         self.metrics.increment("deploys_withdrawn")
-
-    @property
-    def queued(self) -> list[QueuedDeploy]:
-        return list(self._queue)
-
-    def _drain_queue(self) -> None:
-        while self._queue:
-            item = self._queue[0]
-            try:
-                placement = self.home.plan(
-                    item.config,
-                    strategy=item.kwargs.get("strategy", "colocated"),
-                    default_device=item.kwargs.get("default_device"),
-                    host_device=item.kwargs.get("host_device"),
-                )
-            except Exception:
-                return  # cannot even plan right now; retry next tick
-            decision = self._decide(item.config, placement, QUEUED)
-            if decision.action != ADMITTED:
-                return  # head still does not fit; keep FIFO order
-            self._queue.pop(0)
-            self.metrics.increment("deploys_admitted")
-            try:
-                self.home.deploy_pipeline(
-                    item.config, placement=placement, slo=item.slo,
-                    admission="bypass", **{
-                        k: v for k, v in item.kwargs.items()
-                        if k not in ("strategy", "default_device", "host_device")
-                    },
-                )
-            except Exception:
-                self.metrics.increment("deploys_withdrawn")
-                continue
-            self.metrics.increment("deploys_deployed")
 
     # -- reporting -----------------------------------------------------------
     def _attainment(self, enrollment: Enrollment) -> float:
@@ -369,7 +286,6 @@ class SLOController:
             "ladder_depth": sum(e.depth for e in enrolled.values()),
             "actions": len(self.ladder_actions()),
             **{name: counters.get(name, 0) for name in ADMISSION_COUNTERS},
-            "deploys_queued_now": len(self._queue),
             "pipelines": {name: {
                 "state": enrollment.state,
                 "slo": enrollment.slo.as_dict(),

@@ -24,7 +24,6 @@ OVERLOADED = "overloaded"
 #: Admission decision outcomes.
 ADMITTED = "admitted"
 REJECTED = "rejected"
-QUEUED = "queued"
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,9 +94,9 @@ class SLOConfig:
 class AdmissionDecision:
     """The typed outcome of one admission check at deploy time.
 
-    ``action`` is one of :data:`ADMITTED`, :data:`REJECTED` or
-    :data:`QUEUED`; ``predicted`` maps device name to the utilization the
-    home would run at with the candidate deployed.
+    ``action`` is :data:`ADMITTED` or :data:`REJECTED`; ``predicted``
+    maps device name to the utilization the home would run at with the
+    candidate deployed.
     """
 
     at: float

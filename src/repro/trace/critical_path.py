@@ -39,12 +39,6 @@ class FrameBreakdown:
     total_s: float
     by_category: dict[str, float] = field(default_factory=dict)
 
-    def share(self, category: str) -> float:
-        """Fraction of the frame's latency attributed to *category*."""
-        if self.total_s <= 0:
-            return 0.0
-        return self.by_category.get(category, 0.0) / self.total_s
-
 
 @dataclass(slots=True)
 class CriticalPathReport:
@@ -76,11 +70,6 @@ class CriticalPathReport:
             category: total / count * 1e3
             for category, total in sorted(self.category_totals_s().items())
         }
-
-    def mean_total_ms(self) -> float:
-        if not self.frames:
-            return 0.0
-        return sum(f.total_s for f in self.frames) / len(self.frames) * 1e3
 
     def stage_means_ms(self) -> dict[str, float]:
         """Mean latency per app-level stage in milliseconds — the same

@@ -28,10 +28,6 @@ class ActivityRecognizer:
     def fitted(self) -> bool:
         return self.classifier.fitted
 
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return self.classifier.classes
-
     def fit(self, windows: list[list[Pose]], labels: list[str]) -> "ActivityRecognizer":
         """Train on labelled pose windows (each of length ``window``)."""
         for w in windows:

@@ -30,10 +30,6 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
     def intersection(self, other: "BBox") -> float:
         """Overlap area with *other* (0 when disjoint)."""
         dx = min(self.x1, other.x1) - max(self.x0, other.x0)
@@ -49,14 +45,6 @@ class BBox:
         if union <= 0:
             return 0.0
         return inter / union
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
-    def expanded(self, margin: float) -> "BBox":
-        """Grow by *margin* fraction of each dimension on every side."""
-        dx, dy = self.width * margin, self.height * margin
-        return BBox(self.x0 - dx, self.y0 - dy, self.x1 + dx, self.y1 + dy)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x0, self.y0, self.x1, self.y1)

@@ -42,10 +42,6 @@ class KNNClassifier:
     def fitted(self) -> bool:
         return self._features is not None
 
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self._labels)))
-
     def fit(self, features: np.ndarray, labels: list[str]) -> "KNNClassifier":
         """Store a private read-only copy of the training set and its
         squared row norms (kNN is otherwise lazy)."""
@@ -86,13 +82,9 @@ class KNNClassifier:
         order = np.argsort(distances, kind="stable")[:k]
         return rows[order], np.sqrt(distances[order])
 
-    def predict(self, query: np.ndarray) -> str:
-        """Majority label among the k nearest; ties go to the closer one."""
-        label, _ = self.predict_with_confidence(query)
-        return label
-
     def predict_with_confidence(self, query: np.ndarray) -> tuple[str, float]:
-        """Return ``(label, vote_fraction)``."""
+        """Return ``(label, vote_fraction)``: the majority label among the k
+        nearest, a tie going to the closer one."""
         if not self.fitted:
             raise ValueError("classifier is not fitted")
         query = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -107,12 +99,3 @@ class KNNClassifier:
             # (nearest) in the neighbour ordering wins
             winner = next(self._labels[i] for i in order if self._labels[i] in tied)
         return winner, top / len(order)
-
-    def predict_batch(self, queries: np.ndarray) -> list[str]:
-        return [self.predict(q) for q in np.asarray(queries, dtype=np.float64)]
-
-    def score(self, features: np.ndarray, labels: list[str]) -> float:
-        """Accuracy on a labelled set."""
-        predictions = self.predict_batch(features)
-        correct = sum(p == t for p, t in zip(predictions, labels))
-        return correct / len(labels)

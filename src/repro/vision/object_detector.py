@@ -140,11 +140,10 @@ class ObjectDetector:
 def detect_face_region(
     image: np.ndarray, threshold: int = 120, head_fraction: float = 0.16
 ) -> BBox | None:
-    """Locate the subject's head in a rendered grayscale pose frame.
+    """Locate the head of a person standing head-up in a grayscale frame.
 
-    Real pixel analysis: the foreground silhouette's top slab (people are
-    rendered head-up) — the kind of cheap heuristic an embedded face
-    detector stage would refine.
+    Real pixel analysis: the foreground silhouette's top slab — the kind of
+    cheap heuristic an embedded face detector stage would refine.
     """
     if image.ndim != 2:
         raise ValueError("face detection expects a grayscale image")

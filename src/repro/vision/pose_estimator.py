@@ -3,13 +3,12 @@
 "The 2D pose detector first detects a human and places a bounding box
 around them. Within that bounding box, it detects 17 keypoints."
 
-The detection stage is real image analysis when the frame carries pixels
-(foreground thresholding → bounding box). The keypoint regression — the
-part a CNN does in the paper — is substituted by the synthetic camera's
-ground truth perturbed with a calibrated noise model (Gaussian jitter,
-keypoint dropout, occasional whole-person misses), per the substitution
-policy in DESIGN.md. Compute *time* is charged by the service layer, not
-here; these functions are pure.
+Both stages — the part a CNN does in the paper — are substituted by the
+synthetic camera's annotated ground truth: the box is the truth's extent,
+the keypoints are the truth perturbed with a calibrated noise model
+(Gaussian jitter, keypoint dropout, occasional whole-person misses), per
+the substitution policy in DESIGN.md §2. Compute *time* is charged by
+the service layer, not here; these functions are pure.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..frames.frame import VideoFrame
-from ..frames.synthetic import detect_foreground_bbox
 from ..motion.skeleton import NUM_KEYPOINTS, Pose
 from .bbox import BBox
 
@@ -84,19 +82,7 @@ class PoseEstimator:
 
     # -- stages -----------------------------------------------------------------
     def _detect_bbox(self, frame: VideoFrame) -> BBox:
-        """Stage 1: human detection.
-
-        With pixels present this is real image analysis on the rendered
-        frame; otherwise the box comes from the annotated keypoints.
-        """
-        if frame.pixels is not None:
-            found = detect_foreground_bbox(frame.pixels)
-            if found is not None:
-                x0, y0, x1, y1 = found
-                # pixels may be at reduced render resolution; rescale
-                sy = frame.height / frame.pixels.shape[0]
-                sx = frame.width / frame.pixels.shape[1]
-                return BBox(x0 * sx, y0 * sy, max(x0, x1) * sx, max(y0, y1) * sy)
+        """Stage 1: human detection, from the annotated keypoints."""
         assert frame.truth is not None
         x0, y0, x1, y1 = frame.truth.bounding_box(margin=0.05)
         return BBox(x0, y0, x1, y1)

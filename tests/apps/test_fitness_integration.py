@@ -73,7 +73,7 @@ class TestVideoPipeArchitecture:
 
     def test_glass_to_glass_latency_sane(self, run):
         _, services, _ = run
-        lags = [f.glass_to_glass_s for f in services.sink.frames]
+        lags = [f.shown_at - f.capture_time for f in services.sink.frames]
         # capture→screen including any source-side staleness
         assert 0.05 < sum(lags) / len(lags) < 0.5
 
@@ -152,4 +152,4 @@ class TestArchitectureComparison:
         home.run(until=11.0)
         source = pipeline.module_instance("video_streaming_module").source
         assert source.dropped_count > 100  # ~20 of 30 fps dropped at source
-        assert source.drop_rate > 0.5
+        assert source.dropped_count / source.captured_count > 0.5

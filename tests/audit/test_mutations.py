@@ -20,6 +20,7 @@ from repro.audit import InvariantAuditor
 from repro.core import VideoPipe
 from repro.devices import Device
 from repro.devices.catalog import desktop, flagship_phone_2018
+from repro.errors import ConfigError
 from repro.metrics.collector import MetricsCollector
 from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.net.address import Address
@@ -29,7 +30,6 @@ from repro.runtime import observe
 from repro.services import FunctionService, ServiceHost
 from repro.services.scaling import COOLDOWN_S, WINDOW, AutoScaler, ScalingPolicy
 from repro.sim import Kernel, RngStreams
-from repro.slo import SLOConfig
 from repro.slo.controller import SLOController
 
 from .test_auditor import module_context
@@ -278,38 +278,32 @@ class TestAutoscalerBound:
         assert auditor.violations == []
 
 
-class TestVanishedQueuedDeploy:
-    """``admission-conservation``: a deploy that admission control parked
-    must leave the queue as deployed or counted withdrawn."""
+class TestVanishedFailedDeploy:
+    """``admission-conservation``: a deploy that admission control let
+    through but the deployer failed must be counted withdrawn."""
 
     @pytest.fixture(scope="class")
     def recognizer(self):
         return train_activity_recognizer(seed=9)
 
-    def _parked(self, recognizer):
+    def _failed(self, recognizer):
         home = VideoPipe.paper_testbed(seed=3)
         auditor = home.enable_audit()
         install_fitness_services(home, recognizer=recognizer)
-        # a threshold nothing fits under: every deploy is parked
-        home.enable_slo(SLOConfig(admission_threshold=1e-6))
-        parked = home.deploy_pipeline(fitness_pipeline_config(fps=10.0),
-                                      admission="queue")
-        assert parked is None
-        assert [item.name for item in home.slo.queued] == ["fitness"]
+        home.enable_slo()
+        config = fitness_pipeline_config(fps=10.0)
+        config.modules[-1].include = "./NoSuchModule.js"
+        with pytest.raises(ConfigError, match="no module registered"):
+            home.deploy_pipeline(config)
+        assert home.slo.metrics.counter("deploys_admitted") == 1
         return home, auditor
 
     def test_uncounted_withdrawal_trips_conservation(self, recognizer,
                                                      monkeypatch):
-        home, auditor = self._parked(recognizer)
-
-        def forgetful(self, name):
-            # the mutation: the deploy leaves the queue, but
-            # deploys_withdrawn is never counted
-            self._queue[:] = [i for i in self._queue if i.name != name]
-            return True
-
-        monkeypatch.setattr(SLOController, "withdraw", forgetful)
-        assert home.slo.withdraw("fitness")
+        # the mutation: the failed deploy is never counted as withdrawn
+        monkeypatch.setattr(SLOController, "on_deploy_failed",
+                            lambda self: None)
+        home, auditor = self._failed(recognizer)
         home.run_for(1.0)
         vanished = [v for v in home.check_invariants()
                     if v.invariant == "admission-conservation"]
@@ -318,8 +312,7 @@ class TestVanishedQueuedDeploy:
         assert "1 deploy request(s) vanished" in vanished[0].detail
 
     def test_counted_withdrawal_is_clean(self, recognizer):
-        home, auditor = self._parked(recognizer)
-        assert home.slo.withdraw("fitness")
+        home, auditor = self._failed(recognizer)
         home.run_for(1.0)
         assert home.check_invariants() == []
         assert auditor.violations == []

@@ -18,7 +18,7 @@ from repro.pipeline import OPTIMIZED, SINGLE_HOST
 
 def _hub_of(home) -> str:
     # every fleet home hosts the detector on its (container-capable) hub
-    return home.registry.devices_hosting("fleet_detector")[0]
+    return home.registry.hosts_of("fleet_detector")[0].device.name
 
 
 def _assert_home_clean(home, pipeline) -> None:

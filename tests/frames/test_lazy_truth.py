@@ -4,8 +4,8 @@
 ``VideoFrame.truth`` computes the pose on its first read. These tests hold
 the deferred pose to the eager formula bit for bit, and count the calls:
 at most one per capture, none for a frame nobody reads (a fleet frame, a
-frame dropped at the source), none in ``encode_frame``. Rendered and
-frozen cameras stay eager.
+frame dropped at the source), none in ``encode_frame``. A frozen camera
+stays eager.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.fleet import Fleet, FleetConfig
 from repro.frames import SyntheticCamera, VideoSource
 from repro.frames.codec import encode_frame
 from repro.frames.digest import content_digest
-from repro.frames.synthetic import render_pose, scale_pose
 from repro.motion import SubjectParams, make_model, random_subject, subject_pose
 from repro.motion.exercises import MODEL_BY_NAME
 from repro.sim import Kernel
@@ -122,24 +121,6 @@ def test_no_fleet_frame_computes_its_pose(pose_calls):
     )
     assert captured > 0
     assert pose_calls == []
-
-
-def test_a_rendered_camera_stays_eager(pose_calls):
-    """A rendered capture draws its pixels from the camera rng at capture,
-    in the order the source draws its capture jitter from the same rng."""
-    model, subject = make_model("squat"), SubjectParams()
-    camera = SyntheticCamera("cam", model, subject=subject, render=True,
-                             rng=np.random.default_rng(3))
-    twin = np.random.default_rng(3)
-    for index, t in enumerate((0.0, 0.25)):
-        frame = camera.capture(index, t)
-        assert frame._truth_source is None
-        assert len(pose_calls) == index + 1
-        truth = subject_pose(model, subject, t)
-        assert pose_bits(frame.truth) == pose_bits(truth)
-        pixels = render_pose(scale_pose(truth, (640, 480), (160, 120)),
-                             160, 120, rng=twin)
-        assert np.array_equal(frame.pixels, pixels)
 
 
 def test_a_frozen_camera_computes_once(pose_calls):

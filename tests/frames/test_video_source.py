@@ -22,14 +22,6 @@ class TestSyntheticCamera:
         assert frame.metadata["activity"] == "squat"
         assert frame.capture_time == 0.25
 
-    def test_rendered_capture_carries_pixels(self):
-        camera = SyntheticCamera(
-            "phone", Squat(), render=True, rng=np.random.default_rng(0)
-        )
-        frame = camera.capture(1, 0.0)
-        assert frame.pixels is not None
-        assert frame.pixels.shape == (120, 160)
-
     def test_motion_advances_with_time(self):
         camera = SyntheticCamera("phone", Squat(period_s=2.0))
         top = camera.capture(1, 0.0).truth.hip_center()[1]
@@ -94,7 +86,7 @@ class TestSignalMode:
         # out immediately: throughput tracks the sink, not the capture tick
         assert 10 <= len(received) <= 13
         assert source.dropped_count > 10
-        assert source.drop_rate > 0.3
+        assert source.dropped_count / source.captured_count > 0.3
         # admitted frames are always the freshest available at credit time
         capture_times = [f.capture_time for f in received]
         assert capture_times == sorted(capture_times)

@@ -295,10 +295,8 @@ class TestTotalOutage:
         # at most the in-flight frame's failure path fired; no frame ever
         # reached the display, so no stage was recorded anywhere
         assert metrics.counter("frames_completed") <= 2
-        assert metrics.stage_names() == []
         assert metrics.stage_means_ms() == {}
-        # the summaries report empty instead of raising ValueError
-        assert metrics.stage_summary("total_duration").count == 0
+        # the summary reports empty instead of raising ValueError
         latency = metrics.total_latency_summary()
         assert latency.count == len(metrics.total_latencies)
         # the probe-facing accounting stayed coherent too: the frame lost

@@ -1,13 +1,5 @@
-"""Integration: pipelines across unusual device mixes and the rendered
-(pixel-carrying) path end to end."""
+"""Integration: pipelines across unusual device mixes."""
 
-import pytest
-
-from repro.apps import (
-    FitnessApp,
-    fitness_pipeline_config,
-    install_fitness_services,
-)
 from repro.core import VideoPipe
 from repro.pipeline import ModuleConfig, PipelineConfig
 from repro.services import FunctionService
@@ -88,30 +80,3 @@ class TestConstrainedDevices:
             home.kernel.run_until_resolved(done)
             times[kind] = home.now
         assert times["watch"] > times["desktop"] * 4
-
-
-class TestRenderedPixelPath:
-    def test_fitness_pipeline_with_real_pixels(self, fitness_recognizer):
-        """render=True makes the camera draw real frames; the pose service's
-        person detection then runs on actual pixels, and the JPEG codec
-        genuinely quantizes the imagery between devices."""
-        home = VideoPipe.paper_testbed(seed=11)
-        services = install_fitness_services(home,
-                                            recognizer=fitness_recognizer)
-        app = FitnessApp(home, services)
-        pipeline = app.deploy(
-            fitness_pipeline_config(fps=5.0, duration_s=4.0, render=True)
-        )
-        home.run(until=5.0)
-        assert services.sink.count >= 10
-        for name in pipeline.module_names():
-            assert pipeline.module(name).errors == [], name
-        # the displayed overlays still recognized the activity from the
-        # noisy, codec-degraded stream
-        labelled = [f for f in services.sink.frames if f.label]
-        assert labelled
-        assert labelled[-1].label == "squat"
-        # the Fig.-3-style skeleton overlay was actually burned into pixels
-        composited = [f for f in services.sink.frames if f.composited is not None]
-        assert composited
-        assert (composited[-1].composited == 255).any()

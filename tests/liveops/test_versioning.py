@@ -55,8 +55,8 @@ class TestConfigVersioning:
         assert back.module("a").version == "v2"
         assert back.module("b").version == "v1"
 
-    def test_service_describe_includes_version(self):
-        assert Service().describe()["version"] == "v1"
+    def test_service_version_defaults_to_v1(self):
+        assert Service().version == "v1"
 
 
 class TestDeployedVersioning:
@@ -66,9 +66,6 @@ class TestDeployedVersioning:
                                         default_device="phone")
         assert pipeline.wiring.version_of("a") == "v2"
         assert pipeline.wiring.version_of("b") == "v1"
-        info = pipeline.describe()
-        assert info["modules"]["a"]["version"] == "v2"
-        assert info["modules"]["b"]["version"] == "v1"
 
     def test_version_labels_in_metrics(self):
         home = VideoPipe.paper_testbed(seed=0)

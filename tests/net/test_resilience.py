@@ -302,11 +302,12 @@ class TestClientCircuitBreaking:
         for _ in range(2):
             client.call(target, None)
             kernel.run()
-        assert client.circuit_opens == 1
+        breaker = client.breaker_for(target)
+        assert breaker.opens == 1
         rejected = client.call(target, None)
         kernel.run()
         assert isinstance(rejected.exception, CircuitOpenError)
-        assert client.circuit_rejections == 1
+        assert breaker.rejections == 1
         assert client.calls_sent == 2  # the rejected call never hit the wire
 
     def test_half_open_probe_recovers_the_target(self, kernel, net):
@@ -343,7 +344,7 @@ class TestClientCircuitBreaking:
         for _ in range(5):
             client.call(target, None)
             kernel.run()
-        assert client.circuit_opens == 0
+        assert client.breaker_for(target).opens == 0
         assert client.breaker_for(target).state == CLOSED
 
 

@@ -68,15 +68,6 @@ class TestDeploy:
         consumer = pipeline.module_instance("consumer")
         assert consumer.seen == [{"n": 0}, {"n": 1}, {"n": 2}]
 
-    def test_describe_structure(self, home):
-        pipeline = home.deploy_pipeline(two_stage_config(),
-                                        default_device="phone")
-        home.run(until=1.0)
-        info = pipeline.describe()
-        assert info["pipeline"] == "deploytest"
-        assert info["modules"]["consumer"]["events"] == 3
-        assert info["modules"]["producer"]["next"] == ["consumer"]
-
     def test_module_instances_override_registry(self, home):
         seen = []
         override = FunctionModule(lambda ctx, e: seen.append(e.payload))

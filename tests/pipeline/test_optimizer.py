@@ -493,7 +493,8 @@ def test_planner_does_not_price_a_host_on_a_crashed_device():
     live = {name: dev for name, dev in home.devices.items() if dev.up}
     assert sorted(live) == ["alpha", "phone"]
     # nothing unregisters a dead host: the registry still lists zeta's
-    assert home.registry.devices_hosting("heavy") == ["alpha", "zeta"]
+    assert [h.device.name for h in home.registry.hosts_of("heavy")] == [
+        "alpha", "zeta"]
     model = CostModel(config, live, home.registry, home.topology)
     on_phone = {"camera": "phone", "stage": "phone", "sink": "phone"}
     # the call can only be served by alpha, 6 x 0.05 s however it is routed

@@ -107,17 +107,11 @@ class TestColocated:
         )
         assert plan.device_of("mid") == "desktop"
 
-    def test_describe_mentions_every_module(self, home):
-        plan = plan_colocated(config(), home.devices, home.registry, "phone")
-        text = plan.describe()
-        for name in ("src", "mid", "sink"):
-            assert name in text
-
 
 class TestSingleHost:
     def test_everything_on_host(self, home):
         plan = plan_single_host(config(), home.devices, "phone")
-        assert plan.devices_used() == ["phone"]
+        assert set(plan.assignments.values()) == {"phone"}
 
     def test_pins_still_respected(self, home):
         plan = plan_single_host(config(pins={"sink": "tv"}), home.devices, "phone")

@@ -140,4 +140,4 @@ class TestSignalsAndLogs:
     def test_record_stage(self, home):
         ctx, wiring = deploy_with_ctx(home)
         ctx.record_stage("pose", 0.05)
-        assert wiring.metrics.stage_samples("pose") == [0.05]
+        assert wiring.metrics.stage_means_ms() == {"pose": pytest.approx(50.0)}

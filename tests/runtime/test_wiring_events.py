@@ -38,13 +38,6 @@ class TestPipelineWiring:
     def test_downstream_of_unknown_is_empty(self):
         assert self.make().downstream_of("ghost") == []
 
-    def test_describe(self):
-        info = self.make().describe()
-        assert info["pipeline"] == "p"
-        assert info["modules"]["a"] == "phone:5000"
-        assert info["edges"] == {"a": ["b"], "b": []}
-        assert info["source"] == "a"
-
 
 class TestModuleEvent:
     def test_queueing_delay(self):

@@ -35,10 +35,18 @@ def ctx():
     )
 
 
-def squat_frame(render=False, t=0.3):
-    camera = SyntheticCamera("phone", Squat(), render=render,
-                             rng=np.random.default_rng(0) if render else None)
-    return camera.capture(1, t)
+def squat_frame(t=0.3):
+    return SyntheticCamera("phone", Squat()).capture(1, t)
+
+
+def gray_subject_frame():
+    """A grayscale frame drawn here: a bright head over a bright body on a
+    dim background, the silhouette the face heuristic reads."""
+    pixels = np.full((120, 160), 40, dtype=np.uint8)
+    pixels[14:30, 72:88] = 200  # head
+    pixels[30:100, 66:94] = 200  # body
+    return VideoFrame(frame_id=1, source="phone", capture_time=0.0,
+                      width=160, height=120, channels=1, pixels=pixels)
 
 
 class TestPoseService:
@@ -127,7 +135,7 @@ class TestDisplayService:
         shown = sink.frames[0]
         assert shown.label == "squat"
         assert shown.reps == 3
-        assert shown.glass_to_glass_s == pytest.approx(0.3)
+        assert shown.shown_at - shown.capture_time == pytest.approx(0.3)
 
     def test_sink_caps_history(self):
         sink = DisplaySink(keep_last=2)
@@ -145,17 +153,21 @@ class TestDisplayService:
 
 class TestPixelServices:
     def test_face_detection_on_rendered_frame(self, ctx):
-        result = FaceDetectionService().handle({"frame": squat_frame(render=True)}, ctx)
+        result = FaceDetectionService().handle(
+            {"frame": gray_subject_frame()}, ctx)
         assert result["found"]
+        x0, y0, x1, y1 = result["bbox"]
+        assert y0 == 14.0 and 66.0 <= x0 <= x1 <= 94.0
 
     def test_face_detection_requires_pixels(self, ctx):
         with pytest.raises(ServiceError):
-            FaceDetectionService().handle({"frame": squat_frame(render=False)}, ctx)
+            FaceDetectionService().handle({"frame": squat_frame()}, ctx)
 
     def test_object_detection_requires_rgb(self, ctx):
-        # rendered pose frames are grayscale: object detector must refuse
+        # a grayscale frame: the object detector must refuse
         with pytest.raises(ServiceError):
-            ObjectDetectionService().handle({"frame": squat_frame(render=True)}, ctx)
+            ObjectDetectionService().handle(
+                {"frame": gray_subject_frame()}, ctx)
 
     def test_object_detection_on_scene(self, ctx):
         from repro.vision import BBox, SceneObject, render_scene
@@ -209,35 +221,3 @@ class TestIoTService:
         fleet.ensure("light")
         with pytest.raises(ServiceError):
             IoTActuatorService(fleet).handle({"target": "light", "action": "explode"}, ctx)
-
-
-class TestDisplayOverlayCompositing:
-    def test_overlay_burned_into_rendered_frames(self, ctx):
-        from repro.services.builtin.display import OVERLAY_LEVEL
-
-        frame = squat_frame(render=True)
-        sink = DisplaySink()
-        DisplayService(sink).handle(
-            {"frame": frame, "keypoints": frame.truth.keypoints}, ctx
-        )
-        shown = sink.frames[0]
-        assert shown.composited is not None
-        assert (shown.composited == OVERLAY_LEVEL).sum() >= 17
-        # the source pixels were not mutated
-        assert not np.array_equal(shown.composited, frame.pixels)
-
-    def test_annotated_frames_skip_compositing(self, ctx):
-        frame = squat_frame(render=False)
-        sink = DisplaySink()
-        DisplayService(sink).handle(
-            {"frame": frame, "keypoints": frame.truth.keypoints}, ctx
-        )
-        assert sink.frames[0].composited is None
-
-    def test_offscreen_keypoints_ignored(self, ctx):
-        from repro.services.builtin.display import composite_overlay
-
-        frame = squat_frame(render=True)
-        wild = np.full((17, 2), 10_000.0)
-        image = composite_overlay(frame, wild)
-        np.testing.assert_array_equal(image, frame.pixels)

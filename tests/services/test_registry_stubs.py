@@ -25,7 +25,7 @@ class TestRegistry:
         registry.register(host)
         assert "svc" in registry
         assert registry.service_names() == ["svc"]
-        assert registry.devices_hosting("svc") == ["desktop"]
+        assert [h.device.name for h in registry.hosts_of("svc")] == ["desktop"]
         assert registry.any_host("svc") is host
 
     def test_duplicate_registration_rejected(self, home):
@@ -38,7 +38,8 @@ class TestRegistry:
         registry = ServiceRegistry()
         registry.register(host_on(home, "desktop"))
         registry.register(host_on(home, "phone", port=7101))
-        assert sorted(registry.devices_hosting("svc")) == ["desktop", "phone"]
+        assert sorted(h.device.name for h in registry.hosts_of("svc")) == [
+            "desktop", "phone"]
         assert registry.host_on("svc", "phone").device.name == "phone"
 
     def test_missing_service_queries(self, home):

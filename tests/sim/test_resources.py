@@ -137,7 +137,7 @@ class TestResource:
 
         def waiter():
             grant = yield res.request()
-            waits.append(grant.wait_time)
+            waits.append(grant.granted_at - grant.requested_at)
             res.release(grant)
 
         kernel.process(waiter())

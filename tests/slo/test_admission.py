@@ -1,4 +1,4 @@
-"""Admission control: cost-model gating, queueing, and conservation."""
+"""Admission control: cost-model gating and conservation."""
 
 import pytest
 
@@ -14,7 +14,7 @@ from repro.apps.gesture import (
 from repro.errors import AdmissionError, ConfigError
 from repro.slo import SLO, SLOConfig
 from repro.slo.admission import AdmissionController, pipeline_fps
-from repro.slo.spec import ADMITTED, QUEUED, REJECTED
+from repro.slo.spec import ADMITTED, REJECTED
 
 SLO_T = SLO(p99_latency_s=0.25, min_fps=4.0)
 
@@ -70,16 +70,6 @@ class TestDecide:
         assert decision.worst_utilization > decision.threshold
         assert "exceeds threshold" in decision.reason
 
-    def test_on_reject_queued(self, home):
-        controller = AdmissionController(
-            home, SLOConfig(admission_threshold=0.25))
-        home.deploy_pipeline(fitness_pipeline_config(fps=10.0))
-        home.deploy_pipeline(guest_config(0))
-        config = guest_config(1, fps=15.0)
-        decision = controller.decide(config, home.plan(config),
-                                     on_reject=QUEUED)
-        assert decision.action == QUEUED
-
     def test_stopped_pipelines_free_capacity(self, home):
         controller = AdmissionController(
             home, SLOConfig(admission_threshold=0.25))
@@ -128,50 +118,19 @@ class TestFacadeAdmission:
         assert pipeline is not None
         assert home.snapshot()["slo"]["deploys_rejected"] == 0
 
-    def test_queue_mode_parks_and_drains(self, home):
-        home.enable_slo(config=SLOConfig(admission_threshold=0.25))
-        home.deploy_pipeline(fitness_pipeline_config(fps=10.0), slo=SLO_T)
-        occupant = home.deploy_pipeline(guest_config(0))
-        parked = home.deploy_pipeline(guest_config(1, fps=15.0),
-                                      admission="queue")
-        assert parked is None
-        assert [q.name for q in home.slo.queued] == ["guest1"]
-        # capacity has not returned: the head stays parked across ticks
-        home.run_for(1.5)
-        assert [q.name for q in home.slo.queued] == ["guest1"]
-        # the occupant leaves; the next tick re-prices and deploys the head
-        occupant.stop()
-        home.run_for(1.0)
-        assert home.slo.queued == []
-        names = [p.config.name for p in home.pipelines if not p.stopped]
-        assert "guest1" in names
-        status = home.snapshot()["slo"]
-        assert status["deploys_requested"] == 3
-        assert status["deploys_deployed"] == 3
-
-    def test_withdraw_a_parked_deploy(self, home):
-        home.enable_slo(config=SLOConfig(admission_threshold=0.25))
-        home.deploy_pipeline(fitness_pipeline_config(fps=10.0), slo=SLO_T)
-        home.deploy_pipeline(guest_config(0))
-        home.deploy_pipeline(guest_config(1, fps=15.0), admission="queue")
-        assert home.slo.withdraw("guest1")
-        assert not home.slo.withdraw("guest1")
-        status = home.snapshot()["slo"]
-        assert status["deploys_withdrawn"] == 1
-        assert status["deploys_queued_now"] == 0
-
     def test_conservation_invariant(self, home):
         home.enable_slo(config=SLOConfig(admission_threshold=0.25))
         home.deploy_pipeline(fitness_pipeline_config(fps=10.0), slo=SLO_T)
         home.deploy_pipeline(guest_config(0))
         with pytest.raises(AdmissionError):
             home.deploy_pipeline(guest_config(1, fps=15.0))
-        home.deploy_pipeline(guest_config(2, fps=15.0), admission="queue")
+        home.deploy_pipeline(guest_config(2, fps=15.0), admission="bypass")
         home.run_for(1.0)
         status = home.snapshot()["slo"]
+        assert status["deploys_requested"] == 3
         assert status["deploys_requested"] == (
             status["deploys_deployed"] + status["deploys_rejected"]
-            + status["deploys_withdrawn"] + status["deploys_queued_now"]
+            + status["deploys_withdrawn"]
         )
 
     def test_a_failed_deploy_is_withdrawn(self, home):
@@ -192,9 +151,10 @@ class TestFacadeAdmission:
 
     def test_invalid_admission_mode(self, home):
         home.enable_slo()
-        with pytest.raises(ConfigError):
-            home.deploy_pipeline(fitness_pipeline_config(fps=10.0),
-                                 admission="maybe")
+        for mode in ("maybe", "queue"):
+            with pytest.raises(ConfigError):
+                home.deploy_pipeline(fitness_pipeline_config(fps=10.0),
+                                     admission=mode)
 
     def test_no_controller_means_no_gate(self, home):
         pipeline = home.deploy_pipeline(fitness_pipeline_config(fps=10.0))

@@ -17,7 +17,6 @@ class TestBBox:
         assert box.width == 4
         assert box.height == 2
         assert box.area == 8
-        assert box.center == (2.0, 1.0)
 
     def test_identical_boxes_iou_one(self):
         box = BBox(1, 2, 5, 8)
@@ -44,17 +43,6 @@ class TestBBox:
         point = BBox(1, 1, 1, 1)
         assert point.area == 0
         assert point.iou(point) == 0.0  # degenerate union guard
-
-    def test_contains_point(self):
-        box = BBox(0, 0, 2, 2)
-        assert box.contains_point(1, 1)
-        assert box.contains_point(0, 0)  # boundary inclusive
-        assert not box.contains_point(3, 1)
-
-    def test_expanded(self):
-        box = BBox(10, 10, 20, 20).expanded(0.1)
-        assert box.x0 == pytest.approx(9)
-        assert box.x1 == pytest.approx(21)
 
     def test_as_tuple(self):
         assert BBox(1, 2, 3, 4).as_tuple() == (1, 2, 3, 4)

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.frames.synthetic import render_pose
-from repro.motion import Squat, SubjectParams, place_in_image
 from repro.vision import (
     BBox,
     ColorHistogramClassifier,
@@ -59,13 +57,15 @@ class TestObjectDetector:
 
 class TestFaceRegion:
     def test_face_found_at_top_of_subject(self):
-        subject = SubjectParams(height_px=90, center_x=80, ground_y=110)
-        pose = place_in_image(Squat().pose_at(0.0), subject)
-        image = render_pose(pose, 160, 120)
+        # a standing figure drawn here: head rows 20-33, body rows 34-109
+        image = np.full((120, 160), 40, dtype=np.uint8)
+        image[20:34, 74:86] = 200
+        image[34:110, 68:92] = 200
         face = detect_face_region(image)
         assert face is not None
-        nose = pose["nose"]
-        assert face.contains_point(nose[0], nose[1])
+        assert face.y0 == 20.0 and face.y1 < 34.0
+        assert 68.0 <= face.x0 and face.x1 <= 91.0
+        assert face.x0 <= 80.0 <= face.x1
 
     def test_empty_image_returns_none(self):
         assert detect_face_region(np.full((60, 80), 30, dtype=np.uint8)) is None

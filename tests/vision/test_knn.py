@@ -47,6 +47,10 @@ def two_blobs(n=20, separation=10.0, seed=0):
     return features, labels
 
 
+def label_of(clf, query):
+    return clf.predict_with_confidence(query)[0]
+
+
 class TestValidation:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -63,33 +67,33 @@ class TestValidation:
 
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ValueError):
-            KNNClassifier().predict(np.zeros(3))
+            KNNClassifier().predict_with_confidence(np.zeros(3))
 
 
 class TestClassification:
     def test_separable_blobs_classified_perfectly(self):
         features, labels = two_blobs()
         clf = KNNClassifier(k=3).fit(features, labels)
-        assert clf.predict(np.zeros(3)) == "a"
-        assert clf.predict(np.full(3, 10.0)) == "b"
-        assert clf.score(features, labels) == 1.0
+        assert label_of(clf, np.zeros(3)) == "a"
+        assert label_of(clf, np.full(3, 10.0)) == "b"
+        assert [label_of(clf, f) for f in features] == labels
 
     def test_k_larger_than_dataset_uses_all_points(self):
         features = np.array([[0.0], [1.0], [2.0]])
         clf = KNNClassifier(k=50).fit(features, ["a", "a", "b"])
-        assert clf.predict(np.array([10.0])) == "a"  # majority of all 3
+        assert label_of(clf, np.array([10.0])) == "a"  # majority of all 3
 
     def test_k1_is_nearest_neighbour(self):
         features = np.array([[0.0], [10.0]])
         clf = KNNClassifier(k=1).fit(features, ["a", "b"])
-        assert clf.predict(np.array([4.0])) == "a"
-        assert clf.predict(np.array([6.0])) == "b"
+        assert label_of(clf, np.array([4.0])) == "a"
+        assert label_of(clf, np.array([6.0])) == "b"
 
     def test_tie_goes_to_nearer_class(self):
         features = np.array([[0.0], [2.0]])
         clf = KNNClassifier(k=2).fit(features, ["a", "b"])
-        assert clf.predict(np.array([0.5])) == "a"
-        assert clf.predict(np.array([1.5])) == "b"
+        assert label_of(clf, np.array([0.5])) == "a"
+        assert label_of(clf, np.array([1.5])) == "b"
 
     def test_confidence_is_vote_fraction(self):
         features = np.array([[0.0], [0.1], [5.0]])
@@ -97,17 +101,6 @@ class TestClassification:
         label, confidence = clf.predict_with_confidence(np.array([0.0]))
         assert label == "a"
         assert confidence == pytest.approx(2 / 3)
-
-    def test_classes_sorted_unique(self):
-        features, labels = two_blobs(n=5)
-        clf = KNNClassifier().fit(features, labels)
-        assert clf.classes == ("a", "b")
-
-    def test_predict_batch(self):
-        features, labels = two_blobs(n=10)
-        clf = KNNClassifier(k=3).fit(features, labels)
-        queries = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
-        assert clf.predict_batch(queries) == ["a", "b"]
 
 
 @given(
@@ -119,7 +112,7 @@ def test_property_training_points_classified_as_own_label_when_k1(seed, k):
     """With k=1, every training point is its own nearest neighbour."""
     features, labels = two_blobs(n=8, separation=6.0, seed=seed)
     clf = KNNClassifier(k=1).fit(features, labels)
-    assert clf.score(features, labels) == 1.0
+    assert [label_of(clf, f) for f in features] == labels
 
 
 @given(shift=st.floats(min_value=-100, max_value=100))
@@ -130,7 +123,7 @@ def test_property_translation_invariance(shift):
     query = np.array([1.0, 2.0, 3.0])
     clf_a = KNNClassifier(k=3).fit(features, labels)
     clf_b = KNNClassifier(k=3).fit(features + shift, labels)
-    assert clf_a.predict(query) == clf_b.predict(query + shift)
+    assert label_of(clf_a, query) == label_of(clf_b, query + shift)
 
 
 class TestScreenedSearch:

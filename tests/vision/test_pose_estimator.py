@@ -12,12 +12,6 @@ def annotated_frame(t=0.3):
     return SyntheticCamera("phone", Squat()).capture(1, t)
 
 
-def rendered_frame(t=0.3):
-    camera = SyntheticCamera("phone", Squat(), render=True,
-                             rng=np.random.default_rng(0))
-    return camera.capture(1, t)
-
-
 class TestEstimation:
     def test_detects_subject_in_annotated_frame(self):
         estimator = PoseEstimator(rng=np.random.default_rng(1))
@@ -60,20 +54,6 @@ class TestEstimation:
         pose = estimator.estimate(annotated_frame()).require_pose()
         assert not pose.visibility.all()
         assert pose.visibility.any()
-
-    def test_rendered_frame_bbox_comes_from_pixels(self):
-        frame = rendered_frame()
-        estimator = PoseEstimator(
-            PoseNoiseModel(miss_prob=0.0), rng=np.random.default_rng(1)
-        )
-        result = estimator.estimate(frame)
-        assert result.detected
-        x0, y0, x1, y1 = frame.truth.bounding_box(margin=0.0)
-        # pixel-derived box should overlap the truth box substantially
-        assert result.bbox.x0 < x0 + 30
-        assert result.bbox.x1 > x1 - 30
-        assert result.bbox.y0 < y0 + 30
-        assert result.bbox.y1 > y1 - 30
 
     def test_deterministic_given_seed(self):
         frame = annotated_frame()

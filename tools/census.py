@@ -4,7 +4,11 @@ Report only: no gate and no CI step. Four phases run in order under
 ``sys.setprofile``, and each function is credited to the first that calls
 it: ``example`` (every ``examples/*.py``), ``bench`` (``benchmarks/`` at
 ``REPRO_BENCH_FAST=1``), ``ledger`` (the four ledger workloads, then
-``tools/check_determinism.py``) and ``tier-1`` (``tests/``). Two rules:
+``tools/check_determinism.py``) and ``tier-1`` (``tests/``). A function
+no phase calls is ``nothing``, unless its ``def`` line carries
+``# pragma: no cover`` (a debug aid such as a ``__repr__``): those are
+``excluded``, whoever calls them, so ``nothing`` lists only functions
+someone can act on. Two rules:
 
 * Run the benches with ``--benchmark-disable``. pytest-benchmark's
   ``PauseInstrumentation`` unsets ``sys.setprofile`` during timed runs,
@@ -63,11 +67,14 @@ if os.environ.get("CENSUS_OUT"):
 """
 
 
-def functions() -> dict[tuple[str, int], str]:
-    """(file, first line as the code object reports it) -> qualified name."""
-    found = {}
+def functions() -> tuple[dict[tuple[str, int], str], set[tuple[str, int]]]:
+    """(file, first line as the code object reports it) -> qualified name,
+    and the keys whose ``def`` line carries ``# pragma: no cover``."""
+    found, excluded = {}, set()
     for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text())
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
         stack = [(tree, "")]
         while stack:
             node, prefix = stack.pop()
@@ -78,8 +85,10 @@ def functions() -> dict[tuple[str, int], str]:
                     line = min([child.lineno]
                                + [d.lineno for d in child.decorator_list])
                     found[(str(path), line)] = qual
+                    if "pragma: no cover" in lines[child.lineno - 1]:
+                        excluded.add((str(path), line))
                 stack.append((child, qual if name else prefix))
-    return found
+    return found, excluded
 
 
 def run_phase(commands: list[list[str]], tmp: str) -> set[tuple[str, int]]:
@@ -108,7 +117,7 @@ def main() -> None:
     parser.add_argument("--phase", action="append", choices=list(PHASES),
                         help="run only this phase (repeatable)")
     args = parser.parse_args()
-    table = functions()
+    table, excluded = functions()
     first: dict[tuple[str, int], str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "sitecustomize.py").write_text(
@@ -116,12 +125,15 @@ def main() -> None:
         for phase in args.phase or list(PHASES):
             for key in run_phase(PHASES[phase], tmp) & table.keys():
                 first.setdefault(key, phase)
+    bucket = {key: "excluded" if key in excluded else first.get(key, "nothing")
+              for key in table}
     for key in sorted(table):
         where = Path(key[0]).relative_to(ROOT)
-        print(f"{first.get(key, 'nothing'):8} {where}:{key[1]} {table[key]}")
-    counts = Counter(first.get(key, "nothing") for key in table)
+        print(f"{bucket[key]:8} {where}:{key[1]} {table[key]}")
+    counts = Counter(bucket.values())
     print(f"\n{len(table)} functions: " + ", ".join(
-        f"{phase} {counts[phase]}" for phase in [*PHASES, "nothing"]))
+        f"{phase} {counts[phase]}"
+        for phase in [*PHASES, "nothing", "excluded"]))
 
 
 if __name__ == "__main__":
