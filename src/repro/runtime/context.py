@@ -107,7 +107,10 @@ class ModuleContext:
         host = getattr(stub, "host", None)
         hits_before = host.cache_hits if host is not None else 0
         signal = observe.service_call(self, service_name, stub, payload)
-        signal.wait(_count_rejection)
+        if signal.pending:
+            signal.wait(_count_rejection)
+        else:  # resolved in the call: a rejection is known now
+            _count_rejection(None, signal.exception)
         if host is not None and host.cache_hits > hits_before:
             self.metrics.increment(f"service_cache_hits.{service_name}")
         return signal

@@ -155,7 +155,10 @@ class PoolLease:
             else:  # requester abandoned between queue and grant
                 self.release(grant)
 
-        inner.wait(granted)
+        if inner.pending:
+            inner.wait(granted)
+        else:  # a free slot is granted in the call, as Resource.hold's is
+            granted(inner.value, None)
         return outer
 
     def release(self, grant: Grant) -> None:

@@ -278,7 +278,10 @@ class TraceRecorder(FrameObserver):
                     service=service, ok=exc is None,
                 )
 
-            signal.wait(_record)
+            if signal.pending:
+                signal.wait(_record)
+            else:  # a cache hit or an immediate failure: its span ends now
+                _record(None, signal.exception)
             return signal
 
         return traced

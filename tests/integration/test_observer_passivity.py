@@ -12,9 +12,16 @@ and audited — and the three event streams must be one stream: the same
 executed-event count and the same :func:`stream_digest`. An observer that
 attaches a waiter to a call that already resolved (a cache hit) costs the
 observed run one zero-delay event per call, and fails here.
+
+The same home holds the runtime to docs/PERF.md "What is an event" from
+the callers' side: a signal that already resolved is consumed in the call,
+never waited on, so every event it executes moves the clock (a timer or a
+hold ending) or starts a process.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -25,6 +32,7 @@ from repro.apps import (
 )
 from repro.audit.determinism import EventTap, stream_digest
 from repro.core import VideoPipe
+from repro.sim.signals import Signal
 
 DURATION = 2.0
 FPS = 30.0
@@ -33,10 +41,29 @@ SEED = 5
 #: The three observer sets each run of the home is made with.
 RUNS = {"bare": (), "traced": ("tracing",), "audited": ("tracing", "audit")}
 
+#: The events that move simulated time or hand control to a new party.
+MOVES_THE_CLOCK = {"Signal._fire", "Resource._held", "Process._resume start"}
+
+
+class KindTap(EventTap):
+    """An event tap that also counts each executed event's kind: its
+    callback, and for a process whether the event starts or wakes it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kinds: Counter[str] = Counter()
+
+    def on_execute(self, now, event) -> None:
+        super().on_execute(now, event)
+        kind = getattr(event.callback, "__qualname__", repr(event.callback))
+        if kind == "Process._resume":
+            kind += " start" if event.args[0] == 0 else " wake"
+        self.kinds[kind] += 1
+
 
 def run(recognizer, observers=()):
     """Build the home with *observers* on, deploy its pipeline and drain
-    it; the home and its tap's records."""
+    it; the home and its tap."""
     home = VideoPipe.paper_testbed(seed=SEED)
     home.enable_fast_path()
     home.enable_data_plane()
@@ -47,11 +74,11 @@ def run(recognizer, observers=()):
     services = install_fitness_services(home, recognizer=recognizer)
     FitnessApp(home, services).deploy(fitness_pipeline_config(
         fps=FPS, duration_s=DURATION, static_scene=True))
-    tap = EventTap()
+    tap = KindTap()
     home.kernel.add_observer(tap)
     home.run(until=DURATION + 1.0)
     home.run()
-    return home, tap.records
+    return home, tap
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +87,9 @@ def runs(fitness_recognizer):
             for name, observers in RUNS.items()}
 
 
-def stream(records):
+def stream(tap):
     """Executed-event count and digest of a tapped stream."""
-    executed = sum(1 for record in records if record[0] == "X")
-    return executed, stream_digest(records)
+    return sum(tap.kinds.values()), stream_digest(tap.records)
 
 
 def test_the_home_reaches_cache_hits_and_pooled_grants(runs):
@@ -75,6 +101,28 @@ def test_the_home_reaches_cache_hits_and_pooled_grants(runs):
 @pytest.mark.parametrize("observed", ["traced", "audited"])
 def test_an_observed_run_is_the_bare_run(runs, observed):
     _, bare = runs["bare"]
-    home, records = runs[observed]
+    home, tap = runs[observed]
     assert home.tracer.span_count > 0
-    assert stream(records) == stream(bare)
+    assert stream(tap) == stream(bare)
+
+
+def test_every_event_moves_the_clock_or_starts_a_process(runs):
+    _, tap = runs["audited"]
+    assert set(tap.kinds) <= MOVES_THE_CLOCK, tap.kinds
+
+
+def test_no_waiter_is_attached_to_a_resolved_signal(fitness_recognizer,
+                                                    monkeypatch):
+    """Such a waiter is a zero-delay event that moves no time: the caller
+    consumes the outcome in the call instead."""
+    late = Counter()
+    wait = Signal.wait
+
+    def spy(signal, callback, *args):
+        if signal.resolved:
+            late[getattr(callback, "__qualname__", repr(callback))] += 1
+        wait(signal, callback, *args)
+
+    monkeypatch.setattr(Signal, "wait", spy)
+    run(fitness_recognizer, RUNS["audited"])
+    assert not late, late
