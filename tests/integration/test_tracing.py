@@ -48,7 +48,7 @@ SPAN_DIGESTS = {
     "baseline":
         "c63b5529b16a1fa41369284eb84c20408267ac0556b2a52a1a23f17feed098a0",
     "chaos_fitness":
-        "47a2a3c12a1bc0005fcd066db0ca8a3fec0bf9f37d7b3f755989abc6fe2520f7",
+        "e71e6a1bff8a83322a89f08030caa8d742d85d69cb4b80cf2b592447af03eb31",
 }
 LINEAGE_DIGEST = (
     "c208ff5a8014a33ccef16773899782ad1271872fcfd2e79c43a5b726167c30e6")
