@@ -18,6 +18,11 @@ someone can act on. Two rules:
   ledger runs its workloads in child processes. Each process writes what
   it saw at exit (one that leaves through ``os._exit`` records nothing).
 
+A function is keyed by its file and qualified name (``co_qualname``), so a
+source edit made while the phases run moves no key. Python 3.10 has no
+``co_qualname``; there the key is the function's first line, and an edit
+mid-run can re-bucket every later function in that file.
+
 Usage: ``python tools/census.py [--phase example ...]`` (all four phases
 take about ten minutes on two cores).
 """
@@ -36,6 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 PY = sys.executable
+#: What a function is keyed by, beside its file: see the module docstring.
+KEY = "co_qualname" if sys.version_info >= (3, 11) else "co_firstlineno"
 LEDGER = ["fleet-stage-90", "fleet-plan-cloud-16", "home-fitness-shared",
           "home-static-features-on"]
 
@@ -54,7 +61,7 @@ import atexit, os, sys, threading
 _src, _seen = {src!r}, set()
 def _profile(frame, event, arg):
     if event == "call" and frame.f_code.co_filename.startswith(_src):
-        _seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+        _seen.add((frame.f_code.co_filename, frame.f_code.{key}))
 def _dump():
     sys.setprofile(None)
     path = os.path.join(os.environ["CENSUS_OUT"], f"{{os.getpid()}}.txt")
@@ -67,9 +74,10 @@ if os.environ.get("CENSUS_OUT"):
 """
 
 
-def functions() -> tuple[dict[tuple[str, int], str], set[tuple[str, int]]]:
-    """(file, first line as the code object reports it) -> qualified name,
-    and the keys whose ``def`` line carries ``# pragma: no cover``."""
+def functions() -> tuple[dict[tuple, tuple[int, str]], set[tuple]]:
+    """(file, ``KEY`` as the code object reports it) -> (first line,
+    qualified name), and the keys whose ``def`` line carries ``# pragma: no
+    cover``."""
     found, excluded = {}, set()
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
@@ -84,14 +92,17 @@ def functions() -> tuple[dict[tuple[str, int], str], set[tuple[str, int]]]:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     line = min([child.lineno]
                                + [d.lineno for d in child.decorator_list])
-                    found[(str(path), line)] = qual
+                    key = (str(path), qual if KEY == "co_qualname" else line)
+                    found[key] = (line, qual)
                     if "pragma: no cover" in lines[child.lineno - 1]:
-                        excluded.add((str(path), line))
+                        excluded.add(key)
+                    # what a function defines is named as co_qualname does
+                    qual += ".<locals>"
                 stack.append((child, qual if name else prefix))
     return found, excluded
 
 
-def run_phase(commands: list[list[str]], tmp: str) -> set[tuple[str, int]]:
+def run_phase(commands: list[list[str]], tmp: str) -> set[tuple]:
     out = Path(tmp) / "seen"
     out.mkdir(exist_ok=True)
     env = dict(os.environ, CENSUS_OUT=str(out), REPRO_BENCH_FAST="1",
@@ -106,8 +117,8 @@ def run_phase(commands: list[list[str]], tmp: str) -> set[tuple[str, int]]:
     seen = set()
     for path in out.glob("*.txt"):
         for line in path.read_text().splitlines():
-            filename, lineno = line.split("\t")
-            seen.add((filename, int(lineno)))
+            filename, name = line.split("\t")
+            seen.add((filename, name if KEY == "co_qualname" else int(name)))
         path.unlink()
     return seen
 
@@ -118,18 +129,19 @@ def main() -> None:
                         help="run only this phase (repeatable)")
     args = parser.parse_args()
     table, excluded = functions()
-    first: dict[tuple[str, int], str] = {}
+    first: dict[tuple, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "sitecustomize.py").write_text(
-            SITECUSTOMIZE.format(src=str(SRC)))
+            SITECUSTOMIZE.format(src=str(SRC), key=KEY))
         for phase in args.phase or list(PHASES):
             for key in run_phase(PHASES[phase], tmp) & table.keys():
                 first.setdefault(key, phase)
     bucket = {key: "excluded" if key in excluded else first.get(key, "nothing")
               for key in table}
-    for key in sorted(table):
+    for key in sorted(table, key=lambda key: (key[0], table[key][0])):
+        line, qual = table[key]
         where = Path(key[0]).relative_to(ROOT)
-        print(f"{bucket[key]:8} {where}:{key[1]} {table[key]}")
+        print(f"{bucket[key]:8} {where}:{line} {qual}")
     counts = Counter(bucket.values())
     print(f"\n{len(table)} functions: " + ", ".join(
         f"{phase} {counts[phase]}"
