@@ -113,7 +113,10 @@ class FailureDetector:
         result = self._client.call(
             Address(device, HEARTBEAT_PORT), {"t": self.kernel.now}
         )
-        result.wait(lambda _v, exc: self._on_probe(device, exc))
+        if result.pending:
+            result.wait(lambda _v, exc: self._on_probe(device, exc))
+        else:  # failed in the call (no route to the device): a miss now
+            self._on_probe(device, result.exception)
 
     def _on_probe(self, device: str, exc: BaseException | None) -> None:
         state = self._watched.get(device)

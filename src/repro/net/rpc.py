@@ -195,12 +195,18 @@ class RpcClient:
             if timeout_s is not None:
                 attempt_timeout = min(timeout_s, attempt_timeout)
         result = self._attempt(target, payload, attempt_timeout, headers)
-        result.wait(
-            lambda value, exc: self._on_attempt_done(
-                target, payload, timeout_s, policy, done, attempt, value, exc,
-                headers, deadline,
+        if result.pending:
+            result.wait(
+                lambda value, exc: self._on_attempt_done(
+                    target, payload, timeout_s, policy, done, attempt, value,
+                    exc, headers, deadline,
+                )
             )
-        )
+        else:  # the request could not be sent: the attempt is over now
+            self._on_attempt_done(
+                target, payload, timeout_s, policy, done, attempt, None,
+                result.exception, headers, deadline,
+            )
 
     def _on_attempt_done(
         self,
@@ -274,6 +280,9 @@ class RpcClient:
             message.headers.update(headers)
         self.calls_sent += 1
         sent = self.transport.send(message)
+        if sent.failed:  # failed in the call: nothing left to time out
+            self._on_send_failure(request_id, sent.exception)
+            return result
         sent.wait(lambda _v, exc: self._on_send_failure(request_id, exc))
         if timeout_s is not None:
             self._timers[request_id] = self.kernel.schedule(
@@ -352,10 +361,14 @@ class RpcServer:
         except Exception as exc:  # report handler crashes to the caller
             self._send_error(message, exc)
             return
-        if isinstance(result, Signal):
-            result.wait(lambda value, exc: self._on_async_result(message, value, exc))
-        else:
+        if not isinstance(result, Signal):
             self._send_reply(message, result)
+        elif result.pending:
+            result.wait(lambda value, exc: self._on_async_result(message, value, exc))
+        elif result.failed:  # resolved in the call: answer now
+            self._send_error(message, result.exception)
+        else:
+            self._send_reply(message, result.value)
 
     def _on_async_result(self, request: Message, value: Any,
                          exc: BaseException | None) -> None:

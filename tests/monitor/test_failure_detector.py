@@ -51,6 +51,15 @@ class TestDetection:
         home.run(until=6.0)
         assert detector.is_dead("phone")
 
+    def test_an_unsendable_probe_is_a_miss_in_its_tick(self, home):
+        """A probe to a partitioned device fails in the call, so the tick
+        that sent it counts the miss (no event follows to count it)."""
+        detector = enable(home)
+        home.topology.partition("phone")
+        while detector.probes_sent == 0:
+            home.kernel.step()
+        assert detector.probes_failed == 1
+
     def test_late_devices_are_watched_too(self, home):
         detector = enable(home)
         home.add_device("laptop")

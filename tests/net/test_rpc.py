@@ -21,6 +21,10 @@ def kernel():
 
 @pytest.fixture
 def net(kernel):
+    return make_net(kernel)
+
+
+def make_net(kernel):
     topo = Topology(kernel, RngStreams(seed=1))
     topo.add_wifi("wifi", LinkSpec(latency_s=0.002, jitter_cv=0.0))
     for device in ["phone", "desktop"]:
@@ -136,3 +140,50 @@ class TestRequestReply:
         assert net.is_bound(addr)
         client.close()
         assert not net.is_bound(addr)
+
+
+class EventCount:
+    """Passive kernel observer: executed events."""
+
+    executed = 0
+
+    def on_schedule(self, now, event):
+        pass
+
+    def on_execute(self, now, event):
+        self.executed += 1
+
+
+class TestResolvedInTheCall:
+    """A signal that already resolved is consumed in the call: a waiter on
+    it would be a zero-delay event that moves no time."""
+
+    def test_an_unsendable_request_fails_the_call_at_once(self, kernel, net):
+        net.topology.partition("desktop")
+        client = RpcClient(kernel, net, "phone", default_timeout_s=0.5)
+        result = client.call(Address("desktop", 6000), None)
+        assert result.failed
+        assert "partitioned" in str(result.exception)
+        assert kernel.pending_events == 0  # no waiter and no timeout timer
+
+    def test_a_resolved_handler_signal_is_answered_at_once(self):
+        """A handler's signal that resolved in the handler (a cache hit)
+        costs what a plain return value costs."""
+
+        def served(resolved_signal):
+            kernel, count = Kernel(), EventCount()
+            transport = make_net(kernel)
+            kernel.add_observer(count)
+
+            def handler(payload, msg):
+                if resolved_signal:
+                    return kernel.signal().succeed(payload * 2)
+                return payload * 2
+
+            RpcServer(kernel, transport, Address("desktop", 6000), handler)
+            client = RpcClient(kernel, transport, "phone")
+            result = client.call(Address("desktop", 6000), 21)
+            kernel.run()
+            return result.value, count.executed
+
+        assert served(resolved_signal=True) == served(resolved_signal=False)
