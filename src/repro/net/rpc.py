@@ -195,18 +195,15 @@ class RpcClient:
             if timeout_s is not None:
                 attempt_timeout = min(timeout_s, attempt_timeout)
         result = self._attempt(target, payload, attempt_timeout, headers)
+
+        def attempt_done(value: Any, exc: BaseException | None) -> None:
+            self._on_attempt_done(target, payload, timeout_s, policy, done,
+                                  attempt, value, exc, headers, deadline)
+
         if result.pending:
-            result.wait(
-                lambda value, exc: self._on_attempt_done(
-                    target, payload, timeout_s, policy, done, attempt, value,
-                    exc, headers, deadline,
-                )
-            )
+            result.wait(attempt_done)
         else:  # the request could not be sent: the attempt is over now
-            self._on_attempt_done(
-                target, payload, timeout_s, policy, done, attempt, None,
-                result.exception, headers, deadline,
-            )
+            attempt_done(None, result.exception)
 
     def _on_attempt_done(
         self,
