@@ -10,7 +10,11 @@ time; child spans are recorded retrospectively with explicit start/end.
 
 The recorder is intentionally passive: it never schedules kernel events and
 never mutates what it observes, so tracing cannot perturb the simulation
-(see ``docs/TRACING.md`` for the full no-observer-effect guarantee).
+(see ``docs/TRACING.md`` for the full no-observer-effect guarantee). A
+call's span closes inside the event that resolves the call, or in the call
+itself when it resolved at once. The referee is
+``tests/integration/test_observer_passivity.py``: on a home with cache hits
+and pooled grants, a traced run's event stream equals the untraced run's.
 
 ``max_spans`` bounds memory on long runs: past the cap new spans are
 counted in ``dropped_spans`` and discarded (open frame roots still close
