@@ -63,57 +63,83 @@ def _plane_digest(arr: np.ndarray) -> str:
 RefResolver = Callable[[FrameRef], "str | None"]
 
 
+#: The head bytes (``str`` of the dtype, then of the shape) of each plain
+#: array layout fed so far: numpy's ``dtype.__str__`` runs in Python. A
+#: structured dtype is not cached (two equal ones can print differently).
+_HEAD_CACHE_LIMIT = 256
+_heads: dict[tuple, bytes] = {}
+
+
 def _feed_array(hasher, arr: np.ndarray) -> None:
-    hasher.update(str(arr.dtype).encode())
-    hasher.update(str(arr.shape).encode())
+    key = (arr.dtype, arr.shape)
+    head = _heads.get(key)
+    if head is None:
+        head = str(arr.dtype).encode() + str(arr.shape).encode()
+        if arr.dtype.names is None and len(_heads) < _HEAD_CACHE_LIMIT:
+            _heads[key] = head
+    hasher.update(head)
     hasher.update(np.ascontiguousarray(arr).tobytes())
 
 
 def _feed(hasher, obj: Any, resolve_ref: RefResolver | None) -> bool:
-    """Feed *obj* into *hasher*; False means the object is undigestable."""
+    """Feed *obj* into *hasher*; False means the object is undigestable.
+
+    The plain types payloads are made of are dispatched on their exact
+    type (as ``net/wire.py`` sizes them); subclasses, numpy and frame types
+    take the ``isinstance`` cascade, which feeds the same bytes for all."""
+    kind = type(obj)
+    if kind is str:
+        hasher.update(b"\x00s" + obj.encode())
+        return True
+    if kind is int or kind is float:
+        hasher.update(b"\x00n" + repr(obj).encode())
+        return True
     if obj is None:
         hasher.update(b"\x00N")
         return True
-    if isinstance(obj, bool):
-        hasher.update(b"\x00b1" if obj else b"\x00b0")
-        return True
-    if isinstance(obj, (int, float, np.integer, np.floating)):
-        hasher.update(b"\x00n" + repr(obj).encode())
-        return True
-    if isinstance(obj, str):
-        hasher.update(b"\x00s" + obj.encode())
-        return True
-    if isinstance(obj, bytes):
-        hasher.update(b"\x00y" + obj)
-        return True
-    if isinstance(obj, np.ndarray):
-        hasher.update(b"\x00a")
-        _feed_array(hasher, obj)
-        return True
-    if isinstance(obj, Pose):
-        hasher.update(b"\x00p")
-        _feed_array(hasher, np.asarray(obj.keypoints))
-        _feed_array(hasher, np.asarray(obj.visibility))
-        return True
-    if isinstance(obj, VideoFrame):
-        digest = _frame_digest(obj, resolve_ref)
-        if digest is None:
-            return False
-        hasher.update(b"\x00F" + digest.encode())
-        return True
-    if isinstance(obj, EncodedFrame):
-        # the quantized carried frame *is* the wire content; quality matters
-        # because different qualities decode to different pixels
-        hasher.update(b"\x00E" + str(obj.quality).encode())
-        return _feed(hasher, obj.frame, resolve_ref)
-    if isinstance(obj, FrameRef):
-        if resolve_ref is None:
-            return False
-        digest = resolve_ref(obj)
-        if digest is None:
-            return False
-        hasher.update(b"\x00r" + digest.encode())
-        return True
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(obj, bool):
+            hasher.update(b"\x00b1" if obj else b"\x00b0")
+            return True
+        if isinstance(obj, (int, float, np.integer, np.floating)):
+            hasher.update(b"\x00n" + repr(obj).encode())
+            return True
+        if isinstance(obj, str):
+            hasher.update(b"\x00s" + obj.encode())
+            return True
+        if isinstance(obj, bytes):
+            hasher.update(b"\x00y" + obj)
+            return True
+        if isinstance(obj, np.ndarray):
+            hasher.update(b"\x00a")
+            _feed_array(hasher, obj)
+            return True
+        if isinstance(obj, Pose):
+            hasher.update(b"\x00p")
+            _feed_array(hasher, np.asarray(obj.keypoints))
+            _feed_array(hasher, np.asarray(obj.visibility))
+            return True
+        if isinstance(obj, VideoFrame):
+            digest = _frame_digest(obj, resolve_ref)
+            if digest is None:
+                return False
+            hasher.update(b"\x00F" + digest.encode())
+            return True
+        if isinstance(obj, EncodedFrame):
+            # the quantized carried frame *is* the wire content; quality
+            # matters because different qualities decode to different pixels
+            hasher.update(b"\x00E" + str(obj.quality).encode())
+            return _feed(hasher, obj.frame, resolve_ref)
+        if isinstance(obj, FrameRef):
+            if resolve_ref is None:
+                return False
+            digest = resolve_ref(obj)
+            if digest is None:
+                return False
+            hasher.update(b"\x00r" + digest.encode())
+            return True
+        if not isinstance(obj, (dict, list, tuple)):
+            return False  # arbitrary object: no stable byte representation
     if isinstance(obj, dict):
         hasher.update(b"\x00d")
         try:
@@ -126,13 +152,11 @@ def _feed(hasher, obj: Any, resolve_ref: RefResolver | None) -> bool:
             if not _feed(hasher, value, resolve_ref):
                 return False
         return True
-    if isinstance(obj, (list, tuple)):
-        hasher.update(b"\x00l" if isinstance(obj, list) else b"\x00t")
-        for item in obj:
-            if not _feed(hasher, item, resolve_ref):
-                return False
-        return True
-    return False  # arbitrary object: no stable byte representation
+    hasher.update(b"\x00l" if isinstance(obj, list) else b"\x00t")
+    for item in obj:
+        if not _feed(hasher, item, resolve_ref):
+            return False
+    return True
 
 
 def _frame_digest(

@@ -53,16 +53,14 @@ class ModuleContext:
         self.module_name = module_name
         self.wiring = wiring
         self._stubs = stubs
+        #: The device this module runs on (a context never moves).
+        self.device_name: str = runtime.device.name
         #: The trace context this module's sends carry, unread: the one the
         #: event being handled arrived with, or the one an observer gave
         #: when this module admitted a frame.
         self._carried: Any = None
 
     # -- identity & clock ------------------------------------------------------
-    @property
-    def device_name(self) -> str:
-        return self._runtime.device.name
-
     @property
     def now(self) -> float:
         return self._runtime.kernel.now
@@ -92,28 +90,34 @@ class ModuleContext:
                 f" {service_name!r} in its configuration"
             )
         self.metrics.increment(f"service_calls.{service_name}")
-        metrics = self.metrics
-
-        def _count_rejection(_value: Any, exc: BaseException | None) -> None:
-            # a breaker-open rejection arrives either directly or as the
-            # __cause__ of the remote stub's ServiceError wrapper
-            if isinstance(exc, CircuitOpenError) or isinstance(
-                getattr(exc, "__cause__", None), CircuitOpenError
-            ):
-                metrics.increment("service_rejections")
-
         # local cache hits resolve synchronously inside call(), so a counter
         # snapshot attributes them to this pipeline's metrics
         host = getattr(stub, "host", None)
         hits_before = host.cache_hits if host is not None else 0
-        signal = observe.service_call(self, service_name, stub, payload)
+        signal, trace = observe.service_call(self, service_name, stub, payload)
         if signal.pending:
-            signal.wait(_count_rejection)
-        else:  # resolved in the call: a rejection is known now
-            _count_rejection(None, signal.exception)
+            signal.wait(self._service_ended, service_name, stub, trace)
+        else:  # resolved in the call: its end is known now
+            self._service_ended(service_name, stub, trace, None,
+                                signal.exception)
         if host is not None and host.cache_hits > hits_before:
             self.metrics.increment(f"service_cache_hits.{service_name}")
         return signal
+
+    def _service_ended(self, service_name: str, stub: "ServiceStub",
+                       trace: Any, _value: Any,
+                       exc: BaseException | None) -> None:
+        """The one completion waiter of a service call: it tells the
+        observers a traced call ended and counts a rejection."""
+        if trace is not None:
+            observe.service_returned(self, service_name, stub, trace,
+                                     exc is None)
+        # a breaker-open rejection arrives either directly or as the
+        # __cause__ of the remote stub's ServiceError wrapper
+        if isinstance(exc, CircuitOpenError) or isinstance(
+            getattr(exc, "__cause__", None), CircuitOpenError
+        ):
+            self.metrics.increment("service_rejections")
 
     def has_service(self, service_name: str) -> bool:
         return service_name in self._stubs

@@ -13,7 +13,7 @@ emitter and observers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.message import Message
@@ -44,9 +44,14 @@ class FrameObserver:
         pass
 
     def service_call(self, ctx: "ModuleContext", service: str,
-                     stub: "ServiceStub", call: Callable) -> Callable:
-        """Returns *call* (``call(payload, trace=None)``) or a wrapper."""
-        return call
+                     stub: "ServiceStub") -> Any:
+        """May return the trace context the call carries; the observer that
+        gives one is told, by :meth:`service_returned`, when it ended."""
+        return None
+
+    def service_returned(self, ctx: "ModuleContext", service: str,
+                         stub: "ServiceStub", trace: Any, ok: bool) -> None:
+        pass
 
     def stage(self, ctx: "ModuleContext", stage: str, seconds: float) -> None:
         pass
@@ -84,12 +89,20 @@ def handler_end(ctx: "ModuleContext", event: "ModuleEvent", ok: bool) -> None:
 
 
 def service_call(ctx: "ModuleContext", service: str, stub: "ServiceStub",
-                 payload: Any) -> "Signal":
-    """Call *service* through *stub*, as the observers shape the call."""
-    call = stub.call
+                 payload: Any) -> tuple["Signal", Any]:
+    """Call *service* through *stub* with the trace context an observer
+    gives; the call's signal and that context."""
+    trace = None
     for observer in ctx.wiring.observers:
-        call = observer.service_call(ctx, service, stub, call)
-    return call(payload)
+        trace = observer.service_call(ctx, service, stub) or trace
+    return stub.call(payload, trace=trace), trace
+
+
+def service_returned(ctx: "ModuleContext", service: str, stub: "ServiceStub",
+                     trace: Any, ok: bool) -> None:
+    """A traced call ended: in its resolving event, or in the call."""
+    for observer in ctx.wiring.observers:
+        observer.service_returned(ctx, service, stub, trace, ok)
 
 
 def stage(ctx: "ModuleContext", name: str, seconds: float) -> None:

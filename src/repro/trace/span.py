@@ -11,7 +11,9 @@ The propagation unit is :class:`SpanContext`: (trace id, span id, parent
 id). It crosses process boundaries inside message headers (see
 :data:`repro.net.message.H_TRACE`) as the wire-friendly pair
 ``[trace_id, span_id]``; the receiver parents its spans to the carried span
-id.
+id. The recorder itself mints and reads only that pair, and keeps each span
+as a row of :class:`Span`'s fields: a ``Span`` is built when the spans are
+read.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ executed-event count and the same :func:`stream_digest`. An observer that
 attaches a waiter to a call that already resolved (a cache hit) costs the
 observed run one zero-delay event per call, and fails here.
 
+A crash from a fault plan fails a host's in-flight calls outside any
+event's drain, so each waiter of those calls takes a zero-delay event of
+its own: the runtime's one completion waiter per call is all there is, and
+the tracer adds none (the ``chaos_fitness`` scenario, bare and traced).
+
 The same home holds the runtime to docs/PERF.md "What is an event" from
 the callers' side: a signal that already resolved is consumed in the call,
 never waited on, so every event it executes moves the clock (a timer or a
@@ -31,6 +36,7 @@ from repro.apps import (
     install_fitness_services,
 )
 from repro.audit.determinism import EventTap, stream_digest
+from repro.audit.scenarios import chaos_fitness
 from repro.core import VideoPipe
 from repro.sim.signals import Signal
 
@@ -126,3 +132,21 @@ def test_no_waiter_is_attached_to_a_resolved_signal(fitness_recognizer,
     monkeypatch.setattr(Signal, "wait", spy)
     run(fitness_recognizer, RUNS["audited"])
     assert not late, late
+
+
+def test_a_crash_costs_a_traced_run_no_extra_event():
+    """The fault plan's crash fails the desktop's in-flight calls from its
+    tick: the traced run executes the bare run's events, one for one."""
+    streams, kinds = {}, {}
+    for traced in (False, True):
+        home, run_fn = chaos_fitness(7)
+        if traced:
+            home.enable_tracing()
+        tap = KindTap()
+        home.kernel.add_observer(tap)
+        run_fn()
+        streams[traced], kinds[traced] = stream(tap), tap.kinds
+    assert home.tracer.span_count > 0
+    # the case is reached: a failed call wakes its waiter by an event
+    assert kinds[False]["ModuleContext._service_ended"] > 0
+    assert streams[True] == streams[False]

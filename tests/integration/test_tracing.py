@@ -31,6 +31,7 @@ from repro.trace import (
     CAT_QUEUE,
     CAT_SERIALIZE,
     CAT_WIRE,
+    Span,
     critical_path,
     write_chrome_trace,
 )
@@ -213,6 +214,23 @@ class TestWiring:
         assert monitor.latest("tracing", "open_frames") == 0.0
         assert monitor.latest("tracing", "frames_finished") == \
             float(pipeline.metrics.counter("frames_completed"))
+
+    def test_a_run_that_never_reads_spans_builds_none(self, fitness_recognizer,
+                                                      monkeypatch):
+        """A span is a row until something reads ``spans``: a monitored
+        traced run (its snapshot reads ``span_count``) builds no ``Span``."""
+        built = []
+        init = Span.__init__
+
+        def counting(span, *args, **kwargs):
+            built.append(span)
+            init(span, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        home, _, tracer = run(fitness_recognizer, trace=True, monitor=True)
+        assert tracer.span_count > 0 and tracer.frames_finished > 0
+        assert built == []
+        assert len(tracer.spans) == len(built) == tracer.span_count
 
     def test_enable_tracing_is_idempotent(self, fitness_recognizer):
         home = VideoPipe.paper_testbed(seed=11)

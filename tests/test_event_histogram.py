@@ -74,10 +74,35 @@ def test_a_fleet_frame_costs_at_most_22_events():
         "ModuleRuntime._forward.<locals>.<lambda>",
         "Process._resume wake ModuleRuntime._worker",
         "Process._resume wake FleetStageModule.event_received.<locals>.flow",
-        "ModuleContext.call_service.<locals>._count_rejection",
+        "ModuleContext._service_ended",
         "Process._resume wake ModuleRuntime._send_remote",
         "ModuleRuntime.send_to_module.<locals>.<lambda>",
         "Process._resume start ServiceHost._run",
         "Process._resume start FleetStageModule.event_received.<locals>.flow",
     ):
         assert gone not in result["by_callback"], gone
+
+
+def test_a_call_count_is_the_same_in_two_fresh_processes():
+    """``--calls`` is exact: two runs of one small home, each in a fresh
+    interpreter under its own hash seed, print the same table."""
+    tables = []
+    for hash_seed in ("0", "77"):
+        done = subprocess.run(
+            [sys.executable, _SPEC.origin, "object_tracking", "--calls"],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        tables.append(done.stdout)
+    assert tables[0] == tables[1]
+    head, columns, *rows = tables[0].splitlines()
+    calls, frames = int(head.split()[0]), int(head.split()[3])
+    assert calls > 0 and frames > 0 and columns.split()[-1] == "package"
+    assert sum(int(row.split()[0]) for row in rows) == calls
+    assert {row.split()[-1] for row in rows} >= {"sim", "runtime"}
+
+
+def test_calls_are_split_by_the_package_of_the_called_code():
+    assert hist.package_of("/x/src/repro/sim/kernel.py") == "sim"
+    assert hist.package_of("/x/src/repro/errors.py") == "errors"
+    assert hist.package_of("/usr/lib/python3/json/decoder.py") == "other"

@@ -1,15 +1,12 @@
-"""Unit tests for the TraceRecorder frame lifecycle and span bookkeeping."""
+"""Unit tests for the TraceRecorder frame lifecycle, its frame and host
+events, and its span rows."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.trace import (
-    CAT_COMPUTE,
-    CAT_FRAME,
-    CAT_MARK,
-    CAT_QUEUE,
-    SpanContext,
-    TraceRecorder,
-)
+from repro.net.message import H_TRACE
+from repro.trace import CAT_FRAME, CAT_MARK, TraceRecorder
 
 
 class FakeKernel:
@@ -94,55 +91,100 @@ class TestFrameLifecycle:
         assert [s.span_id for s in completed] == [second.span_id]
 
 
-class TestRecording:
-    def test_record_parents_to_given_context(self, recorder):
-        root = recorder.frame_started("fitness", 1)
-        child = recorder.record("module.sink", CAT_COMPUTE, parent=root,
-                                start=0.1, end=0.4, device="phone",
-                                actor="module:sink", ok=True)
-        assert child.trace_id == root.trace_id
-        assert child.parent_id == root.span_id
-        span = recorder.spans[-1]
-        assert span.name == "module.sink"
-        assert span.device == "phone"
-        assert span.attrs == {"ok": True}
+class FakeCtx:
+    """What the frame events read of a module context."""
 
-    def test_record_span_uses_preminted_identity(self, recorder):
-        root = recorder.frame_started("fitness", 1)
-        ctx = recorder.child_context(root)
-        # a grandchild can parent to ctx before ctx itself is recorded
-        recorder.record("service.queue", CAT_QUEUE, parent=ctx,
-                        start=0.2, end=0.3)
-        recorder.record_span(ctx, "service.call:pose", CAT_COMPUTE,
-                             start=0.1, end=0.5)
+    def __init__(self, module="sink", device="phone", pipeline="fitness"):
+        self.module_name = module
+        self.device_name = device
+        self.wiring = SimpleNamespace(pipeline_name=pipeline)
+
+
+class FakeHost:
+    """What the service-host events read of a host (hashable, as a host
+    is)."""
+
+    def __init__(self, service="pose", device="desktop"):
+        self.service_name = service
+        self.device = SimpleNamespace(name=device)
+
+
+def arrived(header, enqueued_at=0.0):
+    """A module event carrying *header* as its trace context."""
+    return SimpleNamespace(headers={H_TRACE: header}, enqueued_at=enqueued_at)
+
+
+LOCAL_STUB = SimpleNamespace(is_local=True, last_prepare_s=0.0)
+
+
+class TestRecording:
+    def test_record_parents_to_given_context(self, kernel, recorder):
+        header = recorder.admitted(FakeCtx("source", "camera"), 1)
+        sink = FakeCtx("sink", "phone")
+        kernel.now = 0.1
+        recorder.handler_start(sink, arrived(header, enqueued_at=0.05))
+        kernel.now = 0.4
+        recorder.handler_end(sink, None, ok=True)
+        wait, handler = recorder.spans[-2:]
+        assert (wait.name, wait.parent_id) == ("mailbox.wait", header[1])
+        assert (wait.start, wait.end) == (0.05, 0.1)
+        assert handler.trace_id == header[0] == "fitness/1"
+        assert handler.parent_id == header[1]
+        assert handler.name == "module.sink"
+        assert handler.device == "phone"
+        assert (handler.start, handler.end) == (0.1, 0.4)
+        assert handler.attrs == {"ok": True}
+
+    def test_record_span_uses_preminted_identity(self, kernel, recorder):
+        source = FakeCtx("source", "camera")
+        root = recorder.admitted(source, 1)
+        kernel.now = 0.1
+        call = recorder.service_call(source, "pose", LOCAL_STUB)
+        # the host's spans parent to the call before the call is recorded
+        recorder.call_waited(FakeHost(), call, False, 0.2, 0.3)
+        kernel.now = 0.5
+        recorder.service_returned(source, "pose", LOCAL_STUB, call, True)
         by_name = {s.name: s for s in recorder.spans}
-        assert by_name["service.queue"].parent_id == ctx.span_id
-        assert by_name["service.call:pose"].span_id == ctx.span_id
-        assert by_name["service.call:pose"].parent_id == root.span_id
+        assert by_name["service.queue"].parent_id == call[1]
+        assert by_name["service.queue"].actor == "service:pose"
+        served = by_name["service.call:pose"]
+        assert (served.span_id, served.parent_id) == (call[1], root[1])
+        assert (served.start, served.end) == (0.1, 0.5)
+        assert served.attrs == {"service": "pose", "ok": True}
+        assert [s.name for s in recorder.spans] == \
+            ["source.admit", "service.queue", "service.call:pose"]
 
     def test_child_context_ids_are_unique(self, recorder):
-        root = recorder.frame_started("fitness", 1)
-        ids = {recorder.child_context(root).span_id for _ in range(100)}
+        source = FakeCtx("source")
+        recorder.admitted(source, 1)
+        ids = {recorder.service_call(source, "pose", LOCAL_STUB)[1]
+               for _ in range(100)}
         assert len(ids) == 100
 
     def test_annotate_is_zero_duration_at_now(self, kernel, recorder):
-        root = recorder.frame_started("fitness", 1)
+        source = FakeCtx("source")
+        call = recorder.service_call(source, "pose", LOCAL_STUB)
+        assert call is None  # no frame admitted: the call is untraced
+        recorder.admitted(source, 1)
+        call = recorder.service_call(source, "pose", LOCAL_STUB)
         kernel.now = 3.25
-        recorder.annotate("cache.hit", parent=root, key="pose:abc")
+        recorder.cache_hit(FakeHost(), call)
+        recorder.cache_hit(FakeHost(), None)  # an untraced call's hit
         mark = recorder.spans[-1]
-        assert mark.category == CAT_MARK
+        assert (mark.name, mark.category) == ("cache.hit", CAT_MARK)
         assert mark.start == mark.end == 3.25
         assert mark.duration == 0.0
-        assert mark.attrs["key"] == "pose:abc"
+        assert mark.parent_id == call[1]
+        assert mark.attrs == {}
 
 
 class TestCapacity:
     def test_spans_past_the_cap_are_dropped_and_counted(self, kernel):
         recorder = TraceRecorder(kernel, max_spans=3)
-        root = recorder.frame_started("fitness", 1)  # admission mark = span 1
-        recorder.record("a", CAT_COMPUTE, parent=root, start=0, end=1)
-        recorder.record("b", CAT_COMPUTE, parent=root, start=0, end=1)
-        recorder.record("c", CAT_COMPUTE, parent=root, start=0, end=1)
+        source = FakeCtx("source")
+        recorder.admitted(source, 1)  # admission mark = span 1
+        for stage in "abc":
+            recorder.stage(source, stage, 0.0)
         assert recorder.span_count == 3
         assert recorder.dropped_spans == 1
         # the open frame still closes correctly (counted, not stored)
@@ -151,19 +193,54 @@ class TestCapacity:
         assert recorder.frames_finished == 1
         assert recorder.dropped_spans == 2
 
+    def test_the_cap_counts_rows(self, kernel):
+        recorder = TraceRecorder(kernel, max_spans=5)
+        source = FakeCtx("source")
+        for frame_id in range(4):  # admission mark, then the closed root
+            recorder.admitted(source, frame_id)
+            recorder.frame_finished(f"fitness/{frame_id}")
+        assert recorder.span_count == 5 == len(recorder.spans)
+        assert recorder.dropped_spans == 3
+        assert [s.name for s in recorder.spans] == \
+            ["source.admit", "frame", "source.admit", "frame", "source.admit"]
+
+
+class TestRows:
+    def test_reading_spans_twice_gives_equal_lists(self, kernel, recorder):
+        source = FakeCtx("source")
+        recorder.admitted(source, 1)
+        recorder.stage(source, "pose", 0.0)
+        first = recorder.spans
+        assert recorder.spans == first
+        first.clear()  # the caller's list, not the recorder's
+        assert len(recorder.spans) == 2
+
+    def test_a_read_after_more_records_sees_them(self, kernel, recorder):
+        source = FakeCtx("source")
+        recorder.admitted(source, 1)
+        before = recorder.spans
+        kernel.now = 1.0
+        recorder.completed(source, 1)
+        after = recorder.spans
+        assert after[:len(before)] == before
+        assert [s.name for s in after[len(before):]] == \
+            ["frame.complete", "frame"]
+        assert recorder.span_count == len(after) == 3
+
 
 class TestIntrospection:
     def test_traces_groups_by_trace_id(self, recorder):
-        a = recorder.frame_started("fitness", 1)
-        b = recorder.frame_started("fitness", 2)
-        recorder.record("x", CAT_COMPUTE, parent=a, start=0, end=1)
-        recorder.record("y", CAT_COMPUTE, parent=b, start=0, end=1)
-        recorder.frame_finished(a.trace_id)
-        recorder.frame_finished(b.trace_id)
+        a, b = FakeCtx("a"), FakeCtx("b")
+        recorder.admitted(a, 1)
+        recorder.admitted(b, 2)
+        recorder.stage(a, "x", 0.0)
+        recorder.stage(b, "y", 0.0)
+        recorder.frame_finished("fitness/1")
+        recorder.frame_finished("fitness/2")
         grouped = recorder.traces()
         assert set(grouped) == {"fitness/1", "fitness/2"}
         assert [s.name for s in grouped["fitness/1"]] == \
-            ["source.admit", "x", "frame"]
+            ["source.admit", "stage.x", "frame"]
 
     def test_stats_roll_up(self, recorder):
         for frame_id in range(3):
