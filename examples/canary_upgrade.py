@@ -22,15 +22,22 @@ from repro.apps import (
 MODULE = "pose_detector_module"
 
 
-def main() -> None:
-    # 1. The paper testbed, with auditing and live-ops switched on.
-    home = VideoPipe.paper_testbed(seed=7)
-    home.enable_audit()
+def build(seed=7, fps=8.0, duration_s=20.0, recognizer=None):
+    """The paper testbed with live-ops on and the fitness pipeline at v1:
+    (home, pipeline)."""
+    home = VideoPipe.paper_testbed(seed=seed)
     home.enable_liveops()
 
-    services = install_fitness_services(home)
+    services = install_fitness_services(home, recognizer=recognizer)
     app = FitnessApp(home, services)
-    pipeline = app.deploy(fitness_pipeline_config(fps=8.0, duration_s=20.0))
+    pipeline = app.deploy(fitness_pipeline_config(fps=fps, duration_s=duration_s))
+    return home, pipeline
+
+
+def main() -> None:
+    # 1. The home, with the invariant auditor watching the whole swap.
+    home, pipeline = build()
+    home.enable_audit()
 
     # 2. Let v1 serve for a few seconds to build its health baseline.
     home.run(until=3.0)

@@ -25,17 +25,20 @@ DOWN_FOR = 6.0
 DURATION_S = 20.0
 
 
-def main() -> None:
-    home = VideoPipe.paper_testbed(seed=33)
+def build(seed=33, recognizer=None, crash_at=CRASH_AT, down_for=DOWN_FOR,
+          duration_s=None):
+    """The fitness home with a standby laptop, self-healing on and the
+    desktop's crash planned: (home, pipeline, fault injector)."""
+    home = VideoPipe.paper_testbed(seed=seed)
     home.add_device("laptop")  # the standby compute node
 
-    recognizer = train_activity_recognizer(seed=33)
+    recognizer = recognizer or train_activity_recognizer(seed=seed)
     services = install_fitness_services(home, recognizer=recognizer)
     # standby replicas so there is somewhere to fail over to
     home.deploy_service(PoseDetectorService(), "laptop")
     home.deploy_service(ActivityClassifierService(recognizer), "laptop")
 
-    config = fitness_pipeline_config(fps=10.0)
+    config = fitness_pipeline_config(fps=10.0, duration_s=duration_s)
     config.module("pose_detector_module").device = "desktop"
     config.module("activity_detector_module").device = "desktop"
     pipeline = FitnessApp(home, services).deploy(config)
@@ -45,7 +48,12 @@ def main() -> None:
         home_device="tv", period_s=0.25, miss_threshold=2)
     home.enable_self_healing(pipeline)
     injector = home.enable_fault_injection(
-        FaultPlan().device_crash(CRASH_AT, "desktop", down_for=DOWN_FOR))
+        FaultPlan().device_crash(crash_at, "desktop", down_for=down_for))
+    return home, pipeline, injector
+
+
+def main() -> None:
+    home, pipeline, injector = build()
 
     def frames():
         return pipeline.metrics.counter("frames_completed")

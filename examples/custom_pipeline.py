@@ -87,9 +87,13 @@ modules : [
 """
 
 
-def main() -> None:
-    # --- 3. a home with an unusual device mix -------------------------------
-    home = VideoPipe(seed=42)
+# --- 3. a home with an unusual device mix -----------------------------------
+
+def build(seed=42, name="custom", realtime=False):
+    """A home with an unusual device mix running the configuration above:
+    (home, pipeline). A *realtime* home is paced against the wall clock,
+    at 5x real time."""
+    home = VideoPipe(seed=seed, realtime=realtime, speed=5.0)
     home.add_device("watch")  # very constrained: modules only
     home.add_device("laptop")  # container-capable
     home.add_device("fridge")  # constrained appliance
@@ -100,11 +104,14 @@ def main() -> None:
         "laptop",
     )
 
-    config = parse_pipeline_text(CONFIG_TEXT, name="custom")
+    config = parse_pipeline_text(CONFIG_TEXT, name=name)
     config.module("ticker_module").device = "watch"
     config.module("printer_module").device = "fridge"
+    return home, home.deploy_pipeline(config, default_device="watch")
 
-    pipeline = home.deploy_pipeline(config, default_device="watch")
+
+def main() -> None:
+    home, pipeline = build()
     print("placement (co-location moved the squarer next to its service):")
     for name in pipeline.module_names():
         print(f"  {name:18s} -> {pipeline.device_of(name)}")
@@ -122,19 +129,7 @@ def main() -> None:
 
     # --- 4. the same system, paced against the wall clock -------------------
     print("\nrealtime mode (2 wall-seconds of live execution) ...")
-    live = VideoPipe(seed=42, realtime=True, speed=5.0)  # 5x real time
-    live.add_device("watch")
-    live.add_device("laptop")
-    live.add_device("fridge")
-    live.deploy_service(
-        FunctionService("squarer", lambda n, ctx: n * n,
-                        reference_cost_s=0.005, default_port=7400),
-        "laptop",
-    )
-    config2 = parse_pipeline_text(CONFIG_TEXT, name="custom-live")
-    config2.module("ticker_module").device = "watch"
-    config2.module("printer_module").device = "fridge"
-    live_pipeline = live.deploy_pipeline(config2, default_device="watch")
+    live, live_pipeline = build(name="custom-live", realtime=True)
     live.run(until=2.0)  # ~0.4 wall-seconds at speed 5
     live_printer = live_pipeline.module_instance("printer_module")
     print(f"realtime run delivered {len(live_printer.results)} messages"

@@ -19,16 +19,26 @@ from repro.apps import (
 from repro.devices import DeviceSpec
 
 
-def run_scenario(motion: str, seed: int) -> None:
+def build(motion, seed, duration_s=8.0, recognizer=None,
+          gesture_recognizer=None):
+    """A camera home running the fall detector on *motion*: (home, pipeline,
+    gesture services)."""
     home = VideoPipe.paper_testbed(seed=seed)
     home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
                                cores=8, supports_containers=False))
-    install_fitness_services(home)  # provides the shared pose detector
-    gesture = install_gesture_services(home)  # provides the IoT actuator
+    # provides the shared pose detector
+    install_fitness_services(home, recognizer=recognizer)
+    # provides the IoT actuator
+    gesture = install_gesture_services(home, recognizer=gesture_recognizer)
 
     pipeline = home.deploy_pipeline(
-        fall_pipeline_config(fps=10.0, duration_s=8.0, motion=motion)
+        fall_pipeline_config(fps=10.0, duration_s=duration_s, motion=motion)
     )
+    return home, pipeline, gesture
+
+
+def run_scenario(motion: str, seed: int) -> None:
+    home, pipeline, gesture = build(motion, seed)
     home.run(until=9.0)
 
     falls = pipeline.metrics.counter("falls_detected")

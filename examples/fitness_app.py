@@ -25,15 +25,24 @@ STAGES = ("load_frame", "pose_detection", "activity_detection",
           "rep_count", "total_duration")
 
 
-def run_once(recognizer, architecture: str, fps: float):
-    home = VideoPipe.paper_testbed(seed=11)
-    services = install_fitness_services(
-        home,
-        recognizer=recognizer,
-        baseline_layout=(architecture == "baseline"),
-    )
-    app = FitnessApp(home, services, architecture=architecture)
-    pipeline = app.deploy(fitness_pipeline_config(fps=fps, duration_s=DURATION_S))
+def build(recognizer, fps, seed=11, duration_s=DURATION_S):
+    """The same pipeline on two homes, co-located (Fig. 4) and as the
+    baseline (Fig. 5): (home, pipeline) of each, VideoPipe's first."""
+    built = ()
+    for architecture in ("videopipe", "baseline"):
+        home = VideoPipe.paper_testbed(seed=seed)
+        services = install_fitness_services(
+            home,
+            recognizer=recognizer,
+            baseline_layout=(architecture == "baseline"),
+        )
+        app = FitnessApp(home, services, architecture=architecture)
+        built += (home, app.deploy(
+            fitness_pipeline_config(fps=fps, duration_s=duration_s)))
+    return built
+
+
+def measure(home, pipeline):
     home.run(until=DURATION_S + 1.0)
     throughput = pipeline.metrics.throughput_fps(DURATION_S + 1.0, WARMUP_S)
     return throughput, pipeline.metrics.stage_means_ms()
@@ -46,8 +55,9 @@ def main() -> None:
     rows = []
     stage_bars = {}
     for fps in SOURCE_RATES:
-        vp_fps, vp_stages = run_once(recognizer, "videopipe", fps)
-        base_fps, base_stages = run_once(recognizer, "baseline", fps)
+        vp_home, vp_pipeline, base_home, base_pipeline = build(recognizer, fps)
+        vp_fps, vp_stages = measure(vp_home, vp_pipeline)
+        base_fps, base_stages = measure(base_home, base_pipeline)
         rows.append([int(fps), vp_fps, base_fps])
         if fps == 10.0:
             stage_bars = {"VideoPipe": vp_stages, "Baseline": base_stages}

@@ -22,23 +22,31 @@ from repro.devices import DeviceSpec
 DURATION_S = 20.0
 
 
-def main() -> None:
-    home = VideoPipe.paper_testbed(seed=21)
+def build(seed=21, duration_s=DURATION_S, recognizer=None,
+          gesture_recognizer=None):
+    """The testbed plus a gesture camera, running both pipelines:
+    (home, fitness pipeline, gesture pipeline, gesture services)."""
+    home = VideoPipe.paper_testbed(seed=seed)
     # a second camera (another phone) watches the room for gestures
     home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
                                cores=8, supports_containers=False))
 
-    fitness = install_fitness_services(home)
-    gesture = install_gesture_services(home)  # reuses the pose service!
+    fitness = install_fitness_services(home, recognizer=recognizer)
+    # reuses the pose service!
+    gesture = install_gesture_services(home, recognizer=gesture_recognizer)
 
     app = FitnessApp(home, fitness)
     fitness_pipe = app.deploy(
-        fitness_pipeline_config(fps=10.0, duration_s=DURATION_S)
+        fitness_pipeline_config(fps=10.0, duration_s=duration_s)
     )
     gesture_pipe = home.deploy_pipeline(
-        gesture_pipeline_config(fps=10.0, duration_s=DURATION_S, motion="clap")
+        gesture_pipeline_config(fps=10.0, duration_s=duration_s, motion="clap")
     )
+    return home, fitness_pipe, gesture_pipe, gesture
 
+
+def main() -> None:
+    home, fitness_pipe, gesture_pipe, gesture = build()
     home.run(until=DURATION_S + 1.0)
 
     f_fit = fitness_pipe.metrics.throughput_fps(DURATION_S + 1.0, warmup_s=2.0)

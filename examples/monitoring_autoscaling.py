@@ -25,13 +25,16 @@ from repro.services import ScalingPolicy
 DURATION_S = 24.0
 
 
-def main() -> None:
-    home = VideoPipe.paper_testbed(seed=41)
+def build(seed=41, duration_s=DURATION_S, recognizer=None,
+          gesture_recognizer=None):
+    """The overloaded home, monitored and autoscaled: (home, fitness
+    pipeline, gesture pipeline, monitor)."""
+    home = VideoPipe.paper_testbed(seed=seed)
     home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
                                cores=8, supports_containers=False))
 
-    fitness = install_fitness_services(home)
-    install_gesture_services(home)
+    fitness = install_fitness_services(home, recognizer=recognizer)
+    install_gesture_services(home, recognizer=gesture_recognizer)
 
     # 1. monitoring: sample the home's snapshot (every device, service and
     #    pipeline) twice a second
@@ -51,10 +54,15 @@ def main() -> None:
 
     # 3. overload: both pipelines at a 30 FPS source share one pose worker
     app = FitnessApp(home, fitness)
-    p_fit = app.deploy(fitness_pipeline_config(fps=30.0, duration_s=DURATION_S))
+    p_fit = app.deploy(fitness_pipeline_config(fps=30.0, duration_s=duration_s))
     p_gest = home.deploy_pipeline(
-        gesture_pipeline_config(fps=30.0, duration_s=DURATION_S)
+        gesture_pipeline_config(fps=30.0, duration_s=duration_s)
     )
+    return home, p_fit, p_gest, monitor
+
+
+def main() -> None:
+    home, p_fit, p_gest, monitor = build()
 
     home.run(until=DURATION_S + 1.0)
 

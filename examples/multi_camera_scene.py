@@ -22,15 +22,22 @@ DURATION_S = 8.0
 FPS = 8.0
 
 
-def main() -> None:
-    home = VideoPipe.paper_testbed(seed=23)
+def build(seed=23, duration_s=DURATION_S):
+    """The three-camera home running the fan-in fusion pipeline: (home,
+    pipeline)."""
+    home = VideoPipe.paper_testbed(seed=seed)
     home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
                                cores=8, supports_containers=False))
     install_scene_services(home, "desktop")
 
     pipeline = home.deploy_pipeline(
-        multi_camera_pipeline_config(fps=FPS, duration_s=DURATION_S)
+        multi_camera_pipeline_config(fps=FPS, duration_s=duration_s)
     )
+    return home, pipeline
+
+
+def main() -> None:
+    home, pipeline = build()
     print("placement:")
     for name in pipeline.module_names():
         print(f"  {name:22s} -> {pipeline.device_of(name)}")

@@ -18,16 +18,23 @@ from repro.services import ObjectDetectionService, ObjectTrackingService
 DURATION_S = 12.0
 
 
-def main() -> None:
-    home = VideoPipe.paper_testbed(seed=51)
+def build(seed=51, duration_s=DURATION_S):
+    """A camera home running the detection + tracking pipeline: (home,
+    pipeline)."""
+    home = VideoPipe.paper_testbed(seed=seed)
     home.add_device(DeviceSpec(name="camera", kind="phone", cpu_factor=2.5,
                                cores=8, supports_containers=False))
     home.deploy_service(ObjectDetectionService(), "desktop")
     home.deploy_service(ObjectTrackingService(), "desktop")
 
     pipeline = home.deploy_pipeline(
-        scene_pipeline_config(fps=10.0, duration_s=DURATION_S)
+        scene_pipeline_config(fps=10.0, duration_s=duration_s)
     )
+    return home, pipeline
+
+
+def main() -> None:
+    home, pipeline = build()
     print("placement:")
     for name in pipeline.module_names():
         print(f"  {name:26s} -> {pipeline.device_of(name)}")

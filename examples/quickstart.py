@@ -17,18 +17,25 @@ from repro.apps import (
 )
 
 
-def main() -> None:
+def build(seed=7, fps=20.0, duration_s=30.0, recognizer=None):
+    """The testbed with the fitness pipeline deployed: (home, pipeline,
+    services)."""
     # 1. The home: three heterogeneous devices on one Wi-Fi network.
-    home = VideoPipe.paper_testbed(seed=7)
+    home = VideoPipe.paper_testbed(seed=seed)
 
     # 2. Services: pose + activity in containers on the desktop; rep counter
-    #    + display native on the TV (Fig. 4). Training of the kNN activity
-    #    model on synthetic workout recordings happens inside.
-    services = install_fitness_services(home)
+    #    + display native on the TV (Fig. 4). Without a *recognizer*, the kNN
+    #    activity model is trained on synthetic workout recordings inside.
+    services = install_fitness_services(home, recognizer=recognizer)
 
     # 3. The application DAG (Listing 1), placed by co-location.
     app = FitnessApp(home, services, architecture="videopipe")
-    pipeline = app.deploy(fitness_pipeline_config(fps=20.0, duration_s=30.0))
+    pipeline = app.deploy(fitness_pipeline_config(fps=fps, duration_s=duration_s))
+    return home, pipeline, services
+
+
+def main() -> None:
+    home, pipeline, services = build()
 
     print("placement:")
     for name in pipeline.module_names():

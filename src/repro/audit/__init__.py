@@ -15,9 +15,10 @@ Enable auditing through the facade::
     ...
     violations = home.check_invariants()
 
-Note: :mod:`repro.audit.scenarios` (the examples-as-scenarios catalogue)
-is deliberately *not* imported here — it imports :mod:`repro.apps`, which
-would make ``repro`` import itself. Import it explicitly where needed.
+The scenarios the harness runs are not in the package: each is an
+``examples/`` script's own ``build``, called with shortened arguments from
+the table in ``tools/scenarios.py``, next to the tests and tools that run
+it.
 """
 
 from .auditor import InvariantAuditor, Violation

@@ -12,8 +12,8 @@ the first divergence is reported with both sides' labels.
 
 A scenario is any callable ``scenario(seed) -> (home, run_fn)`` where
 ``run_fn()`` drives the run and returns a JSON-able fingerprint (metrics
-counters, latencies, trace digests...). :mod:`repro.audit.scenarios` wraps
-every ``examples/`` script as one.
+counters, latencies, trace digests...). ``tools/scenarios.py`` makes one of
+every ``examples/`` script from the script's own ``build``.
 """
 
 from __future__ import annotations

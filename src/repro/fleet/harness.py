@@ -31,7 +31,7 @@ from ..devices.catalog import make_spec
 from ..errors import ConfigError
 from ..metrics.stats import Summary, summarize
 from ..net.link import LinkSpec
-from ..pipeline.optimizer import OPTIMIZED, CloudPricing, plan_optimized
+from ..pipeline.optimizer import OPTIMIZED, CloudPricing
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.placement import COLOCATED, SINGLE_HOST
 from ..sim.kernel import Kernel
@@ -361,29 +361,15 @@ class Fleet:
                     fps=fps,
                     duration_s=cfg.duration_s,
                 )
-            if cfg.strategy == SINGLE_HOST:
-                # the EdgeEye-style baseline: the whole app on the camera
-                # device, every service call remote
-                pipeline = home.deploy_pipeline(
-                    pipeline_config,
-                    strategy=SINGLE_HOST,
-                    host_device=camera,
-                    prefer_local_services=False,
-                )
-            elif cfg.strategy == OPTIMIZED:
-                placement = plan_optimized(
-                    pipeline_config, home.devices, home.registry,
-                    home.topology, camera,
-                )
-                pipeline = home.deploy_pipeline(
-                    pipeline_config, placement=placement
-                )
-            else:
-                pipeline = home.deploy_pipeline(
-                    pipeline_config,
-                    strategy=cfg.strategy,
-                    default_device=camera,
-                )
+            # single-host is the EdgeEye-style baseline: the whole app on
+            # the camera device, every service call remote
+            pipeline = home.deploy_pipeline(
+                pipeline_config,
+                strategy=cfg.strategy,
+                default_device=camera,
+                host_device=camera,
+                prefer_local_services=cfg.strategy != SINGLE_HOST,
+            )
             self.pipelines.append(pipeline)
 
     @staticmethod

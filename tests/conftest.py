@@ -10,10 +10,15 @@ editing a single test.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.audit.auditor import live_auditors
+
+# tools/scenarios.py, the example scenario table, imports as ``scenarios``
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tools"))
 
 
 @pytest.fixture

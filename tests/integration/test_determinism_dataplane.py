@@ -6,8 +6,8 @@ treatment as the fast path: run twice under the event tap and require
 bit-for-bit identical streams, and run them under the auditor.
 """
 
-from repro.audit.scenarios import DURATION_S, _activity_recognizer, _run
 from repro.core import VideoPipe
+from scenarios import DURATION_S, activity_recognizer, run
 
 
 def _fitness_scenario():
@@ -23,16 +23,14 @@ def _fitness_scenario():
         home = VideoPipe.paper_testbed(seed=seed)
         home.enable_data_plane()
         services = install_fitness_services(
-            home, recognizer=_activity_recognizer())
+            home, recognizer=activity_recognizer())
         app = FitnessApp(home, services)
         pipeline = app.deploy(
             fitness_pipeline_config(fps=10.0, duration_s=DURATION_S))
-        base_run = _run(home, pipeline)
 
         def run_fn():
-            result = base_run()
-            result["data_plane"] = home.data_plane_stats()
-            return result
+            return {**run(home, pipeline),
+                    "data_plane": home.data_plane_stats()}
 
         return home, run_fn
 
@@ -57,7 +55,7 @@ def test_audited_data_plane_run_is_clean():
     home = VideoPipe.paper_testbed(seed=7)
     auditor = home.enable_audit()
     home.enable_data_plane()
-    services = install_fitness_services(home, recognizer=_activity_recognizer())
+    services = install_fitness_services(home, recognizer=activity_recognizer())
     app = FitnessApp(home, services)
     pipeline = app.deploy(
         fitness_pipeline_config(fps=10.0, duration_s=DURATION_S))

@@ -1,31 +1,36 @@
 """Integration: every example scenario is deterministic under a seed.
 
-Each ``examples/`` script has a shortened twin in
-``repro.audit.scenarios``; this suite runs each twin twice per seed and
-diffs the complete kernel event streams plus the scenario fingerprints.
-A single out-of-order event anywhere in the home — an ``id()``-keyed
-dict, set iteration, an unseeded RNG — fails here with the exact record
-where the two runs parted ways.
+Each ``examples/`` script builds its home in one ``build`` function, and
+``tools/scenarios.py`` calls it with shortened arguments; this suite runs
+each scenario twice per seed and diffs the complete kernel event streams
+plus the scenario fingerprints. A single out-of-order event anywhere in
+the home — an ``id()``-keyed dict, set iteration, an unseeded RNG — fails
+here with the exact record where the two runs parted ways.
 """
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.audit.scenarios import EXAMPLE_SCENARIOS
 from repro.monitor import Monitor
+from scenarios import EXAMPLE_SCENARIOS
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 
 def test_every_example_has_a_scenario():
-    examples = {p.name for p in EXAMPLES_DIR.glob("*.py")}
-    missing = examples - set(EXAMPLE_SCENARIOS)
-    assert not missing, (
-        f"examples without a determinism scenario: {sorted(missing)} — add"
-        " one to repro.audit.scenarios.EXAMPLE_SCENARIOS"
-    )
+    """Every example defines ``build`` at top level, and the table calls it."""
+    for path in sorted(EXAMPLES_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert any(isinstance(node, ast.FunctionDef) and node.name == "build"
+                   for node in tree.body), (
+            f"{path.name} builds its home outside a build() function: the"
+            " determinism scenario can only run what build() builds")
+        assert path.name in EXAMPLE_SCENARIOS, (
+            f"{path.name} has no determinism scenario — add one to"
+            " tools/scenarios.py's EXAMPLE_SCENARIOS")
 
 
 def work_done(fingerprint) -> list:

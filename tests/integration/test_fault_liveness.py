@@ -19,8 +19,8 @@ import os
 
 import pytest
 
-from repro.audit.scenarios import EXAMPLE_SCENARIOS
 from repro.faults import FaultPlan
+from scenarios import EXAMPLE_SCENARIOS
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "200"))
 CRASH_AT, DOWN_FOR = 1.6, 1.0

@@ -36,9 +36,9 @@ from repro.apps import (
     install_fitness_services,
 )
 from repro.audit.determinism import EventTap, stream_digest
-from repro.audit.scenarios import chaos_fitness
 from repro.core import VideoPipe
 from repro.sim.signals import Signal
+from scenarios import EXAMPLE_SCENARIOS
 
 DURATION = 2.0
 FPS = 30.0
@@ -139,7 +139,7 @@ def test_a_crash_costs_a_traced_run_no_extra_event():
     tick: the traced run executes the bare run's events, one for one."""
     streams, kinds = {}, {}
     for traced in (False, True):
-        home, run_fn = chaos_fitness(7)
+        home, run_fn = EXAMPLE_SCENARIOS["chaos_fitness.py"](7)
         if traced:
             home.enable_tracing()
         tap = KindTap()

@@ -23,7 +23,6 @@ from repro.apps import (
     fitness_pipeline_config,
     install_fitness_services,
 )
-from repro.audit.scenarios import canary_upgrade, chaos_fitness
 from repro.core import VideoPipe
 from repro.runtime.settlement import REASONS
 from repro.trace import (
@@ -35,6 +34,7 @@ from repro.trace import (
     critical_path,
     write_chrome_trace,
 )
+from scenarios import EXAMPLE_SCENARIOS
 
 DURATION = 8.0
 RUN_UNTIL = 9.0
@@ -123,7 +123,7 @@ class TestNoObserverEffect:
         assert span_digest(tracer.spans) == SPAN_DIGESTS[architecture]
 
     def test_chaos_spans_match_their_digest(self):
-        home, run_fn = chaos_fitness(SCENARIO_SEED)
+        home, run_fn = EXAMPLE_SCENARIOS["chaos_fitness.py"](SCENARIO_SEED)
         tracer = home.enable_tracing()
         run_fn()
         (pipeline,) = home.pipelines
@@ -134,7 +134,7 @@ class TestNoObserverEffect:
         assert span_digest(tracer.spans) == SPAN_DIGESTS["chaos_fitness"]
 
     def test_canary_lineage_matches_its_digest(self):
-        home, run_fn = canary_upgrade(SCENARIO_SEED)
+        home, run_fn = EXAMPLE_SCENARIOS["canary_upgrade.py"](SCENARIO_SEED)
         run_fn()
         record = json.dumps(home.liveops.lineage.as_dict(), sort_keys=True)
         assert hashlib.sha256(record.encode()).hexdigest() == LINEAGE_DIGEST

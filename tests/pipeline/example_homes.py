@@ -1,11 +1,12 @@
 """Frozen placement inputs: every ``examples/`` home + its pipelines.
 
-Reuses :data:`repro.audit.scenarios.EXAMPLE_SCENARIOS` — each scenario
-builds the example's exact device/service topology and deploys its
-pipeline(s) — then recomputes the three placement plans (co-located,
-single-host, optimized) for every deployed pipeline's config. The golden
-test freezes the resulting assignments; a placement-affecting change must
-show up as a reviewed golden diff, never as silent drift.
+Reuses ``EXAMPLE_SCENARIOS`` (``tools/scenarios.py``) — each scenario
+builds its home with the example's own ``build``: the example's device and
+service topology with its pipeline(s) deployed — then recomputes the three
+placement plans (co-located, single-host, optimized) for every deployed
+pipeline's config. The golden test freezes the resulting assignments; a
+placement-affecting change must show up as a reviewed golden diff, never as
+silent drift.
 
 Also home to the helpers the fleet-population golden and the
 reference-scorer test share: seeded fleet homes, and the candidates the
@@ -17,16 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
-from repro.audit.scenarios import EXAMPLE_SCENARIOS
 from repro.fleet import Fleet, FleetConfig
 from repro.net.link import WAN_METRO
 from repro.pipeline import COLOCATED, OPTIMIZED, SINGLE_HOST
+from scenarios import EXAMPLE_SCENARIOS
 
 #: Strategies frozen in the goldens: all of them.
 GOLDEN_STRATEGIES = (COLOCATED, SINGLE_HOST, OPTIMIZED)
 
-#: The scenario seed. Matches the scenarios' cached model trainers so the
-#: expensive training happens once per process across the whole suite.
+#: The scenario seed (the scenarios train their models once per process,
+#: whatever the seed).
 SEED = 1
 
 EXAMPLE_NAMES = tuple(

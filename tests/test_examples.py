@@ -1,7 +1,10 @@
 """Every example script must run clean — they are part of the deliverable.
 
-Each example is executed in a subprocess (its own interpreter, like a user
-would run it) with a timeout, and its output is spot-checked.
+Each example is executed once, in a subprocess (its own interpreter, like a
+user would run it) with a timeout, and its output is spot-checked. The run
+blocks networkx and scipy, the dev-only test oracles, so it also shows the
+example needs numpy alone (``tests/test_runtime_dependencies.py`` holds
+that no file under ``src/repro`` or ``examples/`` imports either).
 """
 
 import subprocess
@@ -11,6 +14,12 @@ from pathlib import Path
 import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+
+#: Runs the script named by its first argument as ``__main__`` after making
+#: every import of networkx or scipy fail.
+NUMPY_ALONE = ('import runpy, sys; sys.modules["networkx"] = sys.modules["scipy"]'
+               ' = None; sys.argv = sys.argv[1:];'
+               ' runpy.run_path(sys.argv[0], run_name="__main__")')
 
 EXPECTED = {
     "quickstart.py": ["end-to-end frame rate", "TV displayed"],
@@ -39,7 +48,7 @@ def test_every_example_is_covered():
 @pytest.mark.parametrize("script", sorted(EXPECTED))
 def test_example_runs_clean(script):
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script)],
+        [sys.executable, "-c", NUMPY_ALONE, str(EXAMPLES_DIR / script)],
         capture_output=True,
         text=True,
         timeout=300,

@@ -51,7 +51,7 @@ from repro.audit.determinism import (  # noqa: E402
     first_divergence,
     record_scenario,
 )
-from repro.audit.scenarios import EXAMPLE_SCENARIOS  # noqa: E402
+from scenarios import EXAMPLE_SCENARIOS  # noqa: E402
 
 
 def _canonical(name: str) -> str:

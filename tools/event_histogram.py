@@ -39,8 +39,8 @@ from collections import Counter
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.audit.scenarios import EXAMPLE_SCENARIOS  # noqa: E402
 from repro.fleet import Fleet, FleetConfig  # noqa: E402
+from scenarios import EXAMPLE_SCENARIOS  # noqa: E402
 
 
 class CallbackHistogram:
