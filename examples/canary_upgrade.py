@@ -35,7 +35,9 @@ def build(seed=7, fps=8.0, duration_s=20.0, recognizer=None):
 
 
 def main() -> None:
-    # 1. The home, with the invariant auditor watching the whole swap.
+    # 1. The home, with the invariant auditor watching the whole swap (on
+    #    here, not in build(): the determinism harness audits its own run of
+    #    build()'s home and compares it with a bare one).
     home, pipeline = build()
     home.enable_audit()
 

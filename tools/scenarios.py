@@ -121,6 +121,7 @@ def canary(home, pipeline) -> dict:
     }, "lineage_frames": home.liveops.lineage.frame_count}
 
 
+# the shortened capture and the cached recognizer(s) most entries pass
 SHORT = {"duration_s": DURATION_S, "recognizer": activity_recognizer}
 BOTH = {**SHORT, "gesture_recognizer": gesture_recognizer}
 
