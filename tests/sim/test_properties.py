@@ -168,7 +168,11 @@ class ReferenceSignal:
     it schedules one zero-delay event per waiter, in that order."""
 
     def __init__(self, executor):
-        self.executor, self.outcome, self.waiters, self.timer = executor, None, [], None
+        self.executor, self.outcome, self.waiters = executor, None, []
+        #: what takes a pending signal back from whatever was to resolve it
+        #: once its last waiter is interrupted away: the timer's cancel, or
+        #: the removal of a queued request
+        self.leave = None
 
     pending = property(lambda self: self.outcome is None)
 
@@ -251,8 +255,8 @@ class ReferenceProcess:
         if self.parked is not None and self.parked[0].pending:
             signal, waiter = self.parked
             signal.waiters.remove(waiter)
-            if signal.timer is not None and not signal.waiters:
-                self.executor.cancel(signal.timer)  # nobody is left to wake
+            if signal.leave is not None and not signal.waiters:
+                signal.leave()  # nobody is left to wake
         self.epoch += 1
         self.parked = None
         self.executor.schedule(
@@ -261,38 +265,68 @@ class ReferenceProcess:
 
 
 class ReferenceResource:
-    """What :meth:`~repro.sim.Resource.hold` must do. The slot is requested
-    at the call. A free slot (nobody queued) is granted there and the hold
-    goes on in the same event; a queued request — lowest priority first, then
-    first come — is granted by a release, which schedules one wake-up. The
-    grant arms the timer; the timer releases the slot, then wakes the hold's
-    waiters inline, like a timeout."""
+    """What :class:`~repro.sim.Resource` must do. A slot is requested at the
+    call. A free slot (nobody queued) is granted there; a queued request —
+    lowest priority first, then first come — is granted by a release, which
+    resolves its signal from ordinary code. A hold goes on in the call when
+    its slot is free, else in its grant's wake-up; the grant arms the timer,
+    and the timer releases the slot, then wakes the hold's waiters inline,
+    like a timeout. Busy time is integrated over every change of ``busy``."""
 
     def __init__(self, executor, capacity):
         self.executor, self.capacity = executor, capacity
         self.busy, self.queue, self.requests = 0, [], 0
+        self.changes = [(executor.now, 0)]
+
+    def _set_busy(self, busy):
+        self.busy = busy
+        self.changes.append((self.executor.now, busy))
+
+    def request(self, priority=0):
+        sig = ReferenceSignal(self.executor)
+        self.requests += 1
+        if self.busy < self.capacity and not self.queue:
+            self._set_busy(self.busy + 1)
+            sig.succeed("grant")
+        else:
+            entry = (priority, self.requests, sig)
+            self.queue.append(entry)
+            sig.leave = functools.partial(self.queue.remove, entry)
+        return sig
+
+    def release(self, _grant=None):
+        self._set_busy(self.busy - 1)
+        if self.queue and self.busy < self.capacity:
+            self.queue.sort(key=lambda entry: entry[:2])
+            self._set_busy(self.busy + 1)
+            self.queue.pop(0)[2].succeed("grant")
 
     def hold(self, duration, priority=0):
         done = ReferenceSignal(self.executor)
-        granted = functools.partial(self.granted, done, duration)
-        self.requests += 1
-        if self.busy < self.capacity and not self.queue:
-            self.busy += 1
-            granted()
+        request = self.request(priority)
+        if request.pending:
+            request.waiters.append(
+                lambda _grant, _exc: self.granted(done, duration))
         else:
-            self.queue.append((priority, self.requests, granted))
+            self.granted(done, duration)
         return done
 
     def granted(self, done, duration):
         self.executor.schedule(duration, functools.partial(self.held, done, duration))
 
     def held(self, done, duration):
-        self.busy -= 1
-        if self.queue and self.busy < self.capacity:
-            self.queue.sort(key=lambda entry: entry[:2])
-            self.busy += 1
-            self.executor.schedule(0.0, self.queue.pop(0)[2])
+        self.release()
         done.resolve((duration, None), inline=True)
+
+    def utilization(self):
+        now, (start, _) = self.executor.now, self.changes[0]
+        if now - start <= 0:
+            return 0.0
+        times = [time for time, _ in self.changes[1:]] + [now]
+        integral = 0.0
+        for (time, busy), until in zip(self.changes, times):
+            integral += busy * (until - time)
+        return integral / ((now - start) * self.capacity)
 
 
 class ReferenceProcesses(ReferenceKernel):
@@ -306,8 +340,8 @@ class ReferenceProcesses(ReferenceKernel):
 
     def timeout(self, delay, value=None):
         sig = ReferenceSignal(self)
-        sig.timer = self.schedule(
-            delay, lambda: sig.resolve((value, None), inline=True))
+        timer = self.schedule(delay, lambda: sig.resolve((value, None), inline=True))
+        sig.leave = functools.partial(self.cancel, timer)
         return sig
 
     def process(self, gen):
@@ -324,7 +358,8 @@ MAX_PROCESSES = 8
 def play_processes(executor, timer_delays, scripts, resource=Resource):
     """Run *scripts* as processes on *executor*; return one
     ``(time, actor, step, kind, outcome, pending_events)`` entry per finished
-    step, then the final clock, the events executed and who is still alive.
+    step, then the final clock, the events executed, who is still alive and
+    each pool's utilization.
 
     Three plain signals, the timeouts of *timer_delays* and two *resource*
     pools (one slot, two slots) exist from time zero and are shared by every
@@ -355,6 +390,7 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
                  executor.pending_events)))
 
     def body(actor, script):
+        grants = []  # (pool, grant) this process holds, oldest first
         for index, (kind, arg) in enumerate(script):
             try:
                 if kind == "delay":
@@ -374,6 +410,15 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
                 elif kind == "hold":
                     pool, seconds, priority = arg
                     result = yield pools[pool].hold(seconds, priority)
+                elif kind == "request":
+                    pool, priority = arg
+                    grants.append((pool, (yield pools[pool].request(priority))))
+                    result = pool
+                elif kind == "release":
+                    result = None
+                    if grants:
+                        result, grant = grants.pop(0)
+                        pools[result].release(grant)
                 else:
                     result = act(actor, index, kind, arg)
                 outcome = ("ok", result)
@@ -390,7 +435,8 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
     executed = 0
     while executor.step():
         executed += 1
-    log.append(("end", executor.now, executed, [p.done.pending for p in procs]))
+    log.append(("end", executor.now, executed, [p.done.pending for p in procs],
+                [pool.utilization() for pool in pools]))
     return log
 
 
@@ -495,11 +541,38 @@ HOLD_SCRIPTS = st.lists(
 )
 
 
+_REQUESTS = st.tuples(st.integers(0, 1), st.integers(0, 2))
+#: scripts that mix holds with request/release on the same pools, the way a
+#: service host's workers request the slots a device's CPU jobs hold: free
+#: holds, queued holds and queued grants interleave
+MIXED_SCRIPTS = st.lists(
+    st.lists(
+        st.one_of(
+            _steps("hold", _HOLDS), _steps("hold", _HOLDS),
+            _steps("request", _REQUESTS), _steps("request", _REQUESTS),
+            _steps("release", st.none()), _steps("release", st.none()),
+            _steps("delay", GRID), _steps("timer", _TIMERS),
+            _steps("interrupt", _ANYONE), _steps("join", _ANYONE),
+        ),
+        max_size=6,
+    ),
+    min_size=1, max_size=4,
+)
+
+
 def _hold(pool, seconds, priority=0):
     return ("hold", (pool, seconds, priority))
 
 
-@given(timer_delays=st.tuples(GRID, GRID), scripts=HOLD_SCRIPTS)
+def _request(pool, priority=0):
+    return ("request", (pool, priority))
+
+
+_RELEASE = ("release", None)
+
+
+@given(timer_delays=st.tuples(GRID, GRID),
+       scripts=st.one_of(HOLD_SCRIPTS, MIXED_SCRIPTS))
 # a hold's timer takes the seq of the call, not of a start event: it fires
 # ahead of a timer armed for the same instant after the call, and the holder
 # wakes inside it
@@ -519,12 +592,24 @@ def _hold(pool, seconds, priority=0):
 # the holder ends inside the timer, so its joiner runs there too, and the
 # other slot's timer for that instant is an event of its own
 @example((0.0, 0.0), [[_hold(1, 1.0)], [("join", 0)], [_hold(1, 1.0)]])
+# a requested slot queues a hold, and the hold queues a request of higher
+# priority: each release grants the next in priority order
+@example((0.0, 0.0), [[_request(0), ("delay", 1.0), _RELEASE], [_hold(0, 0.5, 1)],
+                      [_request(0), _RELEASE]])
+# a release made inside a timer's drain grants the queued hold there, so
+# its timer is armed in that event
+@example((1.0, 0.0), [[_request(0), ("timer", 0), _RELEASE], [_hold(0, 0.5)],
+                      [("timer", 0), _hold(0, 0.5)]])
+# an interrupted request leaves the queue; the slot goes to the next
+@example((0.0, 0.0), [[_hold(0, 1.0)], [_request(0)],
+                      [("interrupt", 1), _hold(0, 0.25)]])
 @settings(max_examples=FUZZ_N, derandomize=True, deadline=None)
 def test_holds_match_the_reference_executor(timer_delays, scripts):
     """``Resource.hold`` under contention — priorities, zero-length holds,
-    interrupted holders — spends an event only
-    on its timer and on the wake-up of a queued grant, in the same order as
-    the reference."""
+    interrupted holders, slots requested and released by hand on the same
+    pool — spends an event only on its timer and on the wake-up of a queued
+    grant, in the same order as the reference, and integrates the same busy
+    time."""
     assert (play_processes(Kernel(), timer_delays, scripts)
             == play_processes(ReferenceProcesses(), timer_delays, scripts,
                               resource=ReferenceResource))
