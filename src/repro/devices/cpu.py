@@ -28,8 +28,6 @@ class Cpu:
         self.spec = spec
         self.rng = rng
         self.cores = Resource(kernel, spec.cores, name=f"{spec.name}.cpu")
-        self.jobs_completed = 0
-        self.busy_seconds = 0.0
         #: ``lognormal_params(mean, compute_jitter_cv)`` per mean duration
         #: drawn — one entry per distinct job size on this core pool
         self._jitter: dict[float, tuple[float, float] | None] = {}
@@ -42,7 +40,7 @@ class Cpu:
         after the core is released. The core is requested at the call and
         the job queues if all cores are busy.
         """
-        return self._hold(self.sample_duration(reference_seconds), priority)
+        return self.cores.hold(self.sample_duration(reference_seconds), priority)
 
     def execute_fixed(self, seconds: float, priority: int = 0) -> Signal:
         """Run a job whose duration does **not** scale with ``cpu_factor``
@@ -50,7 +48,7 @@ class Cpu:
         device in the paper's testbed offloads to a codec block. The job
         still occupies a core (drives contention) and keeps jitter.
         """
-        return self._hold(self._draw(seconds), priority)
+        return self.cores.hold(self._draw(seconds), priority)
 
     def sample_duration(self, reference_seconds: float) -> float:
         """Draw the actual duration for a reference-time job (no queueing)."""
@@ -69,14 +67,15 @@ class Cpu:
             return mean
         return self.rng.lognormal(*params)
 
-    def _hold(self, duration: float, priority: int) -> Signal:
-        job = self.cores.hold(duration, priority)
-        job.wait(self._tally)
-        return job
+    @property
+    def jobs_completed(self) -> int:
+        """Jobs run to their end on this core pool."""
+        return self.cores.holds_completed
 
-    def _tally(self, duration: float, _exc) -> None:
-        self.jobs_completed += 1
-        self.busy_seconds += duration
+    @property
+    def busy_seconds(self) -> float:
+        """Core-seconds those jobs held, summed in completion order."""
+        return self.cores.held_seconds
 
     def utilization(self) -> float:
         """Average busy fraction across cores since creation."""

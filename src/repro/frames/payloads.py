@@ -30,6 +30,11 @@ from .framestore import FrameStore
 #: Default JPEG quality for inter-device frame shipping.
 WIRE_QUALITY = 80
 
+#: The exact types of the plain leaves payloads are mostly made of. None is
+#: a container or a frame leaf, so the walk skips them on their exact type
+#: (as ``net/wire.py`` sizes them); subclasses take the ``isinstance`` tests.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
 
 def replace_leaves(
     payload: Any, leaf_type: type, fn: Callable[[Any], Any]
@@ -39,12 +44,15 @@ def replace_leaves(
     Containers (dict/list/tuple) are walked depth-first, in order. One none
     of whose leaves changed (``fn`` returned the leaf itself, or there was
     none) comes back as itself; one on the path to a changed leaf is copied
-    once, as a plain dict, list or tuple.
+    once, as a plain dict, list or tuple. *leaf_type* is never one of the
+    plain scalar types.
     """
     if isinstance(payload, (dict, list, tuple)):
         is_dict = isinstance(payload, dict)
         copy = None
         for key, value in payload.items() if is_dict else enumerate(payload):
+            if type(value) in _PLAIN:
+                continue
             if isinstance(value, leaf_type):
                 new = fn(value)
             elif isinstance(value, (dict, list, tuple)):

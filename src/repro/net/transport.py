@@ -93,7 +93,7 @@ class Transport:
         self.sent_count += 1
         if self.observer is not None:
             self.observer.sent(message)
-        done = self.kernel.signal(name=f"send#{message.msg_id}")
+        done = Signal(self.kernel, "send")
         if self._closed:
             self._count_failure(message)
             done.fail(DeliveryError("transport is closed"))
@@ -111,7 +111,7 @@ class Transport:
             done.fail(exc)
             return done
         self._pending_sends[done] = message
-        arrival.wait(lambda _t, exc: self._deliver(message, done, exc))
+        arrival.wait(self._deliver, message, done)
         return done
 
     def _count_failure(self, message: Message) -> None:
@@ -126,7 +126,8 @@ class Transport:
             message.src.device, message.dst.device, message.size_bytes
         )
 
-    def _deliver(self, message: Message, done: Signal, exc: BaseException | None) -> None:
+    def _deliver(self, message: Message, done: Signal, _arrived_at: float,
+                 exc: BaseException | None) -> None:
         if not done.pending:
             return  # already failed (e.g. the transport closed mid-flight)
         del self._pending_sends[done]  # every branch below resolves it

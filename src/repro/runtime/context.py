@@ -158,13 +158,18 @@ class ModuleContext:
             return []
         for _ in range(len(targets) - 1):
             add_refs(payload, self._runtime.device.frame_store)
-        return [
+        dead_letters: list = []  # copies that failed in the call
+        sent = [
             self._runtime.send_to_module(
                 self.module_name, target, payload, headers or {},
                 kind=DATA, wiring=self.wiring, trace=self._carried,
+                dead_letters=dead_letters,
             )
             for target in targets
         ]
+        for settle in dead_letters:  # now that every copy is registered
+            settle()
+        return sent
 
     @property
     def next_modules(self) -> list[str]:
@@ -193,7 +198,10 @@ class ModuleContext:
             self.module_name, source, None, {}, kind=READY_SIGNAL,
             wiring=self.wiring,
         )
-        done.wait(ready_signal_sent, self.wiring)
+        if done.pending:
+            done.wait(ready_signal_sent, self.wiring)
+        else:  # failed in the call: this device is down
+            ready_signal_sent(self.wiring, None, done.exception)
         return done
 
     # -- frame references ---------------------------------------------------------------

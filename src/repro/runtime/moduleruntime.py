@@ -11,6 +11,7 @@ module's own logic.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
@@ -181,6 +182,7 @@ class ModuleRuntime:
         *,
         wiring: "PipelineWiring",
         trace: Any = None,
+        dead_letters: list | None = None,
     ) -> Signal:
         """Route a payload to a module anywhere in the pipeline.
 
@@ -192,6 +194,12 @@ class ModuleRuntime:
         module's last in-flight handler must still be able to forward its
         frame even though this runtime no longer lists the module as
         deployed. *trace* is the sender's trace context, carried uncharged.
+
+        A DATA copy whose send already failed in the call (this device is
+        down) is dead-lettered there — or, given *dead_letters*, appended
+        to it for the caller to settle once its fan-out has registered
+        every copy: a copy settled before its siblings exist would hand
+        back a credit they still carry.
         """
         target_address = wiring.address_of(target_module)
         source_address = wiring.address_of(source_module)
@@ -216,11 +224,16 @@ class ModuleRuntime:
             # local path still owns the payload's refs, the remote path
             # released them at encode — either way the frame must be
             # accounted as dropped, like a drained mailbox
-            done.wait(
-                lambda _v, exc: self._dead_letter(
-                    source_module, wiring, payload, local, copy
-                ) if exc is not None else None
-            )
+            if done.pending:
+                done.wait(self._dead_letter, source_module, wiring, payload,
+                          local, copy)
+            elif dead_letters is None:
+                self._dead_letter(source_module, wiring, payload, local, copy,
+                                  None, done.exception)
+            else:
+                dead_letters.append(functools.partial(
+                    self._dead_letter, source_module, wiring, payload, local,
+                    copy, None, done.exception))
         return done
 
     def _send_remote(
@@ -249,7 +262,13 @@ class ModuleRuntime:
         payload: Any,
         owns_refs: bool,
         copy: int | None,
+        _value: Any,
+        exc: BaseException | None,
     ) -> None:
+        """``done.wait`` callback of a DATA send: a failed one settles its
+        copy as a dead letter."""
+        if exc is None:
+            return
         wiring.metrics.increment("dead_letters")
         settlement.settle_payload(
             payload, self.device.frame_store, wiring, self.kernel.now,

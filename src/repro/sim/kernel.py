@@ -15,7 +15,7 @@ from typing import Any, Callable
 from ..errors import SimulationError
 from .events import NORMAL, Event
 from .process import Process, ProcessGenerator
-from .signals import Signal
+from .signals import PENDING, Signal
 
 
 class Kernel:
@@ -32,7 +32,11 @@ class Kernel:
     realtime = False
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain attribute, so a read
+        #: costs no call; only the kernel writes it (``step``, ``run`` and
+        #: the realtime pacing), and every caller treats it as read-only
+        #: (``tests/sim/test_clock.py`` holds that rule).
+        self.now = 0.0
         # (time, priority, seq, event) entries, so heapq orders them in C:
         # seq is unique, so a comparison is settled before it reaches the
         # Event. Cancellation is lazy — a cancelled entry stays until it
@@ -51,11 +55,6 @@ class Kernel:
         self._observers: tuple = ()
 
     # -- time -----------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def pending_events(self) -> int:
         """Events still queued to run (cancelled ones are not counted)."""
@@ -87,13 +86,13 @@ class Kernel:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # also rejects NaN, which no ordering survives
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        return self._push(self._now + delay, priority, callback, args)
+        return self._push(self.now + delay, priority, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run at the absolute simulated
         *time*, which must not lie before now. For a time computed ahead of
         the clock: ``schedule(time - now, …)`` would round it."""
-        if not time >= self._now:  # also rejects NaN
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(f"cannot schedule at t={time:.6f}, before now")
         return self._push(time, NORMAL, callback, args)
 
@@ -105,7 +104,7 @@ class Kernel:
         self._live += 1
         if self._observers:
             for observer in self._observers:
-                observer.on_schedule(self._now, event)
+                observer.on_schedule(self.now, event)
         return event
 
     def cancel(self, event: Event) -> None:
@@ -146,32 +145,15 @@ class Kernel:
     # -- execution -----------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single earliest event. Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if not event.cancelled:
-                break
-        else:
-            return False
-        event.popped = True
-        self._live -= 1
-        if self._observers:
-            # notified before the monotonicity check so an auditor records
-            # the violation even when the kernel aborts the run
-            for observer in self._observers:
-                observer.on_execute(self._now, event)
-        if event.time < self._now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        self._now = event.time
-        event.callback(*event.args)
-        return True
+        return self._run_events(None, steps=1) == 0
 
-    def _run_events(self, horizon: float | None, signal: Signal | None = None) -> None:
-        """The one next-event loop, behind :meth:`run` and
-        :meth:`run_until_resolved`: step until :meth:`stop`, until *signal*
-        (when given) resolves, until the heap drains, or until the next
-        event lies beyond *horizon*. The caller tells these apart from
-        ``_stopped``, the signal and ``_live``."""
+    def _run_events(self, horizon: float | None, signal: Signal | None = None,
+                    steps: int = -1) -> int:
+        """The one event loop, behind :meth:`step`, :meth:`run` and
+        :meth:`run_until_resolved`: it stops at :meth:`stop`, once *signal*
+        resolves or *steps* ran (-1: no limit), or when no event is left by
+        *horizon*. Returns the steps left (``_stopped``, ``_live`` and the
+        signal tell the other reasons apart)."""
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run())")
         self._running = True
@@ -179,16 +161,30 @@ class Kernel:
         heap = self._heap
         realtime = self.realtime
         try:
-            while not self._stopped and (signal is None or signal.pending):
+            while steps and not self._stopped and (
+                    signal is None or signal._state == PENDING):
                 while heap and heap[0][3].cancelled:
                     heappop(heap)
                 if not heap or (horizon is not None and heap[0][0] > horizon):
                     break
                 if realtime:
                     self._wait_until(heap[0][0])
-                self.step()
+                event = heappop(heap)[3]
+                event.popped = True
+                self._live -= 1
+                if self._observers:
+                    # notified before the monotonicity check so an auditor
+                    # records the violation even when the kernel aborts the run
+                    for observer in self._observers:
+                        observer.on_execute(self.now, event)
+                if event.time < self.now:
+                    raise SimulationError("event queue corrupted: time went backwards")
+                self.now = event.time
+                event.callback(*event.args)
+                steps -= 1
         finally:
             self._running = False
+        return steps
 
     def run(self, until: float | None = None) -> float:
         """Run events until the queue drains or simulated time reaches *until*.
@@ -198,9 +194,9 @@ class Kernel:
         advanced exactly to *until* (never moved back).
         """
         self._run_events(until)
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
+        return self.now
 
     def run_until_resolved(self, signal: Signal, limit: float | None = None) -> Any:
         """Run until *signal* resolves; return its value (or raise its error).
@@ -300,7 +296,7 @@ class RealtimeKernel(Kernel):
     def _wait_until(self, sim_time: float) -> None:
         if self._wall_start is None:
             self._wall_start = _time.monotonic()
-            self._sim_start = self._now
+            self._sim_start = self.now
         deadline = self._wall_start + (sim_time - self._sim_start) / self.speed
         remaining = deadline - _time.monotonic()
         if remaining > 0:

@@ -71,7 +71,7 @@ class Process:
         self._epoch = 0
         self._waiting_on: Signal | None = None
         # the start: its own event, or a place in the drain now running
-        hand_off(kernel, ((self._resume, 0),), None, None)
+        hand_off(kernel, ((self._resume, (0,)),), None, None)
 
     # -- state ---------------------------------------------------------------
     @property
@@ -130,7 +130,7 @@ class Process:
                 # calls _resume directly, with no per-wait closure in between
                 self._epoch = epoch = self._epoch + 1
                 self._waiting_on = signal
-                signal._waiters.append((self._resume, epoch))
+                signal._waiters.append((self._resume, (epoch,)))
                 return
             # already resolved: nobody to wait for, so no event — the
             # outcome goes straight back in at the yield

@@ -17,7 +17,7 @@ from typing import Any
 
 from ..errors import SimulationError
 from .kernel import Kernel
-from .signals import PENDING, SUCCEEDED, Signal
+from .signals import SUCCEEDED, Signal
 
 
 class Grant:
@@ -27,12 +27,11 @@ class Grant:
     back to :meth:`Resource.release` exactly once.
     """
 
-    __slots__ = ("resource", "id", "priority", "released", "requested_at", "granted_at")
+    __slots__ = ("resource", "id", "released", "requested_at", "granted_at")
 
-    def __init__(self, resource: "Resource", grant_id: int, priority: int, now: float) -> None:
+    def __init__(self, resource: "Resource", grant_id: int, now: float) -> None:
         self.resource = resource
         self.id = grant_id
-        self.priority = priority
         self.released = False
         self.requested_at = now
         self.granted_at: float | None = None
@@ -63,8 +62,11 @@ class Resource:
         self._waiting: list[tuple[int, int, Signal, Grant]] = []
         # utilization integral bookkeeping
         self._busy_integral = 0.0
-        self._last_change = kernel.now
-        self._started = kernel.now
+        self._last_change = self._started = kernel.now
+        #: holds run to their end and the seconds they held, counted in each
+        #: hold's timer event, so in completion order
+        self.holds_completed = 0
+        self.held_seconds = 0.0
 
     # -- introspection -------------------------------------------------------
     @property
@@ -96,7 +98,7 @@ class Resource:
     def request(self, priority: int = 0) -> Signal:
         """Request one slot; the returned signal succeeds with a :class:`Grant`."""
         sig = Signal(self.kernel, self._request_name)
-        grant = Grant(self, next(self._ids), priority, self.kernel.now)
+        grant = Grant(self, next(self._ids), self.kernel.now)
         if self._in_use < self.capacity and not self._waiting:
             self._issue(sig, grant)
         else:
@@ -112,27 +114,29 @@ class Resource:
         heapq.heapify(self._waiting)
 
     def hold(self, duration: float, priority: int = 0) -> Signal:
-        """Request one slot now, hold it for *duration* seconds once granted,
-        then release it.
-
-        Returns a signal that succeeds with the duration held. Its timer
-        event releases the slot and then resolves it, so its waiters run
-        inside that event, as a timeout's do. A free slot is granted in the
-        call; a queued request costs the one wake-up its grant schedules.
+        """Hold one slot for *duration* seconds, then release it. A free slot
+        is taken and the timer armed in the call; a queued request costs the
+        one wake-up its grant schedules. The returned signal succeeds with
+        the duration in the timer's event, after the release, as a timeout's.
         """
         done = Signal(self.kernel, self._hold_name)
-        request = self.request(priority)
-        if request._state == PENDING:
-            request.wait(self._granted, done, duration)
+        if self._in_use < self.capacity and not self._waiting:
+            now = self.kernel.now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use += 1
+            self.kernel.schedule(duration, self._held, done, duration)
         else:
-            self._granted(done, duration, request._value, None)
+            self.request(priority).wait(self._granted, done, duration)
         return done
 
-    def _granted(self, done: Signal, duration: float, grant: Grant, _exc) -> None:
-        self.kernel.schedule(duration, self._held, done, grant, duration)
+    def _granted(self, done: Signal, duration: float, _grant: Grant, _exc) -> None:
+        self.kernel.schedule(duration, self._held, done, duration)
 
-    def _held(self, done: Signal, grant: Grant, duration: float) -> None:
-        self.release(grant)
+    def _held(self, done: Signal, duration: float) -> None:
+        self._vacate()
+        self.holds_completed += 1
+        self.held_seconds += duration
         done._settle(SUCCEEDED, duration, None)
 
     def owns(self, grant: Grant) -> bool:
@@ -151,7 +155,13 @@ class Resource:
         if grant.released:
             raise SimulationError(f"grant #{grant.id} released twice")
         grant.released = True
-        self._account()
+        self._vacate()
+
+    def _vacate(self) -> None:
+        # free one slot, and grant it to the first queued request, if any
+        now = self.kernel.now
+        self._busy_integral += self._in_use * (now - self._last_change)
+        self._last_change = now
         self._in_use -= 1
         if self._waiting and self._in_use < self.capacity:
             _, _, sig, next_grant = heapq.heappop(self._waiting)

@@ -45,7 +45,7 @@ class Signal:
         self._state = PENDING
         self._value: Any = None
         self._exc: BaseException | None = None
-        #: ``(callback, *bound_args)`` per waiter, ready to be scheduled
+        #: ``(callback, bound_args)`` per waiter
         self._waiters: list[tuple] = []
         #: What resolves this signal unless abandon() takes it back: the timer
         #: event of a Kernel.timeout(), or the Store / Resource it queues in.
@@ -87,7 +87,9 @@ class Signal:
         if self._state != PENDING:
             raise SimulationError(f"signal {self.name!r} already {self._state}")
         self._state, self._value = SUCCEEDED, value
-        self._dispatch()
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            hand_off(self.kernel, waiters, value, None)
         return self
 
     def fail(self, exc: BaseException) -> "Signal":
@@ -97,13 +99,9 @@ class Signal:
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
         self._state, self._exc = FAILED, exc
-        self._dispatch()
-        return self
-
-    def _dispatch(self) -> None:
         waiters, self._waiters = self._waiters, []
-        if waiters:
-            hand_off(self.kernel, waiters, self._value, self._exc)
+        hand_off(self.kernel, waiters, None, exc)
+        return self
 
     def _fire(self, value: Any) -> None:
         """The timer event of :meth:`Kernel.timeout`, which is the wake-up."""
@@ -125,23 +123,24 @@ class Signal:
         # attached meanwhile finds the signal resolved and is scheduled by
         # wait().
         self._state, self._value, self._exc = state, value, exc
-        kernel = self.kernel
-        if kernel._waking is not None or not self._waiters:
-            self._dispatch()  # nobody to wake, or inside another drain: join it
+        waiters, self._waiters = self._waiters, []
+        if not waiters:
             return
-        batch = (iter(self._waiters), value, exc)
-        self._waiters = []
-        kernel._waking = [batch]
+        kernel = self.kernel
+        if kernel._waking is not None:  # inside another drain: join it
+            return hand_off(kernel, waiters, value, exc)
+        kernel._waking = [(iter(waiters), value, exc)]
         batches = iter(kernel._waking)  # by index: sees batches appended meanwhile
         try:
-            for batch in batches:
-                waiters, value, exc = batch
-                for callback, *args in waiters:
+            for waiters, value, exc in batches:
+                for callback, args in waiters:
                     callback(*args, value, exc)
-        finally:  # some are left only if one raised: they still wake
+        except BaseException:  # the waiters left behind a raise still wake
             kernel._waking = None
-            for waiters, value, exc in (batch, *batches):
+            for waiters, value, exc in ((waiters, value, exc), *batches):
                 hand_off(kernel, waiters, value, exc)
+            raise
+        kernel._waking = None
 
     # -- waiting ------------------------------------------------------------
     def wait(self, callback: Callable[..., None], *args: Any) -> None:
@@ -152,7 +151,7 @@ class Signal:
         spares the waiter a closure, and its wake-up a Python frame.
         """
         if self._state == PENDING:
-            self._waiters.append((callback, *args))
+            self._waiters.append((callback, args))
         else:
             self.kernel.schedule(0.0, callback, *args, self._value, self._exc)
 
@@ -183,11 +182,11 @@ class Signal:
 
 
 def hand_off(kernel: "Kernel", waiters, value: Any, exc: BaseException | None) -> None:
-    """Wake *waiters* (``(callback, *bound_args)`` each) with ``(value,
+    """Wake *waiters* (``(callback, bound_args)`` each) with ``(value,
     exc)``: at the back of the drain now running (:meth:`Signal._settle`),
     if one is, else by one zero-delay event each."""
     if kernel._waking is not None:
         kernel._waking.append((iter(waiters), value, exc))
     else:
-        for waiter in waiters:
-            kernel.schedule(0.0, *waiter, value, exc)
+        for callback, args in waiters:
+            kernel.schedule(0.0, callback, *args, value, exc)

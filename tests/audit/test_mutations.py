@@ -121,14 +121,14 @@ class TestLostMessage:
         original = BrokerlessTransport._deliver
         calls = {"n": 0}
 
-        def lossy(self, message, done, exc):
+        def lossy(self, message, done, arrived_at, exc):
             calls["n"] += 1
             if calls["n"] == 3:
                 # the mutation: the arrival fires but delivery bookkeeping
                 # vanishes — no handler call, no delivered/failed count
                 self._pending_sends.pop(done, None)
                 return
-            original(self, message, done, exc)
+            original(self, message, done, arrived_at, exc)
 
         monkeypatch.setattr(BrokerlessTransport, "_deliver", lossy)
         home.kernel.run(until=2.0)

@@ -9,6 +9,7 @@ still runs (``docs/AUDIT.md`` §Settlement).
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.pipeline import ModuleConfig, PipelineConfig
 from repro.runtime import Module, register_module
 from repro.runtime.settlement import CRASH, DEAD_LETTER, HANDLER_FAILED, MIGRATE
 from repro.services import FunctionService, ObjectTrackingService
+from repro.sim import Signal
 from repro.trace.span import CAT_FRAME
 
 FAILED = f"frames_dropped.{HANDLER_FAILED}"
@@ -458,3 +460,42 @@ def test_reasons_on_the_trace_do_not_perturb_the_run():
         lambda seed: crash_and_failure(seed, traced=True), 9)
     assert traced.events == plain.events
     assert traced.fingerprint == plain.fingerprint
+
+
+def test_a_fan_out_from_a_downed_device_attaches_no_late_waiter(monkeypatch):
+    """The source's device is down, so both copies of each frame it fans
+    out fail inside ``Transport.send``. Each is dead-lettered in the call,
+    once the fan-out has registered both, and never through a waiter on a
+    send that has already failed (a zero-delay event that moves no time)."""
+    late = Counter()
+    wait = Signal.wait
+
+    def spy(signal, callback, *args):
+        if signal.resolved:
+            late[getattr(callback, "__qualname__", repr(callback))] += 1
+        wait(signal, callback, *args)
+
+    monkeypatch.setattr(Signal, "wait", spy)
+    home = VideoPipe.paper_testbed(seed=9)
+    home.enable_audit()
+    pipeline = home.deploy_pipeline(PipelineConfig(
+        name="fan-out", source="camera",
+        modules=[
+            camera(["left", "right"], duration_s=2.0),
+            stage("left", "./HandlerFailureSink.js"),
+            stage("right", "./HandlerFailureSink.js"),
+        ],
+    ))
+    home.run(until=0.5)
+    home.crash_device("phone")
+    home.run(until=1.5)
+    count = pipeline.metrics.counter
+    lost = count(f"frames_dropped.{DEAD_LETTER}")
+    assert lost >= 5
+    assert count("dead_letters") == 2 * lost  # both copies of each frame
+    assert not late, late
+    home.restart_device("phone")
+    home.run()
+    assert count("ready_signals") == count("frames_entered")
+    assert not pipeline.wiring.credits_owed
+    assert_every_frame_ended(home, pipeline)

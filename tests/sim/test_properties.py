@@ -271,12 +271,14 @@ class ReferenceResource:
     resolves its signal from ordinary code. A hold goes on in the call when
     its slot is free, else in its grant's wake-up; the grant arms the timer,
     and the timer releases the slot, then wakes the hold's waiters inline,
-    like a timeout. Busy time is integrated over every change of ``busy``."""
+    like a timeout. Busy time is integrated over every change of ``busy``,
+    and the timer counts each hold run to its end and the seconds it held."""
 
     def __init__(self, executor, capacity):
         self.executor, self.capacity = executor, capacity
         self.busy, self.queue, self.requests = 0, [], 0
         self.changes = [(executor.now, 0)]
+        self.holds_completed, self.held_seconds = 0, 0.0
 
     def _set_busy(self, busy):
         self.busy = busy
@@ -316,6 +318,8 @@ class ReferenceResource:
 
     def held(self, done, duration):
         self.release()
+        self.holds_completed += 1
+        self.held_seconds += duration
         done.resolve((duration, None), inline=True)
 
     def utilization(self):
@@ -359,7 +363,7 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
     """Run *scripts* as processes on *executor*; return one
     ``(time, actor, step, kind, outcome, pending_events)`` entry per finished
     step, then the final clock, the events executed, who is still alive and
-    each pool's utilization.
+    each pool's utilization, completed holds and held seconds.
 
     Three plain signals, the timeouts of *timer_delays* and two *resource*
     pools (one slot, two slots) exist from time zero and are shared by every
@@ -436,7 +440,8 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
     while executor.step():
         executed += 1
     log.append(("end", executor.now, executed, [p.done.pending for p in procs],
-                [pool.utilization() for pool in pools]))
+                [(pool.utilization(), pool.holds_completed, pool.held_seconds)
+                 for pool in pools]))
     return log
 
 

@@ -83,6 +83,23 @@ def test_a_fleet_frame_costs_at_most_22_events():
         assert gone not in result["by_callback"], gone
 
 
+def test_a_fleet_frame_costs_at_most_950_calls():
+    """The calls twin of the event ceiling (docs/PERF.md "A span is a
+    row"): the ledger's fleet-stage shape made 1 213.6 Python calls per
+    completed frame, 661.8 of them in ``sim/``, while ``Kernel.now`` was a
+    property, a job on a free core built a request signal and a grant and
+    went through ``_issue`` → ``succeed`` → ``_dispatch``, each CPU job
+    tallied itself through a waiter, and every drain ended in a
+    ``hand_off`` of nothing. With the clock an attribute and a free hold
+    one done signal and one timer it makes under 900, under 400 of them in
+    ``sim/``, and must not silently regrow."""
+    result = hist.calls(*hist.fleet_stage(5, seed=1))
+    frames = result["frames_completed"]
+    assert frames > 0
+    assert result["by_package"]["sim"] / frames <= 400, result
+    assert result["calls"] / frames <= 950, result
+
+
 def test_a_call_count_is_the_same_in_two_fresh_processes():
     """``--calls`` is exact: two runs of one small home, each in a fresh
     interpreter under its own hash seed, print the same table."""
