@@ -40,7 +40,8 @@ class Cpu:
         after the core is released. The core is requested at the call and
         the job queues if all cores are busy.
         """
-        return self.cores.hold(self.sample_duration(reference_seconds), priority)
+        return self.cores.hold(
+            self._draw(self.spec.compute_time(reference_seconds)), priority)
 
     def execute_fixed(self, seconds: float, priority: int = 0) -> Signal:
         """Run a job whose duration does **not** scale with ``cpu_factor``

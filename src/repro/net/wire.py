@@ -193,7 +193,11 @@ def _size_of(value: Any, hinted: list | None = None) -> int:
     if kind is dict:
         size = 5
         for key, item in value.items():
-            size += _size_of(key) + _size_of(item, hinted)
+            # an ASCII str key and a number, the usual entry, cost no call
+            size += (5 + len(key) if type(key) is str and key.isascii()
+                     else _size_of(key))
+            kind = type(item)
+            size += 9 if kind is int or kind is float else _size_of(item, hinted)
         return size
     if kind is str:
         return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))

@@ -128,7 +128,7 @@ class Signal:
             return
         kernel = self.kernel
         if kernel._waking is not None:  # inside another drain: join it
-            return hand_off(kernel, waiters, value, exc)
+            return kernel._waking.append((iter(waiters), value, exc))
         kernel._waking = [(iter(waiters), value, exc)]
         batches = iter(kernel._waking)  # by index: sees batches appended meanwhile
         try:
