@@ -89,7 +89,7 @@ class VideoStreamingModule(Module):
         self.source.start(duration_s=self.duration_s, max_frames=self.max_frames)
 
     def _admit(self, ctx: ModuleContext, frame) -> None:
-        ctx.frame_entered(frame.frame_id)
+        ctx.frame_entered(frame.frame_id, frame.capture_time)
         ref = ctx.store_frame(frame)
         ctx.call_next(
             {
@@ -117,6 +117,8 @@ class PoseDetectionModule(Module):
     downstream needs pixels, the frame itself)."""
 
     service = "pose_detector"
+    stage = "pose_detection"
+    load_stage = "load_frame"
 
     def __init__(self, forward_frame: bool = True) -> None:
         #: Pipelines that never render the frame downstream (e.g. gesture
@@ -127,12 +129,7 @@ class PoseDetectionModule(Module):
         def flow():
             payload = event.payload
             ref = payload["frame"]
-            load_s = ctx.now - event.enqueued_at
-            call_started = ctx.now
             result = yield ctx.call_service(self.service, {"frame": ref})
-            prepare_s = ctx.service_prepare_s(self.service)
-            ctx.record_stage("load_frame", load_s + prepare_s)
-            ctx.record_stage("pose_detection", ctx.now - call_started - prepare_s)
             if not result.get("detected"):
                 # nothing to analyze: drop the frame, free the pipeline
                 ctx.release(ref)
@@ -164,6 +161,8 @@ class ActivityRecognitionModule(Module):
     computed once when the pose arrives; the shipped feature is their
     concatenation, the same bytes as ``window_feature`` of the poses."""
 
+    stage = "activity_detection"
+
     def __init__(self, window: int = WINDOW_FRAMES, forward_frame_to: str = "display",
                  service: str = "activity_classifier") -> None:
         #: Which classifier backs this module — the fitness pipeline uses
@@ -183,7 +182,6 @@ class ActivityRecognitionModule(Module):
             self._rows.append(frame_feature(pose))
             label = None
             confidence = 0.0
-            started = ctx.now
             if len(self._rows) == self.window:
                 feature = np.concatenate(self._rows)
                 try:
@@ -195,7 +193,6 @@ class ActivityRecognitionModule(Module):
                 except Exception:
                     # degrade to an unlabelled frame rather than stall
                     ctx.metrics.increment("activity_failures")
-            ctx.record_stage("activity_detection", ctx.now - started)
             out = dict(payload)
             out["activity"] = label
             out["activity_confidence"] = confidence
@@ -236,6 +233,7 @@ class RepCounterModule(Module):
     to the stateless rep counter service; forwards the count."""
 
     service = "rep_counter"
+    stage = "rep_count"
 
     def __init__(self, min_frames: int = 20, max_frames: int = 150) -> None:
         self.min_frames = min_frames
@@ -250,7 +248,6 @@ class RepCounterModule(Module):
             self._features.append(pose.normalized().flatten())
             if len(self._features) > self.max_frames:
                 self._features.pop(0)
-            started = ctx.now
             if len(self._features) >= self.min_frames:
                 try:
                     result = yield ctx.call_service(
@@ -260,7 +257,6 @@ class RepCounterModule(Module):
                 except Exception:
                     # keep the previous count rather than stall the chain
                     ctx.metrics.increment("rep_count_failures")
-            ctx.record_stage("rep_count", ctx.now - started)
             # frames fan out to display via ActivityRecognition; the rep
             # counter only forwards the number (Fig. 4)
             out = {
@@ -301,11 +297,6 @@ class DisplayModule(Module):
         ref = payload.get("frame")
         if ref is None:
             return  # a reps-only update; nothing to composite
-        frame = ctx.get_frame(ref)
-
-        def finish():
-            ctx.record_stage("total_duration", ctx.now - frame.capture_time)
-            ctx.finish(payload["frame_id"])
 
         def flow():
             call = ctx.call_service(
@@ -321,13 +312,13 @@ class DisplayModule(Module):
                 # co-located display: the frame was handed over by
                 # reference, so the module is done with its data now —
                 # refill the source credit before the screen even paints
-                finish()
+                ctx.finish(payload["frame_id"])
                 yield call
             else:
                 # remote display: the module still owns the frame until
                 # the RPC has shipped it; only then is it 'done'
                 yield call
-                finish()
+                ctx.finish(payload["frame_id"])
             self.frames_shown += 1
             ctx.release(ref)
 
@@ -395,9 +386,6 @@ class GestureControlModule(Module):
                         ctx.metrics.increment("iot_failures")
             if "frame" in payload:
                 ctx.release(payload["frame"])
-            ctx.record_stage(
-                "total_duration", ctx.now - payload["capture_time"]
-            )
             ctx.finish(payload["frame_id"])
 
         return flow()

@@ -136,7 +136,7 @@ class SceneCameraModule(Module):
         self.source.start(duration_s=self.duration_s)
 
     def _admit(self, ctx: ModuleContext, frame: VideoFrame) -> None:
-        ctx.frame_entered(frame.frame_id)
+        ctx.frame_entered(frame.frame_id, frame.capture_time)
         ref = ctx.store_frame(frame)
         ctx.call_next({"frame": ref, "frame_id": frame.frame_id,
                        "capture_time": frame.capture_time})

@@ -212,7 +212,7 @@ class SceneRigModule(Module):
                 for i, branch in enumerate(self._branches):
                     frame = self._capture(self.scene.cameras[i],
                                           frame_ids[i], t)
-                    ctx.frame_entered(frame.frame_id)
+                    ctx.frame_entered(frame.frame_id, t)
                     ref = ctx.store_frame(frame)
                     ctx.call_module(branch, {
                         "frame": ref,
@@ -259,6 +259,8 @@ class SceneTrackModule(Module):
     instead of corrupting the old one. ``reid_gate=None`` trusts IoU
     association blindly — the degraded arm."""
 
+    stage = "camera_track"
+
     def __init__(self, iou_threshold: float = 0.35, max_misses: int = 3,
                  ema: float = 0.30, reid_gate: float | None = 0.45) -> None:
         self.iou_threshold = iou_threshold
@@ -278,7 +280,6 @@ class SceneTrackModule(Module):
         def flow():
             payload = event.payload
             ref = payload["frame"]
-            started = ctx.now
             frame = ctx.get_frame(ref)
             if self._camera is None:
                 self._camera = camera_from_dict(frame.metadata["camera"])
@@ -286,7 +287,6 @@ class SceneTrackModule(Module):
                                             {"frame": ref})
             ctx.release(ref)
             tracklets = self._track(result["detections"])
-            ctx.record_stage("camera_track", ctx.now - started)
             ctx.call_next({
                 "camera": self._camera.name,
                 "room": self._camera.room,
@@ -391,7 +391,6 @@ class SceneFusionModule(Module):
             payload["tracklets"], room=payload.get("room", "home"),
         )
         self.frame_ids.append(payload["frame_id"])
-        ctx.record_stage("total_duration", ctx.now - payload["capture_time"])
         ctx.finish(payload["frame_id"])
 
     def scene_graph(self) -> dict:

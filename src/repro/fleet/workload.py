@@ -48,10 +48,8 @@ class FleetStageModule(Module):
     def event_received(self, ctx: ModuleContext, event: ModuleEvent):
         def flow():
             payload = event.payload
-            started = ctx.now
             result = yield ctx.call_service(self.service,
                                             {"frame": payload["frame"]})
-            ctx.record_stage(self.stage, ctx.now - started)
             out = dict(payload)
             out[self.stage] = result
             ctx.call_next(out)
@@ -73,7 +71,6 @@ class FleetSinkModule(Module):
     def event_received(self, ctx: ModuleContext, event: ModuleEvent) -> None:
         payload = event.payload
         self.frame_ids.append(payload["frame_id"])
-        ctx.record_stage("total_duration", ctx.now - payload["capture_time"])
         ref = payload.get("frame")
         if ref is not None:
             ctx.release(ref)

@@ -124,11 +124,14 @@ class MirrorTap:
         runtime = upgrade.primary_deployed.runtime
         payload = event.payload
         add_refs(payload, runtime.device.frame_store)
+        captured = (payload.get("capture_time")
+                    if isinstance(payload, dict) else None)
         for frame_id in frame_ids_in(payload):
             if frame_id not in self._admitted:
                 self._admitted.add(frame_id)
                 # admitted at the candidate, on the shadow wiring
-                observe.admitted(upgrade.shadow_deployed.ctx, frame_id)
+                observe.admitted(upgrade.shadow_deployed.ctx, frame_id,
+                                 captured)
                 upgrade.mirrored_frames += 1
         upgrade.mirrored_events += 1
         # the tap alias (never deployed) is the shadow wiring's name for

@@ -21,12 +21,13 @@ class MetricsCollector:
         self._stages: dict[str, list[float]] = defaultdict(list)
         self._counters: dict[str, int] = defaultdict(int)
         self.completions = RateMeter()
-        self._frame_started: dict[int, float] = {}
+        #: frame id -> (admission time, capture time or ``None``)
+        self._frame_started: dict[int, tuple[float, float | None]] = {}
         self._frame_latencies: list[float] = []
         self._latency_events: list[tuple[float, float]] = []
 
     # -- stage latencies ----------------------------------------------------
-    def record_stage(self, stage: str, seconds: float) -> None:
+    def stage_timed(self, stage: str, seconds: float) -> None:
         """One sample of a named pipeline stage's latency."""
         self._stages[stage].append(seconds)
 
@@ -51,19 +52,22 @@ class MetricsCollector:
         }
 
     # -- end-to-end frames ----------------------------------------------------
-    def frame_entered(self, frame_id: int, now: float) -> None:
-        """A frame was admitted into the pipeline at the source."""
-        self._frame_started[frame_id] = now
+    def frame_entered(self, frame_id: int, now: float,
+                      captured: float | None = None) -> None:
+        """A frame (captured at *captured*) was admitted at the source."""
+        self._frame_started[frame_id] = (now, captured)
         self._counters["frames_entered"] += 1
 
-    def frame_completed(self, frame_id: int, now: float) -> None:
-        """The final module finished the frame; updates FPS and latency."""
+    def frame_completed(self, frame_id: int, now: float) -> float | None:
+        """The final module finished the frame: FPS and latency; returns
+        its capture time, if known."""
         self.completions.tick(now)
-        started = self._frame_started.pop(frame_id, None)
+        started, captured = self._frame_started.pop(frame_id, (None, None))
         if started is not None:
             self._frame_latencies.append(now - started)
             self._latency_events.append((now, now - started))
         self._counters["frames_completed"] += 1
+        return captured
 
     def frame_dropped(self, frame_id: int, now: float) -> None:
         """A frame left the pipeline without completing (a source-side drop,
@@ -88,8 +92,9 @@ class MetricsCollector:
         return self.completions.rate(end_time, warmup_s)
 
     def total_latency_summary(self) -> Summary:
-        """Source-to-completion latency ('Total Duration' in Fig. 6);
-        :meth:`Summary.empty` when no frame ever completed."""
+        """Admission-to-completion latency; :meth:`Summary.empty` when no
+        frame ever completed. Fig. 6's Total Duration starts earlier, at
+        capture: it is the ``total_duration`` stage."""
         if not self._frame_latencies:
             return Summary.empty()
         return summarize(self._frame_latencies)

@@ -126,12 +126,6 @@ class ModuleContext:
         stub = self._stubs.get(service_name)
         return stub is not None and stub.is_local
 
-    def service_prepare_s(self, service_name: str) -> float:
-        """Request-materialization time of the last call to this service
-        (JPEG encode for remote frame payloads; ~0 for reference passing)."""
-        stub = self._stubs.get(service_name)
-        return stub.last_prepare_s if stub is not None else 0.0
-
     # -- Table 1: call_module ------------------------------------------------------
     def call_module(
         self,
@@ -220,21 +214,17 @@ class ModuleContext:
         self._runtime.device.frame_store.release(ref)
 
     # -- instrumentation -----------------------------------------------------------------
-    def frame_entered(self, frame_id: int) -> None:
-        """Admit *frame_id* into the pipeline; this module's sends carry
-        the frame's trace context from here on."""
-        self._carried = observe.admitted(self, frame_id)
+    def frame_entered(self, frame_id: int,
+                      capture_time: float | None = None) -> None:
+        """Admit *frame_id*, captured at *capture_time*; this module's sends
+        carry the frame's trace context from here on."""
+        self._carried = observe.admitted(self, frame_id, capture_time)
 
     def frame_dropped(self, frame_id: int) -> None:
         """This module dropped *frame_id* before admitting it: the source
         was busy (§2.3)."""
         observe.dropped(self.wiring, frame_id, self.now, SOURCE_BUSY,
                         self.device_name, self.module_name)
-
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Record one latency sample for a named pipeline stage, ending
-        now (mirrored as a ``stage.<name>`` span while tracing is on)."""
-        observe.stage(self, stage, seconds)
 
     def log(self, text: str) -> None:
         self.wiring.logs.append((self.now, self.module_name, text))

@@ -39,6 +39,15 @@ class Module:
     #: Reference CPU seconds of bookkeeping charged per delivered event
     #: (the interpreter/dispatch overhead of the Duktape context).
     event_overhead_s = 0.0002
+    #: The Fig. 6 stage this module is: the runtime times each DATA handler
+    #: that returns ok, from its start to its end, under this name.
+    #: ``None`` (the default): the module is not timed.
+    stage: str | None = None
+    #: The stage of the wait before the handler (mailbox, landing,
+    #: dispatch) — Fig. 6's "Load Frame". The request preparation of the
+    #: module's ``service`` call (a remote frame's encode) moves from
+    #: :attr:`stage` to it. ``None``: the wait is not timed.
+    load_stage: str | None = None
 
     def init(self, ctx: "ModuleContext") -> None:
         """Called once at deployment on the target device (Table 1)."""

@@ -6,7 +6,7 @@ processing pipeline can be executed on any device" (§1). Every device runs
 one :class:`ModuleRuntime`; deployed modules get a mailbox and a worker
 process that delivers events **one at a time** (the Duktape-context
 single-threaded semantics), charging the device CPU for codec work and the
-module's own logic.
+module's own logic, and timing each handler of a module with a ``stage``.
 """
 
 from __future__ import annotations
@@ -397,6 +397,14 @@ class ModuleRuntime:
                         payload, self.device.frame_store, ctx.wiring,
                         self.kernel.now, settlement.HANDLER_FAILED, deployed.name,
                     )
+            if module.stage is not None and not failed and event.kind == DATA:
+                handled = self.kernel.now - event.dequeued_at
+                if module.load_stage is not None:  # the wait, + its prepare
+                    prepare = ctx._stubs[module.service].last_prepare_s
+                    load = (event.dequeued_at - event.enqueued_at) + prepare
+                    observe.stage(ctx, module.load_stage, load)
+                    handled -= prepare
+                observe.stage(ctx, module.stage, handled)
             observe.handler_end(ctx, event, not failed)
             ctx._carried = None
             if event.kind == DATA:

@@ -8,7 +8,7 @@ settlement guards on), then tells each observer in the wiring's
 lineage recorder, the auditor's frame mirror. Observers are passive — no
 kernel event, no randomness, no message size — so an observed run is the
 run without them. DESIGN.md "The frame events" lists each event's fields,
-emitter and observers.
+emitter and observers. Only the runtime times a Fig. 6 stage (docs/PERF.md).
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ class FrameObserver:
         pass
 
 
-def admitted(ctx: "ModuleContext", frame_id: int) -> Any:
+def admitted(ctx: "ModuleContext", frame_id: int,
+             capture_time: float | None = None) -> Any:
     """Returns the trace context the admitting module's sends carry."""
-    ctx.wiring.metrics.frame_entered(frame_id, ctx.now)
+    ctx.wiring.metrics.frame_entered(frame_id, ctx.now, capture_time)
     carried = None
     for observer in ctx.wiring.observers:
         carried = observer.admitted(ctx, frame_id) or carried
@@ -106,14 +107,18 @@ def service_returned(ctx: "ModuleContext", service: str, stub: "ServiceStub",
 
 
 def stage(ctx: "ModuleContext", name: str, seconds: float) -> None:
-    ctx.wiring.metrics.record_stage(name, seconds)
+    ctx.wiring.metrics.stage_timed(name, seconds)
     for observer in ctx.wiring.observers:
         observer.stage(ctx, name, seconds)
 
 
 def completed(ctx: "ModuleContext", frame_id: int) -> None:
-    ctx.wiring.metrics.frame_completed(frame_id, ctx.now)
-    for observer in ctx.wiring.observers:
+    """A sink (no next module) times the frame's Total Duration."""
+    wiring, now = ctx.wiring, ctx.now
+    captured = wiring.metrics.frame_completed(frame_id, now)
+    if captured is not None and not wiring.next_modules.get(ctx.module_name):
+        stage(ctx, "total_duration", now - captured)  # capture → completion
+    for observer in wiring.observers:
         observer.completed(ctx, frame_id)
 
 

@@ -101,9 +101,6 @@ class WindowContext(FakeContext):
         self.features.append(payload["window_feature"])
         return "PENDING"
 
-    def record_stage(self, stage, seconds):
-        pass
-
 
 class TestActivityWindow:
     def test_each_pose_is_normalized_once_and_the_window_ships_its_bytes(

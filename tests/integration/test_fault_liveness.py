@@ -49,13 +49,13 @@ def record_frames(metrics):
     admitted, completed = {}, {}
     enter, complete = metrics.frame_entered, metrics.frame_completed
 
-    def frame_entered(frame_id, now):
+    def frame_entered(frame_id, now, captured=None):
         admitted[frame_id] = now
-        enter(frame_id, now)
+        enter(frame_id, now, captured)
 
     def frame_completed(frame_id, now):
         completed[frame_id] = now
-        complete(frame_id, now)
+        return complete(frame_id, now)
 
     metrics.frame_entered = frame_entered
     metrics.frame_completed = frame_completed

@@ -67,8 +67,8 @@ class TestRateMeter:
 class TestMetricsCollector:
     def test_stage_recording(self):
         collector = MetricsCollector("p")
-        collector.record_stage("pose", 0.05)
-        collector.record_stage("pose", 0.07)
+        collector.stage_timed("pose", 0.05)
+        collector.stage_timed("pose", 0.07)
         assert collector.stage_means_ms()["pose"] == pytest.approx(60.0)
 
     def test_frame_lifecycle(self):

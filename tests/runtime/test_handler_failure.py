@@ -126,9 +126,9 @@ def record_admissions(pipeline):
     admitted = {}
     enter = pipeline.metrics.frame_entered
 
-    def frame_entered(frame_id, now):
+    def frame_entered(frame_id, now, captured=None):
         admitted[frame_id] = now
-        enter(frame_id, now)
+        enter(frame_id, now, captured)
 
     pipeline.metrics.frame_entered = frame_entered
     return admitted
