@@ -84,6 +84,10 @@ class ServiceHost:
         self.kernel = kernel
         self.device = device
         self.service = service
+        # names of each call's signal and each dispatch's process, built
+        # once (``service`` is set only here)
+        self._call_name = f"{service.name}.call"
+        self._exec_name = f"{service.name}.exec"
         self.native = native
         self._replica_target = replicas
         self.workers = Resource(
@@ -283,7 +287,7 @@ class ServiceHost:
             self.remote_calls += 1
         else:
             self.local_calls += 1
-        done = self.kernel.signal(name=f"{self.service_name}.call")
+        done = self.kernel.signal(name=self._call_name)
         if not self.up:  # remote: the crash raced a request already in flight
             self.errors += 1
             return done.fail(
@@ -309,7 +313,7 @@ class ServiceHost:
     # -- execution ---------------------------------------------------------------
     def _dispatch(self, items: list[_Call], formed: bool) -> None:
         proc = self.kernel.process(
-            self._run(items, formed), name=f"{self.service_name}.exec"
+            self._run(items, formed), name=self._exec_name
         )
         for call in items:
             self._inflight[call.done] = proc
