@@ -546,23 +546,29 @@ HOLD_SCRIPTS = st.lists(
 )
 
 
-_REQUESTS = st.tuples(st.integers(0, 1), st.integers(0, 2))
+_REQUESTS = st.tuples(st.sampled_from((0, 0, 1)), st.integers(0, 2))
 #: scripts that mix holds with request/release on the same pools, the way a
 #: service host's workers request the slots a device's CPU jobs hold: free
-#: holds, queued holds and queued grants interleave
+#: holds, queued holds and queued grants interleave. The first process holds
+#: the one-slot pool for a second, requests mostly ask for that pool, and
+#: requests and interrupts are weighted up: so a request queued behind the
+#: hold and then interrupted, which must leave the queue
+#: (``Resource._withdraw``), is common rather than left to one example
 MIXED_SCRIPTS = st.lists(
     st.lists(
         st.one_of(
             _steps("hold", _HOLDS), _steps("hold", _HOLDS),
             _steps("request", _REQUESTS), _steps("request", _REQUESTS),
+            _steps("request", _REQUESTS),
             _steps("release", st.none()), _steps("release", st.none()),
             _steps("delay", GRID), _steps("timer", _TIMERS),
-            _steps("interrupt", _ANYONE), _steps("join", _ANYONE),
+            _steps("interrupt", _ANYONE), _steps("interrupt", _ANYONE),
+            _steps("join", _ANYONE),
         ),
-        max_size=6,
+        min_size=1, max_size=6,
     ),
-    min_size=1, max_size=4,
-)
+    min_size=2, max_size=3,
+).map(lambda scripts: [[("hold", (0, 1.0, 0))], *scripts])
 
 
 def _hold(pool, seconds, priority=0):
