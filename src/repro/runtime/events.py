@@ -31,7 +31,8 @@ class ModuleEvent:
 
     @property
     def queueing_delay(self) -> float:
-        """Seconds spent in the module's mailbox before processing."""
+        """Seconds from arrival to handler start: the mailbox wait, landing
+        and dispatch (the wait a ``load_stage`` times)."""
         return self.dequeued_at - self.enqueued_at
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -401,8 +401,8 @@ class ModuleRuntime:
                 handled = self.kernel.now - event.dequeued_at
                 if module.load_stage is not None:  # the wait, + its prepare
                     prepare = ctx._stubs[module.service].last_prepare_s
-                    load = (event.dequeued_at - event.enqueued_at) + prepare
-                    observe.stage(ctx, module.load_stage, load)
+                    observe.stage(ctx, module.load_stage,
+                                  event.queueing_delay + prepare)
                     handled -= prepare
                 observe.stage(ctx, module.stage, handled)
             observe.handler_end(ctx, event, not failed)
