@@ -130,8 +130,7 @@ class MirrorTap:
             if frame_id not in self._admitted:
                 self._admitted.add(frame_id)
                 # admitted at the candidate, on the shadow wiring
-                observe.admitted(upgrade.shadow_deployed.ctx, frame_id,
-                                 captured)
+                observe.admitted(upgrade.shadow_deployed.ctx, frame_id, captured)
                 upgrade.mirrored_frames += 1
         upgrade.mirrored_events += 1
         # the tap alias (never deployed) is the shadow wiring's name for

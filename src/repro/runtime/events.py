@@ -31,8 +31,7 @@ class ModuleEvent:
 
     @property
     def queueing_delay(self) -> float:
-        """Seconds from arrival to handler start: the mailbox wait, landing
-        and dispatch (the wait a ``load_stage`` times)."""
+        """Seconds from arrival to handler start (a ``load_stage``'s wait)."""
         return self.dequeued_at - self.enqueued_at
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
