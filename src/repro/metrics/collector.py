@@ -59,8 +59,8 @@ class MetricsCollector:
         self._counters["frames_entered"] += 1
 
     def frame_completed(self, frame_id: int, now: float) -> float | None:
-        """The final module finished the frame: FPS and latency; returns
-        its capture time, if known."""
+        """The final module finished the frame: updates FPS and latency,
+        and returns the frame's capture time (``None`` when unknown)."""
         self.completions.tick(now)
         started, captured = self._frame_started.pop(frame_id, (None, None))
         if started is not None:
