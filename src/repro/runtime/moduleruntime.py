@@ -12,8 +12,8 @@ module's own logic, and timing each handler of a module with a ``stage``.
 from __future__ import annotations
 
 import functools
-import inspect
 from collections import deque
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..devices.device import Device
@@ -26,7 +26,7 @@ from ..net.wire import ENVELOPE_OVERHEAD
 from ..net.transport import Transport
 from ..sim.kernel import Kernel
 from ..sim.resources import Store
-from ..sim.signals import Signal
+from ..sim.signals import FAILED, SUCCEEDED, Signal, hand_off
 from . import observe, settlement
 from .context import ModuleContext
 from .events import DATA, READY_SIGNAL, ModuleEvent
@@ -212,12 +212,12 @@ class ModuleRuntime:
                 local=True,
             ))
         else:
-            done = self.kernel.process(
-                self._send_remote(
-                    kind, payload, source_address, target_address, headers
-                ),
-                name=f"ship:{source_module}->{target_module}",
-            ).done
+            # a ship starts where a process would: at the back of the drain
+            # now running, else in one zero-delay event of its own
+            done = Signal(self.kernel, "ship")
+            hand_off(self.kernel, ((self._ship, (
+                done, kind, payload, source_address, target_address, headers,
+            )),), None, None)
         if kind == DATA:
             # a data message that dies in flight (listener unbound during a
             # migration, destination crashed) takes its frame with it: the
@@ -236,24 +236,46 @@ class ModuleRuntime:
                     copy, None, done.exception))
         return done
 
-    def _send_remote(
-        self,
-        kind: str,
-        payload: Any,
-        source_address: Address,
-        target_address: Address,
-        headers: dict[str, Any],
-    ):
-        wire_payload, encode_cost, shipped = encode_refs_for_wire(
-            payload, self.device.frame_store
-        )
+    # A ship is three waiters — encode on this device's CPU, transmit,
+    # settle — resolving its ``done`` as a process's end would, inside the
+    # event that resolves the send.
+    def _ship(self, done: Signal, kind: str, payload: Any,
+              source_address: Address, target_address: Address,
+              headers: dict[str, Any], _value: Any, _exc: Any) -> None:
+        try:
+            wire_payload, encode_cost, _ = encode_refs_for_wire(
+                payload, self.device.frame_store
+            )
+        except Exception as error:  # a stale ref: the ship fails
+            return done._settle(FAILED, None, error)
+        args = (done, kind, wire_payload, source_address, target_address,
+                headers)
         if encode_cost > 0:
-            yield self.device.cpu.execute_fixed(encode_cost)
-        message = self._build_message(
-            kind, wire_payload, source_address, target_address, headers
-        )
-        yield self.transport.send(message)
-        return self.kernel.now
+            self.device.cpu.execute_fixed(encode_cost).wait(
+                self._transmit, *args)
+        else:
+            self._transmit(*args, None, None)
+
+    def _transmit(self, done: Signal, kind: str, wire_payload: Any,
+                  source_address: Address, target_address: Address,
+                  headers: dict[str, Any], _value: Any, _exc: Any) -> None:
+        try:
+            sent = self.transport.send(self._build_message(
+                kind, wire_payload, source_address, target_address, headers
+            ))
+        except Exception as error:  # a payload the wire cannot size
+            return done._settle(FAILED, None, error)
+        if sent.pending:
+            sent.wait(self._shipped, done)
+        else:  # failed in the call: this device is down
+            self._shipped(done, None, sent.exception)
+
+    def _shipped(self, done: Signal, _value: Any,
+                 exc: BaseException | None) -> None:
+        if exc is None:
+            done._settle(SUCCEEDED, self.kernel.now, None)
+        else:
+            done._settle(FAILED, None, exc)
 
     def _dead_letter(
         self,
@@ -381,10 +403,8 @@ class ModuleRuntime:
                     result = module.on_ready_signal(deployed.ctx, event)
                 else:
                     result = module.event_received(deployed.ctx, event)
-                if inspect.isgenerator(result):
-                    yield self.kernel.process(
-                        result, name=f"{deployed.name}.handler"
-                    )
+                if type(result) is GeneratorType:  # runs in this worker
+                    yield from result
             except Exception as exc:  # a module crash must not kill the device
                 failed = True
                 deployed.errors.append(exc)

@@ -2,7 +2,7 @@
 
 A :class:`ServiceHost` is the container (or native process) running one
 service on one device. Its two entry points share one admission function
-and one execution generator, in which a solo call is a batch of one:
+and one dispatch record, in which a solo call is a batch of one:
 
 * :meth:`call_local` — for co-located modules. Payload frame refs are
   resolved against the device's frame store at execution time: **zero
@@ -33,11 +33,10 @@ from ..net.address import Address
 from ..net.message import H_TRACE, Message
 from ..net.rpc import RpcServer
 from ..net.transport import Transport
-from ..sim.events import Event
+from ..sim.events import URGENT, Event
 from ..sim.kernel import Kernel
-from ..sim.process import Process
 from ..sim.resources import Resource
-from ..sim.signals import Signal
+from ..sim.signals import Signal, hand_off
 from .base import Service, ServiceCallContext
 from .cache import MISS, ResultCache, payload_cache_key
 
@@ -84,10 +83,9 @@ class ServiceHost:
         self.kernel = kernel
         self.device = device
         self.service = service
-        # names of each call's signal and each dispatch's process, built
-        # once (``service`` is set only here)
+        # the name of each call's signal, built once (``service`` is set
+        # only here)
         self._call_name = f"{service.name}.call"
-        self._exec_name = f"{service.name}.exec"
         self.native = native
         self._replica_target = replicas
         self.workers = Resource(
@@ -106,8 +104,8 @@ class ServiceHost:
             rng=device.local_rng(f"service/{service.name}"),
             kernel=kernel,
         )
-        #: In-flight calls: result signal -> executing process.
-        self._inflight: dict[Signal, Process] = {}
+        #: In-flight calls: result signal -> its dispatch.
+        self._inflight: dict[Signal, _Dispatch] = {}
         self.up = True
         self._closed = False
         # fast-path state (both off by default: the seed call path)
@@ -312,115 +310,9 @@ class ServiceHost:
 
     # -- execution ---------------------------------------------------------------
     def _dispatch(self, items: list[_Call], formed: bool) -> None:
-        proc = self.kernel.process(
-            self._run(items, formed), name=self._exec_name
-        )
+        dispatch = _Dispatch(self, items, formed)
         for call in items:
-            self._inflight[call.done] = proc
-
-    def _run(self, items: list[_Call], formed: bool):
-        """Execute one dispatch on one worker; a solo call is a batch of
-        one. *formed* (the batcher built this dispatch) picks the queue
-        span's name and whether the dispatch-size statistics count it —
-        nothing else differs by origin."""
-        grant = None
-        # failing alone needs company: a batch of one fails whole, on the
-        # arms below, with its handler run exactly once
-        isolate = len(items) > 1
-        # by position in *items*: what each served item returned, and why
-        # each item that failed alone did
-        results: dict[int, Any] = {}
-        failed: dict[int, Exception] = {}
-        try:
-            grant = yield self.workers.request()
-            # availability is accurate again: further pending work may have
-            # room on the remaining replicas
-            self._pump_batches()
-            started = self.kernel.now
-            for call in items:
-                self.total_wait_s += started - call.admitted_at
-                if call.trace is not None:
-                    self.observer.call_waited(self, call.trace, formed,
-                                              call.admitted_at, started)
-            decode_cost = sum(call.decode_cost for call in items)
-            if decode_cost > 0:
-                yield self.device.cpu.execute_fixed(decode_cost)
-                for call in items:
-                    if call.decode_cost > 0 and call.trace is not None:
-                        self.observer.call_decoded(self, call.trace, started,
-                                                   self.kernel.now)
-            resolved: dict[int, Any] = {}  # the payloads that run
-            for index, call in enumerate(items):
-                try:
-                    resolved[index] = resolve_refs(
-                        call.payload, self.device.frame_store
-                    )
-                except FrameStoreError as exc:  # a stale or foreign ref
-                    if not isolate:
-                        raise
-                    failed[index] = exc
-            payloads = list(resolved.values())
-            compute_started = self.kernel.now
-            cost = self.service.batch_compute_cost(payloads)
-            if cost > 0:
-                yield self.device.cpu.execute(cost)
-            try:
-                handled = self.service.handle_batch(payloads, self._ctx)
-                if len(handled) != len(payloads):
-                    raise ServiceError(
-                        f"{self.service_name}.handle_batch returned"
-                        f" {len(handled)} results for {len(payloads)} payloads"
-                    )
-                results.update(zip(resolved, handled))
-            except Interrupt:
-                raise
-            except Exception:
-                if not isolate:
-                    raise
-                # per-item fallback: rerun individually so one poisoned
-                # payload fails alone instead of taking the batch down
-                for index, payload in resolved.items():
-                    try:
-                        results[index] = self.service.handle(payload, self._ctx)
-                    except Exception as exc:
-                        failed[index] = exc
-            for index in resolved:
-                if items[index].trace is not None:
-                    self.observer.call_computed(
-                        self, items[index].trace, compute_started,
-                        self.kernel.now, len(items) if formed else None)
-            self.total_busy_s += self.kernel.now - started
-            if formed:
-                self.batched_calls += 1
-                self.batch_size_counts[len(items)] += 1
-        except Interrupt as stop:
-            for call in items:
-                call.fail(f"{self.service_name}@{self.device.name}"
-                          f" dropped call: {stop.cause}")
-            return
-        except Exception as exc:
-            self.errors += len(items)
-            for call in items:
-                call.fail(f"{self.service_name} failed: {exc}")
-            return
-        finally:
-            for call in items:
-                self._inflight.pop(call.done, None)
-            # a grant from a discarded pre-crash worker pool dies with that
-            # pool; a pooled lease keeps owning pre-crash grants so the
-            # shared slot always comes back
-            if grant is not None and self.workers.owns(grant):
-                self.workers.release(grant)
-            self._pump_batches()
-        for index, call in enumerate(items):
-            if index in failed:
-                self.errors += 1
-                call.fail(f"{self.service_name} failed: {failed[index]}")
-                continue
-            if call.key is not None and self._cache is not None:
-                self._cache.store(call.key, results[index])
-            if call.done.pending:
-                call.done.succeed(results[index])
+            self._inflight[call.done] = dispatch
 
     # -- batch formation ----------------------------------------------------------
     # Requests never sit in the worker resource queue on the batch path:
@@ -526,17 +418,17 @@ class ServiceHost:
 
     def _go_down(self, how: str) -> None:
         """Unbind the endpoint, fail every admitted call not yet resolved —
-        the dispatched ones (their process is interrupted), then the ones
-        still waiting for batch formation (no process to interrupt) — and
-        let go of the workers."""
+        the dispatched ones (their dispatch is interrupted), then the ones
+        still waiting for batch formation (nothing to interrupt) — and let
+        go of the workers."""
         self.up = False
         self._rpc.close()
         reason = f"{self.service_name}@{self.device.name} {how}"
         inflight = list(self._inflight.items())
         self._inflight.clear()
         self.dropped_in_flight += len(inflight) + len(self._batch_pending)
-        for done, proc in inflight:
-            proc.interrupt(reason)
+        for done, dispatch in inflight:
+            dispatch.interrupt(reason)
             if done.pending:
                 done.fail(ServiceError(f"call dropped: {reason}"))
         if self._batch_timer is not None:
@@ -592,3 +484,224 @@ class ServiceHost:
             f"<ServiceHost {self.service_name}@{self.device.name} ({kind},"
             f" {self.replicas} replicas, {state})>"
         )
+
+
+class _Dispatch:
+    """One dispatch on one worker; a solo call is a batch of one.
+
+    No process: each step is a waiter on the signal the step before it
+    waits for — :meth:`_start` requests a worker slot, :meth:`_granted`
+    charges the summed decode, :meth:`_decoded` resolves the refs and
+    charges the compute, and :meth:`_computed` handles the batch and
+    finishes. It starts where a process would (at the back of the drain now
+    running, else in one zero-delay event), and :meth:`interrupt` stops it
+    as ``Process.interrupt`` would. *formed* (the batcher built this
+    dispatch) picks the queue span's name and whether the dispatch-size
+    statistics count it — nothing else differs by origin.
+    """
+
+    __slots__ = ("host", "items", "formed", "grant", "started",
+                 "compute_started", "resolved", "failed", "_began", "_ended",
+                 "_waiting", "_step", "_interrupts")
+
+    def __init__(self, host: ServiceHost, items: list[_Call],
+                 formed: bool) -> None:
+        self.host = host
+        self.items = items
+        self.formed = formed
+        self.grant = None
+        self._began = self._ended = False
+        #: the pending signal the dispatch waits on, and the step it wakes
+        self._waiting: Signal | None = None
+        self._step = None
+        self._interrupts = 0
+        hand_off(host.kernel, ((self._start, ()),), None, None)
+
+    def _start(self, _value: Any, _exc: Any) -> None:
+        if self._interrupts:  # interrupted before it began: it never runs
+            return
+        self._began = True
+        try:
+            request = self.host.workers.request()
+        except Exception as error:
+            return self._abort(error)
+        if request.pending:
+            self._waiting, self._step = request, self._granted
+            request.wait(self._granted)
+        else:
+            self._granted(request.value, None)
+
+    def _granted(self, grant: Any, exc: BaseException | None) -> None:
+        if self._interrupts:  # a wake-up the interrupt made stale
+            return
+        host, items = self.host, self.items
+        try:
+            if exc is not None:
+                raise exc
+            self.grant = grant
+            # availability is accurate again: further pending work may
+            # have room on the remaining replicas
+            host._pump_batches()
+            self.started = started = host.kernel.now
+            for call in items:
+                host.total_wait_s += started - call.admitted_at
+                if call.trace is not None:
+                    host.observer.call_waited(host, call.trace, self.formed,
+                                              call.admitted_at, started)
+            decode_cost = 0.0
+            for call in items:
+                decode_cost += call.decode_cost
+            if decode_cost > 0:
+                decode = host.device.cpu.execute_fixed(decode_cost)
+        except Exception as error:
+            return self._abort(error)
+        if decode_cost > 0:  # a hold is pending until its timer fires
+            self._waiting, self._step = decode, self._decoded
+            decode.wait(self._decoded)
+        else:
+            self._decoded(None, None)
+
+    def _decoded(self, _value: Any, exc: BaseException | None) -> None:
+        if self._interrupts:
+            return
+        host, items = self.host, self.items
+        # failing alone needs company: a batch of one fails whole, on
+        # _abort's arms, with its handler run exactly once
+        isolate = len(items) > 1
+        # by position in *items*: the payloads that run, and why each item
+        # that failed alone did
+        self.resolved = resolved = {}
+        self.failed = failed = {}
+        try:
+            if exc is not None:
+                raise exc
+            now = host.kernel.now
+            for call in items:
+                if call.decode_cost > 0 and call.trace is not None:
+                    host.observer.call_decoded(host, call.trace, self.started,
+                                               now)
+            for index, call in enumerate(items):
+                try:
+                    resolved[index] = resolve_refs(
+                        call.payload, host.device.frame_store
+                    )
+                except FrameStoreError as error:  # a stale or foreign ref
+                    if not isolate:
+                        raise
+                    failed[index] = error
+            self.compute_started = now
+            cost = host.service.batch_compute_cost(list(resolved.values()))
+            if cost > 0:
+                compute = host.device.cpu.execute(cost)
+        except Exception as error:
+            return self._abort(error)
+        if cost > 0:
+            self._waiting, self._step = compute, self._computed
+            compute.wait(self._computed)
+        else:
+            self._computed(None, None)
+
+    def _computed(self, _value: Any, exc: BaseException | None) -> None:
+        if self._interrupts:
+            return
+        host, items, formed = self.host, self.items, self.formed
+        resolved, failed = self.resolved, self.failed
+        results: dict[int, Any] = {}
+        try:
+            if exc is not None:
+                raise exc
+            payloads = list(resolved.values())
+            try:
+                handled = host.service.handle_batch(payloads, host._ctx)
+                if len(handled) != len(payloads):
+                    raise ServiceError(
+                        f"{host.service_name}.handle_batch returned"
+                        f" {len(handled)} results for {len(payloads)} payloads"
+                    )
+                results.update(zip(resolved, handled))
+            except Interrupt:
+                raise
+            except Exception:
+                if len(items) == 1:  # no company to protect: fail whole
+                    raise
+                # per-item fallback: rerun individually so one poisoned
+                # payload fails alone instead of taking the batch down
+                for index, payload in resolved.items():
+                    try:
+                        results[index] = host.service.handle(payload, host._ctx)
+                    except Exception as error:
+                        failed[index] = error
+            now = host.kernel.now
+            for index in resolved:
+                if items[index].trace is not None:
+                    host.observer.call_computed(
+                        host, items[index].trace, self.compute_started, now,
+                        len(items) if formed else None)
+            host.total_busy_s += now - self.started
+            if formed:
+                host.batched_calls += 1
+                host.batch_size_counts[len(items)] += 1
+        except Exception as error:
+            return self._abort(error)
+        self._end()
+        for index, call in enumerate(items):
+            if index in failed:
+                host.errors += 1
+                call.fail(f"{host.service_name} failed: {failed[index]}")
+                continue
+            if call.key is not None and host._cache is not None:
+                host._cache.store(call.key, results[index])
+            if call.done.pending:
+                call.done.succeed(results[index])
+
+    def _abort(self, error: Exception) -> None:
+        """The ``Interrupt`` and ``Exception`` arms: every call fails."""
+        host = self.host
+        if isinstance(error, Interrupt):
+            why = (f"{host.service_name}@{host.device.name}"
+                   f" dropped call: {error.cause}")
+        else:
+            host.errors += len(self.items)
+            why = f"{host.service_name} failed: {error}"
+        for call in self.items:
+            call.fail(why)
+        self._end()
+
+    def _end(self) -> None:
+        """The ``finally`` arm, on every way out of a dispatch that began."""
+        self._ended = True
+        host = self.host
+        for call in self.items:
+            host._inflight.pop(call.done, None)
+        # a grant from a discarded pre-crash worker pool dies with that
+        # pool; a pooled lease keeps owning pre-crash grants so the shared
+        # slot always comes back
+        grant = self.grant
+        if grant is not None and host.workers.owns(grant):
+            host.workers.release(grant)
+        host._pump_batches()
+
+    def interrupt(self, cause: object) -> None:
+        """Stop the dispatch at the step it waits on, as
+        ``Process.interrupt`` stops a process: leave that wait (abandoning
+        the signal if nobody else waits on it), then fail every call in one
+        urgent zero-delay event. A no-op once the dispatch has ended."""
+        if self._ended:
+            return
+        waiting = self._waiting
+        if waiting is not None and waiting.pending:
+            waiting.discard(self._step)
+            if not waiting._waiters:
+                waiting.abandon()  # nor hold the clock, nor take a slot
+        self._waiting = None
+        self._interrupts += 1
+        self.host.kernel.schedule(0.0, self._interrupted, self._interrupts,
+                                  Interrupt(cause), priority=URGENT)
+
+    def _interrupted(self, count: int, stop: Interrupt) -> None:
+        if count != self._interrupts or self._ended:
+            return  # a later interrupt of the same dispatch stands
+        if not self._began:  # nothing ran, so nothing to fail or give back
+            self._ended = True
+            return
+        self._abort(stop)

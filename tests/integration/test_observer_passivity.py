@@ -21,7 +21,7 @@ the tracer adds none (the ``chaos_fitness`` scenario, bare and traced).
 The same home holds the runtime to docs/PERF.md "What is an event" from
 the callers' side: a signal that already resolved is consumed in the call,
 never waited on, so every event it executes moves the clock (a timer or a
-hold ending) or starts a process.
+hold ending) or starts a process, a ship or a service dispatch.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ SEED = 5
 #: The three observer sets each run of the home is made with.
 RUNS = {"bare": (), "traced": ("tracing",), "audited": ("tracing", "audit")}
 
-#: The events that move simulated time or hand control to a new party.
-MOVES_THE_CLOCK = {"Signal._fire", "Resource._held", "Process._resume start"}
+#: The events that move simulated time or hand control to a new party: a
+#: process's start, and the start of a cross-device ship or of a service
+#: dispatch, each of which begins where a process would.
+MOVES_THE_CLOCK = {"Signal._fire", "Resource._held", "Process._resume start",
+                   "ModuleRuntime._ship", "_Dispatch._start"}
 
 
 class KindTap(EventTap):

@@ -5,7 +5,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from repro.sim.process import Process
 
 _SPEC = importlib.util.spec_from_file_location(
     "event_histogram",
@@ -83,21 +86,42 @@ def test_a_fleet_frame_costs_at_most_22_events():
         assert gone not in result["by_callback"], gone
 
 
-def test_a_fleet_frame_costs_at_most_950_calls():
+def test_a_fleet_frame_costs_at_most_805_calls():
     """The calls twin of the event ceiling (docs/PERF.md "A span is a
     row"): the ledger's fleet-stage shape made 1 213.6 Python calls per
     completed frame, 661.8 of them in ``sim/``, while ``Kernel.now`` was a
     property, a job on a free core built a request signal and a grant and
     went through ``_issue`` → ``succeed`` → ``_dispatch``, each CPU job
     tallied itself through a waiter, and every drain ended in a
-    ``hand_off`` of nothing. With the clock an attribute and a free hold
-    one done signal and one timer it makes under 900, under 400 of them in
-    ``sim/``, and must not silently regrow."""
+    ``hand_off`` of nothing; 805.8 while each frame started 8 processes
+    (docs/PERF.md "A frame starts no process"). It makes 766.8 now, under
+    400 of them in ``sim/``, and must not silently regrow."""
     result = hist.calls(*hist.fleet_stage(5, seed=1))
     frames = result["frames_completed"]
     assert frames > 0
     assert result["by_package"]["sim"] / frames <= 400, result
-    assert result["calls"] / frames <= 950, result
+    assert result["calls"] / frames <= 805, result
+
+
+def test_a_fleet_frame_starts_no_process(monkeypatch):
+    """A handler runs in its module's worker, and a cross-device ship and a
+    service dispatch are chains of waiters: the run phase of the
+    fleet-stage shape starts no process. It started 8 per completed frame —
+    3 stage handlers, 3 service dispatches and 2 ships."""
+    kernel, pipelines, run = hist.fleet_stage(5, seed=1)
+    started = Counter()
+    init = Process.__init__
+
+    def counting(process, kernel, gen, name=None):
+        started[getattr(gen, "__qualname__", name)] += 1
+        init(process, kernel, gen, name)
+
+    monkeypatch.setattr(Process, "__init__", counting)
+    run()
+    frames = sum(p.metrics.counter("frames_completed") for p in pipelines)
+    assert frames > 0
+    assert not started, {name: count / frames
+                         for name, count in started.items()}
 
 
 def test_a_call_count_is_the_same_in_two_fresh_processes():

@@ -98,19 +98,33 @@ def _dispatch(self, items):
     assert hand_made_completions(ast.parse(per_call)) == []
 
 
+#: A cross-device ship's waiter chain: encode, transmit, settle.
+SHIP_CHAIN = ("_ship", "_transmit", "_shipped")
+
+
 def test_the_copying_waiter_and_the_done_parameters_are_gone():
     runtime = (SRC / "runtime" / "moduleruntime.py").read_text()
     assert "_forward" not in runtime
-    generators = {
-        "net/broker.py": "_relay", "services/stubs.py": "_call",
-        "runtime/moduleruntime.py": "_send_remote",
-    }
+    generators = {"net/broker.py": "_relay", "services/stubs.py": "_call"}
     for relative, name in generators.items():
         functions = [node for node in ast.walk(ast.parse((SRC / relative).read_text()))
                      if isinstance(node, ast.FunctionDef) and node.name == name]
         assert functions, f"{relative} lost {name}"
         for function in functions:
             assert "done" not in [arg.arg for arg in function.args.args], relative
+    # a ship is no process but a chain of waiters, and its done is its one
+    # completion signal: settled as a process's end is, inside the event
+    # that resolves the send, never copied over with succeed() or fail()
+    chain = {node.name: node for node in ast.walk(ast.parse(runtime))
+             if isinstance(node, ast.FunctionDef) and node.name in SHIP_CHAIN}
+    assert sorted(chain) == sorted(SHIP_CHAIN)
+    for name, function in chain.items():
+        nodes = list(ast.walk(function))
+        assert not any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                       for node in nodes), name
+        calls = {ast.unparse(node.func) for node in nodes
+                 if isinstance(node, ast.Call)}
+        assert not calls & {"done.succeed", "done.fail"}, name
 
 
 def test_holding_a_core_or_a_link_starts_no_process():

@@ -8,6 +8,10 @@ point) and the crash drain twice. A second path needs a second function
 that waits for a worker, or a second call site for one of the steps every
 call passes through; this test forbids each. ``tests/services/
 test_host_streams.py`` is the behavioural referee.
+
+A dispatch is no process but one ``_Dispatch`` record whose steps are
+waiters, so the one function that waits for a worker is the one that
+requests it.
 """
 
 import ast
@@ -18,24 +22,26 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 HOST = SRC / "services" / "host.py"
 
 #: every call passes through each of these exactly once, so each has one
-#: call site: admission (lookup, decode), dispatch (process), execution
+#: call site: admission (lookup, decode), dispatch (the record), execution
 #: (resolve)
 ONE_CALL_SITE = {
     "_cache_lookup": "_admit",
     "decode_frames_inline": "_admit",
-    "process": "_dispatch",
-    "resolve_refs": "_run",
+    "_Dispatch": "_dispatch",
+    "resolve_refs": "_decoded",
 }
 DELETED = ("_run_batch", "_execute", "_submit", "_drop_batch_pending",
            "_drop_inflight", "use_store")
 
 
 class HostSites(ast.NodeVisitor):
-    """Per function in ``host.py``: whether it yields on
-    ``workers.request()``, and which of the guarded names it calls."""
+    """Per function in ``host.py``: whether it requests a worker
+    (``workers.request()``), whether it starts a process, and which of the
+    guarded names it calls."""
 
     def __init__(self):
-        self.worker_waits = []
+        self.worker_requests = []
+        self.process_starts = []
         self.calls = {name: [] for name in ONE_CALL_SITE}
         self._functions = ["<module>"]
 
@@ -44,17 +50,14 @@ class HostSites(ast.NodeVisitor):
         self.generic_visit(node)
         self._functions.pop()
 
-    def visit_Yield(self, node):
-        if "workers.request()" in ast.unparse(node):
-            self.worker_waits.append(self._functions[-1])
-        self.generic_visit(node)
-
     def visit_Call(self, node):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None)
-        if name == "process" and "kernel.process" not in ast.unparse(func):
-            name = None
+        if ast.unparse(func).endswith("workers.request"):
+            self.worker_requests.append(self._functions[-1])
+        if name == "process" and "kernel.process" in ast.unparse(func):
+            self.process_starts.append(self._functions[-1])
         if name in self.calls:
             self.calls[name].append(self._functions[-1])
         self.generic_visit(node)
@@ -66,8 +69,10 @@ def host_sites():
     return visitor
 
 
-def test_one_generator_waits_for_a_worker():
-    assert host_sites().worker_waits == ["_run"]
+def test_one_site_requests_a_worker():
+    sites = host_sites()
+    assert sites.worker_requests == ["_start"]
+    assert sites.process_starts == []
 
 
 def test_every_step_has_one_call_site():
