@@ -181,13 +181,25 @@ def decode(data: bytes) -> Any:
     return value
 
 
+#: The cascade's own types: a type that subclasses none of them is sized by
+#: its ``wire_size`` hint, or not at all.
+_CASCADE_TYPES = (int, np.integer, float, np.floating, str, bytes, bytearray,
+                  memoryview, list, tuple, dict, np.ndarray)
+#: Exact types the cascade has sized by their hint (frame refs, encoded
+#: frames, arena handles, poses): :func:`_size_of` sizes them the same way
+#: by one set test, with no ``isinstance`` before the hint.
+_BY_HINT: set[type] = set()
+
+
 def _size_of(value: Any, hinted: list | None = None) -> int:
     """Size of the encoding of *value*, without building the buffer.
 
     The plain types payloads are made of are dispatched on their exact
-    type; an ASCII string's UTF-8 length is its ``len``. Everything else —
-    subclasses, numpy scalars and arrays, ``wire_size`` hints — takes
-    :func:`_size_by_cascade`, which gives the same integers for all types.
+    type; an ASCII string's UTF-8 length is its ``len``; a type already
+    sized by its ``wire_size`` hint is read by that hint. Everything else —
+    subclasses, numpy scalars and arrays, a hinted type's first leaf —
+    takes :func:`_size_by_cascade`, which gives the same integers for all
+    types.
     """
     kind = type(value)
     if kind is dict:
@@ -210,7 +222,16 @@ def _size_of(value: Any, hinted: list | None = None) -> int:
         return size
     if value is None or kind is bool:
         return 1
-    return _size_by_cascade(value, hinted)
+    if kind in _BY_HINT:
+        hint = value.wire_size
+        if hint is not None:
+            if hinted is not None:
+                hinted.append(value)
+            return int(hint)
+    size = _size_by_cascade(value, hinted)
+    if not issubclass(kind, _CASCADE_TYPES):  # it was sized by its hint
+        _BY_HINT.add(kind)
+    return size
 
 
 def _size_by_cascade(value: Any, hinted: list | None = None) -> int:

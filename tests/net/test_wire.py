@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.frames import FrameRef, VideoFrame
 from repro.frames.codec import EncodedFrame, encode_frame
-from repro.net import Address, Message
+from repro.net import Address, Message, wire
 from repro.net.wire import (
     ENVELOPE_OVERHEAD,
     WireFormatError,
@@ -259,3 +259,18 @@ def test_sizes_by_exact_type_equal_the_cascade(value):
     assert (any(isinstance(leaf, EncodedFrame) for leaf in message.hinted)
             == any(isinstance(leaf, EncodedFrame) for leaf in scanned))
     assert message.size_bytes == payload_size(value) + payload_size({})
+
+
+def test_a_hinted_leaf_of_a_known_type_skips_the_cascade(monkeypatch):
+    """Once a frame ref has been sized by its hint, every later one is
+    sized by its exact type: none takes the ``isinstance`` cascade."""
+    first, second = FrameRef("phone", 1), FrameRef("tv", 2)
+    assert _size_of(first) == first.wire_size
+
+    def cascade(value, hinted=None):
+        raise AssertionError(f"{value!r} took the cascade")
+
+    monkeypatch.setattr(wire, "_size_by_cascade", cascade)
+    hinted = []
+    assert _size_of([first, second], hinted) == 5 + 2 * first.wire_size
+    assert hinted == [first, second]
