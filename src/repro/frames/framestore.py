@@ -85,7 +85,6 @@ class FrameStore:
         self.observer: Any = None
         # statistics for the ref-passing and dedup ablations
         self.stored_count = 0
-        self.resolved_count = 0
         self.peak_occupancy = 0
         self.dedup_hits = 0
         self.dedup_misses = 0
@@ -153,7 +152,6 @@ class FrameStore:
                 f"handle {handle} is live in the arena but unknown to the"
                 f" store on {self.device!r}", reason="unknown",
             )
-        self.resolved_count += 1
         return self._objects[ref_id]
 
     # -- core protocol -------------------------------------------------------
@@ -201,7 +199,6 @@ class FrameStore:
     def get(self, ref: FrameRef) -> Any:
         """Resolve a reference to its object (no copy)."""
         self._check(ref)
-        self.resolved_count += 1
         return self._objects[ref.ref_id]
 
     def add_ref(self, ref: FrameRef) -> FrameRef:

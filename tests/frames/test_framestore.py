@@ -77,7 +77,6 @@ class TestFrameStore:
         store.get(refs[0])
         store.get(refs[0])
         assert store.stored_count == 3
-        assert store.resolved_count == 2
         assert store.peak_occupancy == 3
 
 
