@@ -11,6 +11,8 @@ pose detection", §4.1).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..sim.kernel import Kernel
@@ -23,10 +25,17 @@ from .spec import DeviceSpec
 class Cpu:
     """A core pool executing reference-time work items."""
 
-    def __init__(self, kernel: Kernel, spec: DeviceSpec, rng: np.random.Generator) -> None:
+    def __init__(
+        self,
+        kernel: Kernel,
+        spec: DeviceSpec,
+        rng: np.random.Generator | Callable[[], np.random.Generator],
+    ) -> None:
         self.kernel = kernel
         self.spec = spec
-        self.rng = rng
+        #: the jitter stream, or the call that builds it at the first draw
+        #: (seeding one costs tens of µs, and an idle device never draws)
+        self._rng = rng
         self.cores = Resource(kernel, spec.cores, name=f"{spec.name}.cpu")
         #: ``lognormal_params(mean, compute_jitter_cv)`` per mean duration
         #: drawn — one entry per distinct job size on this core pool
@@ -66,7 +75,9 @@ class Cpu:
             )
         if params is None:
             return mean
-        return self.rng.lognormal(*params)
+        if not isinstance(self._rng, np.random.Generator):
+            self._rng = self._rng()
+        return self._rng.lognormal(*params)
 
     @property
     def jobs_completed(self) -> int:

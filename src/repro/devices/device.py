@@ -7,6 +7,7 @@ them — a module runtime and zero or more service hosts.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +36,7 @@ class Device:
         self.kernel = kernel
         self.spec = spec
         self.rng = rng.spawn(f"device/{spec.name}")
-        self.cpu = Cpu(kernel, spec, self.rng.stream("cpu"))
+        self.cpu = Cpu(kernel, spec, partial(self.rng.stream, "cpu"))
         self.frame_store = FrameStore(spec.name, capacity=512)
         #: Filled by the deployer.
         self.runtime: "ModuleRuntime | None" = None

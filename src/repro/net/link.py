@@ -15,6 +15,7 @@ message, it does not destroy it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -96,13 +97,15 @@ class Link:
         self,
         kernel: Kernel,
         spec: LinkSpec,
-        rng: np.random.Generator,
+        rng: np.random.Generator | Callable[[], np.random.Generator],
         name: str = "link",
         medium: Medium | None = None,
     ) -> None:
         self.kernel = kernel
         self.spec = spec
-        self.rng = rng
+        #: the loss and latency stream, or the call that builds it at the
+        #: first transfer (most links of a fleet never carry a byte)
+        self._rng = rng
         self.name = name
         #: the latency lognormal's (mu, sigma), fixed by the frozen spec
         self._latency = lognormal_params(spec.latency_s, spec.jitter_cv)
@@ -130,13 +133,15 @@ class Link:
         medium sends them.
         """
         medium, kernel = self.medium, self.kernel
+        if not isinstance(self._rng, np.random.Generator):
+            self._rng = self._rng()
         start = max(kernel.now, medium.free_at)
         medium.free_at = sent = start + self._airtime(nbytes)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         latency = (
             self.spec.latency_s if self._latency is None
-            else self.rng.lognormal(*self._latency)
+            else self._rng.lognormal(*self._latency)
         )
         at = sent + (latency + self.extra_latency_s)
         arrival = Signal(kernel, self.name)
@@ -145,7 +150,7 @@ class Link:
 
     def _airtime(self, nbytes: int) -> float:
         tx_time = self.spec.transmission_time(nbytes)
-        if self.spec.loss_prob > 0 and self.rng.random() < self.spec.loss_prob:
+        if self.spec.loss_prob > 0 and self._rng.random() < self.spec.loss_prob:
             tx_time += self.spec.retransmit_penalty_s
             self.retransmits += 1
         return tx_time

@@ -17,6 +17,8 @@ is priced on every query.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..errors import LinkDown, NetworkError
 from ..sim.kernel import Kernel
 from ..sim.rng import RngStreams, ScopedRng
@@ -65,7 +67,7 @@ class Topology:
         link = Link(
             self.kernel,
             spec or ap_spec,
-            self.rng.stream(f"link/{device}-{ap}"),
+            partial(self.rng.stream, f"link/{device}-{ap}"),
             name=f"{device}<->{ap}",
             medium=medium,
         )
@@ -100,7 +102,7 @@ class Topology:
         link = Link(
             self.kernel,
             spec or WAN_METRO,
-            self.rng.stream(f"wan/{name}"),
+            partial(self.rng.stream, f"wan/{name}"),
             name=f"{ap}<->{name}",
         )
         self._connect(ap, name, link)
@@ -127,7 +129,7 @@ class Topology:
         link = Link(
             self.kernel,
             spec or LinkSpec(),
-            self.rng.stream(f"link/{a}-{b}"),
+            partial(self.rng.stream, f"link/{a}-{b}"),
             name=f"{a}<->{b}",
         )
         self._connect(a, b, link)
@@ -185,7 +187,7 @@ class Topology:
             link = Link(
                 self.kernel,
                 LOOPBACK,
-                self.rng.stream(f"loopback/{device}"),
+                partial(self.rng.stream, f"loopback/{device}"),
                 name=f"{device}.loopback",
             )
             self._loopbacks[device] = link

@@ -12,8 +12,7 @@ the local/remote call paths; the service itself never sees any of that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,16 +21,34 @@ from ..frames.framestore import FrameStore
 from ..sim.kernel import Kernel
 
 
-@dataclass(slots=True)
 class ServiceCallContext:
     """What a service may touch during one call: the *local* frame store
     (reference-id resolution), a deterministic RNG, and the clock. Nothing
-    else — that is the statelessness contract."""
+    else — that is the statelessness contract.
 
-    device_name: str
-    frame_store: FrameStore
-    rng: np.random.Generator
-    kernel: Kernel
+    *rng* is the stream, or the call that builds it on the first read of
+    :attr:`rng`: most services never draw, and seeding one costs tens of
+    µs."""
+
+    __slots__ = ("device_name", "frame_store", "kernel", "_rng")
+
+    def __init__(
+        self,
+        device_name: str,
+        frame_store: FrameStore,
+        rng: np.random.Generator | Callable[[], np.random.Generator],
+        kernel: Kernel,
+    ) -> None:
+        self.device_name = device_name
+        self.frame_store = frame_store
+        self._rng = rng
+        self.kernel = kernel
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if not isinstance(self._rng, np.random.Generator):
+            self._rng = self._rng()
+        return self._rng
 
     @property
     def now(self) -> float:

@@ -24,6 +24,7 @@ with a fresh pool. :meth:`close` is the orderly, idempotent teardown.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Any, NamedTuple
 
 from ..devices.device import Device
@@ -101,7 +102,7 @@ class ServiceHost:
         self._ctx = ServiceCallContext(
             device_name=device.name,
             frame_store=device.frame_store,
-            rng=device.local_rng(f"service/{service.name}"),
+            rng=partial(device.local_rng, f"service/{service.name}"),
             kernel=kernel,
         )
         #: In-flight calls: result signal -> its dispatch.

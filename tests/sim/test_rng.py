@@ -1,11 +1,15 @@
 """Unit tests for deterministic named RNG streams."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.devices import DeviceSpec
 from repro.devices.cpu import Cpu
+from repro.frames import FrameStore
 from repro.net.link import Link, LinkSpec
+from repro.services import ServiceCallContext
 from repro.sim import Kernel, RngStreams, lognormal_around
 from repro.sim.rng import lognormal_params
 
@@ -144,3 +148,35 @@ class TestParametersFixedOnce:
         kernel.run()
         want = [per_draw_lognormal(twin, mean, cv) for _ in range(DRAWS)]
         assert hexes(a.value for a in arrivals) == hexes(want)
+
+
+def test_a_stream_is_seeded_at_its_first_draw():
+    """A core pool, a link and a service context handed the call that
+    builds their stream seed none until they draw, and then draw what a
+    stream built up front draws."""
+    streams, eager = RngStreams(seed=9), RngStreams(seed=9)
+    kernel = Kernel()
+    cpu = Cpu(kernel, DeviceSpec(name="dev", compute_jitter_cv=0.2),
+              partial(streams.stream, "cpu"))
+    link = Link(kernel, LinkSpec(jitter_cv=0.2, loss_prob=0.5),
+                partial(streams.stream, "link"))
+    ctx = ServiceCallContext("dev", FrameStore("dev"),
+                             partial(streams.stream, "service"), kernel)
+    assert streams._streams == {}
+    durations = [cpu.sample_duration(0.01) for _ in range(3)]
+    arrivals = [link.transfer(100) for _ in range(3)]
+    noise = ctx.rng.random(3)
+    assert sorted(streams._streams) == ["cpu", "link", "service"]
+    kernel.run()
+    twin_cpu = Cpu(Kernel(), DeviceSpec(name="dev", compute_jitter_cv=0.2),
+                   eager.stream("cpu"))
+    twin_kernel = Kernel()
+    twin_link = Link(twin_kernel, LinkSpec(jitter_cv=0.2, loss_prob=0.5),
+                     eager.stream("link"))
+    twin_arrivals = [twin_link.transfer(100) for _ in range(3)]
+    twin_kernel.run()
+    assert hexes(durations) == hexes(twin_cpu.sample_duration(0.01)
+                                     for _ in range(3))
+    assert hexes(a.value for a in arrivals) == hexes(
+        a.value for a in twin_arrivals)
+    assert list(noise) == list(eager.stream("service").random(3))
