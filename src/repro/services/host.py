@@ -503,7 +503,7 @@ class _Dispatch:
 
     __slots__ = ("host", "items", "formed", "grant", "started",
                  "compute_started", "resolved", "failed", "_began", "_ended",
-                 "_waiting", "_step", "_interrupts")
+                 "_waiting", "_step", "_stop")
 
     def __init__(self, host: ServiceHost, items: list[_Call],
                  formed: bool) -> None:
@@ -515,11 +515,12 @@ class _Dispatch:
         #: the pending signal the dispatch waits on, and the step it wakes
         self._waiting: Signal | None = None
         self._step = None
-        self._interrupts = 0
+        #: the interrupt on its way, once one is
+        self._stop: Interrupt | None = None
         hand_off(host.kernel, ((self._start, ()),), None, None)
 
     def _start(self, _value: Any, _exc: Any) -> None:
-        if self._interrupts:  # interrupted before it began: it never runs
+        if self._stop is not None:  # interrupted before it began: never runs
             return
         self._began = True
         try:
@@ -533,7 +534,7 @@ class _Dispatch:
             self._granted(request.value, None)
 
     def _granted(self, grant: Any, exc: BaseException | None) -> None:
-        if self._interrupts:  # a wake-up the interrupt made stale
+        if self._stop is not None:  # a wake-up the interrupt made stale
             return
         host, items = self.host, self.items
         try:
@@ -563,7 +564,7 @@ class _Dispatch:
             self._decoded(None, None)
 
     def _decoded(self, _value: Any, exc: BaseException | None) -> None:
-        if self._interrupts:
+        if self._stop is not None:
             return
         host, items = self.host, self.items
         # failing alone needs company: a batch of one fails whole, on
@@ -603,7 +604,7 @@ class _Dispatch:
             self._computed(None, None)
 
     def _computed(self, _value: Any, exc: BaseException | None) -> None:
-        if self._interrupts:
+        if self._stop is not None:
             return
         host, items, formed = self.host, self.items, self.formed
         resolved, failed = self.resolved, self.failed
@@ -686,8 +687,9 @@ class _Dispatch:
         """Stop the dispatch at the step it waits on, as
         ``Process.interrupt`` stops a process: leave that wait (abandoning
         the signal if nobody else waits on it), then fail every call in one
-        urgent zero-delay event. A no-op once the dispatch has ended."""
-        if self._ended:
+        urgent zero-delay event. A no-op once the dispatch has ended or has
+        been interrupted: a crashed batch is stopped once, not per call."""
+        if self._ended or self._stop is not None:
             return
         waiting = self._waiting
         if waiting is not None and waiting.pending:
@@ -695,14 +697,11 @@ class _Dispatch:
             if not waiting._waiters:
                 waiting.abandon()  # nor hold the clock, nor take a slot
         self._waiting = None
-        self._interrupts += 1
-        self.host.kernel.schedule(0.0, self._interrupted, self._interrupts,
-                                  Interrupt(cause), priority=URGENT)
+        self._stop = Interrupt(cause)
+        self.host.kernel.schedule(0.0, self._interrupted, priority=URGENT)
 
-    def _interrupted(self, count: int, stop: Interrupt) -> None:
-        if count != self._interrupts or self._ended:
-            return  # a later interrupt of the same dispatch stands
+    def _interrupted(self) -> None:
         if not self._began:  # nothing ran, so nothing to fail or give back
             self._ended = True
             return
-        self._abort(stop)
+        self._abort(self._stop)

@@ -210,6 +210,29 @@ class TestBatchExecution:
         assert host.dropped_in_flight >= 1
         assert not host._batch_pending
 
+    def test_a_crashed_batch_is_interrupted_once(self, home):
+        """A crash stops an executing batch of four with one urgent event,
+        not one per call (three of which found nothing left to do)."""
+        host, _ = batching_host(home)
+        calls = [host.call_local({"i": i}) for i in range(4)]
+        home.kernel.run(until=0.001)
+        assert len(set(host._inflight.values())) == 1  # one batch of four
+        interrupts = []
+
+        class Tap:
+            def on_schedule(self, now, event):
+                if event.callback.__qualname__ == "_Dispatch._interrupted":
+                    interrupts.append(event)
+
+            def on_execute(self, now, event):
+                pass
+
+        home.kernel.add_observer(Tap())
+        host.crash()
+        home.kernel.run()
+        assert all(call.failed for call in calls)
+        assert len(interrupts) == 1
+
     def test_close_fails_pending_batch_requests(self, home):
         host, _ = batching_host(home)
         host.call_local({"i": 0})

@@ -333,9 +333,9 @@ def crash_during_probe():
 
 
 def crash_before_start():
-    """A crash at the instant of the call, before the exec process has run
-    its first step: solo, then (batching on) a dispatched batch at the cap
-    plus a request still waiting for the zero-delay flush."""
+    """A crash at the instant of the call, before the dispatch has run its
+    first step: solo, then (batching on) a dispatched batch at the cap plus
+    a request still waiting for the zero-delay flush."""
     s = Script(max_batch=4)
     s.local(x=0)
     s.host.crash()
