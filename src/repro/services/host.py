@@ -672,6 +672,8 @@ class _Dispatch:
     def _end(self) -> None:
         """The ``finally`` arm, on every way out of a dispatch that began."""
         self._ended = True
+        # the bound step would keep the record in a cycle with itself
+        self._waiting = self._step = None
         host = self.host
         for call in self.items:
             host._inflight.pop(call.done, None)
