@@ -236,12 +236,13 @@ class ModuleRuntime:
                     copy, None, done.exception))
         return done
 
-    # A ship is three waiters — encode on this device's CPU, transmit,
-    # settle — resolving its ``done`` as a process's end would, inside the
-    # event that resolves the send.
     def _ship(self, done: Signal, kind: str, payload: Any,
               source_address: Address, target_address: Address,
               headers: dict[str, Any], _value: Any, _exc: Any) -> None:
+        """A cross-device send's first step. A ship is three waiters —
+        encode on this device's CPU, transmit, settle — and resolves its
+        ``done`` as a process's end would, inside the event that resolves
+        the send."""
         try:
             wire_payload, encode_cost, _ = encode_refs_for_wire(
                 payload, self.device.frame_store

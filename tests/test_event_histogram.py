@@ -94,7 +94,7 @@ def test_a_fleet_frame_costs_at_most_805_calls():
     went through ``_issue`` → ``succeed`` → ``_dispatch``, each CPU job
     tallied itself through a waiter, and every drain ended in a
     ``hand_off`` of nothing; 805.8 while each frame started 8 processes
-    (docs/PERF.md "A frame starts no process"). It makes 766.8 now, under
+    (docs/PERF.md "A frame starts no process"). It makes 765.2 now, under
     400 of them in ``sim/``, and must not silently regrow."""
     result = hist.calls(*hist.fleet_stage(5, seed=1))
     frames = result["frames_completed"]

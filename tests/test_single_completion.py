@@ -10,11 +10,12 @@ a signal left pending forever when the process died before its hand-written
 test forbids the idiom: no function under ``src/repro`` both creates a
 signal and hands that name to the generator it starts with
 ``kernel.process(``. ``tests/runtime/test_moduleruntime.py::
-TestRemoteSendThatDies`` is the behavioural referee. Four of the seven —
+TestRemoteSendThatDies`` is the behavioural referee. Five of the seven —
 ``Cpu.execute``/``execute_fixed``, ``Link.transfer``, ``Topology.transfer``
-— start no process at all now: a CPU job is a ``Resource.hold``, a link
-transfer is one arrival timer armed at the call, and a relay chains the
-hops as waiters. The last test here keeps it so.
+and the cross-device ship — start no process at all now: a CPU job is a
+``Resource.hold``, a link transfer is one arrival timer armed at the call,
+and a relay and a ship chain their steps as waiters. The last two tests
+here keep it so.
 """
 
 import ast
