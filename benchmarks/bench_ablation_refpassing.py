@@ -38,6 +38,15 @@ HOPS = 6
 FRAMES = 100
 
 
+def encode_job(ctx, seconds):
+    """A fixed-time CPU job on the module's device that a generator can
+    yield on: a signal the job's continuation resolves."""
+    job = ctx._runtime.kernel.signal("encode")
+    ctx._runtime.device.cpu.execute_fixed(
+        seconds, lambda duration, _exc: job.succeed(duration))
+    return job
+
+
 @register_module("./RefChainSource.js")
 class ChainSource(Module):
     """Feeds frames into the relay chain (by ref or by value)."""
@@ -58,8 +67,7 @@ class ChainSource(Module):
                     payload = {"frame": ctx.store_frame(frame), "frame_id": i}
                 else:
                     encoded = encode_frame(frame)
-                    yield ctx._runtime.device.cpu.execute_fixed(
-                        encoded.encode_cost_s)
+                    yield encode_job(ctx, encoded.encode_cost_s)
                     payload = {"frame_bytes": encoded, "frame_id": i}
                 ctx.call_next(payload)
                 yield self.interval_s
@@ -90,7 +98,7 @@ class ChainRelay(Module):
                 ref = payload["frame_bytes"]
                 frame = ctx.get_frame(ref)
                 encoded = encode_frame(frame)
-                yield ctx._runtime.device.cpu.execute_fixed(encoded.encode_cost_s)
+                yield encode_job(ctx, encoded.encode_cost_s)
                 ctx.release(ref)
                 out = {"frame_bytes": encoded, "frame_id": payload["frame_id"]}
             if self.last:

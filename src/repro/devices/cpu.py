@@ -11,14 +11,13 @@ pose detection", §4.1).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from ..sim.kernel import Kernel
 from ..sim.resources import Resource
 from ..sim.rng import lognormal_params
-from ..sim.signals import Signal
 from .spec import DeviceSpec
 
 
@@ -41,24 +40,26 @@ class Cpu:
         #: drawn — one entry per distinct job size on this core pool
         self._jitter: dict[float, tuple[float, float] | None] = {}
 
-    def execute(self, reference_seconds: float, priority: int = 0) -> Signal:
+    def execute(self, reference_seconds: float, then: Callable[..., None],
+                *args: Any) -> None:
         """Run a job that takes *reference_seconds* on the reference machine.
 
-        Returns the job's :meth:`~repro.sim.resources.Resource.hold` on a
-        core: it resolves with the actual duration in the job's last event,
-        after the core is released. The core is requested at the call and
-        the job queues if all cores are busy.
+        The job is a :meth:`~repro.sim.resources.Resource.hold` on a core:
+        it calls ``then(*args, duration, None)`` with the actual duration in
+        its last event, after the core is released. The core is requested
+        at the call and the job queues if all cores are busy.
         """
-        return self.cores.hold(
-            self._draw(self.spec.compute_time(reference_seconds)), priority)
+        self.cores.hold(
+            self._draw(self.spec.compute_time(reference_seconds)), then, *args)
 
-    def execute_fixed(self, seconds: float, priority: int = 0) -> Signal:
+    def execute_fixed(self, seconds: float, then: Callable[..., None],
+                      *args: Any) -> None:
         """Run a job whose duration does **not** scale with ``cpu_factor``
         — hardware-accelerated work such as JPEG encode/decode, which every
         device in the paper's testbed offloads to a codec block. The job
         still occupies a core (drives contention) and keeps jitter.
         """
-        return self.cores.hold(self._draw(seconds), priority)
+        self.cores.hold(self._draw(seconds), then, *args)
 
     def sample_duration(self, reference_seconds: float) -> float:
         """Draw the actual duration for a reference-time job (no queueing)."""

@@ -9,10 +9,12 @@ overhead relative to the brokerless ZeroMQ-style path (§3.2 of the paper).
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from ..errors import NetworkError
 from ..sim.kernel import Kernel
 from ..sim.resources import Resource
-from ..sim.signals import Signal
+from ..sim.signals import hand_off, wake
 from .message import Message
 from .topology import Topology
 from .transport import Transport
@@ -45,20 +47,41 @@ class BrokeredTransport(Transport):
         self._workers = Resource(kernel, workers, name=f"{broker_device}.broker")
         self.relayed_count = 0
 
-    def _route(self, message: Message) -> Signal:
-        return self.kernel.process(self._relay(message), name="broker.relay").done
+    def _route(self, message: Message, then: Callable[..., None], *args: Any) -> None:
+        """A relay is three waiters — leg 1, broker processing, leg 2 — that
+        starts where a process would: at the back of the drain now running,
+        else in one zero-delay event of its own."""
+        hand_off(self.kernel, ((self._relay, (message, then, args)),), None, None)
 
-    def _relay(self, message: Message):
+    def _relay(self, message: Message, then: Callable[..., None], args: tuple,
+               _value: Any, _exc: Any) -> None:
         assert message.src is not None
         # Leg 1: producer -> broker.
-        yield self.topology.transfer(
-            message.src.device, self.broker_device, message.size_bytes
-        )
+        try:
+            self.topology.transfer(
+                message.src.device, self.broker_device, message.size_bytes,
+                self._at_broker, message, then, args,
+            )
+        except Exception as error:  # no route: the relay fails
+            wake(self.kernel, ((then, args),), None, error)
+
+    def _at_broker(self, message: Message, then: Callable[..., None],
+                   args: tuple, _at: float, _exc: Any) -> None:
         # Broker processing (queues under load).
-        yield self._workers.hold(self.processing_s)
+        self._workers.hold(self.processing_s, self._processed, message, then, args)
+
+    def _processed(self, message: Message, then: Callable[..., None],
+                   args: tuple, _duration: float, _exc: Any) -> None:
         # Leg 2: broker -> consumer.
-        yield self.topology.transfer(
-            self.broker_device, message.dst.device, message.size_bytes
-        )
+        try:
+            self.topology.transfer(
+                self.broker_device, message.dst.device, message.size_bytes,
+                self._relayed, then, args,
+            )
+        except Exception as error:
+            wake(self.kernel, ((then, args),), None, error)
+
+    def _relayed(self, then: Callable[..., None], args: tuple, at: float,
+                 _exc: Any) -> None:
         self.relayed_count += 1
-        return self.kernel.now
+        then(*args, at, None)

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..sim.kernel import Kernel
 from ..sim.rng import lognormal_params
-from ..sim.signals import Signal
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,8 +85,8 @@ class Medium:
 class Link:
     """A transmission channel bound to the kernel.
 
-    ``transfer(nbytes)`` returns a signal that resolves when the last byte
-    arrives at the far end. Transmissions serialize on the link's
+    ``transfer(nbytes)`` returns the instant the last byte arrives at the
+    far end. Transmissions serialize on the link's
     :class:`Medium`; propagation of one message overlaps the next
     transmission. The counters — and so ``Topology.wan_egress_bytes`` —
     count a transfer at its request, not at its arrival.
@@ -121,21 +120,23 @@ class Link:
         self.bytes_sent = 0
         self.retransmits = 0
 
-    def transfer(self, nbytes: int) -> Signal:
-        """Start transferring *nbytes*; returns the arrival signal, which
-        resolves with the arrival time in the transfer's one event.
+    def transfer(self, nbytes: int) -> float:
+        """Start transferring *nbytes*; returns the instant the last byte
+        arrives at the far end.
 
         Everything is decided at the call: the transmission starts when the
         medium is free, its loss is drawn into the airtime, then its latency
-        is drawn, and the arrival is scheduled at the absolute time it
-        lands. So a link's own stream reads loss, latency per transfer, in
-        the order the transfers were requested — the order in which a FIFO
-        medium sends them.
+        is drawn. So a link's own stream reads loss, latency per transfer,
+        in the order the transfers were requested — the order in which a
+        FIFO medium sends them. The link schedules nothing: the caller
+        (:meth:`~repro.net.topology.Topology.transfer`) arms the arrival.
+        Every byte on a link goes through this method, which is what counts
+        it.
         """
-        medium, kernel = self.medium, self.kernel
+        medium = self.medium
         if not isinstance(self._rng, np.random.Generator):
             self._rng = self._rng()
-        start = max(kernel.now, medium.free_at)
+        start = max(self.kernel.now, medium.free_at)
         medium.free_at = sent = start + self._airtime(nbytes)
         self.messages_sent += 1
         self.bytes_sent += nbytes
@@ -143,10 +144,7 @@ class Link:
             self.spec.latency_s if self._latency is None
             else self._rng.lognormal(*self._latency)
         )
-        at = sent + (latency + self.extra_latency_s)
-        arrival = Signal(kernel, self.name)
-        kernel.schedule_at(at, arrival._fire, at)
-        return arrival
+        return sent + (latency + self.extra_latency_s)
 
     def _airtime(self, nbytes: int) -> float:
         tx_time = self.spec.transmission_time(nbytes)

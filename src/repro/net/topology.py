@@ -18,11 +18,12 @@ is priced on every query.
 from __future__ import annotations
 
 from functools import partial
+from typing import Any, Callable
 
 from ..errors import LinkDown, NetworkError
 from ..sim.kernel import Kernel
 from ..sim.rng import RngStreams, ScopedRng
-from ..sim.signals import SUCCEEDED, Signal
+from ..sim.signals import wake
 from .link import LOOPBACK, WAN_METRO, Link, LinkSpec, Medium
 
 
@@ -201,12 +202,15 @@ class Topology:
         path is searched once per pair and kept until the next edit; the
         caller gets its own list.
         """
+        return list(self._route(src, dst))
+
+    def _route(self, src: str, dst: str) -> tuple[Link, ...]:
         if src == dst:
-            return [self.loopback(src)]
+            return (self.loopback(src),)
         route = self._routes.get((src, dst))
         if route is None:
             route = self._routes[src, dst] = self._resolve(src, dst)
-        return list(route)
+        return route
 
     def _resolve(self, src: str, dst: str) -> tuple[Link, ...]:
         if src not in self.graph or dst not in self.graph:
@@ -231,26 +235,27 @@ class Topology:
         return sum(link.expected_delay(nbytes) for link in self.path_links(src, dst))
 
     # -- transfer ---------------------------------------------------------------
-    def transfer(self, src: str, dst: str, nbytes: int) -> Signal:
-        """Move *nbytes* from *src* to *dst* hop by hop.
+    def transfer(self, src: str, dst: str, nbytes: int,
+                 then: Callable[..., None], *args: Any) -> None:
+        """Move *nbytes* from *src* to *dst* hop by hop, then call
+        ``then(*args, arrived_at, None)`` — a waiter's shape — in the last
+        hop's arrival event, as :func:`~repro.sim.signals.wake` calls a
+        timeout's waiters.
 
-        Returns a signal resolving with the arrival time in the last hop's
-        last event: for a one-hop route the link's own
-        :meth:`~repro.net.link.Link.transfer` signal, else one that each
-        hop's arrival passes on by starting the next hop. The route is
+        Each hop is one :meth:`~repro.net.link.Link.transfer`, started by
+        the previous hop's arrival event (the first at the call), and its
+        arrival is one event at the instant the link returns. The route is
         resolved eagerly so routing errors raise at call time.
         """
-        first, *rest = self.path_links(src, dst)
-        arrival = first.transfer(nbytes)
-        if not rest:
-            return arrival
-        relayed = Signal(self.kernel, "relay")
-        arrival.wait(self._relay, relayed, iter(rest), nbytes)
-        return relayed
+        hops = iter(self._route(src, dst))
+        at = next(hops).transfer(nbytes)
+        self.kernel.schedule_at(at, self._arrive, hops, nbytes, then, args, at)
 
-    def _relay(self, relayed: Signal, hops, nbytes: int, now: float, _exc) -> None:
+    def _arrive(self, hops, nbytes: int, then: Callable[..., None],
+                args: tuple, at: float) -> None:
         link = next(hops, None)
         if link is None:
-            relayed._settle(SUCCEEDED, now, None)
-        else:
-            link.transfer(nbytes).wait(self._relay, relayed, hops, nbytes)
+            wake(self.kernel, ((then, args),), at, None)
+        else:  # relay: this arrival starts the next hop
+            at = link.transfer(nbytes)
+            self.kernel.schedule_at(at, self._arrive, hops, nbytes, then, args, at)

@@ -103,7 +103,7 @@ class Transport:
             done.fail(DeliveryError(f"source device {message.src.device!r} is down"))
             return done
         try:
-            arrival = self._route(message)
+            self._route(message, self._deliver, message, done)
         except NetworkError as exc:
             # routing failures (partition, unknown route) surface through the
             # signal so retry/failover paths see them like any other failure
@@ -111,7 +111,6 @@ class Transport:
             done.fail(exc)
             return done
         self._pending_sends[done] = message
-        arrival.wait(self._deliver, message, done)
         return done
 
     def _count_failure(self, message: Message) -> None:
@@ -119,11 +118,13 @@ class Transport:
         if self.observer is not None:
             self.observer.settled(message)
 
-    def _route(self, message: Message) -> Signal:
-        """Return the arrival signal for the message's bytes. Overridden by
-        brokered transports."""
-        return self.topology.transfer(
-            message.src.device, message.dst.device, message.size_bytes
+    def _route(self, message: Message, then: Callable[..., None], *args: Any) -> None:
+        """Carry the message's bytes to its destination, then call
+        ``then(*args, arrived_at, exc)``. Overridden by brokered
+        transports."""
+        self.topology.transfer(
+            message.src.device, message.dst.device, message.size_bytes,
+            then, *args,
         )
 
     def _deliver(self, message: Message, done: Signal, _arrived_at: float,

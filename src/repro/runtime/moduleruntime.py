@@ -4,9 +4,14 @@
 interfaces … With this feature, any processing units in the video
 processing pipeline can be executed on any device" (§1). Every device runs
 one :class:`ModuleRuntime`; deployed modules get a mailbox and a worker
-process that delivers events **one at a time** (the Duktape-context
+that delivers events **one at a time** (the Duktape-context
 single-threaded semantics), charging the device CPU for codec work and the
 module's own logic, and timing each handler of a module with a ``stage``.
+
+A worker is no process but a chain of waiters — land, overhead, handler,
+end — which the mailbox hands the next event when it is idle. A handler
+that is a generator runs in its worker, stepped by the engine processes
+use (:func:`~repro.sim.process.advance`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ..net.message import H_TRACE, KIND_SIGNAL, Message
 from ..net.wire import ENVELOPE_OVERHEAD
 from ..net.transport import Transport
 from ..sim.kernel import Kernel
-from ..sim.resources import Store
+from ..sim.process import advance
 from ..sim.signals import FAILED, SUCCEEDED, Signal, hand_off
 from . import observe, settlement
 from .context import ModuleContext
@@ -37,8 +42,41 @@ if TYPE_CHECKING:  # pragma: no cover
     from .wiring import PipelineWiring
 
 
+class Mailbox:
+    """A module's FIFO of events. ``put`` never blocks (senders must not
+    stall): it hands the event to the module's worker when that is idle,
+    where a waiter would be woken — at the back of the drain now running,
+    else in one zero-delay event — and queues it otherwise."""
+
+    __slots__ = ("kernel", "_items", "_idle")
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self._items: deque[ModuleEvent] = deque()
+        #: the idle worker's wake-up, ``((callback, bound_args),)``, or None
+        self._idle: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def put(self, event: ModuleEvent) -> None:
+        """Deposit *event*, or hand it to the idle worker."""
+        idle = self._idle
+        if idle is None:
+            self._items.append(event)
+        else:
+            self._idle = None
+            hand_off(self.kernel, idle, event, None)
+
+    def drain(self) -> list[ModuleEvent]:
+        """Remove and return every queued event, oldest first."""
+        events = list(self._items)
+        self._items.clear()
+        return events
+
+
 class DeployedModule:
-    """One module instance running on one device."""
+    """One module instance running on one device, and its worker."""
 
     def __init__(
         self,
@@ -53,7 +91,9 @@ class DeployedModule:
         self.module = module
         self.address = address
         self.ctx = ctx
-        self.mailbox = Store(runtime.kernel, name=f"{name}.mailbox")
+        self.mailbox = Mailbox(runtime.kernel)
+        #: what the mailbox calls to hand the idle worker an event
+        self._wakeup = ((self._take, ()),)
         self.active = True
         self.events_processed = 0
         self.errors: list[Exception] = []
@@ -94,6 +134,134 @@ class DeployedModule:
             successor.max_mailbox_depth, successor.mailbox_depth
         )
         return len(events)
+
+    # -- the worker ------------------------------------------------------------
+    # Each step returns True when the event ran to its end in the call; a
+    # step that waits passes its continuation to the CPU job or the signal
+    # instead, and that continuation goes on to the next event.
+    def _start(self, _value: Any, _exc: Any) -> None:
+        self._next()
+
+    def _next(self) -> None:
+        """Run queued events until one has to wait, or park the worker in
+        its mailbox."""
+        items = self.mailbox._items
+        while self.active:
+            if not items:
+                self.mailbox._idle = self._wakeup
+                return
+            if not self._land(items.popleft()):
+                return
+
+    def _take(self, event: ModuleEvent, _exc: Any) -> None:
+        """The mailbox hands the idle worker *event*."""
+        if not self.active:
+            # undeployed while the hand-off was in flight: the event already
+            # left the mailbox, so no drain saw it
+            if event.kind == DATA:
+                self.ctx.wiring.metrics.increment("dead_letters")
+            runtime = self.runtime
+            settlement.settle_event(
+                event, runtime.device.frame_store, self.ctx.wiring,
+                runtime.kernel.now, settlement.DEAD_LETTER, self.name,
+            )
+            return
+        if self._land(event):
+            self._next()
+
+    def _land(self, event: ModuleEvent) -> bool:
+        """Land the encoded frames into the local store (decode cost)."""
+        if event.lands:
+            device = self.runtime.device
+            event.payload, decode_cost, _ = decode_frames_from_wire(
+                event.payload, device.frame_store
+            )
+            if decode_cost > 0:
+                device.cpu.execute_fixed(decode_cost, self._landed, event)
+                return False
+        return self._overhead(event)
+
+    def _landed(self, event: ModuleEvent, _duration: float, _exc: Any) -> None:
+        if self._overhead(event):
+            self._next()
+
+    def _overhead(self, event: ModuleEvent) -> bool:
+        overhead = self.module.event_overhead_s
+        if overhead > 0:
+            self.runtime.device.cpu.execute(overhead, self._dispatched, event)
+            return False
+        return self._handle(event)
+
+    def _dispatched(self, event: ModuleEvent, _duration: float, _exc: Any) -> None:
+        if self._handle(event):
+            self._next()
+
+    def _handle(self, event: ModuleEvent) -> bool:
+        # dequeued_at marks handler start: mailbox wait + arrival decode
+        # + dispatch overhead are all 'time to load the data' (Fig. 6)
+        event.dequeued_at = self.runtime.kernel.now
+        ctx = self.ctx
+        ctx._carried = event.headers.get(H_TRACE)
+        observe.handler_start(ctx, event)
+        payload = event.payload
+        try:
+            if event.kind == READY_SIGNAL:
+                result = self.module.on_ready_signal(ctx, event)
+            else:
+                result = self.module.event_received(ctx, event)
+        except Exception as exc:  # a module crash must not kill the device
+            self._end(event, payload, exc)
+            return True
+        if type(result) is GeneratorType:  # runs in this worker
+            return self._step(result, event, payload, None, None)
+        self._end(event, payload, None)
+        return True
+
+    def _step(self, gen: GeneratorType, event: ModuleEvent, payload: Any,
+              value: Any, exc: BaseException | None) -> bool:
+        signal, _, exc = advance(self.runtime.kernel, gen, value, exc,
+                                 f"module:{self.name}")
+        if signal is not None:
+            signal._waiters.append((self._resumed, (gen, event, payload)))
+            return False
+        self._end(event, payload, exc)
+        return True
+
+    def _resumed(self, gen: GeneratorType, event: ModuleEvent, payload: Any,
+                 value: Any, exc: BaseException | None) -> None:
+        if self._step(gen, event, payload, value, exc):
+            self._next()
+
+    def _end(self, event: ModuleEvent, payload: Any,
+             exc: Exception | None) -> None:
+        """The handler returned, or raised *exc*: settle, time and count it."""
+        runtime, ctx, module = self.runtime, self.ctx, self.module
+        now = runtime.kernel.now
+        if exc is not None:
+            self.errors.append(exc)
+            ctx.metrics.increment("module_errors")
+            if event.kind == DATA:
+                # the one place a raising handler's frame ends: it has
+                # neither released nor forwarded its input, so the refs
+                # are still its own (docs/AUDIT.md §Settlement)
+                settlement.settle_payload(
+                    payload, runtime.device.frame_store, ctx.wiring,
+                    now, settlement.HANDLER_FAILED, self.name,
+                )
+        elif module.stage is not None and event.kind == DATA:
+            handled = now - event.dequeued_at
+            if module.load_stage is not None:  # the wait, + its prepare
+                prepare = ctx._stubs[module.service].last_prepare_s
+                observe.stage(ctx, module.load_stage,
+                              event.queueing_delay + prepare)
+                handled -= prepare
+            observe.stage(ctx, module.stage, handled)
+        observe.handler_end(ctx, event, exc is None)
+        ctx._carried = None
+        if event.kind == DATA:
+            settlement.copy_ended(ctx.wiring, event.headers.get(settlement.H_COPY))
+            self.handler_samples.append(now - event.enqueued_at)
+        self.events_processed += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<DeployedModule {self.name}@{self.address}>"
@@ -142,7 +310,9 @@ class ModuleRuntime:
         self.transport.bind(address, lambda msg: self._on_message(deployed, msg))
         if run_init:
             module.init(ctx)
-        self.kernel.process(self._worker(deployed), name=f"module:{name}")
+        # the worker starts where a process would: at the back of the drain
+        # now running, else in one zero-delay event of its own
+        hand_off(self.kernel, ((deployed._start, ()),), None, None)
         return deployed
 
     def undeploy(self, name: str) -> None:
@@ -252,8 +422,7 @@ class ModuleRuntime:
         args = (done, kind, wire_payload, source_address, target_address,
                 headers)
         if encode_cost > 0:
-            self.device.cpu.execute_fixed(encode_cost).wait(
-                self._transmit, *args)
+            self.device.cpu.execute_fixed(encode_cost, self._transmit, *args)
         else:
             self._transmit(*args, None, None)
 
@@ -346,15 +515,19 @@ class ModuleRuntime:
         # landing is skipped only when the size walk saw every leaf and
         # none was an encoded frame; an arena hop's size was never walked
         hinted = message.hinted
+        lands = hinted is None
+        if not lands:
+            for leaf in hinted:
+                if isinstance(leaf, EncodedFrame):
+                    lands = True
+                    break
         event = ModuleEvent(
             kind=message.headers.get("event_kind", DATA),
             payload=message.payload,
             source_module=None,
             headers=dict(message.headers),
             enqueued_at=self.kernel.now,
-            lands=hinted is None or any(
-                isinstance(leaf, EncodedFrame) for leaf in hinted
-            ),
+            lands=lands,
         )
         observe.enqueued(deployed.ctx, message)
         deployed.mailbox.put(event)
@@ -366,71 +539,3 @@ class ModuleRuntime:
             # delivery order is untouched; the tap copies the event to the
             # shadow deployment on its own (shadow) wiring
             deployed.mirror(event)
-
-    def _worker(self, deployed: DeployedModule):
-        module = deployed.module
-        while deployed.active:
-            event = yield deployed.mailbox.get()
-            if not deployed.active:
-                # undeployed while this get was in flight: the event already
-                # left the mailbox, so no drain saw it
-                if event.kind == DATA:
-                    deployed.ctx.wiring.metrics.increment("dead_letters")
-                settlement.settle_event(
-                    event, self.device.frame_store, deployed.ctx.wiring,
-                    self.kernel.now, settlement.DEAD_LETTER, deployed.name,
-                )
-                break
-            payload = event.payload
-            if event.lands:
-                # land the encoded frames into the local store (decode cost)
-                payload, decode_cost, _ = decode_frames_from_wire(
-                    payload, self.device.frame_store
-                )
-                event.payload = payload
-                if decode_cost > 0:
-                    yield self.device.cpu.execute_fixed(decode_cost)
-            if module.event_overhead_s > 0:
-                yield self.device.cpu.execute(module.event_overhead_s)
-            # dequeued_at marks handler start: mailbox wait + arrival decode
-            # + dispatch overhead are all 'time to load the data' (Fig. 6)
-            event.dequeued_at = self.kernel.now
-            ctx = deployed.ctx
-            ctx._carried = event.headers.get(H_TRACE)
-            observe.handler_start(ctx, event)
-            failed = False
-            try:
-                if event.kind == READY_SIGNAL:
-                    result = module.on_ready_signal(deployed.ctx, event)
-                else:
-                    result = module.event_received(deployed.ctx, event)
-                if type(result) is GeneratorType:  # runs in this worker
-                    yield from result
-            except Exception as exc:  # a module crash must not kill the device
-                failed = True
-                deployed.errors.append(exc)
-                ctx.metrics.increment("module_errors")
-                if event.kind == DATA:
-                    # the one place a raising handler's frame ends: it has
-                    # neither released nor forwarded its input, so the refs
-                    # are still its own (docs/AUDIT.md §Settlement)
-                    settlement.settle_payload(
-                        payload, self.device.frame_store, ctx.wiring,
-                        self.kernel.now, settlement.HANDLER_FAILED, deployed.name,
-                    )
-            if module.stage is not None and not failed and event.kind == DATA:
-                handled = self.kernel.now - event.dequeued_at
-                if module.load_stage is not None:  # the wait, + its prepare
-                    prepare = ctx._stubs[module.service].last_prepare_s
-                    observe.stage(ctx, module.load_stage,
-                                  event.queueing_delay + prepare)
-                    handled -= prepare
-                observe.stage(ctx, module.stage, handled)
-            observe.handler_end(ctx, event, not failed)
-            ctx._carried = None
-            if event.kind == DATA:
-                settlement.copy_ended(ctx.wiring, event.headers.get(settlement.H_COPY))
-                deployed.handler_samples.append(
-                    self.kernel.now - event.enqueued_at
-                )
-            deployed.events_processed += 1

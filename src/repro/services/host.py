@@ -503,7 +503,7 @@ class _Dispatch:
 
     __slots__ = ("host", "items", "formed", "grant", "started",
                  "compute_started", "resolved", "failed", "_began", "_ended",
-                 "_waiting", "_step", "_stop")
+                 "_waiting", "_stop")
 
     def __init__(self, host: ServiceHost, items: list[_Call],
                  formed: bool) -> None:
@@ -512,9 +512,8 @@ class _Dispatch:
         self.formed = formed
         self.grant = None
         self._began = self._ended = False
-        #: the pending signal the dispatch waits on, and the step it wakes
+        #: the worker request the dispatch waits on, while it is pending
         self._waiting: Signal | None = None
-        self._step = None
         #: the interrupt on its way, once one is
         self._stop: Interrupt | None = None
         hand_off(host.kernel, ((self._start, ()),), None, None)
@@ -528,7 +527,7 @@ class _Dispatch:
         except Exception as error:
             return self._abort(error)
         if request.pending:
-            self._waiting, self._step = request, self._granted
+            self._waiting = request
             request.wait(self._granted)
         else:
             self._granted(request.value, None)
@@ -553,13 +552,10 @@ class _Dispatch:
             decode_cost = 0.0
             for call in items:
                 decode_cost += call.decode_cost
-            if decode_cost > 0:
-                decode = host.device.cpu.execute_fixed(decode_cost)
         except Exception as error:
             return self._abort(error)
-        if decode_cost > 0:  # a hold is pending until its timer fires
-            self._waiting, self._step = decode, self._decoded
-            decode.wait(self._decoded)
+        if decode_cost > 0:  # the job calls _decoded in its timer event
+            host.device.cpu.execute_fixed(decode_cost, self._decoded)
         else:
             self._decoded(None, None)
 
@@ -593,13 +589,10 @@ class _Dispatch:
                     failed[index] = error
             self.compute_started = now
             cost = host.service.batch_compute_cost(list(resolved.values()))
-            if cost > 0:
-                compute = host.device.cpu.execute(cost)
         except Exception as error:
             return self._abort(error)
         if cost > 0:
-            self._waiting, self._step = compute, self._computed
-            compute.wait(self._computed)
+            host.device.cpu.execute(cost, self._computed)
         else:
             self._computed(None, None)
 
@@ -672,8 +665,7 @@ class _Dispatch:
     def _end(self) -> None:
         """The ``finally`` arm, on every way out of a dispatch that began."""
         self._ended = True
-        # the bound step would keep the record in a cycle with itself
-        self._waiting = self._step = None
+        self._waiting = None
         host = self.host
         for call in self.items:
             host._inflight.pop(call.done, None)
@@ -687,15 +679,17 @@ class _Dispatch:
 
     def interrupt(self, cause: object) -> None:
         """Stop the dispatch at the step it waits on, as
-        ``Process.interrupt`` stops a process: leave that wait (abandoning
-        the signal if nobody else waits on it), then fail every call in one
-        urgent zero-delay event. A no-op once the dispatch has ended or has
-        been interrupted: a crashed batch is stopped once, not per call."""
+        ``Process.interrupt`` stops a process: leave a pending worker
+        request (abandoning it if nobody else waits on it) — a CPU job runs
+        out, and its continuation finds the dispatch stopped — then fail
+        every call in one urgent zero-delay event. A no-op once the
+        dispatch has ended or has been interrupted: a crashed batch is
+        stopped once, not per call."""
         if self._ended or self._stop is not None:
             return
         waiting = self._waiting
         if waiting is not None and waiting.pending:
-            waiting.discard(self._step)
+            waiting.discard(self._granted)
             if not waiting._waiters:
                 waiting.abandon()  # nor hold the clock, nor take a slot
         self._waiting = None

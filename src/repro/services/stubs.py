@@ -9,7 +9,7 @@ exact contrast the evaluation measures.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..devices.device import Device
 from ..errors import NetworkError, RpcError, ServiceError
@@ -19,7 +19,7 @@ from ..net.resilience import RetryPolicy
 from ..net.rpc import RpcClient
 from ..net.transport import Transport
 from ..sim.kernel import Kernel
-from ..sim.signals import Signal
+from ..sim.signals import SUCCEEDED, Signal
 from .host import ServiceHost
 from .registry import ServiceRegistry
 
@@ -175,9 +175,10 @@ class RemoteServiceStub(ServiceStub):
         headers = {H_TRACE: trace} if trace is not None else None
         try:
             started = self.kernel.now
+            cpu = self.caller_device.cpu
             if encode_cost > 0:
-                yield self.caller_device.cpu.execute_fixed(encode_cost)
-            yield self.caller_device.cpu.execute(API_MARSHAL_S)
+                yield self._job(cpu.execute_fixed, encode_cost)
+            yield self._job(cpu.execute, API_MARSHAL_S)
             self.last_prepare_s = self.kernel.now - started
             tried: set[str] = set()
             while True:
@@ -203,7 +204,7 @@ class RemoteServiceStub(ServiceStub):
                         self.timeout_s = derive_service_timeout(
                             fallback, self.caller_device, self.transport
                         )
-            yield self.caller_device.cpu.execute(API_MARSHAL_S)  # reply unmarshal
+            yield self._job(cpu.execute, API_MARSHAL_S)  # reply unmarshal
         except ServiceError:
             raise
         except Exception as exc:
@@ -214,6 +215,13 @@ class RemoteServiceStub(ServiceStub):
                 f"{self.service_name} remote call failed: {exc}"
             ) from exc
         return result
+
+    def _job(self, execute: Callable[..., None], seconds: float) -> Signal:
+        """A CPU job this generator can yield on: a signal of its own, which
+        the job's continuation resolves in the job's timer event."""
+        job = Signal(self.kernel, "remote-call.cpu")
+        execute(seconds, job._settle, SUCCEEDED)
+        return job
 
     def _failover_target(self, tried: set[str]) -> ServiceHost | None:
         """A live replica on a device not yet tried, or None."""

@@ -9,7 +9,7 @@ system paced against the wall clock.
 from .events import LOW, NORMAL, URGENT, Event
 from .kernel import Kernel, RealtimeKernel
 from .process import Process
-from .resources import Grant, Resource, Store
+from .resources import Grant, Resource
 from .rng import RngStreams, ScopedRng, lognormal_around
 from .signals import Signal
 
@@ -25,7 +25,6 @@ __all__ = [
     "RngStreams",
     "ScopedRng",
     "Signal",
-    "Store",
     "URGENT",
     "lognormal_around",
 ]

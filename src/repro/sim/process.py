@@ -107,41 +107,55 @@ class Process:
         if epoch != self._epoch or self.done._state != PENDING:
             return  # stale wakeup (process was interrupted or already ended)
         self._waiting_on = None
-        gen = self._gen
-        while True:  # run until the generator has to wait
-            try:
-                target = gen.send(value) if exc is None else gen.throw(exc)
-            except StopIteration as stop:
-                # this event is the process's last: it wakes the joiners
-                self.done._settle(SUCCEEDED, stop.value, None)
-                return
-            except Exception as error:  # an unhandled Interrupt included
-                self.done._settle(FAILED, None, error)
-                return
-            try:
-                signal = target if isinstance(target, Signal) else self._as_signal(target)
-            except SimulationError as error:
-                # An invalid yield: deliver the error back at the offending
-                # yield so the process can handle (or die from) it.
-                value, exc = None, error
-                continue
-            if signal._state == PENDING:
-                # the epoch rides along as an event argument: the wakeup
-                # calls _resume directly, with no per-wait closure in between
-                self._epoch = epoch = self._epoch + 1
-                self._waiting_on = signal
-                signal._waiters.append((self._resume, (epoch,)))
-                return
-            # already resolved: nobody to wait for, so no event — the
-            # outcome goes straight back in at the yield
-            value, exc = signal._value, signal._exc
+        signal, value, exc = advance(self.kernel, self._gen, value, exc, self.name)
+        if signal is None:  # this event is the process's last: it wakes the joiners
+            self.done._settle(SUCCEEDED if exc is None else FAILED, value, exc)
+            return
+        # the epoch rides along as an event argument: the wakeup calls
+        # _resume directly, with no per-wait closure in between
+        self._epoch = epoch = self._epoch + 1
+        self._waiting_on = signal
+        signal._waiters.append((self._resume, (epoch,)))
 
-    def _as_signal(self, target: Any) -> Signal:
-        if isinstance(target, Process):
-            return target.done
-        if isinstance(target, (int, float)):
-            return self.kernel.timeout(float(target))
-        raise SimulationError(
-            f"process {self.name!r} yielded {target!r}; expected a Signal, "
-            "a Process, or a number of seconds"
-        )
+
+def advance(kernel: "Kernel", gen: ProcessGenerator, value: Any,
+            exc: BaseException | None, name: str) -> tuple:
+    """Send ``(value, exc)`` into *gen* and run it until it has to wait:
+    the engine of :class:`Process`, and of a module's generator handler,
+    which runs in its worker (``repro.runtime``).
+
+    Returns ``(signal, None, None)`` for the pending signal it yielded, or
+    ``(None, result, error)`` once it returned or raised (an unhandled
+    ``Interrupt`` included). An awaitable that is already resolved costs
+    nothing: its outcome goes straight back in at the ``yield``; so does
+    the error of an invalid yield, which the generator may handle.
+    """
+    while True:
+        try:
+            target = gen.send(value) if exc is None else gen.throw(exc)
+        except StopIteration as stop:
+            return None, stop.value, None
+        except Exception as error:
+            return None, None, error
+        try:
+            signal = target if isinstance(target, Signal) else _as_signal(
+                kernel, target, name)
+        except SimulationError as error:
+            # an invalid yield: the error goes back in at the offending
+            # yield, so the generator can handle (or die from) it
+            value, exc = None, error
+            continue
+        if signal._state == PENDING:
+            return signal, None, None
+        value, exc = signal._value, signal._exc
+
+
+def _as_signal(kernel: "Kernel", target: Any, name: str) -> Signal:
+    if isinstance(target, Process):
+        return target.done
+    if isinstance(target, (int, float)):
+        return kernel.timeout(float(target))
+    raise SimulationError(
+        f"process {name!r} yielded {target!r}; expected a Signal, "
+        "a Process, or a number of seconds"
+    )

@@ -1,23 +1,21 @@
 """Contended resources for the discrete-event kernel.
 
 :class:`Resource` models a fixed pool of identical slots (e.g. CPU cores or
-service worker threads), and :meth:`Resource.hold` is "request a slot, hold
-it for a duration, release it" with no process behind it; :class:`Store` is
-an unbounded FIFO hand-off queue (used for mailboxes). Both hand out
-:class:`~repro.sim.signals.Signal` objects so processes can ``yield`` on
-them.
+service worker threads). :meth:`Resource.request` hands out a
+:class:`~repro.sim.signals.Signal` a process can ``yield`` on;
+:meth:`Resource.hold` is "request a slot, hold it for a duration, release
+it" with neither a process nor a signal behind it, only its continuation.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import SimulationError
 from .kernel import Kernel
-from .signals import SUCCEEDED, Signal
+from .signals import Signal, wake
 
 
 class Grant:
@@ -56,7 +54,6 @@ class Resource:
         self.capacity = capacity
         self.name = name or "resource"
         self._request_name = f"{self.name}.request"
-        self._hold_name = f"{self.name}.hold"
         self._ids = itertools.count(1)
         self._in_use = 0
         self._waiting: list[tuple[int, int, Signal, Grant]] = []
@@ -113,31 +110,34 @@ class Resource:
         self._waiting = [entry for entry in self._waiting if entry[2] is not sig]
         heapq.heapify(self._waiting)
 
-    def hold(self, duration: float, priority: int = 0) -> Signal:
-        """Hold one slot for *duration* seconds, then release it. A free slot
-        is taken and the timer armed in the call; a queued request costs the
-        one wake-up its grant schedules. The returned signal succeeds with
-        the duration in the timer's event, after the release, as a timeout's.
+    def hold(self, duration: float, then: Callable[..., None], *args: Any,
+             priority: int = 0) -> None:
+        """Hold one slot for *duration* seconds, release it, then call
+        ``then(*args, duration, None)`` — a waiter's shape — in the timer's
+        event, after the release, as :func:`~repro.sim.signals.wake` calls
+        a timeout's waiters. A free slot is taken and the timer armed in
+        the call; a queued request costs the one wake-up its grant
+        schedules. A caller that must ``yield`` on the job passes a resolver
+        of its own signal as *then*.
         """
-        done = Signal(self.kernel, self._hold_name)
         if self._in_use < self.capacity and not self._waiting:
             now = self.kernel.now
             self._busy_integral += self._in_use * (now - self._last_change)
             self._last_change = now
             self._in_use += 1
-            self.kernel.schedule(duration, self._held, done, duration)
+            self.kernel.schedule(duration, self._held, then, args, duration)
         else:
-            self.request(priority).wait(self._granted, done, duration)
-        return done
+            self.request(priority).wait(self._granted, then, args, duration)
 
-    def _granted(self, done: Signal, duration: float, _grant: Grant, _exc) -> None:
-        self.kernel.schedule(duration, self._held, done, duration)
+    def _granted(self, then: Callable[..., None], args: tuple, duration: float,
+                 _grant: Grant, _exc) -> None:
+        self.kernel.schedule(duration, self._held, then, args, duration)
 
-    def _held(self, done: Signal, duration: float) -> None:
+    def _held(self, then: Callable[..., None], args: tuple, duration: float) -> None:
         self._vacate()
         self.holds_completed += 1
         self.held_seconds += duration
-        done._settle(SUCCEEDED, duration, None)
+        wake(self.kernel, ((then, args),), duration, None)
 
     def owns(self, grant: Grant) -> bool:
         """True when *grant* was issued by this resource and is still held.
@@ -201,49 +201,3 @@ class Resource:
             f"<Resource {self.name} {self._in_use}/{self.capacity} busy,"
             f" {len(self._waiting)} queued>"
         )
-
-
-class Store:
-    """An unbounded FIFO store of items, with blocking ``get``.
-
-    ``put`` never blocks (the store is used as a mailbox where senders must
-    not stall); ``get`` returns a signal that succeeds with the next item,
-    immediately if one is buffered.
-    """
-
-    def __init__(self, kernel: Kernel, name: str | None = None) -> None:
-        self.kernel = kernel
-        self.name = name or "store"
-        self._get_name = f"{self.name}.get"
-        self._items: deque[Any] = deque()
-        self._getters: deque[Signal] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit *item*, waking the oldest waiting getter if present."""
-        if self._getters:  # an interrupted getter has left (abandon())
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Signal:
-        """Return a signal that succeeds with the next item (FIFO)."""
-        sig = Signal(self.kernel, self._get_name)
-        if self._items:
-            sig.succeed(self._items.popleft())
-        else:
-            self._getters.append(sig)
-            sig._source = self
-        return sig
-
-    def _withdraw(self, sig: Signal) -> None:
-        """``sig.abandon()``: an interrupted getter leaves the queue."""
-        self._getters.remove(sig)
-
-    def drain(self) -> list[Any]:
-        """Remove and return all buffered items without blocking."""
-        items = list(self._items)
-        self._items.clear()
-        return items

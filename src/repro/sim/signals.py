@@ -27,14 +27,18 @@ class Signal:
     at :meth:`wait` — and exactly one of the two is meaningful depending on
     whether the signal succeeded or failed. Waiters never run inside the
     caller of ``succeed``/``fail``/``wait``. The kernel's own resolutions
-    have no caller to run inside (see :meth:`_settle`): the waiters of a
-    timeout or of a :meth:`~repro.sim.resources.Resource.hold` run in its
-    timer event, and the waiters of a process's ``done`` — its joiners —
-    run in that process's last event; that event's *drain*. A signal
-    resolved while a drain runs — by a waiter it woke — queues its waiters
-    at the back of that drain, so they run in the same event once the
-    caller has returned. Resolved anywhere else, each waiter gets its own
-    event at the current simulated time.
+    have no caller to run inside (see :func:`wake`): the waiters of a
+    timeout run in its timer event, and the waiters of a process's ``done``
+    — its joiners — run in that process's last event; that event's
+    *drain*. A signal resolved while a drain runs — by a waiter it woke —
+    queues its waiters at the back of that drain, so they run in the same
+    event once the caller has returned. Resolved anywhere else, each
+    waiter gets its own event at the current simulated time.
+
+    A wait with one waiter needs no signal: a CPU job
+    (:meth:`~repro.sim.resources.Resource.hold`) and a transfer
+    (:meth:`~repro.net.topology.Topology.transfer`) take their continuation
+    and :func:`wake` it in their own last event.
     """
 
     __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_source")
@@ -48,7 +52,7 @@ class Signal:
         #: ``(callback, bound_args)`` per waiter
         self._waiters: list[tuple] = []
         #: What resolves this signal unless abandon() takes it back: the timer
-        #: event of a Kernel.timeout(), or the Store / Resource it queues in.
+        #: event of a Kernel.timeout(), or the Resource it queues in.
         self._source = None
 
     # -- introspection -----------------------------------------------------
@@ -113,34 +117,11 @@ class Signal:
 
     def _settle(self, state: str, value: Any, exc: BaseException | None) -> None:
         """Resolve from inside the kernel — a timer firing, a process ending
-        — and run the waiters inside the event now executing."""
-        # The kernel is the caller, so nothing is re-entered and no second
-        # event is spent per waiter. The waiters run in registration order
-        # off one queue per kernel: a hand-off made *during* the drain — a
-        # process that ends, a signal resolved or a process started by a
-        # waiter — is appended to that queue (no recursion, so a chain may
-        # be any length) and runs after the waiters already queued. A waiter
-        # attached meanwhile finds the signal resolved and is scheduled by
-        # wait().
+        — and :func:`wake` the waiters inside the event now executing."""
         self._state, self._value, self._exc = state, value, exc
         waiters, self._waiters = self._waiters, []
-        if not waiters:
-            return
-        kernel = self.kernel
-        if kernel._waking is not None:  # inside another drain: join it
-            return kernel._waking.append((iter(waiters), value, exc))
-        kernel._waking = [(iter(waiters), value, exc)]
-        batches = iter(kernel._waking)  # by index: sees batches appended meanwhile
-        try:
-            for waiters, value, exc in batches:
-                for callback, args in waiters:
-                    callback(*args, value, exc)
-        except BaseException:  # the waiters left behind a raise still wake
-            kernel._waking = None
-            for waiters, value, exc in ((waiters, value, exc), *batches):
-                hand_off(kernel, waiters, value, exc)
-            raise
-        kernel._waking = None
+        if waiters:
+            wake(self.kernel, waiters, value, exc)
 
     # -- waiting ------------------------------------------------------------
     def wait(self, callback: Callable[..., None], *args: Any) -> None:
@@ -160,8 +141,8 @@ class Signal:
 
         For when its last waiter has abandoned the wait (``interrupt()``):
         an abandoned timeout must not keep the clock running toward it, and
-        an abandoned ``Store.get()`` or ``Resource.request()`` must not be
-        handed the next item or slot.
+        an abandoned ``Resource.request()`` must not be handed the next
+        slot.
         """
         source = self._source
         if source is not None and self._state == PENDING:
@@ -181,10 +162,39 @@ class Signal:
         return f"<Signal {self.name or id(self):}{due} {self._state}>"
 
 
+def wake(kernel: "Kernel", waiters, value: Any, exc: BaseException | None) -> None:
+    """Call *waiters* (``(callback, bound_args)`` each) with ``(value,
+    exc)`` inside the event now executing: the kernel's own resolutions — a
+    timer, a process's end, a hold's timer, a transfer's arrival — have no
+    caller to run inside, so nothing is re-entered and no second event is
+    spent per waiter.
+
+    The waiters run in order off one queue per kernel, the *drain*: a
+    hand-off made during it — a process that ends, a signal resolved or a
+    process started by a waiter, or a second :func:`wake` — is appended to
+    that queue (no recursion, so a chain may be any length) and runs after
+    the waiters already queued. A waiter attached meanwhile finds its
+    signal resolved and is scheduled by :meth:`Signal.wait`."""
+    if kernel._waking is not None:  # inside another drain: join it
+        return kernel._waking.append((iter(waiters), value, exc))
+    kernel._waking = [(iter(waiters), value, exc)]
+    batches = iter(kernel._waking)  # by index: sees batches appended meanwhile
+    try:
+        for waiters, value, exc in batches:
+            for callback, args in waiters:
+                callback(*args, value, exc)
+    except BaseException:  # the waiters left behind a raise still wake
+        kernel._waking = None
+        for waiters, value, exc in ((waiters, value, exc), *batches):
+            hand_off(kernel, waiters, value, exc)
+        raise
+    kernel._waking = None
+
+
 def hand_off(kernel: "Kernel", waiters, value: Any, exc: BaseException | None) -> None:
     """Wake *waiters* (``(callback, bound_args)`` each) with ``(value,
-    exc)``: at the back of the drain now running (:meth:`Signal._settle`),
-    if one is, else by one zero-delay event each."""
+    exc)``: at the back of the drain now running (:func:`wake`), if one
+    is, else by one zero-delay event each."""
     if kernel._waking is not None:
         kernel._waking.append((iter(waiters), value, exc))
     else:

@@ -8,6 +8,8 @@ from repro.devices.catalog import desktop, smart_tv_4k
 from repro.errors import DeviceError
 from repro.sim import Kernel, RngStreams
 
+from ..outcomes import Outcome
+
 
 @pytest.fixture
 def kernel():
@@ -23,42 +25,56 @@ def make_cpu(kernel, factor=1.0, cores=2, jitter=0.0):
 class TestCpu:
     def test_job_takes_scaled_time(self, kernel):
         cpu = make_cpu(kernel, factor=2.5)
-        done = cpu.execute(0.040)
+        done = Outcome(kernel)
+        cpu.execute(0.040, done)
         kernel.run()
         assert done.value == pytest.approx(0.100)
         assert kernel.now == pytest.approx(0.100)
 
     def test_fixed_jobs_ignore_cpu_factor(self, kernel):
         cpu = make_cpu(kernel, factor=2.5)
-        done = cpu.execute_fixed(0.040)
+        done = Outcome(kernel)
+        cpu.execute_fixed(0.040, done)
         kernel.run()
         assert done.value == pytest.approx(0.040)
 
     def test_zero_cost_jobs_complete_instantly(self, kernel):
         cpu = make_cpu(kernel)
-        done = cpu.execute(0.0)
+        done = Outcome(kernel)
+        cpu.execute(0.0, done)
         kernel.run()
         assert done.value == 0.0
 
     def test_contention_queues_beyond_cores(self, kernel):
         cpu = make_cpu(kernel, cores=2)
-        jobs = [cpu.execute(1.0) for _ in range(4)]
+        jobs = [Outcome(kernel) for _ in range(4)]
+        for job in jobs:
+            cpu.execute(1.0, job)
         kernel.run()
-        assert all(j.succeeded for j in jobs)
+        assert all(job.value == 1.0 for job in jobs)
         # 4 one-second jobs on 2 cores = 2 seconds
         assert kernel.now == pytest.approx(2.0)
 
     def test_jitter_varies_durations(self, kernel):
         cpu = make_cpu(kernel, cores=100, jitter=0.2)
-        jobs = [cpu.execute(0.05) for _ in range(50)]
+        jobs = [Outcome(kernel) for _ in range(50)]
+        for job in jobs:
+            cpu.execute(0.05, job)
         kernel.run()
         durations = {j.value for j in jobs}
         assert len(durations) > 40
 
+    def test_bound_arguments_reach_the_continuation(self, kernel):
+        cpu = make_cpu(kernel, factor=2.0)
+        done = Outcome(kernel)
+        cpu.execute(0.25, done, "job", 7)
+        kernel.run()
+        assert done.calls == [(0.5, None, 0.5, ("job", 7))]
+
     def test_stats(self, kernel):
         cpu = make_cpu(kernel)
-        cpu.execute(0.5)
-        cpu.execute(0.25)
+        cpu.execute(0.5, Outcome(kernel))
+        cpu.execute(0.25, Outcome(kernel))
         kernel.run()
         assert cpu.jobs_completed == 2
         assert cpu.busy_seconds == pytest.approx(0.75)

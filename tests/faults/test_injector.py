@@ -115,10 +115,11 @@ class TestLinkFaults:
                     1.0, "phone", extra_latency_s=0.25, duration_s=2.0))
             sent = {}
             for tag, at, nbytes in (("before", 0.9, 3_000_000), ("after", 1.5, 1_000)):
-                home.kernel.schedule(at, lambda tag=tag, nbytes=nbytes: sent.setdefault(
-                    tag, home.topology.transfer("phone", "desktop", nbytes)))
+                home.kernel.schedule(
+                    at, home.topology.transfer, "phone", "desktop", nbytes,
+                    lambda tag, arrived, _exc: sent.setdefault(tag, arrived), tag)
             home.run(until=5.0)
-            return {tag: done.value for tag, done in sent.items()}
+            return sent
 
         quiet, spiked = arrivals(False), arrivals(True)
         assert spiked["before"] == quiet["before"]

@@ -76,7 +76,9 @@ class TestConstrainedDevices:
         for kind in ("watch", "desktop"):
             home = VideoPipe(seed=10)
             home.add_device(kind)
-            done = home.device(kind).cpu.execute(0.010)
+            done = home.kernel.signal()
+            home.device(kind).cpu.execute(
+                0.010, lambda duration, _exc: done.succeed(duration))
             home.kernel.run_until_resolved(done)
             times[kind] = home.now
         assert times["watch"] > times["desktop"] * 4

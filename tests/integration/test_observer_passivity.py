@@ -47,10 +47,12 @@ SEED = 5
 #: The three observer sets each run of the home is made with.
 RUNS = {"bare": (), "traced": ("tracing",), "audited": ("tracing", "audit")}
 
-#: The events that move simulated time or hand control to a new party: a
-#: process's start, and the start of a cross-device ship or of a service
-#: dispatch, each of which begins where a process would.
-MOVES_THE_CLOCK = {"Signal._fire", "Resource._held", "Process._resume start",
+#: The events that move simulated time — a timeout, a CPU job's timer, a
+#: transfer's arrival — or hand control to a new party: a process's start,
+#: and the start of a module's worker, of a cross-device ship or of a
+#: service dispatch, each of which begins where a process would.
+MOVES_THE_CLOCK = {"Signal._fire", "Resource._held", "Topology._arrive",
+                   "Process._resume start", "DeployedModule._start",
                    "ModuleRuntime._ship", "_Dispatch._start"}
 
 

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.net import Link, LinkSpec
+from repro.net import Link, LinkSpec, Topology
 from repro.net.link import Medium
 from repro.sim import Kernel, RngStreams
+
+from ..outcomes import Outcome
 
 
 @pytest.fixture
@@ -35,18 +37,15 @@ class TestLinkTransfer:
     def test_deterministic_delay_without_jitter(self, kernel):
         spec = LinkSpec(latency_s=0.002, jitter_cv=0.0, bandwidth_bps=100e6)
         link = Link(kernel, spec, rng())
-        done = link.transfer(45000)
-        kernel.run()
-        assert done.value == pytest.approx(0.002 + 0.0036)
+        assert link.transfer(45000) == pytest.approx(0.002 + 0.0036)
 
     def test_transfers_serialize_on_medium(self, kernel):
         spec = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
         link = Link(kernel, spec, rng())
         first = link.transfer(125000)  # 1 second of airtime
         second = link.transfer(125000)
-        kernel.run()
-        assert first.value == pytest.approx(1.0)
-        assert second.value == pytest.approx(2.0)
+        assert first == pytest.approx(1.0)
+        assert second == pytest.approx(2.0)
 
     def test_shared_medium_couples_two_links(self, kernel):
         spec = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
@@ -55,9 +54,8 @@ class TestLinkTransfer:
         link_b = Link(kernel, spec, rng(), medium=medium)
         first = link_a.transfer(125000)
         second = link_b.transfer(125000)  # must wait for link_a's airtime
-        kernel.run()
-        assert first.value == pytest.approx(1.0)
-        assert second.value == pytest.approx(2.0)
+        assert first == pytest.approx(1.0)
+        assert second == pytest.approx(2.0)
 
     def test_private_media_do_not_couple(self, kernel):
         spec = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
@@ -65,9 +63,8 @@ class TestLinkTransfer:
         link_b = Link(kernel, spec, rng())
         first = link_a.transfer(125000)
         second = link_b.transfer(125000)
-        kernel.run()
-        assert first.value == pytest.approx(1.0)
-        assert second.value == pytest.approx(1.0)
+        assert first == pytest.approx(1.0)
+        assert second == pytest.approx(1.0)
 
     def test_loss_adds_retransmit_penalty(self, kernel):
         spec = LinkSpec(
@@ -75,16 +72,13 @@ class TestLinkTransfer:
             loss_prob=0.999999, retransmit_penalty_s=0.5,
         )
         link = Link(kernel, spec, rng())
-        done = link.transfer(1000)
-        kernel.run()
-        assert done.value >= 0.5
+        assert link.transfer(1000) >= 0.5
         assert link.retransmits == 1
 
     def test_counters(self, kernel):
         link = Link(kernel, LinkSpec(jitter_cv=0.0), rng())
         link.transfer(100)
         link.transfer(200)
-        kernel.run()
         assert link.messages_sent == 2
         assert link.bytes_sent == 300
 
@@ -96,10 +90,8 @@ class TestLinkTransfer:
     def test_jitter_produces_variation_with_correct_mean(self, kernel):
         spec = LinkSpec(latency_s=0.010, jitter_cv=0.3, bandwidth_bps=1e12)
         link = Link(kernel, spec, rng())
-        signals = [link.transfer(1) for _ in range(400)]
-        kernel.run()
         # arrival deltas ~ latency draws; mean should be near 10 ms
-        arrivals = sorted(sig.value for sig in signals)
+        arrivals = sorted(link.transfer(1) for _ in range(400))
         assert min(arrivals) != max(arrivals)
         mean = sum(arrivals) / len(arrivals)
         assert mean == pytest.approx(0.010, rel=0.15)
@@ -114,23 +106,35 @@ def run_counting(kernel):
 
 
 class TestOneEventPerTransfer:
-    """A link is a clock, not a queue: a transfer schedules its arrival at
-    the call, and that is its only event (docs/PERF.md "A link is a clock,
-    not a queue")."""
+    """A link is a clock, not a queue: a transfer returns its arrival
+    instant at the call and schedules nothing; a topology transfer arms
+    that arrival, its only event (docs/PERF.md "A link is a clock, not a
+    queue")."""
 
     SPEC = LinkSpec(latency_s=0.0, jitter_cv=0.0, bandwidth_bps=1e6)
 
+    def wired(self, kernel):
+        topology = Topology(kernel, RngStreams(seed=1))
+        topology.add_wired("a", "b", self.SPEC)
+        return topology
+
+    def test_a_link_transfer_schedules_nothing(self, kernel):
+        assert Link(kernel, self.SPEC, rng()).transfer(125000) == 1.0
+        assert kernel.pending_events == 0
+
     def test_an_uncontended_transfer_costs_exactly_one_event(self, kernel):
-        done = Link(kernel, self.SPEC, rng()).transfer(125000)
+        done = Outcome(kernel)
+        self.wired(kernel).transfer("a", "b", 125000, done)
         assert kernel.pending_events == 1  # the arrival, armed at the call
         assert run_counting(kernel) == 1
-        assert done.value == 1.0
+        assert (done.value, done.at) == (1.0, 1.0)
 
     def test_a_transfer_queued_on_a_shared_medium_costs_one_event(self, kernel):
-        medium = Medium()
-        first = Link(kernel, self.SPEC, rng(), medium=medium).transfer(125000)
-        queued = Link(kernel, self.SPEC, rng(), medium=medium).transfer(125000)
-        assert medium.free_at == 2.0
+        topology = self.wired(kernel)
+        first, queued = Outcome(kernel), Outcome(kernel)
+        topology.transfer("a", "b", 125000, first)
+        topology.transfer("b", "a", 125000, queued)
+        assert topology.graph["a"]["b"].medium.free_at == 2.0
         # one arrival each: no airtime timer, no grant wake-up
         assert run_counting(kernel) == 2
         assert (first.value, queued.value) == (1.0, 2.0)
@@ -140,15 +144,16 @@ class TestOneEventPerTransfer:
         t=0.5 a callback B for t=1. The arrival's heap seq is the one it
         took at t=0, so it runs before B."""
         seen = []
-        Link(kernel, self.SPEC, rng()).transfer(125000).wait(
-            lambda value, _exc: seen.append(("arrival", value)))
+        self.wired(kernel).transfer(
+            "a", "b", 125000, lambda value, _exc: seen.append(("arrival", value)))
         kernel.schedule(0.5, kernel.schedule, 0.5, seen.append, "B")
         kernel.run()
         assert seen == [("arrival", 1.0), "B"]
 
     def test_counters_count_at_the_request(self, kernel):
-        link = Link(kernel, self.SPEC, rng())
-        link.transfer(100)
+        topology = self.wired(kernel)
+        topology.transfer("a", "b", 100, Outcome(kernel))
+        link = topology.graph["a"]["b"]
         assert (link.messages_sent, link.bytes_sent) == (1, 100)
         assert run_counting(kernel) == 1
 
@@ -174,4 +179,4 @@ class TestLatencySpike:
 
         kernel.schedule(0.5, spike)
         kernel.run()
-        assert (on_air.value, after[0].value) == (1.0, 2.25)
+        assert (on_air, after[0]) == (1.0, 2.25)

@@ -4,6 +4,7 @@
 the other fuzz suites (default 300; CI's audit job runs 3000).
 """
 
+import functools
 import os
 
 from hypothesis import example, given, settings
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from repro.net import Link, LinkSpec, Topology
 from repro.net.wire import WireFormatError, decode, encode
 from repro.sim import Kernel, Resource, RngStreams, lognormal_around
+
+from ..outcomes import Outcome
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "300"))
 
@@ -60,7 +63,8 @@ def test_star_transfer_time_matches_closed_form(n_devices, nbytes, latency_ms,
     names = [f"d{i}" for i in range(n_devices)]
     for name in names:
         topo.attach(name, "wifi")
-    done = topo.transfer(names[0], names[-1], nbytes)
+    done = Outcome(kernel)
+    topo.transfer(names[0], names[-1], nbytes, done)
     kernel.run()
     expected = 2 * (latency_ms / 1e3 + nbytes * 8 / (bandwidth_mbps * 1e6))
     assert abs(done.value - expected) < 1e-9
@@ -80,12 +84,14 @@ def test_shared_medium_serializes_total_airtime(transfers):
     topo.add_wifi("wifi", spec)
     for name in ("a", "b", "c"):
         topo.attach(name, "wifi")
-    signals = [topo.transfer("a", "b", n) for n in transfers]
+    arrivals = [Outcome(kernel) for _ in transfers]
+    for n, arrival in zip(transfers, arrivals):
+        topo.transfer("a", "b", n, arrival)
     kernel.run()
     total_airtime = sum(2 * n * 8 / 50e6 for n in transfers)
-    assert max(s.value for s in signals) <= total_airtime + 1e-9
+    assert max(a.value for a in arrivals) <= total_airtime + 1e-9
     # and it cannot beat the serialized bound either
-    assert abs(max(s.value for s in signals) - total_airtime) < 1e-6
+    assert abs(max(a.value for a in arrivals) - total_airtime) < 1e-6
 
 
 @given(seed=st.integers(0, 10_000))
@@ -99,22 +105,25 @@ def test_jittered_transfers_replay_identically(seed):
         topo.add_wifi("wifi", LinkSpec(latency_s=0.002, jitter_cv=0.3))
         for name in ("a", "b"):
             topo.attach(name, "wifi")
-        arrivals = [topo.transfer("a", "b", 10_000) for _ in range(5)]
+        arrivals = [Outcome(kernel) for _ in range(5)]
+        for arrival in arrivals:
+            topo.transfer("a", "b", 10_000, arrival)
         kernel.run()
-        return [s.value for s in arrivals]
+        return [a.value for a in arrivals]
 
     assert run() == run()
 
 
 # -- the link against a reference --------------------------------------------
 class ReferenceLink:
-    """What :class:`~repro.net.Link` must do, written as the two-stage link:
-    the medium is a one-slot :class:`~repro.sim.Resource` requested at the
-    call. The grant draws the loss into the airtime and arms the airtime
-    timer, in the call when the medium is free and in the wake-up a release
-    schedules when it is queued. The airtime timer releases the medium,
-    counts the message, draws the latency and arms the arrival timer. A
-    test-side reference, not a second link."""
+    """What :class:`~repro.net.Link` and the arrival a topology arms for it
+    must do, written as the two-stage link: the medium is a one-slot
+    :class:`~repro.sim.Resource` requested at the call. The grant draws the
+    loss into the airtime and arms the airtime timer, in the call when the
+    medium is free and in the wake-up a release schedules when it is
+    queued. The airtime timer releases the medium, counts the message,
+    draws the latency and arms the arrival timer, which calls ``then(*args,
+    arrived_at, None)``. A test-side reference, not a second link."""
 
     def __init__(self, kernel, spec, rng, medium=None):
         self.kernel, self.spec, self.rng = kernel, spec, rng
@@ -122,14 +131,13 @@ class ReferenceLink:
         self.extra_latency_s = 0.0
         self.messages_sent = self.bytes_sent = self.retransmits = 0
 
-    def transfer(self, nbytes):
-        arrival = self.kernel.signal("reference")
+    def transfer(self, nbytes, then, *args):
+        arrival = functools.partial(then, *args)
         request = self.medium.request()
         if request.pending:
             request.wait(self._granted, arrival, nbytes)
         else:
             self._granted(arrival, nbytes, request.value, None)
-        return arrival
 
     def _granted(self, arrival, nbytes, grant, _exc):
         airtime = self.spec.transmission_time(nbytes)
@@ -144,7 +152,17 @@ class ReferenceLink:
         self.bytes_sent += nbytes
         latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
         delay = latency + self.extra_latency_s
-        self.kernel.schedule(delay, arrival._fire, self.kernel.now + delay)
+        self.kernel.schedule(delay, arrival, self.kernel.now + delay, None)
+
+
+def arm(link, nbytes, then, *args):
+    """A transfer on *link* whose arrival calls ``then(*args, arrived_at,
+    None)``: :class:`~repro.net.Link` returns the instant and the caller
+    arms it, as :meth:`~repro.net.Topology.transfer` does."""
+    if isinstance(link, ReferenceLink):
+        return link.transfer(nbytes, then, *args)
+    at = link.transfer(nbytes)
+    link.kernel.schedule_at(at, then, *args, at, None)
 
 
 def play_links(link_class, links, transfers, seed):
@@ -163,13 +181,17 @@ def play_links(link_class, links, transfers, seed):
         built.append(link)
     arrivals = []
 
+    def arrived(slot, at, _exc):
+        arrivals[slot] = at
+
     def start(index, nbytes):
-        arrivals.append(built[index % len(built)].transfer(nbytes))
+        arrivals.append(None)
+        arm(built[index % len(built)], nbytes, arrived, len(arrivals) - 1)
 
     for at, then, index, nbytes in transfers:
         kernel.schedule(at, kernel.schedule, then, start, index, nbytes)
     kernel.run()
-    return ([arrival.value for arrival in arrivals],
+    return (arrivals,
             [(link.messages_sent, link.bytes_sent, link.retransmits) for link in built],
             kernel.now)
 

@@ -6,6 +6,8 @@ from repro.errors import LinkDown, NetworkError
 from repro.net import LinkSpec, Topology
 from repro.sim import Kernel, RngStreams
 
+from ..outcomes import Outcome
+
 
 @pytest.fixture
 def kernel():
@@ -76,14 +78,16 @@ class TestRouting:
 class TestTransfer:
     def test_two_hop_delay_sums_hops(self, kernel):
         topo = star(kernel)
-        done = topo.transfer("phone", "desktop", 45000)
+        done = Outcome(kernel)
+        topo.transfer("phone", "desktop", 45000, done)
         kernel.run()
         # each hop: 2 ms latency + 3.6 ms airtime
         assert done.value == pytest.approx(2 * (0.002 + 0.0036))
 
     def test_loopback_is_fast(self, kernel):
         topo = star(kernel)
-        done = topo.transfer("phone", "phone", 45000)
+        done = Outcome(kernel)
+        topo.transfer("phone", "phone", 45000, done)
         kernel.run()
         assert done.value < 0.001
 
@@ -93,8 +97,9 @@ class TestTransfer:
         for device in ["a", "b", "c", "d"]:
             topo.attach(device, "wifi")
         # two concurrent transfers, each needs 2 hops of 1 s airtime
-        first = topo.transfer("a", "b", 125000)
-        second = topo.transfer("c", "d", 125000)
+        first, second = Outcome(kernel), Outcome(kernel)
+        topo.transfer("a", "b", 125000, first)
+        topo.transfer("c", "d", 125000, second)
         kernel.run()
         # 4 one-second airtime slots on one shared medium = 4 s total
         assert max(first.value, second.value) == pytest.approx(4.0)
@@ -102,6 +107,26 @@ class TestTransfer:
     def test_expected_delay_matches_deterministic_transfer(self, kernel):
         topo = star(kernel)
         expected = topo.expected_delay("phone", "tv", 45000)
-        done = topo.transfer("phone", "tv", 45000)
+        done = Outcome(kernel)
+        topo.transfer("phone", "tv", 45000, done)
         kernel.run()
         assert done.value == pytest.approx(expected)
+
+    def test_a_relay_costs_one_event_per_hop(self, kernel):
+        """Each hop's arrival starts the next hop; the last one calls the
+        continuation, with its bound arguments, inside its own event."""
+        topo = star(kernel)
+        done = Outcome(kernel)
+        topo.transfer("phone", "desktop", 45000, done, "bound")
+        executed = 0
+        while kernel.step():
+            executed += 1
+        assert executed == 2
+        assert done.calls == [(kernel.now, None, kernel.now, ("bound",))]
+
+    def test_a_routing_error_raises_at_the_call(self, kernel):
+        topo = star(kernel)
+        topo.partition("tv")
+        with pytest.raises(LinkDown):
+            topo.transfer("phone", "tv", 100, Outcome(kernel))
+        assert kernel.pending_events == 0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.errors import Interrupt, SimulationError
 from repro.sim import Kernel, Resource
 from repro.sim.events import LOW, NORMAL, URGENT
+from repro.sim.signals import SUCCEEDED
 
 
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "300"))
@@ -193,17 +194,28 @@ class ReferenceSignal:
         self.outcome = outcome
         wakes = [functools.partial(waiter, *outcome) for waiter in self.waiters]
         self.waiters = []
-        if self.executor.waking is not None:
-            self.executor.waking.extend(wakes)  # behind the waiters still to come
-        elif not inline:
+        if inline or self.executor.waking is not None:
+            reference_wake(self.executor, wakes)
+        else:
             for wake in wakes:
                 self.executor.schedule(0.0, wake)
-        else:
-            self.executor.waking = wakes
-            while wakes:
-                wakes.pop(0)()
-            self.executor.waking = None
         return self
+
+    def _settle(self, _state, value, exc):
+        """A waiter-shaped resolver, as the kernel resolves: inline."""
+        self.resolve((value, exc), inline=True)
+
+
+def reference_wake(executor, wakes):
+    """Call *wakes* inside the event now executing: behind the ones still
+    to come when a drain runs, else as a drain of their own."""
+    if executor.waking is not None:
+        executor.waking.extend(wakes)
+        return
+    executor.waking = wakes
+    while wakes:
+        wakes.pop(0)()
+    executor.waking = None
 
 
 class ReferenceProcess:
@@ -270,9 +282,10 @@ class ReferenceResource:
     lowest priority first, then first come — is granted by a release, which
     resolves its signal from ordinary code. A hold goes on in the call when
     its slot is free, else in its grant's wake-up; the grant arms the timer,
-    and the timer releases the slot, then wakes the hold's waiters inline,
-    like a timeout. Busy time is integrated over every change of ``busy``,
-    and the timer counts each hold run to its end and the seconds it held."""
+    and the timer releases the slot, then calls the hold's continuation
+    inline, as a timeout wakes its waiters. Busy time is integrated over
+    every change of ``busy``, and the timer counts each hold run to its end
+    and the seconds it held."""
 
     def __init__(self, executor, capacity):
         self.executor, self.capacity = executor, capacity
@@ -303,15 +316,14 @@ class ReferenceResource:
             self._set_busy(self.busy + 1)
             self.queue.pop(0)[2].succeed("grant")
 
-    def hold(self, duration, priority=0):
-        done = ReferenceSignal(self.executor)
+    def hold(self, duration, then, *args, priority=0):
+        done = functools.partial(then, *args, duration, None)
         request = self.request(priority)
         if request.pending:
             request.waiters.append(
                 lambda _grant, _exc: self.granted(done, duration))
         else:
             self.granted(done, duration)
-        return done
 
     def granted(self, done, duration):
         self.executor.schedule(duration, functools.partial(self.held, done, duration))
@@ -320,7 +332,7 @@ class ReferenceResource:
         self.release()
         self.holds_completed += 1
         self.held_seconds += duration
-        done.resolve((duration, None), inline=True)
+        reference_wake(self.executor, [done])
 
     def utilization(self):
         now, (start, _) = self.executor.now, self.changes[0]
@@ -411,9 +423,12 @@ def play_processes(executor, timer_delays, scripts, resource=Resource):
                     result = yield procs[arg % len(procs)]
                 elif kind == "bad":
                     result = yield "not awaitable"
-                elif kind == "hold":
+                elif kind == "hold":  # a CPU job yielded on, as a stub does
                     pool, seconds, priority = arg
-                    result = yield pools[pool].hold(seconds, priority)
+                    held = executor.signal()
+                    pools[pool].hold(seconds, held._settle, SUCCEEDED,
+                                     priority=priority)
+                    result = yield held
                 elif kind == "request":
                     pool, priority = arg
                     grants.append((pool, (yield pools[pool].request(priority))))

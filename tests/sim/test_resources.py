@@ -1,9 +1,9 @@
-"""Unit tests for resources and stores."""
+"""Unit tests for resources."""
 
 import pytest
 
 from repro.errors import Interrupt, SimulationError
-from repro.sim import Kernel, Resource, Store
+from repro.sim import Kernel, Resource
 
 
 @pytest.fixture
@@ -32,7 +32,6 @@ class TestResource:
     def test_signals_carry_names_built_once_from_the_owner(self, kernel):
         assert Resource(kernel, name="cpu").request().name == "cpu.request"
         assert Resource(kernel).request().name == "resource.request"
-        assert Store(kernel, name="inbox").get().name == "inbox.get"
 
     def test_immediate_grant_when_free(self, kernel):
         res = Resource(kernel, capacity=1)
@@ -204,93 +203,3 @@ class TestResource:
         kernel.schedule(2.0, res.release, held)
         kernel.run()
         assert order == ["high", "mid", "low"]
-
-
-class TestStore:
-    def test_put_then_get_immediate(self, kernel):
-        store = Store(kernel)
-        store.put("item")
-        sig = store.get()
-        assert sig.succeeded
-        assert sig.value == "item"
-
-    def test_get_blocks_until_put(self, kernel):
-        store = Store(kernel)
-        results = []
-
-        def consumer():
-            item = yield store.get()
-            results.append((item, kernel.now))
-
-        kernel.process(consumer())
-        kernel.schedule(2.0, store.put, "late-item")
-        kernel.run()
-        assert results == [("late-item", 2.0)]
-
-    def test_fifo_order(self, kernel):
-        store = Store(kernel)
-        for item in [1, 2, 3]:
-            store.put(item)
-        assert [store.get().value for _ in range(3)] == [1, 2, 3]
-
-    def test_getters_served_in_order(self, kernel):
-        store = Store(kernel)
-        first = store.get()
-        second = store.get()
-        store.put("a")
-        store.put("b")
-        assert first.value == "a"
-        assert second.value == "b"
-
-    def test_len_counts_buffered_items(self, kernel):
-        store = Store(kernel)
-        assert len(store) == 0
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-
-    def test_an_interrupted_getter_gives_up_its_place(self, kernel):
-        """The next item goes to the next getter, not to nobody."""
-        store = Store(kernel)
-        got = []
-
-        def getter(tag):
-            try:
-                got.append((tag, (yield store.get())))
-            except Interrupt:
-                got.append((tag, "interrupted"))
-
-        quitter = kernel.process(getter("quitter"))
-        kernel.process(getter("next"))
-        kernel.schedule(1.0, quitter.interrupt)
-        kernel.schedule(2.0, store.put, "x")
-        kernel.run()
-        assert got == [("quitter", "interrupted"), ("next", "x")]
-        assert len(store) == 0
-
-    def test_a_get_made_now_and_yielded_later_still_receives(self, kernel):
-        """Only an abandoned wait withdraws a get: one nobody waits on yet,
-        or whose process is interrupted elsewhere, keeps its place."""
-        store = Store(kernel)
-        got = []
-
-        def consumer():
-            pending = store.get()
-            try:
-                yield 5.0
-            except Interrupt:
-                pass
-            got.append((yield pending))
-
-        proc = kernel.process(consumer())
-        kernel.schedule(1.0, proc.interrupt)
-        kernel.schedule(2.0, store.put, "kept")
-        kernel.run()
-        assert got == ["kept"]
-
-    def test_drain_empties_store(self, kernel):
-        store = Store(kernel)
-        store.put(1)
-        store.put(2)
-        assert store.drain() == [1, 2]
-        assert len(store) == 0

@@ -13,6 +13,8 @@ from repro.services import ServiceCallContext
 from repro.sim import Kernel, RngStreams, lognormal_around
 from repro.sim.rng import lognormal_params
 
+from ..outcomes import Outcome
+
 
 class TestRngStreams:
     def test_same_name_returns_same_generator(self):
@@ -132,7 +134,8 @@ class TestParametersFixedOnce:
                                      compute_jitter_cv=cv), rng)
         got, want, fixed = [], [], []
         for _ in range(DRAWS // 2):
-            fixed.append(cpu.execute_fixed(mean))
+            fixed.append(Outcome(kernel))
+            cpu.execute_fixed(mean, fixed[-1])
             want.append(per_draw_lognormal(twin, mean, cv))
             got.append(cpu.sample_duration(mean))
             want.append(per_draw_lognormal(twin, mean * factor, cv))
@@ -145,9 +148,8 @@ class TestParametersFixedOnce:
         kernel = Kernel()
         link = Link(kernel, LinkSpec(latency_s=mean, jitter_cv=cv), rng)
         arrivals = [link.transfer(0) for _ in range(DRAWS)]
-        kernel.run()
         want = [per_draw_lognormal(twin, mean, cv) for _ in range(DRAWS)]
-        assert hexes(a.value for a in arrivals) == hexes(want)
+        assert hexes(arrivals) == hexes(want)
 
 
 def test_a_stream_is_seeded_at_its_first_draw():
@@ -177,6 +179,5 @@ def test_a_stream_is_seeded_at_its_first_draw():
     twin_kernel.run()
     assert hexes(durations) == hexes(twin_cpu.sample_duration(0.01)
                                      for _ in range(3))
-    assert hexes(a.value for a in arrivals) == hexes(
-        a.value for a in twin_arrivals)
+    assert hexes(arrivals) == hexes(twin_arrivals)
     assert list(noise) == list(eager.stream("service").random(3))

@@ -8,7 +8,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from repro.net.link import Link
 from repro.sim.process import Process
+from repro.sim.signals import Signal
 
 _SPEC = importlib.util.spec_from_file_location(
     "event_histogram",
@@ -24,8 +26,12 @@ def test_fleet_histogram_accounts_for_every_event():
     assert result["frames_completed"] > 0
     assert sum(result["by_callback"].values()) == result["events"]
     assert not kernel._observers  # detached again
-    # a process is named by what it runs, and starts apart from wake-ups
-    assert "Process._resume start ModuleRuntime._worker" in result["by_callback"]
+    # a process is named by what it runs, and starts apart from wake-ups;
+    # a module's worker starts where a process would, and a transfer's
+    # arrival is its own kind of event
+    by_callback = result["by_callback"]
+    assert "Process._resume start VideoSource._capture_loop" in by_callback
+    assert {"DeployedModule._start", "Topology._arrive"} <= set(by_callback)
 
 
 def test_cli_prints_the_table_and_writes_json(tmp_path, capsys):
@@ -86,7 +92,7 @@ def test_a_fleet_frame_costs_at_most_22_events():
         assert gone not in result["by_callback"], gone
 
 
-def test_a_fleet_frame_costs_at_most_805_calls():
+def test_a_fleet_frame_costs_at_most_760_calls():
     """The calls twin of the event ceiling (docs/PERF.md "A span is a
     row"): the ledger's fleet-stage shape made 1 213.6 Python calls per
     completed frame, 661.8 of them in ``sim/``, while ``Kernel.now`` was a
@@ -94,13 +100,16 @@ def test_a_fleet_frame_costs_at_most_805_calls():
     went through ``_issue`` → ``succeed`` → ``_dispatch``, each CPU job
     tallied itself through a waiter, and every drain ended in a
     ``hand_off`` of nothing; 805.8 while each frame started 8 processes
-    (docs/PERF.md "A frame starts no process"). It makes 765.2 now, under
-    400 of them in ``sim/``, and must not silently regrow."""
+    (docs/PERF.md "A frame starts no process"); 765.2, 310.8 of them in
+    ``sim/``, while every CPU job and link hop built a signal and each
+    module's worker was a process (docs/PERF.md "A wait with one waiter is
+    a call"). It makes 723.5 now, 233.6 of them in ``sim/``, and must not
+    silently regrow (each ceiling is that count + 5 %)."""
     result = hist.calls(*hist.fleet_stage(5, seed=1))
     frames = result["frames_completed"]
     assert frames > 0
-    assert result["by_package"]["sim"] / frames <= 400, result
-    assert result["calls"] / frames <= 805, result
+    assert result["by_package"]["sim"] / frames <= 245, result
+    assert result["calls"] / frames <= 760, result
 
 
 def test_a_fleet_frame_starts_no_process(monkeypatch):
@@ -122,6 +131,56 @@ def test_a_fleet_frame_starts_no_process(monkeypatch):
     assert frames > 0
     assert not started, {name: count / frames
                          for name, count in started.items()}
+
+
+def test_a_fleet_frame_builds_at_most_15_signals(monkeypatch):
+    """A signal is built only where a generator or a second party waits: a
+    CPU job, a link hop and a module's worker hand their outcome straight
+    to one continuation (docs/PERF.md "A wait with one waiter is a call").
+    The run phase of the fleet-stage shape built 40.41 signals per
+    completed frame — 12 CPU job ``done``s, 7 link arrivals, 2 relays and
+    5.4 mailbox gets among them — and builds 14.0 now."""
+    kernel, pipelines, run = hist.fleet_stage(5, seed=1)
+    built = Counter()
+    init = Signal.__init__
+
+    def counting(signal, kernel, name=None):
+        built[name] += 1
+        init(signal, kernel, name)
+
+    monkeypatch.setattr(Signal, "__init__", counting)
+    run()
+    frames = sum(p.metrics.counter("frames_completed") for p in pipelines)
+    assert frames > 0
+    assert sum(built.values()) / frames <= 15, {
+        name: count / frames for name, count in built.items()}
+
+
+def test_every_transfer_goes_through_link_transfer(monkeypatch):
+    """``Link.transfer(link, nbytes)`` is the one way bytes cross a link:
+    wrapped as the benchmark ledger wraps it to count ``net.bytes_sent``,
+    it sees every byte the links count."""
+    kernel, pipelines, run = hist.fleet_stage(5, seed=1)
+    links = {}
+    for home in run.__self__.homes:  # the Fleet
+        topology = home.topology
+        for neighbours in topology.graph.values():
+            links.update((id(link), link) for link in neighbours.values())
+        for device in topology.graph:  # every loopback a run may use
+            if topology.has_device(device):
+                links[id(topology.loopback(device))] = topology.loopback(device)
+    before = sum(link.bytes_sent for link in links.values())
+    wrapped = [0]
+    transfer = Link.transfer
+
+    def counting(link, nbytes):
+        wrapped[0] += nbytes
+        return transfer(link, nbytes)
+
+    monkeypatch.setattr(Link, "transfer", counting)
+    run()
+    sent = sum(link.bytes_sent for link in links.values()) - before
+    assert sent > 0 and wrapped[0] == sent
 
 
 def test_a_call_count_is_the_same_in_two_fresh_processes():

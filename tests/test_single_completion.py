@@ -140,3 +140,21 @@ def test_holding_a_core_or_a_link_starts_no_process():
         starts = [ast.unparse(node) for node in ast.walk(tree)
                   if _is_process_start(node)]
         assert starts == [], relative
+
+
+def test_the_runtime_starts_no_process_and_yields_nothing():
+    """A module's worker is a chain of waiters its mailbox wakes, and a
+    generator handler is stepped by the process engine inside that chain
+    (docs/PERF.md "A wait with one waiter is a call"): nothing under
+    ``runtime/`` starts a process or is a generator. The brokered relay is
+    a waiter chain too."""
+    offenders = {}
+    paths = [*sorted((SRC / "runtime").rglob("*.py")), SRC / "net" / "broker.py"]
+    for path in paths:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        found = [ast.unparse(node) for node in nodes if _is_process_start(node)]
+        found += [f"line {node.lineno}: yield" for node in nodes
+                  if isinstance(node, (ast.Yield, ast.YieldFrom))]
+        if found:
+            offenders[str(path.relative_to(SRC))] = found
+    assert offenders == {}
