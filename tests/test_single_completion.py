@@ -106,8 +106,8 @@ SHIP_CHAIN = ("_ship", "_transmit", "_shipped")
 def test_the_copying_waiter_and_the_done_parameters_are_gone():
     runtime = (SRC / "runtime" / "moduleruntime.py").read_text()
     assert "_forward" not in runtime
-    generators = {"net/broker.py": "_relay", "services/stubs.py": "_call"}
-    for relative, name in generators.items():
+    starters = {"net/broker.py": "_relay", "services/stubs.py": "_call"}
+    for relative, name in starters.items():
         functions = [node for node in ast.walk(ast.parse((SRC / relative).read_text()))
                      if isinstance(node, ast.FunctionDef) and node.name == name]
         assert functions, f"{relative} lost {name}"
