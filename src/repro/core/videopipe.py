@@ -396,8 +396,7 @@ class VideoPipe:
             "peak_bytes": 0, "stale_accesses": 0, "by_device": {},
         }
         pool = {
-            "grants": 0, "borrowed": 0, "revoked": 0, "backlog": 0,
-            "by_device": {},
+            "grants": 0, "borrowed": 0, "backlog": 0, "by_device": {},
         }
         for name, device in self.devices.items():
             if device.arena is not None:
@@ -414,10 +413,6 @@ class VideoPipe:
                 pool["by_device"][name] = stats
                 pool["grants"] += stats["total_grants"]
                 pool["borrowed"] += stats["borrowed_grants"]
-                pool["revoked"] += sum(
-                    lease.revoked_grants
-                    for lease in device.replica_pool.leases.values()
-                )
                 pool["backlog"] += stats["backlog"]
         pool["borrow_ratio"] = (
             pool["borrowed"] / pool["grants"] if pool["grants"] else 0.0

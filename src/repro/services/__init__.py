@@ -14,7 +14,7 @@ from .builtin.pose import PoseDetectorService
 from .builtin.repcount import RepCounterService
 from .builtin.tracker import ObjectTrackingService
 from .host import ServiceHost
-from .pool import PoolLease, ReplicaPool
+from .pool import ReplicaPool
 from .registry import ServiceRegistry
 from .scaling import AutoScaler, ScalingPolicy
 from .stubs import (
@@ -40,7 +40,6 @@ __all__ = [
     "LocalServiceStub",
     "ObjectDetectionService",
     "ObjectTrackingService",
-    "PoolLease",
     "PoseDetectorService",
     "RemoteServiceStub",
     "ReplicaPool",

@@ -42,8 +42,8 @@ def service_pressure(registry: ServiceRegistry, service_name: str) -> float:
     pressure on a service a pipeline calls is queueing delay that will show
     up in that pipeline's tail latency. An unknown service reads 0.0 (the
     pipeline calls nothing that can queue). Pooled hosts report through the
-    same surface: ``queue_length`` is the lease's own waiting requests and
-    ``busy_workers - replicas`` is slots borrowed beyond the share."""
+    same surface: ``queue_length`` is the host's own waiting requests and
+    ``busy_workers - replicas`` is slots borrowed beyond its share."""
     pressure = 0.0
     for host in registry.hosts_of(service_name):
         if not host_is_live(host):

@@ -16,9 +16,10 @@ the way Table 2's two-pipeline column shows.
 
 Failure semantics: :meth:`crash` models the service process dying — the RPC
 endpoint unbinds (remote callers see delivery failures, which are retryable
-and failover-able), in-flight calls are interrupted and failed, and the
-worker pool is discarded wholesale. :meth:`restart` rebinds the endpoint
-with a fresh pool. :meth:`close` is the orderly, idempotent teardown.
+and failover-able), in-flight calls are interrupted and failed, and a
+private worker pool is discarded wholesale (a device's shared pool keeps
+its slots: each interrupted dispatch leaves its queue). :meth:`restart`
+rebinds the endpoint. :meth:`close` is the orderly, idempotent teardown.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..net.transport import Transport
 from ..sim.events import URGENT, Event
 from ..sim.kernel import Kernel
 from ..sim.resources import Resource
-from ..sim.signals import Signal, hand_off
+from ..sim.signals import PENDING, Signal, hand_off
 from .base import Service, ServiceCallContext
 from .cache import MISS, ResultCache, payload_cache_key
 
@@ -89,14 +90,17 @@ class ServiceHost:
         self._call_name = f"{service.name}.call"
         self.native = native
         self._replica_target = replicas
+        #: Where each dispatch takes its worker slot: a private Resource of
+        #: ``replicas`` slots, or the ``slots`` of the device's shared
+        #: :class:`~repro.services.pool.ReplicaPool` (see :meth:`attach_pool`).
         self.workers = Resource(
             kernel, replicas, name=f"{device.name}.{service.name}.workers"
         )
-        #: The device's shared :class:`~repro.services.pool.ReplicaPool`
-        #: when pooled parallelism is on; ``workers`` is then a
-        #: :class:`~repro.services.pool.PoolLease` instead of a private
-        #: Resource (see :meth:`attach_pool`).
         self.pool: Any = None
+        #: Worker requests of this host's dispatches that are queued, or
+        #: granted and not yet taken up by their dispatch.
+        self._requests: dict[Signal, None] = {}
+        self._reset_accounting()
         self.address = Address(device.name, port or service.default_port)
         self._rpc = RpcServer(kernel, transport, self.address, self._handle_remote)
         self._ctx = ServiceCallContext(
@@ -145,15 +149,16 @@ class ServiceHost:
 
     @property
     def replicas(self) -> int:
-        return self.workers.capacity
+        """Worker slots this host is due: a private pool's size, or its
+        share of the device's pool."""
+        return self._replica_target
 
     def attach_pool(self, pool: Any) -> None:
-        """Switch this host to pool-based parallelism: its private worker
-        Resource is replaced by a :class:`~repro.services.pool.PoolLease`
-        on the device's shared pool, with the configured replica count as
-        the initial share. Requires an idle host (no busy workers, no
-        queued or batch-pending requests) so no grant straddles the swap.
-        Idempotent for the same pool."""
+        """Switch this host to pool-based parallelism: its dispatches take
+        their slots from the device's shared pool instead of a private
+        Resource, with ``replicas`` as the host's share. Requires an idle
+        host (no busy workers, no queued or batch-pending requests) so no
+        grant straddles the swap. Idempotent for the same pool."""
         if self.pool is pool:
             return
         if self.pool is not None:
@@ -167,23 +172,30 @@ class ServiceHost:
                 f" {self.service_name}@{self.device.name} — replica pools"
                 " are device-local"
             )
-        if (self.workers.in_use or self.workers.queue_length
-                or self._batch_pending):
+        if self.busy_workers or self.queue_length:
             raise ServiceError(
                 f"attach_pool() requires an idle host;"
                 f" {self.service_name}@{self.device.name} has"
-                f" {self.workers.in_use} busy worker(s) and"
+                f" {self.busy_workers} busy worker(s) and"
                 f" {self.queue_length} queued request(s)"
             )
         self.pool = pool
-        self.workers = pool.attach(self, share=self._replica_target)
+        self.workers = pool.slots
+        self._reset_accounting()
+        pool.attach(self)
 
     def add_replica(self, count: int = 1) -> None:
         """Horizontal scaling: add worker replicas (stateless, so trivial —
         the property the paper's design buys). On a pooled host this raises
         the service's *share* of the device pool."""
+        if count < 1:
+            raise ServiceError("add_replica() needs a positive count")
+        self._account()
         self._replica_target += count
-        self.workers.grow(count)
+        if self.pool is None:
+            self.workers.grow(count)
+        else:
+            self.pool.rebalance()
 
     def remove_replica(self, count: int = 1) -> None:
         """Scale back down toward one replica. Lazy: a busy worker finishes
@@ -193,8 +205,12 @@ class ServiceHost:
             raise ServiceError("remove_replica() needs a positive count")
         if self._replica_target - count < 1:
             raise ServiceError("cannot scale below one replica")
+        self._account()
         self._replica_target -= count
-        self.workers.shrink(count)
+        if self.pool is None:
+            self.workers.shrink(count)
+        else:
+            self.pool.rebalance()
 
     # -- fast path configuration -------------------------------------------------
     def enable_result_cache(self) -> None:
@@ -438,30 +454,61 @@ class ServiceHost:
         pending, self._batch_pending = self._batch_pending, []
         for call in pending:
             call.fail(f"call dropped: {reason}")
-        if self.pool is not None:
-            # the pool is shared — never discarded. Not-yet-granted requests
-            # are revoked (their slots bounce back on grant); grants already
-            # held stay owned so the interrupted calls' cleanup releases them.
-            self.workers.revoke_pending()
-        else:
+        if self.pool is None:
+            # a shared pool is never discarded: the interrupted dispatches
+            # left its queue, and give back the slots they hold as they end
             self.workers = Resource(
                 self.kernel, self._replica_target,
                 name=f"{self.device.name}.{self.service_name}.workers",
             )
+            self._reset_accounting()
+
+    # -- slot accounting -------------------------------------------------------
+    def _reset_accounting(self) -> None:
+        """Start counting afresh on new worker slots, as a new Resource
+        starts its own count: the slots this host's dispatches have taken
+        up, and their integral over time since ``_started``."""
+        self._held = 0
+        self._busy_integral = 0.0
+        self._last_change = self._started = self.kernel.now
+
+    def _account(self) -> None:
+        """Close the held-slot integral's segment at now. A dispatch's grant
+        and end do this inline, as they run per call."""
+        now = self.kernel.now
+        self._busy_integral += self._held * (now - self._last_change)
+        self._last_change = now
 
     # -- introspection ---------------------------------------------------------
     @property
     def queue_length(self) -> int:
-        # requests awaiting batch formation are queued load too (empty
-        # unless batching is enabled)
-        return self.workers.queue_length + len(self._batch_pending)
+        """This host's requests still in the slot queue, plus those awaiting
+        batch formation (none unless batching is enabled)."""
+        return (len(self._requests) - self._grants_untaken()
+                + len(self._batch_pending))
 
     @property
     def busy_workers(self) -> int:
-        return self.workers.in_use
+        """Slots this host holds."""
+        return self._held + self._grants_untaken()
+
+    def _grants_untaken(self) -> int:
+        """Requests granted whose dispatch has not yet woken to take the
+        slot: held already, as the Resource counts them."""
+        untaken = 0
+        for request in self._requests:
+            untaken += request._state != PENDING
+        return untaken
 
     def utilization(self) -> float:
-        return self.workers.utilization()
+        """Average held slots over ``replicas`` since the worker slots were
+        set up; above 1.0 while a pooled host borrows beyond its share."""
+        elapsed = self.kernel.now - self._started
+        if elapsed <= 0:
+            return 0.0
+        integral = self._busy_integral + self._held * (
+            self.kernel.now - self._last_change)
+        return integral / (elapsed * self._replica_target)
 
     def cache_hit_rate(self) -> float:
         """Fraction of cacheable requests answered from the result cache."""
@@ -522,23 +569,49 @@ class _Dispatch:
         if self._stop is not None:  # interrupted before it began: never runs
             return
         self._began = True
+        host = self.host
+        # under its share a host's request outranks a borrower's; on a
+        # private Resource a queue means every slot is held, so every queued
+        # request is a borrower's and the queue stays FIFO
+        held = host._held
+        for request in host._requests:  # a granted one is held already
+            held += request._state != PENDING
         try:
-            request = self.host.workers.request()
+            request = host.workers.request(
+                0 if held < host._replica_target else 1)
         except Exception as error:
             return self._abort(error)
         if request.pending:
             self._waiting = request
+            host._requests[request] = None
             request.wait(self._granted)
         else:
             self._granted(request.value, None)
 
     def _granted(self, grant: Any, exc: BaseException | None) -> None:
-        if self._stop is not None:  # a wake-up the interrupt made stale
-            return
         host, items = self.host, self.items
+        if self._waiting is not None:  # granted from the queue
+            del host._requests[self._waiting]
+            self._waiting = None
+        if self._stop is not None:  # a wake-up the interrupt made stale
+            # the slot goes back, unless it died with a discarded Resource
+            if exc is None and host.workers.owns(grant):
+                host.workers.release(grant)
+            return
         try:
             if exc is not None:
                 raise exc
+            # the slot accounting, as ServiceHost._account() and a pool's
+            # share rule count it, inline: this runs per dispatch
+            now = host.kernel.now
+            host._busy_integral += host._held * (now - host._last_change)
+            host._last_change = now
+            pool = host.pool
+            if pool is not None:
+                pool.total_grants += 1
+                if host._held >= host._replica_target:
+                    pool.borrowed_total += 1
+            host._held += 1
             self.grant = grant
             # availability is accurate again: further pending work may
             # have room on the remaining replicas
@@ -665,22 +738,25 @@ class _Dispatch:
     def _end(self) -> None:
         """The ``finally`` arm, on every way out of a dispatch that began."""
         self._ended = True
-        self._waiting = None
         host = self.host
         for call in self.items:
             host._inflight.pop(call.done, None)
         # a grant from a discarded pre-crash worker pool dies with that
-        # pool; a pooled lease keeps owning pre-crash grants so the shared
-        # slot always comes back
+        # pool; a shared pool's slot always comes back
         grant = self.grant
         if grant is not None and host.workers.owns(grant):
+            now = host.kernel.now  # ServiceHost._account(), inline
+            host._busy_integral += host._held * (now - host._last_change)
+            host._last_change = now
+            host._held -= 1
             host.workers.release(grant)
         host._pump_batches()
 
     def interrupt(self, cause: object) -> None:
         """Stop the dispatch at the step it waits on, as
-        ``Process.interrupt`` stops a process: leave a pending worker
-        request (abandoning it if nobody else waits on it) — a CPU job runs
+        ``Process.interrupt`` stops a process: abandon a pending worker
+        request, which takes it off the slot queue (a slot granted and not
+        yet taken up goes back when its wake-up comes) — a CPU job runs
         out, and its continuation finds the dispatch stopped — then fail
         every call in one urgent zero-delay event. A no-op once the
         dispatch has ended or has been interrupted: a crashed batch is
@@ -688,10 +764,11 @@ class _Dispatch:
         if self._ended or self._stop is not None:
             return
         waiting = self._waiting
-        if waiting is not None and waiting.pending:
-            waiting.discard(self._granted)
-            if not waiting._waiters:
-                waiting.abandon()  # nor hold the clock, nor take a slot
+        if waiting is not None:
+            del self.host._requests[waiting]
+            if waiting.pending:
+                waiting.discard(self._granted)
+                waiting.abandon()  # it leaves the slot queue
         self._waiting = None
         self._stop = Interrupt(cause)
         self.host.kernel.schedule(0.0, self._interrupted, priority=URGENT)

@@ -144,8 +144,7 @@ class Resource:
 
         The guard cleanup paths use before releasing: a grant from a
         discarded pre-crash pool (or another resource entirely) must not be
-        returned here. :class:`~repro.services.pool.PoolLease` duck-types
-        this for leased grants."""
+        returned here."""
         return grant.resource is self and not grant.released
 
     def release(self, grant: Grant) -> None:

@@ -13,6 +13,13 @@ break:
 * no worker busy, nothing queued or pending batch formation, nothing left
   in ``_inflight``, every pool slot and CPU core returned.
 
+A host counts the slots it holds itself (a pooled host shares its
+``Resource`` with its sibling), so on private hosts one more law holds
+between every two events: ``busy_workers``, the queued requests and
+``utilization()`` equal the worker ``Resource``'s ``in_use``,
+``queue_length`` and ``utilization()``, bit for bit, and every queued
+request has the borrower's priority, so the queue is FIFO.
+
 ``REPRO_FUZZ_N`` scales the example budget like the other fuzz suites
 (default 200 -> 100 scripts, a few seconds; the CI ``audit`` job runs 10x).
 
@@ -84,6 +91,8 @@ class Harness:
         self.stub = RemoteServiceStub(
             self.kernel, self.home.transport, self.home.phone, self.host)
         self.resolutions = {}  # host-side signal -> times it resolved
+        if not pooled:
+            self.kernel.add_observer(self)
 
     def _host(self, service, replicas):
         host = ServiceHost(self.kernel, self.home.desktop, service,
@@ -103,6 +112,25 @@ class Harness:
 
     def _count(self, signal, value, exc):
         self.resolutions[signal] += 1
+
+    # a kernel observer: the state each event left, before the next runs
+    def on_schedule(self, now, event):
+        pass
+
+    def on_execute(self, now, event):
+        self.gauges_agree()
+
+    def gauges_agree(self):
+        """A private host's own gauges equal its Resource's, bit for bit."""
+        for host in (self.host, self.sibling):
+            workers = host.workers
+            assert host.busy_workers == workers.in_use
+            queued = host.queue_length - len(host._batch_pending)
+            assert queued == workers.queue_length
+            assert host.utilization().hex() == workers.utilization().hex()
+            # a queue means every slot is held: each queued request is a
+            # borrower's, so the private queue stays FIFO
+            assert all(entry[0] == 1 for entry in workers._waiting)
 
     def arrive(self, kind, payload):
         store = (self.home.phone if kind == "remote"
@@ -135,6 +163,8 @@ class Harness:
 
     def check(self):
         self.kernel.run()
+        if self.pool is None:
+            self.gauges_agree()
         assert all(count == 1 for count in self.resolutions.values())
         for host in (self.host, self.sibling):
             mine = [s for s in self.resolutions if s.name.startswith(

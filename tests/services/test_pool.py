@@ -1,208 +1,171 @@
-"""The shared replica pool: weighted work-conserving slot sharing."""
+"""The shared replica pool: weighted work-conserving slot sharing.
+
+Every test drives real :class:`ServiceHost`s attached to one
+:class:`ReplicaPool`: a host's ``replicas`` is its share, and its
+dispatches take their slots straight from ``pool.slots``.
+"""
 
 import pytest
 
-from repro.errors import ServiceError, SimulationError
-from repro.services.pool import PRI_BORROW, PRI_UNDER_SHARE, PoolLease, ReplicaPool
-from repro.sim.kernel import Kernel
+from repro.errors import ServiceError
+from repro.services import FunctionService, ServiceHost
+from repro.services.pool import ReplicaPool
 
 
-@pytest.fixture
-def kernel():
-    return Kernel()
+def echo_service(name="pose", cost=0.050):
+    return FunctionService(name, lambda payload, ctx: payload,
+                           reference_cost_s=cost)
 
 
-def make_pool(kernel, slots=2):
-    return ReplicaPool(kernel, "desktop", slots)
+def attached(home, pool, name="pose", replicas=1, port=None):
+    host = ServiceHost(home.kernel, home.desktop, echo_service(name),
+                       home.transport, replicas=replicas, port=port)
+    host.attach_pool(pool)
+    return host
 
 
-def take(kernel, lease, priority=None):
-    """Request a slot and run the kernel until it is granted (or not)."""
-    got = []
-    lease.request(priority).wait(lambda value, exc: got.append((value, exc)))
-    kernel.run()
-    return got
+def probe_at(home, delay, read):
+    """Run the home to quiescence; return what *read()* saw *delay* from
+    now."""
+    seen = {}
+    home.kernel.schedule(delay, lambda: seen.update(read()))
+    home.kernel.run()
+    return seen
+
+
+class FakeHost:
+    service_name = "pose"
+    replicas = 2
 
 
 class TestLeaseBasics:
-    def test_lease_is_resource_compatible(self, kernel):
-        pool = make_pool(kernel, slots=4)
-        lease = PoolLease(pool, "pose", share=2)
-        assert lease.capacity == 2  # host.replicas reads the share
-        assert lease.in_use == 0
-        assert lease.available == 4  # idle pool capacity is anyone's
-        assert lease.queue_length == 0
+    def test_pooled_host_reads_its_own_gauges(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 4)
+        pose = attached(home, pool, replicas=2)
+        other = attached(home, pool, "activity", port=7901)
+        for _ in range(5):
+            other.call_local({})
+        seen = probe_at(home, 0.010, lambda: {
+            "pose": (pose.busy_workers, pose.queue_length),
+            "other": (other.busy_workers, other.queue_length)})
+        assert pose.replicas == 2  # the share, not the pool's size
+        # the other host borrows all four slots beyond its share of one
+        assert seen == {"pose": (0, 0), "other": (4, 1)}
+        assert pose.utilization() == 0.0
+        assert other.utilization() > 1.0
 
-    def test_grant_and_release_roundtrip(self, kernel):
-        pool = make_pool(kernel)
-        lease = PoolLease(pool, "pose", share=1)
-        got = take(kernel, lease)
-        assert len(got) == 1 and got[0][1] is None
-        grant = got[0][0]
-        assert lease.owns(grant)
-        assert lease.held == 1 and pool.slots.in_use == 1
-        lease.release(grant)
-        assert not lease.owns(grant)
-        assert lease.held == 0 and pool.slots.in_use == 0
+    def test_grant_and_release_roundtrip(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 2)
+        host = attached(home, pool)
+        done = host.call_local({})
+        seen = probe_at(home, 0.010, lambda: {
+            "busy": host.busy_workers, "in_use": pool.slots.in_use})
+        assert done.succeeded
+        assert seen == {"busy": 1, "in_use": 1}
+        assert host.busy_workers == 0 and pool.slots.in_use == 0
 
-    def test_release_of_foreign_grant_rejected(self, kernel):
-        pool = make_pool(kernel)
-        mine = PoolLease(pool, "pose", share=1)
-        other = PoolLease(pool, "activity", share=1)
-        grant = take(kernel, mine)[0][0]
-        with pytest.raises(SimulationError, match="not issued through"):
-            other.release(grant)
-
-    def test_share_must_be_positive(self, kernel):
+    def test_share_must_be_positive(self, home):
         with pytest.raises(ServiceError):
-            PoolLease(make_pool(kernel), "pose", share=0)
+            ServiceHost(home.kernel, home.desktop, echo_service(),
+                        home.transport, replicas=0)
 
 
 class TestWorkConservation:
-    def test_host_borrows_idle_slots_beyond_share(self, kernel):
-        pool = make_pool(kernel, slots=3)
-        lease = PoolLease(pool, "pose", share=1)
-        grants = [take(kernel, lease)[0][0] for _ in range(3)]
-        assert all(g is not None for g in grants)
-        assert lease.held == 3  # share is 1, but idle slots are anyone's
-        assert lease.borrowed_grants == 2
+    def test_host_borrows_idle_slots_beyond_share(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 3)
+        host = attached(home, pool)
+        calls = [host.call_local({}) for _ in range(3)]
+        seen = probe_at(home, 0.010, lambda: {"busy": host.busy_workers})
+        assert all(call.succeeded for call in calls)
+        assert seen == {"busy": 3}  # share is 1, but idle slots are anyone's
+        assert pool.borrowed_total == 2
         assert pool.borrow_ratio() == pytest.approx(2 / 3)
 
-    def test_under_share_outranks_borrower_when_scarce(self, kernel):
-        pool = make_pool(kernel, slots=2)
-        greedy = PoolLease(pool, "pose", share=1)
-        fair = PoolLease(pool, "activity", share=1)
-        held = [take(kernel, greedy)[0][0] for _ in range(2)]  # pool full
-        # both queue: greedy would borrow again, fair is under its share
-        greedy_waits = []
-        fair_waits = []
-        greedy.request().wait(lambda v, e: greedy_waits.append(v))
-        fair.request().wait(lambda v, e: fair_waits.append(v))
-        kernel.run()
-        assert pool.backlog == 2
-        greedy.release(held[0])  # one slot frees: fair must win despite FIFO
-        kernel.run()
-        assert fair_waits and not greedy_waits
-        assert fair.held == 1
+    def test_under_share_outranks_borrower_when_scarce(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 2)
+        greedy = attached(home, pool)
+        fair = attached(home, pool, "activity", port=7901)
+        resolved = []
 
-    def test_explicit_priority_overrides_the_share_heuristic(self, kernel):
-        # priority shapes queue order; borrow accounting is judged at grant
-        # time against the share, whatever priority the caller passed
-        pool = make_pool(kernel, slots=1)
-        lease = PoolLease(pool, "pose", share=2)
-        holder = PoolLease(pool, "activity", share=1)
-        held = take(kernel, holder)[0][0]  # pool full
-        low, high = [], []
-        lease.request(priority=PRI_BORROW).wait(lambda v, e: low.append(v))
-        lease.request(priority=PRI_UNDER_SHARE).wait(lambda v, e: high.append(v))
-        kernel.run()
-        holder.release(held)
-        kernel.run()
-        assert high and not low  # the explicit high priority jumped the queue
-        assert lease.borrowed_grants == 0  # under share -> not a borrow
+        def call(host, tag):
+            host.call_local({}).wait(lambda value, exc: resolved.append(tag))
+
+        call(greedy, "first")
+        home.kernel.schedule(0.010, call, greedy, "borrowed")  # pool full
+        # both queue: greedy would borrow again, fair is under its share
+        home.kernel.schedule(0.011, call, greedy, "greedy")
+        home.kernel.schedule(0.012, call, fair, "fair")
+        seen = probe_at(home, 0.013, lambda: {"backlog": pool.backlog})
+        assert seen == {"backlog": 2}
+        # the first slot to free goes to fair despite FIFO
+        assert resolved == ["first", "borrowed", "fair", "greedy"]
+        # borrowing is judged at the grant: greedy's last call found its
+        # share free again
+        assert pool.borrowed_total == 1
 
 
 class TestShareAdjustment:
-    def test_grow_raises_share_and_pool_capacity(self, kernel):
-        pool = make_pool(kernel, slots=2)
-        pose = PoolLease(pool, "pose", share=2)
-        pool.leases["pose"] = pose
-        pose.grow(2)
-        assert pose.share == 4
+    def test_grow_raises_share_and_pool_capacity(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 2)
+        pose = attached(home, pool, replicas=2)
+        pose.add_replica(2)
+        assert pose.replicas == 4
+        assert pool.stats()["shares"] == {"pose": 4}
         assert pool.slots.capacity == 4  # scaling up adds real capacity
 
-    def test_shrink_returns_share_but_keeps_base_slots(self, kernel):
-        pool = make_pool(kernel, slots=2)
-        pose = PoolLease(pool, "pose", share=4)
-        pool.leases["pose"] = pose
-        pool.rebalance()
+    def test_shrink_returns_share_but_keeps_base_slots(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 2)
+        pose = attached(home, pool, replicas=4)
         assert pool.slots.capacity == 4
-        pose.shrink(3)
-        assert pose.share == 1
+        pose.remove_replica(3)
+        assert pose.replicas == 1
         assert pool.slots.capacity == 2  # never below the device's cores
 
-    def test_shrink_below_one_rejected(self, kernel):
-        lease = PoolLease(make_pool(kernel), "pose", share=1)
-        with pytest.raises(SimulationError):
-            lease.shrink(1)
+    def test_shrink_below_one_rejected(self, home):
+        pose = attached(home, ReplicaPool(home.kernel, "desktop", 2))
+        with pytest.raises(ServiceError, match="below one replica"):
+            pose.remove_replica(1)
 
-    def test_utilization_can_exceed_one_while_borrowing(self, kernel):
-        pool = make_pool(kernel, slots=3)
-        lease = PoolLease(pool, "pose", share=1)
-        grants = [take(kernel, lease)[0][0] for _ in range(3)]
-        kernel.schedule(1.0, lambda: None)
-        kernel.run()
-        assert lease.utilization() > 1.0
-        for grant in grants:
-            lease.release(grant)
-
-
-class TestRevocation:
-    def test_revoked_queued_request_returns_slot_to_pool(self, kernel):
-        pool = make_pool(kernel, slots=1)
-        crashing = PoolLease(pool, "pose", share=1)
-        survivor = PoolLease(pool, "activity", share=1)
-        grant = take(kernel, crashing)[0][0]
-        stale = []
-        crashing.request().wait(lambda v, e: stale.append(v))
-        kernel.run()
-        crashing.revoke_pending()  # the host crashed while queued
-        crashing.release(grant)  # cleanup still releases held grants
-        live = take(kernel, survivor)
-        assert not stale  # the revoked request never got a grant
-        assert crashing.revoked_grants == 1
-        assert crashing.held == 0
-        assert live and live[0][0] is not None  # the slot reached the survivor
-
-    def test_held_grants_survive_revocation(self, kernel):
-        pool = make_pool(kernel, slots=1)
-        lease = PoolLease(pool, "pose", share=1)
-        grant = take(kernel, lease)[0][0]
-        lease.revoke_pending()
-        assert lease.owns(grant)  # the in-flight worker's cleanup will fire
-        lease.release(grant)
-        assert pool.slots.in_use == 0
+    def test_utilization_can_exceed_one_while_borrowing(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 3)
+        host = attached(home, pool)
+        for _ in range(3):
+            host.call_local({})
+        seen = probe_at(home, 0.040, lambda: {"util": host.utilization()})
+        assert seen["util"] > 1.0
 
 
 class TestReplicaPool:
-    def test_attach_is_idempotent_per_service(self, kernel):
-        pool = make_pool(kernel, slots=4)
-
-        class FakeHost:
-            service_name = "pose"
-            replicas = 2
-
-        first = pool.attach(FakeHost())
-        second = pool.attach(FakeHost())
-        assert first is second
+    def test_attach_is_idempotent_per_service(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 4)
+        first = FakeHost()
+        pool.attach(first)
+        pool.attach(FakeHost())
+        assert pool.hosts == {"pose": first}
         assert pool.total_shares == 2
 
-    def test_detach_returns_the_share(self, kernel):
-        pool = make_pool(kernel, slots=2)
-
-        class FakeHost:
-            service_name = "pose"
-            replicas = 4
-
+    def test_detach_returns_the_share(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 1)
         pool.attach(FakeHost())
-        assert pool.slots.capacity == 4
+        assert pool.slots.capacity == 2
         pool.detach("pose")
         assert pool.total_shares == 0
-        assert pool.slots.capacity == 2
+        assert pool.slots.capacity == 1
 
-    def test_contention_counts_queued_per_slot(self, kernel):
-        pool = make_pool(kernel, slots=2)
-        lease = PoolLease(pool, "pose", share=2)
-        grants = [take(kernel, lease)[0][0] for _ in range(2)]
-        assert pool.contention() == 0.0
-        lease.request().wait(lambda v, e: None)
-        kernel.run()
-        assert pool.contention() == pytest.approx(0.5)
-        for grant in grants:
-            lease.release(grant)
+    def test_contention_counts_queued_per_slot(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 2)
+        host = attached(home, pool, replicas=2)
+        host.call_local({})
+        host.call_local({})
+        assert probe_at(home, 0.001, lambda: {
+            "contention": pool.contention()}) == {"contention": 0.0}
+        for _ in range(3):
+            host.call_local({})
+        assert probe_at(home, 0.001, lambda: {
+            "contention": pool.contention()}) == {"contention": 0.5}
 
-    def test_stats_shape(self, kernel):
-        pool = make_pool(kernel, slots=2)
+    def test_stats_shape(self, home):
+        pool = ReplicaPool(home.kernel, "desktop", 2)
         stats = pool.stats()
         assert stats["slots"] == 2
         assert stats["total_grants"] == 0

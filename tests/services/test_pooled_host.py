@@ -24,8 +24,9 @@ class TestAttachment:
     def test_attach_swaps_workers_for_a_lease(self, home):
         host, pool = pooled_host(home, echo_service())
         assert host.pool is pool
+        assert host.workers is pool.slots  # dispatches draw pool slots
         assert host.replicas == 1  # replicas now reads the pool share
-        assert pool.leases["echo"].share == 1
+        assert pool.hosts == {"echo": host}
 
     def test_attach_rejects_cross_device_pool(self, home):
         foreign = ReplicaPool(home.kernel, "phone", 2)
@@ -99,7 +100,7 @@ class TestPooledExecution:
         host, pool = pooled_host(home, echo_service(), slots=2)
         host.add_replica(2)  # what AutoScaler/SLO ladder actuate
         assert host.replicas == 3
-        assert pool.leases["echo"].share == 3
+        assert pool.stats()["shares"] == {"echo": 3}
         assert pool.slots.capacity == 3  # scaling up adds real capacity
         host.remove_replica(2)
         assert host.replicas == 1
@@ -138,6 +139,40 @@ class TestPooledCrash:
         assert pool.slots.in_use == 0
         assert host.pool is pool
 
+    def test_crash_withdraws_the_hosts_queued_requests(self, home):
+        """A crashed host's queued requests leave the shared queue at
+        once, so the slot goes straight to a survivor's request."""
+        pool = home.desktop.enable_replica_pool(slots=2)
+        host = ServiceHost(home.kernel, home.desktop,
+                           echo_service(cost=0.050), home.transport)
+        survivor = ServiceHost(home.kernel, home.desktop,
+                               echo_service("survivor", cost=0.050),
+                               home.transport, port=7901)
+        host.attach_pool(pool)
+        survivor.attach_pool(pool)
+        host.call_local({})
+        for _ in range(2):
+            home.kernel.schedule(0.001, host.call_local, {})
+        survived = []
+        home.kernel.schedule(0.002, lambda: survived.append(
+            survivor.call_local({})))
+        seen = {}
+
+        def crash():
+            seen["before"] = pool.backlog
+            host.crash()
+            seen["after"] = pool.backlog
+            seen["queued"] = host.queue_length
+
+        home.kernel.schedule(0.010, crash)
+        home.kernel.run()
+        # two slots, one share each: the host holds both and queues one,
+        # the survivor queues behind it
+        assert seen == {"before": 2, "after": 1, "queued": 0}
+        assert survived[0].succeeded
+        assert pool.slots.in_use == 0 and pool.backlog == 0
+        assert host.busy_workers == 0
+
     def test_restart_after_crash_serves_again(self, home):
         host, pool = pooled_host(home, echo_service(), slots=2)
         host.crash()
@@ -150,4 +185,4 @@ class TestPooledCrash:
     def test_close_detaches_the_lease(self, home):
         host, pool = pooled_host(home, echo_service(), slots=2)
         host.close()
-        assert "echo" not in pool.leases
+        assert "echo" not in pool.hosts
