@@ -332,11 +332,13 @@ class ServiceHost:
             self._inflight[call.done] = dispatch
 
     # -- batch formation ----------------------------------------------------------
-    # Requests never sit in the worker resource queue on the batch path:
-    # while all workers are busy they accumulate in ``_batch_pending``
-    # (free batch formation — they would have queued anyway), and a batch
-    # dispatches only when a worker is actually free. Three dispatch
-    # triggers:
+    # Requests never sit in the worker resource queue on the batch path
+    # while this host has a dispatch in flight: while all workers are busy
+    # they accumulate in ``_batch_pending`` (free batch formation — they
+    # would have queued anyway), and a batch dispatches only when a worker
+    # is actually free, or when none of the host's own dispatches is in
+    # flight (a pooled host's slots may all be a sibling's, and only the
+    # host's own releases pump its batcher). Three dispatch triggers:
     #   * a zero-delay flush scheduled on arrival at a free host — it runs
     #     after the current event cascade, so requests issued at the same
     #     simulated instant (e.g. two pipelines unblocked by one completed
@@ -347,7 +349,8 @@ class ServiceHost:
     #     lets out-of-phase callers fall into a shared batch rhythm.
 
     def _worker_free(self) -> bool:
-        return self.workers.available > 0 and self.workers.queue_length == 0
+        return not self._inflight or (
+            self.workers.available > 0 and self.workers.queue_length == 0)
 
     def _enqueue_batch(self, call: _Call) -> None:
         self._batch_pending.append(call)

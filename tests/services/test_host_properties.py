@@ -22,17 +22,12 @@ request has the borrower's priority, so the queue is FIFO.
 
 ``REPRO_FUZZ_N`` scales the example budget like the other fuzz suites
 (default 200 -> 100 scripts, a few seconds; the CI ``audit`` job runs 10x).
-
-One known hole, kept out of the generator's reach by luck rather than by
-construction (ROADMAP item 5b): ``test_pending_request_is_not_stranded_
-behind_a_sibling`` below, a strict xfail until the batcher is fixed.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,12 +189,12 @@ def test_every_admitted_call_resolves_exactly_once(pooled, replicas, cached,
     harness.check()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5b: only the host's own"
-                   " releases and arrivals pump its batcher")
 def test_pending_request_is_not_stranded_behind_a_sibling():
     """Batching on, pooled: the sibling holds both pool slots when the
     request arrives, nothing of the host's own is in flight, and no later
-    arrival comes to rescue it."""
+    arrival comes to rescue it. Only the host's own releases and arrivals
+    pump its batcher, so with nothing of its own in flight the request
+    goes to the pool's queue at once."""
     harness = Harness(pooled=True, replicas=1, cached=False,
                       batching=(4, 0.004))
     harness.kernel.schedule(0.0, harness.arrive, "sibling", "plain")
