@@ -112,6 +112,22 @@ def test_a_fleet_frame_costs_at_most_760_calls():
     assert result["calls"] / frames <= 760, result
 
 
+def test_an_outer_profile_hook_survives_a_call_count():
+    """``calls`` hands the profile hook back to whoever held it before:
+    ``tools/census.py`` profiles the tier-1 run in-process, and a count
+    that a test makes must not end the census for the tests after it."""
+    def outer(frame, event, arg):
+        pass
+
+    before = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        hist.calls(None, [], lambda: None)
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(before)
+
+
 def test_a_fleet_frame_starts_no_process(monkeypatch):
     """A handler runs in its module's worker, and a cross-device ship and a
     service dispatch are chains of waiters: the run phase of the

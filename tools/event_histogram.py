@@ -117,11 +117,12 @@ def calls(kernel, pipelines, run) -> dict:
         if event == "call":
             by_file[frame.f_code.co_filename] += 1
 
+    outer = sys.getprofile()  # a census of the whole run keeps its hook
     sys.setprofile(profile)
     try:
         run()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     by_package: Counter[str] = Counter()
     for filename, count in by_file.items():
         by_package[package_of(filename)] += count
