@@ -73,6 +73,25 @@ class TestLocalCalls:
         assert host.replicas == 3
         assert home.kernel.now < 0.160  # latecomers ran concurrently
 
+    def test_the_queue_stays_fifo_while_replicas_grow(self, home):
+        """A grant that growth makes outside any drain is taken up a
+        wake-up later; a request made in between still counts that slot as
+        held, so it queues behind the older one, not ahead of it."""
+        host = ServiceHost(home.kernel, home.desktop, echo_service(0.100),
+                           home.transport, replicas=1)
+        resolved = []
+
+        def call(tag):
+            host.call_local({}).wait(lambda value, exc: resolved.append(tag))
+
+        for tag in ("running", "granted_by_growth", "older"):
+            call(tag)
+        # the arrival's dispatch starts after the growth, before its wake-up
+        home.kernel.schedule(0.010, call, "newer")
+        home.kernel.schedule(0.010, host.add_replica)
+        home.kernel.run()
+        assert resolved == ["running", "granted_by_growth", "older", "newer"]
+
     def test_handler_crash_fails_signal_and_frees_worker(self, home):
         def bad(payload, ctx):
             raise RuntimeError("boom")

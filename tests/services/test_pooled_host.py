@@ -106,6 +106,12 @@ class TestPooledExecution:
         assert host.replicas == 1
         assert pool.slots.capacity == 2
 
+    def test_add_replica_needs_a_positive_count(self, home):
+        host, pool = pooled_host(home, echo_service(), slots=2)
+        with pytest.raises(ServiceError, match="positive"):
+            host.add_replica(0)
+        assert host.replicas == 1
+
     def test_queue_pressure_reads_through_the_lease(self, home):
         host, pool = pooled_host(home, echo_service(cost=0.050), slots=1)
         host.call_local({})
@@ -172,6 +178,29 @@ class TestPooledCrash:
         assert survived[0].succeeded
         assert pool.slots.in_use == 0 and pool.backlog == 0
         assert host.busy_workers == 0
+
+    def test_a_slot_granted_as_its_host_crashes_goes_back(self, home):
+        """Two hosts crash at one instant, in two events: the first's
+        interrupted dispatch frees a slot that goes to the second's queued
+        request, which the second's crash then finds granted and not yet
+        taken up. The slot comes back to the pool all the same."""
+        pool = home.desktop.enable_replica_pool(slots=1)
+        first, second = (
+            ServiceHost(home.kernel, home.desktop,
+                        echo_service(name, cost=0.050), home.transport,
+                        port=port)
+            for name, port in (("first", 7901), ("second", 7902)))
+        for host in (first, second):
+            host.attach_pool(pool)
+        # two slots, one share each: the first host holds both
+        first.call_local({})
+        first.call_local({})
+        home.kernel.schedule(0.001, second.call_local, {})
+        home.kernel.schedule(0.010, first.crash)
+        home.kernel.schedule(0.010, second.crash)
+        home.kernel.run()
+        assert pool.slots.in_use == 0 and pool.backlog == 0
+        assert first.busy_workers == second.busy_workers == 0
 
     def test_restart_after_crash_serves_again(self, home):
         host, pool = pooled_host(home, echo_service(), slots=2)
