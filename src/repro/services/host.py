@@ -410,7 +410,7 @@ class ServiceHost:
     # -- failure lifecycle -------------------------------------------------------
     def crash(self) -> None:
         """The service process dies: endpoint unbound, in-flight calls
-        dropped, worker pool discarded. Idempotent."""
+        dropped, a private worker pool discarded. Idempotent."""
         if not self.up:
             return
         self.crashes += 1
@@ -619,7 +619,7 @@ class _Dispatch:
             # availability is accurate again: further pending work may
             # have room on the remaining replicas
             host._pump_batches()
-            self.started = started = host.kernel.now
+            self.started = started = now
             for call in items:
                 host.total_wait_s += started - call.admitted_at
                 if call.trace is not None:
